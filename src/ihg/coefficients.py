@@ -5,9 +5,10 @@ denominator atom are sparse multivariate polynomials over the Gaussian
 rationals (sympy PolyRing over QQ_I).  Normalization cancels atoms out of the
 numerator by exact division and keeps atoms monic and sorted, so zero tests
 are numerator-only and equality is decided exactly by cross-multiplication.
-No polynomial gcd is ever computed: multivariate gcd over Q(i) is the one
-operation of the backing library that does not run at acceptable speed, and
-every cancellation arising here is an exact-division event.
+Arithmetic computes no polynomial gcd: multivariate gcd over Q(i) is slow in
+the backing library, and every cancellation arising here is an exact-division
+event.  The one gcd user is squarefree_numerator, which the Kuranishi
+condition extraction calls on each candidate generator.
 
 Characters enter as ordinary generators; conj(E) = 1/E puts them into the
 denominator, where an atom that is a bare character monomial cancels by
@@ -236,15 +237,6 @@ class QuadraticSurd:
         bigger_is_a = lhs > rhs
         return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
 
-    def approx(self) -> complex:
-        from math import sqrt
-
-        root = sqrt(self.d)
-        return complex(
-            float(self.a.re) + float(self.b.re) * root,
-            float(self.a.im) + float(self.b.im) * root,
-        )
-
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
@@ -439,9 +431,6 @@ class Coefficient:
     def __bool__(self) -> bool:
         return bool(self._num)
 
-    def is_one(self) -> bool:
-        return not self._den and self._num == self._ctx.ring.one
-
     def is_scalar(self) -> bool:
         self_r = self._refreshed()
         return not self_r._den and (
@@ -467,6 +456,12 @@ class Coefficient:
                     if e:
                         out.add(names[idx])
         return out
+
+    def has_free_parameters(self) -> bool:
+        """Whether any symbol other than a character appears."""
+        return any(
+            registry.lookup(nm).kind != CHAR for nm in self.free_symbols()
+        )
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -883,10 +878,6 @@ class Coefficient:
             e = e / atom.as_expr() ** mult
         return e
 
-    def sort_key(self):
-        r = self._refreshed()
-        return (_poly_key(r._num), tuple((_poly_key(a), m) for a, m in r._den))
-
     def numeric(self, point: dict[str, complex]) -> complex:
         """Float evaluation at a sample point, for numeric cross-checks."""
         r = self._refreshed()
@@ -1021,29 +1012,12 @@ def _render_poly(p, ctx) -> str:
     return out
 
 
-# -- spec-level functional surface ------------------------------------------
-
-
-def coeff_arith(lhs: Coefficient, rhs: Coefficient, op: str) -> Coefficient:
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
-def conjugate(c: Coefficient) -> Coefficient:
-    return c.conjugate()
-
-
-def substitute(c: Coefficient, bindings: dict):
-    return c.substitute(bindings)
-
-
-def param_derivative(c: Coefficient, s) -> Coefficient:
-    name = s if isinstance(s, str) else s.name
-    return c.diff(name)
+def normalized_generators(coefficients) -> tuple[Coefficient, ...]:
+    """Monic numerators of the coefficients, deduplicated in first-seen
+    order: generators of the locus where all of them vanish."""
+    gens: list[Coefficient] = []
+    for c in coefficients:
+        g = c.numerator_normalized()
+        if not any(g == seen for seen in gens):
+            gens.append(g)
+    return tuple(gens)

@@ -158,39 +158,29 @@ class BottChernSector:
         tail = coords[len(self.image):]
         return BottChernClass(self.complex.sector, form, tuple(tail))
 
-    def is_exact(self, form: Form) -> bool:
-        return self.class_of(form).is_zero()
-
-    def harmonic(self, form: Form, weights=None) -> bool:
-        """Kernel of the fourth-order Laplacian for a diagonal metric:
-        closed under del and dbar and orthogonal to im(del dbar) in the
-        monomial inner product (weights per monomial, default 1)."""
-        if not self.is_closed(form):
-            return False
-        cx = self.complex
-        v = cx.to_vector(form, self.p, self.q)
-        mis = cx.basis(self.p, self.q)
-        if weights is None:
-            weights = {}
-        for col in self.image:
-            acc = Coefficient.zero()
-            for mi, u, w in zip(mis, v, col):
-                if u.is_zero() or w.is_zero():
-                    continue
-                scale = weights.get(mi, Coefficient.one())
-                acc = acc + scale * u * w.conjugate()
-            if not acc.is_zero():
-                return False
-        return True
-
 
 def bott_chern(geom: Geometry, p: int, q: int,
                sector: tuple[int, ...] | None = None) -> BottChernSector:
     return BottChernSector(geom, p, q, sector)
 
 
-def harmonic_certificate(geom: Geometry, form: Form,
-                         weights=None) -> tuple[bool, tuple[str, ...]]:
+def _bidegree_and_sector(form: Form):
+    """(p, q, sector) of a form with a single bidegree and one character
+    sector."""
+    degrees = form.bidegrees()
+    if len(degrees) != 1:
+        raise ValueError("form must have a single bidegree")
+    (p, q), = degrees
+    sectors: set = set()
+    for _, c in form.terms():
+        sectors.update(c.char_decompose())
+    if len(sectors) > 1:
+        raise SectorMixing(f"form spans sectors {sorted(sectors)}")
+    return p, q, sectors.pop()
+
+
+def harmonic_certificate(geom: Geometry,
+                         form: Form) -> tuple[bool, tuple[str, ...]]:
     """Certify Bott-Chern harmonicity modulo the attached constraint ideal.
 
     On a family geometry the sector complex over the parameter-rational
@@ -202,36 +192,22 @@ def harmonic_certificate(geom: Geometry, form: Form,
     of its class at every parameter point, and the class vanishes exactly
     where the form does.
     """
-    degrees = form.bidegrees()
-    if len(degrees) != 1:
-        raise ValueError("form must have a single bidegree")
-    (p, q), = degrees
+    p, q, sector = _bidegree_and_sector(form)
     if not geom.reduce(geom.del_op(form)).is_zero():
         return False, ("not del-closed modulo constraints",)
     if not geom.reduce(geom.dbar(form)).is_zero():
         return False, ("not dbar-closed modulo constraints",)
     if p < 1 or q < 1:
         return True, ("no del-dbar image in this bidegree",)
-    sectors: set = set()
-    for _, c in form.terms():
-        sectors.update(c.char_decompose())
-    if len(sectors) > 1:
-        raise SectorMixing(f"form spans sectors {sorted(sectors)}")
-    cx = SectorComplex(geom, sectors.pop() if sectors else None)
-    if weights is None:
-        weights = {}
+    cx = SectorComplex(geom, sector)
     for mi in cx.basis(p - 1, q - 1):
         image = geom.reduce(geom.ddbar(cx.embed(mi)))
         acc = Coefficient.zero()
         for mj, w in image.terms():
             u = form.coeff(mj.holo, mj.anti)
-            if u.is_zero():
-                continue
-            scale = weights.get(mj, Coefficient.one())
-            acc = acc + scale * u * w.conjugate()
-        if acc.is_zero():
-            continue
-        if any(acc.is_multiple_of(g) for g in geom.constraints):
+            if not u.is_zero():
+                acc = acc + u * w.conjugate()
+        if acc.is_zero() or geom.in_ideal(acc):
             continue
         return False, (
             f"pairs with the del-dbar image of {mi.render()}",
@@ -241,21 +217,14 @@ def harmonic_certificate(geom: Geometry, form: Form,
 
 def bc_class(geom: Geometry, form: Form) -> BottChernClass:
     """Bott-Chern class of a pure-bidegree form, sector inferred."""
-    degrees = form.bidegrees()
-    if len(degrees) != 1:
-        raise ValueError("form must have a single bidegree")
-    (p, q), = degrees
-    sectors = set()
-    for _, c in form.terms():
-        sectors.update(c.char_decompose())
-    if len(sectors) > 1:
-        raise SectorMixing(f"form spans sectors {sorted(sectors)}")
-    sector = sectors.pop() if sectors else None
+    p, q, sector = _bidegree_and_sector(form)
     return bott_chern(geom, p, q, sector).class_of(form)
 
 
-def solve_dbar(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
-    """An invariant (p,q)-form beta with dbar(beta) = rhs, or None.
+def _solve_primitive(geom: Geometry, op, rhs: Form, p: int, q: int,
+                     dp: int, dq: int) -> Form | None:
+    """An invariant (p,q)-form beta with op(beta) = rhs, or None; op raises
+    the bidegree by (dp, dq).
 
     Solved sector by sector; the minimum-norm solution of each sector is
     taken so the output is canonical.
@@ -265,25 +234,20 @@ def solve_dbar(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
     out = Form.zero()
     for sector, part in rhs.char_sectors().items():
         cx = SectorComplex(geom, sector)
-        matrix = cx.matrix(geom.dbar, p, q, 0, 1)
-        target = cx.to_vector(part, p, q + 1)
+        matrix = cx.matrix(op, p, q, dp, dq)
+        target = cx.to_vector(part, p + dp, q + dq)
         x = linalg.solve_min_norm(matrix, target)
         if x is None:
             return None
         out = out + cx.vector_to_form(x, p, q)
     return out
+
+
+def solve_dbar(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
+    """An invariant (p,q)-form beta with dbar(beta) = rhs, or None."""
+    return _solve_primitive(geom, geom.dbar, rhs, p, q, 0, 1)
 
 
 def solve_del(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
-    if rhs.is_zero():
-        return Form.zero()
-    out = Form.zero()
-    for sector, part in rhs.char_sectors().items():
-        cx = SectorComplex(geom, sector)
-        matrix = cx.matrix(geom.del_op, p, q, 1, 0)
-        target = cx.to_vector(part, p + 1, q)
-        x = linalg.solve_min_norm(matrix, target)
-        if x is None:
-            return None
-        out = out + cx.vector_to_form(x, p, q)
-    return out
+    """An invariant (p,q)-form beta with del(beta) = rhs, or None."""
+    return _solve_primitive(geom, geom.del_op, rhs, p, q, 1, 0)

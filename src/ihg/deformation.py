@@ -11,10 +11,10 @@ two can be checked against each other.
 from __future__ import annotations
 
 from . import linalg
-from .coefficients import Coefficient, DenominatorVanishes
+from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
 from .exterior import Form, VectorForm
 from .geometry import Geometry
-from .symbols import CHAR, REAL, registry
+from .symbols import REAL, registry
 
 
 class MaurerCartanFails(ValueError):
@@ -141,22 +141,14 @@ class Deformation:
         return all(f.is_zero() for f in self.mc_residual.values())
 
     def mc_generators(self) -> tuple[Coefficient, ...]:
-        gens: list[Coefficient] = []
-        for f in self.mc_residual.values():
-            for _, c in f.terms():
-                g = c.numerator_normalized()
-                if not any(g == seen for seen in gens):
-                    gens.append(g)
-        return tuple(gens)
+        return normalized_generators(
+            c for f in self.mc_residual.values() for _, c in f.terms()
+        )
 
     # -- coordinate changes --------------------------------------------------
 
     def matrix(self) -> linalg.Matrix:
         return [list(row) for row in self._matrix]
-
-    def coframe_in_base(self, j: int) -> Form:
-        """Phi^j written in the base coframe."""
-        return self._phi_t[j]
 
     def base_in_deformed(self, k: int, anti: bool = False) -> Form:
         """phi^k (or its conjugate) written in the deformed coframe.
@@ -230,13 +222,7 @@ class Deformation:
         the identity on patterns), then d is applied through the deformed
         structure equations and projected by the new bigrading.
         """
-        geom = self.geometry()
-        del_part, dbar_part = Form.zero(), Form.zero()
-        for (p, q), comp in alpha.components().items():
-            image = geom.d(comp)
-            del_part = del_part + image.component(p + 1, q)
-            dbar_part = dbar_part + image.component(p, q + 1)
-        return del_part, dbar_part
+        return self.geometry().d_split(alpha)
 
     def extension_formula_check(self, alpha: Form) -> bool:
         """The two dbar_t pipelines agree on the extension of alpha: the
@@ -473,17 +459,12 @@ def curve_obstruction(geom: Geometry, phi_curve: VectorForm,
                 k, lhs, rhs, imag, identity_residual, False, None, (),
                 ("class not certified at the invariant level",) + notes,
             )
-        gens: list[Coefficient] = []
-        conditional = False
-        for _, c in reduced.terms():
-            if _free_parameters(c):
-                conditional = True
-            g = c.numerator_normalized()
-            if not any(g == seen for seen in gens):
-                gens.append(g)
+        coefficients = [c for _, c in reduced.terms()]
+        conditional = any(c.has_free_parameters() for c in coefficients)
         verdict = "conditional" if conditional else True
         return CurveObstruction(
-            k, lhs, rhs, imag, identity_residual, True, verdict, tuple(gens),
+            k, lhs, rhs, imag, identity_residual, True, verdict,
+            normalized_generators(coefficients),
             ("harmonic representative: class vanishes exactly where the "
              "form does",) + notes,
         )
@@ -497,10 +478,6 @@ def curve_obstruction(geom: Geometry, phi_curve: VectorForm,
         k, lhs, rhs, imag, identity_residual, None, True, (),
         ("Bott-Chern class is nonzero",),
     )
-
-
-def _free_parameters(c: Coefficient) -> bool:
-    return any(registry.lookup(nm).kind != CHAR for nm in c.free_symbols())
 
 
 class CurveObstruction:

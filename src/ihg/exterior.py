@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .coefficients import Coefficient, GaussianRational
+from .coefficients import Coefficient
 
 
 def sort_signed(seq: Iterable[int]) -> tuple[tuple[int, ...] | None, int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coefficients import Coefficient
-from .exterior import SCALAR, Form, MultiIndex
+from .exterior import Form, MultiIndex
 from .symbols import CHAR, CONJ, PARAM, REAL, registry
 
 
@@ -116,17 +116,21 @@ class Geometry:
                 total = total + piece
         return total
 
-    def del_op(self, form: Form) -> Form:
-        out = Form.zero()
+    def d_split(self, form: Form) -> tuple[Form, Form]:
+        """(del form, dbar form): d of each bidegree component, projected
+        onto the two bidegrees one step above it."""
+        del_part, dbar_part = Form.zero(), Form.zero()
         for (p, q), comp in form.components().items():
-            out = out + self.d(comp).component(p + 1, q)
-        return out
+            image = self.d(comp)
+            del_part = del_part + image.component(p + 1, q)
+            dbar_part = dbar_part + image.component(p, q + 1)
+        return del_part, dbar_part
+
+    def del_op(self, form: Form) -> Form:
+        return self.d_split(form)[0]
 
     def dbar(self, form: Form) -> Form:
-        out = Form.zero()
-        for (p, q), comp in form.components().items():
-            out = out + self.d(comp).component(p, q + 1)
-        return out
+        return self.d_split(form)[1]
 
     def ddbar(self, form: Form) -> Form:
         return self.del_op(self.dbar(form))
@@ -166,20 +170,6 @@ class Geometry:
                 out = out + e * slot
         return out
 
-    def holomorphic_structure_only(self) -> bool:
-        """True when every d(phi^k) is pure (2,0) with character-free constants."""
-        for f in self.structure.values():
-            if not f.is_zero() and not f.is_pure(2, 0):
-                return False
-            for _mi, c in f.terms():
-                if not c.char_free():
-                    return False
-        return True
-
-    def volume_monomial(self) -> MultiIndex:
-        rng = tuple(range(1, self.n + 1))
-        return MultiIndex(rng, rng)
-
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
@@ -214,14 +204,8 @@ class Geometry:
                 ("h", Form.monomial((k,), ())),
                 ("a", Form.monomial((), (k,))),
             ):
-                residual = self.d(self.d(f))
-                if residual.is_zero():
-                    continue
-                if self.constraints and all(
-                    any(c.is_multiple_of(g) for g in self.constraints)
-                    for _, c in residual.terms()
-                ):
-                    # family: d^2 = 0 only on the declared constraint locus
+                # on a family, d^2 = 0 only on the declared constraint locus
+                if self.reduce(self.d(self.d(f))).is_zero():
                     continue
                 which = f"phi^{k}" if flavor == "h" else f"conj(phi^{k})"
                 raise StructureError(
@@ -275,20 +259,19 @@ class Geometry:
                         seen.add(sym.conjugate_of)
         return sorted(seen)
 
-    def reduce(self, form: Form) -> Form:
-        """Drop terms whose coefficient lies in the attached constraint ideal.
+    def in_ideal(self, c: Coefficient) -> bool:
+        """Whether c lies in the attached constraint ideal.
 
         Membership is tested generator by generator (exact divisibility),
         which is what the catalog families need.
         """
-        if not self.constraints or form.is_zero():
+        return any(c.is_multiple_of(g) for g in self.constraints)
+
+    def reduce(self, form: Form) -> Form:
+        """Drop terms whose coefficient lies in the attached constraint ideal."""
+        if not self.constraints:
             return form
-        out = Form.zero()
-        for mi, c in form.terms():
-            if any(c.is_multiple_of(g) for g in self.constraints):
-                continue
-            out = out + Form.monomial(mi.holo, mi.anti, c)
-        return out
+        return Form({mi: c for mi, c in form.terms() if not self.in_ideal(c)})
 
     def substitute(self, bindings: dict) -> "Geometry":
         """Specialize family parameters; returns a new validated geometry."""

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .coefficients import Coefficient
+from .coefficients import Coefficient, normalized_generators
 from .cohomology import SectorComplex
 from .deformation import vector_bracket
-from .exterior import Form, MultiIndex, VectorForm
+from .exterior import Form, VectorForm
 from .geometry import Geometry, StructureError
 from .symbols import conjugate_name, registry
 
@@ -45,9 +45,7 @@ class InconsistentBranch(ValueError):
 class GeneratorSet:
     """dbar-closed decorated (0,1)-forms spanning the deformation directions.
 
-    Frame brackets and the frame action on characters both come from the
-    geometry (the action table is read off dlog by coframe duality, so
-    the two are consistent by construction).
+    Closedness is checked modulo the geometry's constraint ideal.
     """
 
     geom: Geometry
@@ -73,23 +71,6 @@ class GeneratorSet:
                 f"geometry {geom.name!r} declares no deformation generators"
             )
         return GeneratorSet(geom, tuple(geom.generators))
-
-    def frame_bracket(self, i: int, j: int):
-        return self.geom.bracket(("h", i), ("h", j))
-
-    def frame_action(self, i: int, c: Coefficient) -> Coefficient:
-        return self.geom.frame_action(("h", i), c)
-
-
-def fn_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
-    """Bracket of frame-vector-valued forms.
-
-    [eta (x) X, xi (x) Y] = eta^xi (x) [X,Y] + eta^(X.xi) (x) Y
-                            + xi^(Y.eta) (x) X,
-    with the frame vectors acting through the character log-derivative
-    table; bilinear and graded-symmetric on (0,1) inputs.
-    """
-    return vector_bracket(geom, a, b)
 
 
 class KuranishiSeries:
@@ -155,37 +136,9 @@ class KuranishiSeries:
         }
 
 
-def _diagonal_weights(metric, n: int):
-    """Per-coframe-index weights of a diagonal metric, or None for ones."""
-    if metric is None:
-        return None
-    if metric.n != n:
-        raise ValueError("metric size does not match the geometry")
-    weights = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            entry = metric.h[i - 1][j - 1]
-            if i == j:
-                weights[i] = entry
-            elif not entry.is_zero():
-                raise ValueError(
-                    "harmonic splitting needs a diagonal metric"
-                )
-    return weights
-
-
-def _monomial_weight(mi: MultiIndex, weights) -> Coefficient:
-    w = Coefficient.one()
-    for i in mi.holo:
-        w = w * weights[i]
-    for i in mi.anti:
-        w = w * weights[i]
-    return w
-
-
-def _orthogonal_split(matrix, vec, weight_vec):
+def _orthogonal_split(matrix, vec):
     """vec = matrix.x + residue with residue orthogonal to the column span
-    for the (weighted) monomial Hermitian pairing; returns (x, residue).
+    for the monomial Hermitian pairing; returns (x, residue).
 
     The normal system is always consistent because the pairing is
     positive on every conjugation-respecting specialization.
@@ -193,11 +146,6 @@ def _orthogonal_split(matrix, vec, weight_vec):
     if not matrix or not matrix[0]:
         return [], list(vec)
     star = linalg.conj_transpose(matrix)
-    if weight_vec is not None:
-        star = [
-            [entry * weight_vec[i] for i, entry in enumerate(row)]
-            for row in star
-        ]
     gram = linalg.mat_mul(star, matrix)
     rhs = linalg.mat_vec(star, vec)
     x = linalg.solve(gram, rhs)
@@ -232,7 +180,6 @@ _MAX_SPLIT_PASSES = 12
 def kuranishi_build(
     geom: Geometry,
     gens: GeneratorSet | tuple[Form, ...] | None = None,
-    metric=None,
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> KuranishiSeries:
     """Solve Maurer-Cartan order by order from the generator basis.
@@ -249,7 +196,6 @@ def kuranishi_build(
         gens = GeneratorSet.from_geometry(geom)
     elif not isinstance(gens, GeneratorSet):
         gens = GeneratorSet(geom, tuple(gens))
-    weights = _diagonal_weights(metric, geom.n)
     names: list[str] = []
     for i in range(1, geom.n + 1):
         for lam in range(1, len(gens.forms) + 1):
@@ -281,7 +227,7 @@ def kuranishi_build(
                 terminated = True
                 break
             continue
-        primitive = _solve_degree(geom, bracket, ideal, weights)
+        primitive = _solve_degree(geom, bracket, ideal)
         if not primitive.is_zero():
             psi[k] = primitive
             k_top = k
@@ -303,7 +249,7 @@ def kuranishi_build(
     )
 
 
-def _solve_degree(geom, bracket, ideal, weights) -> VectorForm:
+def _solve_degree(geom, bracket, ideal) -> VectorForm:
     """Split one degree's bracket; grows ideal in place, returns psi_k."""
     for _ in range(_MAX_SPLIT_PASSES):
         candidates: list[Coefficient] = []
@@ -315,13 +261,7 @@ def _solve_degree(geom, bracket, ideal, weights) -> VectorForm:
                 cx = SectorComplex(geom, sector)
                 vec = cx.to_vector(part, 0, 2)
                 matrix = cx.matrix(geom.dbar, 0, 1, 0, 1)
-                wvec = None
-                if weights is not None:
-                    wvec = [
-                        _monomial_weight(mi, weights)
-                        for mi in cx.basis(0, 2)
-                    ]
-                x, residue = _orthogonal_split(matrix, vec, wvec)
+                x, residue = _orthogonal_split(matrix, vec)
                 splits.append((leg, cx, x))
                 for entry in residue:
                     r = entry.reduce_modulo(ideal)
@@ -398,7 +338,6 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
     zeros = set(branch.zeros)
     nonzeros = set(branch.nonzeros)
     pending = [g for g in series.ideal] + list(branch.relations)
-    relations: list[Coefficient] = []
     while True:
         bindings = {}
         for z in zeros:
@@ -429,13 +368,6 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
         pending = survivors
         if not changed:
             break
-    seen: set[str] = set()
-    for g in pending:
-        normal = g.numerator_normalized()
-        key = normal.render()
-        if key not in seen:
-            seen.add(key)
-            relations.append(normal)
     bindings = {}
     for z in zeros:
         bindings[z] = Coefficient.zero()
@@ -449,7 +381,7 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
         series.generators,
         tuple(n for n in series.parameters if n not in zeros),
         psi,
-        tuple(relations),
+        normalized_generators(pending),
         series.terminated,
         series.checked_through,
         forced_zeros=tuple(sorted(zeros)),

@@ -13,7 +13,7 @@ import cmath
 import random
 from dataclasses import dataclass
 
-from .coefficients import Coefficient, DenominatorVanishes
+from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
 from .cohomology import solve_dbar
 from .exterior import Form, MultiIndex
 from .geometry import Geometry, check_nilpotent_shape
@@ -135,16 +135,6 @@ def _fill_conjugates(point: dict[str, complex]) -> dict[str, complex]:
     return out
 
 
-def fundamental_form(m: InvariantMetric) -> Form:
-    return m.fundamental_form()
-
-
-def omega_power(m: InvariantMetric, k: int) -> Form:
-    if not 1 <= k <= m.n:
-        raise ValueError(f"power {k} outside 1..{m.n}")
-    return m.fundamental_form().wedge_power(k)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     condition: str
@@ -181,43 +171,16 @@ CONDITIONS = (
 )
 
 
-def _reduce_mod_constraints(form: Form, constraints) -> Form:
-    if not constraints:
-        return form
-    out = Form.zero()
-    for mi, c in form.terms():
-        if any(c.is_multiple_of(g) for g in constraints):
-            continue
-        out = out + Form({mi: c})
-    return out
-
-
-def normalized_generators(form: Form) -> tuple[Coefficient, ...]:
-    gens: list[Coefficient] = []
-    for _, c in form.terms():
-        g = c.numerator_normalized()
-        if not any(g == seen for seen in gens):
-            gens.append(g)
-    return tuple(gens)
-
-
-def _has_free_parameters(form: Form) -> bool:
-    for _, c in form.terms():
-        for nm in c.free_symbols():
-            if registry.lookup(nm).kind != CHAR:
-                return True
-    return False
-
-
 def _classify(condition: str, residual: Form, notes=()) -> ConditionReport:
     if residual.is_zero():
         return ConditionReport(condition, True, residual, notes=tuple(notes))
-    if _has_free_parameters(residual):
+    coefficients = [c for _, c in residual.terms()]
+    if any(c.has_free_parameters() for c in coefficients):
         return ConditionReport(
             condition,
             "conditional",
             residual,
-            constraint_generators=normalized_generators(residual),
+            constraint_generators=normalized_generators(coefficients),
             notes=tuple(notes),
         )
     return ConditionReport(condition, False, residual, notes=tuple(notes))
@@ -259,9 +222,8 @@ def check_condition(
     else:
         raise ValueError(f"unknown condition {which!r}")
     if use_constraints and geom.constraints:
-        residual = _reduce_mod_constraints(residual, geom.constraints)
-        if geom.constraints:
-            notes.append("reduced modulo attached constraint ideal")
+        residual = geom.reduce(residual)
+        notes.append("reduced modulo attached constraint ideal")
     return _classify(which, residual, notes)
 
 
@@ -319,9 +281,8 @@ def all_or_none_skt(
     n = geom.n
     residual = geom.ddbar(Form.monomial((n,), (n,)))
     notes = []
-    constraints = geom.constraints if use_constraints else ()
-    if constraints:
-        residual = _reduce_mod_constraints(residual, constraints)
+    if use_constraints and geom.constraints:
+        residual = geom.reduce(residual)
         notes.append("reduced modulo attached constraint ideal")
     report = _classify("all_or_none_skt", residual, notes)
     if report.holds is True:

@@ -151,10 +151,6 @@ class _Registry:
                 self._context = RingContext(tuple(self._symbols))
             return self._context
 
-    def all_symbols(self) -> tuple[ParameterSymbol, ...]:
-        with self._lock:
-            return tuple(self._symbols)
-
 
 registry = _Registry()
 

@@ -273,6 +273,7 @@ class TestExtensionCalculus:
         ]
         for alpha in samples:
             assert d.extension_formula_check(alpha)
+            assert d.del_t_formula(alpha) == d.deformed_split(alpha)[0]
 
     def test_operator_route_on_twisted_structure(self):
         g = catalog("nakamura_3b")

@@ -1,0 +1,98 @@
+"""Kuranishi series, branch reduction and their error paths.
+
+Iwasawa is unobstructed with one parameter per (leg, generator) pair
+(Nakamura 1975).  The branch facts follow by hand from the obstruction
+ideals: with t11 nonzero, t11*t12 and t11*t13 force t12 = t13 = 0, after
+which t11*t23 - t13*t21/2 and t11*t32 - t12*t31/2 force t23 = t32 = 0.
+"""
+
+import pytest
+
+from ihg.catalog import catalog
+from ihg.coefficients import Coefficient
+from ihg.deformation import deform, mc_equation
+from ihg.kuranishi import (
+    BranchSpec,
+    DepthCapReached,
+    InconsistentBranch,
+    KuranishiSeries,
+    NotTerminated,
+    branch_reduce,
+    kuranishi_build,
+    series_to_deformation,
+)
+
+S = Coefficient.symbol
+
+
+def test_iwasawa_is_unobstructed():
+    g = catalog("iwasawa")
+    series = kuranishi_build(g)
+    assert series.terminated
+    assert series.parameters == ("t11", "t12", "t21", "t22", "t31", "t32")
+    assert series.ideal == ()
+    psi = series_to_deformation(series)
+    assert deform(g, psi).is_integrable()
+    assert mc_equation(g, psi).is_zero()
+
+
+@pytest.mark.parametrize("name", ["nakamura_3b", "solv4d"])
+def test_nonzero_t11_forces_zeros(name):
+    g = catalog(name)
+    series = kuranishi_build(g)
+    spec = BranchSpec(nonzeros=("t11",))
+    branch = branch_reduce(series, spec)
+    assert branch.forced_zeros == ("t12", "t13", "t23", "t32")
+    assert not {"t12", "t13", "t23", "t32"} & set(branch.parameters)
+    if name == "nakamura_3b":
+        # no relation survives, so the branch solves Maurer-Cartan exactly
+        assert branch.ideal == ()
+        assert mc_equation(g, series_to_deformation(series, spec)).is_zero()
+    if name == "solv4d":
+        for relation in (
+            S("t11") * S("t42") - S("t22") * S("t31"),
+            S("t11") * S("t43") - S("t21") * S("t33"),
+        ):
+            assert relation in branch.ideal
+
+
+def test_branch_relations_are_monic_and_deduplicated():
+    series = kuranishi_build(catalog("iwasawa"))
+    det = S("t11") * S("t22") - S("t12") * S("t21")
+    branch = branch_reduce(
+        series, BranchSpec(relations=(2 * det, -det, 3 * S("t11") * S("t31")))
+    )
+    assert branch.ideal == (det, S("t11") * S("t31"))
+    assert branch.forced_zeros == ()
+
+
+def test_depth_cap_reached():
+    with pytest.raises(DepthCapReached):
+        kuranishi_build(catalog("solv4d"), depth_cap=2)
+
+
+def test_unterminated_series_is_not_truncated():
+    series = kuranishi_build(catalog("iwasawa"))
+    open_series = KuranishiSeries(
+        series.geom,
+        series.generators,
+        series.parameters,
+        series.psi_terms,
+        series.ideal,
+        terminated=False,
+        checked_through=series.checked_through,
+    )
+    with pytest.raises(NotTerminated):
+        series_to_deformation(open_series)
+
+
+def test_zero_and_nonzero_at_once_is_inconsistent():
+    with pytest.raises(InconsistentBranch):
+        BranchSpec(zeros=("t11",), nonzeros=("t11",))
+
+
+def test_nonzero_product_relation_is_inconsistent():
+    # t11*t12 lies in the nakamura_3b ideal, so both cannot be nonzero
+    series = kuranishi_build(catalog("nakamura_3b"))
+    with pytest.raises(InconsistentBranch):
+        branch_reduce(series, BranchSpec(nonzeros=("t11", "t12")))

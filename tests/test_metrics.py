@@ -6,7 +6,13 @@ import pytest
 
 from ihg.catalog import catalog, torus
 from ihg.coefficients import Coefficient
-from ihg.cohomology import BottChernSector, bc_class, monomial_basis, solve_dbar
+from ihg.cohomology import (
+    BottChernSector,
+    bc_class,
+    monomial_basis,
+    solve_dbar,
+    solve_del,
+)
 from ihg.exterior import Form
 from ihg.metrics import (
     InvariantMetric,
@@ -285,6 +291,18 @@ class TestBottChern:
         g = catalog("iwasawa")
         # phi^{1bar} is dbar-closed and not exact
         assert solve_dbar(g, Form.monomial((), (1,)), 0, 0) is None
+
+    def test_solve_del_finds_primitive(self):
+        g = catalog("iwasawa")
+        # d phi^3 = -phi^{12} on Iwasawa, all of it (2,0)
+        beta = solve_del(g, Form.monomial((1, 2), (), -1), 1, 0)
+        assert beta == Form.monomial((3,), ())
+        assert g.del_op(beta) == Form.monomial((1, 2), (), -1)
+
+    def test_solve_del_reports_unsolvable(self):
+        g = catalog("iwasawa")
+        # the invariant (0,0)-forms of sector 0 are constants, killed by del
+        assert solve_del(g, Form.monomial((1,), ()), 0, 0) is None
 
 
 class TestObstructionReports:
