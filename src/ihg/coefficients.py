@@ -662,25 +662,30 @@ class Coefficient:
                 den.append((ctx.ring.gens[k], s))
         return Coefficient._make(num, den, ctx)
 
-    def diff(self, name: str) -> "Coefficient":
-        """Partial derivative with every generator treated independently."""
-        r = self._refreshed()
-        ctx = r._ctx
-        if name not in ctx.index_of:
-            return Coefficient.zero()
-        gen = ctx.gen(name)
-        out = Coefficient._make(r._num.diff(gen), list(r._den), ctx)
-        for atom, mult in r._den:
-            da = atom.diff(gen)
+    def _derive(self, derivation) -> "Coefficient":
+        """Quotient rule for a derivation given as a map on polynomials;
+        self must be current (refreshed)."""
+        ctx = self._ctx
+        out = Coefficient._make(derivation(self._num), list(self._den), ctx)
+        for atom, mult in self._den:
+            da = derivation(atom)
             if not da:
                 continue
             piece = Coefficient._make(
-                -QQ_I(mult, 0) * da * r._num,
-                list(r._den) + [(atom, 1)],
+                -QQ_I(mult, 0) * da * self._num,
+                list(self._den) + [(atom, 1)],
                 ctx,
             )
             out = out + piece
         return out
+
+    def diff(self, name: str) -> "Coefficient":
+        """Partial derivative with every generator treated independently."""
+        r = self._refreshed()
+        if name not in r._ctx.index_of:
+            return Coefficient.zero()
+        gen = r._ctx.gen(name)
+        return r._derive(lambda p: p.diff(gen))
 
     def param_derivative(self, name: str) -> "Coefficient":
         """Derivative along a distinguished real parameter (conj(t) = t).
@@ -699,22 +704,8 @@ class Coefficient:
     def euler(self, char_name: str) -> "Coefficient":
         """E * d/dE for a character generator (degree-preserving)."""
         r = self._refreshed()
-        ctx = r._ctx
-        idx = ctx.index_of[char_name]
-        out = Coefficient._make(
-            _poly_euler(r._num, idx, ctx.ring), list(r._den), ctx
-        )
-        for atom, mult in r._den:
-            ea = _poly_euler(atom, idx, ctx.ring)
-            if not ea:
-                continue
-            piece = Coefficient._make(
-                -QQ_I(mult, 0) * ea * r._num,
-                list(r._den) + [(atom, 1)],
-                ctx,
-            )
-            out = out + piece
-        return out
+        idx = r._ctx.index_of[char_name]
+        return r._derive(lambda p: _poly_euler(p, idx, r._ctx.ring))
 
     # -- substitution ---------------------------------------------------------
 

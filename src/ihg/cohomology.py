@@ -142,10 +142,7 @@ class BottChernSector:
         ]
 
     def is_closed(self, form: Form) -> bool:
-        return (
-            self.geom.del_op(form).is_zero()
-            and self.geom.dbar(form).is_zero()
-        )
+        return all(part.is_zero() for part in self.geom.d_split(form))
 
     def class_of(self, form: Form) -> BottChernClass:
         if not self.is_closed(form):
@@ -193,9 +190,10 @@ def harmonic_certificate(geom: Geometry,
     where the form does.
     """
     p, q, sector = _bidegree_and_sector(form)
-    if not geom.reduce(geom.del_op(form)).is_zero():
+    del_form, dbar_form = geom.d_split(form)
+    if not geom.reduce(del_form).is_zero():
         return False, ("not del-closed modulo constraints",)
-    if not geom.reduce(geom.dbar(form)).is_zero():
+    if not geom.reduce(dbar_form).is_zero():
         return False, ("not dbar-closed modulo constraints",)
     if p < 1 or q < 1:
         return True, ("no del-dbar image in this bidegree",)

@@ -269,29 +269,32 @@ class Deformation:
         }
         return fwd, bwd
 
-    def del_t_formula(self, alpha: Form) -> Form:
-        """Operator route for del_t on monomial patterns: conjugate the
-        commutator [dbar, iota_conj(psi)] + del by the endomorphism
-        (I - psi conj(psi)) applied slotwise on the holomorphic side."""
-        fwd, bwd = self._endo_mappings(anti=False)
-        ibar = self.psi.conjugate()
+    def _t_formula(self, alpha: Form, anti: bool) -> Form:
+        """Operator route on monomial patterns: conjugate the commutator of
+        the other base operator with the contraction, plus the base operator
+        itself, by the correction endomorphism applied slotwise.  For dbar_t
+        (anti) that is [del, iota(psi)] + dbar with (I - conj(psi) psi) on the
+        antiholomorphic side; for del_t it is [dbar, iota(conj psi)] + del
+        with (I - psi conj(psi)) on the holomorphic side."""
+        fwd, bwd = self._endo_mappings(anti)
+        contraction = self.psi if anti else self.psi.conjugate()
+        own, other = (1, 0) if anti else (0, 1)
         inner = alpha.substitute_coframe(fwd)
+        parts = self.base.d_split(inner)
         mid = (
-            self.base.dbar(ibar.iota(inner))
-            - ibar.iota(self.base.dbar(inner))
-            + self.base.del_op(inner)
+            self.base.d_split(contraction.iota(inner))[other]
+            - contraction.iota(parts[other])
+            + parts[own]
         )
         return mid.substitute_coframe(bwd)
 
+    def del_t_formula(self, alpha: Form) -> Form:
+        """del_t on monomial patterns, by the operator route."""
+        return self._t_formula(alpha, anti=False)
+
     def dbar_t_formula(self, alpha: Form) -> Form:
-        fwd, bwd = self._endo_mappings(anti=True)
-        inner = alpha.substitute_coframe(fwd)
-        mid = (
-            self.base.del_op(self.psi.iota(inner))
-            - self.psi.iota(self.base.del_op(inner))
-            + self.base.dbar(inner)
-        )
-        return mid.substitute_coframe(bwd)
+        """dbar_t on monomial patterns, by the operator route."""
+        return self._t_formula(alpha, anti=True)
 
 
 def deform(base: Geometry, psi: VectorForm, name: str | None = None,
@@ -359,15 +362,10 @@ def dbar_vector(geom: Geometry, vf: VectorForm) -> VectorForm:
     for j, eta in vf.components.items():
         _add(j, geom.dbar(eta))
         for mu in range(1, geom.n + 1):
-            br = geom.bracket(("a", mu), ("h", j))
-            for leg, c in br.items():
-                if leg[0] != "h":
-                    continue
-                phi_mu = Form.monomial((), (mu,))
-                for mi, coeff in eta.terms():
-                    parity = (len(mi.holo) + len(mi.anti)) % 2
-                    piece = Form({mi: coeff}).wedge(phi_mu) * c
-                    _add(leg[1], -piece if parity else piece)
+            for leg, c in geom.bracket(("a", mu), ("h", j)).items():
+                if leg[0] == "h":
+                    # (-1)^{deg eta} eta^phi^mubar = phi^mubar^eta
+                    _add(leg[1], Form.monomial((), (mu,)).wedge(eta) * c)
     return VectorForm(out)
 
 

@@ -6,6 +6,11 @@ characters entering coefficients through their logarithmic derivatives
 (d E = E * dlog E, with dlog E a closed invariant 1-form and conj(dlog E)
 = -dlog E).  Everything downstream (metric conditions, deformations, the
 Kuranishi construction) runs through the d operator built here.
+
+d is derived in one place: each geometry keeps one table from coframe
+monomials to their (del, dbar) pair, filled on first use, and d_split
+combines table entries with the characters' action on coefficients;
+d, del_op, dbar and ddbar are views of d_split.
 """
 
 from __future__ import annotations
@@ -79,6 +84,9 @@ class Geometry:
         self._d_anti = {
             k: f.conjugate() for k, f in self.structure.items()
         }
+        # filled lazily: a deformed geometry carries heavy coefficients and
+        # most queries touch only a few of its monomials
+        self._d_table: dict[MultiIndex, tuple[Form, Form]] = {}
         if validate:
             self._validate()
 
@@ -98,33 +106,52 @@ class Geometry:
             return self.structure[idx]
         return self._d_anti[idx]
 
-    def d(self, form: Form) -> Form:
-        total = Form.zero()
-        for mi, c in form.terms():
-            dc = self.d_coefficient(c)
-            if not dc.is_zero():
-                total = total + dc.wedge(Form.monomial(mi.holo, mi.anti))
-            factors = [("h", i) for i in mi.holo] + [("a", j) for j in mi.anti]
-            for pos, (flavor, idx) in enumerate(factors):
-                df = self.d_coframe(flavor, idx)
-                if df.is_zero():
-                    continue
-                pre = factors[:pos]
-                post = factors[pos + 1:]
-                piece = Form.scalar(c if pos % 2 == 0 else -c)
-                piece = piece.wedge(_monomial_of(pre)).wedge(df).wedge(_monomial_of(post))
-                total = total + piece
-        return total
+    def _d_monomial(self, mi: MultiIndex) -> tuple[Form, Form]:
+        """(del m, dbar m) of a coframe monomial m, derived once per geometry
+        by the Leibniz rule on its first factor: d(f^r) = df^r - f^d(r)."""
+        split = self._d_table.get(mi)
+        if split is not None:
+            return split
+        if mi.holo:
+            f = Form.monomial(mi.holo[:1])
+            df = self.structure[mi.holo[0]]
+            rest = MultiIndex(mi.holo[1:], mi.anti)
+        elif mi.anti:
+            f = Form.monomial((), mi.anti[:1])
+            df = self._d_anti[mi.anti[0]]
+            rest = MultiIndex((), mi.anti[1:])
+        else:
+            return Form.zero(), Form.zero()
+        first = df.wedge(Form({rest: Coefficient.one()}))
+        del_rest, dbar_rest = self._d_monomial(rest)
+        p, q = mi.bidegree
+        split = (
+            first.component(p + 1, q) - f.wedge(del_rest),
+            first.component(p, q + 1) - f.wedge(dbar_rest),
+        )
+        self._d_table[mi] = split
+        return split
 
     def d_split(self, form: Form) -> tuple[Form, Form]:
-        """(del form, dbar form): d of each bidegree component, projected
-        onto the two bidegrees one step above it."""
+        """(del form, dbar form), the only derivation of d: for each term
+        c*m, del gives (dc)^{1,0}^m + c*del(m) and dbar gives
+        (dc)^{0,1}^m + c*dbar(m), with (del m, dbar m) read from the
+        geometry's monomial table."""
         del_part, dbar_part = Form.zero(), Form.zero()
-        for (p, q), comp in form.components().items():
-            image = self.d(comp)
-            del_part = del_part + image.component(p + 1, q)
-            dbar_part = dbar_part + image.component(p, q + 1)
+        for mi, c in form.terms():
+            del_m, dbar_m = self._d_monomial(mi)
+            del_part = del_part + del_m * c
+            dbar_part = dbar_part + dbar_m * c
+            dc = self.d_coefficient(c)
+            if not dc.is_zero():
+                m = Form({mi: Coefficient.one()})
+                del_part = del_part + dc.component(1, 0).wedge(m)
+                dbar_part = dbar_part + dc.component(0, 1).wedge(m)
         return del_part, dbar_part
+
+    def d(self, form: Form) -> Form:
+        del_part, dbar_part = self.d_split(form)
+        return del_part + dbar_part
 
     def del_op(self, form: Form) -> Form:
         return self.d_split(form)[0]
@@ -138,11 +165,7 @@ class Geometry:
     # -- frame-side structure ---------------------------------------------------
 
     def evaluate_2form(self, form: Form, x: FrameLabel, y: FrameLabel) -> Coefficient:
-        first = form.contract_holo(x[1]) if x[0] == "h" else form.contract_anti(x[1])
-        second = (
-            first.contract_holo(y[1]) if y[0] == "h" else first.contract_anti(y[1])
-        )
-        return second.coeff((), ())
+        return _contract(_contract(form, x), y).coeff((), ())
 
     def bracket(self, x: FrameLabel, y: FrameLabel) -> dict[FrameLabel, Coefficient]:
         """Lie bracket of frame vectors: alpha([X,Y]) = -d(alpha)(X,Y)."""
@@ -158,17 +181,7 @@ class Geometry:
 
     def frame_action(self, x: FrameLabel, c: Coefficient) -> Coefficient:
         """Derivative of a function coefficient along a frame vector."""
-        out = Coefficient.zero()
-        for cname, dlog in self.chars.items():
-            e = c.euler(cname)
-            if e.is_zero():
-                continue
-            slot = (
-                dlog.coeff((x[1],), ()) if x[0] == "h" else dlog.coeff((), (x[1],))
-            )
-            if not slot.is_zero():
-                out = out + e * slot
-        return out
+        return _contract(self.d_coefficient(c), x).coeff((), ())
 
     # -- validation -----------------------------------------------------------
 
@@ -346,8 +359,6 @@ def check_nilpotent_shape(geom: Geometry) -> NilpotentShape:
     return NilpotentShape(matches=True, top_index=n)
 
 
-def _monomial_of(factors: list[FrameLabel]) -> Form:
-    holo = tuple(i for f, i in factors if f == "h")
-    anti = tuple(i for f, i in factors if f == "a")
-    # factors are already in canonical order within a canonical monomial
-    return Form({MultiIndex(holo, anti): Coefficient.one()})
+def _contract(form: Form, x: FrameLabel) -> Form:
+    """Interior product with the frame vector x."""
+    return form.contract_holo(x[1]) if x[0] == "h" else form.contract_anti(x[1])

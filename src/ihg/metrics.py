@@ -240,16 +240,12 @@ def pluriclosed_criterion(geom: Geometry) -> Coefficient:
     """
     if geom.n != 3:
         raise ShapeMismatch("criterion applies to 3-dim structures only")
-    for k in (1, 2):
-        if not geom.structure[k].is_zero():
-            raise ShapeMismatch(
-                "criterion needs d(phi^1) = d(phi^2) = 0; "
-                f"{geom.name} has d(phi^{k}) != 0"
-            )
+    if not check_nilpotent_shape(geom).matches:
+        raise ShapeMismatch(
+            f"{geom.name}: criterion needs d(phi^1) = d(phi^2) = 0 and "
+            "d(phi^3) free of phi^3"
+        )
     d3 = geom.structure[3]
-    for mi, _ in d3.terms():
-        if 3 in mi.holo or 3 in mi.anti:
-            raise ShapeMismatch("d(phi^3) must not involve phi^3 itself")
     s12 = d3.coeff((1, 2), ())
     s11b = d3.coeff((1,), (1,))
     s12b = d3.coeff((1,), (2,))

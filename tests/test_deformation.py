@@ -24,6 +24,7 @@ from ihg.deformation import (
     vector_bracket,
 )
 from ihg.exterior import Form, VectorForm
+from ihg.geometry import Geometry
 from ihg.metrics import (
     InvariantMetric,
     all_or_none_skt,
@@ -316,6 +317,23 @@ class TestVectorCalculus:
             3: _mono((), (3,), e.conjugate()),
         })
         assert dbar_vector(g, closed).is_zero()
+
+    def test_dbar_vector_mixed_bracket(self):
+        # d phi^3 = phi^{1 1bar} gives [conj Z1, Z1] = Z3 - conj Z3, whose
+        # (1,0)-part feeds the Z3 leg; the catalog's holomorphically
+        # parallelizable entries have no mixed brackets
+        g = Geometry("h3", 3, {3: _mono((1,), (1,))})
+
+        def on_z1(eta):
+            return dbar_vector(g, VectorForm({1: eta}))
+
+        assert on_z1(_mono((), (2,))) == VectorForm({3: _mono((), (1, 2))})
+        assert on_z1(_mono((1,), (2,))) == VectorForm(
+            {3: _mono((1,), (1, 2), -1)}
+        )
+        assert on_z1(_mono((), (2,)) + _mono((1,), (2,))) == VectorForm(
+            {3: _mono((), (1, 2)) - _mono((1,), (1, 2))}
+        )
 
     def test_torus_bracket_vanishes(self):
         g = torus(2)

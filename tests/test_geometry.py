@@ -24,7 +24,14 @@ from ihg.geometry import Geometry, StructureError, check_nilpotent_shape
 from ihg.metrics import pluriclosed_criterion
 from ihg.symbols import registry
 
-from oracles import chart, max_deviation, numeric_point, realize, sample_points
+from oracles import (
+    CoordForm,
+    chart,
+    max_deviation,
+    numeric_point,
+    realize,
+    sample_points,
+)
 
 TOL = 5e-6
 
@@ -253,6 +260,10 @@ class TestCoordinateOracle:
                 Form.monomial((1,), (), t),
                 Form.monomial((), (n,)),
                 Form.monomial((n,), (1,), Coefficient.i()),
+                # mixed bidegrees: (1,0) + (1,1) + (0,2)
+                Form.monomial((1,), (), t)
+                + Form.monomial((n,), (1,), Coefficient.i())
+                + Form.monomial((), (1, n), t.conjugate()),
             ]
             if geom.chars:
                 e = Coefficient.symbol("E1")
@@ -270,21 +281,23 @@ class TestCoordinateOracle:
             geom = catalog(nm)
             coframe, chars, n = chart(nm)
             points = sample_points(rng, n)
-            f = Form.monomial((n,), (n,))
-            for op, (dp, dq) in ((geom.del_op, (2, 1)), (geom.dbar, (1, 2))):
-                engine = realize(op(f), coframe, chars, {})
-                coord = coframe[n].wedge(
-                    coframe[n].conjugate()
-                ).d(n)
-                pruned = {
-                    key: fn
-                    for key, fn in coord.terms.items()
-                    if (len(key[0]), len(key[1])) == (dp, dq)
-                }
-                from oracles import CoordForm
-
-                dev = max_deviation(engine, CoordForm(pruned), points)
-                assert dev < TOL, f"{nm} bidegree {(dp, dq)} split"
+            samples = [Form.monomial((n,), (n,))]
+            if geom.chars:
+                # a character coefficient splits as (dE)^{1,0} + (dE)^{0,1}
+                samples.append(
+                    Form.monomial((n,), (n,), Coefficient.symbol("E1"))
+                )
+            for f in samples:
+                coord = realize(f, coframe, chars, {}).d(n)
+                for op, (dp, dq) in ((geom.del_op, (2, 1)), (geom.dbar, (1, 2))):
+                    engine = realize(op(f), coframe, chars, {})
+                    pruned = {
+                        key: fn
+                        for key, fn in coord.terms.items()
+                        if (len(key[0]), len(key[1])) == (dp, dq)
+                    }
+                    dev = max_deviation(engine, CoordForm(pruned), points)
+                    assert dev < TOL, f"{nm} {f.render()} bidegree {(dp, dq)}"
 
 
 class TestValidation:

@@ -14,6 +14,7 @@ from ihg.cohomology import (
     solve_del,
 )
 from ihg.exterior import Form
+from ihg.geometry import Geometry
 from ihg.metrics import (
     InvariantMetric,
     ShapeMismatch,
@@ -179,6 +180,9 @@ class TestFpsFamily:
             pluriclosed_criterion(catalog("solv4d"))
         with pytest.raises(ShapeMismatch):
             all_or_none_skt(catalog("nakamura_3b"))
+        # d(phi^3) = phi^{13} is a valid structure that involves phi^3
+        with pytest.raises(ShapeMismatch):
+            pluriclosed_criterion(Geometry("x", 3, {3: Form.monomial((1, 3))}))
 
     def test_symbolic_skt_generator_is_criterion_times_h33(self):
         g = catalog("fps_family")
