@@ -45,6 +45,10 @@ class SectorMixing(ValueError):
     pass
 
 
+class StaleCoefficient(ValueError):
+    """A value built before the last registry reset() was used."""
+
+
 def _fraction_to_mpq(x):
     return QQ.convert(x.numerator) / QQ.convert(x.denominator)
 
@@ -258,8 +262,6 @@ def _poly_key(p):
 
 
 def _lift_poly(p, src: RingContext, dst: RingContext):
-    if src.epoch == dst.epoch:
-        return p
     pad = len(dst.ring.gens) - (len(src.ring.gens) if src.names else 0)
     if not src.names:
         # source ring is the 1-gen scratch ring; p is constant
@@ -404,8 +406,12 @@ class Coefficient:
 
     def _refreshed(self) -> "Coefficient":
         ctx = registry.context()
-        if ctx.epoch == self._ctx.epoch:
+        if ctx is self._ctx:
             return self
+        if ctx.lifetime is not self._ctx.lifetime:
+            raise StaleCoefficient(
+                "coefficient was built before the last registry reset()"
+            )
         num = _lift_poly(self._num, self._ctx, ctx)
         den = tuple((_lift_poly(a, self._ctx, ctx), m) for a, m in self._den)
         return Coefficient(num, den, ctx)
@@ -853,21 +859,13 @@ class Coefficient:
         den = "*".join(dens) if len(dens) == 1 else "(" + "*".join(dens) + ")"
         if len(r._num) > 1:
             num = f"({num})"
-        return f"{num}/{den}" if len(dens) == 1 else f"{num}/{den}"
+        return f"{num}/{den}"
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"Coefficient({self.render()})"
-
-    def as_expr(self):
-        """sympy expression view, for cross-checks in tests."""
-        r = self._refreshed()
-        e = r._num.as_expr()
-        for atom, mult in r._den:
-            e = e / atom.as_expr() ** mult
-        return e
 
     def numeric(self, point: dict[str, complex]) -> complex:
         """Float evaluation at a sample point, for numeric cross-checks."""

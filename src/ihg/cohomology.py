@@ -3,7 +3,10 @@
 d preserves the character exponent vector, so the complex splits into
 sectors indexed by those vectors; each sector with fixed bidegree is a
 finite monomial space over the parameter-rational field and everything
-reduces to exact linear algebra.
+reduces to exact linear algebra.  A Bott-Chern sector reads two
+matrices: d on pure (p,q)-forms, whose kernel is ker(del) ∩ ker(dbar),
+and del dbar from (p-1,q-1); its spans are pivot columns (see
+linalg.extend_to_basis).
 """
 
 from __future__ import annotations
@@ -66,13 +69,17 @@ class SectorComplex:
                 out = out + Form({mi: c * self._prefix})
         return out
 
-    def to_vector(self, form: Form, p: int, q: int):
-        index = {mi: k for k, mi in enumerate(self.basis(p, q))}
+    def to_vector(self, form: Form, *bidegrees: tuple[int, int]):
+        """Coordinates of form over the monomials of the given bidegrees,
+        in the order given."""
+        monomials = [mi for p, q in bidegrees for mi in self.basis(p, q)]
+        index = {mi: k for k, mi in enumerate(monomials)}
         vec = [Coefficient.zero() for _ in index]
         for mi, c in form.terms():
             if mi not in index:
                 raise ValueError(
-                    f"monomial {mi.render()} is not of bidegree ({p},{q})"
+                    f"monomial {mi.render()} is not of bidegree "
+                    + " or ".join(f"({p},{q})" for p, q in bidegrees)
                 )
             parts = c.char_decompose()
             for key, value in parts.items():
@@ -84,16 +91,14 @@ class SectorComplex:
                 vec[index[mi]] = value
         return vec
 
-    def matrix(self, op, p: int, q: int, dp: int, dq: int) -> linalg.Matrix:
+    def matrix(self, op, p: int, q: int,
+               *targets: tuple[int, int]) -> linalg.Matrix:
+        """Matrix of op from the (p,q) monomials to the monomials of the
+        target bidegrees, stacked in the order given."""
         src = self.basis(p, q)
-        dst_p, dst_q = p + dp, q + dq
-        dst = self.basis(dst_p, dst_q)
-        cols = [
-            self.to_vector(op(self.embed(mi)), dst_p, dst_q) for mi in src
-        ]
-        return [
-            [cols[j][i] for j in range(len(src))] for i in range(len(dst))
-        ]
+        rows = sum(len(self.basis(*t)) for t in targets)
+        cols = [self.to_vector(op(self.embed(mi)), *targets) for mi in src]
+        return [[col[i] for col in cols] for i in range(rows)]
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,11 @@ class BottChernClass:
 
 
 class BottChernSector:
-    """H^{p,q} of ker(del) ∩ ker(dbar) modulo im(del dbar) in one sector."""
+    """H^{p,q} of ker(del) ∩ ker(dbar) modulo im(del dbar) in one sector.
+
+    On pure (p,q)-forms del and dbar land in different bidegrees, so
+    ker(del) ∩ ker(dbar) is ker(d) with d taken into (p+1,q) + (p,q+1).
+    """
 
     def __init__(self, geom: Geometry, p: int, q: int,
                  sector: tuple[int, ...] | None = None):
@@ -116,18 +125,13 @@ class BottChernSector:
         self.p = p
         self.q = q
         cx = self.complex
-        self._del = cx.matrix(geom.del_op, p, q, 1, 0)
-        self._dbar = cx.matrix(geom.dbar, p, q, 0, 1)
-        both = self._del + self._dbar
-        dim = len(cx.basis(p, q))
-        if both:
-            kernel = linalg.nullspace(both)
-        else:
-            kernel = linalg.nullspace([[Coefficient.zero()] * dim])
-        image_matrix = cx.matrix(geom.ddbar, p - 1, q - 1, 1, 1)
-        image_cols = (
-            [list(col) for col in zip(*image_matrix)] if image_matrix else []
+        d_matrix = cx.matrix(geom.d, p, q, (p + 1, q), (p, q + 1))
+        # at (n,n) d has no target monomial: one zero row keeps every column
+        kernel = linalg.nullspace(
+            d_matrix or [[Coefficient.zero()] * len(cx.basis(p, q))]
         )
+        image_matrix = cx.matrix(geom.ddbar, p - 1, q - 1, (p, q))
+        image_cols = [list(col) for col in zip(*image_matrix)]
         self.image = linalg.extend_to_basis([], image_cols)
         self.quotient = linalg.extend_to_basis(self.image, kernel)
 
@@ -147,18 +151,13 @@ class BottChernSector:
     def class_of(self, form: Form) -> BottChernClass:
         if not self.is_closed(form):
             raise ValueError("form is not closed under del and dbar")
-        v = self.complex.to_vector(form, self.p, self.q)
+        v = self.complex.to_vector(form, (self.p, self.q))
         span = self.image + self.quotient
         coords = linalg.coordinates_in_span(span, v)
         if coords is None:
             raise ValueError("closed form escaped the kernel span")
         tail = coords[len(self.image):]
         return BottChernClass(self.complex.sector, form, tuple(tail))
-
-
-def bott_chern(geom: Geometry, p: int, q: int,
-               sector: tuple[int, ...] | None = None) -> BottChernSector:
-    return BottChernSector(geom, p, q, sector)
 
 
 def _bidegree_and_sector(form: Form):
@@ -216,7 +215,7 @@ def harmonic_certificate(geom: Geometry,
 def bc_class(geom: Geometry, form: Form) -> BottChernClass:
     """Bott-Chern class of a pure-bidegree form, sector inferred."""
     p, q, sector = _bidegree_and_sector(form)
-    return bott_chern(geom, p, q, sector).class_of(form)
+    return BottChernSector(geom, p, q, sector).class_of(form)
 
 
 def _solve_primitive(geom: Geometry, op, rhs: Form, p: int, q: int,
@@ -232,8 +231,8 @@ def _solve_primitive(geom: Geometry, op, rhs: Form, p: int, q: int,
     out = Form.zero()
     for sector, part in rhs.char_sectors().items():
         cx = SectorComplex(geom, sector)
-        matrix = cx.matrix(op, p, q, dp, dq)
-        target = cx.to_vector(part, p + dp, q + dq)
+        matrix = cx.matrix(op, p, q, (p + dp, q + dq))
+        target = cx.to_vector(part, (p + dp, q + dq))
         x = linalg.solve_min_norm(matrix, target)
         if x is None:
             return None

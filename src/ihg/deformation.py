@@ -147,9 +147,6 @@ class Deformation:
 
     # -- coordinate changes --------------------------------------------------
 
-    def matrix(self) -> linalg.Matrix:
-        return [list(row) for row in self._matrix]
-
     def base_in_deformed(self, k: int, anti: bool = False) -> Form:
         """phi^k (or its conjugate) written in the deformed coframe.
 

@@ -42,13 +42,11 @@ class IntegrabilityReport:
     """(0,2)-components of the structure equations.
 
     ok means every d(phi^k) is purely (2,0)+(1,1).  When it is not, the
-    offending components are listed together with the coefficients whose
-    common vanishing would restore integrability.
+    offending components are listed by coframe index.
     """
 
     ok: bool
     offending: tuple[tuple[int, Form], ...]
-    constraint_generators: tuple[Coefficient, ...]
 
 
 @dataclass(frozen=True)
@@ -330,21 +328,9 @@ class Geometry:
 
 
 def integrability_report(structure: dict[int, Form]) -> IntegrabilityReport:
-    offending: list[tuple[int, Form]] = []
-    gens: list[Coefficient] = []
-    for k in sorted(structure):
-        part = structure[k].component(0, 2)
-        if part.is_zero():
-            continue
-        offending.append((k, part))
-        for _, c in part.terms():
-            if not any(c == g for g in gens):
-                gens.append(c)
-    return IntegrabilityReport(
-        ok=not offending,
-        offending=tuple(offending),
-        constraint_generators=tuple(gens),
-    )
+    parts = ((k, structure[k].component(0, 2)) for k in sorted(structure))
+    offending = tuple((k, part) for k, part in parts if not part.is_zero())
+    return IntegrabilityReport(ok=not offending, offending=offending)
 
 
 def check_nilpotent_shape(geom: Geometry) -> NilpotentShape:

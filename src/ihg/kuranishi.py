@@ -109,12 +109,6 @@ class KuranishiSeries:
             total = total + part
         return total
 
-    def term(self, k: int) -> VectorForm:
-        return self.psi_terms.get(k, VectorForm.zero())
-
-    def degree(self) -> int:
-        return max(self.psi_terms, default=0)
-
     def to_json_dict(self) -> dict:
         return {
             "geometry": self.geom.name,
@@ -259,8 +253,8 @@ def _solve_degree(geom, bracket, ideal) -> VectorForm:
             for sector in sorted(sectors):
                 part = sectors[sector]
                 cx = SectorComplex(geom, sector)
-                vec = cx.to_vector(part, 0, 2)
-                matrix = cx.matrix(geom.dbar, 0, 1, 0, 1)
+                vec = cx.to_vector(part, (0, 2))
+                matrix = cx.matrix(geom.dbar, 0, 1, (0, 2))
                 x, residue = _orthogonal_split(matrix, vec)
                 splits.append((leg, cx, x))
                 for entry in residue:

@@ -4,6 +4,10 @@ Everything is row-major lists of Coefficients.  Pivoting takes the first
 nonzero entry; divisions stay exact in the field, so no magnitude
 heuristics are needed.  Systems here are small (invariant-form sectors),
 so Gauss-Jordan without fraction-free tricks is fast enough.
+
+Span selection reads pivot columns: extend_to_basis keeps the candidates
+that are pivots of one elimination over the known vectors followed by the
+candidates, which are exactly the vectors a greedy rank test would keep.
 """
 
 from __future__ import annotations
@@ -92,13 +96,6 @@ def _eliminate(rows: Matrix, width: int) -> tuple[Matrix, list[int]]:
     return mat, pivots
 
 
-def rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    _, pivots = _eliminate(a, len(a[0]))
-    return len(pivots)
-
-
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a x = b, or None when inconsistent."""
     rows = len(a)
@@ -117,16 +114,9 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 
 
 def nullspace(a: Matrix) -> list[Vector]:
-    rows = len(a)
     cols = len(a[0]) if a else 0
     if cols == 0:
         return []
-    if rows == 0:
-        return [
-            [Coefficient.one() if i == j else Coefficient.zero()
-             for i in range(cols)]
-            for j in range(cols)
-        ]
     mat, pivots = _eliminate(a, cols)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
@@ -187,15 +177,12 @@ def coordinates_in_span(basis: list[Vector], v: Vector) -> Vector | None:
 
 def extend_to_basis(inside: list[Vector], ambient: list[Vector]) -> list[Vector]:
     """Greedily extend an independent set to span ambient; returns the
-    added vectors only."""
-    added: list[Vector] = []
-    current = [list(v) for v in inside]
-    current_rank = rank(current) if current else 0
-    for cand in ambient:
-        trial = current + [list(cand)]
-        r = rank(trial)
-        if r > current_rank:
-            current = trial
-            current_rank = r
-            added.append(list(cand))
-    return added
+    added vectors only.
+
+    One elimination over the columns inside + ambient: the added vectors
+    are the ambient columns that are pivots, since a column is a pivot
+    exactly when it lies outside the span of the columns before it.
+    """
+    columns = inside + ambient
+    _, pivots = _eliminate(list(zip(*columns)), len(columns))
+    return [list(ambient[c - len(inside)]) for c in pivots if c >= len(inside)]

@@ -6,9 +6,11 @@ Four kinds of generators:
   * real            a self-conjugate parameter (curve time, metric entries)
   * char            a multiplicative character generator E; conj(E) = 1/E
 
-The registry is process-global and append-only; the polynomial ring that
-backs Coefficient arithmetic is rebuilt lazily whenever new symbols appear,
-and existing values lift into the extended ring on demand.
+The registry is process-global and append-only between resets; the
+polynomial ring that backs Coefficient arithmetic is rebuilt lazily whenever
+new symbols appear, and existing values lift into the extended ring on
+demand.  reset() starts a new lifetime: every ring context records the
+lifetime it was built in, and a value from an earlier lifetime is stale.
 """
 
 from __future__ import annotations
@@ -38,11 +40,15 @@ class ParameterSymbol:
 
 
 class RingContext:
-    """Immutable snapshot of the registry with its backing polynomial ring."""
+    """Immutable snapshot of the registry with its backing polynomial ring.
 
-    def __init__(self, symbols: tuple[ParameterSymbol, ...]):
+    Contexts of one lifetime are prefixes of each other, so a value lifts
+    into a later context of its lifetime by padding exponents.
+    """
+
+    def __init__(self, symbols: tuple[ParameterSymbol, ...], lifetime: object):
         self.symbols = symbols
-        self.epoch = len(symbols)
+        self.lifetime = lifetime
         names = tuple(s.name for s in symbols)
         self.names = names
         if names:
@@ -77,12 +83,14 @@ class _Registry:
         self._symbols: list[ParameterSymbol] = []
         self._by_name: dict[str, ParameterSymbol] = {}
         self._context: RingContext | None = None
+        self._lifetime = object()
 
     def reset(self) -> None:
         with self._lock:
             self._symbols.clear()
             self._by_name.clear()
             self._context = None
+            self._lifetime = object()
 
     def _add(self, name: str, kind: str, conjugate_of: str | None) -> ParameterSymbol:
         if not name.isidentifier():
@@ -148,7 +156,9 @@ class _Registry:
     def context(self) -> RingContext:
         with self._lock:
             if self._context is None:
-                self._context = RingContext(tuple(self._symbols))
+                self._context = RingContext(
+                    tuple(self._symbols), self._lifetime
+                )
             return self._context
 
 

@@ -13,6 +13,7 @@ from ihg import (
     GaussianRational,
     MixedRadicals,
     QuadraticSurd,
+    StaleCoefficient,
 )
 from ihg.symbols import registry
 
@@ -265,6 +266,33 @@ class TestSectors:
         t, E = C("t11"), C("E1")
         assert (t / (ONE() - t * t.conjugate())).char_free()
         assert not (t * E).char_free()
+
+
+class TestRegistryLifetime:
+    def test_value_from_same_width_context_is_stale(self):
+        # both contexts hold two symbols, so a width test cannot tell them apart
+        registry.register_pair("a")
+        a = C("a")
+        registry.reset()
+        registry.register_pair("b")
+        with pytest.raises(StaleCoefficient):
+            a + C("b")
+
+    def test_value_from_narrower_context_is_stale(self):
+        # padding a's exponents would read it as c, the new first symbol
+        registry.register_pair("a")
+        a = C("a")
+        registry.reset()
+        registry.register_pair("c")
+        registry.register_real("r")
+        with pytest.raises(StaleCoefficient):
+            a + C("r")
+
+    def test_value_lifts_within_its_lifetime(self):
+        registry.register_pair("a")
+        a = C("a")
+        registry.register_real("r")
+        assert (a + C("r")).render() == "a + r"
 
 
 # -- randomized algebraic laws ------------------------------------------------
