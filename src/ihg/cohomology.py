@@ -5,8 +5,13 @@ sectors indexed by those vectors; each sector with fixed bidegree is a
 finite monomial space over the parameter-rational field and everything
 reduces to exact linear algebra.  A Bott-Chern sector reads two
 matrices: d on pure (p,q)-forms, whose kernel is ker(del) ∩ ker(dbar),
-and del dbar from (p-1,q-1); its spans are pivot columns (see
-linalg.extend_to_basis).
+and del dbar from (p-1,q-1); one elimination over the image columns
+followed by the kernel vectors picks both spans as pivot columns.
+
+Invariant primitives are solved in one place, split_primitive, which
+returns the minimum-norm primitive of the part of a form in im(op) and
+the residue orthogonal to it; solve_dbar, solve_del and the Kuranishi
+step read both.
 """
 
 from __future__ import annotations
@@ -72,8 +77,14 @@ class SectorComplex:
     def to_vector(self, form: Form, *bidegrees: tuple[int, int]):
         """Coordinates of form over the monomials of the given bidegrees,
         in the order given."""
+        return self._coordinates(form, self._index(bidegrees), bidegrees)
+
+    def _index(self, bidegrees) -> dict[MultiIndex, int]:
         monomials = [mi for p, q in bidegrees for mi in self.basis(p, q)]
-        index = {mi: k for k, mi in enumerate(monomials)}
+        return {mi: k for k, mi in enumerate(monomials)}
+
+    def _coordinates(self, form: Form, index: dict[MultiIndex, int],
+                     bidegrees) -> linalg.Vector:
         vec = [Coefficient.zero() for _ in index]
         for mi, c in form.terms():
             if mi not in index:
@@ -95,10 +106,12 @@ class SectorComplex:
                *targets: tuple[int, int]) -> linalg.Matrix:
         """Matrix of op from the (p,q) monomials to the monomials of the
         target bidegrees, stacked in the order given."""
-        src = self.basis(p, q)
-        rows = sum(len(self.basis(*t)) for t in targets)
-        cols = [self.to_vector(op(self.embed(mi)), *targets) for mi in src]
-        return [[col[i] for col in cols] for i in range(rows)]
+        index = self._index(targets)
+        cols = [
+            self._coordinates(op(self.embed(mi)), index, targets)
+            for mi in self.basis(p, q)
+        ]
+        return [[col[i] for col in cols] for i in range(len(index))]
 
 
 @dataclass(frozen=True)
@@ -132,8 +145,12 @@ class BottChernSector:
         )
         image_matrix = cx.matrix(geom.ddbar, p - 1, q - 1, (p, q))
         image_cols = [list(col) for col in zip(*image_matrix)]
-        self.image = linalg.extend_to_basis([], image_cols)
-        self.quotient = linalg.extend_to_basis(self.image, kernel)
+        # image columns first: the kernel columns that are pivots then span
+        # a complement of the image inside the kernel
+        columns = image_cols + kernel
+        pivots = linalg.pivot_columns(columns)
+        self.image = [columns[c] for c in pivots if c < len(image_cols)]
+        self.quotient = [columns[c] for c in pivots if c >= len(image_cols)]
 
     @property
     def dimension(self) -> int:
@@ -218,33 +235,40 @@ def bc_class(geom: Geometry, form: Form) -> BottChernClass:
     return BottChernSector(geom, p, q, sector).class_of(form)
 
 
-def _solve_primitive(geom: Geometry, op, rhs: Form, p: int, q: int,
-                     dp: int, dq: int) -> Form | None:
-    """An invariant (p,q)-form beta with op(beta) = rhs, or None; op raises
-    the bidegree by (dp, dq).
+def split_primitive(geom: Geometry, op, rhs: Form, p: int, q: int,
+                    dp: int, dq: int) -> tuple[Form, linalg.Vector]:
+    """Split rhs against the invariant image of op, which raises the
+    bidegree by (dp, dq): returns (beta, residue), where beta is the
+    (p,q)-form of minimum norm whose image is the part of rhs in im(op),
+    and residue holds the coordinates of the rest, orthogonal to im(op).
 
-    Solved sector by sector; the minimum-norm solution of each sector is
-    taken so the output is canonical.
+    Sectors are visited in sorted order; each contributes its coordinates
+    with the character stripped, as SectorComplex.to_vector gives them.
+    rhs lies in im(op) exactly when every residue entry is zero.
     """
-    if rhs.is_zero():
-        return Form.zero()
-    out = Form.zero()
-    for sector, part in rhs.char_sectors().items():
+    beta = Form.zero()
+    residue: linalg.Vector = []
+    sectors = rhs.char_sectors()
+    target = (p + dp, q + dq)
+    for sector in sorted(sectors):
         cx = SectorComplex(geom, sector)
-        matrix = cx.matrix(op, p, q, (p + dp, q + dq))
-        target = cx.to_vector(part, (p + dp, q + dq))
-        x = linalg.solve_min_norm(matrix, target)
-        if x is None:
-            return None
-        out = out + cx.vector_to_form(x, p, q)
-    return out
+        x, rest = linalg.orthogonal_split(
+            cx.matrix(op, p, q, target), cx.to_vector(sectors[sector], target)
+        )
+        beta = beta + cx.vector_to_form(x, p, q)
+        residue.extend(rest)
+    return beta, residue
 
 
 def solve_dbar(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
-    """An invariant (p,q)-form beta with dbar(beta) = rhs, or None."""
-    return _solve_primitive(geom, geom.dbar, rhs, p, q, 0, 1)
+    """The minimum-norm invariant (p,q)-form beta with dbar(beta) = rhs,
+    or None."""
+    beta, residue = split_primitive(geom, geom.dbar, rhs, p, q, 0, 1)
+    return None if any(not r.is_zero() for r in residue) else beta
 
 
 def solve_del(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
-    """An invariant (p,q)-form beta with del(beta) = rhs, or None."""
-    return _solve_primitive(geom, geom.del_op, rhs, p, q, 1, 0)
+    """The minimum-norm invariant (p,q)-form beta with del(beta) = rhs,
+    or None."""
+    beta, residue = split_primitive(geom, geom.del_op, rhs, p, q, 1, 0)
+    return None if any(not r.is_zero() for r in residue) else beta

@@ -34,10 +34,6 @@ class DegenerateAtLocus(ValueError):
         self.locus = locus
 
 
-class SingularCorrection(DegenerateAtLocus):
-    """(I - psi conj(psi)) or its mirror is not invertible."""
-
-
 def _check_psi(psi: VectorForm, n: int) -> None:
     if psi.mirrored:
         raise ValueError("deformation data must be T^{1,0}-valued")
@@ -104,10 +100,14 @@ class Deformation:
                     locus=str(exc),
                 ) from None
             self._matrix = b
-            self._phi_t = {
+            phi_t = {
                 j: Form.monomial((j,), ()) + psi.components.get(j, Form.zero())
                 for j in range(1, n + 1)
             }
+            self._deformed_rows = {("h", j): f for j, f in phi_t.items()}
+            self._deformed_rows.update(
+                {("a", j): f.conjugate() for j, f in phi_t.items()}
+            )
             self._base_rows = {
                 ("h", k + 1): _combination(self._inverse[k], n)
                 for k in range(n)
@@ -117,7 +117,7 @@ class Deformation:
                 for k in range(n)
             })
             self.full_structure = {
-                j: self.to_deformed_coords(base.d(self._phi_t[j]))
+                j: self.to_deformed_coords(base.d(phi_t[j]))
                 for j in range(1, n + 1)
             }
         except DenominatorVanishes as exc:
@@ -159,11 +159,7 @@ class Deformation:
         return form.substitute_coframe(self._base_rows)
 
     def to_base_coords(self, form: Form) -> Form:
-        mapping = {}
-        for j in range(1, self.base.n + 1):
-            mapping[("h", j)] = self._phi_t[j]
-            mapping[("a", j)] = self._phi_t[j].conjugate()
-        return form.substitute_coframe(mapping)
+        return form.substitute_coframe(self._deformed_rows)
 
     def extension(self, alpha: Form) -> Form:
         """The degree-preserving extension of a base (p,q)-form, written in
@@ -232,38 +228,25 @@ class Deformation:
     # -- operator route ------------------------------------------------------
 
     def _endo_mappings(self, anti: bool):
+        """Slotwise maps by I - B conj(B) (holomorphic side) or
+        I - conj(B) B (antiholomorphic side) and by its inverse, which is
+        the diagonal block of the inverse coframe change on that side: both
+        are Schur complements of an identity block of [[I, B], [conj B, I]],
+        so they are invertible wherever the change is (Sylvester)."""
         n = self.base.n
         b = self._matrix
         bc = _conj_matrix(b)
         prod = linalg.mat_mul(bc, b) if anti else linalg.mat_mul(b, bc)
         one, zero = Coefficient.one(), Coefficient.zero()
-        endo = [
-            [
-                (one if j == k else zero) - prod[j][k]
-                for k in range(n)
+        side, off = ("a", n) if anti else ("h", 0)
+        fwd, bwd = {}, {}
+        for j in range(n):
+            endo_row = [
+                (one if j == k else zero) - prod[j][k] for k in range(n)
             ]
-            for j in range(n)
-        ]
-        try:
-            inverse = linalg.invert(endo)
-        except linalg.SingularMatrix as exc:
-            raise SingularCorrection(
-                f"{self.name}: correction endomorphism is singular",
-                locus=str(exc),
-            ) from exc
-        side = "a" if anti else "h"
-        fwd = {
-            (side, j + 1): _combination(
-                endo[j] if not anti else [zero] * n + endo[j], n
-            )
-            for j in range(n)
-        }
-        bwd = {
-            (side, j + 1): _combination(
-                inverse[j] if not anti else [zero] * n + inverse[j], n
-            )
-            for j in range(n)
-        }
+            fwd[(side, j + 1)] = _combination([zero] * off + endo_row, n)
+            inverse_row = self._inverse[off + j][off:off + n]
+            bwd[(side, j + 1)] = _combination([zero] * off + inverse_row, n)
         return fwd, bwd
 
     def _t_formula(self, alpha: Form, anti: bool) -> Form:

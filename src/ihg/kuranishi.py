@@ -2,10 +2,11 @@
 
 From a basis of dbar-closed decorated (0,1)-forms the series
 psi(t) = sum_k psi_k(t) is grown degree by degree: the degree-k bracket
-(1/2) sum_{i+j=k} [psi_i, psi_j] splits, per character sector and frame
-leg, into a part orthogonal to im(dbar) - whose monomial coefficients
-must vanish and join the obstruction ideal - and a dbar-exact part,
-whose minimum-norm primitive becomes psi_k.  The loop stops once the
+(1/2) sum_{i+j=k} [psi_i, psi_j] is split on each frame leg by
+cohomology.split_primitive into a part orthogonal to im(dbar) - whose
+monomial coefficients must vanish and join the obstruction ideal - and a
+dbar-exact part, whose minimum-norm primitive becomes psi_k (the
+harmonic gauge of Kuranishi's construction).  The loop stops once the
 bracket vanishes modulo the ideal at a degree past which no nonzero
 products can form.  Branches of the resulting space are explored by
 declaring parameters zero or nonzero.
@@ -16,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .coefficients import Coefficient, normalized_generators
-from .cohomology import SectorComplex
+from .cohomology import split_primitive
 from .deformation import vector_bracket
 from .exterior import Form, VectorForm
 from .geometry import Geometry, StructureError
@@ -26,7 +26,8 @@ from .symbols import conjugate_name, registry
 
 
 class PrimitiveNotFound(ValueError):
-    """A bracket component is neither harmonic nor dbar-exact in its sector."""
+    """Condition extraction never left the bracket dbar-exact modulo the
+    ideal."""
 
 
 class DepthCapReached(RuntimeError):
@@ -130,28 +131,6 @@ class KuranishiSeries:
         }
 
 
-def _orthogonal_split(matrix, vec):
-    """vec = matrix.x + residue with residue orthogonal to the column span
-    for the monomial Hermitian pairing; returns (x, residue).
-
-    The normal system is always consistent because the pairing is
-    positive on every conjugation-respecting specialization.
-    """
-    if not matrix or not matrix[0]:
-        return [], list(vec)
-    star = linalg.conj_transpose(matrix)
-    gram = linalg.mat_mul(star, matrix)
-    rhs = linalg.mat_vec(star, vec)
-    x = linalg.solve(gram, rhs)
-    if x is None:
-        raise PrimitiveNotFound(
-            "degenerate pairing: component neither harmonic nor exact"
-        )
-    mx = linalg.mat_vec(matrix, x)
-    residue = [a - b for a, b in zip(vec, mx)]
-    return x, residue
-
-
 def _reduce_vector(vf: VectorForm, ideal) -> VectorForm:
     if not ideal:
         return vf
@@ -247,26 +226,18 @@ def _solve_degree(geom, bracket, ideal) -> VectorForm:
     """Split one degree's bracket; grows ideal in place, returns psi_k."""
     for _ in range(_MAX_SPLIT_PASSES):
         candidates: list[Coefficient] = []
-        splits = []
+        legs: dict[int, Form] = {}
         for leg in sorted(bracket.components):
-            sectors = bracket.components[leg].char_sectors()
-            for sector in sorted(sectors):
-                part = sectors[sector]
-                cx = SectorComplex(geom, sector)
-                vec = cx.to_vector(part, (0, 2))
-                matrix = cx.matrix(geom.dbar, 0, 1, (0, 2))
-                x, residue = _orthogonal_split(matrix, vec)
-                splits.append((leg, cx, x))
-                for entry in residue:
-                    r = entry.reduce_modulo(ideal)
-                    if not r.is_zero():
-                        candidates.append(r.squarefree_numerator())
+            beta, residue = split_primitive(
+                geom, geom.dbar, bracket.components[leg], 0, 1, 0, 1
+            )
+            if not beta.is_zero():
+                legs[leg] = beta
+            for entry in residue:
+                r = entry.reduce_modulo(ideal)
+                if not r.is_zero():
+                    candidates.append(r.squarefree_numerator())
         if not candidates:
-            legs: dict[int, Form] = {}
-            for leg, cx, x in splits:
-                f = cx.vector_to_form(x, 0, 1)
-                if not f.is_zero():
-                    legs[leg] = legs.get(leg, Form.zero()) + f
             return VectorForm(legs)
         unique: dict[str, Coefficient] = {}
         for g in candidates:

@@ -5,9 +5,10 @@ nonzero entry; divisions stay exact in the field, so no magnitude
 heuristics are needed.  Systems here are small (invariant-form sectors),
 so Gauss-Jordan without fraction-free tricks is fast enough.
 
-Span selection reads pivot columns: extend_to_basis keeps the candidates
-that are pivots of one elimination over the known vectors followed by the
-candidates, which are exactly the vectors a greedy rank test would keep.
+Span selection reads the pivot columns of one elimination, which are
+exactly the vectors a greedy rank test would keep.  orthogonal_split is
+the one place that forms Hermitian normal systems; over the coefficient
+field both of its systems are consistent, so it has no fallback.
 """
 
 from __future__ import annotations
@@ -140,31 +141,28 @@ def invert(a: Matrix) -> Matrix:
     return [row[n:] for row in mat]
 
 
-def solve_min_norm(a: Matrix, b: Vector) -> Vector | None:
-    """Solution of a x = b orthogonal to ker(a) for the formal Hermitian
-    pairing: x = a* z with (a a*) z = b.
+def orthogonal_split(a: Matrix, v: Vector) -> tuple[Vector, Vector]:
+    """Split v against the column span of a for the formal Hermitian
+    pairing: returns (x, residue) with a* residue = 0 and x the solution of
+    a x = v - residue orthogonal to ker(a).
 
-    Falls back to a plain solve when the normal system is inconsistent
-    even though the original one is not (possible at parameter loci where
-    the formal pairing degenerates).
+    One solve in a*a gives the projection a y of v, one in a a* gives
+    x = a* z with (a a*) z = a y.  Over the coefficient field the pairing
+    is anisotropic, so both normal systems are consistent; an inconsistent
+    one is a fault and raises SingularMatrix.
     """
-    if not a:
-        return []
+    if not a or not a[0]:
+        return [], list(v)
     star = conj_transpose(a)
-    gram = mat_mul(a, star)
-    z = solve(gram, b)
-    if z is not None:
-        x = mat_vec(star, z)
-        if _agrees(a, x, b):
-            return x
-    return solve(a, b)
-
-
-def _agrees(a: Matrix, x: Vector, b: Vector) -> bool:
-    for got, want in zip(mat_vec(a, x), b):
-        if not (got - want).is_zero():
-            return False
-    return True
+    y = solve(mat_mul(star, a), mat_vec(star, v))
+    if y is None:
+        raise SingularMatrix("degenerate Hermitian pairing in a*a")
+    projection = mat_vec(a, y)
+    z = solve(mat_mul(a, star), projection)
+    if z is None:
+        raise SingularMatrix("degenerate Hermitian pairing in a a*")
+    residue = [b - c for b, c in zip(v, projection)]
+    return mat_vec(star, z), residue
 
 
 def coordinates_in_span(basis: list[Vector], v: Vector) -> Vector | None:
@@ -175,14 +173,8 @@ def coordinates_in_span(basis: list[Vector], v: Vector) -> Vector | None:
     return solve(cols, v)
 
 
-def extend_to_basis(inside: list[Vector], ambient: list[Vector]) -> list[Vector]:
-    """Greedily extend an independent set to span ambient; returns the
-    added vectors only.
-
-    One elimination over the columns inside + ambient: the added vectors
-    are the ambient columns that are pivots, since a column is a pivot
-    exactly when it lies outside the span of the columns before it.
-    """
-    columns = inside + ambient
+def pivot_columns(columns: list[Vector]) -> list[int]:
+    """Indices of the columns outside the span of the columns before
+    them, read off one elimination."""
     _, pivots = _eliminate(list(zip(*columns)), len(columns))
-    return [list(ambient[c - len(inside)]) for c in pivots if c >= len(inside)]
+    return pivots

@@ -4,6 +4,11 @@ Iwasawa is unobstructed with one parameter per (leg, generator) pair
 (Nakamura 1975).  The branch facts follow by hand from the obstruction
 ideals: with t11 nonzero, t11*t12 and t11*t13 force t12 = t13 = 0, after
 which t11*t23 - t13*t21/2 and t11*t32 - t12*t31/2 force t23 = t32 = 0.
+
+On h3x (d phi^3 = d phi^4 = phi^{12}) the degree-2 bracket on legs 3 and
+4 is (t12*t21 - t11*t22) phi^{12bar}, and dbar sends both phi^{3bar} and
+phi^{4bar} to phi^{12bar}; the minimum-norm primitive, Kuranishi's
+harmonic gauge, splits the coefficient evenly between them.
 """
 
 import pytest
@@ -11,6 +16,7 @@ import pytest
 from ihg.catalog import catalog
 from ihg.coefficients import Coefficient
 from ihg.deformation import deform, mc_equation
+from ihg.exterior import Form
 from ihg.kuranishi import (
     BranchSpec,
     DepthCapReached,
@@ -34,6 +40,18 @@ def test_iwasawa_is_unobstructed():
     psi = series_to_deformation(series)
     assert deform(g, psi).is_integrable()
     assert mc_equation(g, psi).is_zero()
+
+
+def test_h3x_takes_the_minimum_norm_primitive(h3x):
+    series = kuranishi_build(h3x)
+    assert series.ideal == ()
+    c = (S("t12") * S("t21") - S("t11") * S("t22")) / 2
+    expected = Form.monomial((), (3,), c) + Form.monomial((), (4,), c)
+    psi_2 = series.psi_terms[2].components
+    assert set(psi_2) == {3, 4}
+    assert psi_2[3] == expected
+    assert psi_2[4] == expected
+    assert deform(h3x, series_to_deformation(series)).is_integrable()
 
 
 @pytest.mark.parametrize("name", ["nakamura_3b", "solv4d"])

@@ -56,15 +56,14 @@ GAUSSIAN = [
 
 
 @pytest.mark.parametrize("rows", [INTEGER, GAUSSIAN])
-def test_extend_to_basis_picks_rref_pivots(rows):
+def test_pivot_columns_are_rref_pivots(rows):
     a = _matrix(rows)
     _, pivots = _sympy(a).rref()
-    vs = _columns(a)
-    assert linalg.extend_to_basis([], vs) == [vs[j] for j in pivots]
+    assert linalg.pivot_columns(_columns(a)) == list(pivots)
 
 
 @pytest.mark.parametrize("rows", [INTEGER, GAUSSIAN])
-def test_extend_to_basis_returns_only_added_vectors(rows):
+def test_pivot_columns_extend_an_independent_set(rows):
     vs = _columns(_matrix(rows))
     inside = vs[-2:]
     assert _sympy([list(r) for r in zip(*inside)]).rank() == 2
@@ -76,7 +75,9 @@ def test_extend_to_basis_returns_only_added_vectors(rows):
         if _sympy([list(r) for r in zip(*trial)]).rank() > len(current):
             expected.append(cand)
             current = trial
-    added = linalg.extend_to_basis(inside, ambient)
+    pivots = linalg.pivot_columns(inside + ambient)
+    assert pivots[:len(inside)] == list(range(len(inside)))
+    added = [ambient[c - len(inside)] for c in pivots[len(inside):]]
     assert added == expected
     everything = [list(r) for r in zip(*(inside + ambient))]
     assert len(added) == _sympy(everything).rank() - len(inside)
@@ -110,3 +111,40 @@ def test_solve_inconsistent_is_none():
     assert linalg.solve(a, [_coeff(1), _coeff(3)]) is None
     x = linalg.solve(a, [_coeff(1), _coeff(2)])
     assert linalg.mat_vec(a, x) == [_coeff(1), _coeff(2)]
+
+
+def _column(v: linalg.Vector) -> sympy.Matrix:
+    return _sympy([v]).T
+
+
+def _is_zero(m: sympy.Matrix) -> bool:
+    return all(sympy.expand(e) == 0 for e in m)
+
+
+@pytest.mark.parametrize("rows", [INTEGER, GAUSSIAN, [[1, 1]]])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_orthogonal_split(rows, transpose):
+    a = _matrix(rows)
+    if transpose:
+        a = [list(r) for r in zip(*a)]
+    s = _sympy(a)
+    ncols = len(a[0])
+    # a vector in the column span, and every unit vector: when the rank is
+    # below the row count some unit vector lies outside the span
+    coeffs = [_coeff(k + 1 + (k % 2) * 1j) for k in range(ncols)]
+    inside = linalg.mat_vec(a, coeffs)
+    units = [
+        [_coeff(int(i == k)) for i in range(len(a))] for k in range(len(a))
+    ]
+    outside = 0
+    for v in [inside] + units:
+        x, residue = linalg.orthogonal_split(a, v)
+        sx, sr, sv = _column(x), _column(residue), _column(v)
+        assert _is_zero(s.H * sr)
+        assert _is_zero(s * sx - (sv - sr))
+        for k in s.nullspace():
+            assert _is_zero(k.H * sx)
+        outside += not _is_zero(sr)
+        if v is inside:
+            assert _is_zero(sr)
+    assert (outside > 0) == (s.rank() < len(a))
