@@ -10,6 +10,14 @@ the backing library, and every cancellation arising here is an exact-division
 event.  The one gcd user is squarefree_numerator, which the Kuranishi
 condition extraction calls on each candidate generator.
 
+Trial division has one home, _exact_quotient, which both normalization and
+is_multiple_of use.  It runs the one-divisor division algorithm and gives up
+at the first leading term of the running remainder that LT(g) does not
+divide.  With one divisor such a term passes to the remainder and is never
+cancelled, since every later step only touches smaller terms, so giving up
+there is exactly the case of a nonzero remainder; most trial divisions fail,
+and most of those fail at the first term.
+
 Characters enter as ordinary generators; conj(E) = 1/E puts them into the
 denominator, where an atom that is a bare character monomial cancels by
 monomial shifts.
@@ -310,6 +318,41 @@ def _conj_poly(p, ctx: RingContext):
     return q, shifts
 
 
+def _exact_quotient(p, g):
+    """p / g when g divides p exactly, else None; g must be nonzero.
+
+    The division algorithm by one divisor (Cox-Little-O'Shea, section 2.3),
+    stopped at the first leading term of the remainder that LT(g) does not
+    divide: that term could only pass to the remainder.
+    """
+    ring, domain = p.ring, p.ring.domain
+    order, zero = ring.order, domain.zero
+    monomial_div, monomial_mul = ring.monomial_div, ring.monomial_mul
+    lm_g = max(g, key=order)
+    lc_g = g[lm_g]
+    monic = lc_g == domain.one  # denominator atoms always are
+    tail = [(m, c) for m, c in g.items() if m != lm_g]
+    rem = dict(p)
+    q = ring.zero
+    while rem:
+        lm = max(rem, key=order)
+        shift = monomial_div(lm, lm_g)
+        if shift is None:
+            return None
+        c = rem.pop(lm)
+        if not monic:
+            c = domain.quo(c, lc_g)
+        q[shift] = c
+        for m, cg in tail:
+            m = monomial_mul(m, shift)
+            v = rem.get(m, zero) - cg * c
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
+    return q
+
+
 def _poly_euler(p, gen_index: int, ring):
     """E * d/dE as a polynomial map: multiplies each term by its E-exponent."""
     out = {}
@@ -365,8 +408,8 @@ class Coefficient:
         out = []
         for atom, mult in packed:
             while mult > 0:
-                quo, rem = divmod(num, atom)
-                if rem:
+                quo = _exact_quotient(num, atom)
+                if quo is None:
                     break
                 num, mult = quo, mult - 1
             if mult:
@@ -589,8 +632,7 @@ class Coefficient:
             return a._num == 0
         if a._num == 0:
             return True
-        _, rem = divmod(a._num, b._num)
-        return not rem
+        return _exact_quotient(a._num, b._num) is not None
 
     def numerator_normalized(self) -> "Coefficient":
         """Monic numerator with the denominator dropped: the canonical
@@ -678,7 +720,7 @@ class Coefficient:
             if not da:
                 continue
             piece = Coefficient._make(
-                -QQ_I(mult, 0) * da * self._num,
+                da * self._num * QQ_I(-mult, 0),
                 list(self._den) + [(atom, 1)],
                 ctx,
             )

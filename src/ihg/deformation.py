@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import linalg
 from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
-from .exterior import Form, VectorForm
+from .exterior import CoframeMap, Form, VectorForm
 from .geometry import Geometry
 from .symbols import REAL, registry
 
@@ -74,7 +74,15 @@ def _combination(row, holo_cols: int) -> Form:
 
 
 class Deformation:
-    """Extension of a base geometry along psi = sum psi^j (x) Z_j."""
+    """Extension of a base geometry along psi = sum psi^j (x) Z_j.
+
+    The coordinate change and its inverse are two CoframeMaps kept for the
+    deformation's lifetime: each fills its table of coframe-monomial images
+    on first use, so a monomial's image is one wedge of a stored prefix
+    image by a row, built once, and rewriting a form multiplies each of its
+    coefficients into a stored image.  The operator route keeps its
+    correction maps the same way, one pair per side, built on first use.
+    """
 
     def __init__(self, base: Geometry, psi: VectorForm,
                  name: str | None = None, require_mc: bool = True):
@@ -104,18 +112,21 @@ class Deformation:
                 j: Form.monomial((j,), ()) + psi.components.get(j, Form.zero())
                 for j in range(1, n + 1)
             }
-            self._deformed_rows = {("h", j): f for j, f in phi_t.items()}
-            self._deformed_rows.update(
+            deformed_rows = {("h", j): f for j, f in phi_t.items()}
+            deformed_rows.update(
                 {("a", j): f.conjugate() for j, f in phi_t.items()}
             )
-            self._base_rows = {
+            self._to_base = CoframeMap(deformed_rows)
+            base_rows = {
                 ("h", k + 1): _combination(self._inverse[k], n)
                 for k in range(n)
             }
-            self._base_rows.update({
+            base_rows.update({
                 ("a", k + 1): _combination(self._inverse[n + k], n)
                 for k in range(n)
             })
+            self._to_deformed = CoframeMap(base_rows)
+            self._endo_maps: dict[bool, tuple[CoframeMap, CoframeMap]] = {}
             self.full_structure = {
                 j: self.to_deformed_coords(base.d(phi_t[j]))
                 for j in range(1, n + 1)
@@ -153,13 +164,13 @@ class Deformation:
         These rows are the exact inverse of the coframe change and are the
         workhorse for rewriting base-coframe identities after deformation.
         """
-        return self._base_rows[("a" if anti else "h", k)]
+        return self._to_deformed.rows[("a" if anti else "h", k)]
 
     def to_deformed_coords(self, form: Form) -> Form:
-        return form.substitute_coframe(self._base_rows)
+        return self._to_deformed.apply(form)
 
     def to_base_coords(self, form: Form) -> Form:
-        return form.substitute_coframe(self._deformed_rows)
+        return self._to_base.apply(form)
 
     def extension(self, alpha: Form) -> Form:
         """The degree-preserving extension of a base (p,q)-form, written in
@@ -227,12 +238,16 @@ class Deformation:
 
     # -- operator route ------------------------------------------------------
 
-    def _endo_mappings(self, anti: bool):
+    def _endo_mappings(self, anti: bool) -> tuple[CoframeMap, CoframeMap]:
         """Slotwise maps by I - B conj(B) (holomorphic side) or
         I - conj(B) B (antiholomorphic side) and by its inverse, which is
         the diagonal block of the inverse coframe change on that side: both
         are Schur complements of an identity block of [[I, B], [conj B, I]],
-        so they are invertible wherever the change is (Sylvester)."""
+        so they are invertible wherever the change is (Sylvester).  Built
+        on first use and kept."""
+        maps = self._endo_maps.get(anti)
+        if maps is not None:
+            return maps
         n = self.base.n
         b = self._matrix
         bc = _conj_matrix(b)
@@ -247,7 +262,8 @@ class Deformation:
             fwd[(side, j + 1)] = _combination([zero] * off + endo_row, n)
             inverse_row = self._inverse[off + j][off:off + n]
             bwd[(side, j + 1)] = _combination([zero] * off + inverse_row, n)
-        return fwd, bwd
+        maps = self._endo_maps[anti] = CoframeMap(fwd), CoframeMap(bwd)
+        return maps
 
     def _t_formula(self, alpha: Form, anti: bool) -> Form:
         """Operator route on monomial patterns: conjugate the commutator of
@@ -259,14 +275,14 @@ class Deformation:
         fwd, bwd = self._endo_mappings(anti)
         contraction = self.psi if anti else self.psi.conjugate()
         own, other = (1, 0) if anti else (0, 1)
-        inner = alpha.substitute_coframe(fwd)
+        inner = fwd.apply(alpha)
         parts = self.base.d_split(inner)
         mid = (
             self.base.d_split(contraction.iota(inner))[other]
             - contraction.iota(parts[other])
             + parts[own]
         )
-        return mid.substitute_coframe(bwd)
+        return bwd.apply(mid)
 
     def del_t_formula(self, alpha: Form) -> Form:
         """del_t on monomial patterns, by the operator route."""

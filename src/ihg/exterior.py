@@ -267,24 +267,13 @@ class Form:
         return Form(out)
 
     def substitute_coframe(self, mapping: dict[tuple[str, int], "Form"]) -> "Form":
-        """Rewrite through a coframe substitution.
+        """Rewrite through a coframe substitution, once.
 
-        mapping sends ('h', i) and ('a', i) to the image of the i-th
-        holomorphic / antiholomorphic coframe element; missing entries keep
-        the element fixed.  Extends multiplicatively in canonical factor
-        order, so it is the induced algebra map.
+        The one-shot use of CoframeMap(mapping): its monomial table is
+        filled for this form and then dropped.  A caller that rewrites many
+        forms through the same substitution keeps a CoframeMap instead.
         """
-        total = Form()
-        for mi, c in self._terms.items():
-            piece = Form.scalar(c)
-            for i in mi.holo:
-                img = mapping.get(("h", i))
-                piece = piece.wedge(img if img is not None else Form.monomial((i,), ()))
-            for j in mi.anti:
-                img = mapping.get(("a", j))
-                piece = piece.wedge(img if img is not None else Form.monomial((), (j,)))
-            total = total + piece
-        return total
+        return CoframeMap(mapping).apply(self)
 
     # -- sectors, evaluation, rendering ---------------------------------------
 
@@ -332,6 +321,53 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form({self.render()})"
+
+
+class CoframeMap:
+    """The algebra map induced by a coframe substitution, with a lazily
+    filled table of monomial images.
+
+    rows sends ('h', i) and ('a', i) to the image of the i-th
+    holomorphic / antiholomorphic coframe element; missing entries keep
+    the element fixed.  The image of a monomial is the image of its prefix
+    wedged with the row of its last factor, in canonical factor order; each
+    is built once and kept for the map's lifetime.  A form c*m maps to
+    c*image(m), so coefficients enter after the wedge chain, not through it.
+    """
+
+    __slots__ = ("rows", "_images")
+
+    def __init__(self, rows: dict[tuple[str, int], Form]):
+        self.rows = dict(rows)
+        self._images: dict[MultiIndex, Form] = {SCALAR: Form.scalar(1)}
+
+    def image(self, mi: MultiIndex) -> Form:
+        """The image of one coframe monomial."""
+        img = self._images.get(mi)
+        if img is not None:
+            return img
+        if mi.anti:
+            key, fixed = ("a", mi.anti[-1]), MultiIndex((), mi.anti[-1:])
+            prefix = MultiIndex(mi.holo, mi.anti[:-1])
+        else:
+            key, fixed = ("h", mi.holo[-1]), MultiIndex(mi.holo[-1:], ())
+            prefix = MultiIndex(mi.holo[:-1], ())
+        row = self.rows.get(key)
+        if row is None:
+            row = Form({fixed: Coefficient.one()})
+        img = self.image(prefix).wedge(row)
+        self._images[mi] = img
+        return img
+
+    def apply(self, form: Form) -> Form:
+        """The image of a form: the sum of c*image(m) over its terms c*m."""
+        out: dict[MultiIndex, Coefficient] = {}
+        for mi, c in form.terms():
+            for m, v in self.image(mi).terms():
+                _accumulate(out, m, v * c)
+        f = Form.__new__(Form)
+        f._terms = out
+        return f
 
 
 def _accumulate(store: dict, mi: MultiIndex, c: Coefficient) -> None:

@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ_I
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import ring
 
 from ihg import (
     Coefficient,
@@ -15,6 +18,7 @@ from ihg import (
     QuadraticSurd,
     StaleCoefficient,
 )
+from ihg.coefficients import _exact_quotient
 from ihg.symbols import registry
 
 
@@ -387,3 +391,73 @@ def test_conjugate_commutes_with_numeric(a):
         return
     y = a.conjugate().numeric(pt)
     assert abs(x.conjugate() - y) < 1e-9
+
+
+# -- trial division: _exact_quotient against sympy's divmod ---------------------
+
+R, X, Y, Z = ring("x,y,z", QQ_I, grlex)
+
+
+@st.composite
+def polys(draw, min_terms=0):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        gaussians.filter(bool),
+        min_size=min_terms,
+        max_size=4,
+    ))
+    return R.from_dict({m: c.to_qqi() for m, c in terms.items()})
+
+
+def _check_against_divmod(p, g):
+    quo, rem = divmod(p, g)
+    got = _exact_quotient(p, g)
+    if rem:
+        assert got is None
+    else:
+        assert got == quo
+    return quo, rem
+
+
+@settings(max_examples=50, deadline=None)
+@given(polys(), polys(min_terms=1), polys(), st.booleans())
+def test_exact_quotient_matches_divmod(p, g, q, planted):
+    if planted:
+        p = g * q
+    _, rem = _check_against_divmod(p, g)
+    if planted:
+        assert not rem
+
+
+def test_exact_quotient_fails_late():
+    # x^3 and then x^2 divide by LT(g) = x before y, a middle term, does not;
+    # the remainder y + 1 has a term after it
+    g = X + QQ_I(0, 1)
+    p = g * (X**2 + X) + Y + 1
+    quo, rem = _check_against_divmod(p, g)
+    assert quo == X**2 + X
+    assert rem == Y + 1
+
+
+def test_exact_quotient_by_a_ground_divisor():
+    g = R(QQ_I(2, 3))
+    p = X**2 * Y + 3 * Z
+    _check_against_divmod(p, g)
+    assert _exact_quotient(p, g) * g == p
+
+
+def test_exact_quotient_repeated_atom():
+    g = X * Y - 1
+    p = g**2 * (Z + 1)
+    once, _ = _check_against_divmod(p, g)
+    twice, _ = _check_against_divmod(once, g)
+    assert twice == Z + 1
+    assert _exact_quotient(twice, g) is None
+    # normalization cancels an atom of multiplicity > 1 as far as it divides
+    setup_symbols()
+    t = C("t11")
+    a = ONE() - t * t.conjugate()
+    assert ((t / a) ** 2 * (a * a)).render() == "t11^2"
+    assert ((t / a) ** 3 * a).render() == "t11^3/(t11*conj(t11) - 1)^2"
+    assert (t * a * a).is_multiple_of(a * t)
+    assert not (t * a).is_multiple_of(a * a)

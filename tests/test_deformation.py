@@ -6,6 +6,7 @@ numerically before being frozen here.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -23,7 +24,7 @@ from ihg.deformation import (
     mc_equation,
     vector_bracket,
 )
-from ihg.exterior import Form, VectorForm
+from ihg.exterior import CoframeMap, Form, VectorForm
 from ihg.geometry import Geometry
 from ihg.metrics import (
     InvariantMetric,
@@ -290,6 +291,77 @@ class TestExtensionCalculus:
         alpha = _mono((1, 2), (1,), Coefficient.i())
         assert d.extension(alpha) == alpha
         assert d.to_deformed_coords(alpha) == alpha
+
+
+# -- the coordinate-change tables ---------------------------------------------------
+
+
+def _patterns(n):
+    """(holo, anti) of every coframe monomial in dimension n, degrees 0..2n."""
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for holo in combinations(range(1, n + 1), p):
+                for anti in combinations(range(1, n + 1), q):
+                    yield holo, anti
+
+
+class TestCoordinateTables:
+    def test_round_trip_every_iwasawa_monomial(self):
+        # the circle family keeps every row of the change non-diagonal; the
+        # six-parameter family's samples are in test_round_trip_coordinates
+        _, _, d = _circle_deformation()
+        patterns = list(_patterns(3))
+        assert len(patterns) == 64
+        for holo, anti in patterns:
+            alpha = _mono(holo, anti)
+            assert d.to_base_coords(d.to_deformed_coords(alpha)) == alpha
+            assert d.to_deformed_coords(d.to_base_coords(alpha)) == alpha
+
+    def test_round_trip_with_character_coefficients(self):
+        g = catalog("nakamura_3b")
+        registry.ensure_pair("t11")
+        t11, e1 = S("t11"), S("E1")
+        d = Deformation(g, VectorForm({1: _mono((), (1,), t11)}))
+        for holo, anti in _patterns(3):
+            alpha = _mono(holo, anti, e1) + _mono(holo, anti, t11 * e1.conjugate())
+            assert d.to_base_coords(d.to_deformed_coords(alpha)) == alpha
+            assert d.to_deformed_coords(d.to_base_coords(alpha)) == alpha
+
+    def test_table_cost(self, monkeypatch):
+        # each monomial image is one wedge of a stored prefix image by a
+        # row, and a deformation keeps its tables between calls
+        g = catalog("iwasawa")
+        psi, _, _ = _iwasawa_psi()
+        d = Deformation(g, psi)
+        calls = {"wedge": 0}
+        wedge = Form.wedge
+
+        def counted_wedge(self, other):
+            calls["wedge"] += 1
+            return wedge(self, other)
+
+        monkeypatch.setattr(Form, "wedge", counted_wedge)
+        to_deformed = CoframeMap({
+            (flavor, k): d.base_in_deformed(k, anti=flavor == "a")
+            for flavor in "ha" for k in range(1, 4)
+        })
+        low = [
+            _mono(holo, anti) for holo, anti in _patterns(3)
+            if len(holo) + len(anti) <= 2
+        ]
+        assert len(low) == 22
+        images = [to_deformed.apply(alpha) for alpha in low]
+        assert calls["wedge"] == len(low) - 1  # the scalar entry takes none
+        assert [to_deformed.apply(alpha) for alpha in low] == images
+        assert calls["wedge"] == len(low) - 1
+        assert images == [d.to_deformed_coords(alpha) for alpha in low]
+        alpha = _mono((1, 3), (2,))
+        d.to_deformed_coords(alpha)
+        d.to_base_coords(alpha)
+        filled = calls["wedge"]
+        d.to_deformed_coords(alpha)
+        d.to_base_coords(alpha)
+        assert calls["wedge"] == filled
 
 
 # -- vector-form calculus ----------------------------------------------------------

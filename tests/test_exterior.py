@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ihg import Coefficient
-from ihg.exterior import Form, MultiIndex, VectorForm, sort_signed, wedge
+from ihg.exterior import (
+    CoframeMap,
+    Form,
+    MultiIndex,
+    VectorForm,
+    sort_signed,
+    wedge,
+)
 from ihg.symbols import registry
 
 
@@ -200,3 +207,38 @@ def test_wedge_graded_sign_random(a, b):
 def test_conjugate_antiautomorphism_random(a, b):
     assert (a.wedge(b)).conjugate() == a.conjugate().wedge(b.conjugate())
     assert a.conjugate().conjugate() == a
+
+
+def _substitute_by_chain(form, rows):
+    """Reference coframe substitution: the coefficient of each term is
+    carried through the wedge chain of its factors' rows."""
+    total = Form()
+    for mi, c in form.terms():
+        piece = Form.scalar(c)
+        factors = [("h", i) for i in mi.holo] + [("a", j) for j in mi.anti]
+        for flavor, idx in factors:
+            row = rows.get((flavor, idx))
+            if row is None:
+                holo, anti = ((idx,), ()) if flavor == "h" else ((), (idx,))
+                row = Form.monomial(holo, anti)
+            piece = piece.wedge(row)
+        total = total + piece
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_forms())
+def test_coframe_map_matches_wedge_chain(f):
+    one, t, tc, i = coeffs()
+    rows = {
+        ("h", 1): Form.monomial((1,), ()) + Form.monomial((), (2,), t),
+        ("a", 2): Form.monomial((), (2,)) + Form.monomial((1,), (), tc)
+        + Form.monomial((3,), (), i),
+        ("h", 3): Form.monomial((), (1,), t * tc),
+        ("a", 3): Form(),  # a zero row is an image, not a missing entry
+    }
+    table = CoframeMap(rows)
+    expected = _substitute_by_chain(f, rows)
+    assert table.apply(f) == expected
+    assert table.apply(f) == expected
+    assert f.substitute_coframe(rows) == expected
