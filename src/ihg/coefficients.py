@@ -8,7 +8,11 @@ are numerator-only and equality is decided exactly by cross-multiplication.
 Arithmetic computes no polynomial gcd: multivariate gcd over Q(i) is slow in
 the backing library, and every cancellation arising here is an exact-division
 event.  The one gcd user is squarefree_numerator, which the Kuranishi
-condition extraction calls on each candidate generator.
+condition extraction calls on each candidate generator.  It takes its gcds
+in the ring of only the generators the numerator uses: the library's gcd
+over Q(i) recurses through every generator of its ring, and the registry's
+ring holds every symbol ever registered.  A product with a nonzero scalar
+only scales the other numerator, since a unit cannot make an atom divide.
 
 Trial division has one home, _exact_quotient, which both normalization and
 is_multiple_of use.  It runs the one-divisor division algorithm and gives up
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.rings import PolyRing
 
 from .symbols import CHAR, CONJ, PARAM, REAL, RingContext, registry
 
@@ -353,6 +358,15 @@ def _exact_quotient(p, g):
     return q
 
 
+def _widen(monom, used, width: int) -> tuple:
+    """The exponent vector, over width generators, of a monomial over the
+    generators at positions used."""
+    out = [0] * width
+    for i, e in zip(used, monom):
+        out[i] = e
+    return tuple(out)
+
+
 def _poly_euler(p, gen_index: int, ring):
     """E * d/dE as a polynomial map: multiplies each term by its E-exponent."""
     out = {}
@@ -555,6 +569,11 @@ class Coefficient:
         a, b = Coefficient._pair(self, other)
         if a.is_zero() or b.is_zero():
             return Coefficient(a._ctx.ring.zero, (), a._ctx)
+        # a unit cannot make an atom newly divide the numerator
+        if not b._den and b._num.is_ground:
+            return Coefficient(a._num.mul_ground(b._num.LC), a._den, a._ctx)
+        if not a._den and a._num.is_ground:
+            return Coefficient(b._num.mul_ground(a._num.LC), b._den, a._ctx)
         return Coefficient._make(
             a._num * b._num, list(a._den) + list(b._den), a._ctx
         )
@@ -675,18 +694,35 @@ class Coefficient:
         Repeated factors are collapsed (t^2 u -> t u), so the result cuts
         out the same locus as the original within its domain of
         definition; multi-factor content stays intact.
+
+        The part is f / gcd(f, df/dx_1, ..., df/dx_k), taken in the
+        polynomial ring over only the generators x_1..x_k that f contains:
+        the gcd of polynomials in those generators is the same, up to a
+        unit, in any wider ring, and the backing library's gcd over Q(i)
+        costs time in every generator of the ring it runs in.
         """
         r = self._refreshed()
         num = r._num
         if not num:
             return Coefficient(r._ctx.ring.zero, (), r._ctx)
-        common = num
-        for gen in r._ctx.ring.gens:
-            d = num.diff(gen)
-            if d:
-                common = common.gcd(d)
-        if not common.is_ground:
-            num = num.quo(common)
+        if not num.is_ground:
+            ring = num.ring
+            used = sorted({i for m in num.keys() for i, e in enumerate(m) if e})
+            sub = PolyRing([ring.symbols[i] for i in used], ring.domain,
+                           ring.order)
+            f = sub.from_dict(
+                {tuple(m[i] for i in used): c for m, c in num.items()}
+            )
+            common = f
+            for gen in sub.gens:
+                common = common.gcd(f.diff(gen))
+                if common.is_ground:
+                    break
+            if not common.is_ground:
+                num = ring.from_dict({
+                    _widen(m, used, ring.ngens): c
+                    for m, c in f.quo(common).items()
+                })
         num = num.quo_ground(num.LC)
         return Coefficient(num, (), r._ctx)
 

@@ -11,7 +11,8 @@ followed by the kernel vectors picks both spans as pivot columns.
 Invariant primitives are solved in one place, split_primitive, which
 returns the minimum-norm primitive of the part of a form in im(op) and
 the residue orthogonal to it; solve_dbar, solve_del and the Kuranishi
-step read both.
+step read both.  The sector systems it splits against are built once per
+geometry.
 """
 
 from __future__ import annotations
@@ -235,25 +236,40 @@ def bc_class(geom: Geometry, form: Form) -> BottChernClass:
     return BottChernSector(geom, p, q, sector).class_of(form)
 
 
-def split_primitive(geom: Geometry, op, rhs: Form, p: int, q: int,
-                    dp: int, dq: int) -> tuple[Form, linalg.Vector]:
-    """Split rhs against the invariant image of op, which raises the
-    bidegree by (dp, dq): returns (beta, residue), where beta is the
-    (p,q)-form of minimum norm whose image is the part of rhs in im(op),
-    and residue holds the coordinates of the rest, orthogonal to im(op).
+_SHIFTS = {"del": (1, 0), "dbar": (0, 1)}
+
+
+def split_primitive(geom: Geometry, op: str, rhs: Form,
+                    p: int, q: int) -> tuple[Form, linalg.Vector]:
+    """Split rhs against the invariant image of op ("del" or "dbar") on
+    (p,q)-forms: returns (beta, residue), where beta is the (p,q)-form of
+    minimum norm whose image is the part of rhs in im(op), and residue
+    holds the coordinates of the rest, orthogonal to im(op).
 
     Sectors are visited in sorted order; each contributes its coordinates
     with the character stripped, as SectorComplex.to_vector gives them.
     rhs lies in im(op) exactly when every residue entry is zero.
+
+    Each sector's matrix of op and its normal systems depend only on the
+    geometry, so they are built once, on first use, into a table the
+    geometry keeps for its lifetime; the table holds only matrices, never
+    a reference back to the geometry.
     """
+    dp, dq = _SHIFTS[op]
+    target = (p + dp, q + dq)
     beta = Form.zero()
     residue: linalg.Vector = []
     sectors = rhs.char_sectors()
-    target = (p + dp, q + dq)
     for sector in sorted(sectors):
         cx = SectorComplex(geom, sector)
-        x, rest = linalg.orthogonal_split(
-            cx.matrix(op, p, q, target), cx.to_vector(sectors[sector], target)
+        key = (op, p, q, sector)
+        systems = geom._sector_systems.get(key)
+        if systems is None:
+            operator = geom.dbar if op == "dbar" else geom.del_op
+            systems = linalg.normal_systems(cx.matrix(operator, p, q, target))
+            geom._sector_systems[key] = systems
+        x, rest = linalg.split_normal(
+            systems, cx.to_vector(sectors[sector], target)
         )
         beta = beta + cx.vector_to_form(x, p, q)
         residue.extend(rest)
@@ -263,12 +279,12 @@ def split_primitive(geom: Geometry, op, rhs: Form, p: int, q: int,
 def solve_dbar(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
     """The minimum-norm invariant (p,q)-form beta with dbar(beta) = rhs,
     or None."""
-    beta, residue = split_primitive(geom, geom.dbar, rhs, p, q, 0, 1)
+    beta, residue = split_primitive(geom, "dbar", rhs, p, q)
     return None if any(not r.is_zero() for r in residue) else beta
 
 
 def solve_del(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
     """The minimum-norm invariant (p,q)-form beta with del(beta) = rhs,
     or None."""
-    beta, residue = split_primitive(geom, geom.del_op, rhs, p, q, 1, 0)
+    beta, residue = split_primitive(geom, "del", rhs, p, q)
     return None if any(not r.is_zero() for r in residue) else beta

@@ -193,7 +193,7 @@ class Form:
                 mi, sign = _merge(m1, m2)
                 if sign == 0:
                     continue
-                c = c1 * c2 * sign
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
                 if mi in out:
                     s = out[mi] + c
                     if s.is_zero():

@@ -85,6 +85,9 @@ class Geometry:
         # filled lazily: a deformed geometry carries heavy coefficients and
         # most queries touch only a few of its monomials
         self._d_table: dict[MultiIndex, tuple[Form, Form]] = {}
+        # filled by cohomology.split_primitive: (op, p, q, sector) -> the
+        # sector matrix of op with its normal systems
+        self._sector_systems: dict = {}
         if validate:
             self._validate()
 

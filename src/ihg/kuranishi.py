@@ -229,7 +229,7 @@ def _solve_degree(geom, bracket, ideal) -> VectorForm:
         legs: dict[int, Form] = {}
         for leg in sorted(bracket.components):
             beta, residue = split_primitive(
-                geom, geom.dbar, bracket.components[leg], 0, 1, 0, 1
+                geom, "dbar", bracket.components[leg], 0, 1
             )
             if not beta.is_zero():
                 legs[leg] = beta

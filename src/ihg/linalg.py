@@ -6,9 +6,11 @@ heuristics are needed.  Systems here are small (invariant-form sectors),
 so Gauss-Jordan without fraction-free tricks is fast enough.
 
 Span selection reads the pivot columns of one elimination, which are
-exactly the vectors a greedy rank test would keep.  orthogonal_split is
-the one place that forms Hermitian normal systems; over the coefficient
-field both of its systems are consistent, so it has no fallback.
+exactly the vectors a greedy rank test would keep.  normal_systems is
+the one place that forms Hermitian normal systems and split_normal, which
+orthogonal_split wraps, the one that solves them; a caller can build the
+systems once and split many right-hand sides.  Over the coefficient field
+both systems are consistent, so there is no fallback.
 """
 
 from __future__ import annotations
@@ -141,6 +143,30 @@ def invert(a: Matrix) -> Matrix:
     return [row[n:] for row in mat]
 
 
+def normal_systems(a: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """(a, a*, a*a, a a*): what split_normal solves against, built once
+    per matrix so that every right-hand side can reuse them."""
+    star = conj_transpose(a)
+    return a, star, mat_mul(star, a), mat_mul(a, star)
+
+
+def split_normal(systems, v: Vector) -> tuple[Vector, Vector]:
+    """orthogonal_split of v against the matrix whose normal_systems are
+    given."""
+    a, star, gram, cogram = systems
+    if not a or not a[0]:
+        return [], list(v)
+    y = solve(gram, mat_vec(star, v))
+    if y is None:
+        raise SingularMatrix("degenerate Hermitian pairing in a*a")
+    projection = mat_vec(a, y)
+    z = solve(cogram, projection)
+    if z is None:
+        raise SingularMatrix("degenerate Hermitian pairing in a a*")
+    residue = [b - c for b, c in zip(v, projection)]
+    return mat_vec(star, z), residue
+
+
 def orthogonal_split(a: Matrix, v: Vector) -> tuple[Vector, Vector]:
     """Split v against the column span of a for the formal Hermitian
     pairing: returns (x, residue) with a* residue = 0 and x the solution of
@@ -149,20 +175,12 @@ def orthogonal_split(a: Matrix, v: Vector) -> tuple[Vector, Vector]:
     One solve in a*a gives the projection a y of v, one in a a* gives
     x = a* z with (a a*) z = a y.  Over the coefficient field the pairing
     is anisotropic, so both normal systems are consistent; an inconsistent
-    one is a fault and raises SingularMatrix.
+    one is a fault and raises SingularMatrix.  This wraps split_normal;
+    cohomology.split_primitive keeps each sector's normal_systems in a
+    table per geometry and calls split_normal directly, so a sector matrix
+    and its two products are built once however many vectors it splits.
     """
-    if not a or not a[0]:
-        return [], list(v)
-    star = conj_transpose(a)
-    y = solve(mat_mul(star, a), mat_vec(star, v))
-    if y is None:
-        raise SingularMatrix("degenerate Hermitian pairing in a*a")
-    projection = mat_vec(a, y)
-    z = solve(mat_mul(a, star), projection)
-    if z is None:
-        raise SingularMatrix("degenerate Hermitian pairing in a a*")
-    residue = [b - c for b, c in zip(v, projection)]
-    return mat_vec(star, z), residue
+    return split_normal(normal_systems(a), v)
 
 
 def coordinates_in_span(basis: list[Vector], v: Vector) -> Vector | None:

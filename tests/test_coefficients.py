@@ -1,13 +1,16 @@
-"""Field arithmetic, involution, derivatives, substitution."""
+"""Field arithmetic, involution, derivatives, substitution, trial division
+and squarefree parts."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ_I
 from sympy.polys.orderings import grlex
-from sympy.polys.rings import ring
+from sympy.polys.rings import PolyElement, ring
 
 from ihg import (
     Coefficient,
@@ -461,3 +464,114 @@ def test_exact_quotient_repeated_atom():
     assert ((t / a) ** 3 * a).render() == "t11^3/(t11*conj(t11) - 1)^2"
     assert (t * a * a).is_multiple_of(a * t)
     assert not (t * a).is_multiple_of(a * a)
+
+
+def test_scalar_products_skip_trial_division(monkeypatch):
+    setup_symbols()
+    t = C("t11")
+    a = ONE() - t * t.conjugate()
+    value = t * t / a
+    expected = {
+        k: (k * t * t) / a for k in (3, Fraction(-1, 2), Coefficient.i())
+    }
+    calls = []
+
+    def counted(p, g):
+        calls.append(g)
+        return _exact_quotient(p, g)
+
+    monkeypatch.setattr("ihg.coefficients._exact_quotient", counted)
+    for k, want in expected.items():
+        scalar = k if isinstance(k, Coefficient) else Coefficient.from_scalar(k)
+        assert scalar * value == want
+        assert value * scalar == want
+        assert (value * k).render() == want.render()
+    assert calls == []
+
+
+# -- squarefree parts against sympy's sqf_part ---------------------------------
+
+def _factor_pool():
+    t, u, s, E = C("t11"), C("t21"), C("s"), C("E1")
+    tc = t.conjugate()
+    return [t, u, tc, s, E, t + u, t * tc - 1, t * u - 2 * tc + Coefficient.i(),
+            s * t + u * u, E * t + 1]
+
+
+@st.composite
+def planted_products(draw):
+    """(scale, [(factor index, multiplicity)], denominator index or None)."""
+    # at most two factors, each of multiplicity at most 3: the backing
+    # library's gcd over Q(i) took up to 2 s on these, and over a minute
+    # on a product of three squared factors
+    factors = draw(st.lists(
+        st.tuples(st.integers(0, 9), st.integers(1, 3)), min_size=1, max_size=2
+    ))
+    scale = draw(gaussians.filter(bool))
+    denominator = draw(st.none() | st.integers(0, 9))
+    return scale, factors, denominator
+
+
+def _build(spec):
+    scale, factors, denominator = spec
+    pool = _factor_pool()
+    value = Coefficient.from_scalar(scale)
+    for k, mult in factors:
+        value = value * pool[k] ** mult
+    if denominator is not None:
+        value = value / pool[denominator]
+    return value
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_products())
+def test_squarefree_numerator_matches_sqf_part(spec):
+    registry.reset()
+    setup_symbols()
+    value = _build(spec)
+    got = value.squarefree_numerator()
+    expected = sympy.sqf_part(value.numerator_normalized()._num.as_expr())
+    ratio = sympy.cancel(got._num.as_expr() / expected)
+    assert ratio != 0 and not ratio.free_symbols
+    assert got._num.LC == QQ_I.one
+
+
+@settings(max_examples=20, deadline=None)
+@given(planted_products())
+def test_squarefree_numerator_ignores_unrelated_generators(spec):
+    # the gcd runs over the numerator's own generators: 40 more pairs in the
+    # ring change neither the answer nor the ring any gcd runs in
+    registry.reset()
+    setup_symbols()
+    value = _build(spec)
+    before = value.squarefree_numerator()
+    for k in range(40):
+        registry.ensure_pair(f"w{k}")
+    used = value.numerator_normalized().free_symbols()
+    widths = []
+    gcd = PolyElement.gcd
+
+    def guarded(f, g):
+        names = {str(x) for x in f.ring.symbols}
+        assert names <= used, names - used
+        widths.append(len(names))
+        return gcd(f, g)
+
+    with mock.patch.object(PolyElement, "gcd", guarded):
+        after = value.squarefree_numerator()
+    assert after.render() == before.render()
+    assert after == before
+    # a ground numerator needs no gcd, any other at least one
+    assert bool(widths) == (before != ONE())
+
+
+def test_squarefree_numerator_of_a_kuranishi_condition():
+    # a degree-3 condition of the solv4d build, in a 25-generator ring
+    for i in range(1, 5):
+        for lam in range(1, 4):
+            registry.ensure_pair(f"t{i}{lam}")
+    registry.ensure_char("E1")
+    f = 2 * (C("t12") * C("t13") * C("t43") - C("t12") * C("t23") * C("t33")
+             + C("t13") * C("t23") * C("t32"))
+    assert f.squarefree_numerator() == f / 2
+    assert (f * f * C("t12")).squarefree_numerator() == f * C("t12") / 2

@@ -9,12 +9,19 @@ On h3x (d phi^3 = d phi^4 = phi^{12}) the degree-2 bracket on legs 3 and
 4 is (t12*t21 - t11*t22) phi^{12bar}, and dbar sends both phi^{3bar} and
 phi^{4bar} to phi^{12bar}; the minimum-norm primitive, Kuranishi's
 harmonic gauge, splits the coefficient evenly between them.
+
+Each sector's dbar matrix and its normal systems are built once per
+geometry: the builds below read 3 distinct sector systems.
 """
+
+import gc
+import weakref
 
 import pytest
 
 from ihg.catalog import catalog
 from ihg.coefficients import Coefficient
+from ihg.cohomology import SectorComplex, solve_dbar
 from ihg.deformation import deform, mc_equation
 from ihg.exterior import Form
 from ihg.kuranishi import (
@@ -114,3 +121,48 @@ def test_nonzero_product_relation_is_inconsistent():
     series = kuranishi_build(catalog("nakamura_3b"))
     with pytest.raises(InconsistentBranch):
         branch_reduce(series, BranchSpec(nonzeros=("t11", "t12")))
+
+
+def _count_matrices(monkeypatch) -> list:
+    calls = []
+    matrix = SectorComplex.matrix
+
+    def counted(self, *args):
+        calls.append((self.sector, args[1:]))
+        return matrix(self, *args)
+
+    monkeypatch.setattr(SectorComplex, "matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["nakamura_3b", "solv4d"])
+def test_sector_systems_are_built_once(name, monkeypatch):
+    g = catalog(name)
+    calls = _count_matrices(monkeypatch)
+    kuranishi_build(g)
+    assert len(calls) == 3
+    assert len(set(calls)) == 3
+
+
+def test_solve_dbar_reuses_the_sector_system(h3x, monkeypatch):
+    calls = _count_matrices(monkeypatch)
+    rhs = Form.monomial((), (1, 2))
+    first = solve_dbar(h3x, rhs, 0, 1)
+    second = solve_dbar(h3x, rhs * 4, 0, 1)
+    assert len(calls) == 1
+    assert second == first * 4
+    assert h3x.dbar(second) == rhs * 4
+
+
+def test_built_geometry_is_freed_without_the_cycle_collector():
+    # the sector table holds matrices only, so no reference cycle keeps
+    # a geometry alive once its caller lets go of it
+    gc.disable()
+    try:
+        g = catalog("solv4d")
+        series = kuranishi_build(g)
+        ref = weakref.ref(g)
+        del g, series
+        assert ref() is None
+    finally:
+        gc.enable()
