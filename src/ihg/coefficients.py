@@ -14,6 +14,12 @@ over Q(i) recurses through every generator of its ring, and the registry's
 ring holds every symbol ever registered.  A product with a nonzero scalar
 only scales the other numerator, since a unit cannot make an atom divide.
 
+A linear combination is normalized once: sum_of_products forms each
+product's numerator and atom multiplicities unnormalized, brings them over
+the lcm of the atoms (_over_common_denominator, which addition also uses) and
+trial-divides only the total.  Summing pairwise instead normalizes every
+partial sum, and nearly all of those trial divisions fail.
+
 Trial division has one home, _exact_quotient, which both normalization and
 is_multiple_of use.  It runs the one-divisor division algorithm and gives up
 at the first leading term of the running remainder that LT(g) does not
@@ -63,7 +69,7 @@ class StaleCoefficient(ValueError):
 
 
 def _fraction_to_mpq(x):
-    return QQ.convert(x.numerator) / QQ.convert(x.denominator)
+    return QQ(x.numerator, x.denominator)
 
 
 def _mpq_to_fraction(x) -> Fraction:
@@ -358,6 +364,35 @@ def _exact_quotient(p, g):
     return q
 
 
+def _over_common_denominator(parts):
+    """Sum num / den over parts (at least one), brought over the lcm of the
+    denominators.
+
+    Each part is (num, den) with den a sequence of (atom, multiplicity) in
+    which an atom may repeat.  Returns (numerator, [(atom, multiplicity)])
+    with nothing cancelled: each numerator is scaled by the atoms its
+    denominator lacks from the lcm.
+    """
+    lcm: dict = {}
+    counted = []
+    for num, den in parts:
+        mults: dict = {}
+        for atom, m in den:
+            mults[atom] = mults.get(atom, 0) + m
+        for atom, m in mults.items():
+            if m > lcm.get(atom, 0):
+                lcm[atom] = m
+        counted.append((num, mults))
+    scaled = []
+    for num, mults in counted:
+        for atom, m in lcm.items():
+            lacking = m - mults.get(atom, 0)
+            if lacking:
+                num = num * atom ** lacking
+        scaled.append(num)
+    return sum(scaled[1:], scaled[0]), list(lcm.items())
+
+
 def _widen(monom, used, width: int) -> tuple:
     """The exponent vector, over width generators, of a monomial over the
     generators at positions used."""
@@ -435,8 +470,10 @@ class Coefficient:
     @staticmethod
     def from_scalar(x) -> "Coefficient":
         ctx = registry.context()
-        g = GaussianRational.of(x)
-        c = g.to_qqi()
+        if isinstance(x, (int, Fraction)):
+            c = QQ_I.new(_fraction_to_mpq(x), QQ.zero)
+        else:
+            c = GaussianRational.of(x).to_qqi()
         if not c:
             return Coefficient(ctx.ring.zero, (), ctx)
         return Coefficient(ctx.ring.from_dict({ctx.ring.zero_monom: c}), (), ctx)
@@ -453,7 +490,8 @@ class Coefficient:
 
     @staticmethod
     def one() -> "Coefficient":
-        return Coefficient.from_scalar(1)
+        ctx = registry.context()
+        return Coefficient(ctx.ring.one, (), ctx)
 
     @staticmethod
     def i() -> "Coefficient":
@@ -534,23 +572,8 @@ class Coefficient:
             return b
         if b.is_zero():
             return a
-        da = dict((_poly_key(atom), (atom, m)) for atom, m in a._den)
-        db = dict((_poly_key(atom), (atom, m)) for atom, m in b._den)
-        lcm: dict = {}
-        for k, (atom, m) in da.items():
-            lcm[k] = (atom, max(m, db.get(k, (None, 0))[1]))
-        for k, (atom, m) in db.items():
-            if k not in lcm:
-                lcm[k] = (atom, m)
-        num_a, num_b = a._num, b._num
-        for k, (atom, m) in lcm.items():
-            ma = da.get(k, (None, 0))[1]
-            mb = db.get(k, (None, 0))[1]
-            if m > ma:
-                num_a = num_a * atom ** (m - ma)
-            if m > mb:
-                num_b = num_b * atom ** (m - mb)
-        return Coefficient._make(num_a + num_b, list(lcm.values()), a._ctx)
+        num, den = _over_common_denominator(((a._num, a._den), (b._num, b._den)))
+        return Coefficient._make(num, den, a._ctx)
 
     __radd__ = __add__
 
@@ -565,20 +588,55 @@ class Coefficient:
         a, b = Coefficient._pair(self, other)
         return b + (-a)
 
+    @staticmethod
+    def _product(a: "Coefficient", b: "Coefficient"):
+        """(numerator, atoms, normal) of a*b for nonzero current a and b,
+        with nothing cancelled.  A product with a scalar is normal: a unit
+        cannot make an atom newly divide the numerator."""
+        if not b._den and b._num.is_ground:
+            return a._num.mul_ground(b._num.LC), a._den, True
+        if not a._den and a._num.is_ground:
+            return b._num.mul_ground(a._num.LC), b._den, True
+        return a._num * b._num, a._den + b._den, False
+
     def __mul__(self, other):
         a, b = Coefficient._pair(self, other)
         if a.is_zero() or b.is_zero():
             return Coefficient(a._ctx.ring.zero, (), a._ctx)
-        # a unit cannot make an atom newly divide the numerator
-        if not b._den and b._num.is_ground:
-            return Coefficient(a._num.mul_ground(b._num.LC), a._den, a._ctx)
-        if not a._den and a._num.is_ground:
-            return Coefficient(b._num.mul_ground(a._num.LC), b._den, a._ctx)
-        return Coefficient._make(
-            a._num * b._num, list(a._den) + list(b._den), a._ctx
-        )
+        num, den, normal = Coefficient._product(a, b)
+        if normal:
+            return Coefficient(num, den, a._ctx)
+        return Coefficient._make(num, den, a._ctx)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(pairs) -> "Coefficient":
+        """The sum of a*b over pairs, normalized once.
+
+        Each product keeps its numerator and its atom multiplicities
+        unnormalized, as __mul__ forms them (a scalar operand scales the
+        other numerator); the products are brought over the lcm of their
+        denominators and only the total is trial-divided.  Equal to the
+        pairwise sum, which normalizes every product and every partial
+        sum.  A lone product with a scalar is already normal.
+        """
+        ctx = registry.context()
+        parts = []
+        normal = True
+        for a, b in pairs:
+            a, b = Coefficient._pair(a, b)
+            if a.is_zero() or b.is_zero():
+                continue
+            num, den, scaled = Coefficient._product(a, b)
+            normal = normal and scaled
+            parts.append((num, den))
+        if not parts:
+            return Coefficient(ctx.ring.zero, (), ctx)
+        if len(parts) == 1 and normal:
+            return Coefficient(parts[0][0], parts[0][1], ctx)
+        num, den = _over_common_denominator(parts)
+        return Coefficient._make(num, den, ctx)
 
     def __truediv__(self, other):
         a, b = Coefficient._pair(self, other)

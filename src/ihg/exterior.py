@@ -332,7 +332,9 @@ class CoframeMap:
     the element fixed.  The image of a monomial is the image of its prefix
     wedged with the row of its last factor, in canonical factor order; each
     is built once and kept for the map's lifetime.  A form c*m maps to
-    c*image(m), so coefficients enter after the wedge chain, not through it.
+    c*image(m), so coefficients enter after the wedge chain, not through it,
+    and each output coefficient, a linear combination of image
+    coefficients, is normalized once (Coefficient.sum_of_products).
     """
 
     __slots__ = ("rows", "_images")
@@ -361,13 +363,14 @@ class CoframeMap:
 
     def apply(self, form: Form) -> Form:
         """The image of a form: the sum of c*image(m) over its terms c*m."""
-        out: dict[MultiIndex, Coefficient] = {}
+        gathered: dict[MultiIndex, list] = {}
         for mi, c in form.terms():
             for m, v in self.image(mi).terms():
-                _accumulate(out, m, v * c)
-        f = Form.__new__(Form)
-        f._terms = out
-        return f
+                gathered.setdefault(m, []).append((v, c))
+        return Form({
+            m: Coefficient.sum_of_products(pairs)
+            for m, pairs in gathered.items()
+        })
 
 
 def _accumulate(store: dict, mi: MultiIndex, c: Coefficient) -> None:

@@ -188,12 +188,15 @@ def kuranishi_build(
     checked = 1
     for k in range(2, depth_cap + 1):
         checked = k
+        # 1/2 sum_{i+j=k} [psi_i, psi_j], each pair once: the bracket is
+        # symmetric on T^{1,0}-valued (0,1)-forms
         bracket = VectorForm.zero()
-        for i in range(1, k):
+        for i in range(1, k // 2 + 1):
             a, b = psi.get(i), psi.get(k - i)
             if a is None or b is None:
                 continue
-            bracket = bracket + vector_bracket(geom, a, b) * Fraction(1, 2)
+            weight = Fraction(1, 2) if 2 * i == k else 1
+            bracket = bracket + vector_bracket(geom, a, b) * weight
         bracket = _reduce_vector(bracket, ideal)
         if bracket.is_zero():
             if k >= 2 * k_top:

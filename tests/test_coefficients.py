@@ -1,14 +1,14 @@
-"""Field arithmetic, involution, derivatives, substitution, trial division
-and squarefree parts."""
+"""Field arithmetic, scalars, involution, derivatives, substitution, trial
+division, sums of products over one denominator and squarefree parts."""
 
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement, ring
 
@@ -489,6 +489,113 @@ def test_scalar_products_skip_trial_division(monkeypatch):
     assert calls == []
 
 
+# -- scalars: the direct route against the Fraction/GaussianRational route -----
+
+
+def _scalar_by_gaussian(x):
+    g = GaussianRational.of(x)
+    c = QQ_I.new(*(QQ.convert(f.numerator) / QQ.convert(f.denominator)
+                   for f in (g.re, g.im)))
+    ctx = registry.context()
+    if not c:
+        return Coefficient(ctx.ring.zero, (), ctx)
+    return Coefficient(ctx.ring.from_dict({ctx.ring.zero_monom: c}), (), ctx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-10**20, 10**20) | st.fractions(max_denominator=10**6)
+       | gaussians | st.just(GaussianRational.i()))
+def test_from_scalar_matches_the_gaussian_route(x):
+    setup_symbols()
+    got, want = Coefficient.from_scalar(x), _scalar_by_gaussian(x)
+    assert got == want
+    assert got.render() == want.render()
+    value = C("t11") / (ONE() - C("t11") * C("t11").conjugate())
+    assert (value * x).render() == (value * want).render()
+
+
+def test_one_is_the_ring_unit():
+    setup_symbols()
+    assert ONE() == _scalar_by_gaussian(1)
+    assert ONE().render() == "1"
+    assert ONE()._num == registry.context().ring.one
+    assert Coefficient.i().render() == "i"
+
+
+# -- linear combinations over one common denominator ----------------------------
+
+
+def _product_pool():
+    # the atoms t, u, a, b and the character E are irreducible and pairwise
+    # coprime, so the normal form of a value is unique; dividing by a*b at
+    # once would make the product one atom
+    t, u, E = C("t11"), C("t21"), C("E1")
+    a = ONE() - t * t.conjugate()
+    b = t + u
+    return [
+        ONE(), Coefficient.i(), Coefficient.from_scalar(Fraction(-3, 2)),
+        t, u * u, E.conjugate(), t / a, u / a / a, (t - 1) / b,
+        ONE() / a / b, E / t, t.conjugate() / u, b * b / a,
+    ]
+
+
+@st.composite
+def product_lists(draw):
+    setup_symbols()
+    pool = _product_pool()
+    scalars = [2, Fraction(-1, 3), GaussianRational.i()]
+    index = st.integers(0, len(pool) - 1)
+    pairs = [
+        (pool[i], pool[j] if j < len(pool) else scalars[j - len(pool)])
+        for i, j in draw(st.lists(
+            st.tuples(index, st.integers(0, len(pool) + len(scalars) - 1)),
+            max_size=5,
+        ))
+    ]
+    if draw(st.booleans()):
+        # (t*conj(t) - 1)/a = -1: the atom a cancels only in the total
+        t = C("t11")
+        a = ONE() - t * t.conjugate()
+        pairs += [(ONE() / a, t * t.conjugate()), (ONE() / a, -1)]
+    if draw(st.booleans()):
+        pairs += [(-x, y) for x, y in pairs]  # a total of zero
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_lists())
+def test_sum_of_products_matches_the_pairwise_sum(pairs):
+    want = Coefficient.zero()
+    for x, y in pairs:
+        want = want + x * y
+    got = Coefficient.sum_of_products(pairs)
+    assert got == want
+    assert got.render() == want.render()
+
+
+def test_sum_of_products_normalizes_once(monkeypatch):
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    a = ONE() - t * t.conjugate()
+    pairs = [(ONE() / a, t * t.conjugate()), (u / a, t), (ONE() / a, -1),
+             (-u, t / a)]
+    calls = []
+
+    def counted(p, g):
+        calls.append(g)
+        return _exact_quotient(p, g)
+
+    monkeypatch.setattr("ihg.coefficients._exact_quotient", counted)
+    assert Coefficient.sum_of_products(pairs).render() == "-1"
+    assert len(calls) == 1  # the atom a, tried once on the total
+    value = t / a
+    calls.clear()
+    lone = Coefficient.sum_of_products([(value, 3)])
+    assert lone.render() == "-3*t11/(t11*conj(t11) - 1)"
+    assert Coefficient.sum_of_products([]).is_zero()
+    assert calls == []
+
+
 # -- squarefree parts against sympy's sqf_part ---------------------------------
 
 def _factor_pool():
@@ -525,12 +632,16 @@ def _build(spec):
 
 @settings(max_examples=30, deadline=None)
 @given(planted_products())
+@example((GaussianRational.i(), [(0, 1)], 0))  # i*t11/t11: a constant
 def test_squarefree_numerator_matches_sqf_part(spec):
     registry.reset()
     setup_symbols()
     value = _build(spec)
     got = value.squarefree_numerator()
-    expected = sympy.sqf_part(value.numerator_normalized()._num.as_expr())
+    # the generators are passed so that a numerator the denominator
+    # cancelled down to a constant is still a polynomial to sqf_part
+    num = value.numerator_normalized()._num
+    expected = sympy.sqf_part(num.as_expr(), *num.ring.symbols)
     ratio = sympy.cancel(got._num.as_expr() / expected)
     assert ratio != 0 and not ratio.free_symbols
     assert got._num.LC == QQ_I.one

@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from ihg import coefficients
 from ihg.catalog import catalog, torus
 from ihg.coefficients import Coefficient
 from ihg.deformation import (
@@ -362,6 +363,32 @@ class TestCoordinateTables:
         d.to_deformed_coords(alpha)
         d.to_base_coords(alpha)
         assert calls["wedge"] == filled
+
+    def test_round_trip_cost(self, monkeypatch):
+        # each output coefficient of a coordinate change is normalized
+        # once, and a lone image coefficient times a scalar not at all;
+        # summing term by term took 594 and 922 trial divisions here
+        g = catalog("iwasawa")
+        psi, _, _ = _iwasawa_psi()
+        d = Deformation(g, psi)
+        calls = []
+        quotient = coefficients._exact_quotient
+
+        def counted(p, q):
+            calls.append(q)
+            return quotient(p, q)
+
+        monkeypatch.setattr(coefficients, "_exact_quotient", counted)
+        for (holo, anti), most in ((((1, 3), ()), 4), (((3,), (3,)), 2)):
+            alpha = _mono(holo, anti)
+            d.to_base_coords(d.to_deformed_coords(alpha))
+            d.to_deformed_coords(d.to_base_coords(alpha))
+            calls.clear()
+            there = d.to_deformed_coords(alpha)
+            back = d.to_base_coords(alpha)
+            assert d.to_base_coords(there) == alpha
+            assert d.to_deformed_coords(back) == alpha
+            assert len(calls) <= most
 
 
 # -- vector-form calculus ----------------------------------------------------------

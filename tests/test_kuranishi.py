@@ -24,6 +24,7 @@ from ihg.coefficients import Coefficient
 from ihg.cohomology import SectorComplex, solve_dbar
 from ihg.deformation import deform, mc_equation
 from ihg.exterior import Form
+from ihg import kuranishi as kuranishi_module
 from ihg.kuranishi import (
     BranchSpec,
     DepthCapReached,
@@ -142,6 +143,22 @@ def test_sector_systems_are_built_once(name, monkeypatch):
     kuranishi_build(g)
     assert len(calls) == 3
     assert len(set(calls)) == 3
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "solv4d"])
+def test_each_bracket_pair_is_computed_once(name, monkeypatch):
+    # [psi_i, psi_j] = [psi_j, psi_i]: degrees 2, 3 and 4 take the pairs
+    # (1, 1), (1, 2) and (2, 2), where both orders would take 4 brackets
+    calls = []
+    bracket = kuranishi_module.vector_bracket
+
+    def counted(geom, a, b):
+        calls.append(geom.name)
+        return bracket(geom, a, b)
+
+    monkeypatch.setattr(kuranishi_module, "vector_bracket", counted)
+    kuranishi_build(catalog(name))
+    assert len(calls) == 3
 
 
 def test_solve_dbar_reuses_the_sector_system(h3x, monkeypatch):
