@@ -16,9 +16,11 @@ only scales the other numerator, since a unit cannot make an atom divide.
 
 A linear combination is normalized once: sum_of_products forms each
 product's numerator and atom multiplicities unnormalized, brings them over
-the lcm of the atoms (_over_common_denominator, which addition also uses) and
-trial-divides only the total.  Summing pairwise instead normalizes every
-partial sum, and nearly all of those trial divisions fail.
+the lcm of the atoms (_over_common_denominator, which addition, equality and
+the quotient rule also use) and trial-divides only the total.  Summing
+pairwise instead normalizes every partial sum, and nearly all of those trial
+divisions fail.  The engine's linear combinations go through it: sums of
+forms by way of exterior.Form.combination, and linalg's matrix products.
 
 Trial division has one home, _exact_quotient, which both normalization and
 is_multiple_of use.  It runs the one-divisor division algorithm and gives up
@@ -371,8 +373,11 @@ def _over_common_denominator(parts):
     Each part is (num, den) with den a sequence of (atom, multiplicity) in
     which an atom may repeat.  Returns (numerator, [(atom, multiplicity)])
     with nothing cancelled: each numerator is scaled by the atoms its
-    denominator lacks from the lcm.
+    denominator lacks from the lcm.  A lone part is its own sum and is
+    returned as it is.
     """
+    if len(parts) == 1:
+        return parts[0]
     lcm: dict = {}
     counted = []
     for num, den in parts:
@@ -619,15 +624,16 @@ class Coefficient:
         other numerator); the products are brought over the lcm of their
         denominators and only the total is trial-divided.  Equal to the
         pairwise sum, which normalizes every product and every partial
-        sum.  A lone product with a scalar is already normal.
+        sum.  A lone product is normalized as __mul__ normalizes it: not at
+        all when an operand is a scalar.
         """
         ctx = registry.context()
         parts = []
         normal = True
         for a, b in pairs:
-            a, b = Coefficient._pair(a, b)
-            if a.is_zero() or b.is_zero():
+            if not (a and b):
                 continue
+            a, b = Coefficient._pair(a, b)
             num, den, scaled = Coefficient._product(a, b)
             normal = normal and scaled
             parts.append((num, den))
@@ -670,25 +676,10 @@ class Coefficient:
         a, b = Coefficient._pair(self, other)
         if a._num == b._num and a._den == b._den:
             return True
-        # cancel shared atoms, then cross-multiply
-        da = dict((_poly_key(atom), [atom, m]) for atom, m in a._den)
-        rest_b = []
-        for atom, m in b._den:
-            k = _poly_key(atom)
-            if k in da:
-                common = min(da[k][1], m)
-                da[k][1] -= common
-                m -= common
-            if m:
-                rest_b.append((atom, m))
-        lhs = a._num
-        for atom, m in rest_b:
-            lhs = lhs * atom ** m
-        rhs = b._num
-        for atom, m in da.values():
-            if m:
-                rhs = rhs * atom ** m
-        return lhs == rhs
+        # cross-multiply: a - b over the lcm of the denominators
+        return not _over_common_denominator(
+            ((a._num, a._den), (-b._num, b._den))
+        )[0]
 
     def __hash__(self):
         # only scalars hash structurally; field elements are not dict keys
@@ -806,20 +797,17 @@ class Coefficient:
 
     def _derive(self, derivation) -> "Coefficient":
         """Quotient rule for a derivation given as a map on polynomials;
-        self must be current (refreshed)."""
+        self must be current (refreshed).  The pieces are summed over one
+        common denominator and normalized once."""
         ctx = self._ctx
-        out = Coefficient._make(derivation(self._num), list(self._den), ctx)
+        parts = [(derivation(self._num), self._den)]
         for atom, mult in self._den:
             da = derivation(atom)
-            if not da:
-                continue
-            piece = Coefficient._make(
-                da * self._num * QQ_I(-mult, 0),
-                list(self._den) + [(atom, 1)],
-                ctx,
-            )
-            out = out + piece
-        return out
+            if da:
+                parts.append((da * self._num * QQ_I(-mult, 0),
+                              self._den + ((atom, 1),)))
+        num, den = _over_common_denominator(parts)
+        return Coefficient._make(num, den, ctx)
 
     def diff(self, name: str) -> "Coefficient":
         """Partial derivative with every generator treated independently."""
@@ -1081,14 +1069,14 @@ def _eval_poly_field(p, ctx, values: dict[int, Coefficient]) -> Coefficient:
             powers[key] = got
         return got
 
-    total = Coefficient.zero()
+    pairs = []
     for monom, c in p.items():
-        term = Coefficient.from_scalar(GaussianRational.from_qqi(c))
+        term = Coefficient.one()
         for idx, e in enumerate(monom):
             if e:
                 term = term * power(idx, e)
-        total = total + term
-    return total
+        pairs.append((Coefficient.from_scalar(GaussianRational.from_qqi(c)), term))
+    return Coefficient.sum_of_products(pairs)
 
 
 def _eval_poly_surd(p, ctx, values: dict[int, QuadraticSurd], d: int) -> QuadraticSurd:

@@ -69,11 +69,7 @@ class SectorComplex:
         return Form({mi: self._prefix})
 
     def vector_to_form(self, vec, p: int, q: int) -> Form:
-        out = Form.zero()
-        for mi, c in zip(self.basis(p, q), vec):
-            if not c.is_zero():
-                out = out + Form({mi: c * self._prefix})
-        return out
+        return Form.combination(zip(map(self.embed, self.basis(p, q)), vec))
 
     def to_vector(self, form: Form, *bidegrees: tuple[int, int]):
         """Coordinates of form over the monomials of the given bidegrees,
@@ -217,11 +213,10 @@ def harmonic_certificate(geom: Geometry,
     cx = SectorComplex(geom, sector)
     for mi in cx.basis(p - 1, q - 1):
         image = geom.reduce(geom.ddbar(cx.embed(mi)))
-        acc = Coefficient.zero()
-        for mj, w in image.terms():
-            u = form.coeff(mj.holo, mj.anti)
-            if not u.is_zero():
-                acc = acc + u * w.conjugate()
+        pairs = ((form.coeff(mj.holo, mj.anti), w) for mj, w in image.terms())
+        acc = Coefficient.sum_of_products(
+            (u, w.conjugate()) for u, w in pairs if u
+        )
         if acc.is_zero() or geom.in_ideal(acc):
             continue
         return False, (
@@ -257,7 +252,7 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     """
     dp, dq = _SHIFTS[op]
     target = (p + dp, q + dq)
-    beta = Form.zero()
+    terms: list = []
     residue: linalg.Vector = []
     sectors = rhs.char_sectors()
     for sector in sorted(sectors):
@@ -271,9 +266,9 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
         x, rest = linalg.split_normal(
             systems, cx.to_vector(sectors[sector], target)
         )
-        beta = beta + cx.vector_to_form(x, p, q)
+        terms.extend(zip(map(cx.embed, cx.basis(p, q)), x))
         residue.extend(rest)
-    return beta, residue
+    return Form.combination(terms), residue
 
 
 def solve_dbar(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import linalg
 from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
-from .exterior import CoframeMap, Form, VectorForm
+from .exterior import CoframeMap, Form, MultiIndex, VectorForm
 from .geometry import Geometry
 from .symbols import REAL, registry
 
@@ -62,15 +62,11 @@ def _conj_matrix(m: linalg.Matrix) -> linalg.Matrix:
 
 def _combination(row, holo_cols: int) -> Form:
     """Row of coefficients against (phi^1..phi^n, phi^{1bar}..phi^{nbar})."""
-    out = Form.zero()
-    for k, c in enumerate(row):
-        if c.is_zero():
-            continue
-        if k < holo_cols:
-            out = out + Form.monomial((k + 1,), (), c)
-        else:
-            out = out + Form.monomial((), (k - holo_cols + 1,), c)
-    return out
+    return Form({
+        MultiIndex((k + 1,), ()) if k < holo_cols
+        else MultiIndex((), (k - holo_cols + 1,)): c
+        for k, c in enumerate(row)
+    })
 
 
 class Deformation:
@@ -323,12 +319,8 @@ def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
     """
     if a.mirrored or b.mirrored:
         raise ValueError("bracket is defined for T^{1,0}-valued forms")
-    out: dict[int, Form] = {}
-
-    def _add(leg: int, f: Form) -> None:
-        if not f.is_zero():
-            out[leg] = out.get(leg, Form.zero()) + f
-
+    one = Coefficient.one()
+    pairs: dict[int, list] = {}
     for i, eta in a.components.items():
         for j, rho in b.components.items():
             wedge = eta.wedge(rho)
@@ -338,10 +330,12 @@ def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
                         raise ValueError(
                             "frame brackets left the holomorphic span"
                         )
-                    _add(leg[1], wedge * c)
-            _add(j, eta.wedge(lie_derivative(geom, ("h", i), rho)))
-            _add(i, rho.wedge(lie_derivative(geom, ("h", j), eta)))
-    return VectorForm(out)
+                    pairs.setdefault(leg[1], []).append((wedge, c))
+            pairs.setdefault(j, []).append(
+                (eta.wedge(lie_derivative(geom, ("h", i), rho)), one))
+            pairs.setdefault(i, []).append(
+                (rho.wedge(lie_derivative(geom, ("h", j), eta)), one))
+    return VectorForm({a: Form.combination(p) for a, p in pairs.items()})
 
 
 def dbar_vector(geom: Geometry, vf: VectorForm) -> VectorForm:
@@ -349,20 +343,17 @@ def dbar_vector(geom: Geometry, vf: VectorForm) -> VectorForm:
     (1,0)-parts of mixed brackets [conj Z_mu, Z_j]."""
     if vf.mirrored:
         raise ValueError("dbar_vector expects T^{1,0}-valued forms")
-    out: dict[int, Form] = {}
-
-    def _add(leg: int, f: Form) -> None:
-        if not f.is_zero():
-            out[leg] = out.get(leg, Form.zero()) + f
-
+    one = Coefficient.one()
+    pairs: dict[int, list] = {}
     for j, eta in vf.components.items():
-        _add(j, geom.dbar(eta))
+        pairs.setdefault(j, []).append((geom.dbar(eta), one))
         for mu in range(1, geom.n + 1):
             for leg, c in geom.bracket(("a", mu), ("h", j)).items():
                 if leg[0] == "h":
                     # (-1)^{deg eta} eta^phi^mubar = phi^mubar^eta
-                    _add(leg[1], Form.monomial((), (mu,)).wedge(eta) * c)
-    return VectorForm(out)
+                    pairs.setdefault(leg[1], []).append(
+                        (Form.monomial((), (mu,)).wedge(eta), c))
+    return VectorForm({a: Form.combination(p) for a, p in pairs.items()})
 
 
 def mc_equation(geom: Geometry, psi: VectorForm) -> VectorForm:

@@ -4,6 +4,12 @@ Monomials are pairs of strictly increasing 1-based index tuples (holomorphic
 block, antiholomorphic block); the canonical factor order is the holomorphic
 block first.  Signs from reordering are absorbed into coefficients, so a form
 is a dict from canonical monomials to field elements with no stored zeros.
+
+A sum of forms is formed in one place, Form.combination: it gathers the
+products landing on each monomial and sums them with one
+Coefficient.sum_of_products, so each output coefficient is normalized once.
+The wedge product and VectorForm.iota gather their term products the same
+way; + and - merge two forms.
 """
 
 from __future__ import annotations
@@ -187,24 +193,15 @@ class Form:
         return self * (Coefficient.one() / _as_coeff(scalar))
 
     def wedge(self, other: "Form") -> "Form":
-        out: dict[MultiIndex, Coefficient] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mi, sign = _merge(m1, m2)
-                if sign == 0:
-                    continue
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                if mi in out:
-                    s = out[mi] + c
-                    if s.is_zero():
-                        del out[mi]
-                    else:
-                        out[mi] = s
-                elif not c.is_zero():
-                    out[mi] = c
-        f = Form.__new__(Form)
-        f._terms = out
-        return f
+        return _collect(_wedge_terms(self, other))
+
+    @staticmethod
+    def combination(pairs) -> "Form":
+        """The sum of f*c over pairs of a form f and a coefficient c, with
+        each output coefficient normalized once."""
+        return _collect(
+            (mi, v, c) for f, c in pairs for mi, v in f._terms.items()
+        )
 
     def wedge_power(self, k: int) -> "Form":
         if k < 0:
@@ -244,26 +241,23 @@ class Form:
 
     def contract_holo(self, a: int) -> "Form":
         """Interior product with the a-th holomorphic frame vector."""
+        # distinct monomials contract to distinct monomials: nothing to sum
         out: dict[MultiIndex, Coefficient] = {}
         for mi, c in self._terms.items():
-            if a not in mi.holo:
-                continue
-            k = mi.holo.index(a)
-            rest = MultiIndex(mi.holo[:k] + mi.holo[k + 1:], mi.anti)
-            sign = -1 if k % 2 else 1
-            _accumulate(out, rest, c * sign)
+            if a in mi.holo:
+                k = mi.holo.index(a)
+                rest = MultiIndex(mi.holo[:k] + mi.holo[k + 1:], mi.anti)
+                out[rest] = -c if k % 2 else c
         return Form(out)
 
     def contract_anti(self, a: int) -> "Form":
         """Interior product with the conjugate of the a-th frame vector."""
         out: dict[MultiIndex, Coefficient] = {}
         for mi, c in self._terms.items():
-            if a not in mi.anti:
-                continue
-            k = mi.anti.index(a)
-            rest = MultiIndex(mi.holo, mi.anti[:k] + mi.anti[k + 1:])
-            sign = -1 if (len(mi.holo) + k) % 2 else 1
-            _accumulate(out, rest, c * sign)
+            if a in mi.anti:
+                k = mi.anti.index(a)
+                rest = MultiIndex(mi.holo, mi.anti[:k] + mi.anti[k + 1:])
+                out[rest] = -c if (len(mi.holo) + k) % 2 else c
         return Form(out)
 
     def substitute_coframe(self, mapping: dict[tuple[str, int], "Form"]) -> "Form":
@@ -279,11 +273,11 @@ class Form:
 
     def char_sectors(self) -> dict[tuple[int, ...], "Form"]:
         """Split terms by the character exponents of their coefficients."""
+        # each (sector, monomial) is reached once: nothing to sum
         out: dict[tuple[int, ...], dict] = {}
         for mi, c in self._terms.items():
             for sector, part in c.char_decompose().items():
-                chars = _char_monomial(sector)
-                _accumulate(out.setdefault(sector, {}), mi, part * chars)
+                out.setdefault(sector, {})[mi] = part * _char_monomial(sector)
         return {s: Form(t) for s, t in out.items()}
 
     def numeric(self, point: dict[str, complex]) -> dict[MultiIndex, complex]:
@@ -333,8 +327,8 @@ class CoframeMap:
     wedged with the row of its last factor, in canonical factor order; each
     is built once and kept for the map's lifetime.  A form c*m maps to
     c*image(m), so coefficients enter after the wedge chain, not through it,
-    and each output coefficient, a linear combination of image
-    coefficients, is normalized once (Coefficient.sum_of_products).
+    and the image of a form is one Form.combination of the images of its
+    monomials, which normalizes each output coefficient once.
     """
 
     __slots__ = ("rows", "_images")
@@ -363,25 +357,31 @@ class CoframeMap:
 
     def apply(self, form: Form) -> Form:
         """The image of a form: the sum of c*image(m) over its terms c*m."""
-        gathered: dict[MultiIndex, list] = {}
-        for mi, c in form.terms():
-            for m, v in self.image(mi).terms():
-                gathered.setdefault(m, []).append((v, c))
-        return Form({
-            m: Coefficient.sum_of_products(pairs)
-            for m, pairs in gathered.items()
-        })
+        return Form.combination(
+            (self.image(mi), c) for mi, c in form.terms()
+        )
 
 
-def _accumulate(store: dict, mi: MultiIndex, c: Coefficient) -> None:
-    if mi in store:
-        s = store[mi] + c
-        if s.is_zero():
-            del store[mi]
-        else:
-            store[mi] = s
-    elif not c.is_zero():
-        store[mi] = c
+def _wedge_terms(f: Form, g: Form):
+    """The term products of f^g as (monomial, a, b) triples, signs folded
+    into a."""
+    for m1, c1 in f._terms.items():
+        for m2, c2 in g._terms.items():
+            mi, sign = _merge(m1, m2)
+            if sign:
+                yield mi, (c1 if sign > 0 else -c1), c2
+
+
+def _collect(triples) -> Form:
+    """The form sum of a*b*m over (m, a, b) triples: the products on each
+    monomial go through one Coefficient.sum_of_products."""
+    gathered: dict[MultiIndex, list] = {}
+    for mi, a, b in triples:
+        gathered.setdefault(mi, []).append((a, b))
+    return Form({
+        mi: Coefficient.sum_of_products(pairs)
+        for mi, pairs in gathered.items()
+    })
 
 
 def _char_monomial(sector: tuple[int, ...]) -> Coefficient:
@@ -456,9 +456,7 @@ class VectorForm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorForm):
             return NotImplemented
-        if self.mirrored != other.mirrored and self.components and other.components:
-            return False
-        return (self - other).is_zero() if self.mirrored == other.mirrored else False
+        return self.mirrored == other.mirrored and (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("vector forms are unhashable")
@@ -471,13 +469,12 @@ class VectorForm:
 
     def iota(self, sigma: Form) -> Form:
         """Derivation: sum over frame legs of (form leg) wedge (contraction)."""
-        out = Form()
-        for a, eta in self.components.items():
-            inner = sigma.contract_anti(a) if self.mirrored else sigma.contract_holo(a)
-            if inner.is_zero():
-                continue
-            out = out + eta.wedge(inner)
-        return out
+        contract = sigma.contract_anti if self.mirrored else sigma.contract_holo
+        return _collect(
+            term
+            for a, eta in self.components.items()
+            for term in _wedge_terms(eta, contract(a))
+        )
 
     def map_forms(self, fn: Callable[[Form], Form]) -> "VectorForm":
         return VectorForm({a: fn(f) for a, f in self.components.items()}, self.mirrored)

@@ -95,12 +95,9 @@ class Geometry:
 
     def d_coefficient(self, c: Coefficient) -> Form:
         """d of a function coefficient; only characters vary on the manifold."""
-        out = Form.zero()
-        for cname, dlog in self.chars.items():
-            e = c.euler(cname)
-            if not e.is_zero():
-                out = out + dlog * e
-        return out
+        return Form.combination(
+            (dlog, c.euler(cname)) for cname, dlog in self.chars.items()
+        )
 
     def d_coframe(self, flavor: str, idx: int) -> Form:
         if flavor == "h":
@@ -137,18 +134,19 @@ class Geometry:
         """(del form, dbar form), the only derivation of d: for each term
         c*m, del gives (dc)^{1,0}^m + c*del(m) and dbar gives
         (dc)^{0,1}^m + c*dbar(m), with (del m, dbar m) read from the
-        geometry's monomial table."""
-        del_part, dbar_part = Form.zero(), Form.zero()
+        geometry's monomial table.  Each half is one Form.combination."""
+        one = Coefficient.one()
+        del_pairs, dbar_pairs = [], []
         for mi, c in form.terms():
             del_m, dbar_m = self._d_monomial(mi)
-            del_part = del_part + del_m * c
-            dbar_part = dbar_part + dbar_m * c
+            del_pairs.append((del_m, c))
+            dbar_pairs.append((dbar_m, c))
             dc = self.d_coefficient(c)
             if not dc.is_zero():
-                m = Form({mi: Coefficient.one()})
-                del_part = del_part + dc.component(1, 0).wedge(m)
-                dbar_part = dbar_part + dc.component(0, 1).wedge(m)
-        return del_part, dbar_part
+                m = Form({mi: one})
+                del_pairs.append((dc.component(1, 0).wedge(m), one))
+                dbar_pairs.append((dc.component(0, 1).wedge(m), one))
+        return Form.combination(del_pairs), Form.combination(dbar_pairs)
 
     def d(self, form: Form) -> Form:
         del_part, dbar_part = self.d_split(form)

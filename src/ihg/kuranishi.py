@@ -105,10 +105,7 @@ class KuranishiSeries:
         self.forced_zeros = tuple(forced_zeros)
 
     def psi(self) -> VectorForm:
-        total = VectorForm.zero()
-        for part in self.psi_terms.values():
-            total = total + part
-        return total
+        return _vector_sum((part, 1) for part in self.psi_terms.values())
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,6 +126,17 @@ class KuranishiSeries:
             "checked_through": self.checked_through,
             "forced_zeros": list(self.forced_zeros),
         }
+
+
+def _vector_sum(pairs) -> VectorForm:
+    """The sum of w*v over pairs of a T^{1,0}-valued form v and a weight w:
+    one Form.combination per leg."""
+    legs: dict[int, list] = {}
+    for vf, w in pairs:
+        w = Coefficient.from_scalar(w)
+        for leg, f in vf.components.items():
+            legs.setdefault(leg, []).append((f, w))
+    return VectorForm({leg: Form.combination(p) for leg, p in legs.items()})
 
 
 def _reduce_vector(vf: VectorForm, ideal) -> VectorForm:
@@ -175,12 +183,13 @@ def kuranishi_build(
             name = f"t{i}{lam}"
             registry.ensure_pair(name)
             names.append(name)
-    legs = {}
-    for i in range(1, geom.n + 1):
-        leg = Form.zero()
-        for lam, g in enumerate(gens.forms, start=1):
-            leg = leg + g * Coefficient.symbol(f"t{i}{lam}")
-        legs[i] = leg
+    legs = {
+        i: Form.combination(
+            (g, Coefficient.symbol(f"t{i}{lam}"))
+            for lam, g in enumerate(gens.forms, start=1)
+        )
+        for i in range(1, geom.n + 1)
+    }
     psi: dict[int, VectorForm] = {1: VectorForm(legs)}
     ideal: list[Coefficient] = []
     k_top = 1
@@ -190,13 +199,12 @@ def kuranishi_build(
         checked = k
         # 1/2 sum_{i+j=k} [psi_i, psi_j], each pair once: the bracket is
         # symmetric on T^{1,0}-valued (0,1)-forms
-        bracket = VectorForm.zero()
-        for i in range(1, k // 2 + 1):
-            a, b = psi.get(i), psi.get(k - i)
-            if a is None or b is None:
-                continue
-            weight = Fraction(1, 2) if 2 * i == k else 1
-            bracket = bracket + vector_bracket(geom, a, b) * weight
+        bracket = _vector_sum(
+            (vector_bracket(geom, psi[i], psi[k - i]),
+             Fraction(1, 2) if 2 * i == k else 1)
+            for i in range(1, k // 2 + 1)
+            if i in psi and k - i in psi
+        )
         bracket = _reduce_vector(bracket, ideal)
         if bracket.is_zero():
             if k >= 2 * k_top:

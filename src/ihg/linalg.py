@@ -5,9 +5,10 @@ nonzero entry; divisions stay exact in the field, so no magnitude
 heuristics are needed.  Systems here are small (invariant-form sectors),
 so Gauss-Jordan without fraction-free tricks is fast enough.
 
-Span selection reads the pivot columns of one elimination, which are
-exactly the vectors a greedy rank test would keep.  normal_systems is
-the one place that forms Hermitian normal systems and split_normal, which
+Each entry of a matrix product is one Coefficient.sum_of_products.  Span
+selection reads the pivot columns of one elimination, which are exactly
+the vectors a greedy rank test would keep.  normal_systems is the one
+place that forms Hermitian normal systems and split_normal, which
 orthogonal_split wraps, the one that solves them; a caller can build the
 systems once and split many right-hand sides.  Over the coefficient field
 both systems are consistent, so there is no fallback.
@@ -25,39 +26,21 @@ class SingularMatrix(ValueError):
     pass
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Coefficient.zero() for _ in range(cols)] for _ in range(rows)]
-
-
 def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for k in range(n):
-        out[k][k] = Coefficient.one()
-    return out
+    one, zero = Coefficient.one(), Coefficient.zero()
+    return [[one if j == k else zero for k in range(n)] for j in range(n)]
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    out = []
-    for row in a:
-        acc = Coefficient.zero()
-        for entry, x in zip(row, v):
-            if not (entry.is_zero() or x.is_zero()):
-                acc = acc + entry * x
-        out.append(acc)
-    return out
+    return [Coefficient.sum_of_products(zip(row, v)) for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0]) if b else 0
-    out = zeros(len(a), cols)
-    for i, row in enumerate(a):
-        for k, entry in enumerate(row):
-            if entry.is_zero():
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + entry * b[k][j]
-    return out
+    cols = list(zip(*b))
+    return [
+        [Coefficient.sum_of_products(zip(row, col)) for col in cols]
+        for row in a
+    ]
 
 
 def conj_transpose(a: Matrix) -> Matrix:

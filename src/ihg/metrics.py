@@ -92,14 +92,12 @@ class InvariantMetric:
         return InvariantMetric(tuple(tuple(r) for r in rows))
 
     def fundamental_form(self) -> Form:
-        out = Form.zero()
         i = Coefficient.i()
-        for j in range(self.n):
-            for k in range(self.n):
-                c = self.h[j][k]
-                if not c.is_zero():
-                    out = out + Form.monomial((j + 1,), (k + 1,), i * c)
-        return out
+        return Form({
+            MultiIndex((j + 1,), (k + 1,)): i * c
+            for j, row in enumerate(self.h)
+            for k, c in enumerate(row)
+        })
 
     def positive_at(self, point: dict[str, complex]) -> bool:
         """Leading principal minors at a numeric sample point."""
@@ -434,9 +432,9 @@ def balanced_obstruction(
     """(1,1)-part of sum c_j d(phi^j); a positive diagonal outcome rules
     out balanced metrics (the (1,1)-part of an exact form cannot be
     positive on a balanced manifold)."""
-    total = Form.zero()
-    for j, c in combination.items():
-        total = total + geom.structure[j] * c
+    total = Form.combination(
+        (geom.structure[j], c) for j, c in combination.items()
+    )
     part = total.component(1, 1)
     if part.is_zero():
         return PositivePartReport(False, part, notes=("zero form",))

@@ -21,7 +21,7 @@ from ihg import (
     QuadraticSurd,
     StaleCoefficient,
 )
-from ihg.coefficients import _exact_quotient
+from ihg.coefficients import _exact_quotient, _over_common_denominator
 from ihg.symbols import registry
 
 
@@ -594,6 +594,67 @@ def test_sum_of_products_normalizes_once(monkeypatch):
     assert lone.render() == "-3*t11/(t11*conj(t11) - 1)"
     assert Coefficient.sum_of_products([]).is_zero()
     assert calls == []
+
+
+def test_lone_part_skips_the_lcm_pass():
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    a = ONE() - t * t.conjugate()
+    x, y = t / a, a * u / (t + u)
+    part = (x._num * y._num, x._den + y._den)
+    assert _over_common_denominator([part]) is part
+    # the atom a of x cancels against the numerator of y in the one _make
+    got = Coefficient.sum_of_products([(x, y)])
+    assert got.render() == (x * y).render() == "t11*t21/(t11 + t21)"
+
+
+def test_derivative_normalizes_once(monkeypatch):
+    setup_symbols()
+    t = C("t11")
+    # two atoms depend on t11, and so does the numerator
+    value = t / (t + 1) / (t + 2)
+    calls = []
+    make = Coefficient._make
+
+    def counted(num, den, ctx):
+        calls.append(num)
+        return make(num, den, ctx)
+
+    monkeypatch.setattr(Coefficient, "_make", staticmethod(counted))
+    got = value.diff("t11")
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == (2 - t * t) / ((t + 1) * (t + 1)) / ((t + 2) * (t + 2))
+
+
+@st.composite
+def equality_pairs(draw):
+    """Two values built from pool members that share denominator atoms;
+    three times in four the second is the first rewritten into an equal
+    value."""
+    setup_symbols()
+    pool = _product_pool()
+    index = st.integers(0, len(pool) - 1)
+    a = pool[draw(index)] * pool[draw(index)] + pool[draw(index)]
+    x = pool[draw(index)]
+    how = draw(st.sampled_from(["other", "sum", "product", "quotient"]))
+    if how == "other":
+        b = pool[draw(index)] + pool[draw(index)] * pool[draw(index)]
+    elif how == "sum":
+        b = (a + x) - x
+    elif how == "product":
+        b = (a * x) / x
+    else:
+        b = a * x * x / (x * x)  # the numerator of x*x becomes one atom
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(equality_pairs())
+def test_equality_matches_the_zero_test_of_the_difference(pair):
+    a, b = pair
+    assert (a == b) == (a - b).is_zero()
+    assert (b == a) == (a == b)
 
 
 # -- squarefree parts against sympy's sqf_part ---------------------------------

@@ -242,3 +242,173 @@ def test_coframe_map_matches_wedge_chain(f):
     assert table.apply(f) == expected
     assert table.apply(f) == expected
     assert f.substitute_coframe(rows) == expected
+
+
+# -- linear combinations: one gather per output monomial ------------------------
+
+
+def _coefficient_pool():
+    # atoms a and b, and the composite atom a*b from dividing by it at once
+    registry.ensure_pair("u")
+    one, t, tc, i = coeffs()
+    u = Coefficient.symbol("u")
+    a = one - t * tc
+    b = t + u
+    return [one, i, -t, u * tc, t / a, u / a / a, (t - 1) / b, one / a / b,
+            one / (a * b), tc / u, b * b / a]
+
+
+_POOL_MONOMIALS = [
+    MultiIndex((1,), ()), MultiIndex((), (1,)), MultiIndex((1,), (2,)),
+    MultiIndex((2,), ()),
+]
+
+
+@st.composite
+def pooled_forms(draw):
+    """Forms whose terms land on a few monomials, with coefficients that
+    carry denominator atoms."""
+    pool = _coefficient_pool()
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, len(_POOL_MONOMIALS) - 1),
+                  st.integers(0, len(pool) - 1)),
+        max_size=3,
+    ))
+    f = Form()
+    for m, c in terms:
+        f = f + Form({_POOL_MONOMIALS[m]: pool[c]})
+    return f
+
+
+@st.composite
+def form_pairs(draw):
+    pool = _coefficient_pool()
+    index = st.integers(0, len(pool) - 1)
+    pairs = [
+        (draw(pooled_forms()), pool[draw(index)])
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    if draw(st.booleans()):
+        pairs += [(-f, c) for f, c in pairs]  # a total of zero
+    return pairs
+
+
+def _combination_by_fold(pairs):
+    total = Form()
+    for f, c in pairs:
+        total = total + f * c
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_pairs())
+def test_combination_matches_the_pairwise_fold(pairs):
+    got = Form.combination(pairs)
+    assert got == _combination_by_fold(pairs)
+    assert all(not c.is_zero() for _, c in got.terms())
+
+
+def test_combination_cancels_and_stores_no_zero():
+    one, t, tc, i = coeffs()
+    a = one - t * tc
+    m = Form.monomial((1,), (2,))
+    n = Form.monomial((2,), ())
+    # (t*conj(t) - 1)/a = -1: the atom a cancels only in the total
+    got = Form.combination([(m / a, t * tc), (m / a, -1), (n, t), (n, -t)])
+    assert len(got) == 1
+    assert got.coeff((1,), (2,)).render() == "-1"
+    assert got == -m
+    assert Form.combination([]).is_zero()
+    assert len(Form.combination([(n, t), (n * t, -1)])) == 0
+
+
+def _canonical(seq):
+    """(monomial, sign) of a product of coframe factors, listed as
+    (0, i) for phi^i and (1, j) for conj(phi^j), or (None, 0)."""
+    if len(set(seq)) < len(seq):
+        return None, 0
+    inversions = sum(
+        1 for x in range(len(seq)) for y in range(x + 1, len(seq))
+        if seq[x] > seq[y]
+    )
+    ordered = sorted(seq)
+    holo = tuple(i for flavor, i in ordered if flavor == 0)
+    anti = tuple(j for flavor, j in ordered if flavor == 1)
+    return MultiIndex(holo, anti), -1 if inversions % 2 else 1
+
+
+def _factors(mi):
+    return [(0, i) for i in mi.holo] + [(1, j) for j in mi.anti]
+
+
+def _wedge_by_fold(f, g):
+    total = Form()
+    for m1, c1 in f.terms():
+        for m2, c2 in g.terms():
+            mi, sign = _canonical(_factors(m1) + _factors(m2))
+            if sign:
+                total = total + Form({mi: c1 * c2 * sign})
+    return total
+
+
+def _contract_by_fold(f, flavor, a):
+    total = Form()
+    for mi, c in f.terms():
+        seq = _factors(mi)
+        if (flavor, a) in seq:
+            pos = seq.index((flavor, a))
+            rest, _ = _canonical(seq[:pos] + seq[pos + 1:])
+            total = total + Form({rest: c * (-1) ** pos})
+    return total
+
+
+@settings(max_examples=50, deadline=None)
+@given(pooled_forms(), pooled_forms())
+def test_wedge_matches_the_pairwise_fold(f, g):
+    assert f.wedge(g) == _wedge_by_fold(f, g)
+    h = f + g.wedge(Form.monomial((), (1,)))
+    assert h.wedge(h) == _wedge_by_fold(h, h)
+
+
+@settings(max_examples=50, deadline=None)
+@given(pooled_forms(), small_forms(), st.integers(1, 3))
+def test_contractions_match_the_pairwise_fold(f, g, a):
+    for form in (f, f.wedge(g), g):
+        assert form.contract_holo(a) == _contract_by_fold(form, 0, a)
+        assert form.contract_anti(a) == _contract_by_fold(form, 1, a)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_wedge_normalizes_each_monomial_once(monkeypatch, k):
+    registry.ensure_pair("u")
+    one, t, tc, i = coeffs()
+    u = Coefficient.symbol("u")
+    # k one-forms against their complementary (k-1)-forms: all k products
+    # land on phi^{1..k}, and none has a scalar operand
+    f = Form({MultiIndex((j,), ()): t + j for j in range(1, k + 1)})
+    g = Form({
+        MultiIndex(tuple(x for x in range(1, k + 1) if x != j), ()): u * tc + j
+        for j in range(1, k + 1)
+    })
+    want = _wedge_by_fold(f, g)
+    calls = []
+    make = Coefficient._make
+
+    def counted(num, den, ctx):
+        calls.append(num)
+        return make(num, den, ctx)
+
+    monkeypatch.setattr(Coefficient, "_make", staticmethod(counted))
+    got = f.wedge(g)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert len(got) == 1
+    assert got == want
+
+
+def test_vector_form_equality_needs_equal_mirroring():
+    eta = Form.monomial((), (1,))
+    assert VectorForm({1: eta}) == VectorForm({1: eta})
+    assert VectorForm({1: eta}) != VectorForm({1: eta}, mirrored=True)
+    assert VectorForm.zero() == VectorForm.zero()
+    assert VectorForm.zero() != VectorForm.zero(mirrored=True)
