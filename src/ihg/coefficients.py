@@ -920,50 +920,43 @@ class Coefficient:
 
     # -- sector decomposition -------------------------------------------------
 
-    def char_exponent_shift(self) -> dict[int, int]:
-        """Net character exponent shift contributed by the denominator."""
-        ctx = self._ctx
-        shift: dict[int, int] = {}
-        for atom, mult in self._den:
-            if len(atom) == 1:
-                (monom, _c), = atom.items()
-                if all(
-                    e == 0 or ctx.is_char(i) for i, e in enumerate(monom)
-                ):
-                    for i, e in enumerate(monom):
-                        if e:
-                            shift[i] = shift.get(i, 0) - e * mult
-                    continue
-            if any(monom[i] for monom in atom.keys() for i in ctx.char_indices):
+    def char_decompose(self) -> dict[tuple[int, ...], "Coefficient"]:
+        """Split into character sectors: keys are exponent vectors, values
+        the character-free parts.
+
+        A denominator atom is character-free (kept), a bare character
+        monomial (it shifts every key) or mixed, which raises SectorMixing.
+        """
+        r = self._refreshed()
+        ctx = r._ctx
+        chars = ctx.char_indices
+        shift = [0] * len(chars)
+        den = []
+        for atom, mult in r._den:
+            if not any(monom[i] for monom in atom.keys() for i in chars):
+                den.append((atom, mult))
+                continue
+            monom = next(iter(atom.keys()))
+            if len(atom) != 1 or any(
+                e and not ctx.is_char(i) for i, e in enumerate(monom)
+            ):
                 raise SectorMixing(
                     f"denominator atom mixes characters with parameters: "
                     f"{_render_poly(atom, ctx)}"
                 )
-        return shift
-
-    def char_decompose(self) -> dict[tuple[int, ...], "Coefficient"]:
-        """Split into character sectors; keys are exponent vectors."""
-        r = self._refreshed()
-        ctx = r._ctx
-        chars = ctx.char_indices
-        shift = r.char_exponent_shift()
+            for k, i in enumerate(chars):
+                shift[k] -= monom[i] * mult
         buckets: dict[tuple[int, ...], dict] = {}
         for monom, c in r._num.items():
-            key = tuple(monom[i] + shift.get(i, 0) for i in chars)
+            key = tuple(monom[i] + s for i, s in zip(chars, shift))
             stripped = tuple(
                 0 if i in chars else e for i, e in enumerate(monom)
             )
             buckets.setdefault(key, {})[stripped] = c
-        den = tuple((a, m) for a, m in r._den if not _is_char_monomial(a, ctx))
-        out = {}
-        for key, terms in buckets.items():
-            out[key] = Coefficient._make(ctx.ring.from_dict(terms), list(den), ctx)
-        return out
-
-    def char_free(self) -> bool:
-        r = self._refreshed()
-        dec = r.char_decompose()
-        return all(all(e == 0 for e in key) for key in dec)
+        return {
+            key: Coefficient._make(ctx.ring.from_dict(terms), den, ctx)
+            for key, terms in buckets.items()
+        }
 
     # -- rendering --------------------------------------------------------------
 
@@ -1013,15 +1006,6 @@ class Coefficient:
         for atom, mult in r._den:
             out /= ev(atom) ** mult
         return out
-
-
-def _is_char_monomial(atom, ctx) -> bool:
-    if len(atom) != 1:
-        return False
-    (monom, _c), = atom.items()
-    return all(e == 0 or ctx.is_char(i) for i, e in enumerate(monom)) and any(
-        monom[i] for i in ctx.char_indices
-    )
 
 
 def _conj_value(val):

@@ -3,7 +3,11 @@
 d preserves the character exponent vector, so the complex splits into
 sectors indexed by those vectors; each sector with fixed bidegree is a
 finite monomial space over the parameter-rational field and everything
-reduces to exact linear algebra.  A Bott-Chern sector reads two
+reduces to exact linear algebra.  A form is split into sectors in one
+place, _sector_vectors: one Coefficient.char_decompose per coefficient
+writes each character-stripped part into its sector's coordinate
+vector.  SectorComplex reads its own sector's vector and raises
+SectorMixing when the form meets another.  A Bott-Chern sector reads two
 matrices: d on pure (p,q)-forms, whose kernel is ker(del) ∩ ker(dbar),
 and del dbar from (p-1,q-1); one elimination over the image columns
 followed by the kernel vectors picks both spans as pivot columns.
@@ -42,6 +46,31 @@ def char_sector_names() -> list[str]:
     return [ctx.names[i] for i in ctx.char_indices]
 
 
+def _index(n: int, bidegrees) -> dict[MultiIndex, int]:
+    monomials = [mi for p, q in bidegrees for mi in monomial_basis(n, p, q)]
+    return {mi: k for k, mi in enumerate(monomials)}
+
+
+def _sector_vectors(form: Form, index: dict[MultiIndex, int],
+                    bidegrees) -> dict[tuple[int, ...], linalg.Vector]:
+    """Coordinates of form over the monomials of index, one vector per
+    character sector it meets, each with the sector's character stripped."""
+    zero = Coefficient.zero()
+    out: dict[tuple[int, ...], linalg.Vector] = {}
+    for mi, c in form.terms():
+        k = index.get(mi)
+        if k is None:
+            raise ValueError(
+                f"monomial {mi.render()} is not of bidegree "
+                + " or ".join(f"({p},{q})" for p, q in bidegrees)
+            )
+        for sector, value in c.char_decompose().items():
+            if sector not in out:
+                out[sector] = [zero] * len(index)
+            out[sector][k] = value
+    return out
+
+
 class SectorComplex:
     """One character sector of a geometry's invariant form complex."""
 
@@ -55,7 +84,6 @@ class SectorComplex:
             )
         self.geom = geom
         self.sector = tuple(sector)
-        self._names = names
         prefix = Coefficient.one()
         for nm, e in zip(names, sector):
             if e:
@@ -74,36 +102,24 @@ class SectorComplex:
     def to_vector(self, form: Form, *bidegrees: tuple[int, int]):
         """Coordinates of form over the monomials of the given bidegrees,
         in the order given."""
-        return self._coordinates(form, self._index(bidegrees), bidegrees)
-
-    def _index(self, bidegrees) -> dict[MultiIndex, int]:
-        monomials = [mi for p, q in bidegrees for mi in self.basis(p, q)]
-        return {mi: k for k, mi in enumerate(monomials)}
+        index = _index(self.geom.n, bidegrees)
+        return self._coordinates(form, index, bidegrees)
 
     def _coordinates(self, form: Form, index: dict[MultiIndex, int],
                      bidegrees) -> linalg.Vector:
-        vec = [Coefficient.zero() for _ in index]
-        for mi, c in form.terms():
-            if mi not in index:
-                raise ValueError(
-                    f"monomial {mi.render()} is not of bidegree "
-                    + " or ".join(f"({p},{q})" for p, q in bidegrees)
-                )
-            parts = c.char_decompose()
-            for key, value in parts.items():
-                if key != self.sector:
-                    raise SectorMixing(
-                        f"coefficient of {mi.render()} lives in sector "
-                        f"{key}, expected {self.sector}"
-                    )
-                vec[index[mi]] = value
-        return vec
+        vectors = _sector_vectors(form, index, bidegrees)
+        others = sorted(set(vectors) - {self.sector})
+        if others:
+            raise SectorMixing(
+                f"form meets sectors {others}, expected {self.sector}"
+            )
+        return vectors.get(self.sector) or [Coefficient.zero()] * len(index)
 
     def matrix(self, op, p: int, q: int,
                *targets: tuple[int, int]) -> linalg.Matrix:
         """Matrix of op from the (p,q) monomials to the monomials of the
         target bidegrees, stacked in the order given."""
-        index = self._index(targets)
+        index = _index(self.geom.n, targets)
         cols = [
             self._coordinates(op(self.embed(mi)), index, targets)
             for mi in self.basis(p, q)
@@ -174,19 +190,17 @@ class BottChernSector:
         return BottChernClass(self.complex.sector, form, tuple(tail))
 
 
-def _bidegree_and_sector(form: Form):
+def _bidegree_and_sector(geom: Geometry, form: Form):
     """(p, q, sector) of a form with a single bidegree and one character
     sector."""
     degrees = form.bidegrees()
     if len(degrees) != 1:
         raise ValueError("form must have a single bidegree")
     (p, q), = degrees
-    sectors: set = set()
-    for _, c in form.terms():
-        sectors.update(c.char_decompose())
+    sectors = _sector_vectors(form, _index(geom.n, degrees), degrees)
     if len(sectors) > 1:
         raise SectorMixing(f"form spans sectors {sorted(sectors)}")
-    return p, q, sectors.pop()
+    return p, q, next(iter(sectors))
 
 
 def harmonic_certificate(geom: Geometry,
@@ -202,7 +216,7 @@ def harmonic_certificate(geom: Geometry,
     of its class at every parameter point, and the class vanishes exactly
     where the form does.
     """
-    p, q, sector = _bidegree_and_sector(form)
+    p, q, sector = _bidegree_and_sector(geom, form)
     del_form, dbar_form = geom.d_split(form)
     if not geom.reduce(del_form).is_zero():
         return False, ("not del-closed modulo constraints",)
@@ -227,7 +241,7 @@ def harmonic_certificate(geom: Geometry,
 
 def bc_class(geom: Geometry, form: Form) -> BottChernClass:
     """Bott-Chern class of a pure-bidegree form, sector inferred."""
-    p, q, sector = _bidegree_and_sector(form)
+    p, q, sector = _bidegree_and_sector(geom, form)
     return BottChernSector(geom, p, q, sector).class_of(form)
 
 
@@ -252,10 +266,10 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     """
     dp, dq = _SHIFTS[op]
     target = (p + dp, q + dq)
+    vectors = _sector_vectors(rhs, _index(geom.n, (target,)), (target,))
     terms: list = []
     residue: linalg.Vector = []
-    sectors = rhs.char_sectors()
-    for sector in sorted(sectors):
+    for sector in sorted(vectors):
         cx = SectorComplex(geom, sector)
         key = (op, p, q, sector)
         systems = geom._sector_systems.get(key)
@@ -263,9 +277,7 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
             operator = geom.dbar if op == "dbar" else geom.del_op
             systems = linalg.normal_systems(cx.matrix(operator, p, q, target))
             geom._sector_systems[key] = systems
-        x, rest = linalg.split_normal(
-            systems, cx.to_vector(sectors[sector], target)
-        )
+        x, rest = linalg.split_normal(systems, vectors[sector])
         terms.extend(zip(map(cx.embed, cx.basis(p, q)), x))
         residue.extend(rest)
     return Form.combination(terms), residue

@@ -155,7 +155,7 @@ class _Parser:
                     registry.ensure_real(nm)
             elif head == "char":
                 self.next()
-                cname = self.expect("ident").text
+                cname = self._new_name()
                 registry.ensure_char(cname)
                 self.expect("ident", "dlog")
                 self.expect("op", "=")
@@ -197,15 +197,20 @@ class _Parser:
             raise ValidationError(code, str(err)) from None
 
     def _name_list(self) -> list[str]:
-        names = [self.expect("ident").text]
+        names = [self._new_name()]
         while self.peek().text == ",":
             self.next()
-            names.append(self.expect("ident").text)
+            names.append(self._new_name())
         self.expect("op", ";")
-        for nm in names:
-            if nm in ("i", "phi", "conj"):
-                raise self.fail(f"{nm!r} is reserved")
         return names
+
+    def _new_name(self) -> str:
+        """A name being declared; the expression syntax reserves i, phi
+        and conj."""
+        tok = self.expect("ident")
+        if tok.text in ("i", "phi", "conj"):
+            raise ParseError(f"{tok.text!r} is reserved", tok.line, tok.col)
+        return tok.text
 
     def _as_scalar(self, form: Form, tok: _Token) -> Coefficient:
         if form.is_zero():

@@ -269,16 +269,7 @@ class Form:
         """
         return CoframeMap(mapping).apply(self)
 
-    # -- sectors, evaluation, rendering ---------------------------------------
-
-    def char_sectors(self) -> dict[tuple[int, ...], "Form"]:
-        """Split terms by the character exponents of their coefficients."""
-        # each (sector, monomial) is reached once: nothing to sum
-        out: dict[tuple[int, ...], dict] = {}
-        for mi, c in self._terms.items():
-            for sector, part in c.char_decompose().items():
-                out.setdefault(sector, {})[mi] = part * _char_monomial(sector)
-        return {s: Form(t) for s, t in out.items()}
+    # -- evaluation, rendering ----------------------------------------------
 
     def numeric(self, point: dict[str, complex]) -> dict[MultiIndex, complex]:
         out = {}
@@ -382,18 +373,6 @@ def _collect(triples) -> Form:
         mi: Coefficient.sum_of_products(pairs)
         for mi, pairs in gathered.items()
     })
-
-
-def _char_monomial(sector: tuple[int, ...]) -> Coefficient:
-    from .symbols import registry
-
-    ctx = registry.context()
-    out = Coefficient.one()
-    for pos, e in enumerate(sector):
-        if e:
-            name = ctx.names[ctx.char_indices[pos]]
-            out = out * Coefficient.symbol(name) ** e
-    return out
 
 
 def wedge(*forms: Form) -> Form:

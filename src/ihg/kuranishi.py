@@ -22,7 +22,7 @@ from .cohomology import split_primitive
 from .deformation import vector_bracket
 from .exterior import Form, VectorForm
 from .geometry import Geometry, StructureError
-from .symbols import conjugate_name, registry
+from .symbols import CONJ, conjugate_name, registry
 
 
 class PrimitiveNotFound(ValueError):
@@ -303,6 +303,11 @@ def _forced_variable(g: Coefficient) -> str | None:
     return None
 
 
+def _base_name(name: str) -> str:
+    sym = registry.lookup(name)
+    return sym.conjugate_of if sym.kind == CONJ else name
+
+
 def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSeries:
     """Specialize the series to a branch.
 
@@ -310,9 +315,10 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
     ideal generator, and the consequences propagated to a fixpoint: a
     generator reduced to a single parameter forces that parameter to
     zero.  What survives is returned as the residual relation list.
+    A conjugate name stands for its parameter: conj(t) = 0 is t = 0.
     """
-    zeros = set(branch.zeros)
-    nonzeros = set(branch.nonzeros)
+    zeros = set(map(_base_name, branch.zeros))
+    nonzeros = set(map(_base_name, branch.nonzeros))
     pending = [g for g in series.ideal] + list(branch.relations)
     while True:
         bindings = {}
@@ -333,6 +339,7 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
                 )
             forced = _forced_variable(g)
             if forced is not None:
+                forced = _base_name(forced)
                 if forced in nonzeros:
                     raise InconsistentBranch(
                         f"{forced} declared nonzero but forced to vanish"

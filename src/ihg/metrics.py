@@ -355,9 +355,10 @@ def _sample_points(coefficients, count=5, seed=11):
     return points
 
 
-def _certify_sign(coefficients, samples) -> tuple[int, str]:
+def _certify_sign(coefficients) -> tuple[int, str]:
     """Common strict sign of real-valued coefficients at sample points;
     returns (0, reason) when certification fails."""
+    samples = _sample_points(coefficients)
     overall = 0
     for c in coefficients:
         for point in samples:
@@ -380,7 +381,7 @@ def _certify_sign(coefficients, samples) -> tuple[int, str]:
 
 
 def pluriclosed_obstruction(
-    geom: Geometry, alpha: Form, p: int, samples=None
+    geom: Geometry, alpha: Form, p: int
 ) -> ObstructionReport:
     """No p-pluriclosed metric exists when (del dbar alpha)^{n-p,n-p} is a
     same-sign diagonal combination sum c_I phi^{I Ibar} with c_I real.
@@ -405,10 +406,7 @@ def pluriclosed_obstruction(
                 False, comp, notes=("coefficient is not real",)
             )
         terms.append((mi, c))
-    coefficients = [c for _, c in terms]
-    if samples is None:
-        samples = _sample_points(coefficients)
-    sign, why = _certify_sign(coefficients, samples)
+    sign, why = _certify_sign([c for _, c in terms])
     return ObstructionReport(
         obstructed=sign != 0,
         component=comp,
@@ -427,7 +425,7 @@ class PositivePartReport:
 
 
 def balanced_obstruction(
-    geom: Geometry, combination: dict[int, Coefficient], samples=None
+    geom: Geometry, combination: dict[int, Coefficient]
 ) -> PositivePartReport:
     """(1,1)-part of sum c_j d(phi^j); a positive diagonal outcome rules
     out balanced metrics (the (1,1)-part of an exact form cannot be
@@ -444,10 +442,7 @@ def balanced_obstruction(
             return PositivePartReport(
                 False, part, notes=("not a real diagonal combination",)
             )
-    coefficients = [c for _, c in terms]
-    if samples is None:
-        samples = _sample_points(coefficients)
-    sign, why = _certify_sign(coefficients, samples)
+    sign, why = _certify_sign([c for _, c in terms])
     return PositivePartReport(
         positive_11_part=sign == 1,
         form=part,

@@ -103,9 +103,10 @@ class _Registry:
         self._context = None
         return sym
 
-    def register_pair(self, name: str, conj_name: str | None = None):
-        """Register a complex parameter together with its conjugate partner."""
-        conj_name = conj_name or name + "_c"
+    def register_pair(self, name: str):
+        """Register a complex parameter together with its conjugate partner,
+        named name + "_c"."""
+        conj_name = name + "_c"
         with self._lock:
             a = self._add(name, PARAM, conj_name)
             b = self._add(conj_name, CONJ, name)
@@ -125,7 +126,7 @@ class _Registry:
             raise KeyError(f"unknown symbol: {name!r}")
         return sym
 
-    def ensure_pair(self, name: str, conj_name: str | None = None):
+    def ensure_pair(self, name: str):
         """register_pair, or return the existing pair if already present."""
         with self._lock:
             sym = self._by_name.get(name)
@@ -133,7 +134,7 @@ class _Registry:
                 if sym.kind != PARAM:
                     raise ValueError(f"{name!r} already registered as {sym.kind}")
                 return sym, self._by_name[sym.conjugate_of]
-        return self.register_pair(name, conj_name)
+        return self.register_pair(name)
 
     def ensure_real(self, name: str) -> ParameterSymbol:
         with self._lock:
@@ -154,6 +155,11 @@ class _Registry:
         return self.register_char(name)
 
     def context(self) -> RingContext:
+        # a built context is immutable: read it without the lock, which
+        # only guards building one
+        ctx = self._context
+        if ctx is not None:
+            return ctx
         with self._lock:
             if self._context is None:
                 self._context = RingContext(

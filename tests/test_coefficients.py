@@ -1,6 +1,8 @@
 """Field arithmetic, scalars, involution, derivatives, substitution, trial
 division, sums of products over one denominator and squarefree parts."""
 
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -19,6 +21,7 @@ from ihg import (
     GaussianRational,
     MixedRadicals,
     QuadraticSurd,
+    SectorMixing,
     StaleCoefficient,
 )
 from ihg.coefficients import _exact_quotient, _over_common_denominator
@@ -268,11 +271,18 @@ class TestSectors:
         )
         assert recomposed == m
 
-    def test_char_free(self):
+    def test_char_decompose_keeps_free_atoms_and_shifts_by_char_atoms(self):
         setup_symbols()
         t, E = C("t11"), C("E1")
-        assert (t / (ONE() - t * t.conjugate())).char_free()
-        assert not (t * E).char_free()
+        free = t / (ONE() - t * t.conjugate())
+        assert free.char_decompose() == {(0,): free}
+        assert (t / E ** 2).char_decompose() == {(-2,): t}
+
+    def test_char_decompose_rejects_a_mixed_atom(self):
+        setup_symbols()
+        t, E = C("t11"), C("E1")
+        with pytest.raises(SectorMixing):
+            (t / (E + t)).char_decompose()
 
 
 class TestRegistryLifetime:
@@ -300,6 +310,39 @@ class TestRegistryLifetime:
         a = C("a")
         registry.register_real("r")
         assert (a + C("r")).render() == "a + r"
+
+    def test_concurrent_registration_never_caches_a_stale_context(self):
+        # context() reads a built context without the lock; a context built
+        # before an _add must never be the one kept after it.  One round
+        # exposes a context built outside the lock about a third of the
+        # time, so the rounds repeat.
+        seen = []
+
+        def register(k):
+            for j in range(8):
+                registry.ensure_pair(f"p{k}_{j}")
+                seen.append(registry.context())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                registry.reset()
+                seen.clear()
+                threads = [
+                    threading.Thread(target=register, args=(k,))
+                    for k in range(4)
+                ]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                names = registry.context().names
+                assert len(names) == 64
+                assert all(c.names == names[:len(c.names)] for c in seen)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # -- randomized algebraic laws ------------------------------------------------

@@ -10,6 +10,10 @@ of these three entries has.
 solve_dbar returns the minimum-norm primitive: on h3x dbar sends both
 phi^{3bar} and phi^{4bar} to phi^{12bar}, whose minimum-norm primitive is
 their average.
+
+A form splits into one coordinate vector per character sector, each with
+its character stripped; embedding each vector back in its sector and
+summing returns the form.
 """
 
 from fractions import Fraction
@@ -17,11 +21,19 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ihg import cohomology, linalg
+from ihg import SectorMixing, cohomology, linalg
 from ihg.catalog import catalog
-from ihg.cohomology import BottChernSector, monomial_basis, solve_dbar
+from ihg.coefficients import Coefficient
+from ihg.cohomology import (
+    BottChernSector,
+    SectorComplex,
+    monomial_basis,
+    solve_dbar,
+    split_primitive,
+)
 from ihg.exterior import Form
 from ihg.geometry import Geometry
+from ihg.symbols import registry
 
 
 def _rank(op, src, dst) -> int:
@@ -92,3 +104,61 @@ def test_solve_dbar_is_minimum_norm(h3x):
     half = Fraction(1, 2)
     assert beta == (Form.monomial((), (3,)) + Form.monomial((), (4,))) * half
     assert h3x.dbar(beta) == rhs
+
+
+def test_sector_vectors_recompose():
+    g = catalog("solv4d")
+    registry.ensure_pair("t")
+    t, E = Coefficient.symbol("t"), Coefficient.symbol("E1")
+    # sectors (1), (-1) with E1 in a denominator, and (0) over a parameter atom
+    f = (
+        Form.monomial((), (1, 2), E * t)
+        + Form.monomial((), (1, 3), t / E)
+        + Form.monomial((), (2, 3), t / (1 + t * t.conjugate()))
+    )
+    vectors = cohomology._sector_vectors(
+        f, cohomology._index(g.n, [(0, 2)]), [(0, 2)]
+    )
+    assert set(vectors) == {(1,), (0,), (-1,)}
+    total = Form()
+    for sector, vec in vectors.items():
+        total = total + SectorComplex(g, sector).vector_to_form(vec, 0, 2)
+    assert total == f
+
+
+def test_a_form_spanning_two_sectors_is_rejected():
+    g = catalog("solv4d")
+    E = Coefficient.symbol("E1")
+    f = Form.monomial((), (1, 2), E) + Form.monomial((), (1, 3))
+    with pytest.raises(SectorMixing):
+        SectorComplex(g).to_vector(f, (0, 2))
+    with pytest.raises(SectorMixing):
+        cohomology.bc_class(g, f)
+
+
+def test_split_primitive_normalization_cost(monkeypatch):
+    # each coefficient of rhs is decomposed once, straight into its
+    # sector's vector (48 normalizations when every part was multiplied
+    # back by its character and decomposed again)
+    g = catalog("solv4d")
+    registry.ensure_pair("t")
+    t, E = Coefficient.symbol("t"), Coefficient.symbol("E1")
+    rhs = (
+        Form.monomial((), (1, 2), E * t)
+        + Form.monomial((), (1, 3), t / E)
+        + Form.monomial((), (1, 4), E ** 2)
+        + Form.monomial((), (2, 3), t)
+    )
+    want = split_primitive(g, "dbar", rhs, 0, 1)
+    calls = []
+    make = Coefficient._make
+
+    def counted(num, den, ctx):
+        calls.append(num)
+        return make(num, den, ctx)
+
+    monkeypatch.setattr(Coefficient, "_make", staticmethod(counted))
+    got = split_primitive(g, "dbar", rhs, 0, 1)
+    assert len(calls) == 38
+    monkeypatch.undo()
+    assert got == want

@@ -143,21 +143,6 @@ def test_component_split():
     assert f.component(1, 1) == Form.monomial((1,), (1,), t)
 
 
-def test_char_sectors_recompose():
-    registry.ensure_pair("t")
-    registry.ensure_char("E1")
-    t = Coefficient.symbol("t")
-    E = Coefficient.symbol("E1")
-    f = Form.monomial((1,), (), t * E) + Form.monomial((1,), (), t) \
-        + Form.monomial((), (2,), E.conjugate())
-    sectors = f.char_sectors()
-    assert set(sectors) == {(1,), (0,), (-1,)}
-    total = Form()
-    for g in sectors.values():
-        total = total + g
-    assert total == f
-
-
 def test_wedge_power_top_degree():
     om = Form.monomial((1,), (1,), Coefficient.i()) + Form.monomial(
         (2,), (2,), Coefficient.i()

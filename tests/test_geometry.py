@@ -355,6 +355,20 @@ class TestDsl:
             parse_geometry("geometry g dim 2;\ndphi2 = phi[1,;\n")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("name", ["i", "phi", "conj"])
+    @pytest.mark.parametrize("head, tail", [
+        ("param t, ", ";"),
+        ("real s, ", ";"),
+        ("char ", " dlog = phi[1] - phi[|1];"),
+    ], ids=["param", "real", "char"])
+    def test_reserved_name_is_rejected_where_declared(self, head, tail, name):
+        src = f"geometry g dim 2;\n{head}{name}{tail}\n"
+        with pytest.raises(ParseError) as err:
+            parse_geometry(src)
+        assert (err.value.line, err.value.col) == (2, len(head) + 1)
+        with pytest.raises(KeyError):
+            registry.lookup(name)
+
     def test_unknown_statement(self):
         with pytest.raises(ParseError):
             parse_geometry("geometry g dim 2;\nfrobnicate 3;\n")

@@ -92,6 +92,21 @@ def test_branch_relations_are_monic_and_deduplicated():
     assert branch.forced_zeros == ()
 
 
+def test_a_conjugate_name_stands_for_its_parameter():
+    series = kuranishi_build(catalog("iwasawa"))
+    want = branch_reduce(series, BranchSpec(zeros=("t21",)))
+    assert want.forced_zeros == ("t21",)
+    assert "t21" not in want.parameters
+    for spec in (
+        BranchSpec(zeros=("t21_c",)),
+        BranchSpec(relations=(S("t21_c"),)),
+    ):
+        got = branch_reduce(series, spec)
+        assert got.forced_zeros == want.forced_zeros
+        assert got.parameters == want.parameters
+        assert got.psi_terms == want.psi_terms
+
+
 def test_depth_cap_reached():
     with pytest.raises(DepthCapReached):
         kuranishi_build(catalog("solv4d"), depth_cap=2)
