@@ -60,6 +60,13 @@ def _conj_matrix(m: linalg.Matrix) -> linalg.Matrix:
     return [[c.conjugate() for c in row] for row in m]
 
 
+def _identity_minus(m: linalg.Matrix) -> linalg.Matrix:
+    return [
+        [e - c for e, c in zip(i_row, row)]
+        for i_row, row in zip(linalg.identity(len(m)), m)
+    ]
+
+
 def _combination(row, holo_cols: int) -> Form:
     """Row of coefficients against (phi^1..phi^n, phi^{1bar}..phi^{nbar})."""
     return Form({
@@ -78,6 +85,19 @@ class Deformation:
     image by a row, built once, and rewriting a form multiplies each of its
     coefficients into a stored image.  The operator route keeps its
     correction maps the same way, one pair per side, built on first use.
+
+    The coframe change is [[I, B], [conj B, I]], with B the matrix of psi.
+    Its inverse is read off one n x n inverse, of the Schur complement
+    S = I - B conj(B):
+
+        [[S^{-1}, -S^{-1} B], [-conj(B) S^{-1}, I + conj(B) S^{-1} B]],
+
+    whose lower-right block is conj(S^{-1}) by the push-through identity.
+    Each block is a product with S^{-1}, not a conjugate of it, so every
+    entry shares the denominator atoms of S^{-1}: conjugating would make
+    equal atoms distinct objects, which every later sum over a common
+    denominator compares in full.  det(change) = det(S), so the change is
+    singular exactly where S is, and that raises DegenerateAtLocus.
     """
 
     def __init__(self, base: Geometry, psi: VectorForm,
@@ -90,20 +110,21 @@ class Deformation:
         try:
             b = _psi_matrix(psi, n)
             bc = _conj_matrix(b)
-            ident = linalg.identity(n)
-            change = [
-                [*ident[j], *b[j]] for j in range(n)
-            ] + [
-                [*bc[j], *ident[j]] for j in range(n)
-            ]
+            schur = _identity_minus(linalg.mat_mul(b, bc))
             try:
-                self._inverse = linalg.invert(change)
+                s_inv = linalg.invert(schur)
             except linalg.SingularMatrix as exc:
                 raise DegenerateAtLocus(
                     f"{self.name}: deformed coframe does not span",
                     locus=str(exc),
                 ) from None
-            self._matrix = b
+            upper = [[-c for c in row] for row in linalg.mat_mul(s_inv, b)]
+            lower = [[-c for c in row] for row in linalg.mat_mul(bc, s_inv)]
+            s_inv_c = _identity_minus(linalg.mat_mul(lower, b))
+            self._inverse = [
+                s_row + u_row for s_row, u_row in zip(s_inv, upper)
+            ] + [l_row + s_row for l_row, s_row in zip(lower, s_inv_c)]
+            self._schur = schur
             phi_t = {
                 j: Form.monomial((j,), ()) + psi.components.get(j, Form.zero())
                 for j in range(1, n + 1)
@@ -245,17 +266,12 @@ class Deformation:
         if maps is not None:
             return maps
         n = self.base.n
-        b = self._matrix
-        bc = _conj_matrix(b)
-        prod = linalg.mat_mul(bc, b) if anti else linalg.mat_mul(b, bc)
-        one, zero = Coefficient.one(), Coefficient.zero()
+        endo = _conj_matrix(self._schur) if anti else self._schur
+        zero = Coefficient.zero()
         side, off = ("a", n) if anti else ("h", 0)
         fwd, bwd = {}, {}
         for j in range(n):
-            endo_row = [
-                (one if j == k else zero) - prod[j][k] for k in range(n)
-            ]
-            fwd[(side, j + 1)] = _combination([zero] * off + endo_row, n)
+            fwd[(side, j + 1)] = _combination([zero] * off + endo[j], n)
             inverse_row = self._inverse[off + j][off:off + n]
             bwd[(side, j + 1)] = _combination([zero] * off + inverse_row, n)
         maps = self._endo_maps[anti] = CoframeMap(fwd), CoframeMap(bwd)
@@ -299,26 +315,24 @@ def deform(base: Geometry, psi: VectorForm, name: str | None = None,
 # -- vector-form calculus -----------------------------------------------------
 
 
-def lie_derivative(geom: Geometry, leg, form: Form) -> Form:
-    """Lie derivative along a frame vector, by the Cartan formula."""
-    flavor, idx = leg
-    if flavor == "h":
-        inner = form.contract_holo(idx)
-        outer = geom.d(form).contract_holo(idx)
-    else:
-        inner = form.contract_anti(idx)
-        outer = geom.d(form).contract_anti(idx)
-    return geom.d(inner) + outer
-
-
 def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
     """Bracket of T^{1,0}-valued forms:
 
     [eta (x) X, rho (x) Y] = eta^rho (x) [X,Y] + eta^(L_X rho) (x) Y
-                             + rho^(L_Y eta) (x) X.
+                             + rho^(L_Y eta) (x) X,
+
+    with the Lie derivative L_{Z_i} f = d(iota_i f) + iota_i(df) by the
+    Cartan formula.  df is taken once per leg form, from one table when
+    b is a, and read back for every pair the leg meets.
     """
     if a.mirrored or b.mirrored:
         raise ValueError("bracket is defined for T^{1,0}-valued forms")
+    d_a = {i: geom.d(eta) for i, eta in a.components.items()}
+    d_b = d_a if b is a else {j: geom.d(rho) for j, rho in b.components.items()}
+
+    def lie(i: int, form: Form, d_form: Form) -> Form:
+        return geom.d(form.contract_holo(i)) + d_form.contract_holo(i)
+
     one = Coefficient.one()
     pairs: dict[int, list] = {}
     for i, eta in a.components.items():
@@ -332,9 +346,9 @@ def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
                         )
                     pairs.setdefault(leg[1], []).append((wedge, c))
             pairs.setdefault(j, []).append(
-                (eta.wedge(lie_derivative(geom, ("h", i), rho)), one))
+                (eta.wedge(lie(i, rho, d_b[j])), one))
             pairs.setdefault(i, []).append(
-                (rho.wedge(lie_derivative(geom, ("h", j), eta)), one))
+                (rho.wedge(lie(j, eta, d_a[i])), one))
     return VectorForm({a: Form.combination(p) for a, p in pairs.items()})
 
 

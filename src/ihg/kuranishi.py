@@ -275,11 +275,15 @@ class BranchSpec:
     relations: tuple[Coefficient, ...] = ()
 
     def __post_init__(self):
-        overlap = set(self.zeros) & set(self.nonzeros)
-        if overlap:
-            raise InconsistentBranch(
-                f"declared both zero and nonzero: {sorted(overlap)}"
-            )
+        _check_disjoint(self.zeros, self.nonzeros)
+
+
+def _check_disjoint(zeros, nonzeros) -> None:
+    overlap = set(zeros) & set(nonzeros)
+    if overlap:
+        raise InconsistentBranch(
+            f"declared both zero and nonzero: {sorted(overlap)}"
+        )
 
 
 def _strip_nonzero(g: Coefficient, nonzeros) -> Coefficient:
@@ -315,10 +319,12 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
     ideal generator, and the consequences propagated to a fixpoint: a
     generator reduced to a single parameter forces that parameter to
     zero.  What survives is returned as the residual relation list.
-    A conjugate name stands for its parameter: conj(t) = 0 is t = 0.
+    A conjugate name stands for its parameter: conj(t) = 0 is t = 0, so
+    conj(t) declared zero with t declared nonzero is inconsistent.
     """
     zeros = set(map(_base_name, branch.zeros))
     nonzeros = set(map(_base_name, branch.nonzeros))
+    _check_disjoint(zeros, nonzeros)
     pending = [g for g in series.ideal] + list(branch.relations)
     while True:
         bindings = {}

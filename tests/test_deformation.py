@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from ihg import coefficients
+from ihg import coefficients, linalg
 from ihg.catalog import catalog, torus
 from ihg.coefficients import Coefficient
 from ihg.deformation import (
@@ -27,6 +27,7 @@ from ihg.deformation import (
 )
 from ihg.exterior import CoframeMap, Form, VectorForm
 from ihg.geometry import Geometry
+from ihg.kuranishi import BranchSpec, kuranishi_build, series_to_deformation
 from ihg.metrics import (
     InvariantMetric,
     all_or_none_skt,
@@ -50,6 +51,14 @@ def _pairs(*names):
 
 def _mono(holo, anti, c=1):
     return Form.monomial(tuple(holo), tuple(anti), c)
+
+
+def _assert_mc_routes_agree(g, good, bad):
+    """mc_equation and the coframe route's residual vanish together: on
+    good, which solves Maurer-Cartan, and on bad, which does not."""
+    for psi, integrable in ((good, True), (bad, False)):
+        assert mc_equation(g, psi).is_zero() is integrable
+        assert Deformation(g, psi, require_mc=False).is_integrable() is integrable
 
 
 # -- Iwasawa six-parameter family ----------------------------------------------
@@ -85,11 +94,9 @@ class TestIwasawaFamily:
         assert exc.value.generators == (det.numerator_normalized(),)
 
     def test_mc_equation_matches_coframe_route(self):
-        g = catalog("iwasawa")
         good, _, _ = _iwasawa_psi()
         bad, _, _ = _iwasawa_psi(correction=False)
-        assert mc_equation(g, good).is_zero()
-        assert not mc_equation(g, bad).is_zero()
+        _assert_mc_routes_agree(catalog("iwasawa"), good, bad)
 
     def test_structure_sigma_table(self):
         g = catalog("iwasawa")
@@ -222,8 +229,53 @@ class TestIwasawaCircle:
             2: _mono((), (1,), 1),
             3: _mono((), (3,), -1),
         })
-        with pytest.raises(DegenerateAtLocus):
+        with pytest.raises(DegenerateAtLocus) as exc:
             Deformation(g, psi)
+        assert exc.value.locus
+
+
+# -- the inverse coframe change ------------------------------------------------------
+
+
+def _coframe_change(psi: VectorForm, n: int) -> linalg.Matrix:
+    """[[I, B], [conj B, I]], B[j][mu] the phi^{mu bar} coefficient of psi^j."""
+    b = [
+        [psi.components.get(j, Form.zero()).coeff((), (mu,))
+         for mu in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+    ident = linalg.identity(n)
+    return [ident[j] + b[j] for j in range(n)] + [
+        [c.conjugate() for c in b[j]] + ident[j] for j in range(n)
+    ]
+
+
+class TestCoframeInverse:
+    """The inverse read off the n x n Schur complement against a direct
+    Gauss-Jordan inverse of the whole 2n x 2n change."""
+
+    @pytest.mark.parametrize("case", ["iwasawa", "nakamura_3b"])
+    def test_schur_inverse_matches_direct_inverse(self, case):
+        if case == "iwasawa":
+            g = catalog("iwasawa")
+            psi, _, _ = _iwasawa_psi()
+        else:
+            g = catalog("nakamura_3b")
+            psi = series_to_deformation(
+                kuranishi_build(g), BranchSpec(nonzeros=("t11",))
+            )
+        d = Deformation(g, psi, require_mc=False)
+        change = _coframe_change(psi, g.n)
+        assert linalg.mat_mul(change, d._inverse) == linalg.identity(2 * g.n)
+        assert d._inverse == linalg.invert(change)
+
+    def test_entries_share_denominator_atoms(self):
+        # a conjugated entry would carry its own copy of an equal atom,
+        # which every later sum over a common denominator compares in full
+        psi, _, _ = _iwasawa_psi()
+        d = Deformation(catalog("iwasawa"), psi)
+        atoms = [a for row in d._inverse for c in row for a, _ in c._den]
+        assert len({id(a) for a in atoms}) == len(set(atoms))
 
 
 # -- extension calculus -----------------------------------------------------------
@@ -433,6 +485,33 @@ class TestVectorCalculus:
         assert on_z1(_mono((), (2,)) + _mono((1,), (2,))) == VectorForm(
             {3: _mono((), (1, 2)) - _mono((1,), (1, 2))}
         )
+
+    def test_mc_equation_matches_coframe_route_with_characters(self):
+        # nakamura_3b's generators carry E1, so d of a leg's coefficients
+        # is nonzero; the t11 branch solves Maurer-Cartan, while t11 and
+        # t12 together break t11*t12 = 0
+        g = catalog("nakamura_3b")
+        series = kuranishi_build(g)
+        good = series_to_deformation(series, BranchSpec(nonzeros=("t11",)))
+        bad = series_to_deformation(
+            series, BranchSpec(zeros=("t13", "t23", "t31", "t32", "t33"))
+        )
+        _assert_mc_routes_agree(g, good, bad)
+
+    def test_bracket_takes_d_once_per_leg(self, monkeypatch):
+        g = catalog("solv4d")
+        psi_1 = kuranishi_build(g).psi_terms[1]
+        calls = []
+        d = Geometry.d
+
+        def counted(self, form):
+            if not form.is_zero():
+                calls.append(form)
+            return d(self, form)
+
+        monkeypatch.setattr(Geometry, "d", counted)
+        vector_bracket(g, psi_1, psi_1)
+        assert len(calls) <= len(psi_1.components)
 
     def test_torus_bracket_vanishes(self):
         g = torus(2)

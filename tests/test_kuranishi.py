@@ -107,6 +107,13 @@ def test_a_conjugate_name_stands_for_its_parameter():
         assert got.psi_terms == want.psi_terms
 
 
+@pytest.mark.parametrize("zero, nonzero", [("t11_c", "t11"), ("t11", "t11_c")])
+def test_a_conjugate_name_cannot_be_zero_and_nonzero(zero, nonzero):
+    series = kuranishi_build(catalog("nakamura_3b"))
+    with pytest.raises(InconsistentBranch):
+        branch_reduce(series, BranchSpec(zeros=(zero,), nonzeros=(nonzero,)))
+
+
 def test_depth_cap_reached():
     with pytest.raises(DepthCapReached):
         kuranishi_build(catalog("solv4d"), depth_cap=2)
@@ -137,6 +144,19 @@ def test_nonzero_product_relation_is_inconsistent():
     series = kuranishi_build(catalog("nakamura_3b"))
     with pytest.raises(InconsistentBranch):
         branch_reduce(series, BranchSpec(nonzeros=("t11", "t12")))
+
+
+def test_full_family_residual_lies_in_the_ideal():
+    # the whole first-order-plus-corrections psi, deformed without a
+    # branch: every Maurer-Cartan residual coefficient reduces to 0
+    # modulo the obstruction ideal
+    g = catalog("nakamura_3b")
+    series = kuranishi_build(g)
+    d = deform(g, series.psi(), require_mc=False)
+    residual = [c for f in d.mc_residual.values() for _, c in f.terms()]
+    assert len(residual) == 9
+    for c in residual:
+        assert c.reduce_modulo(series.ideal).is_zero()
 
 
 def _count_matrices(monkeypatch) -> list:
