@@ -1,18 +1,30 @@
 """Exact arithmetic in Frac(Q[i][params, conj-params][chars^{+-1}]).
 
-A Coefficient is numerator / product-of-atoms, where the numerator and every
+A Coefficient is num / (q * product of atom**m).  The numerator and every
 denominator atom are sparse multivariate polynomials over the Gaussian
-rationals (sympy PolyRing over QQ_I).  Normalization cancels atoms out of the
-numerator by exact division and keeps atoms monic and sorted, so zero tests
-are numerator-only and equality is decided exactly by cross-multiplication.
-Arithmetic computes no polynomial gcd: multivariate gcd over Q(i) is slow in
-the backing library, and every cancellation arising here is an exact-division
+integers (sympy PolyRing over ZZ_I).  Every atom is primitive, its
+coefficients having Gaussian gcd 1, with its leading coefficient put in the
+first quadrant by ZZ_I.canonical_unit; q is one positive integer, coprime
+to the integer content of the numerator, kept as a ground atom after the
+others.  Every element of the field has this form (content and primitive
+part, von zur Gathen-Gerhard, Modern Computer Algebra, section 6.2), so
+products and sums cost Python integer arithmetic, where rationals would
+cost a gcd per coefficient operation.  render() shows the value over Q(i):
+the numerator divided by q and by the atoms' leading coefficients, and each
+atom monic.
+
+Normalization cancels atoms out of the numerator by exact division: by
+Gauss's lemma a primitive atom divides the numerator over Q(i) exactly when
+it divides it over Z[i].  Atoms are sorted, so zero tests are
+numerator-only and equality is decided exactly by cross-multiplication.
+Arithmetic computes no polynomial gcd: multivariate gcd is slow in the
+backing library, and every cancellation arising here is an exact-division
 event.  The one gcd user is squarefree_numerator, which the Kuranishi
 condition extraction calls on each candidate generator.  It takes its gcds
 in the ring of only the generators the numerator uses: the library's gcd
-over Q(i) recurses through every generator of its ring, and the registry's
-ring holds every symbol ever registered.  A product with a nonzero scalar
-only scales the other numerator, since a unit cannot make an atom divide.
+recurses through every generator of its ring, and the registry's ring
+holds every symbol ever registered.  A product with a nonzero scalar only
+scales the other numerator and q, since a unit cannot make an atom divide.
 
 A linear combination is normalized once: sum_of_products forms each
 product's numerator and atom multiplicities unnormalized, brings them over
@@ -39,11 +51,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.domains import ZZ_I
+from sympy.polys.domains.gaussiandomains import GaussianInteger
 from sympy.polys.rings import PolyRing
 
 from .symbols import CHAR, CONJ, PARAM, REAL, RingContext, registry
+
+_gauss = GaussianInteger.new  # (re, im) -> element of ZZ_I, no conversion
+_ONE = ZZ_I.one
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -70,14 +87,6 @@ class StaleCoefficient(ValueError):
     """A value built before the last registry reset() was used."""
 
 
-def _fraction_to_mpq(x):
-    return QQ(x.numerator, x.denominator)
-
-
-def _mpq_to_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
 @dataclass(frozen=True)
 class GaussianRational:
     """re + im*i with exact rational components."""
@@ -96,13 +105,6 @@ class GaussianRational:
     @staticmethod
     def i() -> "GaussianRational":
         return GaussianRational(Fraction(0), Fraction(1))
-
-    @staticmethod
-    def from_qqi(c) -> "GaussianRational":
-        return GaussianRational(_mpq_to_fraction(c.x), _mpq_to_fraction(c.y))
-
-    def to_qqi(self):
-        return QQ_I.new(_fraction_to_mpq(self.re), _fraction_to_mpq(self.im))
 
     def __add__(self, o):
         o = GaussianRational.of(o)
@@ -266,19 +268,110 @@ class QuadraticSurd:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
-def _poly_key(p):
-    """Deterministic total order key for polynomials of one ring."""
+def _norm(c) -> int:
+    return c.x * c.x + c.y * c.y
+
+
+def _over(c, d=_ONE) -> GaussianRational:
+    """c / d for Gaussian integers c and d, d nonzero."""
+    if d == _ONE:
+        return GaussianRational(Fraction(c.x), Fraction(c.y))
+    n = _norm(d)
+    return GaussianRational(Fraction(c.x * d.x + c.y * d.y, n),
+                            Fraction(c.y * d.x - c.x * d.y, n))
+
+
+def _gauss_quo(a, c):
+    """a / c in Z[i], or None when c does not divide a."""
+    x, y = c.x, c.y
+    n = x * x + y * y
+    re, im = a.x * x + a.y * y, a.y * x - a.x * y
+    if re % n or im % n:
+        return None
+    return _gauss(re // n, im // n)
+
+
+def _divided(p, c):
+    """p / c for a Gaussian integer c that divides every coefficient."""
+    return p.new([(m, _gauss_quo(a, c)) for m, a in p.items()])
+
+
+def _int_content(p) -> int:
+    """The gcd of the real and imaginary parts of every coefficient."""
+    g = 0
+    for c in p.values():
+        g = gcd(g, c.x, c.y)
+        if g == 1:
+            break
+    return g
+
+
+def _primitive(p):
+    """(c, a) with p = c*a, a primitive over Z[i] and LC(a) in the first
+    quadrant (ZZ_I.canonical_unit)."""
+    lc = p.LC
+    if lc == _ONE:
+        return _ONE, p
+    g = _ONE
+    if _norm(lc) != 1:
+        g = ZZ_I.zero
+        for coeff in p.values():
+            g = ZZ_I.gcd(g, coeff)
+            if _norm(g) == 1:
+                break
+    u = ZZ_I.canonical_unit(_gauss_quo(lc, g))
+    c = g * _gauss(u.x, -u.y)
+    return c, _divided(p, c)
+
+
+def _clear(c, mult: int, unit, q: int):
+    """Fold 1 / c**mult, c a nonzero Gaussian integer, into (unit, q): the
+    factor of the numerator and the integer scale, 1/c = conj(c) / N(c)."""
+    if not c.y:
+        q *= abs(c.x) ** mult
+        if c.x < 0 and mult % 2:
+            unit = -unit
+        return unit, q
+    return unit * _gauss(c.x, -c.y) ** mult, q * _norm(c) ** mult
+
+
+def _ground(ring, c):
+    """The constant polynomial c of ring, for a nonzero Gaussian integer c."""
+    return ring.one.new([(ring.zero_monom, c)])
+
+
+def _split_scale(den):
+    """(atoms, q) of a normalized denominator: q is its trailing ground
+    atom's value, or 1."""
+    if den:
+        last = den[-1][0]
+        if last.is_ground:
+            return den[:-1], next(iter(last.values())).x
+    return den, 1
+
+
+def _with_scale(num, atoms, q: int, ring):
+    """(num, den) of num / (q * atoms), with q reduced against the integer
+    content of num and appended as a ground atom."""
+    if q != 1:
+        g = gcd(q, _int_content(num))
+        if g != 1:
+            num = _divided(num, _gauss(g, 0))
+            q //= g
+    if q == 1:
+        return num, atoms
+    return num, atoms + ((_ground(ring, _gauss(q, 0)), 1),)
+
+
+def _poly_key(atom):
+    """Deterministic total order key for denominator atoms: the terms of
+    the monic atom, atom / LC(atom)."""
+    lc = atom.LC
     items = []
-    for monom, c in sorted(p.items()):
-        items.append(
-            (
-                monom,
-                int(c.x.numerator),
-                int(c.x.denominator),
-                int(c.y.numerator),
-                int(c.y.denominator),
-            )
-        )
+    for monom, c in sorted(atom.items()):
+        g = _over(c, lc)
+        items.append((monom, g.re.numerator, g.re.denominator,
+                      g.im.numerator, g.im.denominator))
     return tuple(items)
 
 
@@ -322,7 +415,7 @@ def _conj_poly(p, ctx: RingContext):
             if monom[k] == 0:
                 out[k] = s
         key = tuple(out)
-        cc = QQ_I.new(c.x, -c.y)
+        cc = _gauss(c.x, -c.y)
         if key in new:
             new[key] = new[key] + cc
         else:
@@ -336,14 +429,17 @@ def _exact_quotient(p, g):
 
     The division algorithm by one divisor (Cox-Little-O'Shea, section 2.3),
     stopped at the first leading term of the remainder that LT(g) does not
-    divide: that term could only pass to the remainder.
+    divide: that term could only pass to the remainder.  Over Z[i] it also
+    stops at a leading coefficient that LC(g) does not divide: a quotient
+    in Z[i][x] makes every such division exact, and for a primitive g
+    (Gauss's lemma) dividing over Z[i] is dividing over Q(i).
     """
     ring, domain = p.ring, p.ring.domain
     order, zero = ring.order, domain.zero
     monomial_div, monomial_mul = ring.monomial_div, ring.monomial_mul
     lm_g = max(g, key=order)
     lc_g = g[lm_g]
-    monic = lc_g == domain.one  # denominator atoms always are
+    monic = lc_g == domain.one  # nearly all denominator atoms are
     tail = [(m, c) for m, c in g.items() if m != lm_g]
     rem = dict(p)
     q = ring.zero
@@ -354,7 +450,9 @@ def _exact_quotient(p, g):
             return None
         c = rem.pop(lm)
         if not monic:
-            c = domain.quo(c, lc_g)
+            c, r = divmod(c, lc_g)
+            if r:
+                return None
         q[shift] = c
         for m, cg in tail:
             m = monomial_mul(m, shift)
@@ -364,6 +462,51 @@ def _exact_quotient(p, g):
             else:
                 del rem[m]
     return q
+
+
+def _remainder(p, divisors):
+    """(r, s): r / s is the remainder of p under multivariate division by
+    the divisors over Q(i), in their order (Cox-Little-O'Shea, section
+    2.3), with s a nonzero Gaussian integer.
+
+    The division runs fraction-free over Z[i]: where LC(g) does not divide
+    the leading coefficient, the running remainder is scaled until it does.
+    A scalar never changes which monomial is leading or which LT(g)
+    divides it, so every step is the step over Q(i), scaled.
+    """
+    ring = p.ring
+    order, zero = ring.order, ring.domain.zero
+    monomial_div, monomial_mul = ring.monomial_div, ring.monomial_mul
+    leads = []
+    for g in divisors:
+        lm = max(g, key=order)
+        leads.append((lm, g[lm], [(m, c) for m, c in g.items() if m != lm]))
+    rem, out, scale = dict(p), {}, _ONE
+    while rem:
+        lm = max(rem, key=order)
+        for lm_g, lc_g, tail in leads:
+            shift = monomial_div(lm, lm_g)
+            if shift is not None:
+                break
+        else:
+            out[lm] = rem.pop(lm)
+            continue
+        c = rem.pop(lm)
+        quo = _gauss_quo(c, lc_g)
+        if quo is None:
+            k = _gauss_quo(lc_g, ZZ_I.gcd(c, lc_g))
+            scale = scale * k
+            rem = {m: v * k for m, v in rem.items()}
+            out = {m: v * k for m, v in out.items()}
+            quo = _gauss_quo(c * k, lc_g)
+        for m, cg in tail:
+            m = monomial_mul(m, shift)
+            v = rem.get(m, zero) - cg * quo
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
+    return p.new(out), scale
 
 
 def _over_common_denominator(parts):
@@ -413,7 +556,7 @@ def _poly_euler(p, gen_index: int, ring):
     for monom, c in p.items():
         e = monom[gen_index]
         if e:
-            out[monom] = c * QQ_I(e, 0)
+            out[monom] = _gauss(c.x * e, c.y * e)
     return ring.from_dict(out)
 
 
@@ -434,24 +577,24 @@ class Coefficient:
         if not num:
             return Coefficient(ctx.ring.zero, (), ctx)
         merged: list = []
-        scale = QQ_I.one
+        unit, q = _ONE, 1
         for atom, mult in den_list:
-            if mult == 0 or atom == ctx.ring.one:
+            if mult == 0:
                 continue
             if not atom:
                 raise DivisionByZero("zero denominator atom")
-            if len(atom) == 1 and next(iter(atom.keys())) == ctx.ring.zero_monom:
-                scale = scale * (atom.LC ** mult)
-                continue
-            lc = atom.LC
-            if lc != QQ_I.one:
-                atom = atom.quo_ground(lc)
-                scale = scale * (lc ** mult)
-            merged.append([atom, mult])
-        if scale != QQ_I.one:
-            num = num.quo_ground(scale)
+            if atom.is_ground:
+                c = next(iter(atom.values()))
+            else:
+                c, atom = _primitive(atom)
+                merged.append([atom, mult])
+            if c != _ONE:
+                unit, q = _clear(c, mult, unit, q)
+        if unit != _ONE:
+            num = num.mul_ground(unit)
         # merge equal atoms
-        merged.sort(key=lambda am: _poly_key(am[0]))
+        if len(merged) > 1:
+            merged.sort(key=lambda am: _poly_key(am[0]))
         packed: list = []
         for atom, mult in merged:
             if packed and packed[-1][0] == atom:
@@ -468,20 +611,32 @@ class Coefficient:
                 num, mult = quo, mult - 1
             if mult:
                 out.append((atom, mult))
-        if not num:
-            return Coefficient(ctx.ring.zero, (), ctx)
-        return Coefficient(num, tuple(out), ctx)
+        return Coefficient(*_with_scale(num, tuple(out), q, ctx.ring), ctx)
+
+    @staticmethod
+    def _monic(num, ctx: RingContext) -> "Coefficient":
+        """num / LC(num), for a nonzero numerator of ctx's ring."""
+        unit, q = _clear(num.LC, 1, _ONE, 1)
+        if unit != _ONE:
+            num = num.mul_ground(unit)
+        return Coefficient(*_with_scale(num, (), q, ctx.ring), ctx)
 
     @staticmethod
     def from_scalar(x) -> "Coefficient":
         ctx = registry.context()
         if isinstance(x, (int, Fraction)):
-            c = QQ_I.new(_fraction_to_mpq(x), QQ.zero)
+            re, im, q = x.numerator, 0, x.denominator
         else:
-            c = GaussianRational.of(x).to_qqi()
-        if not c:
-            return Coefficient(ctx.ring.zero, (), ctx)
-        return Coefficient(ctx.ring.from_dict({ctx.ring.zero_monom: c}), (), ctx)
+            g = GaussianRational.of(x)
+            q = lcm(g.re.denominator, g.im.denominator)
+            re = g.re.numerator * (q // g.re.denominator)
+            im = g.im.numerator * (q // g.im.denominator)
+        ring = ctx.ring
+        if not (re or im):
+            return Coefficient(ring.zero, (), ctx)
+        num = _ground(ring, _gauss(re, im))
+        den = () if q == 1 else ((_ground(ring, _gauss(q, 0)), 1),)
+        return Coefficient(num, den, ctx)
 
     @staticmethod
     def symbol(name: str) -> "Coefficient":
@@ -538,10 +693,8 @@ class Coefficient:
         return bool(self._num)
 
     def is_scalar(self) -> bool:
-        self_r = self._refreshed()
-        return not self_r._den and (
-            not self_r._num or self_r._num.is_ground
-        )
+        r = self._refreshed()
+        return not _split_scale(r._den)[0] and (not r._num or r._num.is_ground)
 
     def scalar(self) -> GaussianRational:
         r = self._refreshed()
@@ -549,7 +702,7 @@ class Coefficient:
             raise ValueError(f"not a scalar: {self}")
         if not r._num:
             return GaussianRational()
-        return GaussianRational.from_qqi(r._num.LC)
+        return _over(r._num.LC, _gauss(_split_scale(r._den)[1], 0))
 
     def free_symbols(self) -> set[str]:
         r = self._refreshed()
@@ -597,11 +750,16 @@ class Coefficient:
     def _product(a: "Coefficient", b: "Coefficient"):
         """(numerator, atoms, normal) of a*b for nonzero current a and b,
         with nothing cancelled.  A product with a scalar is normal: a unit
-        cannot make an atom newly divide the numerator."""
-        if not b._den and b._num.is_ground:
-            return a._num.mul_ground(b._num.LC), a._den, True
-        if not a._den and a._num.is_ground:
-            return b._num.mul_ground(a._num.LC), b._den, True
+        cannot make an atom newly divide the numerator, so only q is
+        reduced."""
+        for x, s in ((a, b), (b, a)):
+            if s._num.is_ground:
+                atoms, q = _split_scale(s._den)
+                if not atoms:
+                    atoms, qx = _split_scale(x._den)
+                    num = x._num.mul_ground(next(iter(s._num.values())))
+                    return (*_with_scale(num, atoms, qx * q, x._ctx.ring),
+                            True)
         return a._num * b._num, a._den + b._den, False
 
     def __mul__(self, other):
@@ -696,11 +854,11 @@ class Coefficient:
         divisibility of the numerators.
         """
         a, b = Coefficient._pair(self, other)
-        if b._num == 0:
-            return a._num == 0
-        if a._num == 0:
+        if not b._num:
+            return not a._num
+        if not a._num or b._num.is_ground:
             return True
-        return _exact_quotient(a._num, b._num) is not None
+        return _exact_quotient(a._num, _primitive(b._num)[1]) is not None
 
     def numerator_normalized(self) -> "Coefficient":
         """Monic numerator with the denominator dropped: the canonical
@@ -708,8 +866,7 @@ class Coefficient:
         r = self._refreshed()
         if not r._num:
             return Coefficient(r._ctx.ring.zero, (), r._ctx)
-        num = r._num.quo_ground(r._num.LC)
-        return Coefficient(num, (), r._ctx)
+        return Coefficient._monic(r._num, r._ctx)
 
     def reduce_modulo(self, gens) -> "Coefficient":
         """Remainder of the numerator under multivariate division by the
@@ -730,8 +887,11 @@ class Coefficient:
                 divisors.append(gr._num)
         if not r._num or not divisors:
             return r
-        _, rem = r._num.div(divisors)
-        return Coefficient._make(rem, list(r._den), r._ctx)
+        rem, scale = _remainder(r._num, divisors)
+        den = list(r._den)
+        if scale != _ONE:
+            den.append((_ground(rem.ring, scale), 1))
+        return Coefficient._make(rem, den, r._ctx)
 
     def numerator_terms(self) -> int:
         """Number of monomials in the numerator."""
@@ -747,8 +907,9 @@ class Coefficient:
         The part is f / gcd(f, df/dx_1, ..., df/dx_k), taken in the
         polynomial ring over only the generators x_1..x_k that f contains:
         the gcd of polynomials in those generators is the same, up to a
-        unit, in any wider ring, and the backing library's gcd over Q(i)
-        costs time in every generator of the ring it runs in.
+        unit, in any wider ring, and the backing library's gcd costs time
+        in every generator of the ring it runs in.  The gcd is taken over
+        Z[i]; its primitive part divides f there (Gauss's lemma).
         """
         r = self._refreshed()
         num = r._num
@@ -768,12 +929,11 @@ class Coefficient:
                 if common.is_ground:
                     break
             if not common.is_ground:
-                num = ring.from_dict({
-                    _widen(m, used, ring.ngens): c
-                    for m, c in f.quo(common).items()
-                })
-        num = num.quo_ground(num.LC)
-        return Coefficient(num, (), r._ctx)
+                quo = _exact_quotient(f, _primitive(common)[1])
+                num = num.new([
+                    (_widen(m, used, ring.ngens), c) for m, c in quo.items()
+                ])
+        return Coefficient._monic(num, r._ctx)
 
     # -- involution, derivatives --------------------------------------------
 
@@ -804,7 +964,7 @@ class Coefficient:
         for atom, mult in self._den:
             da = derivation(atom)
             if da:
-                parts.append((da * self._num * QQ_I(-mult, 0),
+                parts.append(((da * self._num).mul_ground(_gauss(-mult, 0)),
                               self._den + ((atom, 1),)))
         num, den = _over_common_denominator(parts)
         return Coefficient._make(num, den, ctx)
@@ -890,7 +1050,7 @@ class Coefficient:
         for atom, mult in self._den:
             a = _eval_poly_field(atom, ctx, coeff_values)
             if a.is_zero():
-                raise DenominatorVanishes(_render_poly(atom, ctx))
+                raise DenominatorVanishes(_render_poly(atom, ctx, atom.LC))
             out = out / a ** mult
         return out
 
@@ -913,7 +1073,7 @@ class Coefficient:
         for atom, mult in self._den:
             a = _eval_poly_surd(atom, ctx, surd_values, d)
             if a.is_zero():
-                raise DenominatorVanishes(_render_poly(atom, ctx))
+                raise DenominatorVanishes(_render_poly(atom, ctx, atom.LC))
             for _ in range(mult):
                 out = out / a
         return out
@@ -942,7 +1102,7 @@ class Coefficient:
             ):
                 raise SectorMixing(
                     f"denominator atom mixes characters with parameters: "
-                    f"{_render_poly(atom, ctx)}"
+                    f"{_render_poly(atom, ctx, atom.LC)}"
                 )
             for k, i in enumerate(chars):
                 shift[k] -= monom[i] * mult
@@ -961,15 +1121,21 @@ class Coefficient:
     # -- rendering --------------------------------------------------------------
 
     def render(self) -> str:
+        """The value over Q(i): the numerator divided by q and by the
+        atoms' leading coefficients, over the monic atoms."""
         r = self._refreshed()
         if r.is_zero():
             return "0"
-        num = _render_poly(r._num, r._ctx)
-        if not r._den:
+        atoms, q = _split_scale(r._den)
+        scale = _gauss(q, 0)
+        for atom, mult in atoms:
+            scale = scale * atom.LC ** mult
+        num = _render_poly(r._num, r._ctx, scale)
+        if not atoms:
             return num
         dens = []
-        for atom, mult in r._den:
-            text = _render_poly(atom, r._ctx)
+        for atom, mult in atoms:
+            text = _render_poly(atom, r._ctx, atom.LC)
             if len(atom) > 1 or mult > 1:
                 text = f"({text})"
             dens.append(text if mult == 1 else f"{text}^{mult}")
@@ -992,10 +1158,7 @@ class Coefficient:
         def ev(p):
             total = 0j
             for monom, c in p.items():
-                v = complex(
-                    float(Fraction(int(c.x.numerator), int(c.x.denominator))),
-                    float(Fraction(int(c.y.numerator), int(c.y.denominator))),
-                )
+                v = complex(c.x, c.y)
                 for idx, e in enumerate(monom):
                     if e:
                         v *= point[ctx.names[idx]] ** e
@@ -1059,14 +1222,14 @@ def _eval_poly_field(p, ctx, values: dict[int, Coefficient]) -> Coefficient:
         for idx, e in enumerate(monom):
             if e:
                 term = term * power(idx, e)
-        pairs.append((Coefficient.from_scalar(GaussianRational.from_qqi(c)), term))
+        pairs.append((Coefficient(_ground(ctx.ring, c), (), ctx), term))
     return Coefficient.sum_of_products(pairs)
 
 
 def _eval_poly_surd(p, ctx, values: dict[int, QuadraticSurd], d: int) -> QuadraticSurd:
     total = QuadraticSurd.of(0, d)
     for monom, c in p.items():
-        term = QuadraticSurd.of(GaussianRational.from_qqi(c), d)
+        term = QuadraticSurd.of(_over(c), d)
         for idx, e in enumerate(monom):
             if e:
                 v = values[idx]
@@ -1087,12 +1250,13 @@ def _render_monom(monom, ctx) -> str:
     return "*".join(parts)
 
 
-def _render_poly(p, ctx) -> str:
+def _render_poly(p, ctx, scale=_ONE) -> str:
+    """p / scale over Q(i), for a nonzero Gaussian integer scale."""
     if not p:
         return "0"
     pieces = []
     for monom, c in p.terms():
-        g = GaussianRational.from_qqi(c)
+        g = _over(c, scale)
         m = _render_monom(monom, ctx)
         if not m:
             text = g.render()

@@ -178,12 +178,16 @@ class BottChernSector:
     def is_closed(self, form: Form) -> bool:
         return all(part.is_zero() for part in self.geom.d_split(form))
 
-    def class_of(self, form: Form) -> BottChernClass:
+    def class_of(self, form: Form,
+                 vector: linalg.Vector | None = None) -> BottChernClass:
+        """The class of a closed (p,q)-form of this sector; vector, when
+        given, is the form's to_vector coordinates, already split."""
         if not self.is_closed(form):
             raise ValueError("form is not closed under del and dbar")
-        v = self.complex.to_vector(form, (self.p, self.q))
+        if vector is None:
+            vector = self.complex.to_vector(form, (self.p, self.q))
         span = self.image + self.quotient
-        coords = linalg.coordinates_in_span(span, v)
+        coords = linalg.coordinates_in_span(span, vector)
         if coords is None:
             raise ValueError("closed form escaped the kernel span")
         tail = coords[len(self.image):]
@@ -191,8 +195,8 @@ class BottChernSector:
 
 
 def _bidegree_and_sector(geom: Geometry, form: Form):
-    """(p, q, sector) of a form with a single bidegree and one character
-    sector."""
+    """(p, q, sector, vector) of a form with a single bidegree and one
+    character sector: vector is its coordinates in that sector."""
     degrees = form.bidegrees()
     if len(degrees) != 1:
         raise ValueError("form must have a single bidegree")
@@ -200,7 +204,8 @@ def _bidegree_and_sector(geom: Geometry, form: Form):
     sectors = _sector_vectors(form, _index(geom.n, degrees), degrees)
     if len(sectors) > 1:
         raise SectorMixing(f"form spans sectors {sorted(sectors)}")
-    return p, q, next(iter(sectors))
+    (sector, vector), = sectors.items()
+    return p, q, sector, vector
 
 
 def harmonic_certificate(geom: Geometry,
@@ -216,7 +221,7 @@ def harmonic_certificate(geom: Geometry,
     of its class at every parameter point, and the class vanishes exactly
     where the form does.
     """
-    p, q, sector = _bidegree_and_sector(geom, form)
+    p, q, sector, _ = _bidegree_and_sector(geom, form)
     del_form, dbar_form = geom.d_split(form)
     if not geom.reduce(del_form).is_zero():
         return False, ("not del-closed modulo constraints",)
@@ -241,8 +246,8 @@ def harmonic_certificate(geom: Geometry,
 
 def bc_class(geom: Geometry, form: Form) -> BottChernClass:
     """Bott-Chern class of a pure-bidegree form, sector inferred."""
-    p, q, sector = _bidegree_and_sector(geom, form)
-    return BottChernSector(geom, p, q, sector).class_of(form)
+    p, q, sector, vector = _bidegree_and_sector(geom, form)
+    return BottChernSector(geom, p, q, sector).class_of(form, vector)
 
 
 _SHIFTS = {"del": (1, 0), "dbar": (0, 1)}

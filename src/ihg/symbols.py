@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import ZZ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import ring as _sympy_ring
 
@@ -52,11 +52,11 @@ class RingContext:
         names = tuple(s.name for s in symbols)
         self.names = names
         if names:
-            self.ring = _sympy_ring(",".join(names), QQ_I, grlex)[0]
+            self.ring = _sympy_ring(",".join(names), ZZ_I, grlex)[0]
         else:
             # sympy rejects empty generator lists; keep a 1-gen scratch ring
             # with a reserved name that the registry can never produce.
-            self.ring = _sympy_ring("__unit__", QQ_I, grlex)[0]
+            self.ring = _sympy_ring("__unit__", ZZ_I, grlex)[0]
         self.index_of = {s.name: s.index for s in symbols}
         # conj_perm[i] = index whose exponent receives gen i's exponent under
         # conjugation; characters map to themselves (exponent negation is

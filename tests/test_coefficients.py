@@ -1,6 +1,7 @@
 """Field arithmetic, scalars, involution, derivatives, substitution, trial
 division, sums of products over one denominator and squarefree parts."""
 
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.domains import QQ, QQ_I, ZZ_I
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement, ring
 
@@ -40,6 +41,18 @@ def C(name):
 
 
 ONE = Coefficient.one
+
+_CONJ_NAME = re.compile(r"conj\((\w+)\)")
+
+
+def _parse(text):
+    """sympy value of a render() string, conj(t) read as the symbol t_c."""
+    src = _CONJ_NAME.sub(r"\1_c", text).replace("^", "**")
+    names = {
+        name: sympy.I if name == "i" else sympy.Symbol(name)
+        for name in re.findall(r"[A-Za-z_]\w*", src)
+    }
+    return sympy.parse_expr(src, local_dict=names)
 
 
 class TestGaussianRational:
@@ -452,7 +465,12 @@ def polys(draw, min_terms=0):
         min_size=min_terms,
         max_size=4,
     ))
-    return R.from_dict({m: c.to_qqi() for m, c in terms.items()})
+    return R.from_dict({m: _qqi(c) for m, c in terms.items()})
+
+
+def _qqi(g):
+    return QQ_I.new(QQ(g.re.numerator, g.re.denominator),
+                    QQ(g.im.numerator, g.im.denominator))
 
 
 def _check_against_divmod(p, g):
@@ -468,6 +486,33 @@ def _check_against_divmod(p, g):
 @settings(max_examples=50, deadline=None)
 @given(polys(), polys(min_terms=1), polys(), st.booleans())
 def test_exact_quotient_matches_divmod(p, g, q, planted):
+    if planted:
+        p = g * q
+    _, rem = _check_against_divmod(p, g)
+    if planted:
+        assert not rem
+
+
+RZ, XZ, YZ, ZZ_ = ring("x,y,z", ZZ_I, grlex)
+
+
+@st.composite
+def gaussian_integer_polys(draw, min_terms=0):
+    part = st.integers(-4, 4)
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+        st.builds(ZZ_I, part, part).filter(bool),
+        min_size=min_terms,
+        max_size=4,
+    ))
+    return RZ.from_dict(terms)
+
+
+@settings(max_examples=50, deadline=None)
+@given(gaussian_integer_polys(), gaussian_integer_polys(min_terms=1),
+       gaussian_integer_polys(), st.booleans())
+def test_exact_quotient_over_gaussian_integers_matches_divmod(p, g, q, planted):
+    # a leading coefficient that LC(g) does not divide ends the division
     if planted:
         p = g * q
     _, rem = _check_against_divmod(p, g)
@@ -536,13 +581,10 @@ def test_scalar_products_skip_trial_division(monkeypatch):
 
 
 def _scalar_by_gaussian(x):
+    """x built by field arithmetic from the integers of its parts."""
     g = GaussianRational.of(x)
-    c = QQ_I.new(*(QQ.convert(f.numerator) / QQ.convert(f.denominator)
-                   for f in (g.re, g.im)))
-    ctx = registry.context()
-    if not c:
-        return Coefficient(ctx.ring.zero, (), ctx)
-    return Coefficient(ctx.ring.from_dict({ctx.ring.zero_monom: c}), (), ctx)
+    re = ONE() * g.re.numerator / g.re.denominator
+    return re + Coefficient.i() * g.im.numerator / g.im.denominator
 
 
 @settings(max_examples=40, deadline=None)
@@ -552,7 +594,8 @@ def test_from_scalar_matches_the_gaussian_route(x):
     setup_symbols()
     got, want = Coefficient.from_scalar(x), _scalar_by_gaussian(x)
     assert got == want
-    assert got.render() == want.render()
+    assert got.render() == want.render() == GaussianRational.of(x).render()
+    assert got.scalar() == GaussianRational.of(x)
     value = C("t11") / (ONE() - C("t11") * C("t11").conjugate())
     assert (value * x).render() == (value * want).render()
 
@@ -744,11 +787,12 @@ def test_squarefree_numerator_matches_sqf_part(spec):
     got = value.squarefree_numerator()
     # the generators are passed so that a numerator the denominator
     # cancelled down to a constant is still a polynomial to sqf_part
-    num = value.numerator_normalized()._num
-    expected = sympy.sqf_part(num.as_expr(), *num.ring.symbols)
-    ratio = sympy.cancel(got._num.as_expr() / expected)
+    gens = [sympy.Symbol(name) for name in registry.context().names]
+    num = _parse(value.numerator_normalized().render())
+    expected = sympy.sqf_part(num, *gens)
+    ratio = sympy.cancel(_parse(got.render()) / expected)
     assert ratio != 0 and not ratio.free_symbols
-    assert got._num.LC == QQ_I.one
+    assert sympy.Poly(_parse(got.render()), *gens).LC(order="grlex") == 1
 
 
 @settings(max_examples=20, deadline=None)
@@ -790,3 +834,156 @@ def test_squarefree_numerator_of_a_kuranishi_condition():
              + C("t13") * C("t23") * C("t32"))
     assert f.squarefree_numerator() == f / 2
     assert (f * f * C("t12")).squarefree_numerator() == f * C("t12") / 2
+
+
+# -- the Gaussian-integer kernel -----------------------------------------------
+
+
+def test_rational_scale_renders_over_q_i():
+    setup_symbols()
+    t = C("t11")
+    assert ((2 * t + 1) / 2).render() == "t11 + 1/2"
+    assert (t / (2 * t + 1)).render() == "1/2*t11/(t11 + 1/2)"
+    assert (t / (2 * t + 1)).conjugate().render() == "1/2*conj(t11)/(conj(t11) + 1/2)"
+    assert (Fraction(1, 6) / (4 * t - 2) + Coefficient.i() / (2 * t - 1)
+            ).render() == "(1/24 + 1/2*i)/(t11 - 1/2)"
+    # dividing by (5 + 5i)/2 leaves q = 5, not the divisor's numerator 5 + 5i
+    value = t / GaussianRational(Fraction(5, 2), Fraction(5, 2))
+    assert value.render() == "(1/5 - 1/5*i)*t11"
+    assert value.conjugate().render() == "(1/5 + 1/5*i)*conj(t11)"
+    assert value.conjugate().conjugate() == value
+
+
+def test_normalized_numerators_are_monic_over_q_i():
+    setup_symbols()
+    t, u, i = C("t11"), C("t21"), Coefficient.i()
+    for value, monic in ((2 * t + 1, "t11 + 1/2"),
+                         ((1 + i) * t + 2, "t11 + (1 - i)"),
+                         (((1 + i) * t + 2) ** 2 * u / 3,
+                          "t11*t21 + (1 - i)*t21")):
+        assert value.squarefree_numerator().render() == monic
+    assert (2 * t + 1).numerator_normalized().render() == "t11 + 1/2"
+    assert ((1 + i) * t + 2).numerator_normalized().render() == "t11 + (1 - i)"
+
+
+def test_inexact_coefficient_division_does_not_divide():
+    # the leading coefficient 1 of t + 1 is not a multiple of 2 in Z[i]
+    setup_symbols()
+    t = C("t11")
+    assert not (t + 1).is_multiple_of(2 * t + 1)
+    assert ((t + 1) / (2 * t + 1)).render() == "(1/2*t11 + 1/2)/(t11 + 1/2)"
+
+
+def test_reduce_modulo_scales_the_remainder_it_has_set_aside():
+    # t^3 passes to the remainder before u^2 needs the scale 3
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    got = (t ** 3 + u * u).reduce_modulo([3 * u * u - t])
+    assert got == t ** 3 + t / 3
+    assert got.render() == "t11^3 + 1/3*t11"
+
+
+def test_is_multiple_of_divides_by_the_primitive_part():
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    assert t.is_multiple_of(Coefficient.from_scalar(2))
+    assert t.is_multiple_of(2 * t)
+    assert (t / 3).is_multiple_of(2 * t)
+    assert (t * u).is_multiple_of((2 + 2 * Coefficient.i()) * t)
+    assert not t.is_multiple_of(2 * t * t)
+    assert not (2 * t + 1).is_multiple_of(2 * t)
+
+
+def test_associate_atoms_merge():
+    # (1+i)t + 2 = (1+i)(t + 1 - i): one primitive atom up to a unit
+    setup_symbols()
+    t, i = C("t11"), Coefficient.i()
+    a, b = (1 + i) * t + 2, t + 1 - i
+    assert (ONE() / a / b).render() == "(1/2 - 1/2*i)/(t11 + (1 - i))^2"
+    assert a / b == 1 + i
+    assert (a / b).is_scalar()
+    assert (b / a * a).render() == b.render()
+
+
+_KERNEL_SCALARS = (st.fractions(min_value=-4, max_value=4, max_denominator=6)
+                   .filter(bool) | gaussians.filter(bool))
+
+
+def _kernel_pool():
+    """(value, sympy expression) pairs with non-primitive atoms."""
+    setup_symbols()
+    t, u, i = C("t11"), C("t21"), Coefficient.i()
+    tc = t.conjugate()
+    T, U, TC, I = sympy.Symbol("t11"), sympy.Symbol("t21"), sympy.Symbol("t11_c"), sympy.I
+    return [
+        (t, T),
+        (2 * t + 1, 2 * T + 1),
+        ((1 + i) * t + 2, (1 + I) * T + 2),
+        (3 * t - 3 * u, 3 * T - 3 * U),
+        ((2 + 2 * i) * t * tc - 4, (2 + 2 * I) * T * TC - 4),
+        (t + 1 - i, T + 1 - I),
+        (6 * u * u - 2 * i, 6 * U**2 - 2 * I),
+    ]
+
+
+@st.composite
+def kernel_chains(draw):
+    pool = _kernel_pool()
+    value, expr = pool[draw(st.integers(0, len(pool) - 1))]
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            x = draw(_KERNEL_SCALARS)
+            other = (Coefficient.from_scalar(x),
+                     sympy.Rational(x.numerator, x.denominator)
+                     if isinstance(x, Fraction) else
+                     sympy.Rational(x.re.numerator, x.re.denominator)
+                     + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator))
+        else:
+            other = pool[draw(st.integers(0, len(pool) - 1))]
+        op = draw(st.sampled_from("+-*/"))
+        if op == "+":
+            value, expr = value + other[0], expr + other[1]
+        elif op == "-":
+            value, expr = value - other[0], expr - other[1]
+        elif op == "*":
+            value, expr = value * other[0], expr * other[1]
+        else:
+            value, expr = value / other[0], expr / other[1]
+    return value, expr
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_chains())
+def test_kernel_matches_sympy_on_rendered_values(chain):
+    value, expr = chain
+    assert sympy.cancel(_parse(value.render()) - expr) == 0
+    assert value.conjugate().conjugate() == value
+    assert (value - value).is_zero()
+
+
+def _divisor_pool():
+    setup_symbols()
+    t, u, i = C("t11"), C("t21"), Coefficient.i()
+    return [2 * t * u - 1, (1 + i) * t + 2, 3 * u * u - t,
+            2 * t.conjugate() + 3, t * t - 2 * u]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_chains(), st.lists(st.integers(0, 4), min_size=1, max_size=3))
+def test_reduce_modulo_matches_division_over_q_i(chain, picks):
+    # the fraction-free remainder over Z[i], against sympy's division over
+    # Q(i) of the monic numerator, in the same generator order and grlex
+    value, _ = chain
+    pool = _divisor_pool()
+    divisors = [pool[k] for k in picks]
+    got = value.reduce_modulo(divisors)
+    if value.is_zero():
+        assert got.is_zero()
+        return
+    monic = value.numerator_normalized()
+    gens = [sympy.Symbol(name) for name in registry.context().names]
+    _, rem = sympy.reduced(_parse(monic.render()),
+                           [_parse(g.render()) for g in divisors],
+                           *gens, order="grlex")
+    want = rem * _parse((value / monic).render())
+    assert sympy.cancel(_parse(got.render()) - want) == 0

@@ -136,6 +136,27 @@ def test_a_form_spanning_two_sectors_is_rejected():
         cohomology.bc_class(g, f)
 
 
+def test_bc_class_splits_its_form_once(monkeypatch):
+    # the sector inference's coordinates are the ones class_of reads
+    g = catalog("iwasawa")
+    f = Form.monomial((1, 3), (1, 3), 2) + Form.monomial((1, 2), (1, 2))
+    want = BottChernSector(g, 2, 2).class_of(f)
+    calls = []
+    split = cohomology._sector_vectors
+
+    def counted(form, index, bidegrees):
+        if form is f:
+            calls.append(index)
+        return split(form, index, bidegrees)
+
+    monkeypatch.setattr(cohomology, "_sector_vectors", counted)
+    got = cohomology.bc_class(g, f)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got.coords == want.coords
+    assert not got.is_zero()
+
+
 def test_split_primitive_normalization_cost(monkeypatch):
     # each coefficient of rhs is decomposed once, straight into its
     # sector's vector (48 normalizations when every part was multiplied

@@ -53,6 +53,46 @@ def _mono(holo, anti, c=1):
     return Form.monomial(tuple(holo), tuple(anti), c)
 
 
+def _evaluate(form, labels):
+    """form(Y_1, ..., Y_k) on frame labels ("h" or "a", index)."""
+    for kind, idx in labels:
+        form = form.contract_holo(idx) if kind == "h" else form.contract_anti(idx)
+    return form.coeff((), ())
+
+
+def _lie_oracle(g, x, form):
+    """L_X of a form, read off the frame brackets:
+    (L_X f)(Y_1..Y_k) = X(f(Y_1..Y_k)) - sum_j f(Y_1..[X,Y_j]..Y_k)."""
+    out = Form()
+    for k in {p + q for p, q in form.bidegrees()}:
+        for p in range(k + 1):
+            for holo in combinations(range(1, g.n + 1), p):
+                for anti in combinations(range(1, g.n + 1), k - p):
+                    ys = [("h", h) for h in holo] + [("a", a) for a in anti]
+                    value = g.frame_action(x, _evaluate(form, ys))
+                    for j, y in enumerate(ys):
+                        for z, c in g.bracket(x, y).items():
+                            swapped = ys[:j] + [z] + ys[j + 1:]
+                            value = value - c * _evaluate(form, swapped)
+                    out = out + _mono(holo, anti, value)
+    return out
+
+
+def _bracket_oracle(g, a, b):
+    """[eta (x) Z_i, rho (x) Z_j] = eta^rho (x) [Z_i,Z_j]
+    + eta^(L_{Z_i} rho) (x) Z_j + rho^(L_{Z_j} eta) (x) Z_i."""
+    out = VectorForm()
+    for i, eta in a.components.items():
+        for j, rho in b.components.items():
+            for (_, leg), c in g.bracket(("h", i), ("h", j)).items():
+                out = out + VectorForm({leg: eta.wedge(rho) * c})
+            out = out + VectorForm({
+                j: eta.wedge(_lie_oracle(g, ("h", i), rho))})
+            out = out + VectorForm({
+                i: rho.wedge(_lie_oracle(g, ("h", j), eta))})
+    return out
+
+
 def _assert_mc_routes_agree(g, good, bad):
     """mc_equation and the coframe route's residual vanish together: on
     good, which solves Maurer-Cartan, and on bad, which does not."""
@@ -512,6 +552,25 @@ class TestVectorCalculus:
         monkeypatch.setattr(Geometry, "d", counted)
         vector_bracket(g, psi_1, psi_1)
         assert len(calls) <= len(psi_1.components)
+
+    @pytest.mark.parametrize("name", ["iwasawa", "nakamura_3b"])
+    def test_bracket_matches_the_invariant_lie_derivative(self, name):
+        # legs with holomorphic slots, so iota_i of a leg form is not
+        # closed and the d(iota_i f) half of the Lie derivative is live
+        g = catalog(name)
+        a2, b3 = _pairs("va", "vb")
+        e = S("E1") if name == "nakamura_3b" else ONE()
+        x = VectorForm({
+            1: _mono((), (1,), a2) + _mono((2,), (3,), e),
+            2: _mono((3,), (2,)),
+            3: _mono((2,), (), b3),
+        })
+        y = VectorForm({
+            1: _mono((1, 3), ()) + _mono((2,), (1,), e),
+            3: _mono((3,), (1,), e.conjugate()) + _mono((), (2,), a2),
+        })
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert vector_bracket(g, a, b) == _bracket_oracle(g, a, b)
 
     def test_torus_bracket_vanishes(self):
         g = torus(2)
