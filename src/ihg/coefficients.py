@@ -1,29 +1,38 @@
 """Exact arithmetic in Frac(Q[i][params, conj-params][chars^{+-1}]).
 
 A Coefficient is num / (q * product of atom**m).  The numerator and every
-denominator atom are sparse multivariate polynomials over the Gaussian
-integers (sympy PolyRing over ZZ_I).  Every atom is primitive, its
-coefficients having Gaussian gcd 1, with its leading coefficient put in the
-first quadrant by ZZ_I.canonical_unit; q is one positive integer, coprime
-to the integer content of the numerator, kept as a ground atom after the
+denominator atom are sparse polynomials over the Gaussian integers, kept
+as dicts from exponent tuple (the monomials of symbols.RingContext) to an
+(re, im) pair of Python ints, with no zero entries (_Poly).  Every atom is
+primitive, its coefficients having Gaussian gcd 1, with its leading
+coefficient in the first quadrant; q is one positive integer, coprime to
+the integer content of the numerator, kept as a ground atom after the
 others.  Every element of the field has this form (content and primitive
 part, von zur Gathen-Gerhard, Modern Computer Algebra, section 6.2), so
 products and sums cost Python integer arithmetic, where rationals would
 cost a gcd per coefficient operation.  render() shows the value over Q(i):
 the numerator divided by q and by the atoms' leading coefficients, and each
-atom monic.
+atom monic, with terms in grlex-descending order.
+
+The polynomial arithmetic is this module's own, one private kernel per
+operation: _mul, _sum, _scale, _neg, _pow, _exact_quotient, _remainder,
+_conj_poly, _diff and _poly_euler.  Products and sums add each term into
+one output dict keyed by monomial, on ints (the dict accumulation of sparse
+polynomial arithmetic; Monagan-Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", 2007, compare it with heaps).
+sympy supplies only the monomial functions, the grlex order and, in
+squarefree_numerator, the gcd.
 
 Normalization cancels atoms out of the numerator by exact division: by
 Gauss's lemma a primitive atom divides the numerator over Q(i) exactly when
 it divides it over Z[i].  Atoms are sorted, so zero tests are
 numerator-only and equality is decided exactly by cross-multiplication.
-Arithmetic computes no polynomial gcd: multivariate gcd is slow in the
-backing library, and every cancellation arising here is an exact-division
-event.  The one gcd user is squarefree_numerator, which the Kuranishi
-condition extraction calls on each candidate generator.  It takes its gcds
-in the ring of only the generators the numerator uses: the library's gcd
-recurses through every generator of its ring, and the registry's ring
-holds every symbol ever registered.  A product with a nonzero scalar only
+Arithmetic computes no polynomial gcd: multivariate gcd is slow, and every
+cancellation arising here is an exact-division event.  The one gcd user is
+squarefree_numerator, which the Kuranishi condition extraction calls on
+each candidate generator; it needs no gcd for a one-term or multilinear
+numerator, and otherwise takes sympy's gcd in the ring of only the
+generators the numerator uses.  A product with a nonzero scalar only
 scales the other numerator and q, since a unit cannot make an atom divide.
 
 A linear combination is normalized once: sum_of_products forms each
@@ -33,6 +42,9 @@ the quotient rule also use) and trial-divides only the total.  Summing
 pairwise instead normalizes every partial sum, and nearly all of those trial
 divisions fail.  The engine's linear combinations go through it: sums of
 forms by way of exterior.Form.combination, and linalg's matrix products.
+Atoms key the lcm, so a _Poly hashes by value, with the hash cached, and
+each atom caches its conjugate: conjugates of values that share an atom
+object share its conjugate atom object, which the lcm finds by identity.
 
 Trial division has one home, _exact_quotient, which both normalization and
 is_multiple_of use.  It runs the one-divisor division algorithm and gives up
@@ -54,13 +66,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from sympy.polys.domains import ZZ_I
-from sympy.polys.domains.gaussiandomains import GaussianInteger
 from sympy.polys.rings import PolyRing
 
 from .symbols import CHAR, CONJ, PARAM, REAL, RingContext, registry
 
-_gauss = GaussianInteger.new  # (re, im) -> element of ZZ_I, no conversion
-_ONE = ZZ_I.one
+_ONE = (1, 0)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -149,26 +159,35 @@ class GaussianRational:
         return not self.is_zero()
 
     def render(self) -> str:
-        if self.im == 0:
-            return _frac_str(self.re)
-        if self.re == 0:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"({_frac_str(self.re)} {sign} {_imag_str(abs(self.im))})"
+        return _gaussian_text((self.re.numerator, self.re.denominator),
+                              (self.im.numerator, self.im.denominator))
 
     def __str__(self) -> str:
         return self.render()
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _fraction_text(f) -> str:
+    """The text of a reduced fraction (numerator, denominator > 0)."""
+    return str(f[0]) if f[1] == 1 else f"{f[0]}/{f[1]}"
 
-def _imag_str(f: Fraction) -> str:
-    if f == 1:
+
+def _imag_text(f) -> str:
+    if f == (1, 1):
         return "i"
-    if f == -1:
+    if f == (-1, 1):
         return "-i"
-    return f"{_frac_str(f)}*i"
+    return f"{_fraction_text(f)}*i"
+
+
+def _gaussian_text(re, im) -> str:
+    """The text of re + im*i, each a reduced fraction (numerator,
+    denominator > 0)."""
+    if not im[0]:
+        return _fraction_text(re)
+    if not re[0]:
+        return _imag_text(im)
+    sign = "+" if im[0] > 0 else "-"
+    return f"({_fraction_text(re)} {sign} {_imag_text((abs(im[0]), im[1]))})"
 
 
 @dataclass(frozen=True)
@@ -268,76 +287,251 @@ class QuadraticSurd:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
+class _Poly(dict):
+    """A polynomial over Z[i]: exponent tuple -> (re, im), a pair of Python
+    ints that is never (0, 0).
+
+    Kernels build a _Poly and then never change it, so a polynomial hashes
+    by value, with the hash cached: denominator atoms key the lcm of a
+    common denominator.  An atom also caches its conjugate (_conj_atom).
+    """
+
+    __slots__ = ("_hash", "_conj")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.items()))
+            return self._hash
+
+
+# -- Gaussian integers as (re, im) pairs -----------------------------------------
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gpow(a, k: int):
+    out = _ONE
+    for _ in range(k):
+        out = _gmul(out, a)
+    return out
+
+
 def _norm(c) -> int:
-    return c.x * c.x + c.y * c.y
+    return c[0] * c[0] + c[1] * c[1]
+
+
+def _over_parts(c, d):
+    """(re, im) of c / d for Gaussian integers c and d, d nonzero, each a
+    reduced fraction (numerator, denominator > 0)."""
+    if d[1]:
+        n = _norm(d)
+        x, y = c[0] * d[0] + c[1] * d[1], c[1] * d[0] - c[0] * d[1]
+    else:
+        (x, y), n = c, d[0]
+        if n < 0:
+            x, y, n = -x, -y, -n
+    g, h = gcd(x, n), gcd(y, n)
+    return (x // g, n // g), (y // h, n // h)
 
 
 def _over(c, d=_ONE) -> GaussianRational:
     """c / d for Gaussian integers c and d, d nonzero."""
-    if d == _ONE:
-        return GaussianRational(Fraction(c.x), Fraction(c.y))
-    n = _norm(d)
-    return GaussianRational(Fraction(c.x * d.x + c.y * d.y, n),
-                            Fraction(c.y * d.x - c.x * d.y, n))
+    (a, b), (x, y) = _over_parts(c, d)
+    return GaussianRational(Fraction(a, b), Fraction(x, y))
 
 
 def _gauss_quo(a, c):
     """a / c in Z[i], or None when c does not divide a."""
-    x, y = c.x, c.y
+    x, y = c
     n = x * x + y * y
-    re, im = a.x * x + a.y * y, a.y * x - a.x * y
+    re, im = a[0] * x + a[1] * y, a[1] * x - a[0] * y
     if re % n or im % n:
         return None
-    return _gauss(re // n, im // n)
+    return re // n, im // n
+
+
+def _canonical_unit(c):
+    """The unit u with u*c in the first quadrant (real part > 0, imaginary
+    part >= 0), for a nonzero c: sympy's ZZ_I.canonical_unit."""
+    x, y = c
+    if y > 0:
+        return _ONE if x > 0 else (0, -1)
+    if y < 0:
+        return (-1, 0) if x < 0 else (0, 1)
+    return _ONE if x >= 0 else (-1, 0)
+
+
+def _gauss_gcd(a, b):
+    """The gcd of Gaussian integers a and b, in the first quadrant: the
+    Euclidean algorithm with quotients rounded to the nearest Gaussian
+    integer, as sympy's ZZ_I.gcd runs it."""
+    while b != (0, 0):
+        x, y = b
+        n = x * x + y * y
+        re, im = a[0] * x + a[1] * y, a[1] * x - a[0] * y
+        qx, qy = (2 * re + n) // (2 * n), (2 * im + n) // (2 * n)
+        a, b = b, (a[0] - qx * x + qy * y, a[1] - qx * y - qy * x)
+    return _gmul(a, _canonical_unit(a))
+
+
+# -- polynomial kernels -------------------------------------------------------------
+
+
+def _ground(ctx: RingContext, c):
+    """The constant polynomial c, for a nonzero Gaussian integer c."""
+    return _Poly({ctx.zero_monom: c})
+
+
+def _gen(ctx: RingContext, idx: int):
+    """The polynomial of the generator at position idx."""
+    monom = [0] * len(ctx.names)
+    monom[idx] = 1
+    return _Poly({tuple(monom): _ONE})
+
+
+def _is_ground(p) -> bool:
+    """Whether p is a constant, zero included."""
+    return not p or (len(p) == 1 and not any(next(iter(p))))
+
+
+def _lead(p, ctx: RingContext):
+    """(leading monomial, leading coefficient) of a nonzero p in grlex."""
+    if len(p) == 1:
+        return next(iter(p.items()))
+    lm = max(p, key=ctx.order)
+    return lm, p[lm]
+
+
+def _terms(p, ctx: RingContext):
+    """The terms of p in grlex-descending order."""
+    order = ctx.order
+    return sorted(p.items(), key=lambda term: order(term[0]), reverse=True)
+
+
+def _neg(p):
+    return _Poly({m: (-x, -y) for m, (x, y) in p.items()})
+
+
+def _scale(p, c):
+    """c*p for a nonzero Gaussian integer c."""
+    a, b = c
+    if not b:
+        return _Poly({m: (x * a, y * a) for m, (x, y) in p.items()})
+    return _Poly({m: (x * a - y * b, x * b + y * a) for m, (x, y) in p.items()})
 
 
 def _divided(p, c):
     """p / c for a Gaussian integer c that divides every coefficient."""
-    return p.new([(m, _gauss_quo(a, c)) for m, a in p.items()])
+    a, b = c
+    if not b:
+        return _Poly({m: (x // a, y // a) for m, (x, y) in p.items()})
+    return _Poly({m: _gauss_quo(v, c) for m, v in p.items()})
+
+
+def _mul(p, q, ctx: RingContext):
+    """p*q.  Each term product is added into the output dict on ints, and a
+    sum that cancels leaves the dict at once."""
+    if len(p) < len(q):
+        p, q = q, p
+    mul = ctx.monomial_mul
+    if len(q) == 1:
+        # no two terms collide, and Z[i] has no zero divisors
+        ((mq, (c, d)),) = q.items()
+        return _Poly({mul(mp, mq): (a * c - b * d, a * d + b * c)
+                      for mp, (a, b) in p.items()})
+    out = _Poly()
+    get = out.get
+    for mq, (c, d) in q.items():
+        for mp, (a, b) in p.items():
+            m = mul(mp, mq)
+            x, y = a * c - b * d, a * d + b * c
+            t = get(m)
+            if t is not None:
+                x += t[0]
+                y += t[1]
+                if not (x or y):
+                    del out[m]
+                    continue
+            out[m] = (x, y)
+    return out
+
+
+def _sum(polys):
+    """The sum of the polynomials, in one pass over their terms."""
+    out = _Poly()
+    get = out.get
+    for p in polys:
+        for m, c in p.items():
+            t = get(m)
+            if t is None:
+                out[m] = c
+                continue
+            x, y = t[0] + c[0], t[1] + c[1]
+            if x or y:
+                out[m] = (x, y)
+            else:
+                del out[m]
+    return out
+
+
+def _pow(p, k: int, ctx: RingContext):
+    """p**k for k >= 1, by repeated squaring."""
+    if len(p) == 1:
+        ((m, c),) = p.items()
+        return _Poly({tuple(e * k for e in m): _gpow(c, k)})
+    out = None
+    while True:
+        if k & 1:
+            out = p if out is None else _mul(out, p, ctx)
+        k >>= 1
+        if not k:
+            return out
+        p = _mul(p, p, ctx)
 
 
 def _int_content(p) -> int:
     """The gcd of the real and imaginary parts of every coefficient."""
     g = 0
-    for c in p.values():
-        g = gcd(g, c.x, c.y)
+    for x, y in p.values():
+        g = gcd(g, x, y)
         if g == 1:
             break
     return g
 
 
-def _primitive(p):
+def _primitive(p, ctx: RingContext):
     """(c, a) with p = c*a, a primitive over Z[i] and LC(a) in the first
-    quadrant (ZZ_I.canonical_unit)."""
-    lc = p.LC
+    quadrant; a is p itself when c is 1."""
+    lc = _lead(p, ctx)[1]
     if lc == _ONE:
         return _ONE, p
     g = _ONE
     if _norm(lc) != 1:
-        g = ZZ_I.zero
+        g = (0, 0)
         for coeff in p.values():
-            g = ZZ_I.gcd(g, coeff)
+            g = _gauss_gcd(g, coeff)
             if _norm(g) == 1:
                 break
-    u = ZZ_I.canonical_unit(_gauss_quo(lc, g))
-    c = g * _gauss(u.x, -u.y)
+    u = _canonical_unit(_gauss_quo(lc, g))
+    c = _gmul(g, (u[0], -u[1]))
+    if c == _ONE:
+        return _ONE, p
     return c, _divided(p, c)
 
 
 def _clear(c, mult: int, unit, q: int):
     """Fold 1 / c**mult, c a nonzero Gaussian integer, into (unit, q): the
     factor of the numerator and the integer scale, 1/c = conj(c) / N(c)."""
-    if not c.y:
-        q *= abs(c.x) ** mult
-        if c.x < 0 and mult % 2:
-            unit = -unit
+    if not c[1]:
+        q *= abs(c[0]) ** mult
+        if c[0] < 0 and mult % 2:
+            unit = (-unit[0], -unit[1])
         return unit, q
-    return unit * _gauss(c.x, -c.y) ** mult, q * _norm(c) ** mult
-
-
-def _ground(ring, c):
-    """The constant polynomial c of ring, for a nonzero Gaussian integer c."""
-    return ring.one.new([(ring.zero_monom, c)])
+    return _gmul(unit, _gpow((c[0], -c[1]), mult)), q * _norm(c) ** mult
 
 
 def _split_scale(den):
@@ -345,43 +539,39 @@ def _split_scale(den):
     atom's value, or 1."""
     if den:
         last = den[-1][0]
-        if last.is_ground:
-            return den[:-1], next(iter(last.values())).x
+        if _is_ground(last):
+            return den[:-1], next(iter(last.values()))[0]
     return den, 1
 
 
-def _with_scale(num, atoms, q: int, ring):
+def _with_scale(num, atoms, q: int, ctx: RingContext):
     """(num, den) of num / (q * atoms), with q reduced against the integer
     content of num and appended as a ground atom."""
     if q != 1:
         g = gcd(q, _int_content(num))
         if g != 1:
-            num = _divided(num, _gauss(g, 0))
+            num = _divided(num, (g, 0))
             q //= g
     if q == 1:
         return num, atoms
-    return num, atoms + ((_ground(ring, _gauss(q, 0)), 1),)
+    return num, atoms + ((_ground(ctx, (q, 0)), 1),)
 
 
-def _poly_key(atom):
+def _poly_key(atom, ctx: RingContext):
     """Deterministic total order key for denominator atoms: the terms of
     the monic atom, atom / LC(atom)."""
-    lc = atom.LC
+    lc = _lead(atom, ctx)[1]
     items = []
     for monom, c in sorted(atom.items()):
-        g = _over(c, lc)
-        items.append((monom, g.re.numerator, g.re.denominator,
-                      g.im.numerator, g.im.denominator))
+        (a, b), (x, y) = _over_parts(c, lc)
+        items.append((monom, a, b, x, y))
     return tuple(items)
 
 
-def _lift_poly(p, src: RingContext, dst: RingContext):
-    pad = len(dst.ring.gens) - (len(src.ring.gens) if src.names else 0)
-    if not src.names:
-        # source ring is the 1-gen scratch ring; p is constant
-        c = p.coeff(1) if p else dst.ring.domain.zero
-        return dst.ring.from_dict({dst.ring.zero_monom: c}) if c else dst.ring.zero
-    return dst.ring.from_dict({m + (0,) * pad: c for m, c in p.items()})
+def _lift_poly(p, pad: tuple):
+    """p over a wider context of its lifetime: pad extends every exponent
+    vector with zeros."""
+    return _Poly({m + pad: c for m, c in p.items()})
 
 
 def _conj_poly(p, ctx: RingContext):
@@ -390,41 +580,48 @@ def _conj_poly(p, ctx: RingContext):
     Returns (q, shifts) with conj(p) = q / prod(E_k ** shifts[k]): parameter
     exponents are permuted onto their partners, scalars conjugated, and each
     character exponent e becomes shift - e after clearing by the max exponent.
+    The map on monomials is injective, so no two terms collide.
     """
-    if not p:
-        return p, {}
     shifts: dict[int, int] = {}
-    for monom in p.keys():
+    for monom in p:
         for k in ctx.char_indices:
             if monom[k] > shifts.get(k, 0):
                 shifts[k] = monom[k]
     perm = ctx.conj_perm
-    chars = set(ctx.char_indices)
-    new: dict = {}
-    n = len(ctx.ring.gens)  # scratch ring has a dummy gen beyond the symbols
-    for monom, c in p.items():
-        out = [0] * n
+    n = len(perm)
+    out = _Poly()
+    for monom, (x, y) in p.items():
+        image = [0] * n
         for idx, e in enumerate(monom):
-            if not e:
-                continue
-            if idx in chars:
-                out[idx] = shifts[idx] - e
-            else:
-                out[perm[idx]] += e
+            if e:
+                image[perm[idx]] = e
         for k, s in shifts.items():
-            if monom[k] == 0:
-                out[k] = s
-        key = tuple(out)
-        cc = _gauss(c.x, -c.y)
-        if key in new:
-            new[key] = new[key] + cc
-        else:
-            new[key] = cc
-    q = ctx.ring.from_dict({m: c for m, c in new.items() if c})
-    return q, shifts
+            image[k] = s - monom[k]
+        out[tuple(image)] = (x, -y)
+    return out, shifts
 
 
-def _exact_quotient(p, g):
+def _conj_atom(atom, ctx: RingContext):
+    """(a, u, shifts) with conj(atom) = u*a / prod(E_k ** shifts[k]), a the
+    canonical primitive atom of the conjugate and u a unit.
+
+    Cached on the atom, so the conjugates of values that share an atom
+    object share one conjugate atom object.  Without characters conj(a) is
+    u*atom, which is cached on a in turn.
+    """
+    got = getattr(atom, "_conj", None)
+    if got is None:
+        image, shifts = _conj_poly(atom, ctx)
+        u, a = _primitive(image, ctx)
+        if a == atom:
+            a = atom
+        got = atom._conj = (a, u, shifts)
+        if not shifts and getattr(a, "_conj", None) is None:
+            a._conj = (atom, u, shifts)
+    return got
+
+
+def _exact_quotient(p, g, ctx: RingContext):
     """p / g when g divides p exactly, else None; g must be nonzero.
 
     The division algorithm by one divisor (Cox-Little-O'Shea, section 2.3),
@@ -434,15 +631,13 @@ def _exact_quotient(p, g):
     in Z[i][x] makes every such division exact, and for a primitive g
     (Gauss's lemma) dividing over Z[i] is dividing over Q(i).
     """
-    ring, domain = p.ring, p.ring.domain
-    order, zero = ring.order, domain.zero
-    monomial_div, monomial_mul = ring.monomial_div, ring.monomial_mul
-    lm_g = max(g, key=order)
-    lc_g = g[lm_g]
-    monic = lc_g == domain.one  # nearly all denominator atoms are
+    order = ctx.order
+    monomial_div, monomial_mul = ctx.monomial_div, ctx.monomial_mul
+    lm_g, lc_g = _lead(g, ctx)
+    monic = lc_g == _ONE  # nearly all denominator atoms are
     tail = [(m, c) for m, c in g.items() if m != lm_g]
     rem = dict(p)
-    q = ring.zero
+    q = _Poly()
     while rem:
         lm = max(rem, key=order)
         shift = monomial_div(lm, lm_g)
@@ -450,21 +645,26 @@ def _exact_quotient(p, g):
             return None
         c = rem.pop(lm)
         if not monic:
-            c, r = divmod(c, lc_g)
-            if r:
+            c = _gauss_quo(c, lc_g)
+            if c is None:
                 return None
         q[shift] = c
-        for m, cg in tail:
+        cx, cy = c
+        for m, (x, y) in tail:
             m = monomial_mul(m, shift)
-            v = rem.get(m, zero) - cg * c
-            if v:
-                rem[m] = v
-            else:
-                del rem[m]
+            x, y = -(x * cx - y * cy), -(x * cy + y * cx)
+            v = rem.get(m)
+            if v is not None:
+                x += v[0]
+                y += v[1]
+                if not (x or y):
+                    del rem[m]
+                    continue
+            rem[m] = (x, y)
     return q
 
 
-def _remainder(p, divisors):
+def _remainder(p, divisors, ctx: RingContext):
     """(r, s): r / s is the remainder of p under multivariate division by
     the divisors over Q(i), in their order (Cox-Little-O'Shea, section
     2.3), with s a nonzero Gaussian integer.
@@ -474,13 +674,12 @@ def _remainder(p, divisors):
     A scalar never changes which monomial is leading or which LT(g)
     divides it, so every step is the step over Q(i), scaled.
     """
-    ring = p.ring
-    order, zero = ring.order, ring.domain.zero
-    monomial_div, monomial_mul = ring.monomial_div, ring.monomial_mul
+    order = ctx.order
+    monomial_div, monomial_mul = ctx.monomial_div, ctx.monomial_mul
     leads = []
     for g in divisors:
-        lm = max(g, key=order)
-        leads.append((lm, g[lm], [(m, c) for m, c in g.items() if m != lm]))
+        lm, lc = _lead(g, ctx)
+        leads.append((lm, lc, [(m, c) for m, c in g.items() if m != lm]))
     rem, out, scale = dict(p), {}, _ONE
     while rem:
         lm = max(rem, key=order)
@@ -494,22 +693,27 @@ def _remainder(p, divisors):
         c = rem.pop(lm)
         quo = _gauss_quo(c, lc_g)
         if quo is None:
-            k = _gauss_quo(lc_g, ZZ_I.gcd(c, lc_g))
-            scale = scale * k
-            rem = {m: v * k for m, v in rem.items()}
-            out = {m: v * k for m, v in out.items()}
-            quo = _gauss_quo(c * k, lc_g)
-        for m, cg in tail:
+            k = _gauss_quo(lc_g, _gauss_gcd(c, lc_g))
+            scale = _gmul(scale, k)
+            rem = {m: _gmul(v, k) for m, v in rem.items()}
+            out = {m: _gmul(v, k) for m, v in out.items()}
+            quo = _gauss_quo(_gmul(c, k), lc_g)
+        qx, qy = quo
+        for m, (x, y) in tail:
             m = monomial_mul(m, shift)
-            v = rem.get(m, zero) - cg * quo
-            if v:
-                rem[m] = v
-            else:
-                del rem[m]
-    return p.new(out), scale
+            x, y = -(x * qx - y * qy), -(x * qy + y * qx)
+            v = rem.get(m)
+            if v is not None:
+                x += v[0]
+                y += v[1]
+                if not (x or y):
+                    del rem[m]
+                    continue
+            rem[m] = (x, y)
+    return _Poly(out), scale
 
 
-def _over_common_denominator(parts):
+def _over_common_denominator(parts, ctx: RingContext):
     """Sum num / den over parts (at least one), brought over the lcm of the
     denominators.
 
@@ -536,9 +740,9 @@ def _over_common_denominator(parts):
         for atom, m in lcm.items():
             lacking = m - mults.get(atom, 0)
             if lacking:
-                num = num * atom ** lacking
+                num = _mul(num, _pow(atom, lacking, ctx), ctx)
         scaled.append(num)
-    return sum(scaled[1:], scaled[0]), list(lcm.items())
+    return _sum(scaled), list(lcm.items())
 
 
 def _widen(monom, used, width: int) -> tuple:
@@ -550,14 +754,24 @@ def _widen(monom, used, width: int) -> tuple:
     return tuple(out)
 
 
-def _poly_euler(p, gen_index: int, ring):
-    """E * d/dE as a polynomial map: multiplies each term by its E-exponent."""
-    out = {}
-    for monom, c in p.items():
-        e = monom[gen_index]
+def _diff(p, idx: int):
+    """dp/dx for the generator x at position idx."""
+    out = _Poly()
+    for monom, (x, y) in p.items():
+        e = monom[idx]
         if e:
-            out[monom] = _gauss(c.x * e, c.y * e)
-    return ring.from_dict(out)
+            out[monom[:idx] + (e - 1,) + monom[idx + 1:]] = (x * e, y * e)
+    return out
+
+
+def _poly_euler(p, idx: int):
+    """E * d/dE as a polynomial map: multiplies each term by its E-exponent."""
+    out = _Poly()
+    for monom, (x, y) in p.items():
+        e = monom[idx]
+        if e:
+            out[monom] = (x * e, y * e)
+    return out
 
 
 class Coefficient:
@@ -567,7 +781,7 @@ class Coefficient:
 
     def __init__(self, num, den, ctx):
         self._num = num
-        self._den = den  # tuple of (atom PolyElement, multiplicity)
+        self._den = den  # tuple of (atom _Poly, multiplicity)
         self._ctx = ctx
 
     # -- construction ------------------------------------------------------
@@ -575,7 +789,7 @@ class Coefficient:
     @staticmethod
     def _make(num, den_list, ctx: RingContext) -> "Coefficient":
         if not num:
-            return Coefficient(ctx.ring.zero, (), ctx)
+            return Coefficient(_Poly(), (), ctx)
         merged: list = []
         unit, q = _ONE, 1
         for atom, mult in den_list:
@@ -583,18 +797,18 @@ class Coefficient:
                 continue
             if not atom:
                 raise DivisionByZero("zero denominator atom")
-            if atom.is_ground:
+            if _is_ground(atom):
                 c = next(iter(atom.values()))
             else:
-                c, atom = _primitive(atom)
+                c, atom = _primitive(atom, ctx)
                 merged.append([atom, mult])
             if c != _ONE:
                 unit, q = _clear(c, mult, unit, q)
         if unit != _ONE:
-            num = num.mul_ground(unit)
+            num = _scale(num, unit)
         # merge equal atoms
         if len(merged) > 1:
-            merged.sort(key=lambda am: _poly_key(am[0]))
+            merged.sort(key=lambda am: _poly_key(am[0], ctx))
         packed: list = []
         for atom, mult in merged:
             if packed and packed[-1][0] == atom:
@@ -605,21 +819,21 @@ class Coefficient:
         out = []
         for atom, mult in packed:
             while mult > 0:
-                quo = _exact_quotient(num, atom)
+                quo = _exact_quotient(num, atom, ctx)
                 if quo is None:
                     break
                 num, mult = quo, mult - 1
             if mult:
                 out.append((atom, mult))
-        return Coefficient(*_with_scale(num, tuple(out), q, ctx.ring), ctx)
+        return Coefficient(*_with_scale(num, tuple(out), q, ctx), ctx)
 
     @staticmethod
     def _monic(num, ctx: RingContext) -> "Coefficient":
-        """num / LC(num), for a nonzero numerator of ctx's ring."""
-        unit, q = _clear(num.LC, 1, _ONE, 1)
+        """num / LC(num), for a nonzero numerator over ctx."""
+        unit, q = _clear(_lead(num, ctx)[1], 1, _ONE, 1)
         if unit != _ONE:
-            num = num.mul_ground(unit)
-        return Coefficient(*_with_scale(num, (), q, ctx.ring), ctx)
+            num = _scale(num, unit)
+        return Coefficient(*_with_scale(num, (), q, ctx), ctx)
 
     @staticmethod
     def from_scalar(x) -> "Coefficient":
@@ -631,27 +845,26 @@ class Coefficient:
             q = lcm(g.re.denominator, g.im.denominator)
             re = g.re.numerator * (q // g.re.denominator)
             im = g.im.numerator * (q // g.im.denominator)
-        ring = ctx.ring
         if not (re or im):
-            return Coefficient(ring.zero, (), ctx)
-        num = _ground(ring, _gauss(re, im))
-        den = () if q == 1 else ((_ground(ring, _gauss(q, 0)), 1),)
+            return Coefficient(_Poly(), (), ctx)
+        num = _ground(ctx, (re, im))
+        den = () if q == 1 else ((_ground(ctx, (q, 0)), 1),)
         return Coefficient(num, den, ctx)
 
     @staticmethod
     def symbol(name: str) -> "Coefficient":
         ctx = registry.context()
-        return Coefficient(ctx.gen(name), (), ctx)
+        return Coefficient(_gen(ctx, ctx.index_of[name]), (), ctx)
 
     @staticmethod
     def zero() -> "Coefficient":
         ctx = registry.context()
-        return Coefficient(ctx.ring.zero, (), ctx)
+        return Coefficient(_Poly(), (), ctx)
 
     @staticmethod
     def one() -> "Coefficient":
         ctx = registry.context()
-        return Coefficient(ctx.ring.one, (), ctx)
+        return Coefficient(_ground(ctx, _ONE), (), ctx)
 
     @staticmethod
     def i() -> "Coefficient":
@@ -667,21 +880,25 @@ class Coefficient:
             raise StaleCoefficient(
                 "coefficient was built before the last registry reset()"
             )
-        num = _lift_poly(self._num, self._ctx, ctx)
-        den = tuple((_lift_poly(a, self._ctx, ctx), m) for a, m in self._den)
+        pad = (0,) * (len(ctx.names) - len(self._ctx.names))
+        num = _lift_poly(self._num, pad)
+        den = tuple((_lift_poly(a, pad), m) for a, m in self._den)
         return Coefficient(num, den, ctx)
 
     @staticmethod
     def _pair(a: "Coefficient", b) -> tuple["Coefficient", "Coefficient"]:
         if not isinstance(b, Coefficient):
             b = Coefficient.from_scalar(b)
-        a, b = a._refreshed(), b._refreshed()
-        return a, b
+        ctx = registry.context()
+        if a._ctx is ctx and b._ctx is ctx:
+            return a, b
+        return a._refreshed(), b._refreshed()
 
     def _den_product(self):
-        prod = self._ctx.ring.one
+        ctx = self._ctx
+        prod = _ground(ctx, _ONE)
         for atom, mult in self._den:
-            prod = prod * atom ** mult
+            prod = _mul(prod, _pow(atom, mult, ctx), ctx)
         return prod
 
     # -- predicates and views ------------------------------------------------
@@ -694,7 +911,7 @@ class Coefficient:
 
     def is_scalar(self) -> bool:
         r = self._refreshed()
-        return not _split_scale(r._den)[0] and (not r._num or r._num.is_ground)
+        return not _split_scale(r._den)[0] and _is_ground(r._num)
 
     def scalar(self) -> GaussianRational:
         r = self._refreshed()
@@ -702,7 +919,7 @@ class Coefficient:
             raise ValueError(f"not a scalar: {self}")
         if not r._num:
             return GaussianRational()
-        return _over(r._num.LC, _gauss(_split_scale(r._den)[1], 0))
+        return _over(_lead(r._num, r._ctx)[1], (_split_scale(r._den)[1], 0))
 
     def free_symbols(self) -> set[str]:
         r = self._refreshed()
@@ -730,13 +947,15 @@ class Coefficient:
             return b
         if b.is_zero():
             return a
-        num, den = _over_common_denominator(((a._num, a._den), (b._num, b._den)))
+        num, den = _over_common_denominator(
+            ((a._num, a._den), (b._num, b._den)), a._ctx
+        )
         return Coefficient._make(num, den, a._ctx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient(-self._num, self._den, self._ctx)
+        return Coefficient(_neg(self._num), self._den, self._ctx)
 
     def __sub__(self, other):
         a, b = Coefficient._pair(self, other)
@@ -753,19 +972,18 @@ class Coefficient:
         cannot make an atom newly divide the numerator, so only q is
         reduced."""
         for x, s in ((a, b), (b, a)):
-            if s._num.is_ground:
+            if _is_ground(s._num):
                 atoms, q = _split_scale(s._den)
                 if not atoms:
                     atoms, qx = _split_scale(x._den)
-                    num = x._num.mul_ground(next(iter(s._num.values())))
-                    return (*_with_scale(num, atoms, qx * q, x._ctx.ring),
-                            True)
-        return a._num * b._num, a._den + b._den, False
+                    num = _scale(x._num, next(iter(s._num.values())))
+                    return (*_with_scale(num, atoms, qx * q, x._ctx), True)
+        return _mul(a._num, b._num, a._ctx), a._den + b._den, False
 
     def __mul__(self, other):
         a, b = Coefficient._pair(self, other)
         if a.is_zero() or b.is_zero():
-            return Coefficient(a._ctx.ring.zero, (), a._ctx)
+            return Coefficient(_Poly(), (), a._ctx)
         num, den, normal = Coefficient._product(a, b)
         if normal:
             return Coefficient(num, den, a._ctx)
@@ -796,10 +1014,10 @@ class Coefficient:
             normal = normal and scaled
             parts.append((num, den))
         if not parts:
-            return Coefficient(ctx.ring.zero, (), ctx)
+            return Coefficient(_Poly(), (), ctx)
         if len(parts) == 1 and normal:
             return Coefficient(parts[0][0], parts[0][1], ctx)
-        num, den = _over_common_denominator(parts)
+        num, den = _over_common_denominator(parts, ctx)
         return Coefficient._make(num, den, ctx)
 
     def __truediv__(self, other):
@@ -809,7 +1027,7 @@ class Coefficient:
         # 1/b = den_product(b) / num(b)
         inv_num = b._den_product()
         return Coefficient._make(
-            a._num * inv_num, list(a._den) + [(b._num, 1)], a._ctx
+            _mul(a._num, inv_num, a._ctx), list(a._den) + [(b._num, 1)], a._ctx
         )
 
     def __rtruediv__(self, other):
@@ -825,7 +1043,7 @@ class Coefficient:
             return Coefficient.one() / self ** (-k)
         r = self._refreshed()
         return Coefficient._make(
-            r._num ** k, [(a, m * k) for a, m in r._den], r._ctx
+            _pow(r._num, k, r._ctx), [(a, m * k) for a, m in r._den], r._ctx
         )
 
     def __eq__(self, other) -> bool:
@@ -836,7 +1054,7 @@ class Coefficient:
             return True
         # cross-multiply: a - b over the lcm of the denominators
         return not _over_common_denominator(
-            ((a._num, a._den), (-b._num, b._den))
+            ((a._num, a._den), (_neg(b._num), b._den)), a._ctx
         )[0]
 
     def __hash__(self):
@@ -856,16 +1074,17 @@ class Coefficient:
         a, b = Coefficient._pair(self, other)
         if not b._num:
             return not a._num
-        if not a._num or b._num.is_ground:
+        if not a._num or _is_ground(b._num):
             return True
-        return _exact_quotient(a._num, _primitive(b._num)[1]) is not None
+        ctx = a._ctx
+        return _exact_quotient(a._num, _primitive(b._num, ctx)[1], ctx) is not None
 
     def numerator_normalized(self) -> "Coefficient":
         """Monic numerator with the denominator dropped: the canonical
         generator of the zero locus within the domain of definition."""
         r = self._refreshed()
         if not r._num:
-            return Coefficient(r._ctx.ring.zero, (), r._ctx)
+            return Coefficient(_Poly(), (), r._ctx)
         return Coefficient._monic(r._num, r._ctx)
 
     def reduce_modulo(self, gens) -> "Coefficient":
@@ -887,10 +1106,10 @@ class Coefficient:
                 divisors.append(gr._num)
         if not r._num or not divisors:
             return r
-        rem, scale = _remainder(r._num, divisors)
+        rem, scale = _remainder(r._num, divisors, r._ctx)
         den = list(r._den)
         if scale != _ONE:
-            den.append((_ground(rem.ring, scale), 1))
+            den.append((_ground(r._ctx, scale), 1))
         return Coefficient._make(rem, den, r._ctx)
 
     def numerator_terms(self) -> int:
@@ -904,24 +1123,28 @@ class Coefficient:
         out the same locus as the original within its domain of
         definition; multi-factor content stays intact.
 
-        The part is f / gcd(f, df/dx_1, ..., df/dx_k), taken in the
-        polynomial ring over only the generators x_1..x_k that f contains:
-        the gcd of polynomials in those generators is the same, up to a
-        unit, in any wider ring, and the backing library's gcd costs time
-        in every generator of the ring it runs in.  The gcd is taken over
-        Z[i]; its primitive part divides f there (Gauss's lemma).
+        A term c * prod x^e has the part prod x^min(e, 1), and a numerator
+        with no exponent above 1 is its own part: were g^2 to divide it
+        with x in g, its degree in x would be at least 2.  Otherwise the
+        part is f / gcd(f, df/dx_1, ..., df/dx_k), the one place a sympy
+        polynomial ring is built: over Z[i] and only the generators x_1..x_k
+        that f contains.  The gcd of polynomials in those generators is the
+        same, up to a unit, in any wider ring, and sympy's gcd costs time
+        in every generator of the ring it runs in.  The gcd's primitive part
+        divides f over Z[i] (Gauss's lemma).
         """
         r = self._refreshed()
-        num = r._num
+        num, ctx = r._num, r._ctx
         if not num:
-            return Coefficient(r._ctx.ring.zero, (), r._ctx)
-        if not num.is_ground:
-            ring = num.ring
-            used = sorted({i for m in num.keys() for i, e in enumerate(m) if e})
-            sub = PolyRing([ring.symbols[i] for i in used], ring.domain,
-                           ring.order)
+            return Coefficient(_Poly(), (), ctx)
+        if len(num) == 1:
+            ((monom, _),) = num.items()
+            num = _Poly({tuple(min(e, 1) for e in monom): _ONE})
+        elif any(e > 1 for monom in num for e in monom):
+            used = sorted({i for m in num for i, e in enumerate(m) if e})
+            sub = PolyRing([ctx.names[i] for i in used], ZZ_I, ctx.order)
             f = sub.from_dict(
-                {tuple(m[i] for i in used): c for m, c in num.items()}
+                {tuple(m[i] for i in used): ZZ_I(*c) for m, c in num.items()}
             )
             common = f
             for gen in sub.gens:
@@ -929,11 +1152,11 @@ class Coefficient:
                 if common.is_ground:
                     break
             if not common.is_ground:
-                quo = _exact_quotient(f, _primitive(common)[1])
-                num = num.new([
-                    (_widen(m, used, ring.ngens), c) for m, c in quo.items()
-                ])
-        return Coefficient._monic(num, r._ctx)
+                width = len(ctx.names)
+                common = _Poly({_widen(m, used, width): (c.x, c.y)
+                                for m, c in common.items()})
+                num = _exact_quotient(num, _primitive(common, ctx)[1], ctx)
+        return Coefficient._monic(num, ctx)
 
     # -- involution, derivatives --------------------------------------------
 
@@ -942,17 +1165,23 @@ class Coefficient:
         ctx = r._ctx
         num, shifts = _conj_poly(r._num, ctx)
         den: list = []
-        extra = dict(shifts)
+        unit, lift = _ONE, [0] * len(ctx.names)
         for atom, mult in r._den:
-            a_conj, a_shifts = _conj_poly(atom, ctx)
-            den.append((a_conj, mult))
-            # conj(1/atom^mult) multiplies the numerator by prod E^(shift*mult)
+            if _is_ground(atom):  # the scale q, a positive integer
+                den.append((atom, mult))
+                continue
+            a, u, a_shifts = _conj_atom(atom, ctx)
+            den.append((a, mult))
+            # 1/conj(atom)^mult = prod E^(shift*mult) * conj(u)^mult / a^mult
+            if u != _ONE:
+                unit = _gmul(unit, _gpow((u[0], -u[1]), mult))
             for k, s in a_shifts.items():
-                if s:
-                    num = num * ctx.ring.gens[k] ** (s * mult)
-        for k, s in extra.items():
-            if s:
-                den.append((ctx.ring.gens[k], s))
+                lift[k] += s * mult
+        if unit != _ONE:
+            num = _scale(num, unit)
+        if any(lift):
+            num = _mul(num, _Poly({tuple(lift): _ONE}), ctx)
+        den += [(_gen(ctx, k), s) for k, s in shifts.items()]
         return Coefficient._make(num, den, ctx)
 
     def _derive(self, derivation) -> "Coefficient":
@@ -964,9 +1193,9 @@ class Coefficient:
         for atom, mult in self._den:
             da = derivation(atom)
             if da:
-                parts.append(((da * self._num).mul_ground(_gauss(-mult, 0)),
+                parts.append((_scale(_mul(da, self._num, ctx), (-mult, 0)),
                               self._den + ((atom, 1),)))
-        num, den = _over_common_denominator(parts)
+        num, den = _over_common_denominator(parts, ctx)
         return Coefficient._make(num, den, ctx)
 
     def diff(self, name: str) -> "Coefficient":
@@ -974,8 +1203,8 @@ class Coefficient:
         r = self._refreshed()
         if name not in r._ctx.index_of:
             return Coefficient.zero()
-        gen = r._ctx.gen(name)
-        return r._derive(lambda p: p.diff(gen))
+        idx = r._ctx.index_of[name]
+        return r._derive(lambda p: _diff(p, idx))
 
     def param_derivative(self, name: str) -> "Coefficient":
         """Derivative along a distinguished real parameter (conj(t) = t).
@@ -995,7 +1224,7 @@ class Coefficient:
         """E * d/dE for a character generator (degree-preserving)."""
         r = self._refreshed()
         idx = r._ctx.index_of[char_name]
-        return r._derive(lambda p: _poly_euler(p, idx, r._ctx.ring))
+        return r._derive(lambda p: _poly_euler(p, idx))
 
     # -- substitution ---------------------------------------------------------
 
@@ -1050,7 +1279,7 @@ class Coefficient:
         for atom, mult in self._den:
             a = _eval_poly_field(atom, ctx, coeff_values)
             if a.is_zero():
-                raise DenominatorVanishes(_render_poly(atom, ctx, atom.LC))
+                raise DenominatorVanishes(_render_poly(atom, ctx))
             out = out / a ** mult
         return out
 
@@ -1073,7 +1302,7 @@ class Coefficient:
         for atom, mult in self._den:
             a = _eval_poly_surd(atom, ctx, surd_values, d)
             if a.is_zero():
-                raise DenominatorVanishes(_render_poly(atom, ctx, atom.LC))
+                raise DenominatorVanishes(_render_poly(atom, ctx))
             for _ in range(mult):
                 out = out / a
         return out
@@ -1102,19 +1331,19 @@ class Coefficient:
             ):
                 raise SectorMixing(
                     f"denominator atom mixes characters with parameters: "
-                    f"{_render_poly(atom, ctx, atom.LC)}"
+                    f"{_render_poly(atom, ctx)}"
                 )
             for k, i in enumerate(chars):
                 shift[k] -= monom[i] * mult
-        buckets: dict[tuple[int, ...], dict] = {}
+        buckets: dict[tuple[int, ...], _Poly] = {}
         for monom, c in r._num.items():
             key = tuple(monom[i] + s for i, s in zip(chars, shift))
             stripped = tuple(
                 0 if i in chars else e for i, e in enumerate(monom)
             )
-            buckets.setdefault(key, {})[stripped] = c
+            buckets.setdefault(key, _Poly())[stripped] = c
         return {
-            key: Coefficient._make(ctx.ring.from_dict(terms), den, ctx)
+            key: Coefficient._make(terms, den, ctx)
             for key, terms in buckets.items()
         }
 
@@ -1126,16 +1355,17 @@ class Coefficient:
         r = self._refreshed()
         if r.is_zero():
             return "0"
+        ctx = r._ctx
         atoms, q = _split_scale(r._den)
-        scale = _gauss(q, 0)
+        scale = (q, 0)
         for atom, mult in atoms:
-            scale = scale * atom.LC ** mult
-        num = _render_poly(r._num, r._ctx, scale)
+            scale = _gmul(scale, _gpow(_lead(atom, ctx)[1], mult))
+        num = _render_poly(r._num, ctx, scale)
         if not atoms:
             return num
         dens = []
         for atom, mult in atoms:
-            text = _render_poly(atom, r._ctx, atom.LC)
+            text = _render_poly(atom, ctx)
             if len(atom) > 1 or mult > 1:
                 text = f"({text})"
             dens.append(text if mult == 1 else f"{text}^{mult}")
@@ -1158,7 +1388,7 @@ class Coefficient:
         def ev(p):
             total = 0j
             for monom, c in p.items():
-                v = complex(c.x, c.y)
+                v = complex(*c)
                 for idx, e in enumerate(monom):
                     if e:
                         v *= point[ctx.names[idx]] ** e
@@ -1222,7 +1452,7 @@ def _eval_poly_field(p, ctx, values: dict[int, Coefficient]) -> Coefficient:
         for idx, e in enumerate(monom):
             if e:
                 term = term * power(idx, e)
-        pairs.append((Coefficient(_ground(ctx.ring, c), (), ctx), term))
+        pairs.append((Coefficient(_ground(ctx, c), (), ctx), term))
     return Coefficient.sum_of_products(pairs)
 
 
@@ -1240,32 +1470,34 @@ def _eval_poly_surd(p, ctx, values: dict[int, QuadraticSurd], d: int) -> Quadrat
 
 
 def _render_monom(monom, ctx) -> str:
-    parts = []
-    for idx, e in enumerate(monom):
-        if not e:
-            continue
-        sym = ctx.symbols[idx]
-        base = f"conj({sym.conjugate_of})" if sym.kind == CONJ else sym.name
-        parts.append(base if e == 1 else f"{base}^{e}")
-    return "*".join(parts)
+    names = ctx.display_names
+    return "*".join([names[idx] if e == 1 else f"{names[idx]}^{e}"
+                     for idx, e in enumerate(monom) if e])
 
 
-def _render_poly(p, ctx, scale=_ONE) -> str:
-    """p / scale over Q(i), for a nonzero Gaussian integer scale."""
+def _render_poly(p, ctx, scale=None) -> str:
+    """p / scale over Q(i), for a nonzero Gaussian integer scale, with its
+    terms in grlex-descending order.  The scale defaults to the leading
+    coefficient, which shows p monic."""
     if not p:
         return "0"
+    terms = _terms(p, ctx)
+    if scale is None:
+        scale = terms[0][1]
     pieces = []
-    for monom, c in p.terms():
-        g = _over(c, scale)
+    for monom, c in terms:
+        re, im = _over_parts(c, scale)
         m = _render_monom(monom, ctx)
         if not m:
-            text = g.render()
-        elif g.re == 1 and g.im == 0:
+            text = _gaussian_text(re, im)
+        elif im[0]:
+            text = f"{_gaussian_text(re, im)}*{m}"
+        elif re == (1, 1):
             text = m
-        elif g.re == -1 and g.im == 0:
+        elif re == (-1, 1):
             text = f"-{m}"
         else:
-            text = f"{g.render()}*{m}"
+            text = f"{_fraction_text(re)}*{m}"
         pieces.append(text)
     out = pieces[0]
     for piece in pieces[1:]:

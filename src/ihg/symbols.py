@@ -6,21 +6,22 @@ Four kinds of generators:
   * real            a self-conjugate parameter (curve time, metric entries)
   * char            a multiplicative character generator E; conj(E) = 1/E
 
-The registry is process-global and append-only between resets; the
-polynomial ring that backs Coefficient arithmetic is rebuilt lazily whenever
-new symbols appear, and existing values lift into the extended ring on
-demand.  reset() starts a new lifetime: every ring context records the
-lifetime it was built in, and a value from an earlier lifetime is stale.
+The registry is process-global and append-only between resets; its
+snapshot, the ring context that Coefficient arithmetic runs in, is rebuilt
+lazily whenever new symbols appear, and existing values lift into the
+extended context on demand.  reset() starts a new lifetime: every ring
+context records the lifetime it was built in, and a value from an earlier
+lifetime is stale.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cache
 
-from sympy.polys.domains import ZZ_I
+from sympy.polys.monomials import MonomialOps
 from sympy.polys.orderings import grlex
-from sympy.polys.rings import ring as _sympy_ring
 
 PARAM = "parameter"
 CONJ = "conjugate-parameter"
@@ -39,11 +40,27 @@ class ParameterSymbol:
         return f"ParameterSymbol({self.name!r}, {self.kind})"
 
 
-class RingContext:
-    """Immutable snapshot of the registry with its backing polynomial ring.
+@cache
+def _monomial_ops(width: int):
+    """(monomial_mul, monomial_div) on exponent tuples of the given width:
+    sympy's generated functions, or, with no generator, the constant ()."""
+    if not width:
+        return (lambda a, b: ()), (lambda a, b: ())
+    ops = MonomialOps(width)
+    return ops.mul(), ops.div()
 
-    Contexts of one lifetime are prefixes of each other, so a value lifts
-    into a later context of its lifetime by padding exponents.
+
+class RingContext:
+    """Immutable snapshot of the registry, with the monomial arithmetic of
+    polynomials over its symbols.
+
+    A monomial is a tuple of exponents, one per symbol in registration
+    order; with no symbol registered it is ().  monomial_mul adds two
+    monomials, monomial_div subtracts them or gives None when the second
+    does not divide the first, and order is the grlex key.  The
+    coefficient layer keeps the polynomials themselves.  Contexts of one
+    lifetime are prefixes of each other, so a value lifts into a later
+    context of its lifetime by padding exponents.
     """
 
     def __init__(self, symbols: tuple[ParameterSymbol, ...], lifetime: object):
@@ -51,12 +68,14 @@ class RingContext:
         self.lifetime = lifetime
         names = tuple(s.name for s in symbols)
         self.names = names
-        if names:
-            self.ring = _sympy_ring(",".join(names), ZZ_I, grlex)[0]
-        else:
-            # sympy rejects empty generator lists; keep a 1-gen scratch ring
-            # with a reserved name that the registry can never produce.
-            self.ring = _sympy_ring("__unit__", ZZ_I, grlex)[0]
+        self.zero_monom = (0,) * len(names)
+        self.monomial_mul, self.monomial_div = _monomial_ops(len(names))
+        self.order = grlex
+        # how render() shows each generator
+        self.display_names = tuple(
+            f"conj({s.conjugate_of})" if s.kind == CONJ else s.name
+            for s in symbols
+        )
         self.index_of = {s.name: s.index for s in symbols}
         # conj_perm[i] = index whose exponent receives gen i's exponent under
         # conjugation; characters map to themselves (exponent negation is
@@ -69,9 +88,6 @@ class RingContext:
                 perm.append(s.index)
         self.conj_perm = tuple(perm)
         self.char_indices = tuple(s.index for s in symbols if s.kind == CHAR)
-
-    def gen(self, name: str):
-        return self.ring.gens[self.index_of[name]]
 
     def is_char(self, idx: int) -> bool:
         return self.symbols[idx].kind == CHAR

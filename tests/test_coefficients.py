@@ -1,6 +1,7 @@
 """Field arithmetic, scalars, involution, derivatives, substitution, trial
 division, sums of products over one denominator and squarefree parts."""
 
+import math
 import re
 import sys
 import threading
@@ -25,8 +26,17 @@ from ihg import (
     SectorMixing,
     StaleCoefficient,
 )
-from ihg.coefficients import _exact_quotient, _over_common_denominator
-from ihg.symbols import registry
+from ihg.coefficients import (
+    _Poly,
+    _conj_poly,
+    _exact_quotient,
+    _mul,
+    _over_common_denominator,
+    _pow,
+    _remainder,
+    _sum,
+)
+from ihg.symbols import CHAR, CONJ, PARAM, REAL, ParameterSymbol, RingContext, registry
 
 
 def setup_symbols():
@@ -452,9 +462,27 @@ def test_conjugate_commutes_with_numeric(a):
     assert abs(x.conjugate() - y) < 1e-9
 
 
-# -- trial division: _exact_quotient against sympy's divmod ---------------------
+# -- the polynomial kernels against sympy's PolyElement over ZZ_I ---------------
+#
+# The kernels work on dicts of integer pairs; each test converts sympy
+# polynomials to them and back at its boundary.
 
 R, X, Y, Z = ring("x,y,z", QQ_I, grlex)
+RZ, XZ, YZ, ZZ_ = ring("x,y,z", ZZ_I, grlex)
+XYZ = RingContext(
+    tuple(ParameterSymbol(name, REAL, None, k) for k, name in enumerate("xyz")),
+    object(),
+)
+
+
+def _pairs(p):
+    """A polynomial over ZZ_I as the kernel's dict of integer pairs."""
+    return _Poly({m: (int(c.x), int(c.y)) for m, c in p.items()})
+
+
+def _poly(p, ring=RZ):
+    """The kernel's dict of integer pairs as a polynomial of ring."""
+    return ring.from_dict({m: ring.domain(*c) for m, c in p.items()})
 
 
 @st.composite
@@ -473,13 +501,40 @@ def _qqi(g):
                     QQ(g.im.numerator, g.im.denominator))
 
 
+def _cleared(p):
+    """(d, p0) with p = p0 / d for p over QQ_I: p0 over ZZ_I, d > 0."""
+    d = 1
+    for c in p.values():
+        d = math.lcm(d, c.x.denominator, c.y.denominator)
+    return d, RZ.from_dict({
+        m: ZZ_I(c.x.numerator * (d // c.x.denominator),
+                c.y.numerator * (d // c.y.denominator))
+        for m, c in p.items()
+    })
+
+
 def _check_against_divmod(p, g):
+    """_exact_quotient against sympy's divmod.  A polynomial over QQ_I is
+    cleared to ZZ_I, and the divisor taken to its primitive part, as
+    normalization divides: by Gauss's lemma that is division over Q(i)."""
     quo, rem = divmod(p, g)
-    got = _exact_quotient(p, g)
+    if p.ring.domain == ZZ_I:
+        got = _exact_quotient(_pairs(p), _pairs(g), XYZ)
+        if rem:
+            assert got is None
+        else:
+            assert _poly(got) == quo
+        return quo, rem
+    d, p0 = _cleared(p)
+    e, g1 = _cleared(g)
+    content, g0 = g1.primitive()
+    got = _exact_quotient(_pairs(p0), _pairs(g0), XYZ)
     if rem:
         assert got is None
     else:
-        assert got == quo
+        # p0 / g0 = (p / g) * d * content / e
+        factor = QQ_I(d * content.x, d * content.y) / QQ_I(e, 0)
+        assert _poly(got, R) == quo * factor
     return quo, rem
 
 
@@ -491,9 +546,6 @@ def test_exact_quotient_matches_divmod(p, g, q, planted):
     _, rem = _check_against_divmod(p, g)
     if planted:
         assert not rem
-
-
-RZ, XZ, YZ, ZZ_ = ring("x,y,z", ZZ_I, grlex)
 
 
 @st.composite
@@ -523,27 +575,30 @@ def test_exact_quotient_over_gaussian_integers_matches_divmod(p, g, q, planted):
 def test_exact_quotient_fails_late():
     # x^3 and then x^2 divide by LT(g) = x before y, a middle term, does not;
     # the remainder y + 1 has a term after it
-    g = X + QQ_I(0, 1)
-    p = g * (X**2 + X) + Y + 1
+    g = XZ + ZZ_I(0, 1)
+    p = g * (XZ**2 + XZ) + YZ + 1
     quo, rem = _check_against_divmod(p, g)
-    assert quo == X**2 + X
-    assert rem == Y + 1
+    assert quo == XZ**2 + XZ
+    assert rem == YZ + 1
 
 
 def test_exact_quotient_by_a_ground_divisor():
-    g = R(QQ_I(2, 3))
-    p = X**2 * Y + 3 * Z
+    g = RZ(ZZ_I(2, 3))
+    p = XZ**2 * YZ + 3 * ZZ_
     _check_against_divmod(p, g)
-    assert _exact_quotient(p, g) * g == p
+    assert _exact_quotient(_pairs(p), _pairs(g), XYZ) is None
+    assert _poly(_exact_quotient(_pairs(p * g), _pairs(g), XYZ)) == p
+    # over Q(i) the same division is exact
+    _check_against_divmod(R(QQ_I(2, 3)), X**2 * Y + 3 * Z)
 
 
 def test_exact_quotient_repeated_atom():
-    g = X * Y - 1
-    p = g**2 * (Z + 1)
+    g = XZ * YZ - 1
+    p = g**2 * (ZZ_ + 1)
     once, _ = _check_against_divmod(p, g)
     twice, _ = _check_against_divmod(once, g)
-    assert twice == Z + 1
-    assert _exact_quotient(twice, g) is None
+    assert twice == ZZ_ + 1
+    assert _exact_quotient(_pairs(twice), _pairs(g), XYZ) is None
     # normalization cancels an atom of multiplicity > 1 as far as it divides
     setup_symbols()
     t = C("t11")
@@ -552,6 +607,78 @@ def test_exact_quotient_repeated_atom():
     assert ((t / a) ** 3 * a).render() == "t11^3/(t11*conj(t11) - 1)^2"
     assert (t * a * a).is_multiple_of(a * t)
     assert not (t * a).is_multiple_of(a * a)
+
+
+@settings(max_examples=50, deadline=None)
+@given(gaussian_integer_polys(), gaussian_integer_polys())
+def test_product_matches_sympy(p, q):
+    got = _mul(_pairs(p), _pairs(q), XYZ)
+    assert got == _pairs(p * q)
+    assert all(c != (0, 0) for c in got.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(gaussian_integer_polys(), max_size=4), st.booleans())
+def test_sum_matches_sympy(ps, cancel):
+    if cancel:
+        ps = ps + [-p for p in ps]  # a total of zero
+    got = _sum([_pairs(p) for p in ps])
+    assert got == _pairs(sum(ps, RZ.zero))
+    assert all(c != (0, 0) for c in got.values())
+    if cancel:
+        assert got == {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(gaussian_integer_polys(), st.integers(1, 4))
+def test_power_matches_sympy(p, k):
+    assert _pow(_pairs(p), k, XYZ) == _pairs(p**k)
+
+
+@settings(max_examples=50, deadline=None)
+@given(gaussian_integer_polys(), st.lists(gaussian_integer_polys(min_terms=1),
+                                          min_size=1, max_size=3))
+def test_remainder_matches_division_over_q_i(p, divisors):
+    # r / s is the remainder of sympy's division over Q(i), taken in the
+    # same divisor order and grlex
+    r, s = _remainder(_pairs(p), [_pairs(g) for g in divisors], XYZ)
+    assert s != (0, 0)
+    _, want = R.from_dict(dict(p)).div([R.from_dict(dict(g)) for g in divisors])
+    assert _poly(r, R) == want * QQ_I(*s)
+
+
+# t, conj(t), a real s and a character E: conj(E) = 1/E
+TE = RingContext((
+    ParameterSymbol("t", PARAM, "t_c", 0),
+    ParameterSymbol("t_c", CONJ, "t", 1),
+    ParameterSymbol("s", REAL, None, 2),
+    ParameterSymbol("E", CHAR, None, 3),
+), object())
+RT, T_, TC_, S_, E_ = ring("t,t_c,s,E", ZZ_I, grlex)
+
+
+@st.composite
+def character_polys(draw):
+    part = st.integers(-4, 4)
+    return RT.from_dict(draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 4),
+        st.builds(ZZ_I, part, part).filter(bool),
+        max_size=4,
+    )))
+
+
+@settings(max_examples=50, deadline=None)
+@given(character_polys())
+def test_conjugate_matches_sympy(p):
+    # conj(c * t^a * conj(t)^b * s^r * E^e) = conj(c) * conj(t)^a * t^b * s^r / E^e,
+    # brought over E^shift with shift the largest e
+    shift = max((m[3] for m in p), default=0)
+    want = RT.zero
+    for (a, b, r, e), c in p.items():
+        want += RT(ZZ_I(c.x, -c.y)) * TC_**a * T_**b * S_**r * E_**(shift - e)
+    got, shifts = _conj_poly(_pairs(p), TE)
+    assert got == _pairs(want)
+    assert shifts == ({3: shift} if shift else {})
 
 
 def test_scalar_products_skip_trial_division(monkeypatch):
@@ -564,9 +691,9 @@ def test_scalar_products_skip_trial_division(monkeypatch):
     }
     calls = []
 
-    def counted(p, g):
+    def counted(p, g, ctx):
         calls.append(g)
-        return _exact_quotient(p, g)
+        return _exact_quotient(p, g, ctx)
 
     monkeypatch.setattr("ihg.coefficients._exact_quotient", counted)
     for k, want in expected.items():
@@ -604,7 +731,9 @@ def test_one_is_the_ring_unit():
     setup_symbols()
     assert ONE() == _scalar_by_gaussian(1)
     assert ONE().render() == "1"
-    assert ONE()._num == registry.context().ring.one
+    width = len(registry.context().names)
+    assert ONE()._num == {(0,) * width: (1, 0)}
+    assert ONE()._den == ()
     assert Coefficient.i().render() == "i"
 
 
@@ -667,9 +796,9 @@ def test_sum_of_products_normalizes_once(monkeypatch):
              (-u, t / a)]
     calls = []
 
-    def counted(p, g):
+    def counted(p, g, ctx):
         calls.append(g)
-        return _exact_quotient(p, g)
+        return _exact_quotient(p, g, ctx)
 
     monkeypatch.setattr("ihg.coefficients._exact_quotient", counted)
     assert Coefficient.sum_of_products(pairs).render() == "-1"
@@ -687,8 +816,8 @@ def test_lone_part_skips_the_lcm_pass():
     t, u = C("t11"), C("t21")
     a = ONE() - t * t.conjugate()
     x, y = t / a, a * u / (t + u)
-    part = (x._num * y._num, x._den + y._den)
-    assert _over_common_denominator([part]) is part
+    part = (_mul(x._num, y._num, x._ctx), x._den + y._den)
+    assert _over_common_denominator([part], x._ctx) is part
     # the atom a of x cancels against the numerator of y in the one _make
     got = Coefficient.sum_of_products([(x, y)])
     assert got.render() == (x * y).render() == "t11*t21/(t11 + t21)"
@@ -820,8 +949,29 @@ def test_squarefree_numerator_ignores_unrelated_generators(spec):
         after = value.squarefree_numerator()
     assert after.render() == before.render()
     assert after == before
-    # a ground numerator needs no gcd, any other at least one
-    assert bool(widths) == (before != ONE())
+    # a gcd runs exactly when the numerator has more than one term and
+    # some exponent above 1
+    num = value.numerator_normalized()._num
+    assert bool(widths) == (len(num) > 1 and any(e > 1 for m in num for e in m))
+
+
+def test_squarefree_fast_paths_skip_the_gcd():
+    # a one-term numerator c*prod x^e has the part prod x^min(e, 1); one
+    # with no exponent above 1 is its own part
+    setup_symbols()
+    t, u, s, E, i = C("t11"), C("t21"), C("s"), C("E1"), Coefficient.i()
+    multilinear = [(2 * t * u - 4 * s + 2 * i) / 3,
+                   E * t * u.conjugate() + t - i * s,
+                   (1 + i) * t * t.conjugate() / (u * u + 1)]
+    with mock.patch.object(PolyElement, "gcd", side_effect=AssertionError):
+        assert (3 * t**3 * u**2 / (t + 1)).squarefree_numerator() == t * u
+        assert (i * E**4 * s / 5).squarefree_numerator().render() == "s*E1"
+        assert Coefficient.from_scalar(7).squarefree_numerator() == ONE()
+        for value in multilinear:
+            got = value.squarefree_numerator()
+            assert got == value.numerator_normalized()
+            assert got.render() == value.numerator_normalized().render()
+    assert multilinear[0].squarefree_numerator().render() == "t11*t21 - 2*s + i"
 
 
 def test_squarefree_numerator_of_a_kuranishi_condition():
@@ -834,6 +984,27 @@ def test_squarefree_numerator_of_a_kuranishi_condition():
              + C("t13") * C("t23") * C("t32"))
     assert f.squarefree_numerator() == f / 2
     assert (f * f * C("t12")).squarefree_numerator() == f * C("t12") / 2
+
+
+def test_conjugates_of_a_shared_atom_share_one_atom():
+    # a conjugate atom is cached on its atom, so values that share an atom
+    # object get conjugates that share one, and conjugating back returns
+    # the original atom object where no character shifts it
+    setup_symbols()
+    t, u, E, i = C("t11"), C("t21"), C("E1"), Coefficient.i()
+    for a in (i * t * u.conjugate() + 1, E * t + 1, t * t.conjugate() - 1):
+        x = t / a
+        y = x * x * (u - 1)
+        atom = x._den[0][0]
+        assert y._den[0][0] is atom
+        xc, yc = x.conjugate(), y.conjugate()
+        assert xc == t.conjugate() / a.conjugate()
+        assert yc == xc * xc * (u.conjugate() - 1)
+        shared = {id(b) for c in (xc, yc) for b, _ in c._den if b == xc._den[0][0]}
+        assert len(shared) == 1
+        if not a.free_symbols() & {"E1"}:
+            assert xc.conjugate()._den[0][0] is atom
+            assert xc.conjugate() == x
 
 
 # -- the Gaussian-integer kernel -----------------------------------------------

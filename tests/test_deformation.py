@@ -466,9 +466,9 @@ class TestCoordinateTables:
         calls = []
         quotient = coefficients._exact_quotient
 
-        def counted(p, q):
+        def counted(p, q, ctx):
             calls.append(q)
-            return quotient(p, q)
+            return quotient(p, q, ctx)
 
         monkeypatch.setattr(coefficients, "_exact_quotient", counted)
         for (holo, anti), most in ((((1, 3), ()), 4), (((3,), (3,)), 2)):
