@@ -20,8 +20,9 @@ _conj_poly, _diff and _poly_euler.  Products and sums add each term into
 one output dict keyed by monomial, on ints (the dict accumulation of sparse
 polynomial arithmetic; Monagan-Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", 2007, compare it with heaps).
-sympy supplies only the monomial functions, the grlex order and, in
-squarefree_numerator, the gcd.
+sympy supplies only the monomial functions, the grlex order, the scalar
+Gaussian gcd and canonical unit and, in squarefree_numerator, the
+polynomial gcd.
 
 Normalization cancels atoms out of the numerator by exact division: by
 Gauss's lemma a primitive atom divides the numerator over Q(i) exactly when
@@ -354,30 +355,6 @@ def _gauss_quo(a, c):
     return re // n, im // n
 
 
-def _canonical_unit(c):
-    """The unit u with u*c in the first quadrant (real part > 0, imaginary
-    part >= 0), for a nonzero c: sympy's ZZ_I.canonical_unit."""
-    x, y = c
-    if y > 0:
-        return _ONE if x > 0 else (0, -1)
-    if y < 0:
-        return (-1, 0) if x < 0 else (0, 1)
-    return _ONE if x >= 0 else (-1, 0)
-
-
-def _gauss_gcd(a, b):
-    """The gcd of Gaussian integers a and b, in the first quadrant: the
-    Euclidean algorithm with quotients rounded to the nearest Gaussian
-    integer, as sympy's ZZ_I.gcd runs it."""
-    while b != (0, 0):
-        x, y = b
-        n = x * x + y * y
-        re, im = a[0] * x + a[1] * y, a[1] * x - a[0] * y
-        qx, qy = (2 * re + n) // (2 * n), (2 * im + n) // (2 * n)
-        a, b = b, (a[0] - qx * x + qy * y, a[1] - qx * y - qy * x)
-    return _gmul(a, _canonical_unit(a))
-
-
 # -- polynomial kernels -------------------------------------------------------------
 
 
@@ -511,13 +488,14 @@ def _primitive(p, ctx: RingContext):
         return _ONE, p
     g = _ONE
     if _norm(lc) != 1:
-        g = (0, 0)
+        g = ZZ_I.zero
         for coeff in p.values():
-            g = _gauss_gcd(g, coeff)
-            if _norm(g) == 1:
+            g = ZZ_I.gcd(g, ZZ_I(*coeff))
+            if g.x * g.x + g.y * g.y == 1:
                 break
-    u = _canonical_unit(_gauss_quo(lc, g))
-    c = _gmul(g, (u[0], -u[1]))
+        g = (g.x, g.y)
+    u = ZZ_I.canonical_unit(ZZ_I(*_gauss_quo(lc, g)))
+    c = _gmul(g, (u.x, -u.y))
     if c == _ONE:
         return _ONE, p
     return c, _divided(p, c)
@@ -606,18 +584,13 @@ def _conj_atom(atom, ctx: RingContext):
     canonical primitive atom of the conjugate and u a unit.
 
     Cached on the atom, so the conjugates of values that share an atom
-    object share one conjugate atom object.  Without characters conj(a) is
-    u*atom, which is cached on a in turn.
+    object share one conjugate atom object.
     """
     got = getattr(atom, "_conj", None)
     if got is None:
         image, shifts = _conj_poly(atom, ctx)
         u, a = _primitive(image, ctx)
-        if a == atom:
-            a = atom
         got = atom._conj = (a, u, shifts)
-        if not shifts and getattr(a, "_conj", None) is None:
-            a._conj = (atom, u, shifts)
     return got
 
 
@@ -693,7 +666,8 @@ def _remainder(p, divisors, ctx: RingContext):
         c = rem.pop(lm)
         quo = _gauss_quo(c, lc_g)
         if quo is None:
-            k = _gauss_quo(lc_g, _gauss_gcd(c, lc_g))
+            common = ZZ_I.gcd(ZZ_I(*c), ZZ_I(*lc_g))
+            k = _gauss_quo(lc_g, (common.x, common.y))
             scale = _gmul(scale, k)
             rem = {m: _gmul(v, k) for m, v in rem.items()}
             out = {m: _gmul(v, k) for m, v in out.items()}
@@ -889,9 +863,6 @@ class Coefficient:
     def _pair(a: "Coefficient", b) -> tuple["Coefficient", "Coefficient"]:
         if not isinstance(b, Coefficient):
             b = Coefficient.from_scalar(b)
-        ctx = registry.context()
-        if a._ctx is ctx and b._ctx is ctx:
-            return a, b
         return a._refreshed(), b._refreshed()
 
     def _den_product(self):

@@ -589,7 +589,7 @@ def test_exact_quotient_by_a_ground_divisor():
     assert _exact_quotient(_pairs(p), _pairs(g), XYZ) is None
     assert _poly(_exact_quotient(_pairs(p * g), _pairs(g), XYZ)) == p
     # over Q(i) the same division is exact
-    _check_against_divmod(R(QQ_I(2, 3)), X**2 * Y + 3 * Z)
+    _check_against_divmod(X**2 * Y + 3 * Z, R(QQ_I(2, 3)))
 
 
 def test_exact_quotient_repeated_atom():
@@ -988,8 +988,7 @@ def test_squarefree_numerator_of_a_kuranishi_condition():
 
 def test_conjugates_of_a_shared_atom_share_one_atom():
     # a conjugate atom is cached on its atom, so values that share an atom
-    # object get conjugates that share one, and conjugating back returns
-    # the original atom object where no character shifts it
+    # object get conjugates that share one
     setup_symbols()
     t, u, E, i = C("t11"), C("t21"), C("E1"), Coefficient.i()
     for a in (i * t * u.conjugate() + 1, E * t + 1, t * t.conjugate() - 1):
@@ -1002,9 +1001,7 @@ def test_conjugates_of_a_shared_atom_share_one_atom():
         assert yc == xc * xc * (u.conjugate() - 1)
         shared = {id(b) for c in (xc, yc) for b, _ in c._den if b == xc._den[0][0]}
         assert len(shared) == 1
-        if not a.free_symbols() & {"E1"}:
-            assert xc.conjugate()._den[0][0] is atom
-            assert xc.conjugate() == x
+        assert xc.conjugate() == x
 
 
 # -- the Gaussian-integer kernel -----------------------------------------------
