@@ -129,10 +129,9 @@ def _fps_family() -> Geometry:
         + Form.monomial((1,), (2,), cd)
         + Form.monomial((1, 2), (), ce)
     )
-    geom = Geometry("fps_family", 3, {3: d3}, validate=False)
-    geom.constraints = (pluriclosed_criterion(geom),)
-    geom._validate()
-    return geom
+    # d(phi^1) = d(phi^2) = 0, so the family is valid before it is cut
+    criterion = pluriclosed_criterion(Geometry("fps_family", 3, {3: d3}))
+    return Geometry("fps_family", 3, {3: d3}, constraints=(criterion,))
 
 
 _BUILDERS = {

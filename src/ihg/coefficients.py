@@ -69,7 +69,7 @@ from math import gcd, lcm
 from sympy.polys.domains import ZZ_I
 from sympy.polys.rings import PolyRing
 
-from .symbols import CHAR, CONJ, PARAM, REAL, RingContext, registry
+from .symbols import CHAR, CONJ, PARAM, REAL, RingContext, base_names, registry
 
 _ONE = (1, 0)
 
@@ -906,9 +906,7 @@ class Coefficient:
 
     def has_free_parameters(self) -> bool:
         """Whether any symbol other than a character appears."""
-        return any(
-            registry.lookup(nm).kind != CHAR for nm in self.free_symbols()
-        )
+        return bool(base_names((self,)))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -1183,12 +1181,7 @@ class Coefficient:
         Complex parameters carry an independent conjugate generator, so a
         one-parameter curve derivative is only meaningful for REAL kind.
         """
-        try:
-            sym = registry.lookup(name)
-        except KeyError:
-            sym = None
-        if sym is None or sym.kind != REAL:
-            raise ValueError(f"{name!r} is not a registered real parameter")
+        registry.require_real(name)
         return self.diff(name)
 
     def euler(self, char_name: str) -> "Coefficient":

@@ -14,7 +14,7 @@ from . import linalg
 from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
 from .exterior import CoframeMap, Form, MultiIndex, VectorForm
 from .geometry import Geometry
-from .symbols import REAL, registry
+from .symbols import registry
 
 
 class MaurerCartanFails(ValueError):
@@ -391,12 +391,7 @@ class CurveOfMetrics:
     """
 
     def __init__(self, omega: Form, param: str):
-        try:
-            sym = registry.lookup(param)
-        except KeyError:
-            sym = None
-        if sym is None or sym.kind != REAL:
-            raise ValueError("curve parameter must be a registered real symbol")
+        registry.require_real(param)
         self.omega = omega
         self.param = param
 

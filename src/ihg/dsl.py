@@ -24,7 +24,7 @@ import re
 from .coefficients import Coefficient
 from .exterior import Form
 from .geometry import Geometry, StructureError
-from .symbols import CHAR, CONJ, PARAM, REAL, registry
+from .symbols import REAL, base_names, registry
 
 
 class ParseError(ValueError):
@@ -345,14 +345,12 @@ def parse_coefficient(text: str) -> Coefficient:
 def render_geometry(geom: Geometry) -> str:
     """Canonical DSL text; parse_geometry(render_geometry(g)) == g."""
     lines = [f"geometry {geom.name} dim {geom.n};"]
-    params: list[str] = []
-    reals: list[str] = []
-    for nm in _base_names(geom):
-        sym = registry.lookup(nm)
-        if sym.kind == PARAM:
-            params.append(nm)
-        elif sym.kind == REAL:
-            reals.append(nm)
+    forms = [*geom.structure.values(), *(geom.generators or ())]
+    names = base_names(
+        [c for f in forms for _, c in f.terms()] + list(geom.constraints)
+    )
+    reals = [nm for nm in names if registry.lookup(nm).kind == REAL]
+    params = [nm for nm in names if nm not in reals]
     if params:
         lines.append("param " + ", ".join(params) + ";")
     if reals:
@@ -368,22 +366,6 @@ def render_geometry(geom: Geometry) -> str:
     for c in geom.constraints:
         lines.append(f"constraint {c.render()};")
     return "\n".join(lines) + "\n"
-
-
-def _base_names(geom: Geometry) -> list[str]:
-    seen: set[str] = set()
-    sources: list = [c for f in geom.structure.values() for _, c in f.terms()]
-    sources.extend(geom.constraints)
-    for g in geom.generators or ():
-        sources.extend(c for _, c in g.terms())
-    for c in sources:
-        for nm in c.free_symbols():
-            sym = registry.lookup(nm)
-            if sym.kind == CONJ:
-                seen.add(sym.conjugate_of)
-            elif sym.kind != CHAR:
-                seen.add(nm)
-    return sorted(seen)
 
 
 def _mul(a: Form, b: Form, tok: _Token) -> Form:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .coefficients import Coefficient
 from .exterior import Form, MultiIndex
-from .symbols import CHAR, CONJ, PARAM, REAL, registry
+from .symbols import base_name, base_names
 
 
 class StructureError(ValueError):
@@ -71,7 +71,6 @@ class Geometry:
         chars: dict[str, Form] | None = None,
         generators: tuple[Form, ...] | None = None,
         constraints: tuple[Coefficient, ...] = (),
-        validate: bool = True,
     ):
         self.name = name
         self.n = n
@@ -88,8 +87,7 @@ class Geometry:
         # filled by cohomology.split_primitive: (op, p, q, sector) -> the
         # sector matrix of op with its normal systems
         self._sector_systems: dict = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- d and its bigraded pieces -------------------------------------------
 
@@ -193,7 +191,7 @@ class Geometry:
                 kind="not_integrable",
             )
         for cname, dlog in self.chars.items():
-            if registry.lookup(cname).kind != CHAR:
+            if base_name(cname) is not None:
                 raise StructureError(
                     f"{cname} is not a registered character", kind="bad_character"
                 )
@@ -260,16 +258,9 @@ class Geometry:
 
     def free_parameters(self) -> list[str]:
         """Base names of deformation parameters appearing in the structure."""
-        seen: set[str] = set()
-        for f in self.structure.values():
-            for _, c in f.terms():
-                for nm in c.free_symbols():
-                    sym = registry.lookup(nm)
-                    if sym.kind == PARAM or sym.kind == REAL:
-                        seen.add(nm)
-                    elif sym.kind == CONJ:
-                        seen.add(sym.conjugate_of)
-        return sorted(seen)
+        return base_names(
+            c for f in self.structure.values() for _, c in f.terms()
+        )
 
     def in_ideal(self, c: Coefficient) -> bool:
         """Whether c lies in the attached constraint ideal.

@@ -22,7 +22,7 @@ from .cohomology import split_primitive
 from .deformation import vector_bracket
 from .exterior import Form, VectorForm
 from .geometry import Geometry, StructureError
-from .symbols import CONJ, conjugate_name, registry
+from .symbols import base_name, conjugate_name, registry
 
 
 class PrimitiveNotFound(ValueError):
@@ -296,20 +296,22 @@ def _strip_nonzero(g: Coefficient, nonzeros) -> Coefficient:
 
 
 def _forced_variable(g: Coefficient) -> str | None:
-    """The lone parameter name when g is unit * name, else None."""
+    """The base name of the lone parameter when g is unit * parameter or
+    unit * conj(parameter), else None."""
     symbols = g.free_symbols()
     if len(symbols) != 1:
         return None
     name = symbols.pop()
     sym = Coefficient.symbol(name)
     if g.is_multiple_of(sym) and (g / sym).is_scalar():
-        return name
+        return base_name(name)
     return None
 
 
-def _base_name(name: str) -> str:
-    sym = registry.lookup(name)
-    return sym.conjugate_of if sym.kind == CONJ else name
+def _zero_bindings(zeros) -> dict[str, Coefficient]:
+    """Each parameter in zeros and its conjugate bound to zero."""
+    zero = Coefficient.zero()
+    return {nm: zero for z in zeros for nm in (z, conjugate_name(z))}
 
 
 def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSeries:
@@ -322,15 +324,14 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
     A conjugate name stands for its parameter: conj(t) = 0 is t = 0, so
     conj(t) declared zero with t declared nonzero is inconsistent.
     """
-    zeros = set(map(_base_name, branch.zeros))
-    nonzeros = set(map(_base_name, branch.nonzeros))
+    zeros = set(map(base_name, branch.zeros))
+    nonzeros = set(map(base_name, branch.nonzeros))
+    if None in zeros | nonzeros:
+        raise ValueError("a branch names parameters, not characters")
     _check_disjoint(zeros, nonzeros)
     pending = [g for g in series.ideal] + list(branch.relations)
     while True:
-        bindings = {}
-        for z in zeros:
-            bindings[z] = Coefficient.zero()
-            bindings[conjugate_name(z)] = Coefficient.zero()
+        bindings = _zero_bindings(zeros)
         changed = False
         survivors: list[Coefficient] = []
         for g in pending:
@@ -345,7 +346,6 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
                 )
             forced = _forced_variable(g)
             if forced is not None:
-                forced = _base_name(forced)
                 if forced in nonzeros:
                     raise InconsistentBranch(
                         f"{forced} declared nonzero but forced to vanish"
@@ -357,10 +357,7 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
         pending = survivors
         if not changed:
             break
-    bindings = {}
-    for z in zeros:
-        bindings[z] = Coefficient.zero()
-        bindings[conjugate_name(z)] = Coefficient.zero()
+    bindings = _zero_bindings(zeros)
     psi = {
         k: part.substitute(bindings) if bindings else part
         for k, part in series.psi_terms.items()

@@ -56,6 +56,7 @@ def _eliminate(rows: Matrix, width: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form restricted to the first width columns."""
     mat = [list(r) for r in rows]
     pivots: list[int] = []
+    one = Coefficient.one()
     r = 0
     for col in range(width):
         pivot_row = None
@@ -66,13 +67,14 @@ def _eliminate(rows: Matrix, width: int) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Coefficient.one() / mat[r][col]
-        mat[r] = [entry * inv for entry in mat[r]]
+        inv = one / mat[r][col]
+        mat[r] = [entry * inv if entry else entry for entry in mat[r]]
         for i in range(len(mat)):
             if i != r and not mat[i][col].is_zero():
-                factor = mat[i][col]
+                factor = -mat[i][col]
                 mat[i] = [
-                    entry - factor * other
+                    Coefficient.sum_of_products(((entry, one), (factor, other)))
+                    if other else entry
                     for entry, other in zip(mat[i], mat[r])
                 ]
         pivots.append(col)

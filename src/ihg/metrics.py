@@ -17,7 +17,7 @@ from .coefficients import Coefficient, DenominatorVanishes, normalized_generator
 from .cohomology import solve_dbar
 from .exterior import Form, MultiIndex
 from .geometry import Geometry, check_nilpotent_shape
-from .symbols import CHAR, CONJ, PARAM, registry
+from .symbols import PARAM, base_name, base_names, registry
 
 
 class ShapeMismatch(ValueError):
@@ -324,24 +324,14 @@ class ObstructionReport:
 def _sample_points(coefficients, count=5, seed=11):
     """Random small parameter bindings for every symbol appearing in the
     given coefficients; characters go on the unit circle."""
-    names: set[str] = set()
-    for c in coefficients:
-        names.update(c.free_symbols())
-    base: list[str] = []
-    chars: list[str] = []
-    for nm in sorted(names):
-        sym = registry.lookup(nm)
-        if sym.kind == CHAR:
-            chars.append(nm)
-        elif sym.kind == CONJ:
-            base.append(sym.conjugate_of)
-        else:
-            base.append(nm)
+    names = {nm for c in coefficients for nm in c.free_symbols()}
+    chars = sorted(nm for nm in names if base_name(nm) is None)
+    base = base_names(coefficients)
     rng = random.Random(seed)
     points = []
     while len(points) < count:
         point = {}
-        for nm in sorted(set(base)):
+        for nm in base:
             sym = registry.lookup(nm)
             if sym.kind == PARAM:
                 val = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))

@@ -12,6 +12,11 @@ lazily whenever new symbols appear, and existing values lift into the
 extended context on demand.  reset() starts a new lifetime: every ring
 context records the lifetime it was built in, and a value from an earlier
 lifetime is stale.
+
+Other modules ask this one what a symbol stands for: base_name and
+base_names give the parameter behind a symbol, require_real checks a real
+parameter, and the ensure_* methods register a symbol of one kind, a
+parameter together with its partner, in one step.
 """
 
 from __future__ import annotations
@@ -119,22 +124,26 @@ class _Registry:
         self._context = None
         return sym
 
-    def register_pair(self, name: str):
-        """Register a complex parameter together with its conjugate partner,
-        named name + "_c"."""
-        conj_name = name + "_c"
+    def _ensure(self, name: str, kind: str) -> tuple[ParameterSymbol, ...]:
+        """The symbol name of the given kind, with its conjugate partner
+        name + "_c" for a parameter, registered if new.  Checked and added
+        under one hold of the lock, so a parameter is never registered
+        without its partner and threads ensuring one new name all get the
+        same symbols."""
         with self._lock:
-            a = self._add(name, PARAM, conj_name)
-            b = self._add(conj_name, CONJ, name)
-        return a, b
-
-    def register_real(self, name: str) -> ParameterSymbol:
-        with self._lock:
-            return self._add(name, REAL, None)
-
-    def register_char(self, name: str) -> ParameterSymbol:
-        with self._lock:
-            return self._add(name, CHAR, None)
+            sym = self._by_name.get(name)
+            if sym is not None:
+                if sym.kind != kind:
+                    raise ValueError(f"{name!r} already registered as {sym.kind}")
+                if kind != PARAM:
+                    return (sym,)
+                return sym, self._by_name[sym.conjugate_of]
+            if kind != PARAM:
+                return (self._add(name, kind, None),)
+            partner = name + "_c"
+            if partner in self._by_name:
+                raise ValueError(f"symbol already registered: {partner!r}")
+            return self._add(name, PARAM, partner), self._add(partner, CONJ, name)
 
     def lookup(self, name: str) -> ParameterSymbol:
         sym = self._by_name.get(name)
@@ -142,33 +151,21 @@ class _Registry:
             raise KeyError(f"unknown symbol: {name!r}")
         return sym
 
-    def ensure_pair(self, name: str):
-        """register_pair, or return the existing pair if already present."""
-        with self._lock:
-            sym = self._by_name.get(name)
-            if sym is not None:
-                if sym.kind != PARAM:
-                    raise ValueError(f"{name!r} already registered as {sym.kind}")
-                return sym, self._by_name[sym.conjugate_of]
-        return self.register_pair(name)
+    def require_real(self, name: str) -> ParameterSymbol:
+        sym = self._by_name.get(name)
+        if sym is None or sym.kind != REAL:
+            raise ValueError(f"{name!r} is not a registered real parameter")
+        return sym
+
+    def ensure_pair(self, name: str) -> tuple[ParameterSymbol, ParameterSymbol]:
+        """A complex parameter and its conjugate partner, named name + "_c"."""
+        return self._ensure(name, PARAM)
 
     def ensure_real(self, name: str) -> ParameterSymbol:
-        with self._lock:
-            sym = self._by_name.get(name)
-            if sym is not None:
-                if sym.kind != REAL:
-                    raise ValueError(f"{name!r} already registered as {sym.kind}")
-                return sym
-        return self.register_real(name)
+        return self._ensure(name, REAL)[0]
 
     def ensure_char(self, name: str) -> ParameterSymbol:
-        with self._lock:
-            sym = self._by_name.get(name)
-            if sym is not None:
-                if sym.kind != CHAR:
-                    raise ValueError(f"{name!r} already registered as {sym.kind}")
-                return sym
-        return self.register_char(name)
+        return self._ensure(name, CHAR)[0]
 
     def context(self) -> RingContext:
         # a built context is immutable: read it without the lock, which
@@ -192,3 +189,18 @@ def conjugate_name(name: str) -> str:
     if sym.kind in (PARAM, CONJ):
         return sym.conjugate_of
     return name
+
+
+def base_name(name: str) -> str | None:
+    """The parameter a symbol stands for: a conjugate stands for its
+    partner, a character for none, any other symbol for itself."""
+    sym = registry.lookup(name)
+    if sym.kind == CONJ:
+        return sym.conjugate_of
+    return None if sym.kind == CHAR else name
+
+
+def base_names(coefficients) -> list[str]:
+    """Sorted names of the parameters and reals the coefficients use."""
+    names = {nm for c in coefficients for nm in c.free_symbols()}
+    return sorted({base_name(nm) for nm in names} - {None})

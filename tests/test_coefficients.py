@@ -36,7 +36,17 @@ from ihg.coefficients import (
     _remainder,
     _sum,
 )
-from ihg.symbols import CHAR, CONJ, PARAM, REAL, ParameterSymbol, RingContext, registry
+from ihg.symbols import (
+    CHAR,
+    CONJ,
+    PARAM,
+    REAL,
+    ParameterSymbol,
+    RingContext,
+    base_name,
+    base_names,
+    registry,
+)
 
 
 def setup_symbols():
@@ -311,27 +321,27 @@ class TestSectors:
 class TestRegistryLifetime:
     def test_value_from_same_width_context_is_stale(self):
         # both contexts hold two symbols, so a width test cannot tell them apart
-        registry.register_pair("a")
+        registry.ensure_pair("a")
         a = C("a")
         registry.reset()
-        registry.register_pair("b")
+        registry.ensure_pair("b")
         with pytest.raises(StaleCoefficient):
             a + C("b")
 
     def test_value_from_narrower_context_is_stale(self):
         # padding a's exponents would read it as c, the new first symbol
-        registry.register_pair("a")
+        registry.ensure_pair("a")
         a = C("a")
         registry.reset()
-        registry.register_pair("c")
-        registry.register_real("r")
+        registry.ensure_pair("c")
+        registry.ensure_real("r")
         with pytest.raises(StaleCoefficient):
             a + C("r")
 
     def test_value_lifts_within_its_lifetime(self):
-        registry.register_pair("a")
+        registry.ensure_pair("a")
         a = C("a")
-        registry.register_real("r")
+        registry.ensure_real("r")
         assert (a + C("r")).render() == "a + r"
 
     def test_concurrent_registration_never_caches_a_stale_context(self):
@@ -366,6 +376,66 @@ class TestRegistryLifetime:
                 assert all(c.names == names[:len(c.names)] for c in seen)
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestSymbolKinds:
+    def test_pair_whose_partner_is_taken_registers_nothing(self):
+        registry.ensure_real("t_c")
+        with pytest.raises(ValueError, match="'t_c'"):
+            registry.ensure_pair("t")
+        with pytest.raises(KeyError):
+            registry.lookup("t")
+        assert registry.lookup("t_c").kind == REAL
+        assert registry.context().names == ("t_c",)
+
+    def test_threads_ensuring_one_new_pair_get_the_same_symbols(self):
+        rounds, width = 40, 4
+        barrier = threading.Barrier(width)
+        results: list = []
+        errors: list = []
+
+        def ensure():
+            barrier.wait()
+            try:
+                results.append(registry.ensure_pair("t"))
+            except Exception as exc:  # collected and asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                registry.reset()
+                results.clear()
+                threads = [threading.Thread(target=ensure) for _ in range(width)]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert errors == []
+                assert len(results) == width
+                assert all(r == results[0] for r in results)
+                assert registry.context().names == ("t", "t_c")
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_base_name_and_base_names(self):
+        setup_symbols()
+        assert base_name("t21_c") == "t21"
+        assert base_name("t11") == "t11"
+        assert base_name("s") == "s"
+        assert base_name("E1") is None
+        coefficients = [C("t11") * C("E1"), C("t21").conjugate(), C("s")]
+        assert base_names(coefficients) == ["s", "t11", "t21"]
+        assert base_names([C("E1"), ONE()]) == []
+
+    def test_require_real(self):
+        setup_symbols()
+        assert registry.require_real("s") == registry.lookup("s")
+        for name in ("missing", "t11", "t11_c", "E1"):
+            with pytest.raises(ValueError, match="not a registered real"):
+                registry.require_real(name)
 
 
 # -- randomized algebraic laws ------------------------------------------------

@@ -369,6 +369,13 @@ class TestDsl:
         with pytest.raises(KeyError):
             registry.lookup(name)
 
+    def test_param_whose_partner_is_declared_real_is_rejected(self):
+        with pytest.raises(ValueError, match="'t_c'"):
+            parse_geometry("geometry g dim 1;\nreal t_c;\nparam t;\n")
+        with pytest.raises(KeyError):
+            registry.lookup("t")
+        assert registry.lookup("t_c").kind == "real"
+
     def test_unknown_statement(self):
         with pytest.raises(ParseError):
             parse_geometry("geometry g dim 2;\nfrobnicate 3;\n")

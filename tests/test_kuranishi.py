@@ -114,6 +114,13 @@ def test_a_conjugate_name_cannot_be_zero_and_nonzero(zero, nonzero):
         branch_reduce(series, BranchSpec(zeros=(zero,), nonzeros=(nonzero,)))
 
 
+@pytest.mark.parametrize("field", ["zeros", "nonzeros"])
+def test_a_branch_names_no_character(field):
+    series = kuranishi_build(catalog("nakamura_3b"))
+    with pytest.raises(ValueError, match="not characters"):
+        branch_reduce(series, BranchSpec(**{field: ("E1",)}))
+
+
 def test_depth_cap_reached():
     with pytest.raises(DepthCapReached):
         kuranishi_build(catalog("solv4d"), depth_cap=2)
