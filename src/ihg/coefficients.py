@@ -69,7 +69,7 @@ from math import gcd, lcm
 from sympy.polys.domains import ZZ_I
 from sympy.polys.rings import PolyRing
 
-from .symbols import CHAR, CONJ, PARAM, REAL, RingContext, base_names, registry
+from .symbols import CHAR, REAL, RingContext, base_names, registry, with_partners
 
 _ONE = (1, 0)
 
@@ -255,11 +255,21 @@ class QuadraticSurd:
     def __rtruediv__(self, o):
         return self._check(o) / self
 
+    def __pow__(self, k: int) -> "QuadraticSurd":
+        """self ** k for an integer k >= 0."""
+        out = QuadraticSurd.of(1, self.d)
+        for _ in range(k):
+            out = out * self
+        return out
+
     def conjugate(self) -> "QuadraticSurd":
         return QuadraticSurd(self.a.conjugate(), self.b.conjugate(), self.d)
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def is_rational_real(self) -> bool:
         return self.a.im == 0 and self.b.im == 0
@@ -1009,7 +1019,8 @@ class Coefficient:
         if k == 0:
             return Coefficient.one()
         if k < 0:
-            return Coefficient.one() / self ** (-k)
+            # invert first, so the numerator becomes one atom of multiplicity -k
+            return (Coefficient.one() / self) ** (-k)
         r = self._refreshed()
         return Coefficient._make(
             _pow(r._num, k, r._ctx), [(a, m * k) for a, m in r._den], r._ctx
@@ -1193,82 +1204,75 @@ class Coefficient:
     # -- substitution ---------------------------------------------------------
 
     def substitute(self, bindings: dict):
-        """Evaluate at bindings {symbol-name: value}.
+        """Evaluate at bindings {symbol or name: value}.
 
-        Binding a parameter automatically binds its conjugate partner with the
-        conjugated value unless bound explicitly.  QuadraticSurd values force a
-        full evaluation and return a QuadraticSurd.
+        Binding a parameter also binds its conjugate partner to the
+        conjugated value unless the partner is bound explicitly.  Unbound
+        symbols stay symbolic, so the result is a Coefficient, except that
+        a QuadraticSurd value forces a full evaluation and the result is a
+        QuadraticSurd.
         """
         r = self._refreshed()
         ctx = r._ctx
-        resolved: dict[int, object] = {}
-        surd_d: int | None = None
-        items = list(bindings.items())
-        for key, val in items:
-            name = key if isinstance(key, str) else key.name
-            sym = registry.lookup(name)
-            idx = ctx.index_of[name]
-            resolved[idx] = val
-            if isinstance(val, QuadraticSurd):
-                if surd_d is not None and surd_d != val.d:
-                    raise MixedRadicals(
-                        f"mixed radicals sqrt({surd_d}) and sqrt({val.d})"
-                    )
-                surd_d = val.d
-            if sym.kind in (PARAM, CONJ):
-                partner = ctx.index_of[sym.conjugate_of]
-                if partner not in resolved and not any(
-                    (k if isinstance(k, str) else k.name) == sym.conjugate_of
-                    for k, _ in items
-                ):
-                    resolved[partner] = _conj_value(val)
-            elif sym.kind == REAL:
-                if not _value_is_real(val):
-                    raise ValueError(f"real symbol {name!r} bound to non-real value")
-            elif sym.kind == CHAR:
-                if _value_is_zero(val):
-                    raise DenominatorVanishes(f"character {name} bound to 0")
-        if surd_d is not None:
-            return r._substitute_surd(resolved, surd_d)
-        return r._substitute_field(resolved)
+        d = next((v.d for v in bindings.values() if isinstance(v, QuadraticSurd)),
+                 None)
+        if d is None:
+            field = with_partners(
+                {k: v if isinstance(v, Coefficient) else Coefficient.from_scalar(v)
+                 for k, v in bindings.items()}, _conjugate)
+        else:
+            field = with_partners(
+                {k: QuadraticSurd.of(v, d) for k, v in bindings.items()}, _conjugate)
+        for name, val in field.items():
+            kind = registry.lookup(name).kind
+            if kind == REAL and val.conjugate() != val:
+                raise ValueError(f"real symbol {name!r} bound to non-real value")
+            if kind == CHAR and not val:
+                raise DenominatorVanishes(f"character {name} bound to 0")
+        if d is None:
+            return r._at(
+                lambda nm: field[nm] if nm in field else Coefficient.symbol(nm),
+                lambda c: Coefficient(_ground(ctx, c), (), ctx),
+                Coefficient.sum_of_products,
+            )
+        missing = r.free_symbols() - field.keys()
+        if missing:
+            names = ", ".join(sorted(missing, key=ctx.index_of.get))
+            raise ValueError(f"surd substitution must bind all symbols; missing {names}")
+        return r._at(field.__getitem__, lambda c: QuadraticSurd.of(_over(c), d),
+                     _plain_sum(QuadraticSurd.of(0, d)))
 
-    def _substitute_field(self, values: dict[int, object]) -> "Coefficient":
+    def _at(self, value, const, total):
+        """num / den at a point; self must be current.
+
+        A generator's value is value(name), a Gaussian integer's const(c),
+        and a polynomial's is total(pairs) over its terms' (const(c),
+        monomial value) pairs.  Each power of a generator is computed once;
+        an atom that evaluates to zero raises DenominatorVanishes.
+        """
         ctx = self._ctx
-        coeff_values = {
-            i: (v if isinstance(v, Coefficient) else Coefficient.from_scalar(v))
-            for i, v in values.items()
-        }
-        num = _eval_poly_field(self._num, ctx, coeff_values)
-        out = num
+        one = const(_ONE)
+        powers: dict = {}
+
+        def at(p):
+            pairs = []
+            for monom, c in p.items():
+                term = one
+                for idx, e in enumerate(monom):
+                    if e:
+                        x = powers.get((idx, e))
+                        if x is None:
+                            x = powers[idx, e] = value(ctx.names[idx]) ** e
+                        term = term * x
+                pairs.append((const(c), term))
+            return total(pairs)
+
+        out = at(self._num)
         for atom, mult in self._den:
-            a = _eval_poly_field(atom, ctx, coeff_values)
-            if a.is_zero():
+            a = at(atom)
+            if not a:
                 raise DenominatorVanishes(_render_poly(atom, ctx))
             out = out / a ** mult
-        return out
-
-    def _substitute_surd(self, values: dict[int, object], d: int) -> QuadraticSurd:
-        ctx = self._ctx
-        needed = {
-            idx
-            for p in [self._num] + [a for a, _ in self._den]
-            for monom in p.keys()
-            for idx, e in enumerate(monom)
-            if e
-        }
-        missing = needed - set(values)
-        if missing:
-            names = ", ".join(ctx.names[i] for i in sorted(missing))
-            raise ValueError(f"surd substitution must bind all symbols; missing {names}")
-        surd_values = {i: QuadraticSurd.of(v, d) for i, v in values.items()}
-        num = _eval_poly_surd(self._num, ctx, surd_values, d)
-        out = num
-        for atom, mult in self._den:
-            a = _eval_poly_surd(atom, ctx, surd_values, d)
-            if a.is_zero():
-                raise DenominatorVanishes(_render_poly(atom, ctx))
-            for _ in range(mult):
-                out = out / a
         return out
 
     # -- sector decomposition -------------------------------------------------
@@ -1344,93 +1348,22 @@ class Coefficient:
     def __repr__(self) -> str:
         return f"Coefficient({self.render()})"
 
-    def numeric(self, point: dict[str, complex]) -> complex:
-        """Float evaluation at a sample point, for numeric cross-checks."""
-        r = self._refreshed()
-        ctx = r._ctx
-
-        def ev(p):
-            total = 0j
-            for monom, c in p.items():
-                v = complex(*c)
-                for idx, e in enumerate(monom):
-                    if e:
-                        v *= point[ctx.names[idx]] ** e
-                total += v
-            return total
-
-        out = ev(r._num)
-        for atom, mult in r._den:
-            out /= ev(atom) ** mult
-        return out
+    def numeric(self, point: dict) -> complex:
+        """Float evaluation at a point {symbol or name: number}, for numeric
+        cross-checks; a parameter's unbound partner takes the conjugate."""
+        point = with_partners(point, _conjugate)
+        return self._refreshed()._at(
+            point.__getitem__, lambda c: complex(*c), _plain_sum(0j)
+        )
 
 
-def _conj_value(val):
-    if isinstance(val, Coefficient):
-        return val.conjugate()
-    if isinstance(val, (QuadraticSurd, GaussianRational)):
-        return val.conjugate()
-    if isinstance(val, (int, Fraction)):
-        return val
-    raise TypeError(f"cannot conjugate binding value {type(val).__name__}")
+def _conjugate(val):
+    return val.conjugate()
 
 
-def _value_is_real(val) -> bool:
-    if isinstance(val, (int, Fraction)):
-        return True
-    if isinstance(val, GaussianRational):
-        return val.im == 0
-    if isinstance(val, QuadraticSurd):
-        return val.is_rational_real()
-    if isinstance(val, Coefficient):
-        return val == val.conjugate()
-    return False
-
-
-def _value_is_zero(val) -> bool:
-    if isinstance(val, Coefficient):
-        return val.is_zero()
-    if isinstance(val, (QuadraticSurd, GaussianRational)):
-        return val.is_zero()
-    return val == 0
-
-
-def _eval_poly_field(p, ctx, values: dict[int, Coefficient]) -> Coefficient:
-    powers: dict[tuple[int, int], Coefficient] = {}
-
-    def power(idx: int, e: int) -> Coefficient:
-        key = (idx, e)
-        got = powers.get(key)
-        if got is None:
-            base = values.get(idx)
-            if base is None:
-                base = Coefficient.symbol(ctx.names[idx])
-                values[idx] = base
-            got = base ** e
-            powers[key] = got
-        return got
-
-    pairs = []
-    for monom, c in p.items():
-        term = Coefficient.one()
-        for idx, e in enumerate(monom):
-            if e:
-                term = term * power(idx, e)
-        pairs.append((Coefficient(_ground(ctx, c), (), ctx), term))
-    return Coefficient.sum_of_products(pairs)
-
-
-def _eval_poly_surd(p, ctx, values: dict[int, QuadraticSurd], d: int) -> QuadraticSurd:
-    total = QuadraticSurd.of(0, d)
-    for monom, c in p.items():
-        term = QuadraticSurd.of(_over(c), d)
-        for idx, e in enumerate(monom):
-            if e:
-                v = values[idx]
-                for _ in range(e):
-                    term = term * v
-        total = total + term
-    return total
+def _plain_sum(zero):
+    """total for Coefficient._at: the plain sum of the pairs' products."""
+    return lambda pairs: sum((a * b for a, b in pairs), zero)
 
 
 def _render_monom(monom, ctx) -> str:

@@ -147,16 +147,15 @@ class _Parser:
             head = tok.text
             if head == "param":
                 self.next()
-                for nm in self._name_list():
-                    registry.ensure_pair(nm)
+                for name_tok in self._name_list():
+                    self._declare(name_tok, registry.ensure_pair)
             elif head == "real":
                 self.next()
-                for nm in self._name_list():
-                    registry.ensure_real(nm)
+                for name_tok in self._name_list():
+                    self._declare(name_tok, registry.ensure_real)
             elif head == "char":
                 self.next()
-                cname = self._new_name()
-                registry.ensure_char(cname)
+                cname = self._declare(self._new_name(), registry.ensure_char)
                 self.expect("ident", "dlog")
                 self.expect("op", "=")
                 chars[cname] = self._form()
@@ -196,7 +195,7 @@ class _Parser:
             code = _CODES.get(err.kind, err.kind)
             raise ValidationError(code, str(err)) from None
 
-    def _name_list(self) -> list[str]:
+    def _name_list(self) -> list[_Token]:
         names = [self._new_name()]
         while self.peek().text == ",":
             self.next()
@@ -204,12 +203,23 @@ class _Parser:
         self.expect("op", ";")
         return names
 
-    def _new_name(self) -> str:
-        """A name being declared; the expression syntax reserves i, phi
-        and conj."""
+    def _new_name(self) -> _Token:
+        """The token of a name being declared; the expression syntax
+        reserves i, phi and conj."""
         tok = self.expect("ident")
         if tok.text in ("i", "phi", "conj"):
             raise ParseError(f"{tok.text!r} is reserved", tok.line, tok.col)
+        return tok
+
+    @staticmethod
+    def _declare(tok: _Token, ensure) -> str:
+        """Register a declared name with ensure, a registry.ensure_* method,
+        and return it; a clash with a registered symbol is reported at the
+        name."""
+        try:
+            ensure(tok.text)
+        except ValueError as err:
+            raise ParseError(str(err), tok.line, tok.col) from None
         return tok.text
 
     def _as_scalar(self, form: Form, tok: _Token) -> Coefficient:

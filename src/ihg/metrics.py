@@ -101,10 +101,9 @@ class InvariantMetric:
 
     def positive_at(self, point: dict[str, complex]) -> bool:
         """Leading principal minors at a numeric sample point."""
-        values = _fill_conjugates(point)
         n = self.n
         numeric = [
-            [self.h[j][k].numeric(values) for k in range(n)] for j in range(n)
+            [self.h[j][k].numeric(point) for k in range(n)] for j in range(n)
         ]
         for size in range(1, n + 1):
             minor = _det([row[:size] for row in numeric[:size]])
@@ -122,15 +121,6 @@ def _det(m):
         sub = [row[:j] + row[j + 1:] for row in m[1:]]
         total += (-1) ** j * m[0][j] * _det(sub)
     return total
-
-
-def _fill_conjugates(point: dict[str, complex]) -> dict[str, complex]:
-    out = dict(point)
-    for nm, val in list(point.items()):
-        sym = registry.lookup(nm)
-        if sym.kind == PARAM and sym.conjugate_of not in out:
-            out[sym.conjugate_of] = complex(val).conjugate()
-    return out
 
 
 @dataclass(frozen=True)
@@ -189,7 +179,6 @@ def check_condition(
     m: InvariantMetric,
     which: str,
     k: int | None = None,
-    use_constraints: bool = True,
 ) -> ConditionReport:
     which = which.lower()
     if m.n != geom.n:
@@ -219,7 +208,7 @@ def check_condition(
             residual = residual + geom.ddbar(omega.wedge_power(2))
     else:
         raise ValueError(f"unknown condition {which!r}")
-    if use_constraints and geom.constraints:
+    if geom.constraints:
         residual = geom.reduce(residual)
         notes.append("reduced modulo attached constraint ideal")
     return _classify(which, residual, notes)
@@ -258,9 +247,7 @@ def pluriclosed_criterion(geom: Geometry) -> Coefficient:
     )
 
 
-def all_or_none_skt(
-    geom: Geometry, use_constraints: bool = True
-) -> ConditionReport:
+def all_or_none_skt(geom: Geometry) -> ConditionReport:
     """Dichotomy for towers where only d(phi^n) is nonzero and omits the
     top index: every invariant metric is SKT iff del dbar phi^{n nbar}
     vanishes.  When it does, the del-dbar conditions on omega and omega^2
@@ -275,15 +262,13 @@ def all_or_none_skt(
     n = geom.n
     residual = geom.ddbar(Form.monomial((n,), (n,)))
     notes = []
-    if use_constraints and geom.constraints:
+    if geom.constraints:
         residual = geom.reduce(residual)
         notes.append("reduced modulo attached constraint ideal")
     report = _classify("all_or_none_skt", residual, notes)
     if report.holds is True:
         generic = InvariantMetric.generic(n)
-        ft = check_condition(
-            geom, generic, "ft_pair", use_constraints=use_constraints
-        )
+        ft = check_condition(geom, generic, "ft_pair")
         extra = (
             "del-dbar conditions on omega and omega^2 hold for every "
             "invariant metric"
@@ -322,8 +307,9 @@ class ObstructionReport:
 
 
 def _sample_points(coefficients, count=5, seed=11):
-    """Random small parameter bindings for every symbol appearing in the
-    given coefficients; characters go on the unit circle."""
+    """Random small bindings of the parameters, reals and characters the
+    given coefficients use; characters go on the unit circle, and numeric()
+    binds each partner to the conjugate value."""
     names = {nm for c in coefficients for nm in c.free_symbols()}
     chars = sorted(nm for nm in names if base_name(nm) is None)
     base = base_names(coefficients)
@@ -334,9 +320,7 @@ def _sample_points(coefficients, count=5, seed=11):
         for nm in base:
             sym = registry.lookup(nm)
             if sym.kind == PARAM:
-                val = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-                point[nm] = val
-                point[sym.conjugate_of] = val.conjugate()
+                point[nm] = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
             else:
                 point[nm] = complex(rng.uniform(-0.4, 0.4), 0.0)
         for nm in chars:

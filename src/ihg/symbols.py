@@ -15,7 +15,8 @@ lifetime is stale.
 
 Other modules ask this one what a symbol stands for: base_name and
 base_names give the parameter behind a symbol, require_real checks a real
-parameter, and the ensure_* methods register a symbol of one kind, a
+parameter, with_partners binds each bound parameter's partner to the
+conjugate value, and the ensure_* methods register a symbol of one kind, a
 parameter together with its partner, in one step.
 """
 
@@ -198,6 +199,19 @@ def base_name(name: str) -> str | None:
     if sym.kind == CONJ:
         return sym.conjugate_of
     return None if sym.kind == CHAR else name
+
+
+def with_partners(bindings, conjugate) -> dict:
+    """Bindings {name or symbol: value} keyed by name, with each complex
+    parameter's partner bound to conjugate(value) unless the partner is
+    bound explicitly.  Every key must be a registered symbol."""
+    named = {k if isinstance(k, str) else k.name: v for k, v in bindings.items()}
+    out = dict(named)
+    for nm, val in named.items():
+        partner = registry.lookup(nm).conjugate_of
+        if partner is not None and partner not in named:
+            out[partner] = conjugate(val)
+    return out
 
 
 def base_names(coefficients) -> list[str]:

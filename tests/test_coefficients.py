@@ -235,6 +235,8 @@ class TestSubstitution:
         v = GaussianRational(Fraction(1, 2), Fraction(1, 3))
         got = T1.substitute({"t11": v}).scalar()
         assert got == GaussianRational(Fraction(36, 23))
+        with pytest.raises(TypeError):
+            T1.substitute({"t11": 0.5 + 0.25j})
 
     def test_explicit_conjugate_wins(self):
         setup_symbols()
@@ -249,6 +251,9 @@ class TestSubstitution:
         g = f.substitute({"t11": GaussianRational(Fraction(1, 2))})
         assert g == (Coefficient.from_scalar(Fraction(1, 2)) + u) \
             / Coefficient.from_scalar(Fraction(3, 4))
+        # a zero Coefficient is falsy, and still binds t11 like 0 does
+        assert f.substitute({"t11": Coefficient.zero()}) == u
+        assert f.substitute({"t11": 0}) == u
 
     def test_denominator_vanishes(self):
         setup_symbols()
@@ -279,9 +284,30 @@ class TestSubstitution:
         P = (T + 1) ** 2 * (T ** 2 - 4 * T + 1)
         r = QuadraticSurd(GaussianRational.of(2), GaussianRational.of(-1), 3)
         assert P.substitute({"T": r}).is_zero()
+        with pytest.raises(DenominatorVanishes):
+            (ONE() / (T ** 2 - 4 * T + 1)).substitute({"T": r})
+        # 1/(3 - sqrt(3)) = 1/2 + sqrt(3)/6
+        assert (ONE() / (T + 1)).substitute({"T": r}) == QuadraticSurd(
+            GaussianRational.of(Fraction(1, 2)),
+            GaussianRational.of(Fraction(1, 6)), 3)
+        registry.ensure_real("S")
         with pytest.raises(ValueError):
-            registry.ensure_real("S")
             (T + C("S")).substitute({"T": r})
+        root5 = QuadraticSurd(GaussianRational.of(0), GaussianRational.of(1), 5)
+        with pytest.raises(MixedRadicals):
+            (T + C("S")).substitute({"T": r, "S": root5})
+
+    def test_numeric_binds_unbound_partners(self):
+        setup_symbols()
+        t = C("t11")
+        assert (t * t.conjugate()).numeric({"t11": 1 + 2j}) == 5
+        assert (t * t.conjugate()).numeric({"t11": 1 + 2j, "t11_c": 2}) == 2 + 4j
+
+    def test_negative_power_keeps_the_base_as_one_atom(self):
+        setup_symbols()
+        t = C("t11")
+        assert ((t + 1) ** -2).render() == "1/(t11 + 1)^2"
+        assert ((t + 1) ** -2 * (t + 1)).render() == "1/(t11 + 1)"
 
     def test_char_binding_zero_rejected(self):
         setup_symbols()

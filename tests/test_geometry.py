@@ -369,6 +369,16 @@ class TestDsl:
         with pytest.raises(KeyError):
             registry.lookup(name)
 
+    @pytest.mark.parametrize("decls, col", [
+        ("real t_c;\nparam t;", 7),
+        ("param t;\nreal t;", 6),
+        ("param E;\nchar E dlog = phi[1] - phi[|1];", 6),
+    ], ids=["partner-real", "param-then-real", "param-then-char"])
+    def test_registry_clash_is_rejected_where_declared(self, decls, col):
+        with pytest.raises(ParseError) as err:
+            parse_geometry(f"geometry g dim 2;\n{decls}\n")
+        assert (err.value.line, err.value.col) == (3, col)
+
     def test_param_whose_partner_is_declared_real_is_rejected(self):
         with pytest.raises(ValueError, match="'t_c'"):
             parse_geometry("geometry g dim 1;\nreal t_c;\nparam t;\n")

@@ -132,7 +132,7 @@ class TestFtFamily:
 
     def test_unconstrained_generator_matches_attached_constraint(self):
         g = catalog("nilfamily_ft")
-        rep = all_or_none_skt(g, use_constraints=False)
+        rep = all_or_none_skt(Geometry(g.name, g.n, g.structure))
         assert rep.holds == "conditional"
         assert len(rep.constraint_generators) == 1
         expected = g.constraints[0].numerator_normalized()
@@ -188,7 +188,7 @@ class TestFpsFamily:
         g = catalog("fps_family")
         crit = pluriclosed_criterion(g)
         m = InvariantMetric.generic(3)
-        rep = check_condition(g, m, "skt", use_constraints=False)
+        rep = check_condition(Geometry(g.name, g.n, g.structure), m, "skt")
         assert rep.holds == "conditional"
         assert len(rep.constraint_generators) == 1
         gen = rep.constraint_generators[0]
