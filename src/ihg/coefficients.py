@@ -1219,10 +1219,10 @@ class Coefficient:
         if d is None:
             field = with_partners(
                 {k: v if isinstance(v, Coefficient) else Coefficient.from_scalar(v)
-                 for k, v in bindings.items()}, _conjugate)
+                 for k, v in bindings.items()})
         else:
             field = with_partners(
-                {k: QuadraticSurd.of(v, d) for k, v in bindings.items()}, _conjugate)
+                {k: QuadraticSurd.of(v, d) for k, v in bindings.items()})
         for name, val in field.items():
             kind = registry.lookup(name).kind
             if kind == REAL and val.conjugate() != val:
@@ -1250,28 +1250,28 @@ class Coefficient:
         monomial value) pairs.  Each power of a generator is computed once;
         an atom that evaluates to zero raises DenominatorVanishes.
         """
-        ctx = self._ctx
+        names = self._ctx.names
         one = const(_ONE)
         powers: dict = {}
 
         def at(p):
             pairs = []
             for monom, c in p.items():
-                term = one
+                term = None
                 for idx, e in enumerate(monom):
                     if e:
                         x = powers.get((idx, e))
                         if x is None:
-                            x = powers[idx, e] = value(ctx.names[idx]) ** e
-                        term = term * x
-                pairs.append((const(c), term))
+                            x = powers[idx, e] = value(names[idx]) ** e
+                        term = x if term is None else term * x
+                pairs.append((const(c), one if term is None else term))
             return total(pairs)
 
         out = at(self._num)
         for atom, mult in self._den:
             a = at(atom)
             if not a:
-                raise DenominatorVanishes(_render_poly(atom, ctx))
+                raise DenominatorVanishes(_render_poly(atom, self._ctx))
             out = out / a ** mult
         return out
 
@@ -1350,15 +1350,16 @@ class Coefficient:
 
     def numeric(self, point: dict) -> complex:
         """Float evaluation at a point {symbol or name: number}, for numeric
-        cross-checks; a parameter's unbound partner takes the conjugate."""
-        point = with_partners(point, _conjugate)
+        cross-checks; a parameter's unbound partner takes the conjugate.
+
+        A generator the point does not bind by name is looked up in
+        with_partners(point), so a caller that evaluates many coefficients
+        at one point fills it once with with_partners.
+        """
         return self._refreshed()._at(
-            point.__getitem__, lambda c: complex(*c), _plain_sum(0j)
+            lambda nm: point[nm] if nm in point else with_partners(point)[nm],
+            lambda c: complex(*c), _plain_sum(0j),
         )
-
-
-def _conjugate(val):
-    return val.conjugate()
 
 
 def _plain_sum(zero):

@@ -308,12 +308,6 @@ def _forced_variable(g: Coefficient) -> str | None:
     return None
 
 
-def _zero_bindings(zeros) -> dict[str, Coefficient]:
-    """Each parameter in zeros and its conjugate bound to zero."""
-    zero = Coefficient.zero()
-    return {nm: zero for z in zeros for nm in (z, conjugate_name(z))}
-
-
 def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSeries:
     """Specialize the series to a branch.
 
@@ -331,7 +325,7 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
     _check_disjoint(zeros, nonzeros)
     pending = [g for g in series.ideal] + list(branch.relations)
     while True:
-        bindings = _zero_bindings(zeros)
+        bindings = dict.fromkeys(zeros, Coefficient.zero())
         changed = False
         survivors: list[Coefficient] = []
         for g in pending:
@@ -357,7 +351,7 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
         pending = survivors
         if not changed:
             break
-    bindings = _zero_bindings(zeros)
+    bindings = dict.fromkeys(zeros, Coefficient.zero())
     psi = {
         k: part.substitute(bindings) if bindings else part
         for k, part in series.psi_terms.items()

@@ -17,7 +17,7 @@ from .coefficients import Coefficient, DenominatorVanishes, normalized_generator
 from .cohomology import solve_dbar
 from .exterior import Form, MultiIndex
 from .geometry import Geometry, check_nilpotent_shape
-from .symbols import PARAM, base_name, base_names, registry
+from .symbols import PARAM, base_name, base_names, registry, with_partners
 
 
 class ShapeMismatch(ValueError):
@@ -101,6 +101,7 @@ class InvariantMetric:
 
     def positive_at(self, point: dict[str, complex]) -> bool:
         """Leading principal minors at a numeric sample point."""
+        point = with_partners(point)
         n = self.n
         numeric = [
             [self.h[j][k].numeric(point) for k in range(n)] for j in range(n)
@@ -308,8 +309,8 @@ class ObstructionReport:
 
 def _sample_points(coefficients, count=5, seed=11):
     """Random small bindings of the parameters, reals and characters the
-    given coefficients use; characters go on the unit circle, and numeric()
-    binds each partner to the conjugate value."""
+    given coefficients use, with each partner bound to the conjugate value;
+    characters go on the unit circle."""
     names = {nm for c in coefficients for nm in c.free_symbols()}
     chars = sorted(nm for nm in names if base_name(nm) is None)
     base = base_names(coefficients)
@@ -325,7 +326,7 @@ def _sample_points(coefficients, count=5, seed=11):
                 point[nm] = complex(rng.uniform(-0.4, 0.4), 0.0)
         for nm in chars:
             point[nm] = cmath.exp(1j * rng.uniform(0, 6.28))
-        points.append(point)
+        points.append(with_partners(point))
     return points
 
 

@@ -201,16 +201,16 @@ def base_name(name: str) -> str | None:
     return None if sym.kind == CHAR else name
 
 
-def with_partners(bindings, conjugate) -> dict:
+def with_partners(bindings) -> dict:
     """Bindings {name or symbol: value} keyed by name, with each complex
-    parameter's partner bound to conjugate(value) unless the partner is
+    parameter's partner bound to value.conjugate() unless the partner is
     bound explicitly.  Every key must be a registered symbol."""
     named = {k if isinstance(k, str) else k.name: v for k, v in bindings.items()}
     out = dict(named)
     for nm, val in named.items():
         partner = registry.lookup(nm).conjugate_of
         if partner is not None and partner not in named:
-            out[partner] = conjugate(val)
+            out[partner] = val.conjugate()
     return out
 
 

@@ -46,6 +46,7 @@ from ihg.symbols import (
     base_name,
     base_names,
     registry,
+    with_partners,
 )
 
 
@@ -302,6 +303,7 @@ class TestSubstitution:
         t = C("t11")
         assert (t * t.conjugate()).numeric({"t11": 1 + 2j}) == 5
         assert (t * t.conjugate()).numeric({"t11": 1 + 2j, "t11_c": 2}) == 2 + 4j
+        assert (t * t.conjugate()).numeric({registry.lookup("t11"): 1 + 2j}) == 5
 
     def test_negative_power_keeps_the_base_as_one_atom(self):
         setup_symbols()
@@ -459,6 +461,15 @@ class TestSymbolKinds:
         coefficients = [C("t11") * C("E1"), C("t21").conjugate(), C("s")]
         assert base_names(coefficients) == ["s", "t11", "t21"]
         assert base_names([C("E1"), ONE()]) == []
+
+    def test_with_partners_binds_conjugates_unless_bound(self):
+        setup_symbols()
+        assert with_partners({registry.lookup("t11"): 1 + 2j, "s": 3, "E1": 1j}) == {
+            "t11": 1 + 2j, "t11_c": 1 - 2j, "s": 3, "E1": 1j}
+        assert with_partners({"t21_c": 2j}) == {"t21_c": 2j, "t21": -2j}
+        assert with_partners({"t11": 1j, "t11_c": 5}) == {"t11": 1j, "t11_c": 5}
+        with pytest.raises(KeyError):
+            with_partners({"nope": 1})
 
     def test_require_real(self):
         setup_symbols()
