@@ -69,7 +69,8 @@ from math import gcd, lcm
 from sympy.polys.domains import ZZ_I
 from sympy.polys.rings import PolyRing
 
-from .symbols import CHAR, REAL, RingContext, base_names, registry, with_partners
+from .symbols import (CHAR, CONJ, REAL, RingContext, base_names, registry,
+                      with_partners)
 
 _ONE = (1, 0)
 
@@ -758,6 +759,44 @@ def _poly_euler(p, idx: int):
     return out
 
 
+def _definite(p, ctx: RingContext):
+    """(s, z): the nonzero polynomial p is real-valued with strict sign s off
+    the zero set of the polynomial z, everywhere when z is None; s is 0 when
+    neither rule applies.
+
+    A sum of norms, every term a real multiple of m*conj(m) with no
+    character, all of one sign, is strict everywhere with a constant term
+    and off its own zero set without one.  Otherwise p = |f|^2 / c when
+    p*c == f*conj(f) for a nonzero real c.  For p = k*F*conj(F) with F free
+    of conjugates, the terms of p sharing the conjugate part nu of one term
+    are k*conj(F_nu')*F, nu' the partner monomial of nu, and the term at
+    nu*nu' is k*|F_nu'|^2; those are the f and c tried.
+    """
+    kinds = [s.kind for s in ctx.symbols]
+    perm = ctx.conj_perm
+
+    def is_norm(monom):
+        return all(e == monom[perm[i]] and not (e % 2 and kinds[i] == REAL)
+                   and not (e and kinds[i] == CHAR) for i, e in enumerate(monom))
+
+    signs = {0 if y or not is_norm(m) else (1 if x > 0 else -1)
+             for m, (x, y) in p.items()}
+    if len(signs) == 1 and 0 not in signs:
+        return signs.pop(), None if ctx.zero_monom in p else p
+
+    def conj_part(monom):
+        return tuple(e if kinds[i] == CONJ else 0 for i, e in enumerate(monom))
+
+    nu = conj_part(next(iter(p)))
+    f = _Poly({tuple(e - k for e, k in zip(m, nu)): c
+               for m, c in p.items() if conj_part(m) == nu})
+    fc, shifts = _conj_poly(f, ctx)
+    c = p.get(tuple(k + nu[perm[i]] for i, k in enumerate(nu)))
+    if shifts or c is None or c[1] or _scale(p, c) != _mul(f, fc, ctx):
+        return 0, None
+    return (1 if c[0] > 0 else -1), None if _is_ground(f) else f
+
+
 class Coefficient:
     """Element of the coefficient field; immutable."""
 
@@ -917,6 +956,30 @@ class Coefficient:
     def has_free_parameters(self) -> bool:
         """Whether any symbol other than a character appears."""
         return bool(base_names((self,)))
+
+    def certified_sign(self) -> tuple[int, tuple["Coefficient", ...]]:
+        """(sign, locus): the value is real with this strict sign wherever
+        it is defined, off the zero sets of the locus polynomials; (0, ())
+        when no exact rule decides it.
+
+        The scale q is positive and an even power of a self-conjugate atom
+        is positive; the numerator and every other atom must be definite
+        (_definite), and only the numerator's zero set joins the locus.
+        An even power of an atom that is not self-conjugate can be negative:
+        1/(t + i*conj(t))^4 = -1/(4*(Re t + Im t)^4).
+        """
+        r = self._refreshed()
+        if not r._num:
+            return 0, ()
+        ctx = r._ctx
+        sign, zero = _definite(r._num, ctx)
+        for atom, mult in _split_scale(r._den)[0]:
+            if mult % 2 == 0 and _conj_atom(atom, ctx) == (atom, _ONE, {}):
+                continue
+            sign *= _definite(atom, ctx)[0] ** mult
+        if not sign:
+            return 0, ()
+        return sign, () if zero is None else (Coefficient._monic(zero, ctx),)
 
     # -- arithmetic ----------------------------------------------------------
 

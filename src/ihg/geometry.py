@@ -221,20 +221,25 @@ class Geometry:
                 raise StructureError(
                     f"{self.name}: d^2({which}) != 0", kind="d2_nonzero"
                 )
-        if self.generators is not None:
-            for g in self.generators:
-                if g.is_zero() or g.bidegrees() != {(0, 1)}:
-                    raise StructureError(
-                        f"{self.name}: generators must be nonzero (0,1)-forms",
-                        kind="bad_generator",
-                    )
-                if not self.dbar(g).is_zero():
-                    raise StructureError(
-                        f"{self.name}: generator {g.render()} is not "
-                        "dbar-closed",
-                        kind="bad_generator",
-                    )
+        for g in self.generators or ():
+            self.check_generator(g)
 
+    def check_generator(self, g: Form) -> None:
+        """Raise StructureError unless g is a nonzero (0,1)-form whose dbar
+        vanishes modulo the constraint ideal: the one check of a
+        deformation generator."""
+        if g.is_zero() or not g.is_pure(0, 1):
+            raise StructureError(
+                f"{self.name}: generator {g.render()} is not a nonzero "
+                "(0,1)-form",
+                kind="bad_generator",
+            )
+        # on a family, dbar g = 0 only on the declared constraint locus
+        if not self.reduce(self.dbar(g)).is_zero():
+            raise StructureError(
+                f"{self.name}: generator {g.render()} is not dbar-closed",
+                kind="bad_generator",
+            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Geometry):

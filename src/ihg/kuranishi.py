@@ -21,7 +21,7 @@ from .coefficients import Coefficient, normalized_generators
 from .cohomology import split_primitive
 from .deformation import vector_bracket
 from .exterior import Form, VectorForm
-from .geometry import Geometry, StructureError
+from .geometry import Geometry
 from .symbols import base_name, conjugate_name, registry
 
 
@@ -44,9 +44,8 @@ class InconsistentBranch(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """dbar-closed decorated (0,1)-forms spanning the deformation directions.
-
-    Closedness is checked modulo the geometry's constraint ideal.
+    """dbar-closed decorated (0,1)-forms spanning the deformation directions,
+    each checked by Geometry.check_generator (modulo the constraint ideal).
     """
 
     geom: Geometry
@@ -54,16 +53,7 @@ class GeneratorSet:
 
     def __post_init__(self):
         for g in self.forms:
-            if not g.is_pure(0, 1):
-                raise StructureError(
-                    f"generator {g.render()} is not a (0,1)-form",
-                    kind="bad_generator",
-                )
-            if not self.geom.reduce(self.geom.dbar(g)).is_zero():
-                raise StructureError(
-                    f"generator {g.render()} is not dbar-closed",
-                    kind="bad_generator",
-                )
+            self.geom.check_generator(g)
 
     @staticmethod
     def from_geometry(geom: Geometry) -> "GeneratorSet":

@@ -4,20 +4,20 @@ A metric is stored as the Hermitian matrix h with fundamental form
 omega = i * sum h_jk phi^j ^ conj(phi^k); all conditions reduce to exact
 residual forms (del dbar omega^k = 0, d omega^{n-1} = 0, ...).  Verdicts
 on families come with constraint generators cutting out the locus where
-the condition holds.
+the condition holds.  Obstruction verdicts rest on exact signs
+(Coefficient.certified_sign): a sign no exact rule decides leaves the
+verdict inconclusive.
 """
 
 from __future__ import annotations
 
-import cmath
-import random
 from dataclasses import dataclass
 
-from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
+from .coefficients import Coefficient, normalized_generators
 from .cohomology import solve_dbar
 from .exterior import Form, MultiIndex
 from .geometry import Geometry, check_nilpotent_shape
-from .symbols import PARAM, base_name, base_names, registry, with_partners
+from .symbols import registry, with_partners
 
 
 class ShapeMismatch(ValueError):
@@ -160,9 +160,17 @@ CONDITIONS = (
 )
 
 
-def _classify(condition: str, residual: Form, notes=()) -> ConditionReport:
+def _classify(
+    geom: Geometry, condition: str, residual: Form, notes=()
+) -> ConditionReport:
+    """The report on residual, first reduced modulo the geometry's
+    constraint ideal."""
+    notes = tuple(notes)
+    if geom.constraints:
+        residual = geom.reduce(residual)
+        notes += ("reduced modulo attached constraint ideal",)
     if residual.is_zero():
-        return ConditionReport(condition, True, residual, notes=tuple(notes))
+        return ConditionReport(condition, True, residual, notes=notes)
     coefficients = [c for _, c in residual.terms()]
     if any(c.has_free_parameters() for c in coefficients):
         return ConditionReport(
@@ -170,9 +178,9 @@ def _classify(condition: str, residual: Form, notes=()) -> ConditionReport:
             "conditional",
             residual,
             constraint_generators=normalized_generators(coefficients),
-            notes=tuple(notes),
+            notes=notes,
         )
-    return ConditionReport(condition, False, residual, notes=tuple(notes))
+    return ConditionReport(condition, False, residual, notes=notes)
 
 
 def check_condition(
@@ -209,10 +217,7 @@ def check_condition(
             residual = residual + geom.ddbar(omega.wedge_power(2))
     else:
         raise ValueError(f"unknown condition {which!r}")
-    if geom.constraints:
-        residual = geom.reduce(residual)
-        notes.append("reduced modulo attached constraint ideal")
-    return _classify(which, residual, notes)
+    return _classify(geom, which, residual, notes)
 
 
 def pluriclosed_criterion(geom: Geometry) -> Coefficient:
@@ -262,11 +267,7 @@ def all_or_none_skt(geom: Geometry) -> ConditionReport:
         )
     n = geom.n
     residual = geom.ddbar(Form.monomial((n,), (n,)))
-    notes = []
-    if geom.constraints:
-        residual = geom.reduce(residual)
-        notes.append("reduced modulo attached constraint ideal")
-    report = _classify("all_or_none_skt", residual, notes)
+    report = _classify(geom, "all_or_none_skt", residual)
     if report.holds is True:
         generic = InvariantMetric.generic(n)
         ft = check_condition(geom, generic, "ft_pair")
@@ -307,123 +308,59 @@ class ObstructionReport:
         }
 
 
-def _sample_points(coefficients, count=5, seed=11):
-    """Random small bindings of the parameters, reals and characters the
-    given coefficients use, with each partner bound to the conjugate value;
-    characters go on the unit circle."""
-    names = {nm for c in coefficients for nm in c.free_symbols()}
-    chars = sorted(nm for nm in names if base_name(nm) is None)
-    base = base_names(coefficients)
-    rng = random.Random(seed)
-    points = []
-    while len(points) < count:
-        point = {}
-        for nm in base:
-            sym = registry.lookup(nm)
-            if sym.kind == PARAM:
-                point[nm] = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-            else:
-                point[nm] = complex(rng.uniform(-0.4, 0.4), 0.0)
-        for nm in chars:
-            point[nm] = cmath.exp(1j * rng.uniform(0, 6.28))
-        points.append(with_partners(point))
-    return points
-
-
-def _certify_sign(coefficients) -> tuple[int, str]:
-    """Common strict sign of real-valued coefficients at sample points;
-    returns (0, reason) when certification fails."""
-    samples = _sample_points(coefficients)
-    overall = 0
-    for c in coefficients:
-        for point in samples:
-            try:
-                val = c.numeric(point)
-            except (DenominatorVanishes, ZeroDivisionError):
-                return 0, "sample point hit a denominator zero"
-            if abs(val.imag) > 1e-9:
-                return 0, "coefficient is not real at a sample point"
-            if abs(val.real) < 1e-12:
-                continue
-            sign = 1 if val.real > 0 else -1
-            if overall == 0:
-                overall = sign
-            elif overall != sign:
-                return 0, "coefficients change sign"
-    if overall == 0:
-        return 0, "coefficients vanish at every sample point"
-    return overall, f"sign certified at {len(samples)} sample points"
+def _diagonal_sign(
+    component: Form, wanted: tuple[int, ...]
+) -> ObstructionReport:
+    """Obstructed when component is sum c_I phi^{I Ibar} with real c_I of
+    one exact sign (Coefficient.certified_sign) that is among wanted; the
+    notes name the locus off which the sign is strict.  Anything else is
+    inconclusive: obstructed=False."""
+    if component.is_zero():
+        return ObstructionReport(False, component, notes=("component vanishes",))
+    terms = tuple(component.terms())
+    if any(mi.holo != mi.anti or c != c.conjugate() for mi, c in terms):
+        return ObstructionReport(
+            False, component, notes=("not a real diagonal combination",)
+        )
+    signs, locus = set(), []
+    for _, c in terms:
+        sign, zeros = c.certified_sign()
+        signs.add(sign)
+        locus += [z for z in zeros if not any(z == seen for seen in locus)]
+    sign = signs.pop() if len(signs) == 1 else 0
+    if not sign:
+        note = "no common exact sign"
+    elif locus:
+        note = "exact sign off " + " and off ".join(
+            f"{z.render()} = 0" for z in locus
+        )
+    else:
+        note = "exact sign everywhere"
+    return ObstructionReport(sign in wanted, component, terms, sign, (note,))
 
 
 def pluriclosed_obstruction(
     geom: Geometry, alpha: Form, p: int
 ) -> ObstructionReport:
-    """No p-pluriclosed metric exists when (del dbar alpha)^{n-p,n-p} is a
-    same-sign diagonal combination sum c_I phi^{I Ibar} with c_I real.
-
-    Only that diagonal pattern is detected; anything else reports
-    obstructed=False (inconclusive), never a false positive.
-    """
-    n = geom.n
-    comp = geom.ddbar(alpha).component(n - p, n - p)
-    if comp.is_zero():
-        return ObstructionReport(
-            False, comp, notes=("component vanishes",)
-        )
-    terms = []
-    for mi, c in comp.terms():
-        if mi.holo != mi.anti:
-            return ObstructionReport(
-                False, comp, notes=("not a diagonal combination",)
-            )
-        if c != c.conjugate():
-            return ObstructionReport(
-                False, comp, notes=("coefficient is not real",)
-            )
-        terms.append((mi, c))
-    sign, why = _certify_sign([c for _, c in terms])
-    return ObstructionReport(
-        obstructed=sign != 0,
-        component=comp,
-        diagonal=tuple(terms),
-        sign=sign,
-        notes=(why,),
-    )
-
-
-@dataclass(frozen=True)
-class PositivePartReport:
-    positive_11_part: bool
-    form: Form
-    sign: int = 0
-    notes: tuple[str, ...] = ()
+    """No p-pluriclosed metric exists where (del dbar alpha)^{n-p,n-p} is a
+    diagonal combination sum c_I phi^{I Ibar} with real c_I of one strict
+    sign.  The sign is decided exactly and the notes name where it holds;
+    a pattern or sign the exact rules miss reports obstructed=False
+    (inconclusive)."""
+    comp = geom.ddbar(alpha).component(geom.n - p, geom.n - p)
+    return _diagonal_sign(comp, (1, -1))
 
 
 def balanced_obstruction(
     geom: Geometry, combination: dict[int, Coefficient]
-) -> PositivePartReport:
-    """(1,1)-part of sum c_j d(phi^j); a positive diagonal outcome rules
-    out balanced metrics (the (1,1)-part of an exact form cannot be
-    positive on a balanced manifold)."""
+) -> ObstructionReport:
+    """(1,1)-part of sum c_j d(phi^j); where it is a positive diagonal
+    combination no balanced metric exists (the (1,1)-part of an exact form
+    cannot be positive on a balanced manifold)."""
     total = Form.combination(
         (geom.structure[j], c) for j, c in combination.items()
     )
-    part = total.component(1, 1)
-    if part.is_zero():
-        return PositivePartReport(False, part, notes=("zero form",))
-    terms = list(part.terms())
-    for mi, c in terms:
-        if mi.holo != mi.anti or c != c.conjugate():
-            return PositivePartReport(
-                False, part, notes=("not a real diagonal combination",)
-            )
-    sign, why = _certify_sign([c for _, c in terms])
-    return PositivePartReport(
-        positive_11_part=sign == 1,
-        form=part,
-        sign=sign,
-        notes=(why,),
-    )
+    return _diagonal_sign(total.component(1, 1), (1,))
 
 
 def strongly_gauduchon(geom: Geometry, m: InvariantMetric) -> ConditionReport:

@@ -1266,3 +1266,86 @@ def test_reduce_modulo_matches_division_over_q_i(chain, picks):
                            *gens, order="grlex")
     want = rem * _parse((value / monic).render())
     assert sympy.cancel(_parse(got.render()) - want) == 0
+
+
+# -- exact signs ----------------------------------------------------------------
+
+
+class TestCertifiedSign:
+    def test_near_miss_below_a_norm_is_inconclusive(self):
+        # t*conj(t) - 1/1000 is -1/1000 at t = 0 and positive for |t| > 1/31
+        setup_symbols()
+        t = C("t11")
+        assert (t * t.conjugate() - Fraction(1, 1000)).certified_sign() == (0, ())
+
+    def test_indefinite_real_values_are_inconclusive(self):
+        setup_symbols()
+        t, u = C("t11"), C("t21")
+        e = C("E1")
+        for value in (t + t.conjugate(), t * t.conjugate() - u * u.conjugate(),
+                      C("s"), C("s") / (ONE() + t * t.conjugate()),
+                      e + e.conjugate()):
+            assert value.certified_sign() == (0, ()), value.render()
+
+    def test_non_real_values_are_inconclusive(self):
+        setup_symbols()
+        t = C("t11")
+        for value in (Coefficient.i(), t, C("E1") + 1):
+            assert value.certified_sign() == (0, ()), value.render()
+
+    def test_sums_of_norms(self):
+        setup_symbols()
+        t, u, s = C("t11"), C("t21"), C("s")
+        assert Coefficient.from_scalar(Fraction(-3, 2)).certified_sign() == (-1, ())
+        assert (s * s + 2 * t * t.conjugate() + 1).certified_sign() == (1, ())
+        norms = t * t.conjugate() + 3 * u * u.conjugate()
+        sign, (zero,) = (-norms / (ONE() + norms)).certified_sign()
+        assert sign == -1
+        assert zero == norms
+
+    def test_norm_of_a_holomorphic_polynomial(self):
+        # (t + u)(conj t + conj u) has no term free of conjugates
+        setup_symbols()
+        t, u = C("t11"), C("t21")
+        value = -5 * (t + u) * (t + u).conjugate()
+        sign, (zero,) = value.certified_sign()
+        assert (sign, zero) == (-1, t + u)
+
+    def test_even_power_of_a_non_self_conjugate_atom_is_not_positive(self):
+        # t + i*conj(t) = (1 + i)(x + y) at t = x + iy, so its fourth power
+        # is -4(x + y)^4: the value is real and negative
+        setup_symbols()
+        t = C("t11")
+        value = ONE() / (t + Coefficient.i() * t.conjugate()) ** 4
+        assert value == value.conjugate()
+        assert value.substitute({"t11": 1}).scalar() == GaussianRational.of(
+            Fraction(-1, 4))
+        assert value.certified_sign() == (0, ())
+
+
+_GAUSSIAN_INTS = st.builds(
+    lambda a, b: GaussianRational.of(a) + b * GaussianRational.i(),
+    st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_GAUSSIAN_INTS, min_size=1, max_size=3).filter(any),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+       st.integers(1, 2), st.lists(gaussians, min_size=4, max_size=4))
+def test_certified_sign_of_a_norm_quotient(coeffs, c, k, points):
+    # c*f*conj(f)/(1 + t*conj(t))^k has the sign of c off V(f); the oracle
+    # is exact evaluation at Gaussian-rational points
+    setup_symbols()
+    t = C("t11")
+    f = sum((Coefficient.from_scalar(a) * t ** e for e, a in enumerate(coeffs)),
+            Coefficient.zero())
+    value = c * f * f.conjugate() * (ONE() + t * t.conjugate()) ** -k
+    sign, locus = value.certified_sign()
+    assert sign == (1 if c > 0 else -1)
+    for point in points:
+        if f.substitute({"t11": point}).is_zero():
+            continue
+        assert all(not z.substitute({"t11": point}).is_zero() for z in locus)
+        got = value.substitute({"t11": point}).scalar()
+        assert got.im == 0
+        assert (got.re > 0) - (got.re < 0) == sign

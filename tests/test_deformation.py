@@ -230,9 +230,10 @@ class TestIwasawaCircle:
         expected = _mono((1,), (1,), T / (ONE() + T)) + _mono(
             (2,), (2,), T / (ONE() + T)
         )
-        assert rep.form == expected
-        assert rep.positive_11_part
+        assert rep.component == expected
+        assert rep.obstructed
         assert rep.sign == 1
+        assert rep.notes == ("exact sign off t21*conj(t21) = 0",)
 
     def test_diagonal_metric_is_strongly_gauduchon(self):
         _, t21, d = _circle_deformation()
@@ -615,11 +616,13 @@ class TestNakamuraClass1:
         assert gt.ddbar(_mono((2,), (2,))) == _mono((1, 2), (1, 2), -(T1 * T1 * w))
 
     def test_no_skt_metric(self):
+        # -T1^2 (1 - t11)(1 - conj t11) is negative off t11 = 1
         _, _, d = _nakamura_class1()
         gt = d.geometry()
         rep = pluriclosed_obstruction(gt, _mono((2,), (2,)), 1)
         assert rep.obstructed
         assert rep.sign == -1
+        assert rep.notes == ("exact sign off t11 - 1 = 0",)
 
     def test_balanced_diagonal(self):
         _, _, d = _nakamura_class1()

@@ -21,6 +21,7 @@ from ihg.dsl import (
 )
 from ihg.exterior import Form
 from ihg.geometry import Geometry, StructureError, check_nilpotent_shape
+from ihg.kuranishi import GeneratorSet
 from ihg.metrics import pluriclosed_criterion
 from ihg.symbols import registry
 
@@ -336,6 +337,21 @@ class TestValidation:
                 generators=(Form.monomial((), (3,)),),
             )
         assert err.value.kind == "bad_generator"
+
+    def test_generator_checked_modulo_constraints(self):
+        # dbar(phi^{2bar}) = r phi^{1bar 2bar}, which the constraint r kills
+        family = "geometry fam dim 2; real r; dphi2 = r*phi[1,2];"
+        g = parse_geometry(family + " constraint r; generator phi[|2];")
+        assert g.generators == (Form.monomial((), (2,)),)
+        assert GeneratorSet(g, g.generators).forms == g.generators
+        with pytest.raises(ValidationError) as err:
+            parse_geometry(family + " generator phi[|2];")
+        assert err.value.code == "BadGenerator"
+        bare = Geometry(g.name, g.n, g.structure)
+        for forms in ((Form.monomial((), (2,)),), (Form.zero(),)):
+            with pytest.raises(StructureError) as err:
+                GeneratorSet(bare, forms)
+            assert err.value.kind == "bad_generator"
 
 
 class TestDsl:

@@ -1,6 +1,7 @@
 """Special-metric condition checkers and Bott-Chern machinery."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -115,6 +116,7 @@ class TestIwasawa:
         rep = pluriclosed_obstruction(g, Form.monomial((3,), (3,)), 1)
         assert rep.obstructed
         assert rep.sign == -1
+        assert rep.notes == ("exact sign everywhere",)
 
     def test_strongly_gauduchon_trivially(self):
         g = catalog("iwasawa")
@@ -324,7 +326,7 @@ class TestObstructionReports:
         d3 = Form.monomial((1,), (1,)) + Form.monomial((2,), (2,))
         g = Geometry("demo", 3, {3: d3})
         rep = balanced_obstruction(g, {3: Coefficient.one()})
-        assert rep.positive_11_part
+        assert rep.obstructed
         assert rep.sign == 1
 
     def test_balanced_obstruction_mixed_sign(self):
@@ -334,7 +336,18 @@ class TestObstructionReports:
         d3 = Form.monomial((1,), (1,)) - Form.monomial((2,), (2,))
         g = Geometry("demo", 3, {3: d3})
         rep = balanced_obstruction(g, {3: Coefficient.one()})
-        assert not rep.positive_11_part
+        assert not rep.obstructed
+
+    def test_near_miss_below_a_norm_is_inconclusive(self):
+        # t*conj(t) - 1/1000 is negative at t = 0 and positive for |t| > 1/31
+        registry.ensure_pair("t11")
+        t = Coefficient.symbol("t11")
+        c = t * t.conjugate() - Fraction(1, 1000)
+        g = Geometry("demo", 3, {3: Form.monomial((1,), (1,), c)})
+        rep = balanced_obstruction(g, {3: Coefficient.one()})
+        assert (rep.obstructed, rep.sign) == (False, 0)
+        assert rep.notes == ("no common exact sign",)
+        assert rep.component == Form.monomial((1,), (1,), c)
 
     def test_json_round_trip_shape(self):
         g = catalog("iwasawa")
