@@ -2,17 +2,18 @@
 
 A Coefficient is num / (q * product of atom**m).  The numerator and every
 denominator atom are sparse polynomials over the Gaussian integers, kept
-as dicts from exponent tuple (the monomials of symbols.RingContext) to an
-(re, im) pair of Python ints, with no zero entries (_Poly).  Every atom is
-primitive, its coefficients having Gaussian gcd 1, with its leading
-coefficient in the first quadrant; q is one positive integer, coprime to
-the integer content of the numerator, kept as a ground atom after the
-others.  Every element of the field has this form (content and primitive
-part, von zur Gathen-Gerhard, Modern Computer Algebra, section 6.2), so
-products and sums cost Python integer arithmetic, where rationals would
-cost a gcd per coefficient operation.  render() shows the value over Q(i):
-the numerator divided by q and by the atoms' leading coefficients, and each
-atom monic, with terms in grlex-descending order.
+as dicts from packed monomial (one int per exponent vector, in the layout
+of symbols.RingContext) to an (re, im) pair of Python ints, with no zero
+entries (_Poly).  Every atom is primitive, its coefficients having
+Gaussian gcd 1, with its leading coefficient in the first quadrant; q is
+one positive integer, coprime to the integer content of the numerator,
+kept as a ground atom after the others.  Every element of the field has
+this form (content and primitive part, von zur Gathen-Gerhard, Modern
+Computer Algebra, section 6.2), so products and sums cost Python integer
+arithmetic, where rationals would cost a gcd per coefficient operation.
+render() shows the value over Q(i): the numerator divided by q and by the
+atoms' leading coefficients, and each atom monic, with terms in
+grlex-descending order.
 
 The polynomial arithmetic is this module's own, one private kernel per
 operation: _mul, _sum, _scale, _neg, _pow, _exact_quotient, _remainder,
@@ -20,9 +21,14 @@ _conj_poly, _diff and _poly_euler.  Products and sums add each term into
 one output dict keyed by monomial, on ints (the dict accumulation of sparse
 polynomial arithmetic; Monagan-Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", 2007, compare it with heaps).
-sympy supplies only the monomial functions, the grlex order, the scalar
-Gaussian gcd and canonical unit and, in squarefree_numerator, the
-polynomial gcd.
+With packed monomials a monomial product is one int addition, the grlex
+leading term is max() of the keys and a divisibility test is one
+subtraction and a mask test.  A kernel that raises degrees (_mul, _pow,
+_conj_poly) compares the total degree of its result with MAX_DEGREE once,
+since no exponent exceeds the total degree, and raises DegreeOverflow past
+it.  sympy supplies only the scalar Gaussian gcd and canonical unit and,
+in squarefree_numerator, the polynomial gcd, in a ring whose exponent
+tuples are converted at that boundary.
 
 Normalization cancels atoms out of the numerator by exact division: by
 Gauss's lemma a primitive atom divides the numerator over Q(i) exactly when
@@ -67,10 +73,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from sympy.polys.domains import ZZ_I
+from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyRing
 
-from .symbols import (CHAR, CONJ, REAL, RingContext, base_names, registry,
-                      with_partners)
+from .symbols import (CHAR, FIELD_BITS, REAL, RingContext, base_names,
+                      check_degree, registry, with_partners)
 
 _ONE = (1, 0)
 
@@ -300,8 +307,11 @@ class QuadraticSurd:
 
 
 class _Poly(dict):
-    """A polynomial over Z[i]: exponent tuple -> (re, im), a pair of Python
-    ints that is never (0, 0).
+    """A polynomial over Z[i]: packed monomial -> (re, im), a pair of Python
+    ints that is never (0, 0).  A monomial is one int in the layout of its
+    RingContext, the total degree above one guarded field per generator,
+    so int order is grlex order and 0 is the constant monomial; no total
+    degree passes MAX_DEGREE.
 
     Kernels build a _Poly and then never change it, so a polynomial hashes
     by value, with the hash cached: denominator atoms key the lcm of a
@@ -369,35 +379,30 @@ def _gauss_quo(a, c):
 # -- polynomial kernels -------------------------------------------------------------
 
 
-def _ground(ctx: RingContext, c):
+def _ground(c):
     """The constant polynomial c, for a nonzero Gaussian integer c."""
-    return _Poly({ctx.zero_monom: c})
+    return _Poly({0: c})
 
 
 def _gen(ctx: RingContext, idx: int):
     """The polynomial of the generator at position idx."""
-    monom = [0] * len(ctx.names)
-    monom[idx] = 1
-    return _Poly({tuple(monom): _ONE})
+    return _Poly({ctx.gens[idx]: _ONE})
 
 
 def _is_ground(p) -> bool:
     """Whether p is a constant, zero included."""
-    return not p or (len(p) == 1 and not any(next(iter(p))))
+    return not p or (len(p) == 1 and 0 in p)
 
 
-def _lead(p, ctx: RingContext):
+def _lead(p):
     """(leading monomial, leading coefficient) of a nonzero p in grlex."""
-    if len(p) == 1:
-        return next(iter(p.items()))
-    lm = max(p, key=ctx.order)
+    lm = max(p)
     return lm, p[lm]
 
 
-def _terms(p, ctx: RingContext):
+def _terms(p):
     """The terms of p in grlex-descending order."""
-    order = ctx.order
-    return sorted(p.items(), key=lambda term: order(term[0]), reverse=True)
+    return sorted(p.items(), reverse=True)
 
 
 def _neg(p):
@@ -422,20 +427,23 @@ def _divided(p, c):
 
 def _mul(p, q, ctx: RingContext):
     """p*q.  Each term product is added into the output dict on ints, and a
-    sum that cancels leaves the dict at once."""
+    sum that cancels leaves the dict at once.  The degree of p*q is the sum
+    of the degrees, and bounds every exponent of it, so one comparison
+    guards every field."""
     if len(p) < len(q):
         p, q = q, p
-    mul = ctx.monomial_mul
+    ds = ctx.deg_shift
+    check_degree((max(p, default=0) >> ds) + (max(q, default=0) >> ds))
     if len(q) == 1:
         # no two terms collide, and Z[i] has no zero divisors
         ((mq, (c, d)),) = q.items()
-        return _Poly({mul(mp, mq): (a * c - b * d, a * d + b * c)
+        return _Poly({mp + mq: (a * c - b * d, a * d + b * c)
                       for mp, (a, b) in p.items()})
     out = _Poly()
     get = out.get
     for mq, (c, d) in q.items():
         for mp, (a, b) in p.items():
-            m = mul(mp, mq)
+            m = mp + mq
             x, y = a * c - b * d, a * d + b * c
             t = get(m)
             if t is not None:
@@ -467,10 +475,12 @@ def _sum(polys):
 
 
 def _pow(p, k: int, ctx: RingContext):
-    """p**k for k >= 1, by repeated squaring."""
+    """p**k for k >= 1, by repeated squaring; refused before any product
+    when its degree passes MAX_DEGREE."""
+    check_degree((max(p, default=0) >> ctx.deg_shift) * k)
     if len(p) == 1:
         ((m, c),) = p.items()
-        return _Poly({tuple(e * k for e in m): _gpow(c, k)})
+        return _Poly({m * k: _gpow(c, k)})
     out = None
     while True:
         if k & 1:
@@ -491,10 +501,10 @@ def _int_content(p) -> int:
     return g
 
 
-def _primitive(p, ctx: RingContext):
+def _primitive(p):
     """(c, a) with p = c*a, a primitive over Z[i] and LC(a) in the first
     quadrant; a is p itself when c is 1."""
-    lc = _lead(p, ctx)[1]
+    lc = _lead(p)[1]
     if lc == _ONE:
         return _ONE, p
     g = _ONE
@@ -533,7 +543,7 @@ def _split_scale(den):
     return den, 1
 
 
-def _with_scale(num, atoms, q: int, ctx: RingContext):
+def _with_scale(num, atoms, q: int):
     """(num, den) of num / (q * atoms), with q reduced against the integer
     content of num and appended as a ground atom."""
     if q != 1:
@@ -543,50 +553,58 @@ def _with_scale(num, atoms, q: int, ctx: RingContext):
             q //= g
     if q == 1:
         return num, atoms
-    return num, atoms + ((_ground(ctx, (q, 0)), 1),)
+    return num, atoms + ((_ground((q, 0)), 1),)
 
 
 def _poly_key(atom, ctx: RingContext):
     """Deterministic total order key for denominator atoms: the terms of
-    the monic atom, atom / LC(atom)."""
-    lc = _lead(atom, ctx)[1]
+    the monic atom, atom / LC(atom), in lexicographic order of their
+    exponent vectors, which is the int order of the monomials' fields
+    below the degree."""
+    lc = _lead(atom)[1]
+    fields = (1 << ctx.deg_shift) - 1
     items = []
-    for monom, c in sorted(atom.items()):
+    for exps, c in sorted((m & fields, c) for m, c in atom.items()):
         (a, b), (x, y) = _over_parts(c, lc)
-        items.append((monom, a, b, x, y))
+        items.append((exps, a, b, x, y))
     return tuple(items)
 
 
-def _lift_poly(p, pad: tuple):
-    """p over a wider context of its lifetime: pad extends every exponent
-    vector with zeros."""
-    return _Poly({m + pad: c for m, c in p.items()})
+def _lift_poly(p, bits: int):
+    """p over a wider context of its lifetime, whose fields sit bits
+    higher."""
+    return _Poly({m << bits: c for m, c in p.items()})
 
 
 def _conj_poly(p, ctx: RingContext):
     """Conjugate a polynomial.
 
     Returns (q, shifts) with conj(p) = q / prod(E_k ** shifts[k]): parameter
-    exponents are permuted onto their partners, scalars conjugated, and each
+    exponents are swapped with their partners', scalars conjugated, and each
     character exponent e becomes shift - e after clearing by the max exponent.
     The map on monomials is injective, so no two terms collide.
     """
-    shifts: dict[int, int] = {}
-    for monom in p:
-        for k in ctx.char_indices:
-            if monom[k] > shifts.get(k, 0):
-                shifts[k] = monom[k]
-    perm = ctx.conj_perm
-    n = len(perm)
+    pm, cm, chars = ctx.param_mask, ctx.partner_mask, ctx.char_mask
+    keep = ~(pm | cm)
+    if not any(m & chars for m in p):
+        return _Poly({((m & pm) >> FIELD_BITS) | ((m & cm) << FIELD_BITS)
+                      | (m & keep): (x, -y) for m, (x, y) in p.items()}), {}
+    field, ds = ctx.field_mask, ctx.deg_shift
+    shifts = {}
+    for k in ctx.char_indices:
+        s = max((m >> ctx.shifts[k]) & field for m in p)
+        if s:
+            shifts[k] = s
+    # E^e -> E^(s - e): subtract each term's character monomial from the
+    # monomial of the shifts, prod E_k^s_k
+    top = sum(s * ctx.gens[k] for k, s in shifts.items())
     out = _Poly()
-    for monom, (x, y) in p.items():
-        image = [0] * n
-        for idx, e in enumerate(monom):
-            if e:
-                image[perm[idx]] = e
-        for k, s in shifts.items():
-            image[k] = s - monom[k]
-        out[tuple(image)] = (x, -y)
+    for m, (x, y) in p.items():
+        ch = m & chars
+        ch_degree = sum((ch >> ctx.shifts[k]) & field for k in shifts)
+        image = ctx.swap(m) - 2 * (ch | (ch_degree << ds)) + top
+        check_degree(image >> ds)
+        out[image] = (x, -y)
     return out, shifts
 
 
@@ -600,7 +618,7 @@ def _conj_atom(atom, ctx: RingContext):
     got = getattr(atom, "_conj", None)
     if got is None:
         image, shifts = _conj_poly(atom, ctx)
-        u, a = _primitive(image, ctx)
+        u, a = _primitive(image)
         got = atom._conj = (a, u, shifts)
     return got
 
@@ -613,19 +631,19 @@ def _exact_quotient(p, g, ctx: RingContext):
     divide: that term could only pass to the remainder.  Over Z[i] it also
     stops at a leading coefficient that LC(g) does not divide: a quotient
     in Z[i][x] makes every such division exact, and for a primitive g
-    (Gauss's lemma) dividing over Z[i] is dividing over Q(i).
+    (Gauss's lemma) dividing over Z[i] is dividing over Q(i).  A monomial
+    lm is divisible by LM(g) when lm - LM(g) borrows into no guard bit.
     """
-    order = ctx.order
-    monomial_div, monomial_mul = ctx.monomial_div, ctx.monomial_mul
-    lm_g, lc_g = _lead(g, ctx)
+    guard = ctx.guard_mask
+    lm_g, lc_g = _lead(g)
     monic = lc_g == _ONE  # nearly all denominator atoms are
     tail = [(m, c) for m, c in g.items() if m != lm_g]
     rem = dict(p)
     q = _Poly()
     while rem:
-        lm = max(rem, key=order)
-        shift = monomial_div(lm, lm_g)
-        if shift is None:
+        lm = max(rem)
+        shift = lm - lm_g
+        if shift & guard:
             return None
         c = rem.pop(lm)
         if not monic:
@@ -635,7 +653,7 @@ def _exact_quotient(p, g, ctx: RingContext):
         q[shift] = c
         cx, cy = c
         for m, (x, y) in tail:
-            m = monomial_mul(m, shift)
+            m += shift
             x, y = -(x * cx - y * cy), -(x * cy + y * cx)
             v = rem.get(m)
             if v is not None:
@@ -658,18 +676,17 @@ def _remainder(p, divisors, ctx: RingContext):
     A scalar never changes which monomial is leading or which LT(g)
     divides it, so every step is the step over Q(i), scaled.
     """
-    order = ctx.order
-    monomial_div, monomial_mul = ctx.monomial_div, ctx.monomial_mul
+    guard = ctx.guard_mask
     leads = []
     for g in divisors:
-        lm, lc = _lead(g, ctx)
+        lm, lc = _lead(g)
         leads.append((lm, lc, [(m, c) for m, c in g.items() if m != lm]))
     rem, out, scale = dict(p), {}, _ONE
     while rem:
-        lm = max(rem, key=order)
+        lm = max(rem)
         for lm_g, lc_g, tail in leads:
-            shift = monomial_div(lm, lm_g)
-            if shift is not None:
+            shift = lm - lm_g
+            if not shift & guard:
                 break
         else:
             out[lm] = rem.pop(lm)
@@ -685,7 +702,7 @@ def _remainder(p, divisors, ctx: RingContext):
             quo = _gauss_quo(_gmul(c, k), lc_g)
         qx, qy = quo
         for m, (x, y) in tail:
-            m = monomial_mul(m, shift)
+            m += shift
             x, y = -(x * qx - y * qy), -(x * qy + y * qx)
             v = rem.get(m)
             if v is not None:
@@ -730,33 +747,35 @@ def _over_common_denominator(parts, ctx: RingContext):
     return _sum(scaled), list(lcm.items())
 
 
-def _widen(monom, used, width: int) -> tuple:
-    """The exponent vector, over width generators, of a monomial over the
-    generators at positions used."""
-    out = [0] * width
-    for i, e in zip(used, monom):
-        out[i] = e
-    return tuple(out)
-
-
-def _diff(p, idx: int):
+def _diff(p, idx: int, ctx: RingContext):
     """dp/dx for the generator x at position idx."""
+    shift, field, gen = ctx.shifts[idx], ctx.field_mask, ctx.gens[idx]
     out = _Poly()
-    for monom, (x, y) in p.items():
-        e = monom[idx]
+    for m, (x, y) in p.items():
+        e = (m >> shift) & field
         if e:
-            out[monom[:idx] + (e - 1,) + monom[idx + 1:]] = (x * e, y * e)
+            out[m - gen] = (x * e, y * e)
     return out
 
 
-def _poly_euler(p, idx: int):
+def _poly_euler(p, idx: int, ctx: RingContext):
     """E * d/dE as a polynomial map: multiplies each term by its E-exponent."""
+    shift, field = ctx.shifts[idx], ctx.field_mask
     out = _Poly()
-    for monom, (x, y) in p.items():
-        e = monom[idx]
+    for m, (x, y) in p.items():
+        e = (m >> shift) & field
         if e:
-            out[monom] = (x * e, y * e)
+            out[m] = (x * e, y * e)
     return out
+
+
+def _used(polys, ctx: RingContext) -> list[int]:
+    """The positions of the generators that occur in the polynomials."""
+    acc = 0
+    for p in polys:
+        for m in p:
+            acc |= m
+    return [i for i, _ in ctx.exponents(acc)]
 
 
 def _definite(p, ctx: RingContext):
@@ -772,26 +791,24 @@ def _definite(p, ctx: RingContext):
     are k*conj(F_nu')*F, nu' the partner monomial of nu, and the term at
     nu*nu' is k*|F_nu'|^2; those are the f and c tried.
     """
-    kinds = [s.kind for s in ctx.symbols]
-    perm = ctx.conj_perm
+    # the low bit of each real field: set on an odd power of a real
+    odd_real = sum(1 << ctx.shifts[s.index] for s in ctx.symbols if s.kind == REAL)
+    chars, swap = ctx.char_mask, ctx.swap
 
-    def is_norm(monom):
-        return all(e == monom[perm[i]] and not (e % 2 and kinds[i] == REAL)
-                   and not (e and kinds[i] == CHAR) for i, e in enumerate(monom))
+    def is_norm(m):
+        return swap(m) == m and not m & (odd_real | chars)
 
     signs = {0 if y or not is_norm(m) else (1 if x > 0 else -1)
              for m, (x, y) in p.items()}
     if len(signs) == 1 and 0 not in signs:
-        return signs.pop(), None if ctx.zero_monom in p else p
+        return signs.pop(), None if 0 in p else p
 
-    def conj_part(monom):
-        return tuple(e if kinds[i] == CONJ else 0 for i, e in enumerate(monom))
-
-    nu = conj_part(next(iter(p)))
-    f = _Poly({tuple(e - k for e, k in zip(m, nu)): c
-               for m, c in p.items() if conj_part(m) == nu})
+    cm = ctx.partner_mask
+    nu_fields = next(iter(p)) & cm
+    nu = ctx.pack(ctx.unpack(nu_fields))
+    f = _Poly({m - nu: c for m, c in p.items() if m & cm == nu_fields})
     fc, shifts = _conj_poly(f, ctx)
-    c = p.get(tuple(k + nu[perm[i]] for i, k in enumerate(nu)))
+    c = p.get(nu + swap(nu))
     if shifts or c is None or c[1] or _scale(p, c) != _mul(f, fc, ctx):
         return 0, None
     return (1 if c[0] > 0 else -1), None if _is_ground(f) else f
@@ -823,7 +840,7 @@ class Coefficient:
             if _is_ground(atom):
                 c = next(iter(atom.values()))
             else:
-                c, atom = _primitive(atom, ctx)
+                c, atom = _primitive(atom)
                 merged.append([atom, mult])
             if c != _ONE:
                 unit, q = _clear(c, mult, unit, q)
@@ -848,15 +865,15 @@ class Coefficient:
                 num, mult = quo, mult - 1
             if mult:
                 out.append((atom, mult))
-        return Coefficient(*_with_scale(num, tuple(out), q, ctx), ctx)
+        return Coefficient(*_with_scale(num, tuple(out), q), ctx)
 
     @staticmethod
     def _monic(num, ctx: RingContext) -> "Coefficient":
         """num / LC(num), for a nonzero numerator over ctx."""
-        unit, q = _clear(_lead(num, ctx)[1], 1, _ONE, 1)
+        unit, q = _clear(_lead(num)[1], 1, _ONE, 1)
         if unit != _ONE:
             num = _scale(num, unit)
-        return Coefficient(*_with_scale(num, (), q, ctx), ctx)
+        return Coefficient(*_with_scale(num, (), q), ctx)
 
     @staticmethod
     def from_scalar(x) -> "Coefficient":
@@ -870,8 +887,8 @@ class Coefficient:
             im = g.im.numerator * (q // g.im.denominator)
         if not (re or im):
             return Coefficient(_Poly(), (), ctx)
-        num = _ground(ctx, (re, im))
-        den = () if q == 1 else ((_ground(ctx, (q, 0)), 1),)
+        num = _ground((re, im))
+        den = () if q == 1 else ((_ground((q, 0)), 1),)
         return Coefficient(num, den, ctx)
 
     @staticmethod
@@ -887,7 +904,7 @@ class Coefficient:
     @staticmethod
     def one() -> "Coefficient":
         ctx = registry.context()
-        return Coefficient(_ground(ctx, _ONE), (), ctx)
+        return Coefficient(_ground(_ONE), (), ctx)
 
     @staticmethod
     def i() -> "Coefficient":
@@ -903,9 +920,9 @@ class Coefficient:
             raise StaleCoefficient(
                 "coefficient was built before the last registry reset()"
             )
-        pad = (0,) * (len(ctx.names) - len(self._ctx.names))
-        num = _lift_poly(self._num, pad)
-        den = tuple((_lift_poly(a, pad), m) for a, m in self._den)
+        bits = ctx.deg_shift - self._ctx.deg_shift
+        num = _lift_poly(self._num, bits)
+        den = tuple((_lift_poly(a, bits), m) for a, m in self._den)
         return Coefficient(num, den, ctx)
 
     @staticmethod
@@ -916,7 +933,7 @@ class Coefficient:
 
     def _den_product(self):
         ctx = self._ctx
-        prod = _ground(ctx, _ONE)
+        prod = _ground(_ONE)
         for atom, mult in self._den:
             prod = _mul(prod, _pow(atom, mult, ctx), ctx)
         return prod
@@ -939,19 +956,13 @@ class Coefficient:
             raise ValueError(f"not a scalar: {self}")
         if not r._num:
             return GaussianRational()
-        return _over(_lead(r._num, r._ctx)[1], (_split_scale(r._den)[1], 0))
+        return _over(_lead(r._num)[1], (_split_scale(r._den)[1], 0))
 
     def free_symbols(self) -> set[str]:
         r = self._refreshed()
         names = r._ctx.names
-        out: set[str] = set()
-        polys = [r._num] + [a for a, _ in r._den]
-        for p in polys:
-            for monom in p.keys():
-                for idx, e in enumerate(monom):
-                    if e:
-                        out.add(names[idx])
-        return out
+        used = _used([r._num] + [a for a, _ in r._den], r._ctx)
+        return {names[i] for i in used}
 
     def has_free_parameters(self) -> bool:
         """Whether any symbol other than a character appears."""
@@ -1019,7 +1030,7 @@ class Coefficient:
                 if not atoms:
                     atoms, qx = _split_scale(x._den)
                     num = _scale(x._num, next(iter(s._num.values())))
-                    return (*_with_scale(num, atoms, qx * q, x._ctx), True)
+                    return (*_with_scale(num, atoms, qx * q), True)
         return _mul(a._num, b._num, a._ctx), a._den + b._den, False
 
     def __mul__(self, other):
@@ -1120,7 +1131,7 @@ class Coefficient:
         if not a._num or _is_ground(b._num):
             return True
         ctx = a._ctx
-        return _exact_quotient(a._num, _primitive(b._num, ctx)[1], ctx) is not None
+        return _exact_quotient(a._num, _primitive(b._num)[1], ctx) is not None
 
     def numerator_normalized(self) -> "Coefficient":
         """Monic numerator with the denominator dropped: the canonical
@@ -1152,7 +1163,7 @@ class Coefficient:
         rem, scale = _remainder(r._num, divisors, r._ctx)
         den = list(r._den)
         if scale != _ONE:
-            den.append((_ground(r._ctx, scale), 1))
+            den.append((_ground(scale), 1))
         return Coefficient._make(rem, den, r._ctx)
 
     def numerator_terms(self) -> int:
@@ -1180,25 +1191,25 @@ class Coefficient:
         num, ctx = r._num, r._ctx
         if not num:
             return Coefficient(_Poly(), (), ctx)
+        # the bits 1 .. FIELD_BITS - 2 of every field: set by an exponent above 1
+        above_one = ctx.guard_mask - (ctx.guard_mask >> (FIELD_BITS - 2))
         if len(num) == 1:
             ((monom, _),) = num.items()
-            num = _Poly({tuple(min(e, 1) for e in monom): _ONE})
-        elif any(e > 1 for monom in num for e in monom):
-            used = sorted({i for m in num for i, e in enumerate(m) if e})
-            sub = PolyRing([ctx.names[i] for i in used], ZZ_I, ctx.order)
-            f = sub.from_dict(
-                {tuple(m[i] for i in used): ZZ_I(*c) for m, c in num.items()}
-            )
+            num = _Poly({sum(ctx.gens[i] for i, _ in ctx.exponents(monom)): _ONE})
+        elif any(m & above_one for m in num):
+            used = _used([num], ctx)
+            sub = PolyRing([ctx.names[i] for i in used], ZZ_I, grlex)
+            f = sub.from_dict({tuple(ctx.unpack(m)[i] for i in used): ZZ_I(*c)
+                               for m, c in num.items()})
             common = f
             for gen in sub.gens:
                 common = common.gcd(f.diff(gen))
                 if common.is_ground:
                     break
             if not common.is_ground:
-                width = len(ctx.names)
-                common = _Poly({_widen(m, used, width): (c.x, c.y)
-                                for m, c in common.items()})
-                num = _exact_quotient(num, _primitive(common, ctx)[1], ctx)
+                common = _Poly({sum(e * ctx.gens[i] for i, e in zip(used, m)):
+                                (c.x, c.y) for m, c in common.items()})
+                num = _exact_quotient(num, _primitive(common)[1], ctx)
         return Coefficient._monic(num, ctx)
 
     # -- involution, derivatives --------------------------------------------
@@ -1208,7 +1219,7 @@ class Coefficient:
         ctx = r._ctx
         num, shifts = _conj_poly(r._num, ctx)
         den: list = []
-        unit, lift = _ONE, [0] * len(ctx.names)
+        unit, lift = _ONE, 0
         for atom, mult in r._den:
             if _is_ground(atom):  # the scale q, a positive integer
                 den.append((atom, mult))
@@ -1219,11 +1230,11 @@ class Coefficient:
             if u != _ONE:
                 unit = _gmul(unit, _gpow((u[0], -u[1]), mult))
             for k, s in a_shifts.items():
-                lift[k] += s * mult
+                lift += s * mult * ctx.gens[k]
         if unit != _ONE:
             num = _scale(num, unit)
-        if any(lift):
-            num = _mul(num, _Poly({tuple(lift): _ONE}), ctx)
+        if lift:
+            num = _mul(num, _Poly({lift: _ONE}), ctx)
         den += [(_gen(ctx, k), s) for k, s in shifts.items()]
         return Coefficient._make(num, den, ctx)
 
@@ -1247,7 +1258,7 @@ class Coefficient:
         if name not in r._ctx.index_of:
             return Coefficient.zero()
         idx = r._ctx.index_of[name]
-        return r._derive(lambda p: _diff(p, idx))
+        return r._derive(lambda p: _diff(p, idx, r._ctx))
 
     def param_derivative(self, name: str) -> "Coefficient":
         """Derivative along a distinguished real parameter (conj(t) = t).
@@ -1262,7 +1273,7 @@ class Coefficient:
         """E * d/dE for a character generator (degree-preserving)."""
         r = self._refreshed()
         idx = r._ctx.index_of[char_name]
-        return r._derive(lambda p: _poly_euler(p, idx))
+        return r._derive(lambda p: _poly_euler(p, idx, r._ctx))
 
     # -- substitution ---------------------------------------------------------
 
@@ -1295,7 +1306,7 @@ class Coefficient:
         if d is None:
             return r._at(
                 lambda nm: field[nm] if nm in field else Coefficient.symbol(nm),
-                lambda c: Coefficient(_ground(ctx, c), (), ctx),
+                lambda c: Coefficient(_ground(c), (), ctx),
                 Coefficient.sum_of_products,
             )
         missing = r.free_symbols() - field.keys()
@@ -1313,7 +1324,7 @@ class Coefficient:
         monomial value) pairs.  Each power of a generator is computed once;
         an atom that evaluates to zero raises DenominatorVanishes.
         """
-        names = self._ctx.names
+        names, exponents = self._ctx.names, self._ctx.exponents
         one = const(_ONE)
         powers: dict = {}
 
@@ -1321,12 +1332,11 @@ class Coefficient:
             pairs = []
             for monom, c in p.items():
                 term = None
-                for idx, e in enumerate(monom):
-                    if e:
-                        x = powers.get((idx, e))
-                        if x is None:
-                            x = powers[idx, e] = value(names[idx]) ** e
-                        term = x if term is None else term * x
+                for idx, e in exponents(monom):
+                    x = powers.get((idx, e))
+                    if x is None:
+                        x = powers[idx, e] = value(names[idx]) ** e
+                    term = x if term is None else term * x
                 pairs.append((const(c), one if term is None else term))
             return total(pairs)
 
@@ -1349,29 +1359,27 @@ class Coefficient:
         """
         r = self._refreshed()
         ctx = r._ctx
-        chars = ctx.char_indices
-        shift = [0] * len(chars)
+        chars, field, ds = ctx.char_mask, ctx.field_mask, ctx.deg_shift
+        char_shifts = [ctx.shifts[i] for i in ctx.char_indices]
+        shift = [0] * len(char_shifts)
         den = []
         for atom, mult in r._den:
-            if not any(monom[i] for monom in atom.keys() for i in chars):
+            if not any(m & chars for m in atom):
                 den.append((atom, mult))
                 continue
-            monom = next(iter(atom.keys()))
-            if len(atom) != 1 or any(
-                e and not ctx.is_char(i) for i, e in enumerate(monom)
-            ):
+            monom = next(iter(atom))
+            if len(atom) != 1 or monom & ((1 << ds) - 1) & ~chars:
                 raise SectorMixing(
                     f"denominator atom mixes characters with parameters: "
                     f"{_render_poly(atom, ctx)}"
                 )
-            for k, i in enumerate(chars):
-                shift[k] -= monom[i] * mult
+            for k, s in enumerate(char_shifts):
+                shift[k] -= ((monom >> s) & field) * mult
         buckets: dict[tuple[int, ...], _Poly] = {}
         for monom, c in r._num.items():
-            key = tuple(monom[i] + s for i, s in zip(chars, shift))
-            stripped = tuple(
-                0 if i in chars else e for i, e in enumerate(monom)
-            )
+            exps = [(monom >> s) & field for s in char_shifts]
+            key = tuple(e + s for e, s in zip(exps, shift))
+            stripped = (monom & ~chars) - (sum(exps) << ds)
             buckets.setdefault(key, _Poly())[stripped] = c
         return {
             key: Coefficient._make(terms, den, ctx)
@@ -1390,7 +1398,7 @@ class Coefficient:
         atoms, q = _split_scale(r._den)
         scale = (q, 0)
         for atom, mult in atoms:
-            scale = _gmul(scale, _gpow(_lead(atom, ctx)[1], mult))
+            scale = _gmul(scale, _gpow(_lead(atom)[1], mult))
         num = _render_poly(r._num, ctx, scale)
         if not atoms:
             return num
@@ -1433,7 +1441,7 @@ def _plain_sum(zero):
 def _render_monom(monom, ctx) -> str:
     names = ctx.display_names
     return "*".join([names[idx] if e == 1 else f"{names[idx]}^{e}"
-                     for idx, e in enumerate(monom) if e])
+                     for idx, e in ctx.exponents(monom)])
 
 
 def _render_poly(p, ctx, scale=None) -> str:
@@ -1442,7 +1450,7 @@ def _render_poly(p, ctx, scale=None) -> str:
     coefficient, which shows p monic."""
     if not p:
         return "0"
-    terms = _terms(p, ctx)
+    terms = _terms(p)
     if scale is None:
         scale = terms[0][1]
     pieces = []

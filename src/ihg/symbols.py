@@ -13,6 +13,15 @@ extended context on demand.  reset() starts a new lifetime: every ring
 context records the lifetime it was built in, and a value from an earlier
 lifetime is stale.
 
+A context also fixes the layout of packed monomials: each exponent vector
+is one int, the total degree on top of one guarded field per symbol, so a
+monomial product is one addition, a grlex comparison one int comparison and
+a divisibility test one subtraction and a mask test (Monagan-Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", 2007).  Every exponent is at most the total degree, so one
+degree bound, MAX_DEGREE, keeps every field below its guard bit.  This
+module imports no sympy.
+
 Other modules ask this one what a symbol stands for: base_name and
 base_names give the parameter behind a symbol, require_real checks a real
 parameter, with_partners binds each bound parameter's partner to the
@@ -24,10 +33,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import cache
-
-from sympy.polys.monomials import MonomialOps
-from sympy.polys.orderings import grlex
 
 PARAM = "parameter"
 CONJ = "conjugate-parameter"
@@ -46,27 +51,43 @@ class ParameterSymbol:
         return f"ParameterSymbol({self.name!r}, {self.kind})"
 
 
-@cache
-def _monomial_ops(width: int):
-    """(monomial_mul, monomial_div) on exponent tuples of the given width:
-    sympy's generated functions, or, with no generator, the constant ()."""
-    if not width:
-        return (lambda a, b: ()), (lambda a, b: ())
-    ops = MonomialOps(width)
-    return ops.mul(), ops.div()
+FIELD_BITS = 16
+# the largest total degree of a monomial: every exponent is at most the
+# total degree, so below this bound no field reaches its guard bit
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+
+
+class DegreeOverflow(ArithmeticError):
+    """A monomial's total degree passed MAX_DEGREE, the largest exponent a
+    packed field holds."""
+
+
+def check_degree(degree: int) -> None:
+    """Refuse a total degree above MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise DegreeOverflow(f"total degree {degree} exceeds {MAX_DEGREE}")
 
 
 class RingContext:
-    """Immutable snapshot of the registry, with the monomial arithmetic of
-    polynomials over its symbols.
+    """Immutable snapshot of the registry, with the layout of the packed
+    monomials of polynomials over its symbols.
 
-    A monomial is a tuple of exponents, one per symbol in registration
-    order; with no symbol registered it is ().  monomial_mul adds two
-    monomials, monomial_div subtracts them or gives None when the second
-    does not divide the first, and order is the grlex key.  The
-    coefficient layer keeps the polynomials themselves.  Contexts of one
-    lifetime are prefixes of each other, so a value lifts into a later
-    context of its lifetime by padding exponents.
+    A monomial is one non-negative int: its total degree in the top field,
+    above one FIELD_BITS-wide field per symbol, in registration order with
+    symbol 0 the most significant, each with a guard bit on top that a
+    valid monomial leaves clear.  Int order is then grlex order, a product
+    of monomials is their sum, and a divides b exactly when the guard bits
+    of b - a are clear.  The exponent of symbol i is (m >> shifts[i]) &
+    field_mask, gens[i] is the monomial of symbol i and 0 the constant
+    monomial.  A total degree above MAX_DEGREE is refused with
+    DegreeOverflow, never carried into a neighbouring field.
+
+    A parameter and its partner sit in adjacent fields, the parameter
+    above, so conjugation swaps the fields of param_mask and partner_mask
+    by two masked shifts.  The coefficient layer keeps the polynomials
+    themselves.  Contexts of one lifetime are prefixes of each other, so a
+    value lifts into a later context of its lifetime by shifting each
+    monomial left by the difference of their deg_shift.
     """
 
     def __init__(self, symbols: tuple[ParameterSymbol, ...], lifetime: object):
@@ -74,29 +95,64 @@ class RingContext:
         self.lifetime = lifetime
         names = tuple(s.name for s in symbols)
         self.names = names
-        self.zero_monom = (0,) * len(names)
-        self.monomial_mul, self.monomial_div = _monomial_ops(len(names))
-        self.order = grlex
+        width = len(names)
+        self.shifts = tuple((width - 1 - i) * FIELD_BITS for i in range(width))
+        self.deg_shift = width * FIELD_BITS
+        self.field_mask = (1 << FIELD_BITS) - 1
+        self.gens = tuple((1 << self.deg_shift) | (1 << s) for s in self.shifts)
+        self.guard_mask = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
         # how render() shows each generator
         self.display_names = tuple(
             f"conj({s.conjugate_of})" if s.kind == CONJ else s.name
             for s in symbols
         )
         self.index_of = {s.name: s.index for s in symbols}
-        # conj_perm[i] = index whose exponent receives gen i's exponent under
-        # conjugation; characters map to themselves (exponent negation is
-        # handled by the fraction layer).
-        perm = []
-        for s in symbols:
-            if s.kind in (PARAM, CONJ):
-                perm.append(self.index_of[s.conjugate_of])
-            else:
-                perm.append(s.index)
-        self.conj_perm = tuple(perm)
         self.char_indices = tuple(s.index for s in symbols if s.kind == CHAR)
 
-    def is_char(self, idx: int) -> bool:
-        return self.symbols[idx].kind == CHAR
+        def fields(kind):
+            return sum(self.field_mask << self.shifts[s.index]
+                       for s in symbols if s.kind == kind)
+
+        for s in symbols:
+            if s.kind == PARAM and (
+                    s.index + 1 == width
+                    or symbols[s.index + 1].name != s.conjugate_of):
+                raise ValueError(f"partner of {s.name!r} is not the next symbol")
+        self.char_mask = fields(CHAR)
+        self.param_mask = fields(PARAM)
+        self.partner_mask = fields(CONJ)
+
+    def pack(self, exponents) -> int:
+        """The monomial with these exponents, one per symbol."""
+        degree = sum(exponents)
+        check_degree(degree)
+        m = degree << self.deg_shift
+        for s, e in zip(self.shifts, exponents):
+            m |= e << s
+        return m
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        """The exponents of the monomial m, one per symbol."""
+        field = self.field_mask
+        return tuple((m >> s) & field for s in self.shifts)
+
+    def exponents(self, m: int) -> list[tuple[int, int]]:
+        """(position, exponent) of each symbol in the monomial m, in
+        registration order, found from the top set bit down."""
+        rest = m & ((1 << self.deg_shift) - 1)
+        top = len(self.shifts) - 1
+        out = []
+        while rest:
+            i = top - (rest.bit_length() - 1) // FIELD_BITS
+            s = self.shifts[i]
+            out.append((i, rest >> s))
+            rest &= (1 << s) - 1
+        return out
+
+    def swap(self, m: int) -> int:
+        """m with each parameter's exponent exchanged with its partner's."""
+        pm, cm = self.param_mask, self.partner_mask
+        return ((m & pm) >> FIELD_BITS) | ((m & cm) << FIELD_BITS) | (m & ~(pm | cm))
 
 
 class _Registry:
@@ -129,8 +185,9 @@ class _Registry:
         """The symbol name of the given kind, with its conjugate partner
         name + "_c" for a parameter, registered if new.  Checked and added
         under one hold of the lock, so a parameter is never registered
-        without its partner and threads ensuring one new name all get the
-        same symbols."""
+        without its partner, whose field is the next one (RingContext
+        conjugates by swapping the two), and threads ensuring one new name
+        all get the same symbols."""
         with self._lock:
             sym = self._by_name.get(name)
             if sym is not None:

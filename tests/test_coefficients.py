@@ -13,6 +13,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, QQ_I, ZZ_I
+from sympy.polys.monomials import MonomialOps
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement, ring
 
@@ -30,17 +31,21 @@ from ihg.coefficients import (
     _Poly,
     _conj_poly,
     _exact_quotient,
+    _lift_poly,
     _mul,
     _over_common_denominator,
     _pow,
     _remainder,
     _sum,
+    _terms,
 )
 from ihg.symbols import (
     CHAR,
     CONJ,
+    MAX_DEGREE,
     PARAM,
     REAL,
+    DegreeOverflow,
     ParameterSymbol,
     RingContext,
     base_name,
@@ -586,14 +591,16 @@ XYZ = RingContext(
 )
 
 
-def _pairs(p):
-    """A polynomial over ZZ_I as the kernel's dict of integer pairs."""
-    return _Poly({m: (int(c.x), int(c.y)) for m, c in p.items()})
+def _pairs(p, ctx=XYZ):
+    """A polynomial over ZZ_I as the kernel's dict from packed monomial to
+    integer pair."""
+    return _Poly({ctx.pack(m): (int(c.x), int(c.y)) for m, c in p.items()})
 
 
-def _poly(p, ring=RZ):
-    """The kernel's dict of integer pairs as a polynomial of ring."""
-    return ring.from_dict({m: ring.domain(*c) for m, c in p.items()})
+def _poly(p, ring=RZ, ctx=XYZ):
+    """The kernel's dict from packed monomial to integer pair as a
+    polynomial of ring."""
+    return ring.from_dict({ctx.unpack(m): ring.domain(*c) for m, c in p.items()})
 
 
 @st.composite
@@ -787,9 +794,135 @@ def test_conjugate_matches_sympy(p):
     want = RT.zero
     for (a, b, r, e), c in p.items():
         want += RT(ZZ_I(c.x, -c.y)) * TC_**a * T_**b * S_**r * E_**(shift - e)
-    got, shifts = _conj_poly(_pairs(p), TE)
-    assert got == _pairs(want)
+    got, shifts = _conj_poly(_pairs(p, TE), TE)
+    assert got == _pairs(want, TE)
     assert shifts == ({3: shift} if shift else {})
+
+
+# -- packed monomials against sympy's exponent tuples ---------------------------
+
+
+@st.composite
+def contexts(draw):
+    """(ctx, wide): a context over 1 to 40 symbols, parameter pairs, reals
+    and characters in a drawn order, and a wider one of its lifetime."""
+    width = draw(st.integers(1, 40))
+    symbols: list = []
+    while len(symbols) < width:
+        k = len(symbols)
+        kinds = [PARAM, REAL, CHAR] if width - k > 1 else [REAL, CHAR]
+        kind = draw(st.sampled_from(kinds))
+        if kind == PARAM:
+            symbols += [ParameterSymbol(f"t{k}", PARAM, f"t{k}_c", k),
+                        ParameterSymbol(f"t{k}_c", CONJ, f"t{k}", k + 1)]
+        else:
+            symbols.append(ParameterSymbol(f"s{k}", kind, None, k))
+    wider = symbols + [ParameterSymbol(f"w{k}", REAL, None, k)
+                       for k in range(width, width + draw(st.integers(0, 3)))]
+    lifetime = object()
+    return RingContext(tuple(symbols), lifetime), RingContext(tuple(wider), lifetime)
+
+
+def _conjugate_reference(vectors, ctx):
+    """(image, shifts) of conj on exponent tuples: each parameter's exponent
+    swapped with its partner's, each character's e taken to shift - e."""
+    kinds = [s.kind for s in ctx.symbols]
+    shifts = {i: max(v[i] for v in vectors) for i, kind in enumerate(kinds)
+              if kind == CHAR}
+    images = []
+    for v in vectors:
+        image = list(v)
+        for i, kind in enumerate(kinds):
+            if kind == PARAM:
+                image[i], image[i + 1] = v[i + 1], v[i]
+            elif kind == CHAR:
+                image[i] = shifts[i] - v[i]
+        images.append(tuple(image))
+    return images, {i: s for i, s in shifts.items() if s}
+
+
+@settings(max_examples=80, deadline=None)
+@given(contexts(), st.data())
+def test_packed_monomials_match_sympy(pair, data):
+    # multiply, divide, grlex order, lift and conjugate on packed ints
+    # against sympy's MonomialOps and grlex on the exponent tuples
+    ctx, wide = pair
+    width = len(ctx.names)
+    ops = MonomialOps(width)
+    monomial_mul, monomial_div = ops.mul(), ops.div()
+    vector = st.tuples(*[st.integers(0, 3)] * width)
+    a, b = data.draw(vector), data.draw(vector)
+    vectors = data.draw(st.lists(vector, min_size=1, max_size=6, unique=True))
+    assert ctx.unpack(ctx.pack(a)) == a
+    product = _mul(_Poly({ctx.pack(a): (2, 1)}), _Poly({ctx.pack(b): (1, -1)}), ctx)
+    assert product == {ctx.pack(monomial_mul(a, b)): (3, -1)}
+    want = monomial_div(a, b)
+    got = _exact_quotient(_Poly({ctx.pack(a): (1, 0)}), _Poly({ctx.pack(b): (1, 0)}), ctx)
+    assert got == (None if want is None else {ctx.pack(want): (1, 0)})
+    p = _Poly({ctx.pack(v): (k + 1, -k) for k, v in enumerate(vectors)})
+    assert [ctx.unpack(m) for m, _ in _terms(p)] == sorted(vectors, key=grlex,
+                                                          reverse=True)
+    pad = (0,) * (len(wide.names) - width)
+    assert _lift_poly(p, wide.deg_shift - ctx.deg_shift) == {
+        wide.pack(v + pad): (k + 1, -k) for k, v in enumerate(vectors)}
+    images, shifts = _conjugate_reference(vectors, ctx)
+    assert _conj_poly(p, ctx) == (
+        {ctx.pack(w): (k + 1, k) for k, w in enumerate(images)}, shifts)
+
+
+@pytest.mark.parametrize("a,b", [
+    ((1, 0, 0), (0, 1, 0)),  # z - y borrows from the x field
+    ((1, 0, 3), (0, 0, 4)),  # a borrow runs through the empty y field
+    ((0, 5, 0), (1, 0, 0)),  # the top field borrows from the degree
+    ((2, 1, 0), (1, 1, 0)),
+    ((1,) + (0,) * 39, (0,) * 39 + (1,)),  # through 38 empty fields
+    ((3,) * 40, (3,) * 39 + (4,)),
+])
+def test_packed_division_borrows_into_a_guard_bit(a, b):
+    ctx = RingContext(tuple(ParameterSymbol(f"x{k}", REAL, None, k)
+                            for k in range(len(a))), object())
+    want = MonomialOps(len(a)).div()(a, b)
+    got = _exact_quotient(_Poly({ctx.pack(a): (1, 0)}), _Poly({ctx.pack(b): (1, 0)}), ctx)
+    assert got == (None if want is None else {ctx.pack(want): (1, 0)})
+
+
+def test_degree_past_the_field_raises_instead_of_carrying():
+    # every exponent is at most the total degree, so the kernels refuse a
+    # total degree above MAX_DEGREE before any field can overflow
+    setup_symbols()
+    t, u, E = C("t11"), C("t21"), C("E1")
+    assert (t ** MAX_DEGREE).render() == f"t11^{MAX_DEGREE}"
+    with pytest.raises(DegreeOverflow):
+        t ** (MAX_DEGREE + 1)
+    half = t ** (MAX_DEGREE // 2 + 1)
+    with pytest.raises(DegreeOverflow):
+        half * half
+    # each exponent fits its field, the total degree does not
+    with pytest.raises(DegreeOverflow):
+        t ** MAX_DEGREE * u
+    with pytest.raises(DegreeOverflow):
+        XYZ.pack((MAX_DEGREE, 1, 0))
+    # conj(E^MAX + t) = (1 + conj(t)*E^MAX) / E^MAX
+    with pytest.raises(DegreeOverflow):
+        (E ** MAX_DEGREE + t).conjugate()
+    edge = f"(E1^{MAX_DEGREE} + 1)/(E1)^{MAX_DEGREE}"
+    assert (E ** MAX_DEGREE + 1).conjugate().render() == edge
+
+
+def test_render_keeps_the_lexicographic_atom_order():
+    # atoms are ordered by their terms in lexicographic order of the
+    # exponent vectors: t21^2 + 1 comes before t11 + 1, where grlex would
+    # put t11 below t21^2; the order survives a lift into a wider ring
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    value = ONE() / (t + 1) / (u * u + 1) * (t - u)
+    text = "(t11 - t21)/((t21^2 + 1)*(t11 + 1))"
+    assert value.render() == text
+    assert (ONE() / (u * u + 1) / (t + 1) * (t - u)).render() == text
+    for k in range(3):
+        registry.ensure_pair(f"w{k}")
+    assert value.render() == text
+    assert (value * C("w1")).render() == "(t11*w1 - t21*w1)/((t21^2 + 1)*(t11 + 1))"
 
 
 def test_scalar_products_skip_trial_division(monkeypatch):
@@ -842,8 +975,8 @@ def test_one_is_the_ring_unit():
     setup_symbols()
     assert ONE() == _scalar_by_gaussian(1)
     assert ONE().render() == "1"
-    width = len(registry.context().names)
-    assert ONE()._num == {(0,) * width: (1, 0)}
+    ctx = registry.context()
+    assert ONE()._num == {ctx.pack((0,) * len(ctx.names)): (1, 0)}
     assert ONE()._den == ()
     assert Coefficient.i().render() == "i"
 
@@ -1062,8 +1195,9 @@ def test_squarefree_numerator_ignores_unrelated_generators(spec):
     assert after == before
     # a gcd runs exactly when the numerator has more than one term and
     # some exponent above 1
-    num = value.numerator_normalized()._num
-    assert bool(widths) == (len(num) > 1 and any(e > 1 for m in num for e in m))
+    num, ctx = value.numerator_normalized()._num, registry.context()
+    assert bool(widths) == (len(num) > 1 and any(e > 1 for m in num
+                                                 for e in ctx.unpack(m)))
 
 
 def test_squarefree_fast_paths_skip_the_gcd():
