@@ -91,11 +91,15 @@ class RingContext:
     """
 
     def __init__(self, symbols: tuple[ParameterSymbol, ...], lifetime: object):
+        names = tuple(s.name for s in symbols)
+        width = len(names)
+        for s in symbols:
+            if s.kind == PARAM and (s.index + 1 == width
+                                    or names[s.index + 1] != s.conjugate_of):
+                raise ValueError(f"partner of {s.name!r} is not the next symbol")
         self.symbols = symbols
         self.lifetime = lifetime
-        names = tuple(s.name for s in symbols)
         self.names = names
-        width = len(names)
         self.shifts = tuple((width - 1 - i) * FIELD_BITS for i in range(width))
         self.deg_shift = width * FIELD_BITS
         self.field_mask = (1 << FIELD_BITS) - 1
@@ -113,11 +117,6 @@ class RingContext:
             return sum(self.field_mask << self.shifts[s.index]
                        for s in symbols if s.kind == kind)
 
-        for s in symbols:
-            if s.kind == PARAM and (
-                    s.index + 1 == width
-                    or symbols[s.index + 1].name != s.conjugate_of):
-                raise ValueError(f"partner of {s.name!r} is not the next symbol")
         self.char_mask = fields(CHAR)
         self.param_mask = fields(PARAM)
         self.partner_mask = fields(CONJ)

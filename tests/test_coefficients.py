@@ -886,6 +886,18 @@ def test_packed_division_borrows_into_a_guard_bit(a, b):
     assert got == (None if want is None else {ctx.pack(want): (1, 0)})
 
 
+def test_a_parameter_and_its_partner_take_adjacent_fields():
+    # conjugation swaps a parameter's field with the next one
+    apart = (ParameterSymbol("t", PARAM, "t_c", 0), ParameterSymbol("s", REAL, None, 1),
+             ParameterSymbol("t_c", CONJ, "t", 2))
+    with pytest.raises(ValueError, match="not the next symbol"):
+        RingContext(apart, object())
+    registry.ensure_pair("t")
+    registry.ensure_real("s")
+    registry.ensure_pair("u")
+    assert registry.context().names == ("t", "t_c", "s", "u", "u_c")
+
+
 def test_degree_past_the_field_raises_instead_of_carrying():
     # every exponent is at most the total degree, so the kernels refuse a
     # total degree above MAX_DEGREE before any field can overflow
