@@ -964,6 +964,13 @@ class Coefficient:
         used = _used([r._num] + [a for a, _ in r._den], r._ctx)
         return {names[i] for i in used}
 
+    def has_characters(self) -> bool:
+        """Whether a character occurs in the numerator or an atom."""
+        r = self._refreshed()
+        chars = r._ctx.char_mask
+        return any(m & chars for p in (r._num, *(a for a, _ in r._den))
+                   for m in p)
+
     def has_free_parameters(self) -> bool:
         """Whether any symbol other than a character appears."""
         return bool(base_names((self,)))
@@ -1438,12 +1445,6 @@ def _plain_sum(zero):
     return lambda pairs: sum((a * b for a, b in pairs), zero)
 
 
-def _render_monom(monom, ctx) -> str:
-    names = ctx.display_names
-    return "*".join([names[idx] if e == 1 else f"{names[idx]}^{e}"
-                     for idx, e in ctx.exponents(monom)])
-
-
 def _render_poly(p, ctx, scale=None) -> str:
     """p / scale over Q(i), for a nonzero Gaussian integer scale, with its
     terms in grlex-descending order.  The scale defaults to the leading
@@ -1456,7 +1457,7 @@ def _render_poly(p, ctx, scale=None) -> str:
     pieces = []
     for monom, c in terms:
         re, im = _over_parts(c, scale)
-        m = _render_monom(monom, ctx)
+        m = ctx.render(monom)
         if not m:
             text = _gaussian_text(re, im)
         elif im[0]:

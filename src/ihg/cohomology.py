@@ -7,10 +7,16 @@ reduces to exact linear algebra.  A form is split into sectors in one
 place, _sector_vectors: one Coefficient.char_decompose per coefficient
 writes each character-stripped part into its sector's coordinate
 vector.  SectorComplex reads its own sector's vector and raises
-SectorMixing when the form meets another.  A Bott-Chern sector reads two
-matrices: d on pure (p,q)-forms, whose kernel is ker(del) ∩ ker(dbar),
-and del dbar from (p-1,q-1); one elimination over the image columns
-followed by the kernel vectors picks both spans as pivot columns.
+SectorMixing when the form meets another.
+
+The matrix of an operator ("d", "del", "dbar" or "ddbar") in sector s is
+read off the geometry's d-table: d(chi^s*m) = chi^s*(dm + theta_s ^ m)
+with theta_s = sum_c s_c dlog_c, so a column is the table entry of m
+twisted by theta_s (Geometry.twisted_split), and no coefficient is ever
+multiplied by chi^s and split again.  A Bott-Chern sector reads
+two matrices: d on pure (p,q)-forms, whose kernel is ker(del) ∩
+ker(dbar), and del dbar from (p-1,q-1); one elimination over the image
+columns followed by the kernel vectors picks both spans as pivot columns.
 
 Invariant primitives are solved in one place, split_primitive, which
 returns the minimum-norm primitive of the part of a form in im(op) and
@@ -85,10 +91,15 @@ class SectorComplex:
         self.geom = geom
         self.sector = tuple(sector)
         prefix = Coefficient.one()
+        theta = []
         for nm, e in zip(names, sector):
             if e:
                 prefix = prefix * Coefficient.symbol(nm) ** e
+                if nm in geom.chars:
+                    theta.append((geom.chars[nm], Coefficient.from_scalar(e)))
         self._prefix = prefix
+        # dlog of the prefix: d(prefix*f) = prefix*(d f + theta ^ f)
+        self._theta = Form.combination(theta) if theta else None
 
     def basis(self, p: int, q: int) -> list[MultiIndex]:
         return monomial_basis(self.geom.n, p, q)
@@ -97,7 +108,10 @@ class SectorComplex:
         return Form({mi: self._prefix})
 
     def vector_to_form(self, vec, p: int, q: int) -> Form:
-        return Form.combination(zip(map(self.embed, self.basis(p, q)), vec))
+        # distinct basis monomials: nothing to sum
+        return Form({
+            mi: self._prefix * v for mi, v in zip(self.basis(p, q), vec) if v
+        })
 
     def to_vector(self, form: Form, *bidegrees: tuple[int, int]):
         """Coordinates of form over the monomials of the given bidegrees,
@@ -106,22 +120,51 @@ class SectorComplex:
         return self._coordinates(form, index, bidegrees)
 
     def _coordinates(self, form: Form, index: dict[MultiIndex, int],
-                     bidegrees) -> linalg.Vector:
+                     bidegrees, stripped: bool = False) -> linalg.Vector:
+        """Coordinates of form, which must meet this sector only; a
+        stripped form (a column of matrix) has the prefix divided out, so
+        its own sector is the zero vector."""
+        key = tuple(0 for _ in self.sector) if stripped else self.sector
         vectors = _sector_vectors(form, index, bidegrees)
-        others = sorted(set(vectors) - {self.sector})
+        others = sorted(set(vectors) - {key})
         if others:
+            if stripped:
+                others = [tuple(a + b for a, b in zip(o, self.sector))
+                          for o in others]
             raise SectorMixing(
                 f"form meets sectors {others}, expected {self.sector}"
             )
-        return vectors.get(self.sector) or [Coefficient.zero()] * len(index)
+        return vectors.get(key) or [Coefficient.zero()] * len(index)
 
-    def matrix(self, op, p: int, q: int,
+    def _column(self, op: str, mi: MultiIndex) -> Form:
+        """op_s of the monomial mi: op of prefix*mi with the prefix
+        stripped."""
+        if self._theta is None:
+            # sector 0: the d-table entry itself
+            del_m, dbar_m = self.geom._d_monomial(mi)
+        else:
+            del_m, dbar_m = self.geom.twisted_split(
+                Form({mi: Coefficient.one()}), self._theta)
+        if op == "d":
+            return del_m + dbar_m
+        if op == "ddbar":
+            return self.geom.twisted_split(dbar_m, self._theta)[0]
+        return {"del": del_m, "dbar": dbar_m}[op]
+
+    def matrix(self, op: str, p: int, q: int,
                *targets: tuple[int, int]) -> linalg.Matrix:
-        """Matrix of op from the (p,q) monomials to the monomials of the
-        target bidegrees, stacked in the order given."""
+        """Matrix of op ("d", "del", "dbar" or "ddbar") from the (p,q)
+        monomials to the monomials of the target bidegrees, stacked in the
+        order given.
+
+        Each column is read off the geometry's d-table twisted by the
+        sector's theta, not taken from d of the embedded monomial: del_s m
+        = del m + theta^{1,0} ^ m, dbar_s m = dbar m + theta^{0,1} ^ m,
+        d_s = del_s + dbar_s and ddbar_s = del_s dbar_s.
+        """
         index = _index(self.geom.n, targets)
         cols = [
-            self._coordinates(op(self.embed(mi)), index, targets)
+            self._coordinates(self._column(op, mi), index, targets, True)
             for mi in self.basis(p, q)
         ]
         return [[col[i] for col in cols] for i in range(len(index))]
@@ -151,12 +194,12 @@ class BottChernSector:
         self.p = p
         self.q = q
         cx = self.complex
-        d_matrix = cx.matrix(geom.d, p, q, (p + 1, q), (p, q + 1))
+        d_matrix = cx.matrix("d", p, q, (p + 1, q), (p, q + 1))
         # at (n,n) d has no target monomial: one zero row keeps every column
         kernel = linalg.nullspace(
             d_matrix or [[Coefficient.zero()] * len(cx.basis(p, q))]
         )
-        image_matrix = cx.matrix(geom.ddbar, p - 1, q - 1, (p, q))
+        image_matrix = cx.matrix("ddbar", p - 1, q - 1, (p, q))
         image_cols = [list(col) for col in zip(*image_matrix)]
         # image columns first: the kernel columns that are pivots then span
         # a complement of the image inside the kernel
@@ -279,8 +322,7 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
         key = (op, p, q, sector)
         systems = geom._sector_systems.get(key)
         if systems is None:
-            operator = geom.dbar if op == "dbar" else geom.del_op
-            systems = linalg.normal_systems(cx.matrix(operator, p, q, target))
+            systems = linalg.normal_systems(cx.matrix(op, p, q, target))
             geom._sector_systems[key] = systems
         x, rest = linalg.split_normal(systems, vectors[sector])
         terms.extend(zip(map(cx.embed, cx.basis(p, q)), x))

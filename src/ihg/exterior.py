@@ -10,11 +10,20 @@ products landing on each monomial and sums them with one
 Coefficient.sum_of_products, so each output coefficient is normalized once.
 The wedge product and VectorForm.iota gather their term products the same
 way; + and - merge two forms.
+
+A coframe substitution is a CoframeMap, whose table builds the image of
+each monomial once.  Wedge powers of a pure (1,1)-form read their
+coefficients off one such map: the coefficients of omega^k are k x k
+minors of omega's coefficient matrix (compound matrices, Cauchy-Binet),
+so omega^n is n! times its determinant times the volume monomial, up to
+the sign of moving the holomorphic block first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import factorial
 from typing import Callable, Iterable, Iterator
 
 from .coefficients import Coefficient
@@ -204,12 +213,31 @@ class Form:
         )
 
     def wedge_power(self, k: int) -> "Form":
+        """self^k.  A pure (1,1)-form omega = sum_j phi^j ^ beta_j, with
+        beta_j = sum_l c_jl phi^{lbar}, has
+
+            omega^k = k! (-1)^(k(k-1)/2) sum_{|I|=k} phi^I ^ B(phi^{Ibar}),
+
+        where B is the CoframeMap sending phi^{jbar} to beta_j: each
+        coefficient is one k x k minor of (c_jl), built once by the map's
+        Laplace chain.  I runs over the indices j with beta_j nonzero, the
+        rows of B.  Any other form is wedged with itself k times."""
         if k < 0:
             raise ValueError("negative wedge power")
-        out = Form.scalar(1)
-        for _ in range(k):
-            out = out.wedge(self)
-        return out
+        if not self.is_pure(1, 1):
+            return wedge(*[self] * k)
+        rows: dict[int, dict[MultiIndex, Coefficient]] = {}
+        for mi, c in self._terms.items():
+            rows.setdefault(mi.holo[0], {})[MultiIndex((), mi.anti)] = c
+        minors = CoframeMap({("a", j): Form(row) for j, row in rows.items()})
+        scale = _as_coeff(factorial(k) * (-1) ** (k * (k - 1) // 2))
+        # phi^I ^ phi^{Jbar} is canonical, and distinct (I, J) are distinct
+        # monomials: nothing to sum
+        return Form({
+            MultiIndex(holo, mj.anti): c * scale
+            for holo in combinations(sorted(rows), k)
+            for mj, c in minors.image(MultiIndex((), holo)).terms()
+        })
 
     def conjugate(self) -> "Form":
         out: dict[MultiIndex, Coefficient] = {}

@@ -8,9 +8,13 @@ characters entering coefficients through their logarithmic derivatives
 Kuranishi construction) runs through the d operator built here.
 
 d is derived in one place: each geometry keeps one table from coframe
-monomials to their (del, dbar) pair, filled on first use, and d_split
-combines table entries with the characters' action on coefficients;
-d, del_op, dbar and ddbar are views of d_split.
+monomials to their (del, dbar) pair, filled on first use, and
+twisted_split combines table entries with the characters' action on
+coefficients, plus an optional closed 1-form theta wedged on as the twist
+d_theta = d + theta ^ (the sector matrices of cohomology use theta =
+dlog of a character monomial).  d_split is its untwisted view, and d,
+del_op, dbar and ddbar are views of d_split.  d of a coefficient without
+characters is zero at once.
 """
 
 from __future__ import annotations
@@ -93,6 +97,8 @@ class Geometry:
 
     def d_coefficient(self, c: Coefficient) -> Form:
         """d of a function coefficient; only characters vary on the manifold."""
+        if not c.has_characters():
+            return Form()
         return Form.combination(
             (dlog, c.euler(cname)) for cname, dlog in self.chars.items()
         )
@@ -129,21 +135,32 @@ class Geometry:
         return split
 
     def d_split(self, form: Form) -> tuple[Form, Form]:
-        """(del form, dbar form), the only derivation of d: for each term
-        c*m, del gives (dc)^{1,0}^m + c*del(m) and dbar gives
-        (dc)^{0,1}^m + c*dbar(m), with (del m, dbar m) read from the
-        geometry's monomial table.  Each half is one Form.combination."""
+        """(del form, dbar form): twisted_split with no twist."""
+        return self.twisted_split(form)
+
+    def twisted_split(self, form: Form,
+                      theta: Form | None = None) -> tuple[Form, Form]:
+        """(del form, dbar form) twisted by the closed 1-form theta, the
+        only derivation of d: d_theta(c*m) = (dc + c*theta)^m + c*dm, so
+        for each term c*m del gives (dc + c*theta)^{1,0}^m + c*del(m) and
+        dbar gives (dc + c*theta)^{0,1}^m + c*dbar(m), with (del m, dbar m)
+        read from the geometry's monomial table.  Each half is one
+        Form.combination.
+
+        With theta = dlog(chi) for a character monomial chi, this is
+        d(chi*form) with chi stripped; theta = None is d itself."""
         one = Coefficient.one()
         del_pairs, dbar_pairs = [], []
         for mi, c in form.terms():
             del_m, dbar_m = self._d_monomial(mi)
             del_pairs.append((del_m, c))
             dbar_pairs.append((dbar_m, c))
-            dc = self.d_coefficient(c)
-            if not dc.is_zero():
-                m = Form({mi: one})
-                del_pairs.append((dc.component(1, 0).wedge(m), one))
-                dbar_pairs.append((dc.component(0, 1).wedge(m), one))
+            # the one-forms wedged onto m, with their factors
+            for leg, x in ((self.d_coefficient(c), one), (theta, c)):
+                if leg:
+                    m = Form({mi: one})
+                    del_pairs.append((leg.component(1, 0).wedge(m), x))
+                    dbar_pairs.append((leg.component(0, 1).wedge(m), x))
         return Form.combination(del_pairs), Form.combination(dbar_pairs)
 
     def d(self, form: Form) -> Form:

@@ -84,7 +84,8 @@ class RingContext:
 
     A parameter and its partner sit in adjacent fields, the parameter
     above, so conjugation swaps the fields of param_mask and partner_mask
-    by two masked shifts.  The coefficient layer keeps the polynomials
+    by two masked shifts.  render gives a monomial's text, memoized per
+    context.  The coefficient layer keeps the polynomials
     themselves.  Contexts of one lifetime are prefixes of each other, so a
     value lifts into a later context of its lifetime by shifting each
     monomial left by the difference of their deg_shift.
@@ -110,6 +111,7 @@ class RingContext:
             f"conj({s.conjugate_of})" if s.kind == CONJ else s.name
             for s in symbols
         )
+        self._texts: dict[int, str] = {}
         self.index_of = {s.name: s.index for s in symbols}
         self.char_indices = tuple(s.index for s in symbols if s.kind == CHAR)
 
@@ -147,6 +149,18 @@ class RingContext:
             out.append((i, rest >> s))
             rest &= (1 << s) - 1
         return out
+
+    def render(self, m: int) -> str:
+        """The text of the monomial m, "" for the constant monomial; each
+        monomial is decoded once per context."""
+        text = self._texts.get(m)
+        if text is None:
+            names = self.display_names
+            text = self._texts[m] = "*".join([
+                names[i] if e == 1 else f"{names[i]}^{e}"
+                for i, e in self.exponents(m)
+            ])
+        return text
 
     def swap(self, m: int) -> int:
         """m with each parameter's exponent exchanged with its partner's."""

@@ -1495,3 +1495,24 @@ def test_certified_sign_of_a_norm_quotient(coeffs, c, k, points):
         got = value.substitute({"t11": point}).scalar()
         assert got.im == 0
         assert (got.re > 0) - (got.re < 0) == sign
+
+
+def test_monomial_text_is_decoded_once_per_context(monkeypatch):
+    setup_symbols()
+    t = C("t11")
+    value = (t * t.conjugate() ** 2 + 3 * C("s")) / (1 + t)
+    text = value.render()
+    calls = []
+    exponents = RingContext.exponents
+
+    def counted(ctx, m):
+        calls.append(m)
+        return exponents(ctx, m)
+
+    monkeypatch.setattr(RingContext, "exponents", counted)
+    assert value.render() == text
+    assert not calls
+    # a wider context packs the same monomials differently: decoded afresh
+    registry.ensure_pair("u")
+    assert value.render() == text
+    assert len(calls) == len(set(calls)) == 4

@@ -31,7 +31,7 @@ from ihg.cohomology import (
     solve_dbar,
     split_primitive,
 )
-from ihg.exterior import Form
+from ihg.exterior import Form, MultiIndex
 from ihg.geometry import Geometry
 from ihg.symbols import registry
 
@@ -70,16 +70,23 @@ def test_dimension_matches_rank_count(name):
 
 
 def test_sector_cost(monkeypatch):
-    # one d per (2,2) monomial, del and dbar per (1,1) monomial, one
-    # elimination for the kernel and one for both spans, and each matrix
-    # builds its target basis once
+    # the matrices read the d-table: no d_split of an embedded monomial,
+    # and in sector 0 one twisted split per (1,1) monomial, the del of its
+    # dbar column; one elimination for the kernel and one for both spans,
+    # and each matrix builds its target basis once
     g = catalog("solv4d")
-    calls = {"d_split": 0, "eliminate": 0, "monomial_basis": 0}
-    d_split, eliminate = Geometry.d_split, linalg._eliminate
+    calls = {"d_split": 0, "twisted_split": 0, "eliminate": 0,
+             "monomial_basis": 0}
+    d_split, twisted_split = Geometry.d_split, Geometry.twisted_split
+    eliminate = linalg._eliminate
 
     def counted_d_split(self, form):
         calls["d_split"] += 1
         return d_split(self, form)
+
+    def counted_twisted_split(self, form, theta=None):
+        calls["twisted_split"] += 1
+        return twisted_split(self, form, theta)
 
     def counted_eliminate(rows, width):
         calls["eliminate"] += 1
@@ -90,12 +97,56 @@ def test_sector_cost(monkeypatch):
         return monomial_basis(n, p, q)
 
     monkeypatch.setattr(Geometry, "d_split", counted_d_split)
+    monkeypatch.setattr(Geometry, "twisted_split", counted_twisted_split)
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(cohomology, "monomial_basis", counted_monomial_basis)
     BottChernSector(g, 2, 2)
-    assert calls["d_split"] == 68
+    assert calls["d_split"] == 0
+    assert calls["twisted_split"] == 16
     assert calls["eliminate"] == 2
     assert calls["monomial_basis"] <= 5
+
+
+_TARGETS = {
+    "d": ((1, 0), (0, 1)), "del": ((1, 0),), "dbar": ((0, 1),),
+    "ddbar": ((1, 1),),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_TARGETS))
+@pytest.mark.parametrize("name", ["solv4d", "nakamura_3b"])
+def test_table_read_matrix_matches_the_embedded_route(name, op):
+    # reference: coordinates of op(embed(m)) from the public operators,
+    # with the character decomposition of the result
+    g = catalog(name)
+    public = {"d": g.d, "del": g.del_op, "dbar": g.dbar, "ddbar": g.ddbar}
+    for sector in [(0,), (1,), (-1,), (2,)]:
+        cx = SectorComplex(g, sector)
+        for p in range(g.n + 1):
+            for q in range(g.n + 1):
+                targets = [(p + a, q + b) for a, b in _TARGETS[op]]
+                cols = [cx.to_vector(public[op](cx.embed(mi)), *targets)
+                        for mi in cx.basis(p, q)]
+                rows = len(cohomology._index(g.n, targets))
+                want = [[col[i] for col in cols] for i in range(rows)]
+                assert cx.matrix(op, p, q, *targets) == want, (sector, p, q)
+
+
+def test_a_character_in_the_structure_still_mixes_sectors():
+    # d(phi^2) = E1 phi^{1 1bar}: dbar of phi^{2bar} carries conj(E1), so
+    # every column through it leaves the sector, on either route
+    registry.ensure_char("E1")
+    E = Coefficient.symbol("E1")
+    g = Geometry(
+        "twisted", 2, {2: Form.monomial((1,), (1,), E)},
+        chars={"E1": Form.monomial((1,), ()) - Form.monomial((), (1,))},
+    )
+    for sector in [(0,), (1,)]:
+        cx = SectorComplex(g, sector)
+        with pytest.raises(SectorMixing):
+            cx.to_vector(g.d(cx.embed(MultiIndex((), (2,)))), (1, 1), (0, 2))
+        with pytest.raises(SectorMixing):
+            cx.matrix("d", 0, 1, (1, 1), (0, 2))
 
 
 def test_solve_dbar_is_minimum_norm(h3x):

@@ -148,11 +148,51 @@ def test_wedge_power_top_degree():
         (2,), (2,), Coefficient.i()
     ) + Form.monomial((3,), (3,), Coefficient.i())
     top = om.wedge_power(3)
-    assert len(top) == 1
-    # i^3 * 3! * (sign of interleave to canonical order)
-    [(mi, c)] = list(top.terms())
-    assert mi == MultiIndex((1, 2, 3), (1, 2, 3))
+    # 3! * (-1)^3 from moving the holomorphic factors first, times the
+    # minor det(i*I) = i^3: 6i
+    assert top == Form.monomial((1, 2, 3), (1, 2, 3), 6 * Coefficient.i())
+    # 2! * (-1) times each 2 x 2 minor i^2 = -1
+    assert om.wedge_power(2) == (
+        Form.monomial((1, 2), (1, 2), 2) + Form.monomial((1, 3), (1, 3), 2)
+        + Form.monomial((2, 3), (2, 3), 2)
+    )
     assert om.wedge_power(4).is_zero()
+    assert om.wedge_power(1) == om
+    assert om.wedge_power(0) == Form.scalar(1)
+
+
+@st.composite
+def one_one_forms(draw):
+    """(1,1)-forms with n <= 4 whose entries are drawn from the pooled
+    coefficients (denominator atoms included) or left out, so rows and
+    columns go missing and no entry is tied to its transpose."""
+    pool = [None] + _coefficient_pool()
+    n = draw(st.integers(1, 4))
+    f = Form()
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            c = pool[draw(st.integers(0, len(pool) - 1))]
+            if c is not None:
+                f = f + Form.monomial((j,), (k,), c)
+    return n, f
+
+
+@settings(max_examples=25, deadline=None)
+@given(one_one_forms(), st.integers(0, 5))
+def test_wedge_power_matches_the_wedge_chain(nf, k):
+    n, f = nf
+    k = min(k, n + 1)
+    assert f.wedge_power(k) == wedge(*[f] * k)
+
+
+def test_wedge_power_of_a_mixed_form_is_the_wedge_chain():
+    one, t, tc, i = coeffs()
+    f = Form.monomial((1,), (2,), t) + Form.monomial((1, 2), (), tc) \
+        + Form.monomial((), (3,), i)
+    for k in range(4):
+        assert f.wedge_power(k) == wedge(*[f] * k)
+    with pytest.raises(ValueError):
+        f.wedge_power(-1)
 
 
 def test_numeric_evaluation():

@@ -179,6 +179,25 @@ class TestBrackets:
         assert geom.frame_action(("h", 1), e.conjugate()) == -e.conjugate()
 
 
+    def test_d_of_a_character_free_coefficient_runs_no_euler(self, monkeypatch):
+        geom = catalog("nakamura_3b")
+        registry.ensure_pair("t")
+        t, e = Coefficient.symbol("t"), Coefficient.symbol("E1")
+        calls = []
+        euler = Coefficient.euler
+
+        def counted(c, name):
+            calls.append(name)
+            return euler(c, name)
+
+        monkeypatch.setattr(Coefficient, "euler", counted)
+        assert geom.d_coefficient(t / (1 + t * t.conjugate())).is_zero()
+        assert not calls
+        dlog = Form.monomial((1,), ()) - Form.monomial((), (1,))
+        assert geom.d_coefficient(t / (1 + e)) == dlog * (-t * e / (1 + e) ** 2)
+        assert calls == ["E1"]
+
+
 class TestDifferential:
     def test_solv4d_dbar_of_top_anti(self):
         geom = catalog("solv4d")
