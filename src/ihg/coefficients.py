@@ -315,10 +315,11 @@ class _Poly(dict):
 
     Kernels build a _Poly and then never change it, so a polynomial hashes
     by value, with the hash cached: denominator atoms key the lcm of a
-    common denominator.  An atom also caches its conjugate (_conj_atom).
+    common denominator.  An atom also caches its conjugate (_conj_atom)
+    and its sort key (_poly_key).
     """
 
-    __slots__ = ("_hash", "_conj")
+    __slots__ = ("_hash", "_conj", "_key")
 
     def __hash__(self):
         try:
@@ -560,14 +561,20 @@ def _poly_key(atom, ctx: RingContext):
     """Deterministic total order key for denominator atoms: the terms of
     the monic atom, atom / LC(atom), in lexicographic order of their
     exponent vectors, which is the int order of the monomials' fields
-    below the degree."""
-    lc = _lead(atom)[1]
-    fields = (1 << ctx.deg_shift) - 1
-    items = []
-    for exps, c in sorted((m & fields, c) for m, c in atom.items()):
-        (a, b), (x, y) = _over_parts(c, lc)
-        items.append((exps, a, b, x, y))
-    return tuple(items)
+    below the degree.
+
+    Cached on the atom, as _conj_atom caches its conjugate: an atom is
+    never changed and never changes context (_refreshed lifts a copy)."""
+    got = getattr(atom, "_key", None)
+    if got is None:
+        lc = _lead(atom)[1]
+        fields = (1 << ctx.deg_shift) - 1
+        items = []
+        for exps, c in sorted((m & fields, c) for m, c in atom.items()):
+            (a, b), (x, y) = _over_parts(c, lc)
+            items.append((exps, a, b, x, y))
+        got = atom._key = tuple(items)
+    return got
 
 
 def _lift_poly(p, bits: int):

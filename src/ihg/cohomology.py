@@ -21,8 +21,8 @@ columns followed by the kernel vectors picks both spans as pivot columns.
 Invariant primitives are solved in one place, split_primitive, which
 returns the minimum-norm primitive of the part of a form in im(op) and
 the residue orthogonal to it; solve_dbar, solve_del and the Kuranishi
-step read both.  The sector systems it splits against are built once per
-geometry.
+step read both.  Each sector matrix it splits against is factored into its
+pseudo-inverse once per geometry.
 """
 
 from __future__ import annotations
@@ -307,10 +307,11 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     with the character stripped, as SectorComplex.to_vector gives them.
     rhs lies in im(op) exactly when every residue entry is zero.
 
-    Each sector's matrix of op and its normal systems depend only on the
-    geometry, so they are built once, on first use, into a table the
-    geometry keeps for its lifetime; the table holds only matrices, never
-    a reference back to the geometry.
+    Each sector's matrix of op depends only on the geometry, so it is
+    built and factored into its pseudo-inverse (linalg.normal_systems)
+    once, on first use, into a table the geometry keeps for its lifetime;
+    every later split in that sector is two matrix-vector products.  The
+    table holds only matrices, never a reference back to the geometry.
     """
     dp, dq = _SHIFTS[op]
     target = (p + dp, q + dq)

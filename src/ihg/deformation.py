@@ -324,19 +324,31 @@ def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
     with the Lie derivative L_{Z_i} f = d(iota_i f) + iota_i(df) by the
     Cartan formula.  df is taken once per leg form, from one table when
     b is a, and read back for every pair the leg meets.
+
+    When b is a and every leg is a 1-form, as every Kuranishi term is, the
+    leg pair (j, i) gives the same three terms as (i, j): both the wedge
+    and the frame bracket change sign.  Then only pairs i <= j are formed,
+    each i < j with weight 2.
     """
     if a.mirrored or b.mirrored:
         raise ValueError("bracket is defined for T^{1,0}-valued forms")
     d_a = {i: geom.d(eta) for i, eta in a.components.items()}
     d_b = d_a if b is a else {j: geom.d(rho) for j, rho in b.components.items()}
+    symmetric = b is a and all(
+        mi.degree == 1 for f in a.components.values() for mi, _ in f.terms()
+    )
 
     def lie(i: int, form: Form, d_form: Form) -> Form:
         return geom.d(form.contract_holo(i)) + d_form.contract_holo(i)
 
     one = Coefficient.one()
+    two = one + one
     pairs: dict[int, list] = {}
     for i, eta in a.components.items():
         for j, rho in b.components.items():
+            if symmetric and j < i:
+                continue
+            w = two if symmetric and i < j else one
             wedge = eta.wedge(rho)
             if not wedge.is_zero():
                 for leg, c in geom.bracket(("h", i), ("h", j)).items():
@@ -344,11 +356,11 @@ def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
                         raise ValueError(
                             "frame brackets left the holomorphic span"
                         )
-                    pairs.setdefault(leg[1], []).append((wedge, c))
+                    pairs.setdefault(leg[1], []).append((wedge, c * w))
             pairs.setdefault(j, []).append(
-                (eta.wedge(lie(i, rho, d_b[j])), one))
+                (eta.wedge(lie(i, rho, d_b[j])), w))
             pairs.setdefault(i, []).append(
-                (rho.wedge(lie(j, eta, d_a[i])), one))
+                (rho.wedge(lie(j, eta, d_a[i])), w))
     return VectorForm({a: Form.combination(p) for a, p in pairs.items()})
 
 

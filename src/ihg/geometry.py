@@ -89,8 +89,10 @@ class Geometry:
         # most queries touch only a few of its monomials
         self._d_table: dict[MultiIndex, tuple[Form, Form]] = {}
         # filled by cohomology.split_primitive: (op, p, q, sector) -> the
-        # sector matrix of op with its normal systems
+        # sector matrix of op with its pseudo-inverse (linalg.normal_systems)
         self._sector_systems: dict = {}
+        # filled lazily by bracket: (x, y) -> [X, Y] on the frame
+        self._bracket_table: dict = {}
         self._validate()
 
     # -- d and its bigraded pieces -------------------------------------------
@@ -182,16 +184,22 @@ class Geometry:
         return _contract(_contract(form, x), y).coeff((), ())
 
     def bracket(self, x: FrameLabel, y: FrameLabel) -> dict[FrameLabel, Coefficient]:
-        """Lie bracket of frame vectors: alpha([X,Y]) = -d(alpha)(X,Y)."""
-        out: dict[FrameLabel, Coefficient] = {}
-        for s in range(1, self.n + 1):
-            c = -self.evaluate_2form(self.structure[s], x, y)
-            if not c.is_zero():
-                out[("h", s)] = c
-            cb = -self.evaluate_2form(self._d_anti[s], x, y)
-            if not cb.is_zero():
-                out[("a", s)] = cb
-        return out
+        """Lie bracket of frame vectors: alpha([X,Y]) = -d(alpha)(X,Y).
+
+        Each pair is evaluated once per geometry into a table; the caller
+        gets a copy, so changing it leaves the table as it was."""
+        out = self._bracket_table.get((x, y))
+        if out is None:
+            out = {}
+            for s in range(1, self.n + 1):
+                c = -self.evaluate_2form(self.structure[s], x, y)
+                if not c.is_zero():
+                    out[("h", s)] = c
+                cb = -self.evaluate_2form(self._d_anti[s], x, y)
+                if not cb.is_zero():
+                    out[("a", s)] = cb
+            self._bracket_table[(x, y)] = out
+        return dict(out)
 
     def frame_action(self, x: FrameLabel, c: Coefficient) -> Coefficient:
         """Derivative of a function coefficient along a frame vector."""

@@ -45,15 +45,18 @@ class InconsistentBranch(ValueError):
 @dataclass(frozen=True)
 class GeneratorSet:
     """dbar-closed decorated (0,1)-forms spanning the deformation directions,
-    each checked by Geometry.check_generator (modulo the constraint ideal).
+    each checked by Geometry.check_generator (modulo the constraint ideal)
+    once: the geometry's own generators were checked when it was built.
     """
 
     geom: Geometry
     forms: tuple[Form, ...]
 
     def __post_init__(self):
+        checked = self.geom.generators or ()
         for g in self.forms:
-            self.geom.check_generator(g)
+            if not any(g is h for h in checked):
+                self.geom.check_generator(g)
 
     @staticmethod
     def from_geometry(geom: Geometry) -> "GeneratorSet":

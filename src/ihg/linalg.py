@@ -7,11 +7,14 @@ so Gauss-Jordan without fraction-free tricks is fast enough.
 
 Each entry of a matrix product is one Coefficient.sum_of_products.  Span
 selection reads the pivot columns of one elimination, which are exactly
-the vectors a greedy rank test would keep.  normal_systems is the one
-place that forms Hermitian normal systems and split_normal, which
-orthogonal_split wraps, the one that solves them; a caller can build the
-systems once and split many right-hand sides.  Over the coefficient field
-both systems are consistent, so there is no fallback.
+the vectors a greedy rank test would keep.  solve_many solves for all
+columns of a right-hand side in one elimination.  normal_systems is the
+one place that forms Hermitian normal systems: it factors a matrix once
+into its Moore-Penrose pseudo-inverse, from two eliminations whatever the
+number of right-hand sides, and split_normal, which orthogonal_split
+wraps, splits a vector against that factorization with two matrix-vector
+products and no elimination.  Over the coefficient field both normal
+systems are consistent, so there is no fallback.
 """
 
 from __future__ import annotations
@@ -86,18 +89,29 @@ def _eliminate(rows: Matrix, width: int) -> tuple[Matrix, list[int]]:
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
     """One solution of a x = b, or None when inconsistent."""
+    x = solve_many(a, [[entry] for entry in b])
+    return None if x is None else [row[0] for row in x]
+
+
+def solve_many(a: Matrix, b: Matrix) -> Matrix | None:
+    """One solution X of a X = b, or None when some column of b is
+    inconsistent.  All columns ride on one elimination, whose row
+    operations depend on a alone, so column k of X is solve(a, column k
+    of b) exactly."""
     rows = len(a)
     cols = len(a[0]) if a else 0
+    width = len(b[0]) if b else 0
+    zero = Coefficient.zero()
     if rows == 0:
-        return [Coefficient.zero() for _ in range(cols)]
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+        return [[zero] * width for _ in range(cols)]
+    aug = [list(row) + list(b_row) for row, b_row in zip(a, b)]
     mat, pivots = _eliminate(aug, cols)
     for i in range(len(pivots), rows):
-        if not mat[i][cols].is_zero():
+        if not all(entry.is_zero() for entry in mat[i][cols:]):
             return None
-    x = [Coefficient.zero() for _ in range(cols)]
+    x = [[zero] * width for _ in range(cols)]
     for r, col in enumerate(pivots):
-        x[col] = mat[r][cols]
+        x[col] = mat[r][cols:]
     return x
 
 
@@ -121,35 +135,43 @@ def invert(a: Matrix) -> Matrix:
     n = len(a)
     if any(len(row) != n for row in a):
         raise SingularMatrix("matrix must be square")
-    aug = [list(row) + ident_row for row, ident_row in zip(a, identity(n))]
-    mat, pivots = _eliminate(aug, n)
-    if len(pivots) != n:
+    inverse = solve_many(a, identity(n))
+    if inverse is None:
         raise SingularMatrix("matrix is singular over the coefficient field")
-    return [row[n:] for row in mat]
+    return inverse
 
 
-def normal_systems(a: Matrix) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """(a, a*, a*a, a a*): what split_normal solves against, built once
-    per matrix so that every right-hand side can reuse them."""
+def normal_systems(a: Matrix) -> tuple[Matrix, Matrix]:
+    """(a, a+), with a+ the Moore-Penrose pseudo-inverse of a for the
+    formal Hermitian pairing: what split_normal splits against, built once
+    per matrix so that every right-hand side can reuse it.
+
+    Y solves (a*a) Y = a*, so a Y projects onto the column span of a; Z
+    solves (a a*) Z = a Y, and a+ = a* Z.  Each is one elimination over
+    all its right-hand sides.  As solve is linear in its right-hand side,
+    a+ v is the x that the two normal solves of orthogonal_split give for
+    v, and a a+ = a Y."""
+    if not a or not a[0]:
+        return a, []
     star = conj_transpose(a)
-    return a, star, mat_mul(star, a), mat_mul(a, star)
+    y = solve_many(mat_mul(star, a), star)
+    if y is None:
+        raise SingularMatrix("degenerate Hermitian pairing in a*a")
+    z = solve_many(mat_mul(a, star), mat_mul(a, y))
+    if z is None:
+        raise SingularMatrix("degenerate Hermitian pairing in a a*")
+    return a, mat_mul(star, z)
 
 
 def split_normal(systems, v: Vector) -> tuple[Vector, Vector]:
-    """orthogonal_split of v against the matrix whose normal_systems are
-    given."""
-    a, star, gram, cogram = systems
-    if not a or not a[0]:
+    """orthogonal_split of v against the matrix a whose normal_systems
+    (a, a+) are given: x = a+ v and residue = v - a x, two matrix-vector
+    products."""
+    a, pinv = systems
+    if not pinv:
         return [], list(v)
-    y = solve(gram, mat_vec(star, v))
-    if y is None:
-        raise SingularMatrix("degenerate Hermitian pairing in a*a")
-    projection = mat_vec(a, y)
-    z = solve(cogram, projection)
-    if z is None:
-        raise SingularMatrix("degenerate Hermitian pairing in a a*")
-    residue = [b - c for b, c in zip(v, projection)]
-    return mat_vec(star, z), residue
+    x = mat_vec(pinv, v)
+    return x, [b - c for b, c in zip(v, mat_vec(a, x))]
 
 
 def orthogonal_split(a: Matrix, v: Vector) -> tuple[Vector, Vector]:
@@ -158,12 +180,14 @@ def orthogonal_split(a: Matrix, v: Vector) -> tuple[Vector, Vector]:
     a x = v - residue orthogonal to ker(a).
 
     One solve in a*a gives the projection a y of v, one in a a* gives
-    x = a* z with (a a*) z = a y.  Over the coefficient field the pairing
-    is anisotropic, so both normal systems are consistent; an inconsistent
-    one is a fault and raises SingularMatrix.  This wraps split_normal;
-    cohomology.split_primitive keeps each sector's normal_systems in a
-    table per geometry and calls split_normal directly, so a sector matrix
-    and its two products are built once however many vectors it splits.
+    x = a* z with (a a*) z = a y; normal_systems makes both solves once
+    for every right-hand side, into the pseudo-inverse a+, so x = a+ v.
+    Over the coefficient field the pairing is anisotropic, so both normal
+    systems are consistent; an inconsistent one is a fault and raises
+    SingularMatrix.  This wraps split_normal; cohomology.split_primitive
+    keeps each sector's normal_systems in a table per geometry and calls
+    split_normal directly, so a sector is factored once however many
+    vectors it splits.
     """
     return split_normal(normal_systems(a), v)
 

@@ -34,6 +34,7 @@ from ihg.coefficients import (
     _lift_poly,
     _mul,
     _over_common_denominator,
+    _poly_key,
     _pow,
     _remainder,
     _sum,
@@ -935,6 +936,22 @@ def test_render_keeps_the_lexicographic_atom_order():
         registry.ensure_pair(f"w{k}")
     assert value.render() == text
     assert (value * C("w1")).render() == "(t11*w1 - t21*w1)/((t21^2 + 1)*(t11 + 1))"
+
+
+def test_atom_sort_key_is_computed_once_per_atom():
+    # the key is cached on the atom, as its conjugate is, and equals the
+    # key of a fresh copy, so the atom order and the text stay the same
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    value = ONE() / (t + 1) / (u * u + 1) * (t - u)
+    ctx = registry.context()
+    for atom, _ in value._den:
+        key = _poly_key(atom, ctx)
+        assert _poly_key(atom, ctx) is key
+        assert _poly_key(_Poly(atom), ctx) == key
+    again = value + ONE() / (u * u + 1)
+    assert [a for a, _ in again._den] == [a for a, _ in value._den]
+    assert again.render() == "(2*t11 - t21 + 1)/((t21^2 + 1)*(t11 + 1))"
 
 
 def test_scalar_products_skip_trial_division(monkeypatch):

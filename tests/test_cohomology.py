@@ -211,7 +211,9 @@ def test_bc_class_splits_its_form_once(monkeypatch):
 def test_split_primitive_normalization_cost(monkeypatch):
     # each coefficient of rhs is decomposed once, straight into its
     # sector's vector (48 normalizations when every part was multiplied
-    # back by its character and decomposed again)
+    # back by its character and decomposed again), and a filled sector
+    # splits by its stored pseudo-inverse with no elimination (38 when
+    # both normal systems were solved for every right-hand side)
     g = catalog("solv4d")
     registry.ensure_pair("t")
     t, E = Coefficient.symbol("t"), Coefficient.symbol("E1")
@@ -231,6 +233,32 @@ def test_split_primitive_normalization_cost(monkeypatch):
 
     monkeypatch.setattr(Coefficient, "_make", staticmethod(counted))
     got = split_primitive(g, "dbar", rhs, 0, 1)
-    assert len(calls) == 38
+    assert len(calls) == 11
     monkeypatch.undo()
     assert got == want
+
+
+def test_split_primitive_factors_each_sector_once(monkeypatch):
+    # the first split factors the sector into its pseudo-inverse; a second
+    # right-hand side in the same sector is split without elimination
+    g = catalog("solv4d")
+    registry.ensure_pair("t")
+    t = Coefficient.symbol("t")
+    first = Form.monomial((), (1, 2), t) + Form.monomial((), (2, 3))
+    second = Form.monomial((), (1, 3), t * t) + Form.monomial((), (1, 2))
+    want = split_primitive(g, "dbar", second, 0, 1)
+    g = catalog("solv4d")
+    split_primitive(g, "dbar", first, 0, 1)
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(rows, width):
+        calls.append(width)
+        return eliminate(rows, width)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    got = split_primitive(g, "dbar", second, 0, 1)
+    assert calls == []
+    assert got == want
+    beta, residue = got
+    assert all(r.is_zero() for r in residue) == (g.dbar(beta) == second)

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from ihg import coefficients, linalg
-from ihg.catalog import catalog, torus
+from ihg.catalog import CATALOG_NAMES, catalog, torus
 from ihg.coefficients import Coefficient
 from ihg.deformation import (
     BaseConditionFails,
@@ -91,6 +91,48 @@ def _bracket_oracle(g, a, b):
             out = out + VectorForm({
                 i: rho.wedge(_lie_oracle(g, ("h", j), eta))})
     return out
+
+
+def _first_order_psi(g):
+    """psi_1 of the Kuranishi build where g declares generators, else
+    every (0,1)-coframe direction on every leg, one parameter each."""
+    if g.generators is not None:
+        return kuranishi_build(g).psi_terms[1]
+    legs = {}
+    for i in range(1, g.n + 1):
+        legs[i] = Form()
+        for mu in range(1, g.n + 1):
+            (t,) = _pairs(f"w{i}{mu}")
+            legs[i] = legs[i] + _mono((), (mu,), t)
+    return VectorForm(legs)
+
+
+def _assert_symmetric_bracket_is_full(g, psi):
+    """[psi, psi] on the symmetric path (b is a) equals the full loop over
+    an equal copy, and so does mc_equation, which brackets psi with
+    itself."""
+    full = VectorForm(dict(psi.components))
+    bracket = vector_bracket(g, psi, full)
+    assert not bracket.is_zero()
+    assert vector_bracket(g, psi, psi) == bracket
+    half = ONE() / 2
+    assert mc_equation(g, psi) == dbar_vector(g, psi) - bracket * half
+
+
+def _count_leg_pairs(monkeypatch, vf) -> list:
+    """Record each wedge of one leg form of vf with another: the bracket
+    takes it once per leg pair it forms."""
+    legs = list(vf.components.values())
+    pairs = []
+    wedge = Form.wedge
+
+    def counted(self, other):
+        if any(self is f for f in legs) and any(other is f for f in legs):
+            pairs.append((self, other))
+        return wedge(self, other)
+
+    monkeypatch.setattr(Form, "wedge", counted)
+    return pairs
 
 
 def _assert_mc_routes_agree(g, good, bad):
@@ -572,6 +614,50 @@ class TestVectorCalculus:
         })
         for a, b in ((x, y), (y, x), (x, x)):
             assert vector_bracket(g, a, b) == _bracket_oracle(g, a, b)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_symmetric_bracket_matches_the_full_loop(self, name):
+        g = catalog(name)
+        psi = _first_order_psi(g)
+        _assert_symmetric_bracket_is_full(g, psi)
+
+    @pytest.mark.parametrize("correction", [True, False])
+    def test_symmetric_bracket_on_the_iwasawa_family(self, correction):
+        psi, _, _ = _iwasawa_psi(correction)
+        _assert_symmetric_bracket_is_full(catalog("iwasawa"), psi)
+
+    def test_symmetric_bracket_forms_each_leg_pair_once(self, monkeypatch):
+        g = catalog("solv4d")
+        psi = kuranishi_build(g).psi_terms[1]
+        full = VectorForm(dict(psi.components))
+        pairs = _count_leg_pairs(monkeypatch, psi)
+        vector_bracket(g, psi, psi)
+        n = len(psi.components)
+        assert n == 4
+        assert len(pairs) == n * (n + 1) // 2
+        pairs.clear()
+        vector_bracket(g, psi, full)
+        assert len(pairs) == n * n
+
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_even_degree_legs_keep_the_full_loop(self, degree, monkeypatch):
+        # for even legs the wedge terms of (i, j) and (j, i) cancel, so
+        # halving the pairs would be wrong
+        g = catalog("solv4d")
+        (va,) = _pairs("va")
+        e = S("E1")
+        if degree == 0:
+            legs = {1: _mono((), (), va), 2: _mono((), (), e), 3: _mono((), ())}
+        else:
+            legs = {1: _mono((), (1, 2), va), 2: _mono((), (3, 4), e),
+                    3: _mono((1,), (2,)) + _mono((), (3, 4))}
+        x = VectorForm(legs)
+        pairs = _count_leg_pairs(monkeypatch, x)
+        got = vector_bracket(g, x, x)
+        assert len(pairs) == 9
+        monkeypatch.undo()
+        assert got == _bracket_oracle(g, x, x)
+        assert not got.is_zero()
 
     def test_torus_bracket_vanishes(self):
         g = torus(2)

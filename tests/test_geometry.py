@@ -169,6 +169,15 @@ class TestBrackets:
         assert geom.bracket(("h", 1), ("h", 3)) == {("h", 3): Coefficient.one()}
         assert geom.bracket(("h", 2), ("h", 3)) == {("h", 4): Coefficient.one()}
 
+    def test_bracket_table_survives_a_changed_result(self):
+        geom = catalog("solv4d")
+        br = geom.bracket(("h", 2), ("h", 3))
+        br[("h", 4)] = Coefficient.zero()
+        br[("h", 1)] = Coefficient.one()
+        geom.bracket(("h", 1), ("h", 2)).clear()
+        assert geom.bracket(("h", 2), ("h", 3)) == {("h", 4): Coefficient.one()}
+        assert geom.bracket(("h", 1), ("h", 2)) == {("h", 2): -Coefficient.one()}
+
     def test_frame_action_on_character(self):
         geom = catalog("nakamura_3b")
         e = Coefficient.symbol("E1")

@@ -10,8 +10,8 @@ On h3x (d phi^3 = d phi^4 = phi^{12}) the degree-2 bracket on legs 3 and
 phi^{4bar} to phi^{12bar}; the minimum-norm primitive, Kuranishi's
 harmonic gauge, splits the coefficient evenly between them.
 
-Each sector's dbar matrix and its normal systems are built once per
-geometry: the builds below read 3 distinct sector systems.
+Each sector's dbar matrix is built and factored into its pseudo-inverse
+once per geometry: the builds below read 3 distinct sector systems.
 """
 
 import gc
@@ -24,10 +24,12 @@ from ihg.coefficients import Coefficient
 from ihg.cohomology import SectorComplex, solve_dbar
 from ihg.deformation import deform, mc_equation
 from ihg.exterior import Form
+from ihg.geometry import Geometry, StructureError
 from ihg import kuranishi as kuranishi_module
 from ihg.kuranishi import (
     BranchSpec,
     DepthCapReached,
+    GeneratorSet,
     InconsistentBranch,
     KuranishiSeries,
     NotTerminated,
@@ -201,6 +203,28 @@ def test_each_bracket_pair_is_computed_once(name, monkeypatch):
     monkeypatch.setattr(kuranishi_module, "vector_bracket", counted)
     kuranishi_build(catalog(name))
     assert len(calls) == 3
+
+
+def test_generators_are_checked_once(monkeypatch):
+    # Geometry._validate checks the catalog's generators; the build's
+    # GeneratorSet reuses them, and only forms it did not check are checked
+    calls = []
+    check = Geometry.check_generator
+
+    def counted(self, g):
+        calls.append(g)
+        return check(self, g)
+
+    monkeypatch.setattr(Geometry, "check_generator", counted)
+    g = catalog("solv4d")
+    kuranishi_build(g)
+    assert len(calls) == 3
+    assert calls == list(g.generators)
+    calls.clear()
+    with pytest.raises(StructureError) as err:
+        GeneratorSet(g, g.generators + (Form.monomial((1,), ()),))
+    assert err.value.kind == "bad_generator"
+    assert len(calls) == 1
 
 
 def test_solve_dbar_reuses_the_sector_system(h3x, monkeypatch):

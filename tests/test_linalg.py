@@ -12,6 +12,7 @@ import sympy
 
 from ihg import linalg
 from ihg.coefficients import Coefficient, GaussianRational
+from ihg.symbols import registry
 
 
 def _coeff(z) -> Coefficient:
@@ -148,3 +149,67 @@ def test_orthogonal_split(rows, transpose):
         if v is inside:
             assert _is_zero(sr)
     assert (outside > 0) == (s.rank() < len(a))
+
+
+def _pinv(a: linalg.Matrix) -> linalg.Matrix:
+    got, pinv = linalg.normal_systems(a)
+    assert got is a
+    return pinv
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2j], [1 + 1j, 3]],  # full rank, square
+    [[1, 0, 1j], [0, 1 - 1j, 2]],  # full rank, wide
+    [[1, 0], [2j, 1], [0, 1 + 1j]],  # full rank, tall
+    INTEGER,  # rank deficient, wide
+    GAUSSIAN,  # rank deficient, wide
+    [list(col) for col in zip(*GAUSSIAN)],  # rank deficient, tall
+])
+def test_pseudo_inverse_is_sympy_pinv(rows):
+    a = _matrix(rows)
+    assert _is_zero(_sympy(_pinv(a)) - _sympy(a).pinv())
+
+
+def test_pseudo_inverse_penrose_identities():
+    # rank 2 over Q(i)(t, conj t): row 1 - conj(t) row 0 = row 2
+    registry.ensure_pair("t")
+    t = Coefficient.symbol("t")
+    tc = t.conjugate()
+    one, zero, c = Coefficient.one(), Coefficient.zero(), _coeff(1 + 1j)
+    a = [[one, t, zero], [tc, t * tc, c], [zero, zero, c]]
+    p = _pinv(a)
+    mul, star = linalg.mat_mul, linalg.conj_transpose
+    assert mul(mul(a, p), a) == a
+    assert mul(mul(p, a), p) == p
+    assert star(mul(a, p)) == mul(a, p)
+    assert star(mul(p, a)) == mul(p, a)
+
+
+def test_split_normal_makes_no_elimination(monkeypatch):
+    a = _matrix(GAUSSIAN)
+    systems = linalg.normal_systems(a)
+    v = [_coeff(1), _coeff(2j), _coeff(-3)]
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(rows, width):
+        calls.append(width)
+        return eliminate(rows, width)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert linalg.split_normal(systems, v) == linalg.orthogonal_split(a, v)
+    # orthogonal_split factors a afresh: one elimination per normal system
+    assert len(calls) == 2
+
+
+def test_solve_many_is_solve_per_column():
+    # INTEGER has rank 3, so take right-hand sides inside its column span
+    a = _matrix(INTEGER)
+    b = linalg.mat_mul(a, _matrix([[k + j * 1j for j in range(3)]
+                                   for k in range(7)]))
+    x = linalg.solve_many(a, b)
+    assert linalg.mat_mul(a, x) == b
+    for k, col in enumerate(zip(*b)):
+        assert [row[k] for row in x] == linalg.solve(a, list(col))
+    assert linalg.solve_many(_matrix([[1, 2], [2, 4]]),
+                             _matrix([[1, 1], [2, 3]])) is None
