@@ -263,8 +263,13 @@ def harmonic_certificate(geom: Geometry,
     identities taken modulo the constraints) is the harmonic representative
     of its class at every parameter point, and the class vanishes exactly
     where the form does.
+
+    The del-dbar image of each (p-1,q-1) monomial is a column of the
+    sector's ddbar matrix, and the pairing reads the form's stripped
+    sector vector against it: the sector's character has modulus one, so
+    it cancels from every product u * conj(w).
     """
-    p, q, sector, _ = _bidegree_and_sector(geom, form)
+    p, q, sector, vector = _bidegree_and_sector(geom, form)
     del_form, dbar_form = geom.d_split(form)
     if not geom.reduce(del_form).is_zero():
         return False, ("not del-closed modulo constraints",)
@@ -273,11 +278,11 @@ def harmonic_certificate(geom: Geometry,
     if p < 1 or q < 1:
         return True, ("no del-dbar image in this bidegree",)
     cx = SectorComplex(geom, sector)
-    for mi in cx.basis(p - 1, q - 1):
-        image = geom.reduce(geom.ddbar(cx.embed(mi)))
-        pairs = ((form.coeff(mj.holo, mj.anti), w) for mj, w in image.terms())
+    image = cx.matrix("ddbar", p - 1, q - 1, (p, q))
+    for k, mi in enumerate(cx.basis(p - 1, q - 1)):
         acc = Coefficient.sum_of_products(
-            (u, w.conjugate()) for u, w in pairs if u
+            (u, row[k].conjugate()) for u, row in zip(vector, image)
+            if u and row[k] and not geom.in_ideal(row[k])
         )
         if acc.is_zero() or geom.in_ideal(acc):
             continue
@@ -309,9 +314,11 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
 
     Each sector's matrix of op depends only on the geometry, so it is
     built and factored into its pseudo-inverse (linalg.normal_systems)
-    once, on first use, into a table the geometry keeps for its lifetime;
-    every later split in that sector is two matrix-vector products.  The
-    table holds only matrices, never a reference back to the geometry.
+    once, on first use, into a table the geometry keeps for its lifetime,
+    next to the sector's embedded basis forms; every later split in that
+    sector is two matrix-vector products and builds no SectorComplex.
+    The table holds only matrices and forms, never a reference back to
+    the geometry.
     """
     dp, dq = _SHIFTS[op]
     target = (p + dp, q + dq)
@@ -319,14 +326,16 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     terms: list = []
     residue: linalg.Vector = []
     for sector in sorted(vectors):
-        cx = SectorComplex(geom, sector)
         key = (op, p, q, sector)
-        systems = geom._sector_systems.get(key)
-        if systems is None:
-            systems = linalg.normal_systems(cx.matrix(op, p, q, target))
-            geom._sector_systems[key] = systems
+        entry = geom._sector_systems.get(key)
+        if entry is None:
+            cx = SectorComplex(geom, sector)
+            entry = (linalg.normal_systems(cx.matrix(op, p, q, target)),
+                     [cx.embed(mi) for mi in cx.basis(p, q)])
+            geom._sector_systems[key] = entry
+        systems, basis = entry
         x, rest = linalg.split_normal(systems, vectors[sector])
-        terms.extend(zip(map(cx.embed, cx.basis(p, q)), x))
+        terms.extend(zip(basis, x))
         residue.extend(rest)
     return Form.combination(terms), residue
 

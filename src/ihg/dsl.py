@@ -37,8 +37,8 @@ class ParseError(ValueError):
 class ValidationError(ValueError):
     """Structure equations parsed but failed validation.
 
-    code is "NotIntegrable" for (0,2)-components in some dphi, "D2NonZero"
-    when d squared fails to vanish, else the underlying tag.
+    code is "NotIntegrable" for a part of some dphi outside (2,0)+(1,1),
+    "D2NonZero" when d squared fails to vanish, else the underlying tag.
     """
 
     def __init__(self, code: str, message: str):

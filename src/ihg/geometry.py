@@ -43,10 +43,10 @@ FrameLabel = tuple[str, int]  # ('h', i) for Z_i, ('a', i) for conj(Z_i)
 
 @dataclass(frozen=True)
 class IntegrabilityReport:
-    """(0,2)-components of the structure equations.
+    """Parts of the structure equations outside (2,0)+(1,1).
 
     ok means every d(phi^k) is purely (2,0)+(1,1).  When it is not, the
-    offending components are listed by coframe index.
+    offending parts are listed by coframe index.
     """
 
     ok: bool
@@ -90,9 +90,10 @@ class Geometry:
         self._d_table: dict[MultiIndex, tuple[Form, Form]] = {}
         # filled by cohomology.split_primitive: (op, p, q, sector) -> the
         # sector matrix of op with its pseudo-inverse (linalg.normal_systems)
+        # and the sector's embedded basis forms
         self._sector_systems: dict = {}
-        # filled lazily by bracket: (x, y) -> [X, Y] on the frame
-        self._bracket_table: dict = {}
+        # filled by bracket on first use: (x, y) -> [X, Y] on the frame
+        self._bracket_table: dict | None = None
         self._validate()
 
     # -- d and its bigraded pieces -------------------------------------------
@@ -104,11 +105,6 @@ class Geometry:
         return Form.combination(
             (dlog, c.euler(cname)) for cname, dlog in self.chars.items()
         )
-
-    def d_coframe(self, flavor: str, idx: int) -> Form:
-        if flavor == "h":
-            return self.structure[idx]
-        return self._d_anti[idx]
 
     def _d_monomial(self, mi: MultiIndex) -> tuple[Form, Form]:
         """(del m, dbar m) of a coframe monomial m, derived once per geometry
@@ -180,30 +176,34 @@ class Geometry:
 
     # -- frame-side structure ---------------------------------------------------
 
-    def evaluate_2form(self, form: Form, x: FrameLabel, y: FrameLabel) -> Coefficient:
-        return _contract(_contract(form, x), y).coeff((), ())
-
     def bracket(self, x: FrameLabel, y: FrameLabel) -> dict[FrameLabel, Coefficient]:
         """Lie bracket of frame vectors: alpha([X,Y]) = -d(alpha)(X,Y).
 
-        Each pair is evaluated once per geometry into a table; the caller
-        gets a copy, so changing it leaves the table as it was."""
-        out = self._bracket_table.get((x, y))
-        if out is None:
-            out = {}
+        The table of all pairs is read off the structure equations in one
+        pass on first use: a term c*phi^u^phi^v of d(phi^s), or of its
+        conjugate, gives [U,V] the component -c along ('h', s), or
+        ('a', s), and [V,U] the component +c.  The caller gets a copy, so
+        changing it leaves the table as it was."""
+        if self._bracket_table is None:
+            table: dict = {}
             for s in range(1, self.n + 1):
-                c = -self.evaluate_2form(self.structure[s], x, y)
-                if not c.is_zero():
-                    out[("h", s)] = c
-                cb = -self.evaluate_2form(self._d_anti[s], x, y)
-                if not cb.is_zero():
-                    out[("a", s)] = cb
-            self._bracket_table[(x, y)] = out
-        return dict(out)
+                for leg, form in ((("h", s), self.structure[s]),
+                                  (("a", s), self._d_anti[s])):
+                    for mi, c in form.terms():
+                        # validation leaves only 2-forms: two factors
+                        u, v = [("h", i) for i in mi.holo] + [
+                            ("a", i) for i in mi.anti]
+                        table.setdefault((u, v), {})[leg] = -c
+                        table.setdefault((v, u), {})[leg] = c
+            self._bracket_table = table
+        return dict(self._bracket_table.get((x, y), {}))
 
     def frame_action(self, x: FrameLabel, c: Coefficient) -> Coefficient:
-        """Derivative of a function coefficient along a frame vector."""
-        return _contract(self.d_coefficient(c), x).coeff((), ())
+        """Derivative of a function coefficient along a frame vector: the
+        contraction of its d with x, a coefficient of that 1-form."""
+        flavor, i = x
+        dc = self.d_coefficient(c)
+        return dc.coeff((i,), ()) if flavor == "h" else dc.coeff((), (i,))
 
     # -- validation -----------------------------------------------------------
 
@@ -211,8 +211,8 @@ class Geometry:
         report = integrability_report(self.structure)
         if not report.ok:
             raise StructureError(
-                f"{self.name}: d(phi^{report.offending[0][0]}) has a (0,2) "
-                "component; integrable structures allow only (2,0) and (1,1)",
+                f"{self.name}: d(phi^{report.offending[0][0]}) has a part "
+                "outside (2,0)+(1,1); integrable structures allow only those",
                 kind="not_integrable",
             )
         for cname, dlog in self.chars.items():
@@ -350,7 +350,9 @@ class Geometry:
 
 
 def integrability_report(structure: dict[int, Form]) -> IntegrabilityReport:
-    parts = ((k, structure[k].component(0, 2)) for k in sorted(structure))
+    parts = ((k, Form({mi: c for mi, c in structure[k].terms()
+                       if mi.bidegree not in ((2, 0), (1, 1))}))
+             for k in sorted(structure))
     offending = tuple((k, part) for k, part in parts if not part.is_zero())
     return IntegrabilityReport(ok=not offending, offending=offending)
 
@@ -365,8 +367,3 @@ def check_nilpotent_shape(geom: Geometry) -> NilpotentShape:
         if n in mi.holo or n in mi.anti:
             return NilpotentShape(matches=False, top_index=n)
     return NilpotentShape(matches=True, top_index=n)
-
-
-def _contract(form: Form, x: FrameLabel) -> Form:
-    """Interior product with the frame vector x."""
-    return form.contract_holo(x[1]) if x[0] == "h" else form.contract_anti(x[1])

@@ -11,10 +11,10 @@ the vectors a greedy rank test would keep.  solve_many solves for all
 columns of a right-hand side in one elimination.  normal_systems is the
 one place that forms Hermitian normal systems: it factors a matrix once
 into its Moore-Penrose pseudo-inverse, from two eliminations whatever the
-number of right-hand sides, and split_normal, which orthogonal_split
-wraps, splits a vector against that factorization with two matrix-vector
-products and no elimination.  Over the coefficient field both normal
-systems are consistent, so there is no fallback.
+number of right-hand sides, and split_normal splits a vector against
+that factorization with two matrix-vector products and no elimination.
+Over the coefficient field both normal systems are consistent, so there
+is no fallback.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ def normal_systems(a: Matrix) -> tuple[Matrix, Matrix]:
     Y solves (a*a) Y = a*, so a Y projects onto the column span of a; Z
     solves (a a*) Z = a Y, and a+ = a* Z.  Each is one elimination over
     all its right-hand sides.  As solve is linear in its right-hand side,
-    a+ v is the x that the two normal solves of orthogonal_split give for
-    v, and a a+ = a Y."""
+    a+ v is the x that two normal solves would give for v, and
+    a a+ = a Y."""
     if not a or not a[0]:
         return a, []
     star = conj_transpose(a)
@@ -164,32 +164,16 @@ def normal_systems(a: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def split_normal(systems, v: Vector) -> tuple[Vector, Vector]:
-    """orthogonal_split of v against the matrix a whose normal_systems
-    (a, a+) are given: x = a+ v and residue = v - a x, two matrix-vector
-    products."""
+    """Split v against the column span of the matrix a whose
+    normal_systems (a, a+) are given, for the formal Hermitian pairing:
+    returns (x, residue) with a* residue = 0 and x the solution of
+    a x = v - residue orthogonal to ker(a).  x = a+ v and residue =
+    v - a x, two matrix-vector products."""
     a, pinv = systems
     if not pinv:
         return [], list(v)
     x = mat_vec(pinv, v)
     return x, [b - c for b, c in zip(v, mat_vec(a, x))]
-
-
-def orthogonal_split(a: Matrix, v: Vector) -> tuple[Vector, Vector]:
-    """Split v against the column span of a for the formal Hermitian
-    pairing: returns (x, residue) with a* residue = 0 and x the solution of
-    a x = v - residue orthogonal to ker(a).
-
-    One solve in a*a gives the projection a y of v, one in a a* gives
-    x = a* z with (a a*) z = a y; normal_systems makes both solves once
-    for every right-hand side, into the pseudo-inverse a+, so x = a+ v.
-    Over the coefficient field the pairing is anisotropic, so both normal
-    systems are consistent; an inconsistent one is a fault and raises
-    SingularMatrix.  This wraps split_normal; cohomology.split_primitive
-    keeps each sector's normal_systems in a table per geometry and calls
-    split_normal directly, so a sector is factored once however many
-    vectors it splits.
-    """
-    return split_normal(normal_systems(a), v)
 
 
 def coordinates_in_span(basis: list[Vector], v: Vector) -> Vector | None:

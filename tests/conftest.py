@@ -1,5 +1,6 @@
 import pytest
 
+from ihg.coefficients import Coefficient
 from ihg.exterior import Form
 from ihg.geometry import Geometry
 from ihg.symbols import registry
@@ -23,4 +24,15 @@ def h3x() -> Geometry:
         4,
         {3: Form.monomial((1, 2), ()), 4: Form.monomial((1, 2), ())},
         generators=(Form.monomial((), (1,)), Form.monomial((), (2,))),
+    )
+
+
+@pytest.fixture
+def twisted() -> Geometry:
+    """d phi^2 = E1 phi^{1 1bar}: a character in the structure equations,
+    so d phi^2 carries E1 and d phi^{2bar} its conjugate."""
+    registry.ensure_char("E1")
+    return Geometry(
+        "twisted", 2, {2: Form.monomial((1,), (1,), Coefficient.symbol("E1"))},
+        chars={"E1": Form.monomial((1,), ()) - Form.monomial((), (1,))},
     )

@@ -27,6 +27,7 @@ from ihg.coefficients import Coefficient
 from ihg.cohomology import (
     BottChernSector,
     SectorComplex,
+    harmonic_certificate,
     monomial_basis,
     solve_dbar,
     split_primitive,
@@ -132,15 +133,10 @@ def test_table_read_matrix_matches_the_embedded_route(name, op):
                 assert cx.matrix(op, p, q, *targets) == want, (sector, p, q)
 
 
-def test_a_character_in_the_structure_still_mixes_sectors():
-    # d(phi^2) = E1 phi^{1 1bar}: dbar of phi^{2bar} carries conj(E1), so
+def test_a_character_in_the_structure_still_mixes_sectors(twisted):
+    # d(phi^2) = E1 phi^{1 1bar}: d of phi^{2bar} carries conj(E1), so
     # every column through it leaves the sector, on either route
-    registry.ensure_char("E1")
-    E = Coefficient.symbol("E1")
-    g = Geometry(
-        "twisted", 2, {2: Form.monomial((1,), (1,), E)},
-        chars={"E1": Form.monomial((1,), ()) - Form.monomial((), (1,))},
-    )
+    g = twisted
     for sector in [(0,), (1,)]:
         cx = SectorComplex(g, sector)
         with pytest.raises(SectorMixing):
@@ -213,7 +209,9 @@ def test_split_primitive_normalization_cost(monkeypatch):
     # sector's vector (48 normalizations when every part was multiplied
     # back by its character and decomposed again), and a filled sector
     # splits by its stored pseudo-inverse with no elimination (38 when
-    # both normal systems were solved for every right-hand side)
+    # both normal systems were solved for every right-hand side) and
+    # reads its embedded basis from the table (11 when each call built
+    # the sector's character prefix again)
     g = catalog("solv4d")
     registry.ensure_pair("t")
     t, E = Coefficient.symbol("t"), Coefficient.symbol("E1")
@@ -233,7 +231,7 @@ def test_split_primitive_normalization_cost(monkeypatch):
 
     monkeypatch.setattr(Coefficient, "_make", staticmethod(counted))
     got = split_primitive(g, "dbar", rhs, 0, 1)
-    assert len(calls) == 11
+    assert len(calls) == 7
     monkeypatch.undo()
     assert got == want
 
@@ -262,3 +260,108 @@ def test_split_primitive_factors_each_sector_once(monkeypatch):
     assert got == want
     beta, residue = got
     assert all(r.is_zero() for r in residue) == (g.dbar(beta) == second)
+
+
+def test_a_filled_sector_builds_no_sector_complex(monkeypatch):
+    # the table entry holds the sector's embedded basis next to (A, A+)
+    g = catalog("solv4d")
+    registry.ensure_pair("t")
+    t, E = Coefficient.symbol("t"), Coefficient.symbol("E1")
+    rhs = Form.monomial((), (1, 2), E * t) + Form.monomial((), (2, 3), t)
+    want = split_primitive(g, "dbar", rhs, 0, 1)
+    calls = []
+    init = SectorComplex.__init__
+
+    def counted(self, geom, sector=None):
+        calls.append(sector)
+        init(self, geom, sector)
+
+    monkeypatch.setattr(SectorComplex, "__init__", counted)
+    assert split_primitive(g, "dbar", rhs * 3, 0, 1)[0] == want[0] * 3
+    assert calls == []
+    split_primitive(g, "dbar", Form.monomial((), (1, 3), E * E), 0, 1)
+    assert calls == [(2,)]
+
+
+def _embedded_certificate(geom, form):
+    """harmonic_certificate by the embedded route, kept as the reference:
+    each del-dbar image is ddbar of chi^s*m, reduced modulo the
+    constraints, paired with the form's own coefficients."""
+    p, q, sector, _ = cohomology._bidegree_and_sector(geom, form)
+    del_form, dbar_form = geom.d_split(form)
+    if not geom.reduce(del_form).is_zero():
+        return False, ("not del-closed modulo constraints",)
+    if not geom.reduce(dbar_form).is_zero():
+        return False, ("not dbar-closed modulo constraints",)
+    if p < 1 or q < 1:
+        return True, ("no del-dbar image in this bidegree",)
+    cx = SectorComplex(geom, sector)
+    for mi in cx.basis(p - 1, q - 1):
+        image = geom.reduce(geom.ddbar(cx.embed(mi)))
+        pairs = ((form.coeff(mj.holo, mj.anti), w) for mj, w in image.terms())
+        acc = Coefficient.sum_of_products(
+            (u, w.conjugate()) for u, w in pairs if u
+        )
+        if acc.is_zero() or geom.in_ideal(acc):
+            continue
+        return False, (f"pairs with the del-dbar image of {mi.render()}",)
+    return True, ("orthogonal to every invariant del-dbar image",)
+
+
+def _certificate_forms(geom, prefix, p, q):
+    """Every (p,q) monomial and the del-dbar image of every (p-1,q-1)
+    monomial, each times prefix, and their sum."""
+    forms = [Form.monomial(mi.holo, mi.anti, prefix)
+             for mi in monomial_basis(geom.n, p, q)]
+    forms += [geom.ddbar(Form.monomial(mi.holo, mi.anti, prefix))
+              for mi in monomial_basis(geom.n, p - 1, q - 1)]
+    forms = [f for f in forms if not f.is_zero()]
+    return forms + [Form.combination((f, Coefficient.one()) for f in forms)]
+
+
+_CLOSURE = {"not del-closed", "not dbar-closed"}
+
+
+@pytest.mark.parametrize("name, sector, bidegrees, notes", [
+    # on the families every del-dbar image lies in the constraint ideal
+    ("nilfamily_ft", 0, [(1, 1), (2, 2), (1, 2), (3, 3)],
+     _CLOSURE | {"orthogonal to"}),
+    ("fps_family", 0, [(1, 1), (2, 1), (2, 2)], _CLOSURE | {"orthogonal to"}),
+    ("solv4d", 1, [(1, 1), (2, 2)], _CLOSURE | {"orthogonal to", "pairs with"}),
+    ("solv4d", -1, [(1, 1), (2, 2)],
+     _CLOSURE | {"orthogonal to", "pairs with"}),
+])
+def test_harmonic_certificate_matches_the_embedded_route(name, sector,
+                                                         bidegrees, notes):
+    g = catalog(name)
+    prefix = Coefficient.symbol("E1") ** sector if sector else 1
+    seen = set()
+    for p, q in bidegrees:
+        for f in _certificate_forms(g, prefix, p, q):
+            got = harmonic_certificate(g, f)
+            assert got == _embedded_certificate(g, f), f.render()
+            seen.add(" ".join(got[1][0].split()[:2]))
+    # both verdicts, and every reason, were compared
+    assert seen == notes
+    if g.constraints:
+        image = g.ddbar(Form.monomial((g.n,), (g.n,)))
+        assert not image.is_zero() and g.reduce(image).is_zero()
+
+
+def test_harmonic_certificate_raises_where_an_image_leaves_the_sector():
+    # d phi^2 = E1 phi^{1 1bar} and d phi^4 = phi^{3 3bar}: the del-dbar
+    # image of phi^{2 4bar} is E1 phi^{13 13bar}, in sector (1,), which
+    # the embedded route would pair with a sector-0 form
+    registry.ensure_char("E1")
+    E = Coefficient.symbol("E1")
+    g = Geometry(
+        "twisted4", 4,
+        {2: Form.monomial((1,), (1,), E), 4: Form.monomial((3,), (3,))},
+        chars={"E1": Form.monomial((1,), ()) - Form.monomial((), (1,))},
+    )
+    image = g.ddbar(Form.monomial((2,), (4,)))
+    assert image == Form.monomial((1, 3), (1, 3), E)
+    f = Form.monomial((1, 3), (1, 3))
+    assert _embedded_certificate(g, f)[0] is False
+    with pytest.raises(SectorMixing):
+        harmonic_certificate(g, f)

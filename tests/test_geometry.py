@@ -11,6 +11,7 @@ import pytest
 
 from ihg.catalog import CATALOG_NAMES, UnknownName, catalog, torus
 from ihg.coefficients import Coefficient
+from ihg.deformation import Deformation
 from ihg.dsl import (
     ParseError,
     ValidationError,
@@ -19,7 +20,7 @@ from ihg.dsl import (
     parse_geometry,
     render_geometry,
 )
-from ihg.exterior import Form
+from ihg.exterior import Form, VectorForm
 from ihg.geometry import Geometry, StructureError, check_nilpotent_shape
 from ihg.kuranishi import GeneratorSet
 from ihg.metrics import pluriclosed_criterion
@@ -148,7 +149,65 @@ class TestCatalog:
         assert constraint == want
 
 
+def _deformed_iwasawa() -> Geometry:
+    names = ("t11", "t12", "t21", "t22")
+    for nm in names:
+        registry.ensure_pair(nm)
+    t11, t12, t21, t22 = map(Coefficient.symbol, names)
+    psi = VectorForm({
+        1: Form.monomial((), (1,), t11) + Form.monomial((), (2,), t12),
+        2: Form.monomial((), (1,), t21) + Form.monomial((), (2,), t22),
+        3: Form.monomial((), (3,), t12 * t21 - t11 * t22),
+    })
+    return Deformation(catalog("iwasawa"), psi).geometry()
+
+
+def _contracted_bracket(geom, x, y):
+    """[X, Y] by evaluating every structure equation, and its conjugate,
+    on (X, Y) by two interior products: alpha([X,Y]) = -d(alpha)(X,Y)."""
+    def contract(form, z):
+        return form.contract_holo(z[1]) if z[0] == "h" else (
+            form.contract_anti(z[1]))
+
+    out = {}
+    for s in range(1, geom.n + 1):
+        for flavor, form in (("h", geom.structure[s]),
+                             ("a", geom.structure[s].conjugate())):
+            c = -contract(contract(form, x), y).coeff((), ())
+            if not c.is_zero():
+                out[(flavor, s)] = c
+    return out
+
+
 class TestBrackets:
+    @pytest.mark.parametrize("name", CATALOG_NAMES + (
+        "torus", "deformed_iwasawa", "twisted"))
+    def test_bracket_table_matches_double_contraction(self, name, request):
+        if name == "torus":
+            geom = torus()
+        elif name == "deformed_iwasawa":
+            geom = _deformed_iwasawa()
+        elif name == "twisted":
+            geom = request.getfixturevalue("twisted")
+        else:
+            geom = catalog(name)
+        labels = [(f, k) for f in "ha" for k in range(1, geom.n + 1)]
+        for x in labels:
+            for y in labels:
+                got = geom.bracket(x, y)
+                # same entries in the same order
+                assert list(got.items()) == list(
+                    _contracted_bracket(geom, x, y).items()), (x, y)
+                assert geom.bracket(y, x) == {z: -c for z, c in got.items()}
+
+    @pytest.mark.parametrize("name", ["iwasawa", "nakamura_3b", "solv4d"])
+    def test_mixed_pairs_are_empty(self, name):
+        geom = catalog(name)
+        for mu in range(1, geom.n + 1):
+            for j in range(1, geom.n + 1):
+                assert geom.bracket(("a", mu), ("h", j)) == {}
+                assert geom.bracket(("h", j), ("a", mu)) == {}
+
     def test_iwasawa_heisenberg(self):
         geom = catalog("iwasawa")
         br = geom.bracket(("h", 1), ("h", 2))
@@ -266,7 +325,7 @@ class TestCoordinateOracle:
             points = sample_points(rng, n)
             for k in range(1, n + 1):
                 engine = realize(
-                    geom.d_coframe("h", k), coframe, chars, point_params
+                    geom.structure[k], coframe, chars, point_params
                 )
                 coord = coframe[k].d(n)
                 dev = max_deviation(engine, coord, points)
@@ -334,6 +393,18 @@ class TestValidation:
         with pytest.raises(StructureError) as err:
             Geometry("bad", 2, {2: Form.monomial((), (1, 2))})
         assert err.value.kind == "not_integrable"
+
+    @pytest.mark.parametrize("holo, anti", [
+        ((2,), ()),  # a 1-form: d(phi^1) would read as 0
+        ((1, 2), (2,)),  # a 3-form
+        ((), ()),  # a function part
+    ])
+    def test_part_outside_integrable_bidegrees_rejected(self, holo, anti):
+        bad = Form.monomial((1,), (1,)) + Form.monomial(holo, anti)
+        with pytest.raises(StructureError) as err:
+            Geometry("g", 2, {1: bad})
+        assert err.value.kind == "not_integrable"
+        assert "outside (2,0)+(1,1)" in str(err.value)
 
     def test_d_squared_violation_rejected(self):
         structure = {
@@ -441,6 +512,11 @@ class TestDsl:
     def test_not_integrable_code(self):
         with pytest.raises(ValidationError) as err:
             parse_geometry("geometry g dim 2;\ndphi2 = phi[|1,2];\n")
+        assert err.value.code == "NotIntegrable"
+
+    def test_not_integrable_code_for_a_one_form(self):
+        with pytest.raises(ValidationError) as err:
+            parse_geometry("geometry g dim 2;\ndphi1 = phi[2];\n")
         assert err.value.code == "NotIntegrable"
 
     def test_d2_code(self):

@@ -21,7 +21,12 @@ import pytest
 
 from ihg.catalog import catalog
 from ihg.coefficients import Coefficient
-from ihg.cohomology import SectorComplex, solve_dbar
+from ihg.cohomology import (
+    SectorComplex,
+    bc_class,
+    harmonic_certificate,
+    solve_dbar,
+)
 from ihg.deformation import deform, mc_equation
 from ihg.exterior import Form
 from ihg.geometry import Geometry, StructureError
@@ -238,12 +243,17 @@ def test_solve_dbar_reuses_the_sector_system(h3x, monkeypatch):
 
 
 def test_built_geometry_is_freed_without_the_cycle_collector():
-    # the sector table holds matrices only, so no reference cycle keeps
-    # a geometry alive once its caller lets go of it
+    # the geometry's tables hold matrices, forms and coefficients only, so
+    # no reference cycle keeps a geometry alive once its caller lets go
     gc.disable()
     try:
         g = catalog("solv4d")
         series = kuranishi_build(g)
+        assert g.bracket(("h", 1), ("h", 2))
+        assert g._bracket_table
+        top = Form.monomial((1, 2, 3, 4), (1, 2, 3, 4))
+        assert not bc_class(g, top).is_zero()
+        assert harmonic_certificate(g, top)[0]
         ref = weakref.ref(g)
         del g, series
         assert ref() is None
