@@ -7,10 +7,11 @@ of symbols.RingContext) to an (re, im) pair of Python ints, with no zero
 entries (_Poly).  Every atom is primitive, its coefficients having
 Gaussian gcd 1, with its leading coefficient in the first quadrant; q is
 one positive integer, coprime to the integer content of the numerator,
-kept as a ground atom after the others.  Every element of the field has
-this form (content and primitive part, von zur Gathen-Gerhard, Modern
-Computer Algebra, section 6.2), so products and sums cost Python integer
-arithmetic, where rationals would cost a gcd per coefficient operation.
+held in its own slot (_q), so no atom is a constant.  Every element of
+the field has this form (content and primitive part, von zur
+Gathen-Gerhard, Modern Computer Algebra, section 6.2), so products and
+sums cost Python integer arithmetic, where rationals would cost a gcd per
+coefficient operation.
 render() shows the value over Q(i): the numerator divided by q and by the
 atoms' leading coefficients, and each atom monic, with terms in
 grlex-descending order.
@@ -44,8 +45,9 @@ scales the other numerator and q, since a unit cannot make an atom divide.
 
 A linear combination is normalized once: sum_of_products forms each
 product's numerator and atom multiplicities unnormalized, brings them over
-the lcm of the atoms (_over_common_denominator, which addition, equality and
-the quotient rule also use) and trial-divides only the total.  Summing
+the lcm of the atoms and the integer lcm of the scales q
+(_over_common_denominator, which addition, equality and the quotient rule
+also use) and trial-divides only the total.  Summing
 pairwise instead normalizes every partial sum, and nearly all of those trial
 divisions fail.  The engine's linear combinations go through it: sums of
 forms by way of exterior.Form.combination, and linalg's matrix products.
@@ -534,27 +536,15 @@ def _clear(c, mult: int, unit, q: int):
     return _gmul(unit, _gpow((c[0], -c[1]), mult)), q * _norm(c) ** mult
 
 
-def _split_scale(den):
-    """(atoms, q) of a normalized denominator: q is its trailing ground
-    atom's value, or 1."""
-    if den:
-        last = den[-1][0]
-        if _is_ground(last):
-            return den[:-1], next(iter(last.values()))[0]
-    return den, 1
-
-
 def _with_scale(num, atoms, q: int):
-    """(num, den) of num / (q * atoms), with q reduced against the integer
-    content of num and appended as a ground atom."""
+    """(num, atoms, q) of num / (q * atoms), with q reduced against the
+    integer content of num."""
     if q != 1:
         g = gcd(q, _int_content(num))
         if g != 1:
             num = _divided(num, (g, 0))
             q //= g
-    if q == 1:
-        return num, atoms
-    return num, atoms + ((_ground((q, 0)), 1),)
+    return num, atoms, q
 
 
 def _poly_key(atom, ctx: RingContext):
@@ -723,35 +713,40 @@ def _remainder(p, divisors, ctx: RingContext):
 
 
 def _over_common_denominator(parts, ctx: RingContext):
-    """Sum num / den over parts (at least one), brought over the lcm of the
-    denominators.
+    """Sum num / (q * den) over parts (at least one), brought over the lcm
+    of the denominators.
 
-    Each part is (num, den) with den a sequence of (atom, multiplicity) in
-    which an atom may repeat.  Returns (numerator, [(atom, multiplicity)])
-    with nothing cancelled: each numerator is scaled by the atoms its
-    denominator lacks from the lcm.  A lone part is its own sum and is
-    returned as it is.
+    Each part is (num, den, q) with den a sequence of (atom, multiplicity)
+    in which an atom may repeat, and q a positive integer.  Returns
+    (numerator, [(atom, multiplicity)], scale) with nothing cancelled: the
+    scale is the integer lcm of the q, and each numerator is scaled by its
+    share of it and by the atoms its denominator lacks from the lcm.  A
+    lone part is its own sum and is returned as it is.
     """
     if len(parts) == 1:
         return parts[0]
-    lcm: dict = {}
+    common: dict = {}
     counted = []
-    for num, den in parts:
+    scale = 1
+    for _, den, q in parts:
+        scale = lcm(scale, q)
         mults: dict = {}
         for atom, m in den:
             mults[atom] = mults.get(atom, 0) + m
         for atom, m in mults.items():
-            if m > lcm.get(atom, 0):
-                lcm[atom] = m
-        counted.append((num, mults))
+            if m > common.get(atom, 0):
+                common[atom] = m
+        counted.append(mults)
     scaled = []
-    for num, mults in counted:
-        for atom, m in lcm.items():
+    for (num, _, q), mults in zip(parts, counted):
+        if q != scale:
+            num = _scale(num, (scale // q, 0))
+        for atom, m in common.items():
             lacking = m - mults.get(atom, 0)
             if lacking:
                 num = _mul(num, _pow(atom, lacking, ctx), ctx)
         scaled.append(num)
-    return _sum(scaled), list(lcm.items())
+    return _sum(scaled), list(common.items()), scale
 
 
 def _diff(p, idx: int, ctx: RingContext):
@@ -824,21 +819,24 @@ def _definite(p, ctx: RingContext):
 class Coefficient:
     """Element of the coefficient field; immutable."""
 
-    __slots__ = ("_num", "_den", "_ctx")
+    __slots__ = ("_num", "_den", "_q", "_ctx")
 
-    def __init__(self, num, den, ctx):
+    def __init__(self, num, den, q, ctx):
         self._num = num
         self._den = den  # tuple of (atom _Poly, multiplicity)
+        self._q = q  # the positive integer scale
         self._ctx = ctx
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _make(num, den_list, ctx: RingContext) -> "Coefficient":
+    def _make(num, den_list, q: int, ctx: RingContext) -> "Coefficient":
+        """The normal form of num / (q * den_list); a ground atom in
+        den_list is folded into the numerator's unit and q."""
         if not num:
-            return Coefficient(_Poly(), (), ctx)
+            return Coefficient(_Poly(), (), 1, ctx)
         merged: list = []
-        unit, q = _ONE, 1
+        unit = _ONE
         for atom, mult in den_list:
             if mult == 0:
                 continue
@@ -893,25 +891,23 @@ class Coefficient:
             re = g.re.numerator * (q // g.re.denominator)
             im = g.im.numerator * (q // g.im.denominator)
         if not (re or im):
-            return Coefficient(_Poly(), (), ctx)
-        num = _ground((re, im))
-        den = () if q == 1 else ((_ground((q, 0)), 1),)
-        return Coefficient(num, den, ctx)
+            return Coefficient(_Poly(), (), 1, ctx)
+        return Coefficient(_ground((re, im)), (), q, ctx)
 
     @staticmethod
     def symbol(name: str) -> "Coefficient":
         ctx = registry.context()
-        return Coefficient(_gen(ctx, ctx.index_of[name]), (), ctx)
+        return Coefficient(_gen(ctx, ctx.index_of[name]), (), 1, ctx)
 
     @staticmethod
     def zero() -> "Coefficient":
         ctx = registry.context()
-        return Coefficient(_Poly(), (), ctx)
+        return Coefficient(_Poly(), (), 1, ctx)
 
     @staticmethod
     def one() -> "Coefficient":
         ctx = registry.context()
-        return Coefficient(_ground(_ONE), (), ctx)
+        return Coefficient(_ground(_ONE), (), 1, ctx)
 
     @staticmethod
     def i() -> "Coefficient":
@@ -930,7 +926,7 @@ class Coefficient:
         bits = ctx.deg_shift - self._ctx.deg_shift
         num = _lift_poly(self._num, bits)
         den = tuple((_lift_poly(a, bits), m) for a, m in self._den)
-        return Coefficient(num, den, ctx)
+        return Coefficient(num, den, self._q, ctx)
 
     @staticmethod
     def _pair(a: "Coefficient", b) -> tuple["Coefficient", "Coefficient"]:
@@ -940,7 +936,7 @@ class Coefficient:
 
     def _den_product(self):
         ctx = self._ctx
-        prod = _ground(_ONE)
+        prod = _ground((self._q, 0))
         for atom, mult in self._den:
             prod = _mul(prod, _pow(atom, mult, ctx), ctx)
         return prod
@@ -955,7 +951,7 @@ class Coefficient:
 
     def is_scalar(self) -> bool:
         r = self._refreshed()
-        return not _split_scale(r._den)[0] and _is_ground(r._num)
+        return not r._den and _is_ground(r._num)
 
     def scalar(self) -> GaussianRational:
         r = self._refreshed()
@@ -963,7 +959,7 @@ class Coefficient:
             raise ValueError(f"not a scalar: {self}")
         if not r._num:
             return GaussianRational()
-        return _over(_lead(r._num)[1], (_split_scale(r._den)[1], 0))
+        return _over(_lead(r._num)[1], (r._q, 0))
 
     def free_symbols(self) -> set[str]:
         r = self._refreshed()
@@ -998,7 +994,7 @@ class Coefficient:
             return 0, ()
         ctx = r._ctx
         sign, zero = _definite(r._num, ctx)
-        for atom, mult in _split_scale(r._den)[0]:
+        for atom, mult in r._den:
             if mult % 2 == 0 and _conj_atom(atom, ctx) == (atom, _ONE, {}):
                 continue
             sign *= _definite(atom, ctx)[0] ** mult
@@ -1014,15 +1010,14 @@ class Coefficient:
             return b
         if b.is_zero():
             return a
-        num, den = _over_common_denominator(
-            ((a._num, a._den), (b._num, b._den)), a._ctx
-        )
-        return Coefficient._make(num, den, a._ctx)
+        return Coefficient._make(*_over_common_denominator(
+            ((a._num, a._den, a._q), (b._num, b._den, b._q)), a._ctx
+        ), a._ctx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient(_neg(self._num), self._den, self._ctx)
+        return Coefficient(_neg(self._num), self._den, self._q, self._ctx)
 
     def __sub__(self, other):
         a, b = Coefficient._pair(self, other)
@@ -1034,27 +1029,25 @@ class Coefficient:
 
     @staticmethod
     def _product(a: "Coefficient", b: "Coefficient"):
-        """(numerator, atoms, normal) of a*b for nonzero current a and b,
-        with nothing cancelled.  A product with a scalar is normal: a unit
-        cannot make an atom newly divide the numerator, so only q is
+        """(numerator, atoms, q, normal) of a*b for nonzero current a and
+        b, with nothing cancelled.  A product with a scalar is normal: a
+        unit cannot make an atom newly divide the numerator, so only q is
         reduced."""
         for x, s in ((a, b), (b, a)):
-            if _is_ground(s._num):
-                atoms, q = _split_scale(s._den)
-                if not atoms:
-                    atoms, qx = _split_scale(x._den)
-                    num = _scale(x._num, next(iter(s._num.values())))
-                    return (*_with_scale(num, atoms, qx * q), True)
-        return _mul(a._num, b._num, a._ctx), a._den + b._den, False
+            if not s._den and _is_ground(s._num):
+                num = _scale(x._num, next(iter(s._num.values())))
+                return (*_with_scale(num, x._den, x._q * s._q), True)
+        return (_mul(a._num, b._num, a._ctx), a._den + b._den, a._q * b._q,
+                False)
 
     def __mul__(self, other):
         a, b = Coefficient._pair(self, other)
         if a.is_zero() or b.is_zero():
-            return Coefficient(_Poly(), (), a._ctx)
-        num, den, normal = Coefficient._product(a, b)
+            return Coefficient(_Poly(), (), 1, a._ctx)
+        *product, normal = Coefficient._product(a, b)
         if normal:
-            return Coefficient(num, den, a._ctx)
-        return Coefficient._make(num, den, a._ctx)
+            return Coefficient(*product, a._ctx)
+        return Coefficient._make(*product, a._ctx)
 
     __rmul__ = __mul__
 
@@ -1077,25 +1070,23 @@ class Coefficient:
             if not (a and b):
                 continue
             a, b = Coefficient._pair(a, b)
-            num, den, scaled = Coefficient._product(a, b)
+            *part, scaled = Coefficient._product(a, b)
             normal = normal and scaled
-            parts.append((num, den))
+            parts.append(part)
         if not parts:
-            return Coefficient(_Poly(), (), ctx)
+            return Coefficient(_Poly(), (), 1, ctx)
         if len(parts) == 1 and normal:
-            return Coefficient(parts[0][0], parts[0][1], ctx)
-        num, den = _over_common_denominator(parts, ctx)
-        return Coefficient._make(num, den, ctx)
+            return Coefficient(*parts[0], ctx)
+        return Coefficient._make(*_over_common_denominator(parts, ctx), ctx)
 
     def __truediv__(self, other):
         a, b = Coefficient._pair(self, other)
         if b.is_zero():
             raise DivisionByZero("division by zero Coefficient")
-        # 1/b = den_product(b) / num(b)
-        inv_num = b._den_product()
-        return Coefficient._make(
-            _mul(a._num, inv_num, a._ctx), list(a._den) + [(b._num, 1)], a._ctx
-        )
+        # 1/b = den_product(b) / num(b), the product starting from q(b)
+        num = _mul(a._num, b._den_product(), a._ctx)
+        return Coefficient._make(num, list(a._den) + [(b._num, 1)], a._q,
+                                 a._ctx)
 
     def __rtruediv__(self, other):
         a, b = Coefficient._pair(self, other)
@@ -1111,18 +1102,19 @@ class Coefficient:
             return (Coefficient.one() / self) ** (-k)
         r = self._refreshed()
         return Coefficient._make(
-            _pow(r._num, k, r._ctx), [(a, m * k) for a, m in r._den], r._ctx
+            _pow(r._num, k, r._ctx), [(a, m * k) for a, m in r._den], r._q ** k,
+            r._ctx
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Coefficient, int, Fraction, GaussianRational)):
             return NotImplemented
         a, b = Coefficient._pair(self, other)
-        if a._num == b._num and a._den == b._den:
+        if a._num == b._num and a._den == b._den and a._q == b._q:
             return True
         # cross-multiply: a - b over the lcm of the denominators
         return not _over_common_denominator(
-            ((a._num, a._den), (_neg(b._num), b._den)), a._ctx
+            ((a._num, a._den, a._q), (_neg(b._num), b._den, b._q)), a._ctx
         )[0]
 
     def __hash__(self):
@@ -1152,7 +1144,7 @@ class Coefficient:
         generator of the zero locus within the domain of definition."""
         r = self._refreshed()
         if not r._num:
-            return Coefficient(_Poly(), (), r._ctx)
+            return Coefficient(_Poly(), (), 1, r._ctx)
         return Coefficient._monic(r._num, r._ctx)
 
     def reduce_modulo(self, gens) -> "Coefficient":
@@ -1178,7 +1170,7 @@ class Coefficient:
         den = list(r._den)
         if scale != _ONE:
             den.append((_ground(scale), 1))
-        return Coefficient._make(rem, den, r._ctx)
+        return Coefficient._make(rem, den, r._q, r._ctx)
 
     def numerator_terms(self) -> int:
         """Number of monomials in the numerator."""
@@ -1204,7 +1196,7 @@ class Coefficient:
         r = self._refreshed()
         num, ctx = r._num, r._ctx
         if not num:
-            return Coefficient(_Poly(), (), ctx)
+            return Coefficient(_Poly(), (), 1, ctx)
         # the bits 1 .. FIELD_BITS - 2 of every field: set by an exponent above 1
         above_one = ctx.guard_mask - (ctx.guard_mask >> (FIELD_BITS - 2))
         if len(num) == 1:
@@ -1235,9 +1227,6 @@ class Coefficient:
         den: list = []
         unit, lift = _ONE, 0
         for atom, mult in r._den:
-            if _is_ground(atom):  # the scale q, a positive integer
-                den.append((atom, mult))
-                continue
             a, u, a_shifts = _conj_atom(atom, ctx)
             den.append((a, mult))
             # 1/conj(atom)^mult = prod E^(shift*mult) * conj(u)^mult / a^mult
@@ -1250,21 +1239,20 @@ class Coefficient:
         if lift:
             num = _mul(num, _Poly({lift: _ONE}), ctx)
         den += [(_gen(ctx, k), s) for k, s in shifts.items()]
-        return Coefficient._make(num, den, ctx)
+        return Coefficient._make(num, den, r._q, ctx)
 
     def _derive(self, derivation) -> "Coefficient":
         """Quotient rule for a derivation given as a map on polynomials;
         self must be current (refreshed).  The pieces are summed over one
         common denominator and normalized once."""
         ctx = self._ctx
-        parts = [(derivation(self._num), self._den)]
+        parts = [(derivation(self._num), self._den, self._q)]
         for atom, mult in self._den:
             da = derivation(atom)
             if da:
                 parts.append((_scale(_mul(da, self._num, ctx), (-mult, 0)),
-                              self._den + ((atom, 1),)))
-        num, den = _over_common_denominator(parts, ctx)
-        return Coefficient._make(num, den, ctx)
+                              self._den + ((atom, 1),), self._q))
+        return Coefficient._make(*_over_common_denominator(parts, ctx), ctx)
 
     def diff(self, name: str) -> "Coefficient":
         """Partial derivative with every generator treated independently."""
@@ -1320,7 +1308,7 @@ class Coefficient:
         if d is None:
             return r._at(
                 lambda nm: field[nm] if nm in field else Coefficient.symbol(nm),
-                lambda c: Coefficient(_ground(c), (), ctx),
+                lambda c: Coefficient(_ground(c), (), 1, ctx),
                 Coefficient.sum_of_products,
             )
         missing = r.free_symbols() - field.keys()
@@ -1331,7 +1319,7 @@ class Coefficient:
                      _plain_sum(QuadraticSurd.of(0, d)))
 
     def _at(self, value, const, total):
-        """num / den at a point; self must be current.
+        """num / (q * den) at a point; self must be current.
 
         A generator's value is value(name), a Gaussian integer's const(c),
         and a polynomial's is total(pairs) over its terms' (const(c),
@@ -1360,7 +1348,7 @@ class Coefficient:
             if not a:
                 raise DenominatorVanishes(_render_poly(atom, self._ctx))
             out = out / a ** mult
-        return out
+        return out if self._q == 1 else out / const((self._q, 0))
 
     # -- sector decomposition -------------------------------------------------
 
@@ -1396,7 +1384,7 @@ class Coefficient:
             stripped = (monom & ~chars) - (sum(exps) << ds)
             buckets.setdefault(key, _Poly())[stripped] = c
         return {
-            key: Coefficient._make(terms, den, ctx)
+            key: Coefficient._make(terms, den, r._q, ctx)
             for key, terms in buckets.items()
         }
 
@@ -1408,9 +1396,8 @@ class Coefficient:
         r = self._refreshed()
         if r.is_zero():
             return "0"
-        ctx = r._ctx
-        atoms, q = _split_scale(r._den)
-        scale = (q, 0)
+        ctx, atoms = r._ctx, r._den
+        scale = (r._q, 0)
         for atom, mult in atoms:
             scale = _gmul(scale, _gpow(_lead(atom)[1], mult))
         num = _render_poly(r._num, ctx, scale)

@@ -47,11 +47,6 @@ def monomial_basis(n: int, p: int, q: int) -> list[MultiIndex]:
     ]
 
 
-def char_sector_names() -> list[str]:
-    ctx = registry.context()
-    return [ctx.names[i] for i in ctx.char_indices]
-
-
 def _index(n: int, bidegrees) -> dict[MultiIndex, int]:
     monomials = [mi for p, q in bidegrees for mi in monomial_basis(n, p, q)]
     return {mi: k for k, mi in enumerate(monomials)}
@@ -81,7 +76,8 @@ class SectorComplex:
     """One character sector of a geometry's invariant form complex."""
 
     def __init__(self, geom: Geometry, sector: tuple[int, ...] | None = None):
-        names = char_sector_names()
+        ctx = registry.context()
+        names = [ctx.names[i] for i in ctx.char_indices]
         if sector is None:
             sector = tuple(0 for _ in names)
         if len(sector) != len(names):

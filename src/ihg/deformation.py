@@ -156,17 +156,23 @@ class Deformation:
             j: f.component(0, 2) for j, f in self.full_structure.items()
         }
         self._geometry: Geometry | None = None
-        if require_mc and not self.is_integrable():
-            raise MaurerCartanFails(
-                f"{self.name}: deformation is not integrable",
-                residual=self.mc_residual,
-                generators=self.mc_generators(),
-            )
+        if require_mc:
+            self._require_integrable()
 
     # -- integrability -------------------------------------------------------
 
     def is_integrable(self) -> bool:
         return all(f.is_zero() for f in self.mc_residual.values())
+
+    def _require_integrable(self) -> None:
+        """Raise MaurerCartanFails, with the residual and its generators,
+        unless the deformation is integrable."""
+        if not self.is_integrable():
+            raise MaurerCartanFails(
+                f"{self.name}: deformation is not integrable",
+                residual=self.mc_residual,
+                generators=self.mc_generators(),
+            )
 
     def mc_generators(self) -> tuple[Coefficient, ...]:
         return normalized_generators(
@@ -199,12 +205,7 @@ class Deformation:
     # -- the deformed geometry (structure-equation route) ---------------------
 
     def geometry(self) -> Geometry:
-        if not self.is_integrable():
-            raise MaurerCartanFails(
-                f"{self.name}: deformation is not integrable",
-                residual=self.mc_residual,
-                generators=self.mc_generators(),
-            )
+        self._require_integrable()
         if self._geometry is None:
             structure = {
                 j: f for j, f in self.full_structure.items() if not f.is_zero()

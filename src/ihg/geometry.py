@@ -19,8 +19,6 @@ characters is zero at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coefficients import Coefficient
 from .exterior import Form, MultiIndex
 from .symbols import base_name, base_names
@@ -39,31 +37,6 @@ class StructureError(ValueError):
 
 
 FrameLabel = tuple[str, int]  # ('h', i) for Z_i, ('a', i) for conj(Z_i)
-
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    """Parts of the structure equations outside (2,0)+(1,1).
-
-    ok means every d(phi^k) is purely (2,0)+(1,1).  When it is not, the
-    offending parts are listed by coframe index.
-    """
-
-    ok: bool
-    offending: tuple[tuple[int, Form], ...]
-
-
-@dataclass(frozen=True)
-class NilpotentShape:
-    """Whether only the top coframe differential is nonzero, omitting itself.
-
-    matches is true when d(phi^j) = 0 for j < n and d(phi^n) involves no
-    phi^n or conj(phi^n) factor; geometries of this shape get the
-    all-or-none pluriclosed dichotomy.
-    """
-
-    matches: bool
-    top_index: int
 
 
 class Geometry:
@@ -208,13 +181,14 @@ class Geometry:
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
-        report = integrability_report(self.structure)
-        if not report.ok:
-            raise StructureError(
-                f"{self.name}: d(phi^{report.offending[0][0]}) has a part "
-                "outside (2,0)+(1,1); integrable structures allow only those",
-                kind="not_integrable",
-            )
+        for k in sorted(self.structure):
+            if any(mi.bidegree not in ((2, 0), (1, 1))
+                   for mi, _ in self.structure[k].terms()):
+                raise StructureError(
+                    f"{self.name}: d(phi^{k}) has a part outside (2,0)+(1,1); "
+                    "integrable structures allow only those",
+                    kind="not_integrable",
+                )
         for cname, dlog in self.chars.items():
             if base_name(cname) is not None:
                 raise StructureError(
@@ -349,21 +323,13 @@ class Geometry:
         return out
 
 
-def integrability_report(structure: dict[int, Form]) -> IntegrabilityReport:
-    parts = ((k, Form({mi: c for mi, c in structure[k].terms()
-                       if mi.bidegree not in ((2, 0), (1, 1))}))
-             for k in sorted(structure))
-    offending = tuple((k, part) for k, part in parts if not part.is_zero())
-    return IntegrabilityReport(ok=not offending, offending=offending)
-
-
-def check_nilpotent_shape(geom: Geometry) -> NilpotentShape:
+def check_nilpotent_shape(geom: Geometry) -> bool:
+    """Whether only the top coframe differential is nonzero, omitting itself:
+    d(phi^j) = 0 for j < n and d(phi^n) involves no phi^n or conj(phi^n)
+    factor.  Geometries of this shape get the all-or-none pluriclosed
+    dichotomy."""
     n = geom.n
-    for k in range(1, n):
-        if not geom.structure[k].is_zero():
-            return NilpotentShape(matches=False, top_index=n)
-    top = geom.structure[n]
-    for mi, _ in top.terms():
-        if n in mi.holo or n in mi.anti:
-            return NilpotentShape(matches=False, top_index=n)
-    return NilpotentShape(matches=True, top_index=n)
+    if any(not geom.structure[k].is_zero() for k in range(1, n)):
+        return False
+    return not any(n in mi.holo or n in mi.anti
+                   for mi, _ in geom.structure[n].terms())

@@ -233,7 +233,7 @@ def pluriclosed_criterion(geom: Geometry) -> Coefficient:
     """
     if geom.n != 3:
         raise ShapeMismatch("criterion applies to 3-dim structures only")
-    if not check_nilpotent_shape(geom).matches:
+    if not check_nilpotent_shape(geom):
         raise ShapeMismatch(
             f"{geom.name}: criterion needs d(phi^1) = d(phi^2) = 0 and "
             "d(phi^3) free of phi^3"
@@ -259,8 +259,7 @@ def all_or_none_skt(geom: Geometry) -> ConditionReport:
     vanishes.  When it does, the del-dbar conditions on omega and omega^2
     are certified for a fully symbolic metric as well.
     """
-    shape = check_nilpotent_shape(geom)
-    if not shape.matches:
+    if not check_nilpotent_shape(geom):
         raise ShapeMismatch(
             f"{geom.name}: lower differentials must vanish and d(phi^n) "
             "must omit the top index"

@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from ihg.coefficients import Coefficient
 from ihg.exterior import Form
 from ihg.geometry import Geometry
 from ihg.symbols import registry
+
+# The time of an exact-arithmetic example varies widely (the first one fills
+# caches), so no property test has a deadline; each sets only its example
+# count.
+settings.register_profile("exact", deadline=None)
+settings.load_profile("exact")
 
 
 @pytest.fixture(autouse=True)

@@ -31,6 +31,7 @@ from ihg.coefficients import (
     _Poly,
     _conj_poly,
     _exact_quotient,
+    _is_ground,
     _lift_poly,
     _mul,
     _over_common_denominator,
@@ -525,7 +526,7 @@ def coefficients(draw, max_ops=3):
     return expr
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(coefficients(), coefficients(), coefficients())
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -534,7 +535,7 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(coefficients(), coefficients())
 def test_conjugation_is_ring_morphism(a, b):
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
@@ -542,7 +543,7 @@ def test_conjugation_is_ring_morphism(a, b):
     assert a.conjugate().conjugate() == a
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(coefficients(), gaussians, gaussians)
 def test_substitution_is_homomorphism(a, v, w):
     bindings = {"t11": v, "t21": w, "E1": GaussianRational.of(2)}
@@ -554,7 +555,7 @@ def test_substitution_is_homomorphism(a, v, w):
     assert lhs == rhs
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(coefficients(), coefficients())
 def test_derivative_leibniz_random(a, b):
     lhs = (a * b).diff("t11")
@@ -562,7 +563,7 @@ def test_derivative_leibniz_random(a, b):
     assert lhs == rhs
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(coefficients())
 def test_conjugate_commutes_with_numeric(a):
     # characters must sit on the unit circle for conj(E) = 1/E to hold
@@ -657,7 +658,7 @@ def _check_against_divmod(p, g):
     return quo, rem
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(polys(), polys(min_terms=1), polys(), st.booleans())
 def test_exact_quotient_matches_divmod(p, g, q, planted):
     if planted:
@@ -679,7 +680,7 @@ def gaussian_integer_polys(draw, min_terms=0):
     return RZ.from_dict(terms)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(gaussian_integer_polys(), gaussian_integer_polys(min_terms=1),
        gaussian_integer_polys(), st.booleans())
 def test_exact_quotient_over_gaussian_integers_matches_divmod(p, g, q, planted):
@@ -728,7 +729,7 @@ def test_exact_quotient_repeated_atom():
     assert not (t * a).is_multiple_of(a * a)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(gaussian_integer_polys(), gaussian_integer_polys())
 def test_product_matches_sympy(p, q):
     got = _mul(_pairs(p), _pairs(q), XYZ)
@@ -736,7 +737,7 @@ def test_product_matches_sympy(p, q):
     assert all(c != (0, 0) for c in got.values())
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(gaussian_integer_polys(), max_size=4), st.booleans())
 def test_sum_matches_sympy(ps, cancel):
     if cancel:
@@ -748,13 +749,13 @@ def test_sum_matches_sympy(ps, cancel):
         assert got == {}
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(gaussian_integer_polys(), st.integers(1, 4))
 def test_power_matches_sympy(p, k):
     assert _pow(_pairs(p), k, XYZ) == _pairs(p**k)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(gaussian_integer_polys(), st.lists(gaussian_integer_polys(min_terms=1),
                                           min_size=1, max_size=3))
 def test_remainder_matches_division_over_q_i(p, divisors):
@@ -786,7 +787,7 @@ def character_polys(draw):
     )))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(character_polys())
 def test_conjugate_matches_sympy(p):
     # conj(c * t^a * conj(t)^b * s^r * E^e) = conj(c) * conj(t)^a * t^b * s^r / E^e,
@@ -842,7 +843,7 @@ def _conjugate_reference(vectors, ctx):
     return images, {i: s for i, s in shifts.items() if s}
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(contexts(), st.data())
 def test_packed_monomials_match_sympy(pair, data):
     # multiply, divide, grlex order, lift and conjugate on packed ints
@@ -987,7 +988,7 @@ def _scalar_by_gaussian(x):
     return re + Coefficient.i() * g.im.numerator / g.im.denominator
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(-10**20, 10**20) | st.fractions(max_denominator=10**6)
        | gaussians | st.just(GaussianRational.i()))
 def test_from_scalar_matches_the_gaussian_route(x):
@@ -1050,7 +1051,7 @@ def product_lists(draw):
     return pairs
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(product_lists())
 def test_sum_of_products_matches_the_pairwise_sum(pairs):
     want = Coefficient.zero()
@@ -1089,7 +1090,7 @@ def test_lone_part_skips_the_lcm_pass():
     t, u = C("t11"), C("t21")
     a = ONE() - t * t.conjugate()
     x, y = t / a, a * u / (t + u)
-    part = (_mul(x._num, y._num, x._ctx), x._den + y._den)
+    part = (_mul(x._num, y._num, x._ctx), x._den + y._den, x._q * y._q)
     assert _over_common_denominator([part], x._ctx) is part
     # the atom a of x cancels against the numerator of y in the one _make
     got = Coefficient.sum_of_products([(x, y)])
@@ -1104,9 +1105,9 @@ def test_derivative_normalizes_once(monkeypatch):
     calls = []
     make = Coefficient._make
 
-    def counted(num, den, ctx):
-        calls.append(num)
-        return make(num, den, ctx)
+    def counted(*args):
+        calls.append(args[0])
+        return make(*args)
 
     monkeypatch.setattr(Coefficient, "_make", staticmethod(counted))
     got = value.diff("t11")
@@ -1137,7 +1138,7 @@ def equality_pairs(draw):
     return a, b
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(equality_pairs())
 def test_equality_matches_the_zero_test_of_the_difference(pair):
     a, b = pair
@@ -1179,7 +1180,7 @@ def _build(spec):
     return value
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(planted_products())
 @example((GaussianRational.i(), [(0, 1)], 0))  # i*t11/t11: a constant
 def test_squarefree_numerator_matches_sqf_part(spec):
@@ -1197,7 +1198,7 @@ def test_squarefree_numerator_matches_sqf_part(spec):
     assert sympy.Poly(_parse(got.render()), *gens).LC(order="grlex") == 1
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(planted_products())
 def test_squarefree_numerator_ignores_unrelated_generators(spec):
     # the gcd runs over the numerator's own generators: 40 more pairs in the
@@ -1394,13 +1395,75 @@ def kernel_chains(draw):
     return value, expr
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(kernel_chains())
 def test_kernel_matches_sympy_on_rendered_values(chain):
     value, expr = chain
     assert sympy.cancel(_parse(value.render()) - expr) == 0
     assert value.conjugate().conjugate() == value
     assert (value - value).is_zero()
+
+
+# -- the integer scale q ----------------------------------------------------------
+
+
+def _assert_normal(value):
+    """No atom is a constant, and q is a positive integer coprime to the
+    integer content of the numerator."""
+    assert type(value._q) is int and value._q >= 1
+    assert not any(_is_ground(atom) for atom, _ in value._den)
+    content = math.gcd(*(x for c in value._num.values() for x in c))
+    assert math.gcd(value._q, content) == 1
+
+
+_POINT = {"t11": 0.21 + 0.13j, "t21": -0.4 + 0.05j, "s": 0.7, "E1": 0.6 + 0.8j}
+
+
+@settings(max_examples=60)
+@given(kernel_chains(), coefficients(), st.integers(-2, 3), gaussians)
+def test_every_result_keeps_q_out_of_the_atoms(chain, b, k, v):
+    # the values of + - * / ** and conjugate are checked against complex
+    # arithmetic at a point, which divides by q on its own
+    a = chain[0]
+    x, y = a.numeric(_POINT), b.numeric(_POINT)
+    checked = [(a + b, x + y), (a - b, x - y), (a * b, x * y),
+               (a.conjugate(), x.conjugate()), (b.conjugate(), y.conjugate())]
+    if b:
+        checked.append((a / b, x / y))
+    if a or k >= 0:
+        checked.append((a ** k, x ** k))
+    for value, want in checked:
+        _assert_normal(value)
+        assert value.numeric(_POINT) == pytest.approx(want, rel=1e-9, abs=1e-12)
+    product = a * b
+    derived = [product.diff("t11"), product.diff("t11_c"), b.euler("E1")]
+    try:
+        derived.append(product.substitute({"t21": v}))
+    except DenominatorVanishes:
+        pass
+    parts = product.char_decompose()
+    derived += parts.values()
+    for value in derived:
+        _assert_normal(value)
+    assert sum((part * C("E1") ** e for (e,), part in parts.items()),
+               Coefficient.zero()) == product
+
+
+def test_scales_are_summed_over_their_integer_lcm():
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    x, y = t / 4, u / 6
+    assert (x._den, x._q, y._q) == ((), 4, 6)
+    num, den, q = _over_common_denominator(
+        ((x._num, x._den, x._q), (y._num, y._den, y._q)), x._ctx)
+    assert (num, den, q) == ((3 * t + 2 * u)._num, [], 12)
+    assert (x + y).render() == "1/4*t11 + 1/6*t21"
+    assert x != t / 6
+    assert x * y == t * u / 24
+    assert x * 4 == t
+    assert (x * 4)._q == 1
+    # a q that shares a factor with the numerator's content is reduced
+    assert ((2 * t + 2) / (4 * u))._q == 2
 
 
 def _divisor_pool():
@@ -1410,7 +1473,7 @@ def _divisor_pool():
             2 * t.conjugate() + 3, t * t - 2 * u]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(kernel_chains(), st.lists(st.integers(0, 4), min_size=1, max_size=3))
 def test_reduce_modulo_matches_division_over_q_i(chain, picks):
     # the fraction-free remainder over Z[i], against sympy's division over
@@ -1491,7 +1554,7 @@ _GAUSSIAN_INTS = st.builds(
     st.integers(-3, 3), st.integers(-3, 3))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(_GAUSSIAN_INTS, min_size=1, max_size=3).filter(any),
        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
        st.integers(1, 2), st.lists(gaussians, min_size=4, max_size=4))

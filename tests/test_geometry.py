@@ -77,7 +77,7 @@ class TestCatalog:
     def test_torus_is_abelian(self):
         geom = torus(4)
         assert all(f.is_zero() for f in geom.structure.values())
-        assert check_nilpotent_shape(geom).matches
+        assert check_nilpotent_shape(geom)
 
     def test_nilfamily_at_zero_is_abelian(self):
         geom = catalog("nilfamily_ft")
@@ -94,9 +94,7 @@ class TestCatalog:
             "fps_family": True,
         }
         for nm, want in expected.items():
-            shape = check_nilpotent_shape(catalog(nm))
-            assert shape.matches is want, nm
-            assert shape.top_index == catalog(nm).n
+            assert check_nilpotent_shape(catalog(nm)) is want, nm
 
     def test_nilpotent_shape_agrees_with_term_scan(self):
         for nm in CATALOG_NAMES:
@@ -108,7 +106,7 @@ class TestCatalog:
                 geom.n not in mi.holo and geom.n not in mi.anti
                 for mi, _ in geom.structure[geom.n].terms()
             )
-            assert check_nilpotent_shape(geom).matches == (lower and top_clean)
+            assert check_nilpotent_shape(geom) == (lower and top_clean)
 
     def test_criterion_value_fps(self):
         geom = catalog("fps_family")
