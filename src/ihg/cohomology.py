@@ -15,8 +15,11 @@ with theta_s = sum_c s_c dlog_c, so a column is the table entry of m
 twisted by theta_s (Geometry.twisted_split), and no coefficient is ever
 multiplied by chi^s and split again.  A Bott-Chern sector reads
 two matrices: d on pure (p,q)-forms, whose kernel is ker(del) ∩
-ker(dbar), and del dbar from (p-1,q-1); one elimination over the image
-columns followed by the kernel vectors picks both spans as pivot columns.
+ker(dbar), and del dbar from (p-1,q-1).  One elimination over the image
+columns followed by the kernel vectors picks both spans as pivot columns,
+read on the free coordinates of ker d: the image lies in ker d whenever
+d^2 = 0 over the coefficient field, which Geometry validation records
+(d2_exact) and BottChernSector requires.
 
 Invariant primitives are solved in one place, split_primitive, which
 returns the minimum-norm primitive of the part of a form in im(op) and
@@ -33,7 +36,7 @@ from itertools import combinations
 from . import linalg
 from .coefficients import Coefficient, SectorMixing
 from .exterior import Form, MultiIndex
-from .geometry import Geometry
+from .geometry import Geometry, StructureError
 from .symbols import registry
 
 
@@ -181,6 +184,15 @@ class BottChernSector:
 
     On pure (p,q)-forms del and dbar land in different bidegrees, so
     ker(del) ∩ ker(dbar) is ker(d) with d taken into (p+1,q) + (p,q+1).
+
+    The spans are picked on kernel coordinates: a vector of ker d is fixed
+    by its coordinates at the free columns of d's elimination, and the
+    kernel basis reads there as the unit vectors, so the second
+    elimination runs over dim ker d rows, not over every (p,q) monomial.
+    image and quotient still hold full-length vectors.  This needs
+    im(del dbar) inside ker d over the coefficient field, which holds when
+    d^2 = 0 there; on a geometry whose d^2 vanishes only modulo its
+    constraints the sector raises StructureError (kind "d2_nonzero").
     """
 
     def __init__(self, geom: Geometry, p: int, q: int,
@@ -189,20 +201,29 @@ class BottChernSector:
         self.geom = geom
         self.p = p
         self.q = q
+        if not geom.d2_exact:
+            raise StructureError(
+                f"{geom.name}: d^2 vanishes only modulo the constraints, so "
+                f"the Bott-Chern sector ({p},{q}) is not taken over the "
+                "coefficient field",
+                kind="d2_nonzero",
+            )
         cx = self.complex
         d_matrix = cx.matrix("d", p, q, (p + 1, q), (p, q + 1))
         # at (n,n) d has no target monomial: one zero row keeps every column
-        kernel = linalg.nullspace(
+        kernel, free = linalg.nullspace(
             d_matrix or [[Coefficient.zero()] * len(cx.basis(p, q))]
         )
         image_matrix = cx.matrix("ddbar", p - 1, q - 1, (p, q))
         image_cols = [list(col) for col in zip(*image_matrix)]
         # image columns first: the kernel columns that are pivots then span
-        # a complement of the image inside the kernel
-        columns = image_cols + kernel
-        pivots = linalg.pivot_columns(columns)
-        self.image = [columns[c] for c in pivots if c < len(image_cols)]
-        self.quotient = [columns[c] for c in pivots if c >= len(image_cols)]
+        # a complement of the image inside the kernel; on ker d the free
+        # coordinates lose nothing, and the kernel basis reads as identity
+        columns = [[col[f] for f in free] for col in image_cols]
+        pivots = linalg.pivot_columns(columns + linalg.identity(len(free)))
+        self.image = [image_cols[c] for c in pivots if c < len(image_cols)]
+        self.quotient = [kernel[c - len(image_cols)] for c in pivots
+                         if c >= len(image_cols)]
 
     @property
     def dimension(self) -> int:

@@ -67,6 +67,9 @@ class Geometry:
         self._sector_systems: dict = {}
         # filled by bracket on first use: (x, y) -> [X, Y] on the frame
         self._bracket_table: dict | None = None
+        # whether d^2 = 0 over the coefficient field, not only modulo the
+        # constraints; cleared by _validate (BottChernSector needs it)
+        self.d2_exact = True
         self._validate()
 
     # -- d and its bigraded pieces -------------------------------------------
@@ -213,8 +216,12 @@ class Geometry:
                 ("h", Form.monomial((k,), ())),
                 ("a", Form.monomial((), (k,))),
             ):
+                d2 = self.d(self.d(f))
+                if d2.is_zero():
+                    continue
                 # on a family, d^2 = 0 only on the declared constraint locus
-                if self.reduce(self.d(self.d(f))).is_zero():
+                if self.reduce(d2).is_zero():
+                    self.d2_exact = False
                     continue
                 which = f"phi^{k}" if flavor == "h" else f"conj(phi^{k})"
                 raise StructureError(

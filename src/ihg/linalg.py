@@ -7,7 +7,8 @@ so Gauss-Jordan without fraction-free tricks is fast enough.
 
 Each entry of a matrix product is one Coefficient.sum_of_products.  Span
 selection reads the pivot columns of one elimination, which are exactly
-the vectors a greedy rank test would keep.  solve_many solves for all
+the vectors a greedy rank test would keep.  nullspace returns its free
+columns with its basis, which reads there as the unit vectors.  solve_many solves for all
 columns of a right-hand side in one elimination.  normal_systems is the
 one place that forms Hermitian normal systems: it factors a matrix once
 into its Moore-Penrose pseudo-inverse, from two eliminations whatever the
@@ -115,10 +116,14 @@ def solve_many(a: Matrix, b: Matrix) -> Matrix | None:
     return x
 
 
-def nullspace(a: Matrix) -> list[Vector]:
+def nullspace(a: Matrix) -> tuple[list[Vector], list[int]]:
+    """(basis, free): a basis of ker(a) and the free columns of a's
+    elimination, one per basis vector.  Basis vector k is 1 at free[k] and
+    0 at every other free column, so reading the free coordinates maps
+    ker(a) isomorphically onto their space, the basis onto unit vectors."""
     cols = len(a[0]) if a else 0
     if cols == 0:
-        return []
+        return [], []
     mat, pivots = _eliminate(a, cols)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
@@ -128,7 +133,7 @@ def nullspace(a: Matrix) -> list[Vector]:
         for r, col in enumerate(pivots):
             v[col] = -mat[r][f]
         basis.append(v)
-    return basis
+    return basis, free
 
 
 def invert(a: Matrix) -> Matrix:

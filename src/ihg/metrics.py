@@ -11,7 +11,7 @@ verdict inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .coefficients import Coefficient, normalized_generators
 from .cohomology import solve_dbar
@@ -31,9 +31,18 @@ class InvariantMetric:
     Positivity of symbolic entries is only certified numerically at
     sample parameter points (positive_at); residual computations never
     need it.
+
+    power(k) builds omega^k once per metric into a memo that takes no
+    part in equality, hashing or repr.  The memo is keyed by k within the
+    registry's lifetime, so no power is read across a reset(): after one,
+    power raises StaleCoefficient, as the metric's own entries do.
     """
 
     h: tuple[tuple[Coefficient, ...], ...]
+    _powers: dict[tuple[object, int], Form] = field(
+        default_factory=dict, init=False, compare=False, hash=False,
+        repr=False,
+    )
 
     def __post_init__(self):
         n = len(self.h)
@@ -90,6 +99,15 @@ class InvariantMetric:
                 rows[j][k] = c
                 rows[k][j] = c.conjugate()
         return InvariantMetric(tuple(tuple(r) for r in rows))
+
+    def power(self, k: int) -> Form:
+        """omega^k, built on first use and read from the memo after."""
+        key = (registry.context().lifetime, k)
+        form = self._powers.get(key)
+        if form is None:
+            # after a registry reset the entries of h raise StaleCoefficient
+            form = self._powers[key] = self.fundamental_form().wedge_power(k)
+        return form
 
     def fundamental_form(self) -> Form:
         i = Coefficient.i()
@@ -193,28 +211,27 @@ def check_condition(
     if m.n != geom.n:
         raise ValueError("metric dimension does not match the geometry")
     n = geom.n
-    omega = m.fundamental_form()
     notes = []
     if which == "skt":
-        residual = geom.ddbar(omega)
+        residual = geom.ddbar(m.power(1))
     elif which == "astheno":
         if n < 3:
             residual = Form.zero()
             notes.append("void in dimension < 3")
         else:
-            residual = geom.ddbar(omega.wedge_power(n - 2))
+            residual = geom.ddbar(m.power(n - 2))
     elif which == "balanced":
-        residual = geom.d(omega.wedge_power(n - 1))
+        residual = geom.d(m.power(n - 1))
     elif which == "gauduchon":
-        residual = geom.ddbar(omega.wedge_power(n - 1))
+        residual = geom.ddbar(m.power(n - 1))
     elif which == "k_pluriclosed":
         if k is None or not 1 <= k <= n:
             raise ValueError("k_pluriclosed needs 1 <= k <= n")
-        residual = geom.ddbar(omega.wedge_power(k))
+        residual = geom.ddbar(m.power(k))
     elif which == "ft_pair":
-        residual = geom.ddbar(omega)
+        residual = geom.ddbar(m.power(1))
         if n >= 2:
-            residual = residual + geom.ddbar(omega.wedge_power(2))
+            residual = residual + geom.ddbar(m.power(2))
     else:
         raise ValueError(f"unknown condition {which!r}")
     return _classify(geom, which, residual, notes)
@@ -369,7 +386,7 @@ def strongly_gauduchon(geom: Geometry, m: InvariantMetric) -> ConditionReport:
     (non-invariant primitives are out of reach here).
     """
     n = geom.n
-    rhs = geom.del_op(m.fundamental_form().wedge_power(n - 1))
+    rhs = geom.del_op(m.power(n - 1))
     if rhs.is_zero():
         return ConditionReport(
             "strongly_gauduchon",

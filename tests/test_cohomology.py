@@ -22,7 +22,7 @@ import pytest
 import sympy
 
 from ihg import SectorMixing, cohomology, linalg
-from ihg.catalog import catalog
+from ihg.catalog import CATALOG_NAMES, catalog
 from ihg.coefficients import Coefficient
 from ihg.cohomology import (
     BottChernSector,
@@ -33,7 +33,7 @@ from ihg.cohomology import (
     split_primitive,
 )
 from ihg.exterior import Form, MultiIndex
-from ihg.geometry import Geometry
+from ihg.geometry import Geometry, StructureError
 from ihg.symbols import registry
 
 
@@ -74,10 +74,13 @@ def test_sector_cost(monkeypatch):
     # the matrices read the d-table: no d_split of an embedded monomial,
     # and in sector 0 one twisted split per (1,1) monomial, the del of its
     # dbar column; one elimination for the kernel and one for both spans,
-    # and each matrix builds its target basis once
+    # the second over the free coordinates of ker d, one row per kernel
+    # vector, not one per (2,2) monomial; each matrix builds its target
+    # basis once
     g = catalog("solv4d")
     calls = {"d_split": 0, "twisted_split": 0, "eliminate": 0,
              "monomial_basis": 0}
+    rows_eliminated = []
     d_split, twisted_split = Geometry.d_split, Geometry.twisted_split
     eliminate = linalg._eliminate
 
@@ -91,6 +94,7 @@ def test_sector_cost(monkeypatch):
 
     def counted_eliminate(rows, width):
         calls["eliminate"] += 1
+        rows_eliminated.append(len(rows))
         return eliminate(rows, width)
 
     def counted_monomial_basis(n, p, q):
@@ -101,11 +105,66 @@ def test_sector_cost(monkeypatch):
     monkeypatch.setattr(Geometry, "twisted_split", counted_twisted_split)
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(cohomology, "monomial_basis", counted_monomial_basis)
-    BottChernSector(g, 2, 2)
+    sector = BottChernSector(g, 2, 2)
     assert calls["d_split"] == 0
     assert calls["twisted_split"] == 16
     assert calls["eliminate"] == 2
     assert calls["monomial_basis"] <= 5
+    kernel_dim = len(sector.image) + len(sector.quotient)
+    assert rows_eliminated[1] == kernel_dim == 9
+    assert len(monomial_basis(g.n, 2, 2)) == 36
+
+
+def _full_width_spans(geom, p, q, sector=None):
+    """Both Bott-Chern spans by the full-width route, kept as the
+    reference: one pivot_columns over the image columns followed by the
+    kernel basis, with a row for every (p,q) monomial."""
+    cx = SectorComplex(geom, sector)
+    d_matrix = cx.matrix("d", p, q, (p + 1, q), (p, q + 1))
+    kernel, _ = linalg.nullspace(
+        d_matrix or [[Coefficient.zero()] * len(cx.basis(p, q))]
+    )
+    image = [list(col) for col in
+             zip(*cx.matrix("ddbar", p - 1, q - 1, (p, q)))]
+    columns = image + kernel
+    pivots = linalg.pivot_columns(columns)
+    return ([columns[c] for c in pivots if c < len(image)],
+            [columns[c] for c in pivots if c >= len(image)])
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_spans_on_kernel_coordinates_match_the_full_width_route(name):
+    # same pivots, so the same vectors in the same order, at every (p,q)
+    # of sector 0, and on solv4d in both sectors next to it
+    g = catalog(name)
+    sectors = [None, (1,), (-1,)] if name == "solv4d" else [None]
+    for sector in sectors:
+        for p in range(g.n + 1):
+            for q in range(g.n + 1):
+                got = BottChernSector(g, p, q, sector)
+                want = _full_width_spans(g, p, q, sector)
+                assert (got.image, got.quotient) == want, (sector, p, q)
+
+
+def test_a_sector_needs_d2_zero_over_the_field():
+    # d phi^2 = c phi^{4 1bar}, d phi^3 = phi^{12}: d^2 phi^3 = -c
+    # phi^{14 1bar} vanishes on the locus c = 0 only, so validation passes
+    # while im(del dbar) need not lie in ker d over the field
+    registry.ensure_real("c")
+    c = Coefficient.symbol("c")
+    g = Geometry(
+        "d2_on_the_locus", 4,
+        {2: Form.monomial((4,), (1,), c), 3: Form.monomial((1, 2), ())},
+        constraints=(c,),
+    )
+    assert g.d(g.d(Form.monomial((3,), ()))) == Form.monomial((1, 4), (1,), -c)
+    assert not g.d2_exact
+    with pytest.raises(StructureError) as err:
+        BottChernSector(g, 2, 2)
+    assert err.value.kind == "d2_nonzero"
+    assert "d2_on_the_locus" in str(err.value) and "(2,2)" in str(err.value)
+    for name in CATALOG_NAMES:
+        assert catalog(name).d2_exact, name
 
 
 _TARGETS = {
@@ -365,3 +424,75 @@ def test_harmonic_certificate_raises_where_an_image_leaves_the_sector():
     assert _embedded_certificate(g, f)[0] is False
     with pytest.raises(SectorMixing):
         harmonic_certificate(g, f)
+
+
+def _rotated_solv4d() -> Geometry:
+    """solv4d with d phi^4 = -i phi^{23}, phi^4 turned by a unit: in
+    sectors (1,) and (-1,) some del-dbar images have one real and one
+    imaginary entry of equal size."""
+    registry.ensure_char("E1")
+    return Geometry(
+        "solv4d_rotated", 4,
+        {
+            2: Form.monomial((1, 2), ()),
+            3: Form.monomial((1, 3), (), -1),
+            4: Form.monomial((2, 3), (), -Coefficient.i()),
+        },
+        chars={"E1": Form.monomial((1,), ()) - Form.monomial((), (1,))},
+    )
+
+
+def _complex_family() -> Geometry:
+    """d phi^3 = phi^{12}, d phi^4 = phi^{12} + i c phi^{23} on the locus
+    c = 0 of a complex parameter c: the del-dbar image of phi^{4 3bar} is
+    -phi^{12 12bar} - i c phi^{23 12bar}, two entries, one in the ideal,
+    and that of phi^{3 4bar} has the entry i conj(c), which is not."""
+    registry.ensure_pair("c")
+    c = Coefficient.symbol("c")
+    return Geometry(
+        "complex_family", 4,
+        {
+            3: Form.monomial((1, 2), ()),
+            4: Form.monomial((1, 2), ())
+            + Form.monomial((2, 3), (), Coefficient.i() * c),
+        },
+        constraints=(c,),
+    )
+
+
+def test_harmonic_certificate_pairs_hermitian_and_drops_ideal_entries():
+    i = Coefficient.i()
+    orthogonal = (True, ("orthogonal to every invariant del-dbar image",))
+
+    # an exact nonzero form is not harmonic, though the bilinear pairing
+    # of its vector with its own column is (-1)^2 + i^2 = 0
+    g = _rotated_solv4d()
+    E = Coefficient.symbol("E1")
+    f = g.ddbar(Form.monomial((), (4,), E))
+    assert f == (Form.monomial((1,), (1, 4), -E)
+                 + Form.monomial((1,), (2, 3), i * E))
+    assert harmonic_certificate(g, f) == (
+        False, ("pairs with the del-dbar image of phi[|4]",))
+    for prefix in (E, 1 / E):
+        for p, q in [(1, 1), (1, 2), (2, 2)]:
+            for form in _certificate_forms(g, prefix, p, q):
+                want = _embedded_certificate(g, form)
+                assert harmonic_certificate(g, form) == want, form.render()
+
+    # phi^{12 23bar} pairs with the image of phi^{3 4bar} to -i c, in the
+    # ideal, where u * w would give i conj(c); phi^{23 12bar} meets the
+    # images only in entries of the ideal, which are dropped before the
+    # pairing: kept, they would give i conj(c)
+    g = _complex_family()
+    c = Coefficient.symbol("c")
+    assert g.ddbar(Form.monomial((4,), (3,))) == (
+        Form.monomial((1, 2), (1, 2), -1)
+        + Form.monomial((2, 3), (1, 2), -i * c))
+    assert not g.in_ideal(c.conjugate())
+    for f in (Form.monomial((1, 2), (2, 3)), Form.monomial((2, 3), (1, 2))):
+        assert harmonic_certificate(g, f) == orthogonal
+        assert _embedded_certificate(g, f) == orthogonal
+    for p, q in [(1, 1), (2, 1), (2, 2)]:
+        for form in _certificate_forms(g, 1, p, q):
+            want = _embedded_certificate(g, form)
+            assert harmonic_certificate(g, form) == want, form.render()

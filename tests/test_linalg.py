@@ -87,10 +87,12 @@ def test_pivot_columns_extend_an_independent_set(rows):
 @pytest.mark.parametrize("rows", [INTEGER, GAUSSIAN])
 def test_nullspace_is_annihilated_and_complete(rows):
     a = _matrix(rows)
-    kernel = linalg.nullspace(a)
+    kernel, free = linalg.nullspace(a)
     assert len(kernel) == len(a[0]) - _sympy(a).rank()
     for v in kernel:
         assert all(x.is_zero() for x in linalg.mat_vec(a, v))
+    # the free coordinates of the basis are the unit vectors
+    assert [[v[f] for f in free] for v in kernel] == linalg.identity(len(free))
 
 
 def test_invert_round_trips():

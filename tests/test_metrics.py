@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ihg.catalog import catalog, torus
-from ihg.coefficients import Coefficient
+from ihg.coefficients import Coefficient, StaleCoefficient
 from ihg.cohomology import (
     BottChernSector,
     bc_class,
@@ -14,9 +14,10 @@ from ihg.cohomology import (
     solve_dbar,
     solve_del,
 )
-from ihg.exterior import Form
+from ihg.exterior import Form, wedge
 from ihg.geometry import Geometry
 from ihg.metrics import (
+    CONDITIONS,
     InvariantMetric,
     ShapeMismatch,
     all_or_none_skt,
@@ -68,6 +69,52 @@ class TestInvariantMetric:
         top = m.fundamental_form().wedge_power(3)
         assert set(top.bidegrees()) == {(3, 3)}
         assert len(list(top.terms())) == 1
+
+    def test_power_is_the_wedge_power(self):
+        m = InvariantMetric.generic(3)
+        omega = m.fundamental_form()
+        for k in range(5):
+            assert m.power(k) == wedge(*[omega] * k), k
+            assert m.power(k) is m.power(k)
+        assert m.power(4).is_zero()
+
+    def test_each_power_is_built_once(self, monkeypatch):
+        geoms = [catalog(nm) for nm in ("iwasawa", "nakamura_3b", "fps_family")]
+        m = InvariantMetric.generic(3)
+        built = []
+        wedge_power = Form.wedge_power
+
+        def counted(self, k):
+            built.append(k)
+            return wedge_power(self, k)
+
+        monkeypatch.setattr(Form, "wedge_power", counted)
+        for g in geoms:
+            for condition in CONDITIONS:
+                ks = range(1, 4) if condition == "k_pluriclosed" else (None,)
+                for k in ks:
+                    check_condition(g, m, condition, k=k)
+        strongly_gauduchon(geoms[0], m)
+        assert sorted(built) == [1, 2, 3]
+
+    def test_power_after_a_reset_is_stale(self):
+        m = InvariantMetric.generic(3)
+        m.power(2)
+        registry.reset()
+        for k in (1, 2):  # not built, and built before the reset
+            with pytest.raises(StaleCoefficient):
+                m.power(k)
+
+    def test_the_memo_takes_no_part_in_equality(self):
+        a, b = InvariantMetric.generic(3), InvariantMetric.generic(3)
+        a.power(2)
+        assert a == b
+        assert repr(a) == repr(b)
+        # only a metric of scalar entries hashes
+        a, b = _diag(1, 2, 3), _diag(1, 2, 3)
+        a.power(2)
+        assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestTorus:
