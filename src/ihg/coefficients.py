@@ -16,20 +16,20 @@ render() shows the value over Q(i): the numerator divided by q and by the
 atoms' leading coefficients, and each atom monic, with terms in
 grlex-descending order.
 
-The polynomial arithmetic is this module's own, one private kernel per
-operation: _mul, _sum, _scale, _neg, _pow, _exact_quotient, _remainder,
-_conj_poly, _diff and _poly_euler.  Products and sums add each term into
-one output dict keyed by monomial, on ints (the dict accumulation of sparse
-polynomial arithmetic; Monagan-Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", 2007, compare it with heaps).
+The arithmetic of Z[i] and of its polynomials is this module's own; it
+imports no sympy.  There is one private kernel per operation: _mul, _sum,
+_scale, _neg, _pow, _exact_quotient, _remainder, _conj_poly, _diff,
+_poly_euler and _poly_gcd, over the scalar kernels _gauss_gcd and
+_canonical_unit.  Products and sums add each term into one output dict
+keyed by monomial, on ints (the dict accumulation of sparse polynomial
+arithmetic; Monagan-Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", 2007, compare it with heaps).
 With packed monomials a monomial product is one int addition, the grlex
 leading term is max() of the keys and a divisibility test is one
 subtraction and a mask test.  A kernel that raises degrees (_mul, _pow,
 _conj_poly) compares the total degree of its result with MAX_DEGREE once,
 since no exponent exceeds the total degree, and raises DegreeOverflow past
-it.  sympy supplies only the scalar Gaussian gcd and canonical unit and,
-in squarefree_numerator, the polynomial gcd, in a ring whose exponent
-tuples are converted at that boundary.
+it.
 
 Normalization cancels atoms out of the numerator by exact division: by
 Gauss's lemma a primitive atom divides the numerator over Q(i) exactly when
@@ -39,9 +39,10 @@ Arithmetic computes no polynomial gcd: multivariate gcd is slow, and every
 cancellation arising here is an exact-division event.  The one gcd user is
 squarefree_numerator, which the Kuranishi condition extraction calls on
 each candidate generator; it needs no gcd for a one-term or multilinear
-numerator, and otherwise takes sympy's gcd in the ring of only the
-generators the numerator uses.  A product with a nonzero scalar only
-scales the other numerator and q, since a unit cannot make an atom divide.
+numerator, and otherwise takes the heuristic gcd _poly_gcd, which
+evaluates only the generators its inputs use.  A product with a nonzero
+scalar only scales the other numerator and q, since a unit cannot make an
+atom divide.
 
 A linear combination is normalized once: sum_of_products forms each
 product's numerator and atom multiplicities unnormalized, brings them over
@@ -73,10 +74,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-from sympy.polys.domains import ZZ_I
-from sympy.polys.orderings import grlex
-from sympy.polys.rings import PolyRing
 
 from .symbols import (CHAR, FIELD_BITS, REAL, RingContext, base_names,
                       check_degree, registry, with_partners)
@@ -379,6 +376,29 @@ def _gauss_quo(a, c):
     return re // n, im // n
 
 
+def _gauss_gcd(a, b):
+    """A gcd of the Gaussian integers a and b, up to a unit: Euclid with
+    the quotient a / b rounded to the nearest Gaussian integer, so each
+    remainder has at most half the norm of the divisor."""
+    while b[0] or b[1]:
+        n = _norm(b)
+        x, y = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]
+        qx, qy = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+        a, b = b, (a[0] - qx * b[0] + qy * b[1], a[1] - qx * b[1] - qy * b[0])
+    return a
+
+
+def _canonical_unit(c):
+    """The unit u with u*c in the first quadrant, re > 0 and im >= 0, for a
+    nonzero Gaussian integer c."""
+    x, y = c
+    if y > 0:
+        return _ONE if x > 0 else (0, -1)
+    if y < 0:
+        return (-1, 0) if x < 0 else (0, 1)
+    return _ONE if x >= 0 else (-1, 0)
+
+
 # -- polynomial kernels -------------------------------------------------------------
 
 
@@ -512,14 +532,13 @@ def _primitive(p):
         return _ONE, p
     g = _ONE
     if _norm(lc) != 1:
-        g = ZZ_I.zero
+        g = (0, 0)
         for coeff in p.values():
-            g = ZZ_I.gcd(g, ZZ_I(*coeff))
-            if g.x * g.x + g.y * g.y == 1:
+            g = _gauss_gcd(coeff, g)
+            if _norm(g) == 1:
                 break
-        g = (g.x, g.y)
-    u = ZZ_I.canonical_unit(ZZ_I(*_gauss_quo(lc, g)))
-    c = _gmul(g, (u.x, -u.y))
+    u = _canonical_unit(_gauss_quo(lc, g))
+    c = _gmul(g, (u[0], -u[1]))
     if c == _ONE:
         return _ONE, p
     return c, _divided(p, c)
@@ -691,8 +710,7 @@ def _remainder(p, divisors, ctx: RingContext):
         c = rem.pop(lm)
         quo = _gauss_quo(c, lc_g)
         if quo is None:
-            common = ZZ_I.gcd(ZZ_I(*c), ZZ_I(*lc_g))
-            k = _gauss_quo(lc_g, (common.x, common.y))
+            k = _gauss_quo(lc_g, _gauss_gcd(c, lc_g))
             scale = _gmul(scale, k)
             rem = {m: _gmul(v, k) for m, v in rem.items()}
             out = {m: _gmul(v, k) for m, v in out.items()}
@@ -778,6 +796,67 @@ def _used(polys, ctx: RingContext) -> list[int]:
         for m in p:
             acc |= m
     return [i for i, _ in ctx.exponents(acc)]
+
+
+def _evaluate(p, idx: int, xi: int, ctx: RingContext):
+    """p at x = xi, for the generator x at position idx and an integer xi."""
+    shift, field, gen = ctx.shifts[idx], ctx.field_mask, ctx.gens[idx]
+    terms = []
+    for m, (x, y) in p.items():
+        e = (m >> shift) & field
+        w = xi ** e
+        terms.append(_Poly({m - e * gen: (x * w, y * w)}))
+    return _sum(terms)
+
+
+def _interpolate(h, idx: int, xi: int, ctx: RingContext):
+    """The polynomial in x, the generator at position idx, whose value at
+    x = xi is h: each coefficient of h is read in xi-adic digits, the real
+    and imaginary parts each by the symmetric remainder, and digit k
+    multiplies x^k."""
+    gen, half = ctx.gens[idx], xi // 2
+    out = _Poly()
+    for m, (x, y) in h.items():
+        while x or y:
+            a, b = x % xi, y % xi
+            a -= xi if a > half else 0
+            b -= xi if b > half else 0
+            if a or b:
+                out[m] = (a, b)
+            x, y, m = (x - a) // xi, (y - b) // xi, m + gen
+    return out
+
+
+def _poly_gcd(f, g, ctx: RingContext):
+    """A gcd of the nonzero f and g over Z[i], up to a unit, or None when
+    the heuristic fails.
+
+    The heuristic gcd (Char-Geddes-Gonnet, "GCDHEU", J. Symb. Comput. 7,
+    1989): the contents are divided out, and their gcd multiplied back at
+    the end.  One generator x of the primitive parts is evaluated at an
+    integer xi > 2*min(|f|, |g|) + 2, |.| the largest |re| + |im| of a
+    coefficient, and the gcd of the images, computed the same way down to
+    a scalar Euclid, is read back in xi-adic digits.  The primitive part of
+    that candidate is accepted only when it divides both inputs exactly,
+    which proves it a common divisor; the bound on xi makes it the greatest
+    (CGG, Theorem 1).  Otherwise xi grows, at most six times.
+    """
+    (cf, f), (cg, g) = _primitive(f), _primitive(g)
+    common = _gauss_gcd(cf, cg)
+    if _is_ground(f) or _is_ground(g):
+        return _ground(common)
+    idx = _used([f, g], ctx)[0]
+    xi = 2 * min(max(abs(x) + abs(y) for x, y in p.values()) for p in (f, g)) + 3
+    for _ in range(6):
+        ff, gg = _evaluate(f, idx, xi, ctx), _evaluate(g, idx, xi, ctx)
+        h = _poly_gcd(ff, gg, ctx) if ff and gg else None
+        if h is not None:
+            h = _primitive(_interpolate(h, idx, xi, ctx))[1]
+            if (_exact_quotient(f, h, ctx) is not None
+                    and _exact_quotient(g, h, ctx) is not None):
+                return _scale(h, common)
+        xi = xi * 73794 // 27011
+    return None
 
 
 def _definite(p, ctx: RingContext):
@@ -1186,12 +1265,11 @@ class Coefficient:
         A term c * prod x^e has the part prod x^min(e, 1), and a numerator
         with no exponent above 1 is its own part: were g^2 to divide it
         with x in g, its degree in x would be at least 2.  Otherwise the
-        part is f / gcd(f, df/dx_1, ..., df/dx_k), the one place a sympy
-        polynomial ring is built: over Z[i] and only the generators x_1..x_k
-        that f contains.  The gcd of polynomials in those generators is the
-        same, up to a unit, in any wider ring, and sympy's gcd costs time
-        in every generator of the ring it runs in.  The gcd's primitive part
-        divides f over Z[i] (Gauss's lemma).
+        part is f / gcd(f, df/dx_1, ..., df/dx_k) over the generators
+        x_1..x_k that f contains, the gcd folded one derivative at a time
+        by _poly_gcd until it is a constant.  The gcd's primitive part
+        divides f over Z[i] (Gauss's lemma).  When the heuristic gcd fails
+        at every evaluation point, ArithmeticError names the numerator.
         """
         r = self._refreshed()
         num, ctx = r._num, r._ctx
@@ -1203,18 +1281,15 @@ class Coefficient:
             ((monom, _),) = num.items()
             num = _Poly({sum(ctx.gens[i] for i, _ in ctx.exponents(monom)): _ONE})
         elif any(m & above_one for m in num):
-            used = _used([num], ctx)
-            sub = PolyRing([ctx.names[i] for i in used], ZZ_I, grlex)
-            f = sub.from_dict({tuple(ctx.unpack(m)[i] for i in used): ZZ_I(*c)
-                               for m, c in num.items()})
-            common = f
-            for gen in sub.gens:
-                common = common.gcd(f.diff(gen))
-                if common.is_ground:
+            common = num
+            for idx in _used([num], ctx):
+                common = _poly_gcd(common, _diff(num, idx, ctx), ctx)
+                if common is None:
+                    raise ArithmeticError("the heuristic gcd failed on "
+                                          + _render_poly(num, ctx, _ONE))
+                if _is_ground(common):
                     break
-            if not common.is_ground:
-                common = _Poly({sum(e * ctx.gens[i] for i, e in zip(used, m)):
-                                (c.x, c.y) for m, c in common.items()})
+            if not _is_ground(common):
                 num = _exact_quotient(num, _primitive(common)[1], ctx)
         return Coefficient._monic(num, ctx)
 

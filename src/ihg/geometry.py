@@ -19,7 +19,7 @@ characters is zero at once.
 
 from __future__ import annotations
 
-from .coefficients import Coefficient
+from .coefficients import Coefficient, normalized_generators
 from .exterior import Form, MultiIndex
 from .symbols import base_name, base_names
 
@@ -55,6 +55,9 @@ class Geometry:
         self.chars = dict(chars or {})
         self.generators = tuple(generators) if generators is not None else None
         self.constraints = tuple(constraints)
+        # the ideal's generators: conj(c) vanishes wherever c does
+        self._ideal = normalized_generators(
+            self.constraints + tuple(c.conjugate() for c in self.constraints))
         self._d_anti = {
             k: f.conjugate() for k, f in self.structure.items()
         }
@@ -274,12 +277,14 @@ class Geometry:
         )
 
     def in_ideal(self, c: Coefficient) -> bool:
-        """Whether c lies in the attached constraint ideal.
+        """Whether c lies in the attached constraint ideal, generated by
+        the constraints and their conjugates.
 
         Membership is tested generator by generator (exact divisibility),
-        which is what the catalog families need.
+        which is what the catalog families need.  The generators are
+        deduplicated, so a self-conjugate constraint costs one test.
         """
-        return any(c.is_multiple_of(g) for g in self.constraints)
+        return any(c.is_multiple_of(g) for g in self._ideal)
 
     def reduce(self, form: Form) -> Form:
         """Drop terms whose coefficient lies in the attached constraint ideal."""

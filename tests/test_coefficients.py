@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ, QQ_I, ZZ_I
 from sympy.polys.monomials import MonomialOps
 from sympy.polys.orderings import grlex
-from sympy.polys.rings import PolyElement, ring
+from sympy.polys.rings import ring
 
 from ihg import (
     Coefficient,
@@ -27,14 +28,19 @@ from ihg import (
     SectorMixing,
     StaleCoefficient,
 )
+from ihg import coefficients as coefficients_module
 from ihg.coefficients import (
     _Poly,
+    _canonical_unit,
     _conj_poly,
     _exact_quotient,
+    _gauss_gcd,
+    _gmul,
     _is_ground,
     _lift_poly,
     _mul,
     _over_common_denominator,
+    _poly_gcd,
     _poly_key,
     _pow,
     _remainder,
@@ -801,6 +807,40 @@ def test_conjugate_matches_sympy(p):
     assert shifts == ({3: shift} if shift else {})
 
 
+# -- the Gaussian gcds against sympy's ZZ_I -------------------------------------
+
+UNITS = [ZZ_I(1, 0), ZZ_I(0, 1), ZZ_I(-1, 0), ZZ_I(0, -1)]
+gaussian_integers = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=100)
+@given(gaussian_integers, gaussian_integers, gaussian_integers)
+def test_gaussian_gcd_matches_zz_i_up_to_a_unit(a, b, c):
+    # a planted common factor c makes most of the gcds nontrivial
+    a, b = ZZ_I(*a) * ZZ_I(*c), ZZ_I(*b) * ZZ_I(*c)
+    got = _gauss_gcd((int(a.x), int(a.y)), (int(b.x), int(b.y)))
+    assert any(ZZ_I(*got) == ZZ_I.gcd(a, b) * u for u in UNITS)
+
+
+@settings(max_examples=100)
+@given(gaussian_integers.filter(lambda c: c != (0, 0)))
+def test_canonical_unit_matches_zz_i(c):
+    u = ZZ_I.canonical_unit(ZZ_I(*c))
+    assert _canonical_unit(c) == (u.x, u.y)
+    x, y = _gmul(_canonical_unit(c), c)
+    assert x > 0 and y >= 0
+
+
+@settings(max_examples=30)
+@given(gaussian_integer_polys(min_terms=1), gaussian_integer_polys(min_terms=1),
+       gaussian_integer_polys(min_terms=1))
+def test_poly_gcd_matches_zz_i_up_to_a_unit(a, b, c):
+    # a planted common factor c makes most of the gcds nontrivial
+    f, g = a * c, b * c
+    got = _poly_gcd(_pairs(f), _pairs(g), XYZ)
+    assert any(_poly(got) == f.gcd(g) * u for u in UNITS)
+
+
 # -- packed monomials against sympy's exponent tuples ---------------------------
 
 
@@ -1156,13 +1196,14 @@ def _factor_pool():
 
 
 @st.composite
-def planted_products(draw):
+def planted_products(draw, max_factors=2):
     """(scale, [(factor index, multiplicity)], denominator index or None)."""
-    # at most two factors, each of multiplicity at most 3: the backing
-    # library's gcd over Q(i) took up to 2 s on these, and over a minute
-    # on a product of three squared factors
+    # each factor of multiplicity at most 3; sympy's sqf_part over Q(i)
+    # took up to 2 s on two factors, and over a minute on a product of
+    # three squared factors, so the tests it checks plant at most two
     factors = draw(st.lists(
-        st.tuples(st.integers(0, 9), st.integers(1, 3)), min_size=1, max_size=2
+        st.tuples(st.integers(0, 9), st.integers(1, 3)), min_size=1,
+        max_size=max_factors
     ))
     scale = draw(gaussians.filter(bool))
     denominator = draw(st.none() | st.integers(0, 9))
@@ -1201,33 +1242,23 @@ def test_squarefree_numerator_matches_sqf_part(spec):
 @settings(max_examples=20)
 @given(planted_products())
 def test_squarefree_numerator_ignores_unrelated_generators(spec):
-    # the gcd runs over the numerator's own generators: 40 more pairs in the
-    # ring change neither the answer nor the ring any gcd runs in
+    # 40 more pairs in the ring do not change the answer
     registry.reset()
     setup_symbols()
     value = _build(spec)
     before = value.squarefree_numerator()
     for k in range(40):
         registry.ensure_pair(f"w{k}")
-    used = value.numerator_normalized().free_symbols()
-    widths = []
-    gcd = PolyElement.gcd
-
-    def guarded(f, g):
-        names = {str(x) for x in f.ring.symbols}
-        assert names <= used, names - used
-        widths.append(len(names))
-        return gcd(f, g)
-
-    with mock.patch.object(PolyElement, "gcd", guarded):
+    with mock.patch.object(coefficients_module, "_poly_gcd",
+                           wraps=coefficients_module._poly_gcd) as gcd:
         after = value.squarefree_numerator()
     assert after.render() == before.render()
     assert after == before
     # a gcd runs exactly when the numerator has more than one term and
     # some exponent above 1
     num, ctx = value.numerator_normalized()._num, registry.context()
-    assert bool(widths) == (len(num) > 1 and any(e > 1 for m in num
-                                                 for e in ctx.unpack(m)))
+    assert gcd.called == (len(num) > 1 and any(e > 1 for m in num
+                                               for e in ctx.unpack(m)))
 
 
 def test_squarefree_fast_paths_skip_the_gcd():
@@ -1238,7 +1269,8 @@ def test_squarefree_fast_paths_skip_the_gcd():
     multilinear = [(2 * t * u - 4 * s + 2 * i) / 3,
                    E * t * u.conjugate() + t - i * s,
                    (1 + i) * t * t.conjugate() / (u * u + 1)]
-    with mock.patch.object(PolyElement, "gcd", side_effect=AssertionError):
+    with mock.patch.object(coefficients_module, "_poly_gcd",
+                           side_effect=AssertionError):
         assert (3 * t**3 * u**2 / (t + 1)).squarefree_numerator() == t * u
         assert (i * E**4 * s / 5).squarefree_numerator().render() == "s*E1"
         assert Coefficient.from_scalar(7).squarefree_numerator() == ONE()
@@ -1259,6 +1291,56 @@ def test_squarefree_numerator_of_a_kuranishi_condition():
              + C("t13") * C("t23") * C("t32"))
     assert f.squarefree_numerator() == f / 2
     assert (f * f * C("t12")).squarefree_numerator() == f * C("t12") / 2
+
+
+@settings(max_examples=40)
+@given(planted_products(max_factors=3))
+@example((1, [(7, 3), (8, 3), (9, 3)], 8))
+@example((1, [(0, 2), (5, 1)], None))  # t11^2*(t11 + t21)
+def test_squarefree_numerator_is_the_product_of_the_planted_factors(spec):
+    # the pool factors are irreducible and pairwise coprime, so the part
+    # is the product of the distinct factors the denominator leaves
+    registry.reset()
+    setup_symbols()
+    _, factors, denominator = spec
+    mults = [0] * 10
+    for k, mult in factors:
+        mults[k] += mult
+    if denominator is not None and mults[denominator]:
+        mults[denominator] -= 1
+    want = ONE()
+    for factor, mult in zip(_factor_pool(), mults):
+        if mult:
+            want = want * factor
+    got = _build(spec).squarefree_numerator()
+    assert got.render() == want.numerator_normalized().render()
+
+
+def test_squarefree_numerator_of_three_squared_factors():
+    # sympy's gcd over Q(i) ran for over 90 s on this 54-term numerator
+    # (a 2-vCPU host)
+    setup_symbols()
+    t, u, s, E, i = C("t11"), C("t21"), C("s"), C("E1"), Coefficient.i()
+    f = (t * u - 2 * t.conjugate() + i) * (s * t + u * u) * (E * t + 1)
+    value = f * f
+    assert value.numerator_terms() == 54
+    start = time.perf_counter()
+    got = value.squarefree_numerator()
+    assert time.perf_counter() - start < 1
+    assert got.render() == f.numerator_normalized().render()
+
+
+def test_squarefree_numerator_raises_when_the_heuristic_gcd_fails():
+    # with no candidate dividing, every evaluation point fails, and there
+    # is no second gcd to fall back on
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    value = (t + u) ** 2 * u
+    with mock.patch.object(coefficients_module, "_exact_quotient",
+                           return_value=None):
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "heuristic gcd failed on t11^2*t21 + 2*t11*t21^2 + t21^3")):
+            value.squarefree_numerator()
 
 
 def test_conjugates_of_a_shared_atom_share_one_atom():

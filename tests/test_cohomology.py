@@ -446,7 +446,8 @@ def _complex_family() -> Geometry:
     """d phi^3 = phi^{12}, d phi^4 = phi^{12} + i c phi^{23} on the locus
     c = 0 of a complex parameter c: the del-dbar image of phi^{4 3bar} is
     -phi^{12 12bar} - i c phi^{23 12bar}, two entries, one in the ideal,
-    and that of phi^{3 4bar} has the entry i conj(c), which is not."""
+    and that of phi^{3 4bar} has the entry i conj(c), in the ideal as the
+    conjugate of a constraint."""
     registry.ensure_pair("c")
     c = Coefficient.symbol("c")
     return Geometry(
@@ -479,19 +480,25 @@ def test_harmonic_certificate_pairs_hermitian_and_drops_ideal_entries():
                 want = _embedded_certificate(g, form)
                 assert harmonic_certificate(g, form) == want, form.render()
 
-    # phi^{12 23bar} pairs with the image of phi^{3 4bar} to -i c, in the
-    # ideal, where u * w would give i conj(c); phi^{23 12bar} meets the
-    # images only in entries of the ideal, which are dropped before the
-    # pairing: kept, they would give i conj(c)
+    # phi^{12 23bar} pairs with the image of phi^{3 4bar} to -i c, and
+    # phi^{23 12bar} meets the images only in entries of the ideal, which
+    # are dropped before the pairing; conj(c) vanishes where c does, so
+    # the ideal holds i conj(c), which u * w or a kept entry would give
     g = _complex_family()
     c = Coefficient.symbol("c")
     assert g.ddbar(Form.monomial((4,), (3,))) == (
         Form.monomial((1, 2), (1, 2), -1)
         + Form.monomial((2, 3), (1, 2), -i * c))
-    assert not g.in_ideal(c.conjugate())
+    assert g.in_ideal(c.conjugate())
     for f in (Form.monomial((1, 2), (2, 3)), Form.monomial((2, 3), (1, 2))):
         assert harmonic_certificate(g, f) == orthogonal
         assert _embedded_certificate(g, f) == orthogonal
+    # with c*phi^{12 12bar} added, the image of phi^{4 3bar} pairs to -c
+    # once its entry -i c is dropped; kept, it would give -c + i conj(c),
+    # a multiple of neither generator
+    f = Form.monomial((2, 3), (1, 2)) + Form.monomial((1, 2), (1, 2), c)
+    assert harmonic_certificate(g, f) == orthogonal
+    assert _embedded_certificate(g, f) == orthogonal
     for p, q in [(1, 1), (2, 1), (2, 2)]:
         for form in _certificate_forms(g, 1, p, q):
             want = _embedded_certificate(g, form)
