@@ -120,6 +120,10 @@ class GaussianRational:
             return GaussianRational(Fraction(x), Fraction(0))
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
+    def __hash__(self):
+        # a real value hashes as its Fraction, so as an equal int
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
     @staticmethod
     def i() -> "GaussianRational":
         return GaussianRational(Fraction(0), Fraction(1))
@@ -1200,8 +1204,7 @@ class Coefficient:
         # only scalars hash structurally; field elements are not dict keys
         r = self._refreshed()
         if r.is_scalar():
-            g = r.scalar()
-            return hash((g.re, g.im))
+            return hash(r.scalar())
         raise TypeError("non-scalar Coefficient is unhashable")
 
     def is_multiple_of(self, other: "Coefficient") -> bool:

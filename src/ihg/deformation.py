@@ -3,18 +3,24 @@
 A deformation is encoded by a T^{1,0}-valued (0,1)-form psi; the deformed
 (1,0)-coframe is Phi^j = phi^j + psi^j.  Re-expressing d(Phi^j) in the
 deformed coframe gives the deformed structure equations exactly; their
-(0,2) components are the integrability residual.  The module also carries
-the operator-level route (contractions and endomorphism inverses) so the
-two can be checked against each other.
+(0,2) components are the integrability residual.
+
+The module also carries the operator route, so the two can be checked
+against each other.  Deformation.dbar_t_formula is its one formula
+(contractions and endomorphism inverses); del_t is its conjugate, since
+d_t is real, so VectorForm only ever holds T^{1,0}-valued forms.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
 
 from . import linalg
 from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
 from .exterior import CoframeMap, Form, MultiIndex, VectorForm
 from .geometry import Geometry
-from .symbols import registry
+from .symbols import base_name, registry, with_partners
 
 
 class MaurerCartanFails(ValueError):
@@ -35,8 +41,6 @@ class DegenerateAtLocus(ValueError):
 
 
 def _check_psi(psi: VectorForm, n: int) -> None:
-    if psi.mirrored:
-        raise ValueError("deformation data must be T^{1,0}-valued")
     for leg, comp in psi.components.items():
         if not 1 <= leg <= n:
             raise ValueError(f"frame leg {leg} outside 1..{n}")
@@ -84,7 +88,7 @@ class Deformation:
     on first use, so a monomial's image is one wedge of a stored prefix
     image by a row, built once, and rewriting a form multiplies each of its
     coefficients into a stored image.  The operator route keeps its
-    correction maps the same way, one pair per side, built on first use.
+    correction maps the same way, one pair, built on first use.
 
     The coframe change is [[I, B], [conj B, I]], with B the matrix of psi.
     Its inverse is read off one n x n inverse, of the Schur complement
@@ -143,7 +147,7 @@ class Deformation:
                 for k in range(n)
             })
             self._to_deformed = CoframeMap(base_rows)
-            self._endo_maps: dict[bool, tuple[CoframeMap, CoframeMap]] = {}
+            self._endo_maps: tuple[CoframeMap, CoframeMap] | None = None
             self.full_structure = {
                 j: self.to_deformed_coords(base.d(phi_t[j]))
                 for j in range(1, n + 1)
@@ -193,14 +197,11 @@ class Deformation:
         return self._to_deformed.apply(form)
 
     def to_base_coords(self, form: Form) -> Form:
+        """A deformed-coframe form written in the base coframe: every slot
+        phi^j (phi^{jbar}) picks up psi^j (conj psi^j).  Read on a base
+        monomial pattern, this is the degree-preserving extension of a base
+        (p,q)-form."""
         return self._to_base.apply(form)
-
-    def extension(self, alpha: Form) -> Form:
-        """The degree-preserving extension of a base (p,q)-form, written in
-        the base coframe: every slot phi^j (phi^{jbar}) picks up psi^j
-        (conj psi^j).  In deformed coordinates this map is the identity on
-        monomial patterns."""
-        return self.to_base_coords(alpha)
 
     # -- the deformed geometry (structure-equation route) ---------------------
 
@@ -232,78 +233,59 @@ class Deformation:
                 locus=str(exc),
             ) from exc
         base = self.base
-        if set(base.free_parameters()) & set(bindings):
+        # a key may be a symbol or a partner name, like the keys of
+        # Coefficient.substitute
+        bound = {base_name(nm) for nm in with_partners(bindings)}
+        if set(base.free_parameters()) & bound:
             base = base.substitute(bindings)
         return Deformation(base, psi, name=self.name, require_mc=False)
-
-    def deformed_split(self, alpha: Form) -> tuple[Form, Form]:
-        """(del_t part, dbar_t part) of d on the extension of alpha.
-
-        The input pattern, given in base monomials, is rewritten verbatim
-        into deformed monomials (the degree-preserving extension acts as
-        the identity on patterns), then d is applied through the deformed
-        structure equations and projected by the new bigrading.
-        """
-        return self.geometry().d_split(alpha)
 
     def extension_formula_check(self, alpha: Form) -> bool:
         """The two dbar_t pipelines agree on the extension of alpha: the
         deformed-coordinate split against the operator-level formula."""
-        _, dbar_part = self.deformed_split(alpha)
         # the extension is the identity on monomial patterns, so alpha's
         # pattern doubles as e(alpha) in deformed coordinates
-        return self.dbar_t_formula(alpha) == dbar_part
+        return self.dbar_t_formula(alpha) == self.geometry().d_split(alpha)[1]
 
     # -- operator route ------------------------------------------------------
 
-    def _endo_mappings(self, anti: bool) -> tuple[CoframeMap, CoframeMap]:
-        """Slotwise maps by I - B conj(B) (holomorphic side) or
-        I - conj(B) B (antiholomorphic side) and by its inverse, which is
-        the diagonal block of the inverse coframe change on that side: both
-        are Schur complements of an identity block of [[I, B], [conj B, I]],
-        so they are invertible wherever the change is (Sylvester).  Built
-        on first use and kept."""
-        maps = self._endo_maps.get(anti)
-        if maps is not None:
-            return maps
-        n = self.base.n
-        endo = _conj_matrix(self._schur) if anti else self._schur
-        zero = Coefficient.zero()
-        side, off = ("a", n) if anti else ("h", 0)
-        fwd, bwd = {}, {}
-        for j in range(n):
-            fwd[(side, j + 1)] = _combination([zero] * off + endo[j], n)
-            inverse_row = self._inverse[off + j][off:off + n]
-            bwd[(side, j + 1)] = _combination([zero] * off + inverse_row, n)
-        maps = self._endo_maps[anti] = CoframeMap(fwd), CoframeMap(bwd)
-        return maps
+    def dbar_t_formula(self, alpha: Form) -> Form:
+        """dbar_t on monomial patterns, by the operator route:
 
-    def _t_formula(self, alpha: Form, anti: bool) -> Form:
-        """Operator route on monomial patterns: conjugate the commutator of
-        the other base operator with the contraction, plus the base operator
-        itself, by the correction endomorphism applied slotwise.  For dbar_t
-        (anti) that is [del, iota(psi)] + dbar with (I - conj(psi) psi) on the
-        antiholomorphic side; for del_t it is [dbar, iota(conj psi)] + del
-        with (I - psi conj(psi)) on the holomorphic side."""
-        fwd, bwd = self._endo_mappings(anti)
-        contraction = self.psi if anti else self.psi.conjugate()
-        own, other = (1, 0) if anti else (0, 1)
+            dbar_t = E^{-1} ([del, iota(psi)] + dbar) E,
+
+        with E the slotwise map by I - conj(B) B on antiholomorphic slots.
+        E^{-1} is slotwise by the lower-right block of the inverse coframe
+        change: I - conj(B) B is the Schur complement of the upper identity
+        block of [[I, B], [conj B, I]], so it is invertible wherever the
+        change is (Sylvester).  Both maps are built on first use and kept."""
+        if self._endo_maps is None:
+            n = self.base.n
+            pad = [Coefficient.zero()] * n
+            endo = _conj_matrix(self._schur)
+            self._endo_maps = (
+                CoframeMap({
+                    ("a", j + 1): _combination(pad + endo[j], n)
+                    for j in range(n)
+                }),
+                CoframeMap({
+                    ("a", j + 1): _combination(pad + self._inverse[n + j][n:], n)
+                    for j in range(n)
+                }),
+            )
+        fwd, bwd = self._endo_maps
         inner = fwd.apply(alpha)
-        parts = self.base.d_split(inner)
-        mid = (
-            self.base.d_split(contraction.iota(inner))[other]
-            - contraction.iota(parts[other])
-            + parts[own]
+        del_part, dbar_part = self.base.d_split(inner)
+        return bwd.apply(
+            self.base.d_split(self.psi.iota(inner))[0]
+            - self.psi.iota(del_part)
+            + dbar_part
         )
-        return bwd.apply(mid)
 
     def del_t_formula(self, alpha: Form) -> Form:
-        """del_t on monomial patterns, by the operator route."""
-        return self._t_formula(alpha, anti=False)
-
-    def dbar_t_formula(self, alpha: Form) -> Form:
-        """dbar_t on monomial patterns, by the operator route."""
-        return self._t_formula(alpha, anti=True)
+        """del_t on monomial patterns: d_t is real, so del_t is the conjugate
+        of dbar_t on the conjugate pattern."""
+        return self.dbar_t_formula(alpha.conjugate()).conjugate()
 
 
 def deform(base: Geometry, psi: VectorForm, name: str | None = None,
@@ -331,8 +313,6 @@ def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
     and the frame bracket change sign.  Then only pairs i <= j are formed,
     each i < j with weight 2.
     """
-    if a.mirrored or b.mirrored:
-        raise ValueError("bracket is defined for T^{1,0}-valued forms")
     d_a = {i: geom.d(eta) for i, eta in a.components.items()}
     d_b = d_a if b is a else {j: geom.d(rho) for j, rho in b.components.items()}
     symmetric = b is a and all(
@@ -368,8 +348,6 @@ def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
 def dbar_vector(geom: Geometry, vf: VectorForm) -> VectorForm:
     """dbar on T^{1,0}-valued forms; the frame contributes through the
     (1,0)-parts of mixed brackets [conj Z_mu, Z_j]."""
-    if vf.mirrored:
-        raise ValueError("dbar_vector expects T^{1,0}-valued forms")
     one = Coefficient.one()
     pairs: dict[int, list] = {}
     for j, eta in vf.components.items():
@@ -426,6 +404,32 @@ class CurveOfMetrics:
         return power.param_derivative(self.param).substitute({self.param: 0})
 
 
+@dataclass(frozen=True)
+class CurveObstruction:
+    """Outcome of the first-order test for one power k."""
+
+    k: int
+    lhs: Form
+    rhs: Form
+    imaginary: Form
+    identity_residual: Form
+    obstructed: object  # True | False | "conditional" | None (undecided)
+    harmonic: bool | None = None
+    generators: tuple[Coefficient, ...] = ()
+    notes: tuple[str, ...] = ()
+
+    def to_json_dict(self) -> dict:
+        return {
+            "power": self.k,
+            "form": self.lhs.render(),
+            "rhs": self.rhs.render(),
+            "imaginary_part": self.imaginary.render(),
+            "obstructed": self.obstructed,
+            "generators": [g.render() for g in self.generators],
+            "notes": list(self.notes),
+        }
+
+
 def curve_obstruction(geom: Geometry, phi_curve: VectorForm,
                       omega_curve: CurveOfMetrics, k: int):
     """First-order obstruction to carrying del dbar omega^k = 0 along a
@@ -454,61 +458,30 @@ def curve_obstruction(geom: Geometry, phi_curve: VectorForm,
     rhs = geom.ddbar(omega_curve.power_derivative_at_zero(k))
     identity_residual = geom.reduce((lhs - lhs.conjugate()) - rhs)
     reduced = geom.reduce(imag)
+    report = partial(
+        CurveObstruction, k=k, lhs=lhs, rhs=rhs, imaginary=imag,
+        identity_residual=identity_residual,
+    )
     if reduced.is_zero():
-        return CurveObstruction(
-            k, lhs, rhs, imag, identity_residual, None, False, (),
-            ("imaginary part vanishes modulo constraints",),
+        return report(
+            obstructed=False,
+            notes=("imaginary part vanishes modulo constraints",),
         )
     if geom.free_parameters() or geom.constraints:
         harmonic, notes = harmonic_certificate(geom, reduced)
         if not harmonic:
-            return CurveObstruction(
-                k, lhs, rhs, imag, identity_residual, False, None, (),
-                ("class not certified at the invariant level",) + notes,
+            return report(
+                obstructed=None, harmonic=False,
+                notes=("class not certified at the invariant level",) + notes,
             )
         coefficients = [c for _, c in reduced.terms()]
         conditional = any(c.has_free_parameters() for c in coefficients)
-        verdict = "conditional" if conditional else True
-        return CurveObstruction(
-            k, lhs, rhs, imag, identity_residual, True, verdict,
-            normalized_generators(coefficients),
-            ("harmonic representative: class vanishes exactly where the "
-             "form does",) + notes,
+        return report(
+            obstructed="conditional" if conditional else True, harmonic=True,
+            generators=normalized_generators(coefficients),
+            notes=("harmonic representative: class vanishes exactly where "
+                   "the form does",) + notes,
         )
-    cls = bc_class(geom, imag)
-    if cls.is_zero():
-        return CurveObstruction(
-            k, lhs, rhs, imag, identity_residual, None, False, (),
-            ("Bott-Chern class vanishes",),
-        )
-    return CurveObstruction(
-        k, lhs, rhs, imag, identity_residual, None, True, (),
-        ("Bott-Chern class is nonzero",),
-    )
-
-
-class CurveObstruction:
-    """Outcome of the first-order test for one power k."""
-
-    def __init__(self, k, lhs, rhs, imaginary, identity_residual,
-                 harmonic, obstructed, generators, notes=()):
-        self.k = k
-        self.lhs = lhs
-        self.rhs = rhs
-        self.imaginary = imaginary
-        self.identity_residual = identity_residual
-        self.harmonic = harmonic
-        self.obstructed = obstructed
-        self.generators = tuple(generators)
-        self.notes = tuple(notes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "power": self.k,
-            "form": self.lhs.render(),
-            "rhs": self.rhs.render(),
-            "imaginary_part": self.imaginary.render(),
-            "obstructed": self.obstructed,
-            "generators": [g.render() for g in self.generators],
-            "notes": list(self.notes),
-        }
+    if bc_class(geom, imag).is_zero():
+        return report(obstructed=False, notes=("Bott-Chern class vanishes",))
+    return report(obstructed=True, notes=("Bott-Chern class is nonzero",))

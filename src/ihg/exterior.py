@@ -411,26 +411,22 @@ def wedge(*forms: Form) -> Form:
 
 
 class VectorForm:
-    """Form with values in the holomorphic frame (or its conjugate).
+    """Form with values in the holomorphic frame: components[a] is the form
+    paired with frame vector Z_a."""
 
-    components[a] is the form paired with frame vector Z_a; mirrored marks
-    conjugate-frame values, which contract antiholomorphic indices instead.
-    """
+    __slots__ = ("components",)
 
-    __slots__ = ("components", "mirrored")
-
-    def __init__(self, components: dict[int, Form] | None = None, mirrored: bool = False):
+    def __init__(self, components: dict[int, Form] | None = None):
         clean = {}
         if components:
             for a, f in components.items():
                 if not f.is_zero():
                     clean[a] = f
         self.components = clean
-        self.mirrored = mirrored
 
     @staticmethod
-    def zero(mirrored: bool = False) -> "VectorForm":
-        return VectorForm({}, mirrored)
+    def zero() -> "VectorForm":
+        return VectorForm()
 
     def is_zero(self) -> bool:
         return not self.components
@@ -440,51 +436,40 @@ class VectorForm:
             return self
         if self.is_zero():
             return other
-        if self.mirrored != other.mirrored:
-            raise ValueError("cannot add mirrored and unmirrored vector forms")
         out = dict(self.components)
         for a, f in other.components.items():
             out[a] = out.get(a, Form()) + f
-        return VectorForm(out, self.mirrored)
+        return VectorForm(out)
 
     def __neg__(self) -> "VectorForm":
-        return VectorForm({a: -f for a, f in self.components.items()}, self.mirrored)
+        return self.map_forms(lambda f: -f)
 
     def __sub__(self, other: "VectorForm") -> "VectorForm":
         return self + (-other)
 
     def __mul__(self, scalar) -> "VectorForm":
-        return VectorForm(
-            {a: f * scalar for a, f in self.components.items()}, self.mirrored
-        )
+        return self.map_forms(lambda f: f * scalar)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VectorForm):
             return NotImplemented
-        return self.mirrored == other.mirrored and (self - other).is_zero()
+        return (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("vector forms are unhashable")
 
-    def conjugate(self) -> "VectorForm":
-        return VectorForm(
-            {a: f.conjugate() for a, f in self.components.items()},
-            not self.mirrored,
-        )
-
     def iota(self, sigma: Form) -> Form:
         """Derivation: sum over frame legs of (form leg) wedge (contraction)."""
-        contract = sigma.contract_anti if self.mirrored else sigma.contract_holo
         return _collect(
             term
             for a, eta in self.components.items()
-            for term in _wedge_terms(eta, contract(a))
+            for term in _wedge_terms(eta, sigma.contract_holo(a))
         )
 
     def map_forms(self, fn: Callable[[Form], Form]) -> "VectorForm":
-        return VectorForm({a: fn(f) for a, f in self.components.items()}, self.mirrored)
+        return VectorForm({a: fn(f) for a, f in self.components.items()})
 
     def substitute(self, bindings: dict) -> "VectorForm":
         return self.map_forms(lambda f: f.substitute(bindings))
@@ -495,9 +480,8 @@ class VectorForm:
     def render(self) -> str:
         if not self.components:
             return "0"
-        z = "Zbar" if self.mirrored else "Z"
         return " + ".join(
-            f"({self.components[a].render()}) (x) {z}{a}"
+            f"({self.components[a].render()}) (x) Z{a}"
             for a in sorted(self.components)
         )
 

@@ -169,6 +169,22 @@ class TestCoefficientField:
         assert a == b
         assert not (a == b + ONE())
 
+    def test_equal_scalars_hash_equal(self):
+        G = GaussianRational
+        values = [
+            0, 2, -3, Fraction(1, 2), Fraction(4, 2),
+            G(Fraction(0)), G(Fraction(2)), G(Fraction(1, 2)),
+            G(Fraction(2), Fraction(1)), G(Fraction(0), Fraction(1)),
+            Coefficient.i(),
+        ]
+        values += [Coefficient.from_scalar(v) for v in values[:-1]]
+        for a in values:
+            for b in values:
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+        assert {2: "x"}.get(Coefficient.from_scalar(2)) == "x"
+        assert len({2, Coefficient.from_scalar(2)}) == 1
+
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             ONE() / Coefficient.zero()

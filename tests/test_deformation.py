@@ -228,6 +228,24 @@ class TestIwasawaFamily:
         assert g0.structure[3] == g.structure[3]
 
 
+@pytest.mark.parametrize("key", ["name", "symbol", "partner"])
+def test_specialize_binds_the_base_under_any_key(key):
+    # a symbol or a partner name binds the base as a name does
+    g = catalog("nilfamily_ft")
+    (t11,) = _pairs("t11")
+    d = Deformation(g, VectorForm({1: _mono((), (1,), t11)}), require_mc=False)
+    names = g.free_parameters()
+    assert names == ["a10", "a12", "a2", "a3", "a5"]
+    keys = {
+        "name": names,
+        "symbol": [registry.lookup(nm) for nm in names],
+        "partner": [registry.lookup(nm).conjugate_of for nm in names],
+    }[key]
+    special = d.specialize({k: 1 for k in keys})
+    assert special.base.free_parameters() == []
+    assert special.psi == d.psi
+
+
 # -- Iwasawa circle case ---------------------------------------------------------
 
 
@@ -393,7 +411,7 @@ class TestExtensionCalculus:
         d = Deformation(g, psi)
         gt = d.geometry()
         for alpha in (_mono((3,), ()), _mono((1,), (2,)), _mono((2, 3), (1,))):
-            del_part, dbar_part = d.deformed_split(alpha)
+            del_part, dbar_part = gt.d_split(alpha)
             assert del_part + dbar_part == gt.d(alpha)
 
     def test_operator_route_agrees_all_bidegrees(self):
@@ -411,7 +429,7 @@ class TestExtensionCalculus:
         ]
         for alpha in samples:
             assert d.extension_formula_check(alpha)
-            assert d.del_t_formula(alpha) == d.deformed_split(alpha)[0]
+            assert d.del_t_formula(alpha) == d.geometry().d_split(alpha)[0]
 
     def test_operator_route_on_twisted_structure(self):
         g = catalog("nakamura_3b")
@@ -425,8 +443,30 @@ class TestExtensionCalculus:
         g = catalog("iwasawa")
         d = Deformation(g, VectorForm({}))
         alpha = _mono((1, 2), (1,), Coefficient.i())
-        assert d.extension(alpha) == alpha
+        assert d.to_base_coords(alpha) == alpha
         assert d.to_deformed_coords(alpha) == alpha
+
+    @pytest.mark.parametrize("case", ["iwasawa", "nakamura_3b"])
+    def test_operator_routes_match_coordinate_route(self, case):
+        # both operator routes against the split of the deformed d, on
+        # every coframe monomial of degree 1 to 3
+        g = catalog(case)
+        if case == "iwasawa":
+            psi, _, _ = _iwasawa_psi()
+        else:
+            (t11,) = _pairs("t11")
+            psi = VectorForm({1: _mono((), (1,), t11)})
+        d = Deformation(g, psi)
+        gt = d.geometry()
+        alphas = [
+            _mono(holo, anti) for holo, anti in _patterns(g.n)
+            if 1 <= len(holo) + len(anti) <= 3
+        ]
+        assert len(alphas) == 41
+        for alpha in alphas:
+            del_part, dbar_part = gt.d_split(alpha)
+            assert d.dbar_t_formula(alpha) == dbar_part
+            assert d.del_t_formula(alpha) == del_part
 
 
 # -- the coordinate-change tables ---------------------------------------------------

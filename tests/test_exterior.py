@@ -107,17 +107,6 @@ def test_iota_is_derivation():
     assert lhs == rhs
 
 
-def test_iota_mirrored_contracts_anti():
-    one, t, tc, i = coeffs()
-    phi = VectorForm({1: Form.monomial((), (2,), t)})
-    bar = phi.conjugate()
-    assert bar.mirrored
-    # conj(t*phibar2 (x) Z1) = conj(t)*phi2 (x) Zbar1 acting on phibar1
-    got = bar.iota(Form.monomial((), (1,)))
-    assert got == Form.monomial((2,), (), tc)
-    assert bar.iota(Form.monomial((1,), ())).is_zero()
-
-
 def test_substitute_coframe_is_algebra_map():
     one, t, tc, i = coeffs()
     m = {
@@ -434,6 +423,4 @@ def test_wedge_normalizes_each_monomial_once(monkeypatch, k):
 def test_vector_form_equality_needs_equal_mirroring():
     eta = Form.monomial((), (1,))
     assert VectorForm({1: eta}) == VectorForm({1: eta})
-    assert VectorForm({1: eta}) != VectorForm({1: eta}, mirrored=True)
     assert VectorForm.zero() == VectorForm.zero()
-    assert VectorForm.zero() != VectorForm.zero(mirrored=True)

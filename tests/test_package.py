@@ -1,5 +1,6 @@
 """The package namespace and its imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,28 @@ def test_import_loads_no_sympy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports only to re-export
+    src = Path(ihg.__file__).resolve().parent
+    unused = {
+        path.name: names
+        for path in sorted(src.glob("*.py")) if path.name != "__init__.py"
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert unused == {}
