@@ -120,6 +120,14 @@ class GaussianRational:
             return GaussianRational(Fraction(x), Fraction(0))
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
+    def __eq__(self, o):
+        # a real value equals the equal int or Fraction, as it hashes
+        if isinstance(o, GaussianRational):
+            return self.re == o.re and self.im == o.im
+        if isinstance(o, (int, Fraction)):
+            return not self.im and self.re == o
+        return NotImplemented
+
     def __hash__(self):
         # a real value hashes as its Fraction, so as an equal int
         return hash((self.re, self.im)) if self.im else hash(self.re)
@@ -743,15 +751,24 @@ def _over_common_denominator(parts, ctx: RingContext):
     (numerator, [(atom, multiplicity)], scale) with nothing cancelled: the
     scale is the integer lcm of the q, and each numerator is scaled by its
     share of it and by the atoms its denominator lacks from the lcm.  A
-    lone part is its own sum and is returned as it is.
+    lone part is its own sum and is returned as it is.  When every part
+    carries an equal den, as most sums of products do, that den is the
+    lcm and is returned as it is, repeated atoms and all; only the scales
+    are brought over their lcm.  Only this den may repeat an atom.
     """
     if len(parts) == 1:
         return parts[0]
+    scale = lcm(*[q for _, _, q in parts])
+    first = parts[0][1]
+    for _, den, _ in parts:
+        if den != first:
+            break
+    else:
+        return _sum([num if q == scale else _scale(num, (scale // q, 0))
+                     for num, _, q in parts]), list(first), scale
     common: dict = {}
     counted = []
-    scale = 1
     for _, den, q in parts:
-        scale = lcm(scale, q)
         mults: dict = {}
         for atom, m in den:
             mults[atom] = mults.get(atom, 0) + m
@@ -1015,6 +1032,9 @@ class Coefficient:
     def _pair(a: "Coefficient", b) -> tuple["Coefficient", "Coefficient"]:
         if not isinstance(b, Coefficient):
             b = Coefficient.from_scalar(b)
+        ctx = registry.context()
+        if a._ctx is ctx and b._ctx is ctx:
+            return a, b
         return a._refreshed(), b._refreshed()
 
     def _den_product(self):
@@ -1117,8 +1137,9 @@ class Coefficient:
         unit cannot make an atom newly divide the numerator, so only q is
         reduced."""
         for x, s in ((a, b), (b, a)):
-            if not s._den and _is_ground(s._num):
-                num = _scale(x._num, next(iter(s._num.values())))
+            # a scalar's numerator is {0: c}
+            if not s._den and 0 in s._num and len(s._num) == 1:
+                num = _scale(x._num, s._num[0])
                 return (*_with_scale(num, x._den, x._q * s._q), True)
         return (_mul(a._num, b._num, a._ctx), a._den + b._den, a._q * b._q,
                 False)
@@ -1127,10 +1148,10 @@ class Coefficient:
         a, b = Coefficient._pair(self, other)
         if a.is_zero() or b.is_zero():
             return Coefficient(_Poly(), (), 1, a._ctx)
-        *product, normal = Coefficient._product(a, b)
+        num, den, q, normal = Coefficient._product(a, b)
         if normal:
-            return Coefficient(*product, a._ctx)
-        return Coefficient._make(*product, a._ctx)
+            return Coefficient(num, den, q, a._ctx)
+        return Coefficient._make(num, den, q, a._ctx)
 
     __rmul__ = __mul__
 
@@ -1145,17 +1166,25 @@ class Coefficient:
         pairwise sum, which normalizes every product and every partial
         sum.  A lone product is normalized as __mul__ normalizes it: not at
         all when an operand is a scalar.
+
+        The registry's context is read once per sum.  Only an operand that
+        is not a Coefficient of that context goes through _pair, which
+        lifts a value of a narrower context of the same lifetime and
+        raises StaleCoefficient for one of an earlier lifetime, zero or
+        not.
         """
         ctx = registry.context()
         parts = []
         normal = True
         for a, b in pairs:
-            if not (a and b):
+            if (a._ctx is not ctx or not isinstance(b, Coefficient)
+                    or b._ctx is not ctx):
+                a, b = Coefficient._pair(a, b)
+            if not (a._num and b._num):
                 continue
-            a, b = Coefficient._pair(a, b)
-            *part, scaled = Coefficient._product(a, b)
+            num, den, q, scaled = Coefficient._product(a, b)
             normal = normal and scaled
-            parts.append(part)
+            parts.append((num, den, q))
         if not parts:
             return Coefficient(_Poly(), (), 1, ctx)
         if len(parts) == 1 and normal:

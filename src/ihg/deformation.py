@@ -320,7 +320,10 @@ def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
     )
 
     def lie(i: int, form: Form, d_form: Form) -> Form:
-        return geom.d(form.contract_holo(i)) + d_form.contract_holo(i)
+        # iota_i kills a (0,1)-form leg, and d of zero is zero
+        inner = form.contract_holo(i)
+        outer = d_form.contract_holo(i)
+        return geom.d(inner) + outer if inner else outer
 
     one = Coefficient.one()
     two = one + one

@@ -21,10 +21,9 @@ the sign of moving the holomorphic block first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coefficients import Coefficient
 
@@ -44,8 +43,10 @@ def sort_signed(seq: Iterable[int]) -> tuple[tuple[int, ...] | None, int]:
     return tuple(lst), sign
 
 
-@dataclass(frozen=True)
-class MultiIndex:
+class MultiIndex(NamedTuple):
+    """A coframe monomial: the holomorphic and the antiholomorphic index
+    block.  A tuple, so hashing and equality run in C."""
+
     holo: tuple[int, ...]
     anti: tuple[int, ...]
 

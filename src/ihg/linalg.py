@@ -5,10 +5,11 @@ nonzero entry; divisions stay exact in the field, so no magnitude
 heuristics are needed.  Systems here are small (invariant-form sectors),
 so Gauss-Jordan without fraction-free tricks is fast enough.
 
-Each entry of a matrix product is one Coefficient.sum_of_products.  Span
-selection reads the pivot columns of one elimination, which are exactly
-the vectors a greedy rank test would keep.  nullspace returns its free
-columns with its basis, which reads there as the unit vectors.  solve_many solves for all
+Each entry of a matrix product is one Coefficient.sum_of_products over
+its nonzero products, or zero when it has none.  Span selection reads
+the pivot columns of one elimination, which are exactly the vectors a
+greedy rank test would keep.  nullspace returns its free columns with its
+basis, which reads there as the unit vectors.  solve_many solves for all
 columns of a right-hand side in one elimination.  normal_systems is the
 one place that forms Hermitian normal systems: it factors a matrix once
 into its Moore-Penrose pseudo-inverse, from two eliminations whatever the
@@ -36,15 +37,29 @@ def identity(n: int) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [Coefficient.sum_of_products(zip(row, v)) for row in a]
+    return [entry for (entry,) in _times_columns(a, [v])]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [
-        [Coefficient.sum_of_products(zip(row, col)) for col in cols]
-        for row in a
-    ]
+    return _times_columns(a, zip(*b))
+
+
+def _times_columns(a: Matrix, columns) -> Matrix:
+    """The matrix of each row of a times each of the columns.  Rows and
+    columns are read as their nonzero entries, so an entry with no nonzero
+    product is zero at once, with no sum built."""
+    zero = Coefficient.zero()
+    rows = [{k: x for k, x in enumerate(row) if x} for row in a]
+    cols = [[(k, x) for k, x in enumerate(col) if x] for col in columns]
+    out = []
+    for row in rows:
+        entries = []
+        for col in cols:
+            pairs = [(row[k], x) for k, x in col if k in row]
+            entries.append(Coefficient.sum_of_products(pairs) if pairs
+                           else zero)
+        out.append(entries)
+    return out
 
 
 def conj_transpose(a: Matrix) -> Matrix:

@@ -22,6 +22,7 @@ from ihg import (
     Coefficient,
     DenominatorVanishes,
     DivisionByZero,
+    Form,
     GaussianRational,
     MixedRadicals,
     QuadraticSurd,
@@ -184,6 +185,16 @@ class TestCoefficientField:
                     assert hash(a) == hash(b), (a, b)
         assert {2: "x"}.get(Coefficient.from_scalar(2)) == "x"
         assert len({2, Coefficient.from_scalar(2)}) == 1
+
+    def test_real_gaussian_rational_equals_its_int_and_fraction(self):
+        # equality agrees with the hash, so it is transitive across the
+        # three scalar types
+        G = GaussianRational
+        assert G(Fraction(2)) == 2 and 2 == G(Fraction(2))
+        assert G(Fraction(1, 2)) == Fraction(1, 2)
+        assert G(Fraction(2), Fraction(1)) != 2
+        assert G(Fraction(2)) != 3 and G(Fraction(2)) != "2"
+        assert len({2, G(Fraction(2)), Coefficient.from_scalar(2)}) == 1
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
@@ -400,6 +411,34 @@ class TestRegistryLifetime:
         a = C("a")
         registry.ensure_real("r")
         assert (a + C("r")).render() == "a + r"
+
+    def test_stale_operand_raises_through_every_sum(self):
+        registry.ensure_pair("a")
+        a = C("a")
+        registry.reset()
+        registry.ensure_pair("b")
+        b = C("b")
+        for pairs in ([(b, b), (a, b)], [(b, a)], [(a, 2)],
+                      [(Coefficient.zero(), a)]):
+            with pytest.raises(StaleCoefficient):
+                Coefficient.sum_of_products(pairs)
+        with pytest.raises(StaleCoefficient):
+            Form.combination([(Form.monomial((1,), ()), a)])
+        with pytest.raises(StaleCoefficient):
+            Form.combination([(Form.monomial((1,), (), a), b)])
+
+    def test_sum_lifts_an_operand_of_a_narrower_context(self):
+        registry.ensure_pair("a")
+        a = C("a")
+        registry.ensure_real("r")
+        r = C("r")
+        got = Coefficient.sum_of_products([(r, r), (a, 3), (r, 2)])
+        assert got._ctx is registry.context()
+        assert got == r * r + a * 3 + r * 2
+        assert got.render() == "r^2 + 3*a + 2*r"
+        form = Form.combination([(Form.monomial((1,), ()), a),
+                                 (Form.monomial((1,), (), r), ONE())])
+        assert form.render() == "(a + r)*phi[1]"
 
     def test_concurrent_registration_never_caches_a_stale_context(self):
         # context() reads a built context without the lock; a context built
@@ -1562,6 +1601,44 @@ def test_scales_are_summed_over_their_integer_lcm():
     assert (x * 4)._q == 1
     # a q that shares a factor with the numerator's content is reduced
     assert ((2 * t + 2) / (4 * u))._q == 2
+
+
+def test_shared_atoms_with_different_scales_sum_like_the_pairwise_sum():
+    # every part has the atom tuple of a; only the scales 4 and 6 differ
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    a = t * t.conjugate() - 1
+    x, y = t / (4 * a), u / (6 * a)
+    assert x._den == y._den and (x._q, y._q) == (4, 6)
+    num, den, q = _over_common_denominator(
+        ((x._num, x._den, x._q), (y._num, y._den, y._q)), x._ctx)
+    assert (num, den, q) == ((3 * t + 2 * u)._num, list(x._den), 12)
+    pairwise = x + y
+    got = Coefficient.sum_of_products([(t, ONE() / (4 * a)),
+                                       (u / 6, ONE() / a)])
+    assert got == pairwise == (3 * t + 2 * u) / (12 * a)
+    assert got.render() == pairwise.render()
+    assert got.render() == "(1/4*t11 + 1/6*t21)/(t11*conj(t11) - 1)"
+    # each part's tuple repeats the atom, which merges in the normal form
+    inv = ONE() / a
+    sq = Coefficient.sum_of_products([(t * inv, inv), (u * inv, inv)])
+    want = t * inv * inv + u * inv * inv
+    assert sq == want and sq.render() == want.render()
+    assert sq.render() == "(t11 + t21)/(t11*conj(t11) - 1)^2"
+
+
+def test_sum_over_current_operands_never_pairs_or_refreshes():
+    setup_symbols()
+    t, u, s = C("t11"), C("t21"), C("s")
+    a = ONE() - t * t.conjugate()
+    pairs = [(t / a, u), (s, 3 * ONE()), (u / (2 * a), t.conjugate()),
+             (Coefficient.zero(), t), (s, -s)]
+    want = t * u / a + 3 * s + u * t.conjugate() / (2 * a) - s * s
+    with mock.patch.object(Coefficient, "_pair", side_effect=AssertionError), \
+            mock.patch.object(Coefficient, "_refreshed",
+                              side_effect=AssertionError):
+        got = Coefficient.sum_of_products(pairs)
+    assert got == want and got.render() == want.render()
 
 
 def _divisor_pool():

@@ -679,6 +679,22 @@ class TestVectorCalculus:
         vector_bracket(g, psi, full)
         assert len(pairs) == n * n
 
+    def test_a_zero_contraction_takes_no_d(self, monkeypatch):
+        # iota_i of a (0,1)-form leg is zero, and d of it is never taken
+        g = catalog("solv4d")
+        psi = kuranishi_build(g).psi_terms[1]
+        want = _bracket_oracle(g, psi, psi)
+        d = Geometry.d
+
+        def nonzero_only(geom, form):
+            assert not form.is_zero(), "d of a zero form"
+            return d(geom, form)
+
+        monkeypatch.setattr(Geometry, "d", nonzero_only)
+        got = vector_bracket(g, psi, psi)
+        monkeypatch.undo()
+        assert got == want
+
     @pytest.mark.parametrize("degree", [0, 2])
     def test_even_degree_legs_keep_the_full_loop(self, degree, monkeypatch):
         # for even legs the wedge terms of (i, j) and (j, i) cancel, so

@@ -217,3 +217,23 @@ def test_solve_many_is_solve_per_column():
         assert [row[k] for row in x] == linalg.solve(a, list(col))
     assert linalg.solve_many(_matrix([[1, 2], [2, 4]]),
                              _matrix([[1, 1], [2, 3]])) is None
+
+
+def test_a_product_entry_with_no_nonzero_product_builds_no_sum(monkeypatch):
+    a = _matrix([[1, 0, 0], [0, 2, 1j], [0, 0, 0]])
+    b = _matrix([[0, 3], [1, 0], [1j, 0]])
+    sums = []
+    sum_of_products = Coefficient.sum_of_products
+
+    def counted(pairs):
+        sums.append(pairs)
+        return sum_of_products(pairs)
+
+    monkeypatch.setattr(Coefficient, "sum_of_products", staticmethod(counted))
+    assert linalg.mat_mul(a, b) == _matrix([[0, 3], [1, 0], [0, 0]])
+    # only (0, 1) and (1, 0) have a nonzero product, and only those sum
+    assert [len(pairs) for pairs in sums] == [1, 2]
+    sums.clear()
+    v = [_coeff(0), _coeff(0), _coeff(5)]
+    assert linalg.mat_vec(a, v) == [_coeff(0), _coeff(5j), _coeff(0)]
+    assert [len(pairs) for pairs in sums] == [1]
