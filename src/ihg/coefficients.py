@@ -1266,15 +1266,21 @@ class Coefficient:
         its remainder is an equality modulo the ideal.  This is plain
         division, not a Groebner normal form: the remainder depends on
         the generator order and can be nonzero for ideal members.
+
+        The registry's context is read once; only a generator of another
+        context is lifted (_refreshed), which raises StaleCoefficient for
+        one of an earlier lifetime.
         """
-        r = self._refreshed()
+        ctx = registry.context()
+        r = self if self._ctx is ctx else self._refreshed()
         divisors = []
         for g in gens:
             if not isinstance(g, Coefficient):
                 g = Coefficient.from_scalar(g)
-            gr = g._refreshed()
-            if gr._num:
-                divisors.append(gr._num)
+            elif g._ctx is not ctx:
+                g = g._refreshed()
+            if g._num:
+                divisors.append(g._num)
         if not r._num or not divisors:
             return r
         rem, scale = _remainder(r._num, divisors, r._ctx)
@@ -1465,9 +1471,12 @@ class Coefficient:
 
         A denominator atom is character-free (kept), a bare character
         monomial (it shifts every key) or mixed, which raises SectorMixing.
+        A character-free value is its own sector-0 part, already normal.
         """
         r = self._refreshed()
         ctx = r._ctx
+        if r._num and not r.has_characters():
+            return {(0,) * len(ctx.char_indices): r}
         chars, field, ds = ctx.char_mask, ctx.field_mask, ctx.deg_shift
         char_shifts = [ctx.shifts[i] for i in ctx.char_indices]
         shift = [0] * len(char_shifts)

@@ -6,20 +6,23 @@ finite monomial space over the parameter-rational field and everything
 reduces to exact linear algebra.  A form is split into sectors in one
 place, _sector_vectors: one Coefficient.char_decompose per coefficient
 writes each character-stripped part into its sector's coordinate
-vector.  SectorComplex reads its own sector's vector and raises
-SectorMixing when the form meets another.
+vector, which is sparse (monomial index -> nonzero value).  SectorComplex
+reads its own sector's vector and raises SectorMixing when the form
+meets another; to_vector and matrix fill their dense results from the
+sparse vectors.
 
 The matrix of an operator ("d", "del", "dbar" or "ddbar") in sector s is
 read off the geometry's d-table: d(chi^s*m) = chi^s*(dm + theta_s ^ m)
 with theta_s = sum_c s_c dlog_c, so a column is the table entry of m
 twisted by theta_s (Geometry.twisted_split), and no coefficient is ever
 multiplied by chi^s and split again.  A Bott-Chern sector reads
-two matrices: d on pure (p,q)-forms, whose kernel is ker(del) ∩
-ker(dbar), and del dbar from (p-1,q-1).  One elimination over the image
-columns followed by the kernel vectors picks both spans as pivot columns,
-read on the free coordinates of ker d: the image lies in ker d whenever
-d^2 = 0 over the coefficient field, which Geometry validation records
-(d2_exact) and BottChernSector requires.
+the sparse columns of two matrices: d on pure (p,q)-forms, whose kernel
+is ker(del) ∩ ker(dbar), and del dbar from (p-1,q-1).  One elimination
+over the image columns followed by the kernel vectors picks both spans
+as pivot columns, read on the free coordinates of ker d: the image lies
+in ker d whenever d^2 = 0 over the coefficient field, which Geometry
+validation records (d2_exact) and BottChernSector requires.  Full-length
+vectors are built last, and only for the classes kept.
 
 Invariant primitives are solved in one place, split_primitive, which
 returns the minimum-norm primitive of the part of a form in im(op) and
@@ -31,6 +34,7 @@ pseudo-inverse once per geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
@@ -40,14 +44,16 @@ from .geometry import Geometry, StructureError
 from .symbols import registry
 
 
-def monomial_basis(n: int, p: int, q: int) -> list[MultiIndex]:
+@lru_cache(maxsize=None)
+def monomial_basis(n: int, p: int, q: int) -> tuple[MultiIndex, ...]:
+    """The (p,q) coframe monomials of dimension n, built once."""
     if p < 0 or q < 0 or p > n or q > n:
-        return []
-    return [
+        return ()
+    return tuple(
         MultiIndex(h, a)
         for h in combinations(range(1, n + 1), p)
         for a in combinations(range(1, n + 1), q)
-    ]
+    )
 
 
 def _index(n: int, bidegrees) -> dict[MultiIndex, int]:
@@ -56,11 +62,11 @@ def _index(n: int, bidegrees) -> dict[MultiIndex, int]:
 
 
 def _sector_vectors(form: Form, index: dict[MultiIndex, int],
-                    bidegrees) -> dict[tuple[int, ...], linalg.Vector]:
-    """Coordinates of form over the monomials of index, one vector per
-    character sector it meets, each with the sector's character stripped."""
-    zero = Coefficient.zero()
-    out: dict[tuple[int, ...], linalg.Vector] = {}
+                    bidegrees) -> dict[tuple[int, ...], linalg.SparseVector]:
+    """Coordinates of form over the monomials of index, one sparse vector
+    per character sector it meets, each with the sector's character
+    stripped."""
+    out: dict[tuple[int, ...], linalg.SparseVector] = {}
     for mi, c in form.terms():
         k = index.get(mi)
         if k is None:
@@ -69,9 +75,10 @@ def _sector_vectors(form: Form, index: dict[MultiIndex, int],
                 + " or ".join(f"({p},{q})" for p, q in bidegrees)
             )
         for sector, value in c.char_decompose().items():
-            if sector not in out:
-                out[sector] = [zero] * len(index)
-            out[sector][k] = value
+            if sector in out:
+                out[sector][k] = value
+            else:
+                out[sector] = {k: value}
     return out
 
 
@@ -100,31 +107,42 @@ class SectorComplex:
         # dlog of the prefix: d(prefix*f) = prefix*(d f + theta ^ f)
         self._theta = Form.combination(theta) if theta else None
 
-    def basis(self, p: int, q: int) -> list[MultiIndex]:
+    def basis(self, p: int, q: int) -> tuple[MultiIndex, ...]:
         return monomial_basis(self.geom.n, p, q)
 
     def embed(self, mi: MultiIndex) -> Form:
         return Form({mi: self._prefix})
 
     def vector_to_form(self, vec, p: int, q: int) -> Form:
+        """The form with the given dense or sparse coordinates; in sector
+        0 the prefix is one."""
         # distinct basis monomials: nothing to sum
-        return Form({
-            mi: self._prefix * v for mi, v in zip(self.basis(p, q), vec) if v
-        })
+        basis = self.basis(p, q)
+        entries = linalg.sparse(vec).items()
+        if not any(self.sector):
+            return Form({basis[k]: v for k, v in entries})
+        return Form({basis[k]: self._prefix * v for k, v in entries})
 
     def to_vector(self, form: Form, *bidegrees: tuple[int, int]):
         """Coordinates of form over the monomials of the given bidegrees,
         in the order given."""
         index = _index(self.geom.n, bidegrees)
-        return self._coordinates(form, index, bidegrees)
+        return linalg.dense(self._coordinates((form,), index, bidegrees),
+                            len(index))
 
-    def _coordinates(self, form: Form, index: dict[MultiIndex, int],
-                     bidegrees, stripped: bool = False) -> linalg.Vector:
-        """Coordinates of form, which must meet this sector only; a
-        stripped form (a column of matrix) has the prefix divided out, so
-        its own sector is the zero vector."""
+    def _coordinates(self, parts: tuple[Form, ...],
+                     index: dict[MultiIndex, int], bidegrees,
+                     stripped: bool = False) -> linalg.SparseVector:
+        """Sparse coordinates of the sum of parts, forms on distinct
+        monomials, which must meet this sector only; a stripped form (a
+        column of matrix) has the prefix divided out, so its own sector is
+        the zero vector."""
         key = tuple(0 for _ in self.sector) if stripped else self.sector
-        vectors = _sector_vectors(form, index, bidegrees)
+        vectors: dict[tuple[int, ...], linalg.SparseVector] = {}
+        for part in parts:
+            for sector, vec in _sector_vectors(part, index,
+                                               bidegrees).items():
+                vectors.setdefault(sector, {}).update(vec)
         others = sorted(set(vectors) - {key})
         if others:
             if stripped:
@@ -133,11 +151,12 @@ class SectorComplex:
             raise SectorMixing(
                 f"form meets sectors {others}, expected {self.sector}"
             )
-        return vectors.get(key) or [Coefficient.zero()] * len(index)
+        return vectors.get(key, {})
 
-    def _column(self, op: str, mi: MultiIndex) -> Form:
+    def _column(self, op: str, mi: MultiIndex) -> tuple[Form, ...]:
         """op_s of the monomial mi: op of prefix*mi with the prefix
-        stripped."""
+        stripped, as forms on distinct monomials whose sum it is; d is
+        the (del, dbar) pair, never merged."""
         if self._theta is None:
             # sector 0: the d-table entry itself
             del_m, dbar_m = self.geom._d_monomial(mi)
@@ -145,10 +164,19 @@ class SectorComplex:
             del_m, dbar_m = self.geom.twisted_split(
                 Form({mi: Coefficient.one()}), self._theta)
         if op == "d":
-            return del_m + dbar_m
+            return del_m, dbar_m
         if op == "ddbar":
-            return self.geom.twisted_split(dbar_m, self._theta)[0]
-        return {"del": del_m, "dbar": dbar_m}[op]
+            return self.geom.twisted_split(dbar_m, self._theta)[:1]
+        return ({"del": del_m, "dbar": dbar_m}[op],)
+
+    def _columns(self, op: str, p: int, q: int,
+                 *targets: tuple[int, int]) -> list[linalg.SparseVector]:
+        """The sparse columns of matrix(op, p, q, *targets)."""
+        index = _index(self.geom.n, targets)
+        return [
+            self._coordinates(self._column(op, mi), index, targets, True)
+            for mi in self.basis(p, q)
+        ]
 
     def matrix(self, op: str, p: int, q: int,
                *targets: tuple[int, int]) -> linalg.Matrix:
@@ -161,12 +189,14 @@ class SectorComplex:
         = del m + theta^{1,0} ^ m, dbar_s m = dbar m + theta^{0,1} ^ m,
         d_s = del_s + dbar_s and ddbar_s = del_s dbar_s.
         """
-        index = _index(self.geom.n, targets)
-        cols = [
-            self._coordinates(self._column(op, mi), index, targets, True)
-            for mi in self.basis(p, q)
-        ]
-        return [[col[i] for col in cols] for i in range(len(index))]
+        cols = self._columns(op, p, q, *targets)
+        height = sum(len(monomial_basis(self.geom.n, *t)) for t in targets)
+        zero = Coefficient.zero()
+        rows = [[zero] * len(cols) for _ in range(height)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return rows
 
 
 @dataclass(frozen=True)
@@ -189,7 +219,9 @@ class BottChernSector:
     by its coordinates at the free columns of d's elimination, and the
     kernel basis reads there as the unit vectors, so the second
     elimination runs over dim ker d rows, not over every (p,q) monomial.
-    image and quotient still hold full-length vectors.  This needs
+    Both eliminations read the matrices' sparse columns; image and
+    quotient hold full-length vectors, built for the kept columns only.
+    This needs
     im(del dbar) inside ker d over the coefficient field, which holds when
     d^2 = 0 there; on a geometry whose d^2 vanishes only modulo its
     constraints the sector raises StructureError (kind "d2_nonzero").
@@ -209,21 +241,26 @@ class BottChernSector:
                 kind="d2_nonzero",
             )
         cx = self.complex
-        d_matrix = cx.matrix("d", p, q, (p + 1, q), (p, q + 1))
-        # at (n,n) d has no target monomial: one zero row keeps every column
-        kernel, free = linalg.nullspace(
-            d_matrix or [[Coefficient.zero()] * len(cx.basis(p, q))]
-        )
-        image_matrix = cx.matrix("ddbar", p - 1, q - 1, (p, q))
-        image_cols = [list(col) for col in zip(*image_matrix)]
+        d_cols = cx._columns("d", p, q, (p + 1, q), (p, q + 1))
+        free, kernel_vector = linalg.kernel(d_cols)
+        image_cols = cx._columns("ddbar", p - 1, q - 1, (p, q))
         # image columns first: the kernel columns that are pivots then span
         # a complement of the image inside the kernel; on ker d the free
         # coordinates lose nothing, and the kernel basis reads as identity
-        columns = [[col[f] for f in free] for col in image_cols]
-        pivots = linalg.pivot_columns(columns + linalg.identity(len(free)))
-        self.image = [image_cols[c] for c in pivots if c < len(image_cols)]
-        self.quotient = [kernel[c - len(image_cols)] for c in pivots
-                         if c >= len(image_cols)]
+        position = {f: k for k, f in enumerate(free)}
+        one = Coefficient.one()
+        pivots = linalg.pivot_columns(
+            [{position[i]: x for i, x in col.items() if i in position}
+             for col in image_cols]
+            + [{k: one} for k in range(len(free))]
+        )
+        width = len(d_cols)
+        self.image = [linalg.dense(image_cols[c], width)
+                      for c in pivots if c < len(image_cols)]
+        self.quotient = [
+            linalg.dense(kernel_vector(free[c - len(image_cols)]), width)
+            for c in pivots if c >= len(image_cols)
+        ]
 
     @property
     def dimension(self) -> int:
@@ -261,11 +298,12 @@ def _bidegree_and_sector(geom: Geometry, form: Form):
     if len(degrees) != 1:
         raise ValueError("form must have a single bidegree")
     (p, q), = degrees
-    sectors = _sector_vectors(form, _index(geom.n, degrees), degrees)
+    index = _index(geom.n, degrees)
+    sectors = _sector_vectors(form, index, degrees)
     if len(sectors) > 1:
         raise SectorMixing(f"form spans sectors {sorted(sectors)}")
     (sector, vector), = sectors.items()
-    return p, q, sector, vector
+    return p, q, sector, linalg.dense(vector, len(index))
 
 
 def harmonic_certificate(geom: Geometry,
@@ -339,7 +377,8 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     """
     dp, dq = _SHIFTS[op]
     target = (p + dp, q + dq)
-    vectors = _sector_vectors(rhs, _index(geom.n, (target,)), (target,))
+    index = _index(geom.n, (target,))
+    vectors = _sector_vectors(rhs, index, (target,))
     terms: list = []
     residue: linalg.Vector = []
     for sector in sorted(vectors):
@@ -351,7 +390,8 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
                      [cx.embed(mi) for mi in cx.basis(p, q)])
             geom._sector_systems[key] = entry
         systems, basis = entry
-        x, rest = linalg.split_normal(systems, vectors[sector])
+        x, rest = linalg.split_normal(
+            systems, linalg.dense(vectors[sector], len(index)))
         terms.extend(zip(basis, x))
         residue.extend(rest)
     return Form.combination(terms), residue

@@ -1,15 +1,23 @@
-"""Dense exact linear algebra over the coefficient field.
+"""Exact linear algebra over the coefficient field.
 
-Everything is row-major lists of Coefficients.  Pivoting takes the first
-nonzero entry; divisions stay exact in the field, so no magnitude
-heuristics are needed.  Systems here are small (invariant-form sectors),
-so Gauss-Jordan without fraction-free tricks is fast enough.
+Public matrices are row-major lists of Coefficients, but the one
+elimination, _eliminate, runs on sparse rows: a dict from column index to
+nonzero entry.  Its pivot search is a key test, normalizing the pivot row
+and updating a row touch only the pivot row's nonzero entries, and an
+entry that cancels leaves its row.  Pivoting takes the first row with a
+nonzero entry in the column; divisions stay exact in the field, so no
+magnitude heuristics are needed.  Systems here are small (invariant-form
+sectors), so Gauss-Jordan without fraction-free tricks is fast enough.
+Dense arguments are made sparse at the edge (sparse), and dense results
+are filled from sparse ones with one shared zero (dense).
 
 Each entry of a matrix product is one Coefficient.sum_of_products over
 its nonzero products, or zero when it has none.  Span selection reads
 the pivot columns of one elimination, which are exactly the vectors a
-greedy rank test would keep.  nullspace returns its free columns with its
-basis, which reads there as the unit vectors.  solve_many solves for all
+greedy rank test would keep.  kernel returns the free columns of one
+elimination and builds a kernel vector, sparse, only for a free column
+asked for; nullspace is its dense view, whose basis reads as the unit
+vectors on the free columns.  solve_many solves for all
 columns of a right-hand side in one elimination.  normal_systems is the
 one place that forms Hermitian normal systems: it factors a matrix once
 into its Moore-Penrose pseudo-inverse, from two eliminations whatever the
@@ -21,10 +29,14 @@ is no fallback.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .coefficients import Coefficient
 
 Vector = list[Coefficient]
 Matrix = list[Vector]
+# index -> entry, nonzero entries only
+SparseVector = dict[int, Coefficient]
 
 
 class SingularMatrix(ValueError):
@@ -34,6 +46,37 @@ class SingularMatrix(ValueError):
 def identity(n: int) -> Matrix:
     one, zero = Coefficient.one(), Coefficient.zero()
     return [[one if j == k else zero for k in range(n)] for j in range(n)]
+
+
+def sparse(v: Vector | SparseVector) -> SparseVector:
+    """The nonzero entries of v by index; a sparse v is returned as is."""
+    if isinstance(v, dict):
+        return v
+    return {k: x for k, x in enumerate(v) if x}
+
+
+def dense(v: SparseVector, length: int) -> Vector:
+    """v as a list of the given length, every absent entry one shared
+    zero."""
+    out = [Coefficient.zero()] * length
+    for k, x in v.items():
+        out[k] = x
+    return out
+
+
+def _rows(columns) -> list[SparseVector]:
+    """The nonzero rows, in order, of the matrix with the given dense or
+    sparse columns.  A zero row is never a pivot row and no update
+    touches it, so leaving it out changes neither pivots nor the reduced
+    rows."""
+    rows: dict[int, SparseVector] = {}
+    for j, col in enumerate(columns):
+        for i, x in sparse(col).items():
+            if i in rows:
+                rows[i][j] = x
+            else:
+                rows[i] = {j: x}
+    return [rows[i] for i in sorted(rows)]
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
@@ -49,8 +92,8 @@ def _times_columns(a: Matrix, columns) -> Matrix:
     columns are read as their nonzero entries, so an entry with no nonzero
     product is zero at once, with no sum built."""
     zero = Coefficient.zero()
-    rows = [{k: x for k, x in enumerate(row) if x} for row in a]
-    cols = [[(k, x) for k, x in enumerate(col) if x] for col in columns]
+    rows = [sparse(row) for row in a]
+    cols = [list(sparse(col).items()) for col in columns]
     out = []
     for row in rows:
         entries = []
@@ -71,31 +114,43 @@ def conj_transpose(a: Matrix) -> Matrix:
     ]
 
 
-def _eliminate(rows: Matrix, width: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form restricted to the first width columns."""
-    mat = [list(r) for r in rows]
+def _eliminate(rows: list[SparseVector],
+               width: int) -> tuple[list[SparseVector], list[int]]:
+    """Reduced row echelon form of sparse rows, restricted to the first
+    width columns.  The rows given are not changed."""
+    mat = list(rows)
     pivots: list[int] = []
     one = Coefficient.one()
+    sum_of_products = Coefficient.sum_of_products
     r = 0
     for col in range(width):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if not mat[i][col].is_zero():
-                pivot_row = i
+        for pivot_row in range(r, len(mat)):
+            if col in mat[pivot_row]:
                 break
-        if pivot_row is None:
+        else:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         inv = one / mat[r][col]
-        mat[r] = [entry * inv if entry else entry for entry in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][col].is_zero():
-                factor = -mat[i][col]
-                mat[i] = [
-                    Coefficient.sum_of_products(((entry, one), (factor, other)))
-                    if other else entry
-                    for entry, other in zip(mat[i], mat[r])
-                ]
+        # the pivot entry becomes one, and cancels from every updated row
+        rest = [(k, x * inv) for k, x in mat[r].items() if k != col]
+        mat[r] = dict(rest)
+        mat[r][col] = one
+        for i, row in enumerate(mat):
+            factor = row.get(col)
+            if factor is None or i == r:
+                continue
+            factor = -factor
+            row = dict(row)
+            del row[col]
+            for k, x in rest:
+                entry = row.get(k)
+                value = sum_of_products(((factor, x),) if entry is None
+                                        else ((entry, one), (factor, x)))
+                if value:
+                    row[k] = value
+                else:
+                    del row[k]
+            mat[i] = row
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -120,35 +175,46 @@ def solve_many(a: Matrix, b: Matrix) -> Matrix | None:
     zero = Coefficient.zero()
     if rows == 0:
         return [[zero] * width for _ in range(cols)]
-    aug = [list(row) + list(b_row) for row, b_row in zip(a, b)]
+    aug = [sparse(list(row) + list(b_row)) for row, b_row in zip(a, b)]
     mat, pivots = _eliminate(aug, cols)
-    for i in range(len(pivots), rows):
-        if not all(entry.is_zero() for entry in mat[i][cols:]):
-            return None
+    # past the rank a row is zero on a's columns: any entry left is b's
+    if any(mat[len(pivots):]):
+        return None
     x = [[zero] * width for _ in range(cols)]
     for r, col in enumerate(pivots):
-        x[col] = mat[r][cols:]
+        x[col] = [mat[r].get(cols + k, zero) for k in range(width)]
     return x
 
 
+def kernel(columns) -> tuple[list[int], Callable[[int], SparseVector]]:
+    """(free, vector) for the matrix with the given dense or sparse
+    columns: the free columns of its elimination, and the sparse basis
+    vector of its kernel at a free column f, 1 at f, 0 at every other
+    free column and minus the reduced column f at the pivot columns.
+    Reading the free coordinates maps the kernel isomorphically onto
+    their space, the basis onto unit vectors.  A vector is built only
+    when asked for."""
+    mat, pivots = _eliminate(_rows(columns), len(columns))
+    pivot_set = set(pivots)
+    free = [c for c in range(len(columns)) if c not in pivot_set]
+    one = Coefficient.one()
+
+    def vector(f: int) -> SparseVector:
+        v = {f: one}
+        for row, col in zip(mat, pivots):
+            x = row.get(f)
+            if x is not None:
+                v[col] = -x
+        return v
+
+    return free, vector
+
+
 def nullspace(a: Matrix) -> tuple[list[Vector], list[int]]:
-    """(basis, free): a basis of ker(a) and the free columns of a's
-    elimination, one per basis vector.  Basis vector k is 1 at free[k] and
-    0 at every other free column, so reading the free coordinates maps
-    ker(a) isomorphically onto their space, the basis onto unit vectors."""
+    """(basis, free): kernel of the matrix a with its basis dense."""
     cols = len(a[0]) if a else 0
-    if cols == 0:
-        return [], []
-    mat, pivots = _eliminate(a, cols)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Coefficient.zero() for _ in range(cols)]
-        v[f] = Coefficient.one()
-        for r, col in enumerate(pivots):
-            v[col] = -mat[r][f]
-        basis.append(v)
-    return basis, free
+    free, vector = kernel(list(zip(*a)))
+    return [dense(vector(f), cols) for f in free], free
 
 
 def invert(a: Matrix) -> Matrix:
@@ -204,8 +270,8 @@ def coordinates_in_span(basis: list[Vector], v: Vector) -> Vector | None:
     return solve(cols, v)
 
 
-def pivot_columns(columns: list[Vector]) -> list[int]:
-    """Indices of the columns outside the span of the columns before
-    them, read off one elimination."""
-    _, pivots = _eliminate(list(zip(*columns)), len(columns))
+def pivot_columns(columns) -> list[int]:
+    """Indices of the dense or sparse columns outside the span of the
+    columns before them, read off one elimination."""
+    _, pivots = _eliminate(_rows(columns), len(columns))
     return pivots

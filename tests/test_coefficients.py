@@ -440,6 +440,28 @@ class TestRegistryLifetime:
                                  (Form.monomial((1,), (), r), ONE())])
         assert form.render() == "(a + r)*phi[1]"
 
+    def test_reduce_modulo_lifts_a_generator_of_a_narrower_context(self):
+        registry.ensure_pair("a")
+        a = C("a")
+        gen = a * a - 2
+        registry.ensure_real("r")
+        r = C("r")
+        got = (a * a * r + r).reduce_modulo([gen])
+        assert got._ctx is registry.context()
+        assert got == 3 * r
+        assert (a * a).reduce_modulo([C("a") * C("a") - 2]) == 2
+
+    def test_reduce_modulo_rejects_a_stale_generator(self):
+        # after a current generator too, and for a zero generator
+        registry.ensure_pair("a")
+        stale, stale_zero = C("a") - 1, Coefficient.zero()
+        registry.reset()
+        registry.ensure_pair("a")
+        a = C("a")
+        for gens in ([stale], [a, stale], [stale_zero]):
+            with pytest.raises(StaleCoefficient):
+                (a * a).reduce_modulo(gens)
+
     def test_concurrent_registration_never_caches_a_stale_context(self):
         # context() reads a built context without the lock; a context built
         # before an _add must never be the one kept after it.  One round

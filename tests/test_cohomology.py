@@ -115,6 +115,50 @@ def test_sector_cost(monkeypatch):
     assert len(monomial_basis(g.n, 2, 2)) == 36
 
 
+def test_sector_zero_decomposes_without_normalizing(monkeypatch):
+    # every coefficient of a sector-0 column on iwasawa is character-free,
+    # so char_decompose hands it on as it is
+    g = catalog("iwasawa")
+    decompose, make = Coefficient.char_decompose, Coefficient._make
+    depth, decomposed, made = [0], [], []
+
+    def counted_decompose(self):
+        decomposed.append(self)
+        depth[0] += 1
+        try:
+            return decompose(self)
+        finally:
+            depth[0] -= 1
+
+    def counted_make(*args):
+        if depth[0]:
+            made.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(Coefficient, "char_decompose", counted_decompose)
+    monkeypatch.setattr(Coefficient, "_make", staticmethod(counted_make))
+    for p in range(g.n + 1):
+        for q in range(g.n + 1):
+            BottChernSector(g, p, q)
+    assert decomposed and made == []
+
+
+def test_char_decompose_of_a_character_free_value_is_the_value():
+    # the general path strips E1 from value*E1 and normalizes the rest
+    registry.ensure_char("E1")
+    registry.ensure_pair("t")
+    t, E = Coefficient.symbol("t"), Coefficient.symbol("E1")
+    i = Coefficient.i()
+    for value in (Coefficient.from_scalar(Fraction(-3, 4)), (1 + i) / 6,
+                  t * t.conjugate() - 2, t / (1 + t * t.conjugate()),
+                  (2 * t + i) / (3 * t.conjugate() + 1) ** 2):
+        assert not value.has_characters()
+        (key, got), = value.char_decompose().items()
+        assert key == (0,) and got is value
+        (key, general), = (value * E).char_decompose().items()
+        assert key == (1,) and general.render() == got.render()
+
+
 def _full_width_spans(geom, p, q, sector=None):
     """Both Bott-Chern spans by the full-width route, kept as the
     reference: one pivot_columns over the image columns followed by the
@@ -270,7 +314,8 @@ def test_split_primitive_normalization_cost(monkeypatch):
     # splits by its stored pseudo-inverse with no elimination (38 when
     # both normal systems were solved for every right-hand side) and
     # reads its embedded basis from the table (11 when each call built
-    # the sector's character prefix again)
+    # the sector's character prefix again); the character-free t term is
+    # its own sector-0 part, with no normalization (7 when it had one)
     g = catalog("solv4d")
     registry.ensure_pair("t")
     t, E = Coefficient.symbol("t"), Coefficient.symbol("E1")
@@ -290,7 +335,7 @@ def test_split_primitive_normalization_cost(monkeypatch):
 
     monkeypatch.setattr(Coefficient, "_make", staticmethod(counted))
     got = split_primitive(g, "dbar", rhs, 0, 1)
-    assert len(calls) == 7
+    assert len(calls) == 6
     monkeypatch.undo()
     assert got == want
 

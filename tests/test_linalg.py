@@ -1,8 +1,10 @@
-"""Dense exact linear algebra, checked against sympy Matrix.
+"""Exact linear algebra, checked against sympy Matrix.
 
 The matrices are small integer and Gaussian-integer matrices with planted
 dependent columns, so pivots, ranks and kernels are known in advance and
-sympy's exact rref and rank decide them independently.
+sympy's exact rref and rank decide them independently.  The elimination
+runs on sparse rows; one matrix plants an entry that a row update creates
+and a later update cancels, and one has parameter entries.
 """
 
 from fractions import Fraction
@@ -237,3 +239,139 @@ def test_a_product_entry_with_no_nonzero_product_builds_no_sum(monkeypatch):
     v = [_coeff(0), _coeff(0), _coeff(5)]
     assert linalg.mat_vec(a, v) == [_coeff(0), _coeff(5j), _coeff(0)]
     assert [len(pairs) for pairs in sums] == [1]
+
+
+def _dense_rref(rows: list[linalg.SparseVector], width: int):
+    return [linalg.dense(row, width) for row in rows]
+
+
+# rows: the update of row 2 by row 0 creates its entry in column 2
+# (0 - 2i * i = 2), and the update by row 1, normalized to
+# (0, 1, 1 - i, 0), cancels it: 2 - (1 + i)(1 - i) = 0
+FILL_AND_CANCEL = [
+    [1, 0, 1j, 0],
+    [0, 1 + 1j, 2, 0],
+    [2j, 1 + 1j, 0, 3],
+    [0, 0, 0, 0],
+]
+
+
+def test_an_entry_that_cancels_leaves_its_row():
+    a = _matrix(FILL_AND_CANCEL)
+    rows = [linalg.sparse(row) for row in a]
+    assert 2 not in rows[2]
+    mat, pivots = linalg._eliminate(rows, 2)
+    assert pivots == [0, 1]
+    assert mat[2] == {3: _coeff(3)}
+    # the rows given are left as they were
+    assert rows == [linalg.sparse(row) for row in a]
+    mat, pivots = linalg._eliminate(rows, 4)
+    rref, sympy_pivots = _sympy(a).rref()
+    assert pivots == list(sympy_pivots)
+    assert len(pivots) == _sympy(a).rank()
+    assert _sympy(_dense_rref(mat, 4)) == rref
+    # only nonzero entries are held
+    assert all(x for row in mat for x in row.values())
+
+
+def _parametric(a, ac, b, one, zero):
+    """Rows over a, conj(a) and b, built alike from Coefficients and from
+    sympy symbols: row 2 = row 0 + conj(a) * row 1 - a * b * row 3, so
+    the rank is 3."""
+    r0 = [a, one, zero, zero, a * b]
+    r1 = [zero, ac, zero, a * b, zero]
+    r3 = [zero, zero, ac, zero, one]
+    r2 = [x + ac * y - a * b * z for x, y, z in zip(r0, r1, r3)]
+    return [r0, r1, r2, r3]
+
+
+_PARAMETERS = ("a", "b", "c")
+_POINTS = [
+    {"a": GaussianRational(Fraction(2), Fraction(1)),
+     "b": GaussianRational(Fraction(3, 2), Fraction(-1)),
+     "c": GaussianRational(Fraction(-1), Fraction(2))},
+    {"a": GaussianRational(Fraction(-1, 3), Fraction(5)),
+     "b": GaussianRational(Fraction(4), Fraction(1, 2)),
+     "c": GaussianRational(Fraction(1, 5), Fraction(-3))},
+]
+
+
+def _symbols():
+    for name in _PARAMETERS:
+        registry.ensure_pair(name)
+    coeffs = {nm: Coefficient.symbol(nm) for nm in _PARAMETERS}
+    syms = {nm: sympy.Symbol(nm) for nm in _PARAMETERS}
+    syms.update({f"{nm}_c": sympy.Symbol(f"{nm}_c") for nm in _PARAMETERS})
+    return coeffs, syms
+
+
+def _agree(ours: list[Coefficient], theirs) -> bool:
+    """Exact agreement of Coefficients with sympy expressions at every
+    point of _POINTS, conj(x) taking the conjugate value."""
+    for point in _POINTS:
+        values = {}
+        for nm, g in point.items():
+            z = sympy.Rational(g.re.numerator, g.re.denominator) \
+                + sympy.I * sympy.Rational(g.im.numerator, g.im.denominator)
+            values[sympy.Symbol(nm)] = z
+            values[sympy.Symbol(f"{nm}_c")] = sympy.conjugate(z)
+        for c, e in zip(ours, theirs, strict=True):
+            g = c.substitute(point).scalar()
+            z = sympy.Rational(g.re.numerator, g.re.denominator) \
+                + sympy.I * sympy.Rational(g.im.numerator, g.im.denominator)
+            if sympy.simplify(sympy.sympify(e).subs(values) - z) != 0:
+                return False
+    return True
+
+
+def _parametric_pair():
+    coeffs, syms = _symbols()
+    a = coeffs["a"]
+    ours = _parametric(a, a.conjugate(), coeffs["b"], Coefficient.one(),
+                       Coefficient.zero())
+    s = sympy.Matrix(_parametric(syms["a"], syms["a_c"], syms["b"],
+                                 sympy.Integer(1), sympy.Integer(0)))
+    return ours, s, coeffs, syms
+
+
+def test_parametric_pivots_and_kernel_match_sympy():
+    a, s, _, _ = _parametric_pair()
+    _, pivots = s.rref()
+    assert linalg.pivot_columns(_columns(a)) == list(pivots)
+    assert len(pivots) == s.rank() == 3
+    kernel, free = linalg.nullspace(a)
+    want = s.nullspace()
+    assert len(kernel) == len(want) == 2
+    for v, w in zip(kernel, want):
+        assert all(x.is_zero() for x in linalg.mat_vec(a, v))
+        assert _agree(v, list(w))
+    # the sparse kernel builds the same vectors
+    free_sparse, vector = linalg.kernel(_columns(a))
+    assert free_sparse == free
+    assert [linalg.dense(vector(f), 5) for f in free] == kernel
+
+
+def test_parametric_solve_many_matches_sympy():
+    a, s, coeffs, syms = _parametric_pair()
+    one, zero = Coefficient.one(), Coefficient.zero()
+
+    def right_hand_sides(c, cc, one, zero, i):
+        return [[c, one], [zero, cc], [c * c, zero], [one, i], [zero, c]]
+
+    x0 = right_hand_sides(coeffs["c"], coeffs["c"].conjugate(), one, zero,
+                          Coefficient.i())
+    b = linalg.mat_mul(a, x0)
+    sb = s * sympy.Matrix(right_hand_sides(
+        syms["c"], syms["c_c"], sympy.Integer(1), sympy.Integer(0), sympy.I))
+    x = linalg.solve_many(a, b)
+    assert linalg.mat_mul(a, x) == b
+    for k, col in enumerate(zip(*b)):
+        got = [row[k] for row in x]
+        assert got == linalg.solve(a, list(col))
+        # sympy's solution with its free parameters set to zero
+        sol, params = s.gauss_jordan_solve(sb[:, k])
+        assert _agree(got, list(sol.subs({t: 0 for t in params})))
+    # a right-hand side outside the column span of a rank-3 matrix
+    unit = [[zero], [zero], [one], [zero]]
+    assert s.row_join(sympy.Matrix([0, 0, 1, 0])).rank() == 4
+    assert linalg.solve_many(a, unit) is None
