@@ -1522,7 +1522,8 @@ class Coefficient:
         dens = []
         for atom, mult in atoms:
             text = _render_poly(atom, ctx)
-            if len(atom) > 1 or mult > 1:
+            # a sum, a power or a product of several factors
+            if len(atom) > 1 or mult > 1 or "*" in text:
                 text = f"({text})"
             dens.append(text if mult == 1 else f"{text}^{mult}")
         den = "*".join(dens) if len(dens) == 1 else "(" + "*".join(dens) + ")"

@@ -3,26 +3,26 @@
 d preserves the character exponent vector, so the complex splits into
 sectors indexed by those vectors; each sector with fixed bidegree is a
 finite monomial space over the parameter-rational field and everything
-reduces to exact linear algebra.  A form is split into sectors in one
-place, _sector_vectors: one Coefficient.char_decompose per coefficient
-writes each character-stripped part into its sector's coordinate
-vector, which is sparse (monomial index -> nonzero value).  SectorComplex
-reads its own sector's vector and raises SectorMixing when the form
-meets another; to_vector and matrix fill their dense results from the
-sparse vectors.
+reduces to exact linear algebra, in linalg's one format: a vector is
+sparse (monomial index -> nonzero value) and a matrix is the list of its
+columns.  A form is split into sectors in one place, _sector_vectors:
+one Coefficient.char_decompose per coefficient writes each
+character-stripped part into its sector's coordinate vector.
+SectorComplex reads its own sector's vector and raises SectorMixing when
+the form meets another.
 
 The matrix of an operator ("d", "del", "dbar" or "ddbar") in sector s is
 read off the geometry's d-table: d(chi^s*m) = chi^s*(dm + theta_s ^ m)
 with theta_s = sum_c s_c dlog_c, so a column is the table entry of m
 twisted by theta_s (Geometry.twisted_split), and no coefficient is ever
-multiplied by chi^s and split again.  A Bott-Chern sector reads
-the sparse columns of two matrices: d on pure (p,q)-forms, whose kernel
-is ker(del) ∩ ker(dbar), and del dbar from (p-1,q-1).  One elimination
-over the image columns followed by the kernel vectors picks both spans
-as pivot columns, read on the free coordinates of ker d: the image lies
-in ker d whenever d^2 = 0 over the coefficient field, which Geometry
-validation records (d2_exact) and BottChernSector requires.  Full-length
-vectors are built last, and only for the classes kept.
+multiplied by chi^s and split again.  A Bott-Chern sector reads two
+matrices: d on pure (p,q)-forms, whose kernel is ker(del) ∩ ker(dbar),
+and del dbar from (p-1,q-1).  One elimination over the image columns
+followed by the kernel vectors picks both spans as pivot columns, read
+on the free coordinates of ker d: the image lies in ker d whenever
+d^2 = 0 over the coefficient field, which Geometry validation records
+(d2_exact) and BottChernSector requires.  Kernel vectors are built last,
+and only for the classes kept.
 
 Invariant primitives are solved in one place, split_primitive, which
 returns the minimum-norm primitive of the part of a form in im(op) and
@@ -113,22 +113,22 @@ class SectorComplex:
     def embed(self, mi: MultiIndex) -> Form:
         return Form({mi: self._prefix})
 
-    def vector_to_form(self, vec, p: int, q: int) -> Form:
-        """The form with the given dense or sparse coordinates; in sector
-        0 the prefix is one."""
+    def vector_to_form(self, vec: linalg.SparseVector, p: int,
+                       q: int) -> Form:
+        """The form with the given coordinates; in sector 0 the prefix is
+        one."""
         # distinct basis monomials: nothing to sum
         basis = self.basis(p, q)
-        entries = linalg.sparse(vec).items()
         if not any(self.sector):
-            return Form({basis[k]: v for k, v in entries})
-        return Form({basis[k]: self._prefix * v for k, v in entries})
+            return Form({basis[k]: v for k, v in vec.items()})
+        return Form({basis[k]: self._prefix * v for k, v in vec.items()})
 
-    def to_vector(self, form: Form, *bidegrees: tuple[int, int]):
+    def to_vector(self, form: Form,
+                  *bidegrees: tuple[int, int]) -> linalg.SparseVector:
         """Coordinates of form over the monomials of the given bidegrees,
         in the order given."""
         index = _index(self.geom.n, bidegrees)
-        return linalg.dense(self._coordinates((form,), index, bidegrees),
-                            len(index))
+        return self._coordinates((form,), index, bidegrees)
 
     def _coordinates(self, parts: tuple[Form, ...],
                      index: dict[MultiIndex, int], bidegrees,
@@ -169,34 +169,22 @@ class SectorComplex:
             return self.geom.twisted_split(dbar_m, self._theta)[:1]
         return ({"del": del_m, "dbar": dbar_m}[op],)
 
-    def _columns(self, op: str, p: int, q: int,
-                 *targets: tuple[int, int]) -> list[linalg.SparseVector]:
-        """The sparse columns of matrix(op, p, q, *targets)."""
-        index = _index(self.geom.n, targets)
-        return [
-            self._coordinates(self._column(op, mi), index, targets, True)
-            for mi in self.basis(p, q)
-        ]
-
     def matrix(self, op: str, p: int, q: int,
-               *targets: tuple[int, int]) -> linalg.Matrix:
-        """Matrix of op ("d", "del", "dbar" or "ddbar") from the (p,q)
-        monomials to the monomials of the target bidegrees, stacked in the
-        order given.
+               *targets: tuple[int, int]) -> list[linalg.SparseVector]:
+        """Columns of the matrix of op ("d", "del", "dbar" or "ddbar")
+        from the (p,q) monomials to the monomials of the target
+        bidegrees, stacked in the order given.
 
         Each column is read off the geometry's d-table twisted by the
         sector's theta, not taken from d of the embedded monomial: del_s m
         = del m + theta^{1,0} ^ m, dbar_s m = dbar m + theta^{0,1} ^ m,
         d_s = del_s + dbar_s and ddbar_s = del_s dbar_s.
         """
-        cols = self._columns(op, p, q, *targets)
-        height = sum(len(monomial_basis(self.geom.n, *t)) for t in targets)
-        zero = Coefficient.zero()
-        rows = [[zero] * len(cols) for _ in range(height)]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                rows[i][j] = x
-        return rows
+        index = _index(self.geom.n, targets)
+        return [
+            self._coordinates(self._column(op, mi), index, targets, True)
+            for mi in self.basis(p, q)
+        ]
 
 
 @dataclass(frozen=True)
@@ -219,9 +207,8 @@ class BottChernSector:
     by its coordinates at the free columns of d's elimination, and the
     kernel basis reads there as the unit vectors, so the second
     elimination runs over dim ker d rows, not over every (p,q) monomial.
-    Both eliminations read the matrices' sparse columns; image and
-    quotient hold full-length vectors, built for the kept columns only.
-    This needs
+    image holds the kept image columns and quotient the kernel vectors of
+    the kept classes, built for those only.  This needs
     im(del dbar) inside ker d over the coefficient field, which holds when
     d^2 = 0 there; on a geometry whose d^2 vanishes only modulo its
     constraints the sector raises StructureError (kind "d2_nonzero").
@@ -241,9 +228,9 @@ class BottChernSector:
                 kind="d2_nonzero",
             )
         cx = self.complex
-        d_cols = cx._columns("d", p, q, (p + 1, q), (p, q + 1))
-        free, kernel_vector = linalg.kernel(d_cols)
-        image_cols = cx._columns("ddbar", p - 1, q - 1, (p, q))
+        free, kernel_vector = linalg.kernel(
+            cx.matrix("d", p, q, (p + 1, q), (p, q + 1)))
+        image_cols = cx.matrix("ddbar", p - 1, q - 1, (p, q))
         # image columns first: the kernel columns that are pivots then span
         # a complement of the image inside the kernel; on ker d the free
         # coordinates lose nothing, and the kernel basis reads as identity
@@ -254,13 +241,9 @@ class BottChernSector:
              for col in image_cols]
             + [{k: one} for k in range(len(free))]
         )
-        width = len(d_cols)
-        self.image = [linalg.dense(image_cols[c], width)
-                      for c in pivots if c < len(image_cols)]
-        self.quotient = [
-            linalg.dense(kernel_vector(free[c - len(image_cols)]), width)
-            for c in pivots if c >= len(image_cols)
-        ]
+        self.image = [image_cols[c] for c in pivots if c < len(image_cols)]
+        self.quotient = [kernel_vector(free[c - len(image_cols)])
+                         for c in pivots if c >= len(image_cols)]
 
     @property
     def dimension(self) -> int:
@@ -275,20 +258,21 @@ class BottChernSector:
     def is_closed(self, form: Form) -> bool:
         return all(part.is_zero() for part in self.geom.d_split(form))
 
-    def class_of(self, form: Form,
-                 vector: linalg.Vector | None = None) -> BottChernClass:
-        """The class of a closed (p,q)-form of this sector; vector, when
+    def class_of(self, form: Form, vector: linalg.SparseVector | None = None
+                 ) -> BottChernClass:
+        """The class of a closed (p,q)-form of this sector: its
+        coordinates on the quotient basis, modulo the image.  vector, when
         given, is the form's to_vector coordinates, already split."""
         if not self.is_closed(form):
             raise ValueError("form is not closed under del and dbar")
         if vector is None:
             vector = self.complex.to_vector(form, (self.p, self.q))
-        span = self.image + self.quotient
-        coords = linalg.coordinates_in_span(span, vector)
+        coords = linalg.solve(self.image + self.quotient, vector)
         if coords is None:
             raise ValueError("closed form escaped the kernel span")
-        tail = coords[len(self.image):]
-        return BottChernClass(self.complex.sector, form, tuple(tail))
+        zero, first = Coefficient.zero(), len(self.image)
+        return BottChernClass(self.complex.sector, form, tuple(
+            coords.get(first + k, zero) for k in range(self.dimension)))
 
 
 def _bidegree_and_sector(geom: Geometry, form: Form):
@@ -303,7 +287,7 @@ def _bidegree_and_sector(geom: Geometry, form: Form):
     if len(sectors) > 1:
         raise SectorMixing(f"form spans sectors {sorted(sectors)}")
     (sector, vector), = sectors.items()
-    return p, q, sector, linalg.dense(vector, len(index))
+    return p, q, sector, vector
 
 
 def harmonic_certificate(geom: Geometry,
@@ -334,10 +318,10 @@ def harmonic_certificate(geom: Geometry,
         return True, ("no del-dbar image in this bidegree",)
     cx = SectorComplex(geom, sector)
     image = cx.matrix("ddbar", p - 1, q - 1, (p, q))
-    for k, mi in enumerate(cx.basis(p - 1, q - 1)):
+    for col, mi in zip(image, cx.basis(p - 1, q - 1)):
         acc = Coefficient.sum_of_products(
-            (u, row[k].conjugate()) for u, row in zip(vector, image)
-            if u and row[k] and not geom.in_ideal(row[k])
+            (vector[i], w.conjugate()) for i, w in col.items()
+            if i in vector and not geom.in_ideal(w)
         )
         if acc.is_zero() or geom.in_ideal(acc):
             continue
@@ -357,15 +341,17 @@ _SHIFTS = {"del": (1, 0), "dbar": (0, 1)}
 
 
 def split_primitive(geom: Geometry, op: str, rhs: Form,
-                    p: int, q: int) -> tuple[Form, linalg.Vector]:
+                    p: int, q: int) -> tuple[Form, linalg.SparseVector]:
     """Split rhs against the invariant image of op ("del" or "dbar") on
     (p,q)-forms: returns (beta, residue), where beta is the (p,q)-form of
     minimum norm whose image is the part of rhs in im(op), and residue
-    holds the coordinates of the rest, orthogonal to im(op).
+    holds the nonzero coordinates of the rest, orthogonal to im(op).
 
-    Sectors are visited in sorted order; each contributes its coordinates
-    with the character stripped, as SectorComplex.to_vector gives them.
-    rhs lies in im(op) exactly when every residue entry is zero.
+    Sectors are visited in sorted order, and the residue of the k-th of
+    them (from 0) sits at its monomial indices plus k*m, m the number of
+    target monomials, with the character stripped as
+    SectorComplex.to_vector gives it.  rhs lies in im(op) exactly when
+    the residue is empty.
 
     Each sector's matrix of op depends only on the geometry, so it is
     built and factored into its pseudo-inverse (linalg.normal_systems)
@@ -380,20 +366,21 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     index = _index(geom.n, (target,))
     vectors = _sector_vectors(rhs, index, (target,))
     terms: list = []
-    residue: linalg.Vector = []
-    for sector in sorted(vectors):
+    residue: linalg.SparseVector = {}
+    for offset, sector in enumerate(sorted(vectors)):
         key = (op, p, q, sector)
         entry = geom._sector_systems.get(key)
         if entry is None:
             cx = SectorComplex(geom, sector)
-            entry = (linalg.normal_systems(cx.matrix(op, p, q, target)),
+            entry = (linalg.normal_systems(cx.matrix(op, p, q, target),
+                                           len(index)),
                      [cx.embed(mi) for mi in cx.basis(p, q)])
             geom._sector_systems[key] = entry
         systems, basis = entry
-        x, rest = linalg.split_normal(
-            systems, linalg.dense(vectors[sector], len(index)))
-        terms.extend(zip(basis, x))
-        residue.extend(rest)
+        x, rest = linalg.split_normal(systems, vectors[sector])
+        terms.extend((basis[k], c) for k, c in x.items())
+        start = offset * len(index)
+        residue.update((start + k, r) for k, r in rest.items())
     return Form.combination(terms), residue
 
 
@@ -401,11 +388,11 @@ def solve_dbar(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
     """The minimum-norm invariant (p,q)-form beta with dbar(beta) = rhs,
     or None."""
     beta, residue = split_primitive(geom, "dbar", rhs, p, q)
-    return None if any(not r.is_zero() for r in residue) else beta
+    return None if residue else beta
 
 
 def solve_del(geom: Geometry, rhs: Form, p: int, q: int) -> Form | None:
     """The minimum-norm invariant (p,q)-form beta with del(beta) = rhs,
     or None."""
     beta, residue = split_primitive(geom, "del", rhs, p, q)
-    return None if any(not r.is_zero() for r in residue) else beta
+    return None if residue else beta

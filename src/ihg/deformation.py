@@ -48,35 +48,39 @@ def _check_psi(psi: VectorForm, n: int) -> None:
             raise ValueError(f"component of Z{leg} is not a (0,1)-form")
 
 
-def _psi_matrix(psi: VectorForm, n: int) -> linalg.Matrix:
-    zero = Coefficient.zero()
-    rows = []
-    for j in range(1, n + 1):
-        comp = psi.components.get(j)
-        rows.append([
-            comp.coeff((), (mu,)) if comp is not None else zero
-            for mu in range(1, n + 1)
-        ])
-    return rows
+def _psi_matrix(psi: VectorForm, n: int) -> list[linalg.SparseVector]:
+    """The columns of B, B[j][mu] the phi^{mu bar} coefficient of psi^j."""
+    cols: list[linalg.SparseVector] = [{} for _ in range(n)]
+    for j, comp in psi.components.items():
+        for mi, c in comp.terms():
+            cols[mi.anti[0] - 1][j - 1] = c
+    return cols
 
 
-def _conj_matrix(m: linalg.Matrix) -> linalg.Matrix:
-    return [[c.conjugate() for c in row] for row in m]
+def _identity_minus(m: list[linalg.SparseVector]
+                    ) -> list[linalg.SparseVector]:
+    return [linalg.difference(e, col)
+            for e, col in zip(linalg.identity(len(m)), m)]
 
 
-def _identity_minus(m: linalg.Matrix) -> linalg.Matrix:
-    return [
-        [e - c for e, c in zip(i_row, row)]
-        for i_row, row in zip(linalg.identity(len(m)), m)
-    ]
+def _negated(m: list[linalg.SparseVector]) -> list[linalg.SparseVector]:
+    return [{i: -c for i, c in col.items()} for col in m]
 
 
-def _combination(row, holo_cols: int) -> Form:
+def _stacked(top: list[linalg.SparseVector],
+             bottom: list[linalg.SparseVector],
+             n: int) -> list[linalg.SparseVector]:
+    """The columns of [top; bottom], top having n rows."""
+    return [{**t, **{n + i: c for i, c in b.items()}}
+            for t, b in zip(top, bottom)]
+
+
+def _combination(row: linalg.SparseVector, holo_cols: int) -> Form:
     """Row of coefficients against (phi^1..phi^n, phi^{1bar}..phi^{nbar})."""
     return Form({
         MultiIndex((k + 1,), ()) if k < holo_cols
         else MultiIndex((), (k - holo_cols + 1,)): c
-        for k, c in enumerate(row)
+        for k, c in row.items()
     })
 
 
@@ -113,7 +117,7 @@ class Deformation:
         n = base.n
         try:
             b = _psi_matrix(psi, n)
-            bc = _conj_matrix(b)
+            bc = linalg.conjugate(b)
             schur = _identity_minus(linalg.mat_mul(b, bc))
             try:
                 s_inv = linalg.invert(schur)
@@ -122,12 +126,11 @@ class Deformation:
                     f"{self.name}: deformed coframe does not span",
                     locus=str(exc),
                 ) from None
-            upper = [[-c for c in row] for row in linalg.mat_mul(s_inv, b)]
-            lower = [[-c for c in row] for row in linalg.mat_mul(bc, s_inv)]
+            upper = _negated(linalg.mat_mul(s_inv, b))
+            lower = _negated(linalg.mat_mul(bc, s_inv))
             s_inv_c = _identity_minus(linalg.mat_mul(lower, b))
-            self._inverse = [
-                s_row + u_row for s_row, u_row in zip(s_inv, upper)
-            ] + [l_row + s_row for l_row, s_row in zip(lower, s_inv_c)]
+            self._inverse = (_stacked(s_inv, lower, n)
+                             + _stacked(upper, s_inv_c, n))
             self._schur = schur
             phi_t = {
                 j: Form.monomial((j,), ()) + psi.components.get(j, Form.zero())
@@ -138,15 +141,11 @@ class Deformation:
                 {("a", j): f.conjugate() for j, f in phi_t.items()}
             )
             self._to_base = CoframeMap(deformed_rows)
-            base_rows = {
-                ("h", k + 1): _combination(self._inverse[k], n)
-                for k in range(n)
-            }
-            base_rows.update({
-                ("a", k + 1): _combination(self._inverse[n + k], n)
-                for k in range(n)
+            rows = linalg.transpose(self._inverse, 2 * n)
+            self._to_deformed = CoframeMap({
+                ("h" if k < n else "a", k % n + 1): _combination(row, n)
+                for k, row in enumerate(rows)
             })
-            self._to_deformed = CoframeMap(base_rows)
             self._endo_maps: tuple[CoframeMap, CoframeMap] | None = None
             self.full_structure = {
                 j: self.to_deformed_coords(base.d(phi_t[j]))
@@ -261,15 +260,15 @@ class Deformation:
         change is (Sylvester).  Both maps are built on first use and kept."""
         if self._endo_maps is None:
             n = self.base.n
-            pad = [Coefficient.zero()] * n
-            endo = _conj_matrix(self._schur)
+            endo = linalg.transpose(linalg.conjugate(self._schur), n)
             self._endo_maps = (
                 CoframeMap({
-                    ("a", j + 1): _combination(pad + endo[j], n)
-                    for j in range(n)
+                    ("a", j + 1): _combination(row, 0)
+                    for j, row in enumerate(endo)
                 }),
                 CoframeMap({
-                    ("a", j + 1): _combination(pad + self._inverse[n + j][n:], n)
+                    ("a", j + 1): self.base_in_deformed(j + 1, anti=True)
+                    .component(0, 1)
                     for j in range(n)
                 }),
             )

@@ -237,7 +237,7 @@ def _solve_degree(geom, bracket, ideal) -> VectorForm:
             )
             if not beta.is_zero():
                 legs[leg] = beta
-            for entry in residue:
+            for entry in residue.values():
                 r = entry.reduce_modulo(ideal)
                 if not r.is_zero():
                     candidates.append(r.squarefree_numerator())

@@ -1,117 +1,110 @@
 """Exact linear algebra over the coefficient field.
 
-Public matrices are row-major lists of Coefficients, but the one
-elimination, _eliminate, runs on sparse rows: a dict from column index to
-nonzero entry.  Its pivot search is a key test, normalizing the pivot row
-and updating a row touch only the pivot row's nonzero entries, and an
-entry that cancels leaves its row.  Pivoting takes the first row with a
-nonzero entry in the column; divisions stay exact in the field, so no
-magnitude heuristics are needed.  Systems here are small (invariant-form
-sectors), so Gauss-Jordan without fraction-free tricks is fast enough.
-Dense arguments are made sparse at the edge (sparse), and dense results
-are filled from sparse ones with one shared zero (dense).
+There is one vector format and one matrix format.  A vector is sparse: a
+dict from index to nonzero entry (SparseVector), and a matrix is the list
+of its columns, each such a vector, so a zero row takes no room and a
+shape is read only where it is needed (transpose takes the row count).
 
-Each entry of a matrix product is one Coefficient.sum_of_products over
-its nonzero products, or zero when it has none.  Span selection reads
-the pivot columns of one elimination, which are exactly the vectors a
-greedy rank test would keep.  kernel returns the free columns of one
-elimination and builds a kernel vector, sparse, only for a free column
-asked for; nullspace is its dense view, whose basis reads as the unit
-vectors on the free columns.  solve_many solves for all
-columns of a right-hand side in one elimination.  normal_systems is the
-one place that forms Hermitian normal systems: it factors a matrix once
-into its Moore-Penrose pseudo-inverse, from two eliminations whatever the
-number of right-hand sides, and split_normal splits a vector against
-that factorization with two matrix-vector products and no elimination.
-Over the coefficient field both normal systems are consistent, so there
-is no fallback.
+The one elimination, _eliminate, runs on sparse rows.  Its pivot search
+is a key test, normalizing the pivot row and updating a row touch only
+the pivot row's nonzero entries, and an entry that cancels leaves its
+row.  Pivoting takes the first row with a nonzero entry in the column;
+divisions stay exact in the field, so no magnitude heuristics are needed.
+Systems here are small (invariant-form sectors), so Gauss-Jordan without
+fraction-free tricks is fast enough.
+
+Each entry of a matrix-vector product is one Coefficient.sum_of_products
+over its nonzero products; an entry with none is absent.  Span selection
+reads the pivot columns of one elimination, which are exactly the vectors
+a greedy rank test would keep.  kernel returns the free columns of one
+elimination and builds a kernel vector only for a free column asked for.
+solve_many solves for all columns of a right-hand side in one
+elimination.  normal_systems is the one place that forms Hermitian normal
+systems: it factors a matrix once into its Moore-Penrose pseudo-inverse,
+from two eliminations whatever the number of right-hand sides, and
+split_normal splits a vector against that factorization with two
+matrix-vector products and no elimination.  Over the coefficient field
+both normal systems are consistent, so there is no fallback.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, TypeAlias
 
 from .coefficients import Coefficient
 
-Vector = list[Coefficient]
-Matrix = list[Vector]
-# index -> entry, nonzero entries only
-SparseVector = dict[int, Coefficient]
+# index -> entry, nonzero entries only; a matrix is a list of its columns
+SparseVector: TypeAlias = dict[int, Coefficient]
 
 
 class SingularMatrix(ValueError):
     pass
 
 
-def identity(n: int) -> Matrix:
-    one, zero = Coefficient.one(), Coefficient.zero()
-    return [[one if j == k else zero for k in range(n)] for j in range(n)]
+def identity(n: int) -> list[SparseVector]:
+    one = Coefficient.one()
+    return [{k: one} for k in range(n)]
 
 
-def sparse(v: Vector | SparseVector) -> SparseVector:
-    """The nonzero entries of v by index; a sparse v is returned as is."""
-    if isinstance(v, dict):
-        return v
-    return {k: x for k, x in enumerate(v) if x}
-
-
-def dense(v: SparseVector, length: int) -> Vector:
-    """v as a list of the given length, every absent entry one shared
-    zero."""
-    out = [Coefficient.zero()] * length
-    for k, x in v.items():
-        out[k] = x
+def transpose(a: list[SparseVector], height: int) -> list[SparseVector]:
+    """The columns of the transpose of a, whose rows number height: row i
+    of a, empty when zero."""
+    out: list[SparseVector] = [{} for _ in range(height)]
+    for j, col in enumerate(a):
+        for i, x in col.items():
+            out[i][j] = x
     return out
 
 
-def _rows(columns) -> list[SparseVector]:
-    """The nonzero rows, in order, of the matrix with the given dense or
-    sparse columns.  A zero row is never a pivot row and no update
-    touches it, so leaving it out changes neither pivots nor the reduced
-    rows."""
-    rows: dict[int, SparseVector] = {}
-    for j, col in enumerate(columns):
-        for i, x in sparse(col).items():
-            if i in rows:
-                rows[i][j] = x
+def conjugate(a: list[SparseVector]) -> list[SparseVector]:
+    return [{i: x.conjugate() for i, x in col.items()} for col in a]
+
+
+def difference(u: SparseVector, v: SparseVector) -> SparseVector:
+    """u - v, by index."""
+    out = {}
+    for k in sorted(u.keys() | v.keys()):
+        if k not in v:
+            out[k] = u[k]
+        elif k not in u:
+            out[k] = -v[k]
+        elif value := u[k] - v[k]:
+            out[k] = value
+    return out
+
+
+def _rows(columns: list[SparseVector]) -> list[SparseVector]:
+    """The nonzero rows, in order, of the matrix with the given columns.
+    A zero row is never a pivot row and no update touches it, so leaving
+    it out changes neither pivots nor the reduced rows."""
+    height = max((max(col) + 1 for col in columns if col), default=0)
+    return [row for row in transpose(columns, height) if row]
+
+
+def mat_vec(a: list[SparseVector], v: SparseVector) -> SparseVector:
+    """a v, the entries of v times the columns of a.  The products are
+    gathered by row, in the order of v's indices, and each row with one is
+    one sum; a row with no nonzero product is absent, with no sum built.
+    The entries come in index order."""
+    products: dict[int, list] = {}
+    for k in sorted(v):
+        x = v[k]
+        for i, entry in a[k].items():
+            if i in products:
+                products[i].append((entry, x))
             else:
-                rows[i] = {j: x}
-    return [rows[i] for i in sorted(rows)]
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [entry for (entry,) in _times_columns(a, [v])]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return _times_columns(a, zip(*b))
-
-
-def _times_columns(a: Matrix, columns) -> Matrix:
-    """The matrix of each row of a times each of the columns.  Rows and
-    columns are read as their nonzero entries, so an entry with no nonzero
-    product is zero at once, with no sum built."""
-    zero = Coefficient.zero()
-    rows = [sparse(row) for row in a]
-    cols = [list(sparse(col).items()) for col in columns]
-    out = []
-    for row in rows:
-        entries = []
-        for col in cols:
-            pairs = [(row[k], x) for k, x in col if k in row]
-            entries.append(Coefficient.sum_of_products(pairs) if pairs
-                           else zero)
-        out.append(entries)
+                products[i] = [(entry, x)]
+    out = {}
+    for i in sorted(products):
+        value = Coefficient.sum_of_products(products[i])
+        if value:
+            out[i] = value
     return out
 
 
-def conj_transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [
-        [a[i][j].conjugate() for i in range(len(a))]
-        for j in range(len(a[0]))
-    ]
+def mat_mul(a: list[SparseVector],
+            b: list[SparseVector]) -> list[SparseVector]:
+    return [mat_vec(a, col) for col in b]
 
 
 def _eliminate(rows: list[SparseVector],
@@ -158,42 +151,40 @@ def _eliminate(rows: list[SparseVector],
     return mat, pivots
 
 
-def solve(a: Matrix, b: Vector) -> Vector | None:
+def solve(a: list[SparseVector], b: SparseVector) -> SparseVector | None:
     """One solution of a x = b, or None when inconsistent."""
-    x = solve_many(a, [[entry] for entry in b])
-    return None if x is None else [row[0] for row in x]
+    x = solve_many(a, [b])
+    return None if x is None else x[0]
 
 
-def solve_many(a: Matrix, b: Matrix) -> Matrix | None:
+def solve_many(a: list[SparseVector],
+               b: list[SparseVector]) -> list[SparseVector] | None:
     """One solution X of a X = b, or None when some column of b is
-    inconsistent.  All columns ride on one elimination, whose row
-    operations depend on a alone, so column k of X is solve(a, column k
-    of b) exactly."""
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    width = len(b[0]) if b else 0
-    zero = Coefficient.zero()
-    if rows == 0:
-        return [[zero] * width for _ in range(cols)]
-    aug = [sparse(list(row) + list(b_row)) for row, b_row in zip(a, b)]
-    mat, pivots = _eliminate(aug, cols)
+    inconsistent.  All columns ride on one elimination of [a | b], whose
+    row operations depend on a alone, so column k of X is solve(a, column
+    k of b) exactly: its entries at the pivot columns of a, zero at the
+    free ones."""
+    cols = len(a)
+    mat, pivots = _eliminate(_rows(a + b), cols)
     # past the rank a row is zero on a's columns: any entry left is b's
     if any(mat[len(pivots):]):
         return None
-    x = [[zero] * width for _ in range(cols)]
-    for r, col in enumerate(pivots):
-        x[col] = [mat[r].get(cols + k, zero) for k in range(width)]
+    x: list[SparseVector] = [{} for _ in b]
+    for row, col in zip(mat, pivots):
+        for k, value in row.items():
+            if k >= cols:
+                x[k - cols][col] = value
     return x
 
 
-def kernel(columns) -> tuple[list[int], Callable[[int], SparseVector]]:
-    """(free, vector) for the matrix with the given dense or sparse
-    columns: the free columns of its elimination, and the sparse basis
-    vector of its kernel at a free column f, 1 at f, 0 at every other
-    free column and minus the reduced column f at the pivot columns.
-    Reading the free coordinates maps the kernel isomorphically onto
-    their space, the basis onto unit vectors.  A vector is built only
-    when asked for."""
+def kernel(columns: list[SparseVector]
+           ) -> tuple[list[int], Callable[[int], SparseVector]]:
+    """(free, vector) for the matrix with the given columns: the free
+    columns of its elimination, and the basis vector of its kernel at a
+    free column f, 1 at f, 0 at every other free column and minus the
+    reduced column f at the pivot columns.  Reading the free coordinates
+    maps the kernel isomorphically onto their space, the basis onto unit
+    vectors.  A vector is built only when asked for."""
     mat, pivots = _eliminate(_rows(columns), len(columns))
     pivot_set = set(pivots)
     free = [c for c in range(len(columns)) if c not in pivot_set]
@@ -210,16 +201,9 @@ def kernel(columns) -> tuple[list[int], Callable[[int], SparseVector]]:
     return free, vector
 
 
-def nullspace(a: Matrix) -> tuple[list[Vector], list[int]]:
-    """(basis, free): kernel of the matrix a with its basis dense."""
-    cols = len(a[0]) if a else 0
-    free, vector = kernel(list(zip(*a)))
-    return [dense(vector(f), cols) for f in free], free
-
-
-def invert(a: Matrix) -> Matrix:
+def invert(a: list[SparseVector]) -> list[SparseVector]:
     n = len(a)
-    if any(len(row) != n for row in a):
+    if any(i >= n for col in a for i in col):
         raise SingularMatrix("matrix must be square")
     inverse = solve_many(a, identity(n))
     if inverse is None:
@@ -227,19 +211,19 @@ def invert(a: Matrix) -> Matrix:
     return inverse
 
 
-def normal_systems(a: Matrix) -> tuple[Matrix, Matrix]:
-    """(a, a+), with a+ the Moore-Penrose pseudo-inverse of a for the
-    formal Hermitian pairing: what split_normal splits against, built once
-    per matrix so that every right-hand side can reuse it.
+def normal_systems(a: list[SparseVector], height: int
+                   ) -> tuple[list[SparseVector], list[SparseVector]]:
+    """(a, a+), with a+ the Moore-Penrose pseudo-inverse of a, whose rows
+    number height, for the formal Hermitian pairing: what split_normal
+    splits against, built once per matrix so that every right-hand side
+    can reuse it.
 
     Y solves (a*a) Y = a*, so a Y projects onto the column span of a; Z
     solves (a a*) Z = a Y, and a+ = a* Z.  Each is one elimination over
     all its right-hand sides.  As solve is linear in its right-hand side,
     a+ v is the x that two normal solves would give for v, and
     a a+ = a Y."""
-    if not a or not a[0]:
-        return a, []
-    star = conj_transpose(a)
+    star = transpose(conjugate(a), height)
     y = solve_many(mat_mul(star, a), star)
     if y is None:
         raise SingularMatrix("degenerate Hermitian pairing in a*a")
@@ -249,29 +233,20 @@ def normal_systems(a: Matrix) -> tuple[Matrix, Matrix]:
     return a, mat_mul(star, z)
 
 
-def split_normal(systems, v: Vector) -> tuple[Vector, Vector]:
+def split_normal(systems, v: SparseVector
+                 ) -> tuple[SparseVector, SparseVector]:
     """Split v against the column span of the matrix a whose
     normal_systems (a, a+) are given, for the formal Hermitian pairing:
     returns (x, residue) with a* residue = 0 and x the solution of
     a x = v - residue orthogonal to ker(a).  x = a+ v and residue =
     v - a x, two matrix-vector products."""
     a, pinv = systems
-    if not pinv:
-        return [], list(v)
     x = mat_vec(pinv, v)
-    return x, [b - c for b, c in zip(v, mat_vec(a, x))]
+    return x, difference(v, mat_vec(a, x))
 
 
-def coordinates_in_span(basis: list[Vector], v: Vector) -> Vector | None:
-    """Coordinates of v in the given spanning set, or None if outside."""
-    if not basis:
-        return [] if all(entry.is_zero() for entry in v) else None
-    cols = [list(col) for col in zip(*basis)]
-    return solve(cols, v)
-
-
-def pivot_columns(columns) -> list[int]:
-    """Indices of the dense or sparse columns outside the span of the
-    columns before them, read off one elimination."""
+def pivot_columns(columns: list[SparseVector]) -> list[int]:
+    """Indices of the columns outside the span of the columns before
+    them, read off one elimination."""
     _, pivots = _eliminate(_rows(columns), len(columns))
     return pivots

@@ -17,7 +17,7 @@ from .coefficients import Coefficient, normalized_generators
 from .cohomology import solve_dbar
 from .exterior import Form, MultiIndex
 from .geometry import Geometry, check_nilpotent_shape
-from .symbols import registry, with_partners
+from .symbols import registry
 
 
 class ShapeMismatch(ValueError):
@@ -28,9 +28,7 @@ class ShapeMismatch(ValueError):
 class InvariantMetric:
     """Hermitian matrix h; conjugate symmetry is enforced at build time.
 
-    Positivity of symbolic entries is only certified numerically at
-    sample parameter points (positive_at); residual computations never
-    need it.
+    Positivity of h is not checked: residual computations never need it.
 
     power(k) builds omega^k once per metric into a memo that takes no
     part in equality, hashing or repr.  The memo is keyed by k within the
@@ -116,30 +114,6 @@ class InvariantMetric:
             for j, row in enumerate(self.h)
             for k, c in enumerate(row)
         })
-
-    def positive_at(self, point: dict[str, complex]) -> bool:
-        """Leading principal minors at a numeric sample point."""
-        point = with_partners(point)
-        n = self.n
-        numeric = [
-            [self.h[j][k].numeric(point) for k in range(n)] for j in range(n)
-        ]
-        for size in range(1, n + 1):
-            minor = _det([row[:size] for row in numeric[:size]])
-            if abs(minor.imag) > 1e-9 or minor.real <= 0:
-                return False
-        return True
-
-
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0j
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(sub)
-    return total
 
 
 @dataclass(frozen=True)

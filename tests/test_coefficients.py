@@ -1056,6 +1056,21 @@ def test_render_keeps_the_lexicographic_atom_order():
     assert (value * C("w1")).render() == "(t11*w1 - t21*w1)/((t21^2 + 1)*(t11 + 1))"
 
 
+def test_a_one_term_atom_of_several_factors_renders_in_parentheses():
+    # one atom a*b with no parentheses would read as 1/a*b = b/a
+    for name in "abc":
+        registry.ensure_pair(name)
+    a, b, c = C("a"), C("b"), C("c")
+    sa, sb, sc, sa_c = sympy.symbols("a b c a_c")
+    cases = [
+        (ONE() / (a * b), 1 / (sa * sb)),
+        ((a * b * c) / (a * a.conjugate() * b), sa * sb * sc / (sa * sa_c * sb)),
+        (c / (2 * a * b), sc / (2 * sa * sb)),
+    ]
+    for value, want in cases:
+        assert sympy.cancel(_parse(value.render()) - want) == 0, value.render()
+
+
 def test_atom_sort_key_is_computed_once_per_atom():
     # the key is cached on the atom, as its conjugate is, and equals the
     # key of a fresh copy, so the atom order and the text stay the same

@@ -22,7 +22,7 @@ import pytest
 import sympy
 
 from ihg import SectorMixing, cohomology, linalg
-from ihg.catalog import CATALOG_NAMES, catalog
+from ihg.catalog import CATALOG_NAMES, catalog, torus
 from ihg.coefficients import Coefficient
 from ihg.cohomology import (
     BottChernSector,
@@ -164,13 +164,9 @@ def _full_width_spans(geom, p, q, sector=None):
     reference: one pivot_columns over the image columns followed by the
     kernel basis, with a row for every (p,q) monomial."""
     cx = SectorComplex(geom, sector)
-    d_matrix = cx.matrix("d", p, q, (p + 1, q), (p, q + 1))
-    kernel, _ = linalg.nullspace(
-        d_matrix or [[Coefficient.zero()] * len(cx.basis(p, q))]
-    )
-    image = [list(col) for col in
-             zip(*cx.matrix("ddbar", p - 1, q - 1, (p, q)))]
-    columns = image + kernel
+    free, vector = linalg.kernel(cx.matrix("d", p, q, (p + 1, q), (p, q + 1)))
+    image = cx.matrix("ddbar", p - 1, q - 1, (p, q))
+    columns = image + [vector(f) for f in free]
     pivots = linalg.pivot_columns(columns)
     return ([columns[c] for c in pivots if c < len(image)],
             [columns[c] for c in pivots if c >= len(image)])
@@ -229,10 +225,8 @@ def test_table_read_matrix_matches_the_embedded_route(name, op):
         for p in range(g.n + 1):
             for q in range(g.n + 1):
                 targets = [(p + a, q + b) for a, b in _TARGETS[op]]
-                cols = [cx.to_vector(public[op](cx.embed(mi)), *targets)
+                want = [cx.to_vector(public[op](cx.embed(mi)), *targets)
                         for mi in cx.basis(p, q)]
-                rows = len(cohomology._index(g.n, targets))
-                want = [[col[i] for col in cols] for i in range(rows)]
                 assert cx.matrix(op, p, q, *targets) == want, (sector, p, q)
 
 
@@ -340,6 +334,35 @@ def test_split_primitive_normalization_cost(monkeypatch):
     assert got == want
 
 
+def test_split_primitive_keeps_the_indices_of_zero_rows():
+    # dbar from (0,1) to (0,2) on iwasawa: dbar(phi^{3bar}) = -phi^{12bar}
+    # is the only nonzero entry, so the rows of phi^{13bar} and
+    # phi^{23bar} are zero; the part on phi^{13bar} stays in the residue
+    # at that monomial's index
+    g = catalog("iwasawa")
+    cx = SectorComplex(g)
+    assert cx.matrix("dbar", 0, 1, (0, 2)) == [
+        {}, {}, {0: -Coefficient.one()}]
+    rhs = Form.monomial((), (1, 2)) + Form.monomial((), (1, 3))
+    beta, residue = split_primitive(g, "dbar", rhs, 0, 1)
+    assert beta == Form.monomial((), (3,), -1)
+    assert cx.basis(0, 2)[1] == MultiIndex((), (1, 3))
+    assert residue == {1: Coefficient.one()}
+
+
+def test_split_primitive_against_an_all_zero_matrix():
+    # on the torus dbar vanishes: nothing is in the image, and the residue
+    # is the right-hand side's coordinates
+    g = torus()
+    cx = SectorComplex(g)
+    assert cx.matrix("dbar", 0, 1, (0, 2)) == [{}, {}, {}]
+    rhs = Form.monomial((), (1, 2), 3) + Form.monomial((), (2, 3))
+    beta, residue = split_primitive(g, "dbar", rhs, 0, 1)
+    assert beta.is_zero()
+    assert residue == cx.to_vector(rhs, (0, 2))
+    assert residue == {0: Coefficient.from_scalar(3), 2: Coefficient.one()}
+
+
 def test_split_primitive_factors_each_sector_once(monkeypatch):
     # the first split factors the sector into its pseudo-inverse; a second
     # right-hand side in the same sector is split without elimination
@@ -363,7 +386,7 @@ def test_split_primitive_factors_each_sector_once(monkeypatch):
     assert calls == []
     assert got == want
     beta, residue = got
-    assert all(r.is_zero() for r in residue) == (g.dbar(beta) == second)
+    assert (not residue) == (g.dbar(beta) == second)
 
 
 def test_a_filled_sector_builds_no_sector_complex(monkeypatch):

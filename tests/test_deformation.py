@@ -338,17 +338,20 @@ class TestIwasawaCircle:
 # -- the inverse coframe change ------------------------------------------------------
 
 
-def _coframe_change(psi: VectorForm, n: int) -> linalg.Matrix:
-    """[[I, B], [conj B, I]], B[j][mu] the phi^{mu bar} coefficient of psi^j."""
+def _coframe_change(psi: VectorForm, n: int) -> list[linalg.SparseVector]:
+    """The columns of [[I, B], [conj B, I]], B[j][mu] the phi^{mu bar}
+    coefficient of psi^j."""
     b = [
         [psi.components.get(j, Form.zero()).coeff((), (mu,))
          for mu in range(1, n + 1)]
         for j in range(1, n + 1)
     ]
-    ident = linalg.identity(n)
-    return [ident[j] + b[j] for j in range(n)] + [
+    one, zero = Coefficient.one(), Coefficient.zero()
+    ident = [[one if j == k else zero for k in range(n)] for j in range(n)]
+    rows = [ident[j] + b[j] for j in range(n)] + [
         [c.conjugate() for c in b[j]] + ident[j] for j in range(n)
     ]
+    return [{i: c for i, c in enumerate(col) if c} for col in zip(*rows)]
 
 
 class TestCoframeInverse:
@@ -375,7 +378,8 @@ class TestCoframeInverse:
         # which every later sum over a common denominator compares in full
         psi, _, _ = _iwasawa_psi()
         d = Deformation(catalog("iwasawa"), psi)
-        atoms = [a for row in d._inverse for c in row for a, _ in c._den]
+        atoms = [a for col in d._inverse for c in col.values()
+                 for a, _ in c._den]
         assert len({id(a) for a in atoms}) == len(set(atoms))
 
 

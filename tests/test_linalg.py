@@ -2,9 +2,10 @@
 
 The matrices are small integer and Gaussian-integer matrices with planted
 dependent columns, so pivots, ranks and kernels are known in advance and
-sympy's exact rref and rank decide them independently.  The elimination
-runs on sparse rows; one matrix plants an entry that a row update creates
-and a later update cancels, and one has parameter entries.
+sympy's exact rref and rank decide them independently.  A vector is a
+sparse dict and a matrix the list of its columns; the elimination runs on
+sparse rows.  One matrix plants an entry that a row update creates and a
+later update cancels, and one has parameter entries.
 """
 
 from fractions import Fraction
@@ -24,22 +25,33 @@ def _coeff(z) -> Coefficient:
     )
 
 
-def _matrix(rows) -> linalg.Matrix:
-    return [[_coeff(z) for z in row] for row in rows]
+def _vector(entries) -> linalg.SparseVector:
+    """The nonzero entries, Coefficients or Gaussian integers, by index."""
+    return {
+        k: z if isinstance(z, Coefficient) else _coeff(z)
+        for k, z in enumerate(entries) if z
+    }
 
 
-def _columns(a: linalg.Matrix) -> list[linalg.Vector]:
-    return [list(col) for col in zip(*a)]
+def _matrix(rows) -> list[linalg.SparseVector]:
+    """The columns of the matrix with the given rows."""
+    return [_vector(col) for col in zip(*rows)]
 
 
-def _sympy(a: linalg.Matrix) -> sympy.Matrix:
+def _dense(v: linalg.SparseVector, length: int) -> list[Coefficient]:
+    return [v.get(k, Coefficient.zero()) for k in range(length)]
+
+
+def _sympy(a: list[linalg.SparseVector], height: int) -> sympy.Matrix:
+    """The sympy matrix with the given columns and height rows."""
     def value(c):
         g = c.scalar()
         return sympy.Rational(g.re.numerator, g.re.denominator) + sympy.I * (
             sympy.Rational(g.im.numerator, g.im.denominator)
         )
 
-    return sympy.Matrix([[value(c) for c in row] for row in a])
+    return sympy.Matrix([[value(c) for c in _dense(col, height)]
+                         for col in a]).T
 
 
 # columns: c0, c1, c2 = c0 + 2*c1, zero, c4, c5 = c4 - c0, c6 = 3*c2
@@ -61,40 +73,44 @@ GAUSSIAN = [
 @pytest.mark.parametrize("rows", [INTEGER, GAUSSIAN])
 def test_pivot_columns_are_rref_pivots(rows):
     a = _matrix(rows)
-    _, pivots = _sympy(a).rref()
-    assert linalg.pivot_columns(_columns(a)) == list(pivots)
+    _, pivots = _sympy(a, len(rows)).rref()
+    assert linalg.pivot_columns(a) == list(pivots)
 
 
 @pytest.mark.parametrize("rows", [INTEGER, GAUSSIAN])
 def test_pivot_columns_extend_an_independent_set(rows):
-    vs = _columns(_matrix(rows))
+    vs = _matrix(rows)
+    height = len(rows)
     inside = vs[-2:]
-    assert _sympy([list(r) for r in zip(*inside)]).rank() == 2
+    assert _sympy(inside, height).rank() == 2
     ambient = vs[:-2]
     # the greedy oracle: keep a candidate when it raises sympy's rank
     expected, current = [], list(inside)
     for cand in ambient:
         trial = current + [cand]
-        if _sympy([list(r) for r in zip(*trial)]).rank() > len(current):
+        if _sympy(trial, height).rank() > len(current):
             expected.append(cand)
             current = trial
     pivots = linalg.pivot_columns(inside + ambient)
     assert pivots[:len(inside)] == list(range(len(inside)))
     added = [ambient[c - len(inside)] for c in pivots[len(inside):]]
     assert added == expected
-    everything = [list(r) for r in zip(*(inside + ambient))]
-    assert len(added) == _sympy(everything).rank() - len(inside)
+    everything = inside + ambient
+    assert len(added) == _sympy(everything, height).rank() - len(inside)
 
 
 @pytest.mark.parametrize("rows", [INTEGER, GAUSSIAN])
 def test_nullspace_is_annihilated_and_complete(rows):
     a = _matrix(rows)
-    kernel, free = linalg.nullspace(a)
-    assert len(kernel) == len(a[0]) - _sympy(a).rank()
+    free, vector = linalg.kernel(a)
+    kernel = [vector(f) for f in free]
+    assert len(kernel) == len(a) - _sympy(a, len(rows)).rank()
     for v in kernel:
-        assert all(x.is_zero() for x in linalg.mat_vec(a, v))
+        assert linalg.mat_vec(a, v) == {}
     # the free coordinates of the basis are the unit vectors
-    assert [[v[f] for f in free] for v in kernel] == linalg.identity(len(free))
+    one = Coefficient.one()
+    for f, v in zip(free, kernel):
+        assert {g: v[g] for g in free if g in v} == {f: one}
 
 
 def test_invert_round_trips():
@@ -113,13 +129,13 @@ def test_invert_rejects_singular():
 
 def test_solve_inconsistent_is_none():
     a = _matrix([[1, 2], [2, 4]])
-    assert linalg.solve(a, [_coeff(1), _coeff(3)]) is None
-    x = linalg.solve(a, [_coeff(1), _coeff(2)])
-    assert linalg.mat_vec(a, x) == [_coeff(1), _coeff(2)]
+    assert linalg.solve(a, _vector([1, 3])) is None
+    x = linalg.solve(a, _vector([1, 2]))
+    assert linalg.mat_vec(a, x) == _vector([1, 2])
 
 
-def _column(v: linalg.Vector) -> sympy.Matrix:
-    return _sympy([v]).T
+def _column(v: linalg.SparseVector, length: int) -> sympy.Matrix:
+    return _sympy([v], length)
 
 
 def _is_zero(m: sympy.Matrix) -> bool:
@@ -129,23 +145,23 @@ def _is_zero(m: sympy.Matrix) -> bool:
 @pytest.mark.parametrize("rows", [INTEGER, GAUSSIAN, [[1, 1]]])
 @pytest.mark.parametrize("transpose", [False, True])
 def test_orthogonal_split(rows, transpose):
-    a = _matrix(rows)
     if transpose:
-        a = [list(r) for r in zip(*a)]
-    s = _sympy(a)
-    ncols = len(a[0])
+        rows = [list(r) for r in zip(*rows)]
+    a = _matrix(rows)
+    height = len(rows)
+    s = _sympy(a, height)
+    ncols = len(a)
     # a vector in the column span, and every unit vector: when the rank is
     # below the row count some unit vector lies outside the span
-    coeffs = [_coeff(k + 1 + (k % 2) * 1j) for k in range(ncols)]
+    coeffs = _vector([k + 1 + (k % 2) * 1j for k in range(ncols)])
     inside = linalg.mat_vec(a, coeffs)
-    units = [
-        [_coeff(int(i == k)) for i in range(len(a))] for k in range(len(a))
-    ]
+    units = [{k: _coeff(1)} for k in range(height)]
     outside = 0
-    systems = linalg.normal_systems(a)
+    systems = linalg.normal_systems(a, height)
     for v in [inside] + units:
         x, residue = linalg.split_normal(systems, v)
-        sx, sr, sv = _column(x), _column(residue), _column(v)
+        sx, sr = _column(x, ncols), _column(residue, height)
+        sv = _column(v, height)
         assert _is_zero(s.H * sr)
         assert _is_zero(s * sx - (sv - sr))
         for k in s.nullspace():
@@ -153,12 +169,14 @@ def test_orthogonal_split(rows, transpose):
         outside += not _is_zero(sr)
         if v is inside:
             assert _is_zero(sr)
-    assert (outside > 0) == (s.rank() < len(a))
+    assert (outside > 0) == (s.rank() < height)
 
 
-def _pinv(a: linalg.Matrix) -> linalg.Matrix:
-    got, pinv = linalg.normal_systems(a)
+def _pinv(a: list[linalg.SparseVector],
+          height: int) -> list[linalg.SparseVector]:
+    got, pinv = linalg.normal_systems(a, height)
     assert got is a
+    assert len(pinv) == height
     return pinv
 
 
@@ -172,7 +190,8 @@ def _pinv(a: linalg.Matrix) -> linalg.Matrix:
 ])
 def test_pseudo_inverse_is_sympy_pinv(rows):
     a = _matrix(rows)
-    assert _is_zero(_sympy(_pinv(a)) - _sympy(a).pinv())
+    pinv = _pinv(a, len(rows))
+    assert _is_zero(_sympy(pinv, len(a)) - _sympy(a, len(rows)).pinv())
 
 
 def test_pseudo_inverse_penrose_identities():
@@ -181,9 +200,13 @@ def test_pseudo_inverse_penrose_identities():
     t = Coefficient.symbol("t")
     tc = t.conjugate()
     one, zero, c = Coefficient.one(), Coefficient.zero(), _coeff(1 + 1j)
-    a = [[one, t, zero], [tc, t * tc, c], [zero, zero, c]]
-    p = _pinv(a)
-    mul, star = linalg.mat_mul, linalg.conj_transpose
+    a = _matrix([[one, t, zero], [tc, t * tc, c], [zero, zero, c]])
+    p = _pinv(a, 3)
+    mul = linalg.mat_mul
+
+    def star(m):
+        return linalg.transpose(linalg.conjugate(m), 3)
+
     assert mul(mul(a, p), a) == a
     assert mul(mul(p, a), p) == p
     assert star(mul(a, p)) == mul(a, p)
@@ -192,10 +215,10 @@ def test_pseudo_inverse_penrose_identities():
 
 def test_split_normal_makes_no_elimination(monkeypatch):
     a = _matrix(GAUSSIAN)
-    systems = linalg.normal_systems(a)
-    v = [_coeff(1), _coeff(2j), _coeff(-3)]
+    systems = linalg.normal_systems(a, len(GAUSSIAN))
+    v = _vector([1, 2j, -3])
     x, residue = linalg.split_normal(systems, v)
-    assert linalg.mat_vec(a, x) == [b - r for b, r in zip(v, residue)]
+    assert linalg.mat_vec(a, x) == linalg.difference(v, residue)
     calls = []
     eliminate = linalg._eliminate
 
@@ -215,8 +238,8 @@ def test_solve_many_is_solve_per_column():
                                    for k in range(7)]))
     x = linalg.solve_many(a, b)
     assert linalg.mat_mul(a, x) == b
-    for k, col in enumerate(zip(*b)):
-        assert [row[k] for row in x] == linalg.solve(a, list(col))
+    for k, col in enumerate(b):
+        assert x[k] == linalg.solve(a, col)
     assert linalg.solve_many(_matrix([[1, 2], [2, 4]]),
                              _matrix([[1, 1], [2, 3]])) is None
 
@@ -233,16 +256,13 @@ def test_a_product_entry_with_no_nonzero_product_builds_no_sum(monkeypatch):
 
     monkeypatch.setattr(Coefficient, "sum_of_products", staticmethod(counted))
     assert linalg.mat_mul(a, b) == _matrix([[0, 3], [1, 0], [0, 0]])
-    # only (0, 1) and (1, 0) have a nonzero product, and only those sum
-    assert [len(pairs) for pairs in sums] == [1, 2]
+    # only (1, 0) and (0, 1) have a nonzero product, and only those sum,
+    # column by column
+    assert [len(pairs) for pairs in sums] == [2, 1]
     sums.clear()
-    v = [_coeff(0), _coeff(0), _coeff(5)]
-    assert linalg.mat_vec(a, v) == [_coeff(0), _coeff(5j), _coeff(0)]
+    v = _vector([0, 0, 5])
+    assert linalg.mat_vec(a, v) == _vector([0, 5j, 0])
     assert [len(pairs) for pairs in sums] == [1]
-
-
-def _dense_rref(rows: list[linalg.SparseVector], width: int):
-    return [linalg.dense(row, width) for row in rows]
 
 
 # rows: the update of row 2 by row 0 creates its entry in column 2
@@ -258,18 +278,19 @@ FILL_AND_CANCEL = [
 
 def test_an_entry_that_cancels_leaves_its_row():
     a = _matrix(FILL_AND_CANCEL)
-    rows = [linalg.sparse(row) for row in a]
+    rows = [_vector(row) for row in FILL_AND_CANCEL]
     assert 2 not in rows[2]
     mat, pivots = linalg._eliminate(rows, 2)
     assert pivots == [0, 1]
     assert mat[2] == {3: _coeff(3)}
     # the rows given are left as they were
-    assert rows == [linalg.sparse(row) for row in a]
+    assert rows == [_vector(row) for row in FILL_AND_CANCEL]
     mat, pivots = linalg._eliminate(rows, 4)
-    rref, sympy_pivots = _sympy(a).rref()
+    rref, sympy_pivots = _sympy(a, 4).rref()
     assert pivots == list(sympy_pivots)
-    assert len(pivots) == _sympy(a).rank()
-    assert _sympy(_dense_rref(mat, 4)) == rref
+    assert len(pivots) == _sympy(a, 4).rank()
+    # the rows of mat are the columns of its transpose
+    assert _sympy(mat, 4).T == rref
     # only nonzero entries are held
     assert all(x for row in mat for x in row.values())
 
@@ -327,8 +348,8 @@ def _agree(ours: list[Coefficient], theirs) -> bool:
 def _parametric_pair():
     coeffs, syms = _symbols()
     a = coeffs["a"]
-    ours = _parametric(a, a.conjugate(), coeffs["b"], Coefficient.one(),
-                       Coefficient.zero())
+    ours = _matrix(_parametric(a, a.conjugate(), coeffs["b"],
+                               Coefficient.one(), Coefficient.zero()))
     s = sympy.Matrix(_parametric(syms["a"], syms["a_c"], syms["b"],
                                  sympy.Integer(1), sympy.Integer(0)))
     return ours, s, coeffs, syms
@@ -337,18 +358,15 @@ def _parametric_pair():
 def test_parametric_pivots_and_kernel_match_sympy():
     a, s, _, _ = _parametric_pair()
     _, pivots = s.rref()
-    assert linalg.pivot_columns(_columns(a)) == list(pivots)
+    assert linalg.pivot_columns(a) == list(pivots)
     assert len(pivots) == s.rank() == 3
-    kernel, free = linalg.nullspace(a)
+    free, vector = linalg.kernel(a)
     want = s.nullspace()
-    assert len(kernel) == len(want) == 2
-    for v, w in zip(kernel, want):
-        assert all(x.is_zero() for x in linalg.mat_vec(a, v))
-        assert _agree(v, list(w))
-    # the sparse kernel builds the same vectors
-    free_sparse, vector = linalg.kernel(_columns(a))
-    assert free_sparse == free
-    assert [linalg.dense(vector(f), 5) for f in free] == kernel
+    assert len(free) == len(want) == 2
+    for f, w in zip(free, want):
+        v = vector(f)
+        assert linalg.mat_vec(a, v) == {}
+        assert _agree(_dense(v, 5), list(w))
 
 
 def test_parametric_solve_many_matches_sympy():
@@ -358,20 +376,19 @@ def test_parametric_solve_many_matches_sympy():
     def right_hand_sides(c, cc, one, zero, i):
         return [[c, one], [zero, cc], [c * c, zero], [one, i], [zero, c]]
 
-    x0 = right_hand_sides(coeffs["c"], coeffs["c"].conjugate(), one, zero,
-                          Coefficient.i())
+    x0 = _matrix(right_hand_sides(coeffs["c"], coeffs["c"].conjugate(), one,
+                                  zero, Coefficient.i()))
     b = linalg.mat_mul(a, x0)
     sb = s * sympy.Matrix(right_hand_sides(
         syms["c"], syms["c_c"], sympy.Integer(1), sympy.Integer(0), sympy.I))
     x = linalg.solve_many(a, b)
     assert linalg.mat_mul(a, x) == b
-    for k, col in enumerate(zip(*b)):
-        got = [row[k] for row in x]
-        assert got == linalg.solve(a, list(col))
+    for k, col in enumerate(b):
+        assert x[k] == linalg.solve(a, col)
         # sympy's solution with its free parameters set to zero
         sol, params = s.gauss_jordan_solve(sb[:, k])
-        assert _agree(got, list(sol.subs({t: 0 for t in params})))
+        assert _agree(_dense(x[k], 5), list(sol.subs({t: 0 for t in params})))
     # a right-hand side outside the column span of a rank-3 matrix
-    unit = [[zero], [zero], [one], [zero]]
+    unit = [{2: one}]
     assert s.row_join(sympy.Matrix([0, 0, 1, 0])).rank() == 4
     assert linalg.solve_many(a, unit) is None

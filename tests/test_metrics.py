@@ -56,14 +56,6 @@ class TestInvariantMetric:
             for k in range(3):
                 assert m.h[j][k].conjugate() == m.h[k][j]
 
-    def test_positivity_sampling(self):
-        m = InvariantMetric.generic(2)
-        assert m.positive_at({"h11": 1, "h22": 1, "h12": 0})
-        assert m.positive_at({"h11": 2, "h22": 1, "h12": 0.5})
-        # |h12|^2 >= h11 h22 kills the determinant
-        assert not m.positive_at({"h11": 1, "h22": 1, "h12": 1.5})
-        assert not m.positive_at({"h11": -1, "h22": 1, "h12": 0})
-
     def test_omega_power_top_is_volume_multiple(self):
         m = InvariantMetric.identity(3)
         top = m.fundamental_form().wedge_power(3)

@@ -49,3 +49,50 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert unused == {}
+
+
+def _private_definitions(tree: ast.Module):
+    """The private module-level functions and private methods of a module,
+    dunders excepted."""
+    def private(node):
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_")
+                and not node.name.endswith("__"))
+
+    for node in tree.body:
+        if private(node):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from filter(private, node.body)
+
+
+def _references(node, enclosing=()):
+    """(name, enclosing function definitions) for every name, attribute
+    and imported name read under node."""
+    if isinstance(node, ast.Name):
+        yield node.id, enclosing
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, enclosing
+    elif isinstance(node, ast.ImportFrom):
+        for alias in node.names:
+            yield alias.name, enclosing
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, enclosing)
+
+
+def test_every_private_helper_has_a_caller():
+    # a private function or method that only its own body names is dead
+    src = Path(ihg.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    references = [ref for tree in trees.values() for ref in _references(tree)]
+    dead = [
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for node in _private_definitions(tree)
+        if not any(name == node.name and node not in enclosing
+                   for name, enclosing in references)
+    ]
+    assert dead == []
