@@ -1418,6 +1418,9 @@ class Coefficient:
                 raise ValueError(f"real symbol {name!r} bound to non-real value")
             if kind == CHAR and not val:
                 raise DenominatorVanishes(f"character {name} bound to 0")
+            # conj(E) is stored as 1/E, which holds only on the unit circle
+            if kind == CHAR and val * val.conjugate() - 1:
+                raise ValueError(f"character {name!r} bound off the unit circle")
         if d is None:
             return r._at(
                 lambda nm: field[nm] if nm in field else Coefficient.symbol(nm),

@@ -5,6 +5,16 @@ A deformation is encoded by a T^{1,0}-valued (0,1)-form psi; the deformed
 deformed coframe gives the deformed structure equations exactly; their
 (0,2) components are the integrability residual.
 
+The way back is two coframe substitutions on psi.  Read psi^j in the
+deformed coframe, each phi^{mu bar} standing for Phi^{mu bar}; then
+
+    phi = S^{-1} (Phi - psi),    phi-bar = Phi-bar - conj(psi)(phi),
+
+the second with each phi^mu in conj(psi^j) replaced by its row from the
+first.  S = I - B conj(B), B the matrix of psi, is the module's one
+matrix: row j of S is phi^j - psi^j(conj psi), psi^j with each
+phi^{mu bar} replaced by conj(psi^mu).
+
 The module also carries the operator route, so the two can be checked
 against each other.  Deformation.dbar_t_formula is its one formula
 (contractions and endomorphism inverses); del_t is its conjugate, since
@@ -18,7 +28,7 @@ from functools import partial
 
 from . import linalg
 from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
-from .exterior import CoframeMap, Form, MultiIndex, VectorForm
+from .exterior import CoframeMap, Form, VectorForm
 from .geometry import Geometry
 from .symbols import base_name, registry, with_partners
 
@@ -48,42 +58,6 @@ def _check_psi(psi: VectorForm, n: int) -> None:
             raise ValueError(f"component of Z{leg} is not a (0,1)-form")
 
 
-def _psi_matrix(psi: VectorForm, n: int) -> list[linalg.SparseVector]:
-    """The columns of B, B[j][mu] the phi^{mu bar} coefficient of psi^j."""
-    cols: list[linalg.SparseVector] = [{} for _ in range(n)]
-    for j, comp in psi.components.items():
-        for mi, c in comp.terms():
-            cols[mi.anti[0] - 1][j - 1] = c
-    return cols
-
-
-def _identity_minus(m: list[linalg.SparseVector]
-                    ) -> list[linalg.SparseVector]:
-    return [linalg.difference(e, col)
-            for e, col in zip(linalg.identity(len(m)), m)]
-
-
-def _negated(m: list[linalg.SparseVector]) -> list[linalg.SparseVector]:
-    return [{i: -c for i, c in col.items()} for col in m]
-
-
-def _stacked(top: list[linalg.SparseVector],
-             bottom: list[linalg.SparseVector],
-             n: int) -> list[linalg.SparseVector]:
-    """The columns of [top; bottom], top having n rows."""
-    return [{**t, **{n + i: c for i, c in b.items()}}
-            for t, b in zip(top, bottom)]
-
-
-def _combination(row: linalg.SparseVector, holo_cols: int) -> Form:
-    """Row of coefficients against (phi^1..phi^n, phi^{1bar}..phi^{nbar})."""
-    return Form({
-        MultiIndex((k + 1,), ()) if k < holo_cols
-        else MultiIndex((), (k - holo_cols + 1,)): c
-        for k, c in row.items()
-    })
-
-
 class Deformation:
     """Extension of a base geometry along psi = sum psi^j (x) Z_j.
 
@@ -94,18 +68,14 @@ class Deformation:
     coefficients into a stored image.  The operator route keeps its
     correction maps the same way, one pair, built on first use.
 
-    The coframe change is [[I, B], [conj B, I]], with B the matrix of psi.
-    Its inverse is read off one n x n inverse, of the Schur complement
-    S = I - B conj(B):
-
-        [[S^{-1}, -S^{-1} B], [-conj(B) S^{-1}, I + conj(B) S^{-1} B]],
-
-    whose lower-right block is conj(S^{-1}) by the push-through identity.
-    Each block is a product with S^{-1}, not a conjugate of it, so every
-    entry shares the denominator atoms of S^{-1}: conjugating would make
-    equal atoms distinct objects, which every later sum over a common
-    denominator compares in full.  det(change) = det(S), so the change is
-    singular exactly where S is, and that raises DegenerateAtLocus.
+    The change sends phi^j to phi^j + psi^j; its inverse is the two
+    substitutions of the module docstring, after one n x n inverse, of S.
+    Each coefficient of the inverse is a product with S^{-1}, never a
+    conjugate of it, so every entry shares the denominator atoms of
+    S^{-1}: conjugating would make equal atoms distinct objects, which
+    every later sum over a common denominator compares in full.  The
+    change is singular exactly where S is, and that raises
+    DegenerateAtLocus.
     """
 
     def __init__(self, base: Geometry, psi: VectorForm,
@@ -116,40 +86,42 @@ class Deformation:
         self.name = name or f"{base.name}_deformed"
         n = base.n
         try:
-            b = _psi_matrix(psi, n)
-            bc = linalg.conjugate(b)
-            schur = _identity_minus(linalg.mat_mul(b, bc))
+            legs = {j: psi.components.get(j, Form.zero())
+                    for j in range(1, n + 1)}
+            holo = {j: Form.monomial((j,), ()) for j in legs}
+            anti = {j: Form.monomial((), (j,)) for j in legs}
+            conj_legs = {j: f.conjugate() for j, f in legs.items()}
+            conj_psi = CoframeMap({("a", j): f for j, f in conj_legs.items()})
+            # the rows of S as (1,0)-forms; the operator route reads E off them
+            self._s_rows = {j: holo[j] - conj_psi.apply(f)
+                            for j, f in legs.items()}
             try:
-                s_inv = linalg.invert(schur)
+                s_inv = linalg.invert(linalg.transpose(
+                    [{mi.holo[0] - 1: c for mi, c in row.terms()}
+                     for row in self._s_rows.values()], n))
             except linalg.SingularMatrix as exc:
                 raise DegenerateAtLocus(
                     f"{self.name}: deformed coframe does not span",
                     locus=str(exc),
                 ) from None
-            upper = _negated(linalg.mat_mul(s_inv, b))
-            lower = _negated(linalg.mat_mul(bc, s_inv))
-            s_inv_c = _identity_minus(linalg.mat_mul(lower, b))
-            self._inverse = (_stacked(s_inv, lower, n)
-                             + _stacked(upper, s_inv_c, n))
-            self._schur = schur
-            phi_t = {
-                j: Form.monomial((j,), ()) + psi.components.get(j, Form.zero())
-                for j in range(1, n + 1)
+            shifted = [holo[k] - legs[k] for k in legs]
+            holo_rows = {
+                ("h", j + 1): Form.combination(
+                    (shifted[k], c) for k, c in row.items())
+                for j, row in enumerate(linalg.transpose(s_inv, n))
             }
-            deformed_rows = {("h", j): f for j, f in phi_t.items()}
-            deformed_rows.update(
-                {("a", j): f.conjugate() for j, f in phi_t.items()}
-            )
-            self._to_base = CoframeMap(deformed_rows)
-            rows = linalg.transpose(self._inverse, 2 * n)
-            self._to_deformed = CoframeMap({
-                ("h" if k < n else "a", k % n + 1): _combination(row, n)
-                for k, row in enumerate(rows)
+            pushed = CoframeMap(holo_rows)
+            self._to_deformed = CoframeMap(holo_rows | {
+                ("a", j): anti[j] - pushed.apply(f)
+                for j, f in conj_legs.items()
             })
+            phi_t = {j: holo[j] + f for j, f in legs.items()}
+            self._to_base = CoframeMap(
+                {("h", j): f for j, f in phi_t.items()}
+                | {("a", j): anti[j] + f for j, f in conj_legs.items()})
             self._endo_maps: tuple[CoframeMap, CoframeMap] | None = None
             self.full_structure = {
-                j: self.to_deformed_coords(base.d(phi_t[j]))
-                for j in range(1, n + 1)
+                j: self.to_deformed_coords(base.d(f)) for j, f in phi_t.items()
             }
         except DenominatorVanishes as exc:
             raise DegenerateAtLocus(
@@ -253,23 +225,22 @@ class Deformation:
 
             dbar_t = E^{-1} ([del, iota(psi)] + dbar) E,
 
-        with E the slotwise map by I - conj(B) B on antiholomorphic slots.
-        E^{-1} is slotwise by the lower-right block of the inverse coframe
-        change: I - conj(B) B is the Schur complement of the upper identity
-        block of [[I, B], [conj B, I]], so it is invertible wherever the
-        change is (Sylvester).  Both maps are built on first use and kept."""
+        with E the slotwise map by I - conj(B) B = conj(S) on
+        antiholomorphic slots: its row j is the conjugate of row j of S.
+        E^{-1} = conj(S^{-1}) = I + conj(B) S^{-1} B is slotwise by the
+        (0,1) part of base_in_deformed(j, anti=True), which is read, not
+        conjugated, so it keeps the denominator atoms of S^{-1}.  Both
+        maps are built on first use and kept."""
         if self._endo_maps is None:
-            n = self.base.n
-            endo = linalg.transpose(linalg.conjugate(self._schur), n)
             self._endo_maps = (
                 CoframeMap({
-                    ("a", j + 1): _combination(row, 0)
-                    for j, row in enumerate(endo)
+                    ("a", j): row.conjugate()
+                    for j, row in self._s_rows.items()
                 }),
                 CoframeMap({
-                    ("a", j + 1): self.base_in_deformed(j + 1, anti=True)
+                    ("a", j): self.base_in_deformed(j, anti=True)
                     .component(0, 1)
-                    for j in range(n)
+                    for j in self._s_rows
                 }),
             )
         fwd, bwd = self._endo_maps

@@ -38,7 +38,8 @@ class ValidationError(ValueError):
     """Structure equations parsed but failed validation.
 
     code is "NotIntegrable" for a part of some dphi outside (2,0)+(1,1),
-    "D2NonZero" when d squared fails to vanish, else the underlying tag.
+    "D2NonZero" when d squared fails to vanish, "BadIndex" for a coframe
+    index outside 1..n, else the underlying tag.
     """
 
     def __init__(self, code: str, message: str):
@@ -51,6 +52,7 @@ _CODES = {
     "d2_nonzero": "D2NonZero",
     "bad_character": "BadCharacter",
     "bad_generator": "BadGenerator",
+    "bad_index": "BadIndex",
 }
 
 _TOKEN_RE = re.compile(

@@ -343,11 +343,12 @@ class CoframeMap:
 
     rows sends ('h', i) and ('a', i) to the image of the i-th
     holomorphic / antiholomorphic coframe element; missing entries keep
-    the element fixed.  The image of a monomial is the image of its prefix
-    wedged with the row of its last factor, in canonical factor order; each
-    is built once and kept for the map's lifetime.  A form c*m maps to
-    c*image(m), so coefficients enter after the wedge chain, not through it,
-    and the image of a form is one Form.combination of the images of its
+    the element fixed.  The image of a coframe element is its row, and the
+    image of a longer monomial is the image of its prefix wedged with the
+    row of its last factor, in canonical factor order; each is built once
+    and kept for the map's lifetime.  A form c*m maps to c*image(m), so
+    coefficients enter after the wedge chain, not through it, and the
+    image of a form is one Form.combination of the images of its
     monomials, which normalizes each output coefficient once.
     """
 
@@ -371,7 +372,7 @@ class CoframeMap:
         row = self.rows.get(key)
         if row is None:
             row = Form({fixed: Coefficient.one()})
-        img = self.image(prefix).wedge(row)
+        img = self.image(prefix).wedge(row) if prefix != SCALAR else row
         self._images[mi] = img
         return img
 

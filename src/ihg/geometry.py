@@ -28,7 +28,7 @@ class StructureError(ValueError):
     """Load-time consistency failure.
 
     kind is a stable tag: "not_integrable", "d2_nonzero", "bad_character",
-    or "bad_generator".
+    "bad_generator", or "bad_index" (a coframe index outside 1..n).
     """
 
     def __init__(self, message: str, kind: str = "d2_nonzero"):
@@ -51,6 +51,11 @@ class Geometry:
     ):
         self.name = name
         self.n = n
+        # before anything reads them: a structure key outside 1..n would be
+        # dropped below, and d looks every monomial index up in structure;
+        # check_generator checks the generators
+        self._check_indices((*structure.values(), *(chars or {}).values()),
+                            structure)
         self.structure = {k: structure.get(k, Form.zero()) for k in range(1, n + 1)}
         self.chars = dict(chars or {})
         self.generators = tuple(generators) if generators is not None else None
@@ -233,10 +238,22 @@ class Geometry:
         for g in self.generators or ():
             self.check_generator(g)
 
+    def _check_indices(self, forms, keys=()) -> None:
+        """Raise StructureError(kind="bad_index") for a key, or an index of
+        a monomial of forms, outside 1..n."""
+        for k in sorted(set(keys).union(*(
+                mi.holo + mi.anti for f in forms for mi, _ in f.terms()))):
+            if not 1 <= k <= self.n:
+                raise StructureError(
+                    f"{self.name}: coframe index {k} outside 1..{self.n}",
+                    kind="bad_index",
+                )
+
     def check_generator(self, g: Form) -> None:
-        """Raise StructureError unless g is a nonzero (0,1)-form whose dbar
-        vanishes modulo the constraint ideal: the one check of a
-        deformation generator."""
+        """Raise StructureError unless g is a nonzero (0,1)-form on the
+        coframe whose dbar vanishes modulo the constraint ideal: the one
+        check of a deformation generator."""
+        self._check_indices((g,))
         if g.is_zero() or not g.is_pure(0, 1):
             raise StructureError(
                 f"{self.name}: generator {g.render()} is not a nonzero "

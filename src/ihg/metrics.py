@@ -11,7 +11,7 @@ verdict inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .coefficients import Coefficient, normalized_generators
 from .cohomology import solve_dbar
@@ -184,6 +184,8 @@ def check_condition(
     which = which.lower()
     if m.n != geom.n:
         raise ValueError("metric dimension does not match the geometry")
+    if k is not None and which != "k_pluriclosed":
+        raise ValueError(f"k is a parameter of k_pluriclosed, not {which!r}")
     n = geom.n
     notes = []
     if which == "skt":
@@ -267,14 +269,7 @@ def all_or_none_skt(geom: Geometry) -> ConditionReport:
             if ft.holds is True
             else "symbolic del-dbar certification failed"
         )
-        report = ConditionReport(
-            report.condition,
-            report.holds,
-            report.residual,
-            report.constraint_generators,
-            report.witness,
-            report.notes + (extra,),
-        )
+        report = replace(report, notes=report.notes + (extra,))
     return report
 
 

@@ -357,6 +357,21 @@ class TestSubstitution:
         with pytest.raises(DenominatorVanishes):
             (E + ONE()).substitute({"E1": 0})
 
+    def test_char_binding_off_the_unit_circle_rejected(self):
+        # conj(E) is stored as 1/E, so E = 2 would give conj(E) = 1/2
+        setup_symbols()
+        registry.ensure_char("E2")
+        E = C("E1")
+        for value in (2, C("t11")):
+            with pytest.raises(ValueError, match="unit circle"):
+                E.conjugate().substitute({"E1": value})
+        unit = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+        assert E.conjugate().substitute({"E1": unit}) * unit == ONE()
+        assert E.conjugate().substitute({"E1": C("E2")}) == C("E2").conjugate()
+        surd = QuadraticSurd(GaussianRational.of(2), GaussianRational.of(1), 3)
+        with pytest.raises(ValueError, match="unit circle"):
+            E.substitute({"E1": surd})
+
 
 class TestSectors:
     def test_char_decompose(self):
@@ -629,7 +644,9 @@ def test_conjugation_is_ring_morphism(a, b):
 @settings(max_examples=40)
 @given(coefficients(), gaussians, gaussians)
 def test_substitution_is_homomorphism(a, v, w):
-    bindings = {"t11": v, "t21": w, "E1": GaussianRational.of(2)}
+    # a character value lies on the unit circle
+    bindings = {"t11": v, "t21": w,
+                "E1": GaussianRational(Fraction(3, 5), Fraction(4, 5))}
     try:
         lhs = (a * a).substitute(bindings)
         rhs = a.substitute(bindings) * a.substitute(bindings)

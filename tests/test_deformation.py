@@ -354,8 +354,20 @@ def _coframe_change(psi: VectorForm, n: int) -> list[linalg.SparseVector]:
     return [{i: c for i, c in enumerate(col) if c} for col in zip(*rows)]
 
 
+def _inverse_change(d: Deformation, n: int) -> list[linalg.SparseVector]:
+    """The columns of the inverse change, read off its rows: row k is
+    base_in_deformed(k + 1) and row n + k base_in_deformed(k + 1,
+    anti=True), against (phi^1..phi^n, phi^{1bar}..phi^{nbar})."""
+    cols: list[linalg.SparseVector] = [{} for _ in range(2 * n)]
+    for r in range(2 * n):
+        for mi, c in d.base_in_deformed(r % n + 1, anti=r >= n).terms():
+            col = mi.holo[0] - 1 if mi.holo else n + mi.anti[0] - 1
+            cols[col][r] = c
+    return cols
+
+
 class TestCoframeInverse:
-    """The inverse read off the n x n Schur complement against a direct
+    """The inverse read off the n x n matrix S against a direct
     Gauss-Jordan inverse of the whole 2n x 2n change."""
 
     @pytest.mark.parametrize("case", ["iwasawa", "nakamura_3b"])
@@ -370,17 +382,34 @@ class TestCoframeInverse:
             )
         d = Deformation(g, psi, require_mc=False)
         change = _coframe_change(psi, g.n)
-        assert linalg.mat_mul(change, d._inverse) == linalg.identity(2 * g.n)
-        assert d._inverse == linalg.invert(change)
+        inverse = _inverse_change(d, g.n)
+        assert linalg.mat_mul(change, inverse) == linalg.identity(2 * g.n)
+        assert inverse == linalg.invert(change)
 
     def test_entries_share_denominator_atoms(self):
         # a conjugated entry would carry its own copy of an equal atom,
         # which every later sum over a common denominator compares in full
         psi, _, _ = _iwasawa_psi()
         d = Deformation(catalog("iwasawa"), psi)
-        atoms = [a for col in d._inverse for c in col.values()
+        atoms = [a for col in _inverse_change(d, 3) for c in col.values()
                  for a, _ in c._den]
         assert len({id(a) for a in atoms}) == len(set(atoms))
+
+    def test_construction_cost(self, monkeypatch):
+        # S is the one matrix: one n x n inverse, and the rest are
+        # substitutions on psi, with no matrix product
+        calls = {"invert": 0, "mat_mul": 0}
+        for name in calls:
+            original = getattr(linalg, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(linalg, name, counted)
+        psi, _, _ = _iwasawa_psi()
+        Deformation(catalog("iwasawa"), psi)
+        assert calls == {"invert": 1, "mat_mul": 0}
 
 
 # -- extension calculus -----------------------------------------------------------
@@ -508,8 +537,9 @@ class TestCoordinateTables:
             assert d.to_deformed_coords(d.to_base_coords(alpha)) == alpha
 
     def test_table_cost(self, monkeypatch):
-        # each monomial image is one wedge of a stored prefix image by a
-        # row, and a deformation keeps its tables between calls
+        # each monomial image of degree 2 or more is one wedge of a stored
+        # prefix image by a row, a degree-1 image is its row, and a
+        # deformation keeps its tables between calls
         g = catalog("iwasawa")
         psi, _, _ = _iwasawa_psi()
         d = Deformation(g, psi)
@@ -531,9 +561,9 @@ class TestCoordinateTables:
         ]
         assert len(low) == 22
         images = [to_deformed.apply(alpha) for alpha in low]
-        assert calls["wedge"] == len(low) - 1  # the scalar entry takes none
+        assert calls["wedge"] == 15  # the monomials of degree 2
         assert [to_deformed.apply(alpha) for alpha in low] == images
-        assert calls["wedge"] == len(low) - 1
+        assert calls["wedge"] == 15
         assert images == [d.to_deformed_coords(alpha) for alpha in low]
         alpha = _mono((1, 3), (2,))
         d.to_deformed_coords(alpha)

@@ -435,6 +435,38 @@ class TestValidation:
             )
         assert err.value.kind == "bad_generator"
 
+    @pytest.mark.parametrize("structure, index", [
+        ({4: Form.monomial((1, 2), ())}, 4),
+        ({3: Form.monomial((1, 5), ())}, 5),
+    ])
+    def test_index_outside_the_coframe_rejected(self, structure, index):
+        # unchecked, the first would build a torus and the second fail on a
+        # missing key
+        with pytest.raises(StructureError, match=f"index {index} outside") as err:
+            Geometry("g", 3, structure)
+        assert err.value.kind == "bad_index"
+        assert "g:" in str(err.value)
+
+    def test_index_outside_the_coframe_in_chars_and_generators(self):
+        registry.ensure_char("E1")
+        dlog = Form.monomial((4,), ()) - Form.monomial((), (4,))
+        with pytest.raises(StructureError) as err:
+            Geometry("g", 3, {}, chars={"E1": dlog})
+        assert err.value.kind == "bad_index"
+        gen = Form.monomial((), (7,))
+        with pytest.raises(StructureError) as err:
+            Geometry("g", 3, {}, generators=(gen,))
+        assert err.value.kind == "bad_index"
+        # a generator that is not the geometry's own is checked on its own
+        with pytest.raises(StructureError) as err:
+            GeneratorSet(torus(3), (gen,))
+        assert err.value.kind == "bad_index"
+
+    def test_index_outside_the_coframe_in_the_dsl(self):
+        with pytest.raises(ValidationError) as err:
+            parse_geometry("geometry g dim 3;\ndphi3 = phi[1,5];\n")
+        assert err.value.code == "BadIndex"
+
     def test_generator_checked_modulo_constraints(self):
         # dbar(phi^{2bar}) = r phi^{1bar 2bar}, which the constraint r kills
         family = "geometry fam dim 2; real r; dphi2 = r*phi[1,2];"

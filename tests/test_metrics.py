@@ -141,6 +141,14 @@ class TestIwasawa:
         assert a.residual == check_condition(g, m, "skt").residual
         assert k.residual == check_condition(g, m, "skt").residual
 
+    def test_k_only_for_k_pluriclosed(self):
+        # unchecked, k would be dropped and the SKT report returned
+        g = catalog("iwasawa")
+        m = InvariantMetric.generic(3)
+        with pytest.raises(ValueError, match="k_pluriclosed"):
+            check_condition(g, m, "skt", k=2)
+        assert check_condition(g, m, "skt", k=None).condition == "skt"
+
     def test_all_or_none_dichotomy(self):
         g = catalog("iwasawa")
         rep = all_or_none_skt(g)
