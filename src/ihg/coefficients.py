@@ -702,7 +702,8 @@ def _remainder(p, divisors, ctx: RingContext):
     The division runs fraction-free over Z[i]: where LC(g) does not divide
     the leading coefficient, the running remainder is scaled until it does.
     A scalar never changes which monomial is leading or which LT(g)
-    divides it, so every step is the step over Q(i), scaled.
+    divides it, so every step is the step over Q(i), scaled.  When no
+    leading term is divisible, r is p itself and s is one.
     """
     guard = ctx.guard_mask
     leads = []
@@ -710,6 +711,7 @@ def _remainder(p, divisors, ctx: RingContext):
         lm, lc = _lead(g)
         leads.append((lm, lc, [(m, c) for m, c in g.items() if m != lm]))
     rem, out, scale = dict(p), {}, _ONE
+    stepped = False
     while rem:
         lm = max(rem)
         for lm_g, lc_g, tail in leads:
@@ -719,6 +721,7 @@ def _remainder(p, divisors, ctx: RingContext):
         else:
             out[lm] = rem.pop(lm)
             continue
+        stepped = True
         c = rem.pop(lm)
         quo = _gauss_quo(c, lc_g)
         if quo is None:
@@ -739,7 +742,7 @@ def _remainder(p, divisors, ctx: RingContext):
                     del rem[m]
                     continue
             rem[m] = (x, y)
-    return _Poly(out), scale
+    return (_Poly(out) if stepped else p), scale
 
 
 def _over_common_denominator(parts, ctx: RingContext):
@@ -1195,10 +1198,26 @@ class Coefficient:
         a, b = Coefficient._pair(self, other)
         if b.is_zero():
             raise DivisionByZero("division by zero Coefficient")
+        if not (a._den or b._den) and _is_ground(a._num) and _is_ground(b._num):
+            return Coefficient._scalar_quotient(a, b)
         # 1/b = den_product(b) / num(b), the product starting from q(b)
         num = _mul(a._num, b._den_product(), a._ctx)
         return Coefficient._make(num, list(a._den) + [(b._num, 1)], a._q,
                                  a._ctx)
+
+    @staticmethod
+    def _scalar_quotient(a: "Coefficient", b: "Coefficient") -> "Coefficient":
+        """a / b for Gaussian scalars a and b, b nonzero, in the normal form
+        _make gives: (x + iy)/q_a over (u + iv)/q_b is
+        (x + iy)(u - iv) q_b / (q_a (u^2 + v^2)), with q reduced against
+        the content."""
+        if not a._num:
+            return a
+        (x, y), (u, v) = a._num[0], b._num[0]
+        re, im = (x * u + y * v) * b._q, (y * u - x * v) * b._q
+        q = a._q * (u * u + v * v)
+        g = gcd(q, re, im)
+        return Coefficient(_ground((re // g, im // g)), (), q // g, a._ctx)
 
     def __rtruediv__(self, other):
         a, b = Coefficient._pair(self, other)
@@ -1284,6 +1303,8 @@ class Coefficient:
         if not r._num or not divisors:
             return r
         rem, scale = _remainder(r._num, divisors, r._ctx)
+        if rem is r._num:
+            return r
         den = list(r._den)
         if scale != _ONE:
             den.append((_ground(scale), 1))

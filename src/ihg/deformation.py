@@ -3,7 +3,9 @@
 A deformation is encoded by a T^{1,0}-valued (0,1)-form psi; the deformed
 (1,0)-coframe is Phi^j = phi^j + psi^j.  Re-expressing d(Phi^j) in the
 deformed coframe gives the deformed structure equations exactly; their
-(0,2) components are the integrability residual.
+(0,2) components are the integrability residual.  Bidegrees add under
+the wedge, so the residual is d(Phi^j) pushed through the (0,1) parts of
+the inverse's rows alone; the full structure is built on first read.
 
 The way back is two coframe substitutions on psi.  Read psi^j in the
 deformed coframe, each phi^{mu bar} standing for Phi^{mu bar}; then
@@ -19,6 +21,11 @@ The module also carries the operator route, so the two can be checked
 against each other.  Deformation.dbar_t_formula is its one formula
 (contractions and endomorphism inverses); del_t is its conjugate, since
 d_t is real, so VectorForm only ever holds T^{1,0}-valued forms.
+
+The bracket of T^{1,0}-valued forms is a stream of term products
+(_bracket_terms), so a caller summing several brackets, as the Kuranishi
+loop sums one degree's pairs, gathers them all into one sum of products
+per output coefficient; vector_bracket gathers one bracket.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from functools import partial
 
 from . import linalg
 from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
-from .exterior import CoframeMap, Form, VectorForm
+from .exterior import CoframeMap, Form, VectorForm, _collect, _wedge_terms
 from .geometry import Geometry
 from .symbols import base_name, registry, with_partners
 
@@ -70,6 +77,10 @@ class Deformation:
 
     The change sends phi^j to phi^j + psi^j; its inverse is the two
     substitutions of the module docstring, after one n x n inverse, of S.
+    mc_residual is computed at construction from the (0,1) parts of the
+    inverse's rows, a map of its own, so deform(require_mc=False) fills
+    no degree-2 image of the inverse; full_structure fills them on first
+    read, by geometry() or any caller.
     Each coefficient of the inverse is a product with S^{-1}, never a
     conjugate of it, so every entry shares the denominator atoms of
     S^{-1}: conjugating would make equal atoms distinct objects, which
@@ -120,19 +131,40 @@ class Deformation:
                 {("h", j): f for j, f in phi_t.items()}
                 | {("a", j): anti[j] + f for j, f in conj_legs.items()})
             self._endo_maps: tuple[CoframeMap, CoframeMap] | None = None
-            self.full_structure = {
-                j: self.to_deformed_coords(base.d(f)) for j, f in phi_t.items()
+            self._d_phi_t = {j: base.d(f) for j, f in phi_t.items()}
+            # bidegrees add under the wedge, so the (0,2) part of a 2-form's
+            # image is its image under the rows' (0,1) parts
+            residual_map = CoframeMap({
+                key: row.component(0, 1)
+                for key, row in self._to_deformed.rows.items()
+            })
+            self.mc_residual = {
+                j: residual_map.apply(f) for j, f in self._d_phi_t.items()
             }
         except DenominatorVanishes as exc:
-            raise DegenerateAtLocus(
-                f"{self.name}: coefficient blows up", locus=str(exc)
-            ) from exc
-        self.mc_residual = {
-            j: f.component(0, 2) for j, f in self.full_structure.items()
-        }
+            raise self._blows_up(exc) from exc
+        self._full_structure: dict[int, Form] | None = None
         self._geometry: Geometry | None = None
         if require_mc:
             self._require_integrable()
+
+    def _blows_up(self, exc: DenominatorVanishes) -> DegenerateAtLocus:
+        return DegenerateAtLocus(
+            f"{self.name}: coefficient blows up", locus=str(exc))
+
+    @property
+    def full_structure(self) -> dict[int, Form]:
+        """d(Phi^j) in the deformed coframe, the deformed structure
+        equations with their (0,2) residual; built on first read."""
+        if self._full_structure is None:
+            try:
+                self._full_structure = {
+                    j: self.to_deformed_coords(f)
+                    for j, f in self._d_phi_t.items()
+                }
+            except DenominatorVanishes as exc:
+                raise self._blows_up(exc) from exc
+        return self._full_structure
 
     # -- integrability -------------------------------------------------------
 
@@ -268,15 +300,19 @@ def deform(base: Geometry, psi: VectorForm, name: str | None = None,
 # -- vector-form calculus -----------------------------------------------------
 
 
-def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
-    """Bracket of T^{1,0}-valued forms:
+def _bracket_terms(geom: Geometry, a: VectorForm, b: VectorForm, weight=1):
+    """The term products of weight * [a, b] as (leg, monomial, x, y): the
+    bracket's component on Z_leg is the sum of x*y*monomial, and a scalar
+    weight is folded into y.
 
     [eta (x) X, rho (x) Y] = eta^rho (x) [X,Y] + eta^(L_X rho) (x) Y
                              + rho^(L_Y eta) (x) X,
 
     with the Lie derivative L_{Z_i} f = d(iota_i f) + iota_i(df) by the
     Cartan formula.  df is taken once per leg form, from one table when
-    b is a, and read back for every pair the leg meets.
+    b is a, and read back for every pair the leg meets.  The wedge terms of
+    eta^rho are formed once per leg pair and shared by every component of
+    the frame bracket [X,Y].
 
     When b is a and every leg is a 1-form, as every Kuranishi term is, the
     leg pair (j, i) gives the same three terms as (i, j): both the wedge
@@ -295,27 +331,45 @@ def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
         outer = d_form.contract_holo(i)
         return geom.d(inner) + outer if inner else outer
 
-    one = Coefficient.one()
-    two = one + one
-    pairs: dict[int, list] = {}
+    # the factor of a pair, and of a pair standing for both orders; None
+    # is one, which multiplies nothing
+    single, double = (None if w == 1 else Coefficient.from_scalar(w)
+                      for w in (weight, 2 * weight))
     for i, eta in a.components.items():
         for j, rho in b.components.items():
             if symmetric and j < i:
                 continue
-            w = two if symmetric and i < j else one
-            wedge = eta.wedge(rho)
-            if not wedge.is_zero():
+            w = double if symmetric and i < j else single
+            wedge = list(_wedge_terms(eta, rho))
+            if wedge:
                 for leg, c in geom.bracket(("h", i), ("h", j)).items():
                     if leg[0] != "h":
                         raise ValueError(
                             "frame brackets left the holomorphic span"
                         )
-                    pairs.setdefault(leg[1], []).append((wedge, c * w))
-            pairs.setdefault(j, []).append(
-                (eta.wedge(lie(i, rho, d_b[j])), w))
-            pairs.setdefault(i, []).append(
-                (rho.wedge(lie(j, eta, d_a[i])), w))
-    return VectorForm({a: Form.combination(p) for a, p in pairs.items()})
+                    cw = c if w is None else c * w
+                    for mi, x, y in wedge:
+                        yield leg[1], mi, x, y * cw
+            for leg, f, g in ((j, eta, lie(i, rho, d_b[j])),
+                              (i, rho, lie(j, eta, d_a[i]))):
+                for mi, x, y in _wedge_terms(f, g):
+                    yield leg, mi, x, (y if w is None else y * w)
+
+
+def _gather(terms) -> VectorForm:
+    """The T^{1,0}-valued form whose component on Z_leg is the sum of
+    x*y*monomial over the (leg, monomial, x, y) terms: one _collect per
+    leg, so each output coefficient is normalized once."""
+    legs: dict[int, list] = {}
+    for leg, mi, x, y in terms:
+        legs.setdefault(leg, []).append((mi, x, y))
+    return VectorForm({leg: _collect(t) for leg, t in legs.items()})
+
+
+def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
+    """Bracket of T^{1,0}-valued forms, gathered from its term products
+    (_bracket_terms): each output coefficient is one sum of products."""
+    return _gather(_bracket_terms(geom, a, b))
 
 
 def dbar_vector(geom: Geometry, vf: VectorForm) -> VectorForm:

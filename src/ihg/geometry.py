@@ -8,7 +8,8 @@ characters entering coefficients through their logarithmic derivatives
 Kuranishi construction) runs through the d operator built here.
 
 d is derived in one place: each geometry keeps one table from coframe
-monomials to their (del, dbar) pair, filled on first use, and
+monomials to their (del, dbar) pair, and one from (character, monomial)
+to the pair (dlog^{1,0} ^ m, dlog^{0,1} ^ m), both filled on first use;
 twisted_split combines table entries with the characters' action on
 coefficients, plus an optional closed 1-form theta wedged on as the twist
 d_theta = d + theta ^ (the sector matrices of cohomology use theta =
@@ -69,6 +70,9 @@ class Geometry:
         # filled lazily: a deformed geometry carries heavy coefficients and
         # most queries touch only a few of its monomials
         self._d_table: dict[MultiIndex, tuple[Form, Form]] = {}
+        # (character, m) -> (dlog^{1,0} ^ m, dlog^{0,1} ^ m), filled by
+        # twisted_split on first use
+        self._dlog_table: dict[tuple[str, MultiIndex], tuple[Form, Form]] = {}
         # filled by cohomology.split_primitive: (op, p, q, sector) -> the
         # sector matrix of op with its pseudo-inverse (linalg.normal_systems)
         # and the sector's embedded basis forms
@@ -126,24 +130,43 @@ class Geometry:
         only derivation of d: d_theta(c*m) = (dc + c*theta)^m + c*dm, so
         for each term c*m del gives (dc + c*theta)^{1,0}^m + c*del(m) and
         dbar gives (dc + c*theta)^{0,1}^m + c*dbar(m), with (del m, dbar m)
-        read from the geometry's monomial table.  Each half is one
-        Form.combination.
+        read from the geometry's monomial table.  dc is not formed: it is
+        the sum over characters E of E*dc/dE * dlog E, so each character
+        adds its table pair (dlog^{1,0} ^ m, dlog^{0,1} ^ m) with the
+        factor E*dc/dE.  Each half is one Form.combination.
 
         With theta = dlog(chi) for a character monomial chi, this is
         d(chi*form) with chi stripped; theta = None is d itself."""
-        one = Coefficient.one()
         del_pairs, dbar_pairs = [], []
         for mi, c in form.terms():
-            del_m, dbar_m = self._d_monomial(mi)
-            del_pairs.append((del_m, c))
-            dbar_pairs.append((dbar_m, c))
-            # the one-forms wedged onto m, with their factors
-            for leg, x in ((self.d_coefficient(c), one), (theta, c)):
-                if leg:
-                    m = Form({mi: one})
-                    del_pairs.append((leg.component(1, 0).wedge(m), x))
-                    dbar_pairs.append((leg.component(0, 1).wedge(m), x))
+            for entry, x in self._d_terms(mi, c):
+                del_pairs.append((entry[0], x))
+                dbar_pairs.append((entry[1], x))
+            if theta:
+                m = Form({mi: Coefficient.one()})
+                del_pairs.append((theta.component(1, 0).wedge(m), c))
+                dbar_pairs.append((theta.component(0, 1).wedge(m), c))
         return Form.combination(del_pairs), Form.combination(dbar_pairs)
+
+    def _d_terms(self, mi: MultiIndex, c: Coefficient):
+        """The pieces of d(c*m) as ((del, dbar) pair of forms, factor):
+        c*dm, and for each character E, E*dc/dE * dlog E ^ m.  The pair
+        (dlog^{1,0} ^ m, dlog^{0,1} ^ m) is read from a table filled on
+        first use, beside the monomial table."""
+        yield self._d_monomial(mi), c
+        if not c.has_characters():
+            return
+        for cname, dlog in self.chars.items():
+            x = c.euler(cname)
+            if not x:
+                continue
+            entry = self._dlog_table.get((cname, mi))
+            if entry is None:
+                m = Form({mi: Coefficient.one()})
+                entry = (dlog.component(1, 0).wedge(m),
+                         dlog.component(0, 1).wedge(m))
+                self._dlog_table[(cname, mi)] = entry
+            yield entry, x
 
     def d(self, form: Form) -> Form:
         del_part, dbar_part = self.d_split(form)
@@ -201,9 +224,14 @@ class Geometry:
                     kind="not_integrable",
                 )
         for cname, dlog in self.chars.items():
-            if base_name(cname) is not None:
+            try:
+                registered = base_name(cname) is None
+            except KeyError:
+                registered = False
+            if not registered:
                 raise StructureError(
-                    f"{cname} is not a registered character", kind="bad_character"
+                    f"{self.name}: {cname} is not a registered character",
+                    kind="bad_character",
                 )
             if not all(mi.degree == 1 for mi, _ in dlog.terms()):
                 raise StructureError(

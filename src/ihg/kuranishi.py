@@ -2,7 +2,9 @@
 
 From a basis of dbar-closed decorated (0,1)-forms the series
 psi(t) = sum_k psi_k(t) is grown degree by degree: the degree-k bracket
-(1/2) sum_{i+j=k} [psi_i, psi_j] is split on each frame leg by
+(1/2) sum_{i+j=k} [psi_i, psi_j], each unordered pair once and the term
+products of every pair gathered into one sum per output coefficient, is
+split on each frame leg by
 cohomology.split_primitive into a part orthogonal to im(dbar) - whose
 monomial coefficients must vanish and join the obstruction ideal - and a
 dbar-exact part, whose minimum-norm primitive becomes psi_k (the
@@ -16,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .coefficients import Coefficient, normalized_generators
 from .cohomology import split_primitive
-from .deformation import vector_bracket
+from .deformation import _bracket_terms, _gather
 from .exterior import Form, VectorForm
 from .geometry import Geometry
 from .symbols import base_name, conjugate_name, registry
@@ -98,7 +101,13 @@ class KuranishiSeries:
         self.forced_zeros = tuple(forced_zeros)
 
     def psi(self) -> VectorForm:
-        return _vector_sum((part, 1) for part in self.psi_terms.values())
+        one = Coefficient.one()
+        return _gather(
+            (leg, mi, c, one)
+            for part in self.psi_terms.values()
+            for leg, f in part.components.items()
+            for mi, c in f.terms()
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,17 +128,6 @@ class KuranishiSeries:
             "checked_through": self.checked_through,
             "forced_zeros": list(self.forced_zeros),
         }
-
-
-def _vector_sum(pairs) -> VectorForm:
-    """The sum of w*v over pairs of a T^{1,0}-valued form v and a weight w:
-    one Form.combination per leg."""
-    legs: dict[int, list] = {}
-    for vf, w in pairs:
-        w = Coefficient.from_scalar(w)
-        for leg, f in vf.components.items():
-            legs.setdefault(leg, []).append((f, w))
-    return VectorForm({leg: Form.combination(p) for leg, p in legs.items()})
 
 
 def _reduce_vector(vf: VectorForm, ideal) -> VectorForm:
@@ -191,13 +189,14 @@ def kuranishi_build(
     for k in range(2, depth_cap + 1):
         checked = k
         # 1/2 sum_{i+j=k} [psi_i, psi_j], each pair once: the bracket is
-        # symmetric on T^{1,0}-valued (0,1)-forms
-        bracket = _vector_sum(
-            (vector_bracket(geom, psi[i], psi[k - i]),
-             Fraction(1, 2) if 2 * i == k else 1)
+        # symmetric on T^{1,0}-valued (0,1)-forms.  The term products of
+        # every pair are gathered into one sum per output coefficient.
+        bracket = _gather(chain.from_iterable(
+            _bracket_terms(geom, psi[i], psi[k - i],
+                           Fraction(1, 2) if 2 * i == k else 1)
             for i in range(1, k // 2 + 1)
             if i in psi and k - i in psi
-        )
+        ))
         bracket = _reduce_vector(bracket, ideal)
         if bracket.is_zero():
             if k >= 2 * k_top:

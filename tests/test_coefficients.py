@@ -1517,6 +1517,47 @@ def test_reduce_modulo_scales_the_remainder_it_has_set_aside():
     assert got.render() == "t11^3 + 1/3*t11"
 
 
+def test_reduce_modulo_returns_its_input_when_no_step_is_taken():
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    value = (t * t + 1) / (u + 2)
+    assert value.reduce_modulo([u * u - 1, 3 * t * u]) is value
+    assert value.reduce_modulo([]) is value
+    # a step: t^2 = 2 modulo t^2 - 2, over the same denominator
+    got = value.reduce_modulo([2 * t * t - 4])
+    assert got is not value
+    assert got == Coefficient.from_scalar(3) / (u + 2)
+    assert got.render() == "3/(t21 + 2)"
+
+
+@pytest.mark.parametrize("a, b", [
+    ((3, 0, 1), (5, 0, 1)),  # real over real
+    ((0, 2, 1), (0, 7, 1)),  # imaginary over imaginary
+    ((-4, 6, 3), (-2, 0, 5)),  # over a negative real
+    ((1, 0, 1), (1, 1, 1)),  # a non-unit Gaussian integer
+    ((6, -9, 5), (4, 6, 7)),  # common content, scales on both sides
+    ((0, 0, 1), (3, -4, 2)),  # zero over a scalar
+])
+def test_scalar_quotient_matches_the_normal_form(a, b):
+    ctx = registry.context()
+
+    def scalar(re, im, q):
+        return Coefficient.from_scalar(GaussianRational(
+            Fraction(re, q), Fraction(im, q)))
+
+    x, y = scalar(*a), scalar(*b)
+    got = x / y
+    # the general route: num * den(y) over the atom num(y), normalized
+    want = Coefficient._make(_mul(x._num, y._den_product(), ctx),
+                             [(y._num, 1)], x._q, ctx)
+    assert got == want
+    assert (got._num, got._den, got._q) == (want._num, want._den, want._q)
+    assert got.render() == want.render()
+    assert got * y == x
+    with pytest.raises(DivisionByZero):
+        y / Coefficient.zero()
+
+
 def test_is_multiple_of_divides_by_the_primitive_part():
     setup_symbols()
     t, u = C("t11"), C("t21")

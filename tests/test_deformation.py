@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 
 from ihg import coefficients, linalg
+from ihg import deformation as deformation_module
 from ihg.catalog import CATALOG_NAMES, catalog, torus
 from ihg.coefficients import Coefficient
 from ihg.deformation import (
@@ -121,17 +122,17 @@ def _assert_symmetric_bracket_is_full(g, psi):
 
 def _count_leg_pairs(monkeypatch, vf) -> list:
     """Record each wedge of one leg form of vf with another: the bracket
-    takes it once per leg pair it forms."""
+    forms its terms (exterior._wedge_terms) once per leg pair it visits."""
     legs = list(vf.components.values())
     pairs = []
-    wedge = Form.wedge
+    wedge_terms = deformation_module._wedge_terms
 
-    def counted(self, other):
-        if any(self is f for f in legs) and any(other is f for f in legs):
-            pairs.append((self, other))
-        return wedge(self, other)
+    def counted(f, g):
+        if any(f is h for h in legs) and any(g is h for h in legs):
+            pairs.append((f, g))
+        return wedge_terms(f, g)
 
-    monkeypatch.setattr(Form, "wedge", counted)
+    monkeypatch.setattr(deformation_module, "_wedge_terms", counted)
     return pairs
 
 
@@ -410,6 +411,41 @@ class TestCoframeInverse:
         psi, _, _ = _iwasawa_psi()
         Deformation(catalog("iwasawa"), psi)
         assert calls == {"invert": 1, "mat_mul": 0}
+
+
+def _t11_branch_psi(name):
+    g = catalog(name)
+    branch = BranchSpec(nonzeros=("t11",))
+    return g, series_to_deformation(kuranishi_build(g), branch)
+
+
+class TestResidual:
+    @pytest.mark.parametrize("name", [
+        "iwasawa", "nakamura_3b", "solv4d", "iwasawa_six_parameters"])
+    def test_residual_is_the_02_part_of_the_full_structure(self, name):
+        if name == "iwasawa_six_parameters":
+            g, psi = catalog("iwasawa"), _iwasawa_psi(correction=False)[0]
+        else:
+            g, psi = _t11_branch_psi(name)
+        d = deform(g, psi, require_mc=False)
+        full = d.full_structure
+        assert d.mc_residual.keys() == full.keys()
+        for j, f in full.items():
+            assert d.mc_residual[j] == f.component(0, 2)
+            assert d.mc_residual[j].render() == f.component(0, 2).render()
+        if name in ("solv4d", "iwasawa_six_parameters"):
+            assert not d.is_integrable()
+
+    def test_full_structure_is_built_on_first_read(self):
+        g, psi = _t11_branch_psi("solv4d")
+        d = deform(g, psi, require_mc=False)
+
+        def degrees():
+            return {mi.degree for mi in d._to_deformed._images}
+
+        assert 2 not in degrees()
+        assert d.full_structure is d.full_structure
+        assert 2 in degrees()
 
 
 # -- extension calculus -----------------------------------------------------------

@@ -355,6 +355,12 @@ class TestCoordinateOracle:
                 e = Coefficient.symbol("E1")
                 samples.append(Form.monomial((2,), (2,), e * e))
                 samples.append(Form.monomial((), (3,), e.conjugate()))
+                # the shape of a Kuranishi leg: a parameter mixed with E1
+                # in the numerator, and in an atom
+                samples.append(Form.monomial(
+                    (1,), (2,), t * e + t.conjugate() / e))
+                samples.append(Form.monomial(
+                    (2, 3), (), t * e / (2 + t.conjugate() * e)))
             for f in samples:
                 lhs = realize(geom.d(f), coframe, chars, point_params)
                 rhs = realize(f, coframe, chars, point_params).d(n)
@@ -416,8 +422,12 @@ class TestValidation:
     def test_character_must_be_registered(self):
         dlog = Form.monomial((1,), ()) - Form.monomial((), (1,))
         registry.ensure_pair("t11")
-        with pytest.raises(KeyError):
+        with pytest.raises(StructureError, match="bad: F9 is not") as err:
             Geometry("bad", 2, {}, chars={"F9": dlog})
+        assert err.value.kind == "bad_character"
+        with pytest.raises(StructureError) as err:
+            Geometry("bad", 2, {}, chars={"t11": dlog})
+        assert err.value.kind == "bad_character"
 
     def test_dlog_must_be_anti_self_conjugate(self):
         registry.ensure_char("E1")

@@ -199,15 +199,38 @@ def test_each_bracket_pair_is_computed_once(name, monkeypatch):
     # [psi_i, psi_j] = [psi_j, psi_i]: degrees 2, 3 and 4 take the pairs
     # (1, 1), (1, 2) and (2, 2), where both orders would take 4 brackets
     calls = []
-    bracket = kuranishi_module.vector_bracket
+    bracket_terms = kuranishi_module._bracket_terms
 
-    def counted(geom, a, b):
+    def counted(geom, a, b, weight=1):
         calls.append(geom.name)
-        return bracket(geom, a, b)
+        return bracket_terms(geom, a, b, weight)
 
-    monkeypatch.setattr(kuranishi_module, "vector_bracket", counted)
+    monkeypatch.setattr(kuranishi_module, "_bracket_terms", counted)
     kuranishi_build(catalog(name))
     assert len(calls) == 3
+
+
+def test_build_and_branch_deform_cost(monkeypatch):
+    # each Kuranishi product is formed once: the degree's bracket is one
+    # sum per output coefficient, and deform builds only its (0,2) residual
+    calls = {"sum_of_products": 0, "_make": 0}
+    for name in calls:
+        original = getattr(Coefficient, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Coefficient, name, staticmethod(counted))
+    g = catalog("solv4d")
+    calls.update(dict.fromkeys(calls, 0))
+    series = kuranishi_build(g)
+    build = dict(calls)
+    psi = series_to_deformation(series, BranchSpec(nonzeros=("t11",)))
+    calls.update(dict.fromkeys(calls, 0))
+    deform(g, psi, require_mc=False)
+    assert build["sum_of_products"] <= 181 and build["_make"] <= 138
+    assert calls["sum_of_products"] <= 79 and calls["_make"] <= 92
 
 
 def test_generators_are_checked_once(monkeypatch):
