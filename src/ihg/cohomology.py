@@ -15,20 +15,26 @@ The matrix of an operator ("d", "del", "dbar" or "ddbar") in sector s is
 read off the geometry's d-table: d(chi^s*m) = chi^s*(dm + theta_s ^ m)
 with theta_s = sum_c s_c dlog_c, so a column is the table entry of m
 twisted by theta_s (Geometry.twisted_split), and no coefficient is ever
-multiplied by chi^s and split again.  A Bott-Chern sector reads two
-matrices: d on pure (p,q)-forms, whose kernel is ker(del) ∩ ker(dbar),
-and del dbar from (p-1,q-1).  One elimination over the image columns
-followed by the kernel vectors picks both spans as pivot columns, read
-on the free coordinates of ker d: the image lies in ker d whenever
-d^2 = 0 over the coefficient field, which Geometry validation records
-(d2_exact) and BottChernSector requires.  Kernel vectors are built last,
-and only for the classes kept.
+multiplied by chi^s and split again.  A sector matrix depends only on the
+geometry, so SectorComplex.matrix builds it once, into the geometry's
+sector table, and hands out copies of its columns from then on; every
+reader below goes through it.  Only matrices are kept: eliminations,
+kernels and whole sectors are computed again on each query.
+
+A Bott-Chern sector reads two matrices: d on pure (p,q)-forms, whose
+kernel is ker(del) ∩ ker(dbar), and del dbar from (p-1,q-1).  One
+elimination over the image columns followed by the kernel vectors picks
+both spans as pivot columns, read on the free coordinates of ker d: the
+image lies in ker d whenever d^2 = 0 over the coefficient field, which
+Geometry validation records (d2_exact) and BottChernSector requires.
+Kernel vectors are built last, and only for the classes kept.
 
 Invariant primitives are solved in one place, split_primitive, which
 returns the minimum-norm primitive of the part of a form in im(op) and
 the residue orthogonal to it; solve_dbar, solve_del and the Kuranishi
 step read both.  Each sector matrix it splits against is factored into its
-pseudo-inverse once per geometry.
+pseudo-inverse once per geometry, kept beside the matrix in the sector
+table.
 """
 
 from __future__ import annotations
@@ -179,12 +185,24 @@ class SectorComplex:
         sector's theta, not taken from d of the embedded monomial: del_s m
         = del m + theta^{1,0} ^ m, dbar_s m = dbar m + theta^{0,1} ^ m,
         d_s = del_s + dbar_s and ddbar_s = del_s dbar_s.
+
+        The matrix depends only on the geometry, so it is built once, on
+        first use, into the geometry's sector table under (sector, op, p,
+        q, targets), and read from there on; the caller gets copies of
+        the columns, which it may change.  A matrix whose columns leave
+        the sector raises SectorMixing and stores nothing.
         """
-        index = _index(self.geom.n, targets)
-        return [
-            self._coordinates(self._column(op, mi), index, targets, True)
-            for mi in self.basis(p, q)
-        ]
+        table = self.geom._sector_table
+        key = (self.sector, op, p, q, targets)
+        columns = table.get(key)
+        if columns is None:
+            index = _index(self.geom.n, targets)
+            columns = [
+                self._coordinates(self._column(op, mi), index, targets, True)
+                for mi in self.basis(p, q)
+            ]
+            table[key] = columns
+        return [dict(col) for col in columns]
 
 
 @dataclass(frozen=True)
@@ -353,31 +371,34 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     SectorComplex.to_vector gives it.  rhs lies in im(op) exactly when
     the residue is empty.
 
-    Each sector's matrix of op depends only on the geometry, so it is
-    built and factored into its pseudo-inverse (linalg.normal_systems)
-    once, on first use, into a table the geometry keeps for its lifetime,
-    next to the sector's embedded basis forms; every later split in that
-    sector is two matrix-vector products and builds no SectorComplex.
-    The table holds only matrices and forms, never a reference back to
-    the geometry.
+    Each sector's matrix of op is read through SectorComplex.matrix, and
+    factored into its pseudo-inverse (linalg.normal_systems) once, on
+    first use; the pseudo-inverse and the sector's embedded basis forms
+    join the matrix in the geometry's sector table, under op + "+", and
+    the split reads the matrix from the table itself.  Every later split
+    in that sector is two matrix-vector products and builds no
+    SectorComplex.  The table holds only matrices and forms, never a
+    reference back to the geometry.
     """
     dp, dq = _SHIFTS[op]
-    target = (p + dp, q + dq)
-    index = _index(geom.n, (target,))
-    vectors = _sector_vectors(rhs, index, (target,))
+    targets = ((p + dp, q + dq),)
+    index = _index(geom.n, targets)
+    vectors = _sector_vectors(rhs, index, targets)
+    table = geom._sector_table
     terms: list = []
     residue: linalg.SparseVector = {}
     for offset, sector in enumerate(sorted(vectors)):
-        key = (op, p, q, sector)
-        entry = geom._sector_systems.get(key)
+        split_key = (sector, op + "+", p, q, targets)
+        entry = table.get(split_key)
         if entry is None:
             cx = SectorComplex(geom, sector)
-            entry = (linalg.normal_systems(cx.matrix(op, p, q, target),
-                                           len(index)),
-                     [cx.embed(mi) for mi in cx.basis(p, q)])
-            geom._sector_systems[key] = entry
-        systems, basis = entry
-        x, rest = linalg.split_normal(systems, vectors[sector])
+            _, pinv = linalg.normal_systems(cx.matrix(op, p, q, *targets),
+                                            len(index))
+            entry = (pinv, [cx.embed(mi) for mi in cx.basis(p, q)])
+            table[split_key] = entry
+        pinv, basis = entry
+        x, rest = linalg.split_normal(
+            (table[(sector, op, p, q, targets)], pinv), vectors[sector])
         terms.extend((basis[k], c) for k, c in x.items())
         start = offset * len(index)
         residue.update((start + k, r) for k, r in rest.items())

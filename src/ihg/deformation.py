@@ -300,29 +300,36 @@ def deform(base: Geometry, psi: VectorForm, name: str | None = None,
 # -- vector-form calculus -----------------------------------------------------
 
 
-def _bracket_terms(geom: Geometry, a: VectorForm, b: VectorForm, weight=1):
+def _with_d(geom: Geometry, vf: VectorForm) -> tuple[VectorForm, dict]:
+    """vf with the d table of its legs, leg -> d(leg form): what
+    _bracket_terms takes, so a caller bracketing one form several times
+    takes each df once."""
+    return vf, {j: geom.d(f) for j, f in vf.components.items()}
+
+
+def _bracket_terms(geom: Geometry, a, b, weight=1):
     """The term products of weight * [a, b] as (leg, monomial, x, y): the
     bracket's component on Z_leg is the sum of x*y*monomial, and a scalar
-    weight is folded into y.
+    weight is folded into y.  a and b are T^{1,0}-valued forms with the
+    d tables of their legs, as _with_d gives them.
 
     [eta (x) X, rho (x) Y] = eta^rho (x) [X,Y] + eta^(L_X rho) (x) Y
                              + rho^(L_Y eta) (x) X,
 
     with the Lie derivative L_{Z_i} f = d(iota_i f) + iota_i(df) by the
-    Cartan formula.  df is taken once per leg form, from one table when
-    b is a, and read back for every pair the leg meets.  The wedge terms of
-    eta^rho are formed once per leg pair and shared by every component of
-    the frame bracket [X,Y].
+    Cartan formula; df is read from the d tables for every pair the leg
+    meets.  The wedge terms of eta^rho are formed once per leg pair whose
+    frame bracket [X,Y] is nonzero, and shared by its components.
 
     When b is a and every leg is a 1-form, as every Kuranishi term is, the
     leg pair (j, i) gives the same three terms as (i, j): both the wedge
     and the frame bracket change sign.  Then only pairs i <= j are formed,
     each i < j with weight 2.
     """
-    d_a = {i: geom.d(eta) for i, eta in a.components.items()}
-    d_b = d_a if b is a else {j: geom.d(rho) for j, rho in b.components.items()}
+    (legs_a, d_a), (legs_b, d_b) = a, b
     symmetric = b is a and all(
-        mi.degree == 1 for f in a.components.values() for mi, _ in f.terms()
+        mi.degree == 1 for f in legs_a.components.values()
+        for mi, _ in f.terms()
     )
 
     def lie(i: int, form: Form, d_form: Form) -> Form:
@@ -335,14 +342,15 @@ def _bracket_terms(geom: Geometry, a: VectorForm, b: VectorForm, weight=1):
     # is one, which multiplies nothing
     single, double = (None if w == 1 else Coefficient.from_scalar(w)
                       for w in (weight, 2 * weight))
-    for i, eta in a.components.items():
-        for j, rho in b.components.items():
+    for i, eta in legs_a.components.items():
+        for j, rho in legs_b.components.items():
             if symmetric and j < i:
                 continue
             w = double if symmetric and i < j else single
-            wedge = list(_wedge_terms(eta, rho))
+            frame = geom.bracket(("h", i), ("h", j))
+            wedge = list(_wedge_terms(eta, rho)) if frame else None
             if wedge:
-                for leg, c in geom.bracket(("h", i), ("h", j)).items():
+                for leg, c in frame.items():
                     if leg[0] != "h":
                         raise ValueError(
                             "frame brackets left the holomorphic span"
@@ -369,7 +377,9 @@ def _gather(terms) -> VectorForm:
 def vector_bracket(geom: Geometry, a: VectorForm, b: VectorForm) -> VectorForm:
     """Bracket of T^{1,0}-valued forms, gathered from its term products
     (_bracket_terms): each output coefficient is one sum of products."""
-    return _gather(_bracket_terms(geom, a, b))
+    a_d = _with_d(geom, a)
+    return _gather(_bracket_terms(geom, a_d,
+                                  a_d if b is a else _with_d(geom, b)))
 
 
 def dbar_vector(geom: Geometry, vf: VectorForm) -> VectorForm:

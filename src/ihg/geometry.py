@@ -15,7 +15,9 @@ coefficients, plus an optional closed 1-form theta wedged on as the twist
 d_theta = d + theta ^ (the sector matrices of cohomology use theta =
 dlog of a character monomial).  d_split is its untwisted view, and d,
 del_op, dbar and ddbar are views of d_split.  d of a coefficient without
-characters is zero at once.
+characters is zero at once.  The sector matrices read off these tables
+are kept in a third, the sector table, which cohomology fills; like the
+others it holds forms and matrices only, never the geometry.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class Geometry:
         # (character, m) -> (dlog^{1,0} ^ m, dlog^{0,1} ^ m), filled by
         # twisted_split on first use
         self._dlog_table: dict[tuple[str, MultiIndex], tuple[Form, Form]] = {}
-        # filled by cohomology.split_primitive: (op, p, q, sector) -> the
-        # sector matrix of op with its pseudo-inverse (linalg.normal_systems)
-        # and the sector's embedded basis forms
-        self._sector_systems: dict = {}
+        # the sector table, filled by cohomology.SectorComplex.matrix on
+        # first use: (sector, op, p, q, targets) -> the columns of op's
+        # sector matrix; cohomology.split_primitive adds, under op + "+",
+        # the matrix's pseudo-inverse and the sector's embedded basis forms
+        self._sector_table: dict = {}
         # filled by bracket on first use: (x, y) -> [X, Y] on the frame
         self._bracket_table: dict | None = None
         # whether d^2 = 0 over the coefficient field, not only modulo the

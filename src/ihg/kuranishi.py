@@ -22,7 +22,7 @@ from itertools import chain
 
 from .coefficients import Coefficient, normalized_generators
 from .cohomology import split_primitive
-from .deformation import _bracket_terms, _gather
+from .deformation import _bracket_terms, _gather, _with_d
 from .exterior import Form, VectorForm
 from .geometry import Geometry
 from .symbols import base_name, conjugate_name, registry
@@ -181,7 +181,8 @@ def kuranishi_build(
         )
         for i in range(1, geom.n + 1)
     }
-    psi: dict[int, VectorForm] = {1: VectorForm(legs)}
+    # each psi_k with the d table of its legs, taken once for the build
+    psi = {1: _with_d(geom, VectorForm(legs))}
     ideal: list[Coefficient] = []
     k_top = 1
     terminated = False
@@ -205,20 +206,17 @@ def kuranishi_build(
             continue
         primitive = _solve_degree(geom, bracket, ideal)
         if not primitive.is_zero():
-            psi[k] = primitive
+            psi[k] = _with_d(geom, primitive)
             k_top = k
     if not terminated:
         raise DepthCapReached(
             f"bracket still active at degree {depth_cap} for {geom.name!r}"
         )
-    psi = {
-        k: _reduce_vector(part, ideal) for k, part in psi.items()
-    }
     return KuranishiSeries(
         geom,
         gens,
         tuple(names),
-        psi,
+        {k: _reduce_vector(part, ideal) for k, (part, _) in psi.items()},
         tuple(ideal),
         terminated,
         checked,

@@ -115,6 +115,58 @@ def test_sector_cost(monkeypatch):
     assert len(monomial_basis(g.n, 2, 2)) == 36
 
 
+def test_a_second_sector_reads_the_sector_table(monkeypatch):
+    # the second Bott-Chern sector of a geometry reads both matrices from
+    # the table: no twisted split and no d-table entry, but the same two
+    # eliminations, since no elimination or kernel is kept
+    g = catalog("solv4d")
+    first = BottChernSector(g, 2, 2)
+    calls = {"twisted_split": 0, "_d_monomial": 0, "eliminate": 0}
+    twisted_split, d_monomial = Geometry.twisted_split, Geometry._d_monomial
+    eliminate = linalg._eliminate
+
+    def counted_twisted_split(self, form, theta=None):
+        calls["twisted_split"] += 1
+        return twisted_split(self, form, theta)
+
+    def counted_d_monomial(self, mi):
+        calls["_d_monomial"] += 1
+        return d_monomial(self, mi)
+
+    def counted_eliminate(rows, width):
+        calls["eliminate"] += 1
+        return eliminate(rows, width)
+
+    monkeypatch.setattr(Geometry, "twisted_split", counted_twisted_split)
+    monkeypatch.setattr(Geometry, "_d_monomial", counted_d_monomial)
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    second = BottChernSector(g, 2, 2)
+    assert calls == {"twisted_split": 0, "_d_monomial": 0, "eliminate": 2}
+    monkeypatch.undo()
+    assert second.image == first.image
+    assert second.quotient == first.quotient
+    assert second.basis_forms() == first.basis_forms()
+
+
+def test_a_caller_cannot_change_the_sector_table():
+    # matrix hands out copies: changing a column it returned, or a kept
+    # image column of a sector, leaves the next matrix as it was
+    g = catalog("solv4d")
+    cx = SectorComplex(g)
+    want = cx.matrix("ddbar", 1, 1, (2, 2))
+    got = cx.matrix("ddbar", 1, 1, (2, 2))
+    k = next(i for i, col in enumerate(got) if col)
+    got[k].clear()
+    got.append({0: Coefficient.one()})
+    sector = BottChernSector(g, 2, 2)
+    kept = [dict(col) for col in sector.image]
+    assert kept
+    sector.image[0][max(kept[0]) + 1] = Coefficient.one()
+    sector.image[0].pop(min(kept[0]))
+    assert cx.matrix("ddbar", 1, 1, (2, 2)) == want
+    assert BottChernSector(g, 2, 2).image == kept
+
+
 def test_sector_zero_decomposes_without_normalizing(monkeypatch):
     # every coefficient of a sector-0 column on iwasawa is character-free,
     # so char_decompose hands it on as it is
@@ -227,6 +279,8 @@ def test_table_read_matrix_matches_the_embedded_route(name, op):
                 targets = [(p + a, q + b) for a, b in _TARGETS[op]]
                 want = [cx.to_vector(public[op](cx.embed(mi)), *targets)
                         for mi in cx.basis(p, q)]
+                # the first call fills the sector table, the second reads it
+                assert cx.matrix(op, p, q, *targets) == want, (sector, p, q)
                 assert cx.matrix(op, p, q, *targets) == want, (sector, p, q)
 
 
@@ -238,8 +292,11 @@ def test_a_character_in_the_structure_still_mixes_sectors(twisted):
         cx = SectorComplex(g, sector)
         with pytest.raises(SectorMixing):
             cx.to_vector(g.d(cx.embed(MultiIndex((), (2,)))), (1, 1), (0, 2))
-        with pytest.raises(SectorMixing):
-            cx.matrix("d", 0, 1, (1, 1), (0, 2))
+        # a raise stores nothing, so a second call raises as well
+        for _ in range(2):
+            with pytest.raises(SectorMixing):
+                cx.matrix("d", 0, 1, (1, 1), (0, 2))
+        assert (cx.sector, "d", 0, 1, ((1, 1), (0, 2))) not in g._sector_table
 
 
 def test_solve_dbar_is_minimum_norm(h3x):

@@ -120,19 +120,19 @@ def _assert_symmetric_bracket_is_full(g, psi):
     assert mc_equation(g, psi) == dbar_vector(g, psi) - bracket * half
 
 
-def _count_leg_pairs(monkeypatch, vf) -> list:
-    """Record each wedge of one leg form of vf with another: the bracket
-    forms its terms (exterior._wedge_terms) once per leg pair it visits."""
-    legs = list(vf.components.values())
+def _count_leg_pairs(monkeypatch) -> list:
+    """Record each leg pair the bracket visits: it looks up the frame
+    bracket of the pair's two holomorphic legs (Geometry.bracket) once
+    per pair, whether that bracket is empty or not."""
     pairs = []
-    wedge_terms = deformation_module._wedge_terms
+    bracket = Geometry.bracket
 
-    def counted(f, g):
-        if any(f is h for h in legs) and any(g is h for h in legs):
-            pairs.append((f, g))
-        return wedge_terms(f, g)
+    def counted(self, x, y):
+        if x[0] == y[0] == "h":
+            pairs.append((x, y))
+        return bracket(self, x, y)
 
-    monkeypatch.setattr(deformation_module, "_wedge_terms", counted)
+    monkeypatch.setattr(Geometry, "bracket", counted)
     return pairs
 
 
@@ -740,7 +740,7 @@ class TestVectorCalculus:
         g = catalog("solv4d")
         psi = kuranishi_build(g).psi_terms[1]
         full = VectorForm(dict(psi.components))
-        pairs = _count_leg_pairs(monkeypatch, psi)
+        pairs = _count_leg_pairs(monkeypatch)
         vector_bracket(g, psi, psi)
         n = len(psi.components)
         assert n == 4
@@ -748,6 +748,29 @@ class TestVectorCalculus:
         pairs.clear()
         vector_bracket(g, psi, full)
         assert len(pairs) == n * n
+
+    def test_an_empty_frame_bracket_forms_no_wedge(self, monkeypatch):
+        # eta^rho (x) [X,Y] is formed only where [X,Y] is nonzero: on
+        # solv4d that is 3 of the 10 leg pairs of psi_1
+        g = catalog("solv4d")
+        psi = kuranishi_build(g).psi_terms[1]
+        want = _bracket_oracle(g, psi, psi)
+        legs = list(psi.components.values())
+        wedges = []
+        wedge_terms = deformation_module._wedge_terms
+
+        def counted(f, h):
+            if any(f is x for x in legs) and any(h is x for x in legs):
+                wedges.append((f, h))
+            return wedge_terms(f, h)
+
+        monkeypatch.setattr(deformation_module, "_wedge_terms", counted)
+        got = vector_bracket(g, psi, psi)
+        monkeypatch.undo()
+        nonempty = [(i, j) for i in psi.components for j in psi.components
+                    if i <= j and g.bracket(("h", i), ("h", j))]
+        assert len(wedges) == len(nonempty) == 3
+        assert got == want
 
     def test_a_zero_contraction_takes_no_d(self, monkeypatch):
         # iota_i of a (0,1)-form leg is zero, and d of it is never taken
@@ -778,7 +801,7 @@ class TestVectorCalculus:
             legs = {1: _mono((), (1, 2), va), 2: _mono((), (3, 4), e),
                     3: _mono((1,), (2,)) + _mono((), (3, 4))}
         x = VectorForm(legs)
-        pairs = _count_leg_pairs(monkeypatch, x)
+        pairs = _count_leg_pairs(monkeypatch)
         got = vector_bracket(g, x, x)
         assert len(pairs) == 9
         monkeypatch.undo()

@@ -210,9 +210,55 @@ def test_each_bracket_pair_is_computed_once(name, monkeypatch):
     assert len(calls) == 3
 
 
+_SOLV4D_SERIES = {
+    "geometry": "solv4d",
+    "parameters": [f"t{i}{lam}" for i in range(1, 5) for lam in range(1, 4)],
+    "psi": [
+        {"degree": 1, "legs": {
+            str(i): f"t{i}1*phi[|1] + E1*t{i}2*phi[|2] + t{i}3/E1*phi[|3]"
+            for i in range(1, 5)}},
+        {"degree": 2, "legs": {
+            "4": "(t12*t43 + t13*t42 - t22*t33 + t23*t32)*phi[|4]"}},
+    ],
+    "ideal": [
+        "t11*t12", "t11*t13", "t12*t21", "t13*t31",
+        "t11*t23 - 1/2*t13*t21", "t11*t32 - 1/2*t12*t31",
+        "t11*t42 + t21*t32 - t22*t31", "t11*t43 - t21*t33 + t23*t31",
+        "t12*t13", "t12*t23", "t13*t32",
+    ],
+    "terminated": True,
+    "checked_through": 4,
+    "forced_zeros": [],
+}
+
+
+def test_each_leg_form_is_differentiated_once(monkeypatch):
+    # degrees 2, 3 and 4 bracket (psi_1, psi_1), (psi_1, psi_2) and
+    # (psi_2, psi_2): psi_1 and psi_2 have four legs each, and the build
+    # keeps the d table of each, so 8 d's where every bracket taking its
+    # own would take 16
+    g = catalog("solv4d")
+    calls = []
+    d = Geometry.d
+
+    def counted(self, form):
+        calls.append(form)
+        return d(self, form)
+
+    monkeypatch.setattr(Geometry, "d", counted)
+    series = kuranishi_build(g)
+    assert len(calls) == 8
+    assert len({id(f) for f in calls}) == 8
+    assert all(f.is_pure(0, 1) for f in calls)
+    monkeypatch.undo()
+    assert series.to_json_dict() == _SOLV4D_SERIES
+
+
 def test_build_and_branch_deform_cost(monkeypatch):
     # each Kuranishi product is formed once: the degree's bracket is one
-    # sum per output coefficient, and deform builds only its (0,2) residual
+    # sum per output coefficient, and deform builds only its (0,2) residual;
+    # the build takes d of each leg once (181 and 138 when each bracket
+    # took its own)
     calls = {"sum_of_products": 0, "_make": 0}
     for name in calls:
         original = getattr(Coefficient, name)
@@ -229,7 +275,7 @@ def test_build_and_branch_deform_cost(monkeypatch):
     psi = series_to_deformation(series, BranchSpec(nonzeros=("t11",)))
     calls.update(dict.fromkeys(calls, 0))
     deform(g, psi, require_mc=False)
-    assert build["sum_of_products"] <= 181 and build["_make"] <= 138
+    assert build["sum_of_products"] <= 161 and build["_make"] <= 122
     assert calls["sum_of_products"] <= 79 and calls["_make"] <= 92
 
 
