@@ -12,9 +12,10 @@ SectorComplex reads its own sector's vector and raises SectorMixing when
 the form meets another.
 
 The matrix of an operator ("d", "del", "dbar" or "ddbar") in sector s is
-read off the geometry's d-table: d(chi^s*m) = chi^s*(dm + theta_s ^ m)
-with theta_s = sum_c s_c dlog_c, so a column is the table entry of m
-twisted by theta_s (Geometry.twisted_split), and no coefficient is ever
+read off the geometry's tables: d(chi^s*m) = chi^s*(dm + dlog chi^s ^ m)
+with dlog chi^s = sum_c s_c dlog_c, so a column is the table entry of m
+twisted by the sector's exponents (Geometry.twisted_split, whose dlog
+table holds every character term of d), and no coefficient is ever
 multiplied by chi^s and split again.  A sector matrix depends only on the
 geometry, so SectorComplex.matrix builds it once, into the geometry's
 sector table, and hands out copies of its columns from then on; every
@@ -62,6 +63,12 @@ def monomial_basis(n: int, p: int, q: int) -> tuple[MultiIndex, ...]:
     )
 
 
+def _check_operator(op: str, accepted: tuple[str, ...]) -> None:
+    if op not in accepted:
+        raise ValueError(f"unknown operator {op!r}; expected one of "
+                         + ", ".join(map(repr, accepted)))
+
+
 def _index(n: int, bidegrees) -> dict[MultiIndex, int]:
     monomials = [mi for p, q in bidegrees for mi in monomial_basis(n, p, q)]
     return {mi: k for k, mi in enumerate(monomials)}
@@ -103,15 +110,14 @@ class SectorComplex:
         self.geom = geom
         self.sector = tuple(sector)
         prefix = Coefficient.one()
-        theta = []
         for nm, e in zip(names, sector):
             if e:
                 prefix = prefix * Coefficient.symbol(nm) ** e
-                if nm in geom.chars:
-                    theta.append((geom.chars[nm], Coefficient.from_scalar(e)))
         self._prefix = prefix
-        # dlog of the prefix: d(prefix*f) = prefix*(d f + theta ^ f)
-        self._theta = Form.combination(theta) if theta else None
+        # d(prefix*f) = prefix*(d f + sum_E s_E dlog E ^ f), E running over
+        # the geometry's characters: any other is constant on it
+        self._twist = {nm: e for nm, e in zip(names, sector)
+                       if e and nm in geom.chars}
 
     def basis(self, p: int, q: int) -> tuple[MultiIndex, ...]:
         return monomial_basis(self.geom.n, p, q)
@@ -163,16 +169,16 @@ class SectorComplex:
         """op_s of the monomial mi: op of prefix*mi with the prefix
         stripped, as forms on distinct monomials whose sum it is; d is
         the (del, dbar) pair, never merged."""
-        if self._theta is None:
+        if not self._twist:
             # sector 0: the d-table entry itself
             del_m, dbar_m = self.geom._d_monomial(mi)
         else:
             del_m, dbar_m = self.geom.twisted_split(
-                Form({mi: Coefficient.one()}), self._theta)
+                Form({mi: Coefficient.one()}), self._twist)
         if op == "d":
             return del_m, dbar_m
         if op == "ddbar":
-            return self.geom.twisted_split(dbar_m, self._theta)[:1]
+            return self.geom.twisted_split(dbar_m, self._twist)[:1]
         return ({"del": del_m, "dbar": dbar_m}[op],)
 
     def matrix(self, op: str, p: int, q: int,
@@ -182,20 +188,22 @@ class SectorComplex:
         bidegrees, stacked in the order given.
 
         Each column is read off the geometry's d-table twisted by the
-        sector's theta, not taken from d of the embedded monomial: del_s m
-        = del m + theta^{1,0} ^ m, dbar_s m = dbar m + theta^{0,1} ^ m,
-        d_s = del_s + dbar_s and ddbar_s = del_s dbar_s.
+        sector's exponents, not taken from d of the embedded monomial: with
+        a = dlog chi^s, del_s m = del m + a^{1,0} ^ m, dbar_s m = dbar m +
+        a^{0,1} ^ m, d_s = del_s + dbar_s and ddbar_s = del_s dbar_s.
 
         The matrix depends only on the geometry, so it is built once, on
         first use, into the geometry's sector table under (sector, op, p,
         q, targets), and read from there on; the caller gets copies of
         the columns, which it may change.  A matrix whose columns leave
-        the sector raises SectorMixing and stores nothing.
+        the sector raises SectorMixing, and an unknown op ValueError; both
+        store nothing.
         """
         table = self.geom._sector_table
         key = (self.sector, op, p, q, targets)
         columns = table.get(key)
         if columns is None:
+            _check_operator(op, ("d", "del", "dbar", "ddbar"))
             index = _index(self.geom.n, targets)
             columns = [
                 self._coordinates(self._column(op, mi), index, targets, True)
@@ -364,6 +372,7 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     (p,q)-forms: returns (beta, residue), where beta is the (p,q)-form of
     minimum norm whose image is the part of rhs in im(op), and residue
     holds the nonzero coordinates of the rest, orthogonal to im(op).
+    Any other op raises ValueError.
 
     Sectors are visited in sorted order, and the residue of the k-th of
     them (from 0) sits at its monomial indices plus k*m, m the number of
@@ -380,6 +389,7 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     SectorComplex.  The table holds only matrices and forms, never a
     reference back to the geometry.
     """
+    _check_operator(op, ("del", "dbar"))
     dp, dq = _SHIFTS[op]
     targets = ((p + dp, q + dq),)
     index = _index(geom.n, targets)

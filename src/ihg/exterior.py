@@ -289,15 +289,6 @@ class Form:
                 out[rest] = -c if (len(mi.holo) + k) % 2 else c
         return Form(out)
 
-    def substitute_coframe(self, mapping: dict[tuple[str, int], "Form"]) -> "Form":
-        """Rewrite through a coframe substitution, once.
-
-        The one-shot use of CoframeMap(mapping): its monomial table is
-        filled for this form and then dropped.  A caller that rewrites many
-        forms through the same substitution keeps a CoframeMap instead.
-        """
-        return CoframeMap(mapping).apply(self)
-
     # -- evaluation, rendering ----------------------------------------------
 
     def numeric(self, point: dict[str, complex]) -> dict[MultiIndex, complex]:

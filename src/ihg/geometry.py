@@ -9,14 +9,14 @@ Kuranishi construction) runs through the d operator built here.
 
 d is derived in one place: each geometry keeps one table from coframe
 monomials to their (del, dbar) pair, and one from (character, monomial)
-to the pair (dlog^{1,0} ^ m, dlog^{0,1} ^ m), both filled on first use;
-twisted_split combines table entries with the characters' action on
-coefficients, plus an optional closed 1-form theta wedged on as the twist
-d_theta = d + theta ^ (the sector matrices of cohomology use theta =
-dlog of a character monomial).  d_split is its untwisted view, and d,
-del_op, dbar and ddbar are views of d_split.  d of a coefficient without
-characters is zero at once.  The sector matrices read off these tables
-are kept in a third, the sector table, which cohomology fills; like the
+to the pair (dlog^{1,0} ^ m, dlog^{0,1} ^ m), both filled on first use.
+The second is the one home of every character term of d: twisted_split
+adds its entries with the factor E*dc/dE for a coefficient c, and with
+s_E*c for a sector's exponents s (d_s = d + sum_E s_E dlog E ^, whose
+matrices cohomology reads).  d_split is its untwisted view, and d,
+del_op, dbar and ddbar are views of d_split; d of a coefficient c is d
+of the scalar form c.  The sector matrices read off these tables are
+kept in a third, the sector table, which cohomology fills; like the
 others it holds forms and matrices only, never the geometry.
 """
 
@@ -89,14 +89,6 @@ class Geometry:
 
     # -- d and its bigraded pieces -------------------------------------------
 
-    def d_coefficient(self, c: Coefficient) -> Form:
-        """d of a function coefficient; only characters vary on the manifold."""
-        if not c.has_characters():
-            return Form()
-        return Form.combination(
-            (dlog, c.euler(cname)) for cname, dlog in self.chars.items()
-        )
-
     def _d_monomial(self, mi: MultiIndex) -> tuple[Form, Form]:
         """(del m, dbar m) of a coframe monomial m, derived once per geometry
         by the Leibniz rule on its first factor: d(f^r) = df^r - f^d(r)."""
@@ -128,40 +120,41 @@ class Geometry:
         return self.twisted_split(form)
 
     def twisted_split(self, form: Form,
-                      theta: Form | None = None) -> tuple[Form, Form]:
-        """(del form, dbar form) twisted by the closed 1-form theta, the
-        only derivation of d: d_theta(c*m) = (dc + c*theta)^m + c*dm, so
-        for each term c*m del gives (dc + c*theta)^{1,0}^m + c*del(m) and
-        dbar gives (dc + c*theta)^{0,1}^m + c*dbar(m), with (del m, dbar m)
-        read from the geometry's monomial table.  dc is not formed: it is
-        the sum over characters E of E*dc/dE * dlog E, so each character
-        adds its table pair (dlog^{1,0} ^ m, dlog^{0,1} ^ m) with the
-        factor E*dc/dE.  Each half is one Form.combination.
+                      twist: dict[str, int] | None = None
+                      ) -> tuple[Form, Form]:
+        """(del_s form, dbar_s form) for the character exponents twist
+        (name -> s_E), the only derivation of d: with a = sum_E s_E dlog E,
+        d_s(c*m) = (dc + c*a)^m + c*dm, split by bidegree, with (del m,
+        dbar m) read from the geometry's monomial table.  Neither dc nor a
+        is formed: dc is the sum over characters E of E*dc/dE * dlog E, so
+        each character adds its table pair (dlog^{1,0} ^ m, dlog^{0,1} ^
+        m) with the factor E*dc/dE, and again with the factor s_E*c.
+        Each half is one Form.combination.
 
-        With theta = dlog(chi) for a character monomial chi, this is
-        d(chi*form) with chi stripped; theta = None is d itself."""
+        For a character monomial chi with exponents twist, this is
+        d(chi*form) with chi stripped; no twist is d itself, and a
+        character that is not the geometry's twists nothing."""
         del_pairs, dbar_pairs = [], []
         for mi, c in form.terms():
-            for entry, x in self._d_terms(mi, c):
+            for entry, x in self._d_terms(mi, c, twist):
                 del_pairs.append((entry[0], x))
                 dbar_pairs.append((entry[1], x))
-            if theta:
-                m = Form({mi: Coefficient.one()})
-                del_pairs.append((theta.component(1, 0).wedge(m), c))
-                dbar_pairs.append((theta.component(0, 1).wedge(m), c))
         return Form.combination(del_pairs), Form.combination(dbar_pairs)
 
-    def _d_terms(self, mi: MultiIndex, c: Coefficient):
-        """The pieces of d(c*m) as ((del, dbar) pair of forms, factor):
-        c*dm, and for each character E, E*dc/dE * dlog E ^ m.  The pair
-        (dlog^{1,0} ^ m, dlog^{0,1} ^ m) is read from a table filled on
-        first use, beside the monomial table."""
+    def _d_terms(self, mi: MultiIndex, c: Coefficient,
+                 twist: dict[str, int] | None):
+        """The pieces of d_s(c*m) as ((del, dbar) pair of forms, factor):
+        c*dm, and for each character E, E*dc/dE * dlog E ^ m and, apart,
+        s_E*c * dlog E ^ m.  The pair (dlog^{1,0} ^ m, dlog^{0,1} ^ m) is
+        read from a table filled on first use, beside the monomial table."""
         yield self._d_monomial(mi), c
-        if not c.has_characters():
+        varies = c.has_characters()
+        if not (varies or twist):
             return
         for cname, dlog in self.chars.items():
-            x = c.euler(cname)
-            if not x:
+            x = c.euler(cname) if varies else None
+            s = twist.get(cname) if twist else None
+            if not (x or s):
                 continue
             entry = self._dlog_table.get((cname, mi))
             if entry is None:
@@ -169,7 +162,10 @@ class Geometry:
                 entry = (dlog.component(1, 0).wedge(m),
                          dlog.component(0, 1).wedge(m))
                 self._dlog_table[(cname, mi)] = entry
-            yield entry, x
+            if x:
+                yield entry, x
+            if s:
+                yield entry, c * s
 
     def d(self, form: Form) -> Form:
         del_part, dbar_part = self.d_split(form)
@@ -207,13 +203,6 @@ class Geometry:
                         table.setdefault((v, u), {})[leg] = c
             self._bracket_table = table
         return dict(self._bracket_table.get((x, y), {}))
-
-    def frame_action(self, x: FrameLabel, c: Coefficient) -> Coefficient:
-        """Derivative of a function coefficient along a frame vector: the
-        contraction of its d with x, a coefficient of that 1-form."""
-        flavor, i = x
-        dc = self.d_coefficient(c)
-        return dc.coeff((i,), ()) if flavor == "h" else dc.coeff((), (i,))
 
     # -- validation -----------------------------------------------------------
 

@@ -88,9 +88,9 @@ def test_sector_cost(monkeypatch):
         calls["d_split"] += 1
         return d_split(self, form)
 
-    def counted_twisted_split(self, form, theta=None):
+    def counted_twisted_split(self, form, twist=None):
         calls["twisted_split"] += 1
-        return twisted_split(self, form, theta)
+        return twisted_split(self, form, twist)
 
     def counted_eliminate(rows, width):
         calls["eliminate"] += 1
@@ -125,9 +125,9 @@ def test_a_second_sector_reads_the_sector_table(monkeypatch):
     twisted_split, d_monomial = Geometry.twisted_split, Geometry._d_monomial
     eliminate = linalg._eliminate
 
-    def counted_twisted_split(self, form, theta=None):
+    def counted_twisted_split(self, form, twist=None):
         calls["twisted_split"] += 1
-        return twisted_split(self, form, theta)
+        return twisted_split(self, form, twist)
 
     def counted_d_monomial(self, mi):
         calls["_d_monomial"] += 1
@@ -282,6 +282,20 @@ def test_table_read_matrix_matches_the_embedded_route(name, op):
                 # the first call fills the sector table, the second reads it
                 assert cx.matrix(op, p, q, *targets) == want, (sector, p, q)
                 assert cx.matrix(op, p, q, *targets) == want, (sector, p, q)
+
+
+def test_an_unknown_operator_is_refused():
+    # an operator name outside the accepted ones is a ValueError naming
+    # them, not a KeyError, and leaves the sector table as it was
+    g = catalog("solv4d")
+    with pytest.raises(ValueError, match="'del', 'dbar'"):
+        split_primitive(g, "d", Form.monomial((1,), (1,)), 1, 0)
+    cx = SectorComplex(g)
+    for p in (1, 5):  # an empty basis is refused as well
+        with pytest.raises(ValueError,
+                           match="'d', 'del', 'dbar', 'ddbar'"):
+            cx.matrix("dd", p, 0, (p + 1, 0))
+    assert g._sector_table == {}
 
 
 def test_a_character_in_the_structure_still_mixes_sectors(twisted):

@@ -61,6 +61,14 @@ def _evaluate(form, labels):
     return form.coeff((), ())
 
 
+def _frame_action(g, x, c):
+    """X(c) for a frame label x: only characters vary, so it is the sum
+    over characters E of E*dc/dE times dlog E evaluated on x."""
+    return Coefficient.sum_of_products(
+        (c.euler(name), _evaluate(dlog, [x]))
+        for name, dlog in g.chars.items())
+
+
 def _lie_oracle(g, x, form):
     """L_X of a form, read off the frame brackets:
     (L_X f)(Y_1..Y_k) = X(f(Y_1..Y_k)) - sum_j f(Y_1..[X,Y_j]..Y_k)."""
@@ -70,7 +78,7 @@ def _lie_oracle(g, x, form):
             for holo in combinations(range(1, g.n + 1), p):
                 for anti in combinations(range(1, g.n + 1), k - p):
                     ys = [("h", h) for h in holo] + [("a", a) for a in anti]
-                    value = g.frame_action(x, _evaluate(form, ys))
+                    value = _frame_action(g, x, _evaluate(form, ys))
                     for j, y in enumerate(ys):
                         for z, c in g.bracket(x, y).items():
                             swapped = ys[:j] + [z] + ys[j + 1:]

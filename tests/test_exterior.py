@@ -115,8 +115,9 @@ def test_substitute_coframe_is_algebra_map():
     }
     a = Form.monomial((1,), (1,))
     b = Form.monomial((2,), ())
-    lhs = a.wedge(b).substitute_coframe(m)
-    rhs = a.substitute_coframe(m).wedge(b.substitute_coframe(m))
+    # a fresh map per side: no side reads a table entry the other filled
+    lhs = CoframeMap(m).apply(a.wedge(b))
+    rhs = CoframeMap(m).apply(a).wedge(CoframeMap(m).apply(b))
     assert lhs == rhs
 
 
@@ -255,7 +256,8 @@ def test_coframe_map_matches_wedge_chain(f):
     expected = _substitute_by_chain(f, rows)
     assert table.apply(f) == expected
     assert table.apply(f) == expected
-    assert f.substitute_coframe(rows) == expected
+    # a fresh map fills its own table
+    assert CoframeMap(rows).apply(f) == expected
 
 
 # -- linear combinations: one gather per output monomial ------------------------

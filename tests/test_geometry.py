@@ -236,13 +236,17 @@ class TestBrackets:
         assert geom.bracket(("h", 1), ("h", 2)) == {("h", 2): -Coefficient.one()}
 
     def test_frame_action_on_character(self):
+        # X(c) is the coefficient of d c at the frame slot of X; d of the
+        # scalar form c reads the dlog table's entry of the empty monomial
         geom = catalog("nakamura_3b")
         e = Coefficient.symbol("E1")
-        assert geom.frame_action(("h", 1), e) == e
-        assert geom.frame_action(("a", 1), e) == -e
-        assert geom.frame_action(("h", 2), e).is_zero()
+        de = geom.d(Form.scalar(e))
+        assert de.coeff((1,), ()) == e
+        assert de.coeff((), (1,)) == -e
+        assert de.coeff((2,), ()).is_zero()
         # inverse character picks up the opposite weight
-        assert geom.frame_action(("h", 1), e.conjugate()) == -e.conjugate()
+        assert geom.d(Form.scalar(e.conjugate())).coeff((1,), ()) == \
+            -e.conjugate()
 
 
     def test_d_of_a_character_free_coefficient_runs_no_euler(self, monkeypatch):
@@ -257,10 +261,11 @@ class TestBrackets:
             return euler(c, name)
 
         monkeypatch.setattr(Coefficient, "euler", counted)
-        assert geom.d_coefficient(t / (1 + t * t.conjugate())).is_zero()
+        assert geom.d(Form.scalar(t / (1 + t * t.conjugate()))).is_zero()
         assert not calls
         dlog = Form.monomial((1,), ()) - Form.monomial((), (1,))
-        assert geom.d_coefficient(t / (1 + e)) == dlog * (-t * e / (1 + e) ** 2)
+        assert geom.d(Form.scalar(t / (1 + e))) == \
+            dlog * (-t * e / (1 + e) ** 2)
         assert calls == ["E1"]
 
 
@@ -298,6 +303,31 @@ class TestDifferential:
                                                rng.randint(0, 2))))
                 f = Form.monomial(holo, anti, rng.choice(coeffs))
                 assert geom.d(geom.d(f)).is_zero()
+
+    @pytest.mark.parametrize("s", [-1, 1, 2])
+    @pytest.mark.parametrize("name", ["nakamura_3b", "solv4d"])
+    def test_twist_is_d_of_the_embedded_form(self, name, s):
+        # twisted_split(f, {E1: s}) = chi^-s * d_split(chi^s * f), chi = E1,
+        # on coefficients that carry the character themselves: each term
+        # adds both its own dlog term and the twist's; on E1*phi^{2bar},
+        # s = -1 cancels the character of the coefficient
+        geom = catalog(name)
+        registry.ensure_pair("t")
+        t, e = Coefficient.symbol("t"), Coefficient.symbol("E1")
+        c = t * e / (2 + t.conjugate() * e)
+        forms = [
+            Form.monomial((2, 3), (), c),
+            Form.monomial((), (2,), e),
+            Form.monomial((2, 3), (), c)
+            + Form.monomial((1,), (2,), e.conjugate() + t),
+        ]
+        for f in forms:
+            want = [part * e ** -s for part in geom.d_split(f * e ** s)]
+            assert list(geom.twisted_split(f, {"E1": s})) == want, f.render()
+        if s == -1:
+            # the two character terms of E1*phi^{2bar} cancel
+            assert list(geom.twisted_split(forms[1], {"E1": s})) == [
+                part * e for part in geom.d_split(Form.monomial((), (2,)))]
 
     def test_del_dbar_anticommute(self):
         for nm in CATALOG_NAMES:

@@ -96,3 +96,69 @@ def test_every_private_helper_has_a_caller():
                    for name, enclosing in references)
     ]
     assert dead == []
+
+
+# Public names that nothing in src/ihg (its __init__ aside) or bench/*.py
+# reads, each with why it stays: "paper API" (a verdict or construction a
+# caller of the package asks for), "report" (a to_json_dict of a report
+# type), "oracle route" (a second route that tests compare the engine's
+# route with), or "ROADMAP item 13" (surface that item decides on).
+_UNREFERENCED_PUBLIC = {
+    "catalog: torus": "paper API",
+    "cohomology: solve_del": "paper API",
+    "deformation: Deformation.specialize": "paper API",
+    "deformation: Deformation.del_t_formula": "oracle route",
+    "deformation: mc_equation": "oracle route",
+    "deformation: CurveOfMetrics.constant": "ROADMAP item 13",
+    "deformation: CurveObstruction.to_json_dict": "ROADMAP item 13",
+    "deformation: curve_obstruction": "ROADMAP item 13",
+    "dsl: parse_form": "ROADMAP item 13",
+    "dsl: parse_coefficient": "ROADMAP item 13",
+    "dsl: render_geometry": "ROADMAP item 13",
+    "exterior: Form.contract_anti": "oracle route",
+    "geometry: Geometry.to_json_dict": "report",
+    "kuranishi: KuranishiSeries.to_json_dict": "report",
+    "metrics: ConditionReport.to_json_dict": "report",
+    "metrics: ObstructionReport.to_json_dict": "report",
+    "metrics: all_or_none_skt": "paper API",
+    "metrics: pluriclosed_obstruction": "paper API",
+    "metrics: balanced_obstruction": "paper API",
+    "metrics: strongly_gauduchon": "paper API",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) for the public module-level functions and
+    public methods of a module."""
+    def public(node):
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_"))
+
+    for node in tree.body:
+        if public(node):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for method in filter(public, node.body):
+                yield f"{node.name}.{method.name}", method
+
+
+def test_unreferenced_public_surface_is_the_allow_list():
+    # a public function or method that nothing in the package or the
+    # benchmark reads, outside its own body, is either on the allow-list,
+    # with its reason, or dead surface to delete
+    src = Path(ihg.__file__).resolve().parent
+    bench = src.parent.parent / "bench"
+    readers = [path for path in sorted(src.glob("*.py"))
+               if path.name != "__init__.py"] + sorted(bench.glob("*.py"))
+    references = [ref for path in readers
+                  for ref in _references(ast.parse(path.read_text()))]
+    unreferenced = {
+        f"{path.stem}: {qualified}"
+        for path in sorted(src.glob("*.py"))
+        for qualified, node in _public_definitions(ast.parse(path.read_text()))
+        if not any(name == node.name and node not in enclosing
+                   for name, enclosing in references)
+    }
+    assert unreferenced == set(_UNREFERENCED_PUBLIC)
+    assert set(_UNREFERENCED_PUBLIC.values()) <= {
+        "paper API", "report", "oracle route", "ROADMAP item 13"}
