@@ -1521,8 +1521,8 @@ class Coefficient:
         for monom, c in r._num.items():
             exps = [(monom >> s) & field for s in char_shifts]
             key = tuple(e + s for e, s in zip(exps, shift))
-            stripped = (monom & ~chars) - (sum(exps) << ds)
-            buckets.setdefault(key, _Poly())[stripped] = c
+            rest = (monom & ~chars) - (sum(exps) << ds)
+            buckets.setdefault(key, _Poly())[rest] = c
         return {
             key: Coefficient._make(terms, den, r._q, ctx)
             for key, terms in buckets.items()

@@ -6,21 +6,25 @@ finite monomial space over the parameter-rational field and everything
 reduces to exact linear algebra, in linalg's one format: a vector is
 sparse (monomial index -> nonzero value) and a matrix is the list of its
 columns.  A form is split into sectors in one place, _sector_vectors:
-one Coefficient.char_decompose per coefficient writes each
-character-stripped part into its sector's coordinate vector.
-SectorComplex reads its own sector's vector and raises SectorMixing when
-the form meets another.
+one Coefficient.char_decompose per coefficient writes each part, its
+character divided out, into its sector's coordinate vector.
+SectorComplex.to_vector reads its own sector's vector and raises
+SectorMixing when the form meets another.
 
 The matrix of an operator ("d", "del", "dbar" or "ddbar") in sector s is
 read off the geometry's tables: d(chi^s*m) = chi^s*(dm + dlog chi^s ^ m)
 with dlog chi^s = sum_c s_c dlog_c, so a column is the table entry of m
 twisted by the sector's exponents (Geometry.twisted_split, whose dlog
 table holds every character term of d), and no coefficient is ever
-multiplied by chi^s and split again.  A sector matrix depends only on the
-geometry, so SectorComplex.matrix builds it once, into the geometry's
-sector table, and hands out copies of its columns from then on; every
-reader below goes through it.  Only matrices are kept: eliminations,
-kernels and whole sectors are computed again on each query.
+multiplied by chi^s and split again.  Its terms go straight into the
+column by monomial index: a column, the prefix divided out, stays in the
+sector exactly when no coefficient carries a character, and one that does
+raises SectorMixing.  The target bidegrees follow from the operator
+(_SHIFTS).  A sector matrix depends only on the geometry, so
+SectorComplex.matrix builds it once, into the geometry's sector table,
+and hands out copies of its columns from then on; every reader below goes
+through it.  Only matrices are kept: eliminations, kernels and whole
+sectors are computed again on each query.
 
 A Bott-Chern sector reads two matrices: d on pure (p,q)-forms, whose
 kernel is ker(del) ∩ ker(dbar), and del dbar from (p-1,q-1).  One
@@ -63,10 +67,19 @@ def monomial_basis(n: int, p: int, q: int) -> tuple[MultiIndex, ...]:
     )
 
 
-def _check_operator(op: str, accepted: tuple[str, ...]) -> None:
+# the bidegree shifts of each operator's targets, stacked in this order
+_SHIFTS = {"d": ((1, 0), (0, 1)), "del": ((1, 0),), "dbar": ((0, 1),),
+           "ddbar": ((1, 1),)}
+
+
+def _targets(op: str, p: int, q: int,
+             accepted=tuple(_SHIFTS)) -> tuple[tuple[int, int], ...]:
+    """The target bidegrees of op on (p,q)-forms; an op outside accepted
+    raises ValueError naming the accepted ones."""
     if op not in accepted:
         raise ValueError(f"unknown operator {op!r}; expected one of "
                          + ", ".join(map(repr, accepted)))
+    return tuple((p + a, q + b) for a, b in _SHIFTS[op])
 
 
 def _index(n: int, bidegrees) -> dict[MultiIndex, int]:
@@ -78,7 +91,7 @@ def _sector_vectors(form: Form, index: dict[MultiIndex, int],
                     bidegrees) -> dict[tuple[int, ...], linalg.SparseVector]:
     """Coordinates of form over the monomials of index, one sparse vector
     per character sector it meets, each with the sector's character
-    stripped."""
+    divided out."""
     out: dict[tuple[int, ...], linalg.SparseVector] = {}
     for mi, c in form.terms():
         k = index.get(mi)
@@ -140,35 +153,20 @@ class SectorComplex:
         """Coordinates of form over the monomials of the given bidegrees,
         in the order given."""
         index = _index(self.geom.n, bidegrees)
-        return self._coordinates((form,), index, bidegrees)
-
-    def _coordinates(self, parts: tuple[Form, ...],
-                     index: dict[MultiIndex, int], bidegrees,
-                     stripped: bool = False) -> linalg.SparseVector:
-        """Sparse coordinates of the sum of parts, forms on distinct
-        monomials, which must meet this sector only; a stripped form (a
-        column of matrix) has the prefix divided out, so its own sector is
-        the zero vector."""
-        key = tuple(0 for _ in self.sector) if stripped else self.sector
-        vectors: dict[tuple[int, ...], linalg.SparseVector] = {}
-        for part in parts:
-            for sector, vec in _sector_vectors(part, index,
-                                               bidegrees).items():
-                vectors.setdefault(sector, {}).update(vec)
-        others = sorted(set(vectors) - {key})
+        vectors = _sector_vectors(form, index, bidegrees)
+        others = sorted(set(vectors) - {self.sector})
         if others:
-            if stripped:
-                others = [tuple(a + b for a, b in zip(o, self.sector))
-                          for o in others]
             raise SectorMixing(
                 f"form meets sectors {others}, expected {self.sector}"
             )
-        return vectors.get(key, {})
+        return vectors.get(self.sector, {})
 
-    def _column(self, op: str, mi: MultiIndex) -> tuple[Form, ...]:
-        """op_s of the monomial mi: op of prefix*mi with the prefix
-        stripped, as forms on distinct monomials whose sum it is; d is
-        the (del, dbar) pair, never merged."""
+    def _column(self, op: str, mi: MultiIndex,
+                index: dict[MultiIndex, int]) -> linalg.SparseVector:
+        """op_s of the monomial mi, op of prefix*mi with the prefix
+        divided out, on the monomials of index; d reads the (del, dbar)
+        pair, never merged.  A coefficient that carries a character leaves
+        the sector and raises SectorMixing."""
         if not self._twist:
             # sector 0: the d-table entry itself
             del_m, dbar_m = self.geom._d_monomial(mi)
@@ -176,16 +174,26 @@ class SectorComplex:
             del_m, dbar_m = self.geom.twisted_split(
                 Form({mi: Coefficient.one()}), self._twist)
         if op == "d":
-            return del_m, dbar_m
-        if op == "ddbar":
-            return self.geom.twisted_split(dbar_m, self._twist)[:1]
-        return ({"del": del_m, "dbar": dbar_m}[op],)
+            parts = (del_m, dbar_m)
+        elif op == "ddbar":
+            parts = self.geom.twisted_split(dbar_m, self._twist)[:1]
+        else:
+            parts = (del_m if op == "del" else dbar_m,)
+        column = {}
+        for part in parts:
+            for m, c in part.terms():
+                if c.has_characters():
+                    raise SectorMixing(
+                        f"{self.geom.name}: {op} of {mi.render()} leaves "
+                        f"the sector {self.sector} at {m.render()}")
+                column[index[m]] = c
+        return column
 
-    def matrix(self, op: str, p: int, q: int,
-               *targets: tuple[int, int]) -> list[linalg.SparseVector]:
+    def matrix(self, op: str, p: int, q: int) -> list[linalg.SparseVector]:
         """Columns of the matrix of op ("d", "del", "dbar" or "ddbar")
-        from the (p,q) monomials to the monomials of the target
-        bidegrees, stacked in the order given.
+        from the (p,q) monomials to the monomials of its target
+        bidegrees, stacked in the order of _SHIFTS: (p+1,q) then (p,q+1)
+        for d.
 
         Each column is read off the geometry's d-table twisted by the
         sector's exponents, not taken from d of the embedded monomial: with
@@ -194,21 +202,18 @@ class SectorComplex:
 
         The matrix depends only on the geometry, so it is built once, on
         first use, into the geometry's sector table under (sector, op, p,
-        q, targets), and read from there on; the caller gets copies of
-        the columns, which it may change.  A matrix whose columns leave
-        the sector raises SectorMixing, and an unknown op ValueError; both
+        q), and read from there on; the caller gets copies of the
+        columns, which it may change.  A matrix whose columns leave the
+        sector raises SectorMixing, and an unknown op ValueError; both
         store nothing.
         """
         table = self.geom._sector_table
-        key = (self.sector, op, p, q, targets)
+        key = (self.sector, op, p, q)
         columns = table.get(key)
         if columns is None:
-            _check_operator(op, ("d", "del", "dbar", "ddbar"))
-            index = _index(self.geom.n, targets)
-            columns = [
-                self._coordinates(self._column(op, mi), index, targets, True)
-                for mi in self.basis(p, q)
-            ]
+            index = _index(self.geom.n, _targets(op, p, q))
+            columns = [self._column(op, mi, index)
+                       for mi in self.basis(p, q)]
             table[key] = columns
         return [dict(col) for col in columns]
 
@@ -254,9 +259,8 @@ class BottChernSector:
                 kind="d2_nonzero",
             )
         cx = self.complex
-        free, kernel_vector = linalg.kernel(
-            cx.matrix("d", p, q, (p + 1, q), (p, q + 1)))
-        image_cols = cx.matrix("ddbar", p - 1, q - 1, (p, q))
+        free, kernel_vector = linalg.kernel(cx.matrix("d", p, q))
+        image_cols = cx.matrix("ddbar", p - 1, q - 1)
         # image columns first: the kernel columns that are pivots then span
         # a complement of the image inside the kernel; on ker d the free
         # coordinates lose nothing, and the kernel basis reads as identity
@@ -330,9 +334,9 @@ def harmonic_certificate(geom: Geometry,
     where the form does.
 
     The del-dbar image of each (p-1,q-1) monomial is a column of the
-    sector's ddbar matrix, and the pairing reads the form's stripped
-    sector vector against it: the sector's character has modulus one, so
-    it cancels from every product u * conj(w).
+    sector's ddbar matrix, and the pairing reads the form's sector
+    vector, its character divided out, against it: the sector's character
+    has modulus one, so it cancels from every product u * conj(w).
     """
     p, q, sector, vector = _bidegree_and_sector(geom, form)
     del_form, dbar_form = geom.d_split(form)
@@ -343,7 +347,7 @@ def harmonic_certificate(geom: Geometry,
     if p < 1 or q < 1:
         return True, ("no del-dbar image in this bidegree",)
     cx = SectorComplex(geom, sector)
-    image = cx.matrix("ddbar", p - 1, q - 1, (p, q))
+    image = cx.matrix("ddbar", p - 1, q - 1)
     for col, mi in zip(image, cx.basis(p - 1, q - 1)):
         acc = Coefficient.sum_of_products(
             (vector[i], w.conjugate()) for i, w in col.items()
@@ -363,9 +367,6 @@ def bc_class(geom: Geometry, form: Form) -> BottChernClass:
     return BottChernSector(geom, p, q, sector).class_of(form, vector)
 
 
-_SHIFTS = {"del": (1, 0), "dbar": (0, 1)}
-
-
 def split_primitive(geom: Geometry, op: str, rhs: Form,
                     p: int, q: int) -> tuple[Form, linalg.SparseVector]:
     """Split rhs against the invariant image of op ("del" or "dbar") on
@@ -376,12 +377,12 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
 
     Sectors are visited in sorted order, and the residue of the k-th of
     them (from 0) sits at its monomial indices plus k*m, m the number of
-    target monomials, with the character stripped as
+    target monomials, with the character divided out as
     SectorComplex.to_vector gives it.  rhs lies in im(op) exactly when
     the residue is empty.
 
     Each sector's matrix of op is read through SectorComplex.matrix, and
-    factored into its pseudo-inverse (linalg.normal_systems) once, on
+    factored into its pseudo-inverse (linalg.pseudo_inverse) once, on
     first use; the pseudo-inverse and the sector's embedded basis forms
     join the matrix in the geometry's sector table, under op + "+", and
     the split reads the matrix from the table itself.  Every later split
@@ -389,26 +390,23 @@ def split_primitive(geom: Geometry, op: str, rhs: Form,
     SectorComplex.  The table holds only matrices and forms, never a
     reference back to the geometry.
     """
-    _check_operator(op, ("del", "dbar"))
-    dp, dq = _SHIFTS[op]
-    targets = ((p + dp, q + dq),)
+    targets = _targets(op, p, q, ("del", "dbar"))
     index = _index(geom.n, targets)
     vectors = _sector_vectors(rhs, index, targets)
     table = geom._sector_table
     terms: list = []
     residue: linalg.SparseVector = {}
     for offset, sector in enumerate(sorted(vectors)):
-        split_key = (sector, op + "+", p, q, targets)
+        split_key = (sector, op + "+", p, q)
         entry = table.get(split_key)
         if entry is None:
             cx = SectorComplex(geom, sector)
-            _, pinv = linalg.normal_systems(cx.matrix(op, p, q, *targets),
-                                            len(index))
+            pinv = linalg.pseudo_inverse(cx.matrix(op, p, q), len(index))
             entry = (pinv, [cx.embed(mi) for mi in cx.basis(p, q)])
             table[split_key] = entry
         pinv, basis = entry
-        x, rest = linalg.split_normal(
-            (table[(sector, op, p, q, targets)], pinv), vectors[sector])
+        x, rest = linalg.split_normal(table[(sector, op, p, q)], pinv,
+                                      vectors[sector])
         terms.extend((basis[k], c) for k, c in x.items())
         start = offset * len(index)
         residue.update((start + k, r) for k, r in rest.items())

@@ -290,11 +290,11 @@ class Deformation:
         return self.dbar_t_formula(alpha.conjugate()).conjugate()
 
 
-def deform(base: Geometry, psi: VectorForm, name: str | None = None,
+def deform(base: Geometry, psi: VectorForm,
            require_mc: bool = True) -> Deformation:
     """Build the deformed structure for psi; raises MaurerCartanFails with
     the integrability generators unless require_mc is disabled."""
-    return Deformation(base, psi, name=name, require_mc=require_mc)
+    return Deformation(base, psi, require_mc=require_mc)
 
 
 # -- vector-form calculus -----------------------------------------------------

@@ -75,10 +75,7 @@ class Geometry:
         # (character, m) -> (dlog^{1,0} ^ m, dlog^{0,1} ^ m), filled by
         # twisted_split on first use
         self._dlog_table: dict[tuple[str, MultiIndex], tuple[Form, Form]] = {}
-        # the sector table, filled by cohomology.SectorComplex.matrix on
-        # first use: (sector, op, p, q, targets) -> the columns of op's
-        # sector matrix; cohomology.split_primitive adds, under op + "+",
-        # the matrix's pseudo-inverse and the sector's embedded basis forms
+        # the sector table, which cohomology fills and reads
         self._sector_table: dict = {}
         # filled by bracket on first use: (x, y) -> [X, Y] on the frame
         self._bracket_table: dict | None = None
@@ -132,7 +129,7 @@ class Geometry:
         Each half is one Form.combination.
 
         For a character monomial chi with exponents twist, this is
-        d(chi*form) with chi stripped; no twist is d itself, and a
+        d(chi*form) with chi divided out; no twist is d itself, and a
         character that is not the geometry's twists nothing."""
         del_pairs, dbar_pairs = [], []
         for mi, c in form.terms():

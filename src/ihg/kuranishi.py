@@ -1,6 +1,7 @@
 """Power-series solutions of the Maurer-Cartan equation.
 
-From a basis of dbar-closed decorated (0,1)-forms the series
+From the geometry's own deformation generators, dbar-closed (0,1)-forms
+that Geometry validation has checked, the series
 psi(t) = sum_k psi_k(t) is grown degree by degree: the degree-k bracket
 (1/2) sum_{i+j=k} [psi_i, psi_j], each unordered pair once and the term
 products of every pair gathered into one sum per output coefficient, is
@@ -11,7 +12,8 @@ dbar-exact part, whose minimum-norm primitive becomes psi_k (the
 harmonic gauge of Kuranishi's construction).  The loop stops once the
 bracket vanishes modulo the ideal at a degree past which no nonzero
 products can form.  Branches of the resulting space are explored by
-declaring parameters zero or nonzero.
+declaring parameters zero or nonzero: branch_reduce returns a branch's
+series, and series_to_deformation the finite psi of a terminated one.
 """
 
 from __future__ import annotations
@@ -45,31 +47,6 @@ class InconsistentBranch(ValueError):
     """A branch declaration forces a declared-nonzero parameter to vanish."""
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """dbar-closed decorated (0,1)-forms spanning the deformation directions,
-    each checked by Geometry.check_generator (modulo the constraint ideal)
-    once: the geometry's own generators were checked when it was built.
-    """
-
-    geom: Geometry
-    forms: tuple[Form, ...]
-
-    def __post_init__(self):
-        checked = self.geom.generators or ()
-        for g in self.forms:
-            if not any(g is h for h in checked):
-                self.geom.check_generator(g)
-
-    @staticmethod
-    def from_geometry(geom: Geometry) -> "GeneratorSet":
-        if geom.generators is None:
-            raise ValueError(
-                f"geometry {geom.name!r} declares no deformation generators"
-            )
-        return GeneratorSet(geom, tuple(geom.generators))
-
-
 class KuranishiSeries:
     """Finite Maurer-Cartan series with its obstruction ideal.
 
@@ -81,7 +58,6 @@ class KuranishiSeries:
     def __init__(
         self,
         geom: Geometry,
-        generators: GeneratorSet,
         parameters: tuple[str, ...],
         psi_terms: dict[int, VectorForm],
         ideal: tuple[Coefficient, ...],
@@ -90,7 +66,6 @@ class KuranishiSeries:
         forced_zeros: tuple[str, ...] = (),
     ):
         self.geom = geom
-        self.generators = generators
         self.parameters = tuple(parameters)
         self.psi_terms = {
             k: v for k, v in sorted(psi_terms.items()) if not v.is_zero()
@@ -149,12 +124,11 @@ DEFAULT_DEPTH_CAP = 6
 _MAX_SPLIT_PASSES = 12
 
 
-def kuranishi_build(
-    geom: Geometry,
-    gens: GeneratorSet | tuple[Form, ...] | None = None,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> KuranishiSeries:
-    """Solve Maurer-Cartan order by order from the generator basis.
+def kuranishi_build(geom: Geometry,
+                    depth_cap: int = DEFAULT_DEPTH_CAP) -> KuranishiSeries:
+    """Solve Maurer-Cartan order by order from the geometry's generators,
+    which its validation checked; a geometry that declares none raises
+    ValueError.
 
     psi_1 = sum t_{i lambda} gens[lambda] (x) Z_i with one fresh complex
     parameter per (leg, generator) pair.  At each degree the bracket is
@@ -164,20 +138,20 @@ def kuranishi_build(
     minimum-norm primitive.  Stored terms are reduced modulo the final
     ideal before returning.
     """
+    gens = geom.generators
     if gens is None:
-        gens = GeneratorSet.from_geometry(geom)
-    elif not isinstance(gens, GeneratorSet):
-        gens = GeneratorSet(geom, tuple(gens))
+        raise ValueError(
+            f"geometry {geom.name!r} declares no deformation generators")
     names: list[str] = []
     for i in range(1, geom.n + 1):
-        for lam in range(1, len(gens.forms) + 1):
+        for lam in range(1, len(gens) + 1):
             name = f"t{i}{lam}"
             registry.ensure_pair(name)
             names.append(name)
     legs = {
         i: Form.combination(
             (g, Coefficient.symbol(f"t{i}{lam}"))
-            for lam, g in enumerate(gens.forms, start=1)
+            for lam, g in enumerate(gens, start=1)
         )
         for i in range(1, geom.n + 1)
     }
@@ -214,7 +188,6 @@ def kuranishi_build(
         )
     return KuranishiSeries(
         geom,
-        gens,
         tuple(names),
         {k: _reduce_vector(part, ideal) for k, (part, _) in psi.items()},
         tuple(ideal),
@@ -348,7 +321,6 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
     }
     return KuranishiSeries(
         series.geom,
-        series.generators,
         tuple(n for n in series.parameters if n not in zeros),
         psi,
         normalized_generators(pending),
@@ -358,16 +330,12 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
     )
 
 
-def series_to_deformation(
-    series: KuranishiSeries, branch: BranchSpec | None = None
-) -> VectorForm:
+def series_to_deformation(series: KuranishiSeries) -> VectorForm:
     """The finite sum psi(t), ready for deform(); Maurer-Cartan is then
     re-verified independently by the deformation machinery (modulo the
-    residual relations when a branch is given)."""
+    residual relations, for a series that branch_reduce returned)."""
     if not series.terminated:
         raise NotTerminated(
             "series is not flagged terminated; refusing to truncate"
         )
-    if branch is not None:
-        series = branch_reduce(series, branch)
     return series.psi()

@@ -8,10 +8,10 @@ shape is read only where it is needed (transpose takes the row count).
 The one elimination, _eliminate, runs on sparse rows.  Its pivot search
 is a key test, normalizing the pivot row and updating a row touch only
 the pivot row's nonzero entries, and an entry that cancels leaves its
-row.  Pivoting takes the first row with a nonzero entry in the column;
-divisions stay exact in the field, so no magnitude heuristics are needed.
-Systems here are small (invariant-form sectors), so Gauss-Jordan without
-fraction-free tricks is fast enough.
+row.  The pivot is the sparsest row with a nonzero entry in the column
+(the first on a tie), which keeps fill-in down; the reduced row echelon
+form is unique, so the rule changes no answer.  Divisions stay exact in
+the field, so no magnitude heuristics are needed.
 
 Each entry of a matrix-vector product is one Coefficient.sum_of_products
 over its nonzero products; an entry with none is absent.  Span selection
@@ -19,12 +19,12 @@ reads the pivot columns of one elimination, which are exactly the vectors
 a greedy rank test would keep.  kernel returns the free columns of one
 elimination and builds a kernel vector only for a free column asked for.
 solve_many solves for all columns of a right-hand side in one
-elimination.  normal_systems is the one place that forms Hermitian normal
-systems: it factors a matrix once into its Moore-Penrose pseudo-inverse,
+elimination.  pseudo_inverse, the one place that forms Hermitian normal
+systems, factors a matrix once into its Moore-Penrose pseudo-inverse,
 from two eliminations whatever the number of right-hand sides, and
-split_normal splits a vector against that factorization with two
-matrix-vector products and no elimination.  Over the coefficient field
-both normal systems are consistent, so there is no fallback.
+split_normal splits a vector against a matrix and that pseudo-inverse
+with two matrix-vector products and no elimination.  Over the coefficient
+field both normal systems are consistent, so there is no fallback.
 """
 
 from __future__ import annotations
@@ -117,10 +117,13 @@ def _eliminate(rows: list[SparseVector],
     sum_of_products = Coefficient.sum_of_products
     r = 0
     for col in range(width):
-        for pivot_row in range(r, len(mat)):
-            if col in mat[pivot_row]:
-                break
-        else:
+        # the sparsest row that can pivot, the first on a tie
+        fewest = None
+        for i in range(r, len(mat)):
+            row = mat[i]
+            if col in row and (fewest is None or len(row) < fewest):
+                pivot_row, fewest = i, len(row)
+        if fewest is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
         inv = one / mat[r][col]
@@ -211,12 +214,11 @@ def invert(a: list[SparseVector]) -> list[SparseVector]:
     return inverse
 
 
-def normal_systems(a: list[SparseVector], height: int
-                   ) -> tuple[list[SparseVector], list[SparseVector]]:
-    """(a, a+), with a+ the Moore-Penrose pseudo-inverse of a, whose rows
-    number height, for the formal Hermitian pairing: what split_normal
-    splits against, built once per matrix so that every right-hand side
-    can reuse it.
+def pseudo_inverse(a: list[SparseVector], height: int) -> list[SparseVector]:
+    """a+, the Moore-Penrose pseudo-inverse of a, whose rows number
+    height, for the formal Hermitian pairing: what split_normal splits
+    against, built once per matrix so that every right-hand side can
+    reuse it.
 
     Y solves (a*a) Y = a*, so a Y projects onto the column span of a; Z
     solves (a a*) Z = a Y, and a+ = a* Z.  Each is one elimination over
@@ -230,17 +232,16 @@ def normal_systems(a: list[SparseVector], height: int
     z = solve_many(mat_mul(a, star), mat_mul(a, y))
     if z is None:
         raise SingularMatrix("degenerate Hermitian pairing in a a*")
-    return a, mat_mul(star, z)
+    return mat_mul(star, z)
 
 
-def split_normal(systems, v: SparseVector
-                 ) -> tuple[SparseVector, SparseVector]:
-    """Split v against the column span of the matrix a whose
-    normal_systems (a, a+) are given, for the formal Hermitian pairing:
-    returns (x, residue) with a* residue = 0 and x the solution of
-    a x = v - residue orthogonal to ker(a).  x = a+ v and residue =
-    v - a x, two matrix-vector products."""
-    a, pinv = systems
+def split_normal(a: list[SparseVector], pinv: list[SparseVector],
+                 v: SparseVector) -> tuple[SparseVector, SparseVector]:
+    """Split v against the column span of a, whose pseudo_inverse is
+    pinv, for the formal Hermitian pairing: returns (x, residue) with
+    a* residue = 0 and x the solution of a x = v - residue orthogonal to
+    ker(a).  x = a+ v and residue = v - a x, two matrix-vector
+    products."""
     x = mat_vec(pinv, v)
     return x, difference(v, mat_vec(a, x))
 

@@ -81,17 +81,17 @@ class InvariantMetric:
         ))
 
     @staticmethod
-    def generic(n: int, prefix: str = "h") -> "InvariantMetric":
+    def generic(n: int) -> "InvariantMetric":
         """Fully symbolic Hermitian metric: real diagonal, complex
-        off-diagonal pairs."""
+        off-diagonal pairs, entry (j,k) named hjk."""
         rows = [[None] * n for _ in range(n)]
         for j in range(n):
-            nm = f"{prefix}{j + 1}{j + 1}"
+            nm = f"h{j + 1}{j + 1}"
             registry.ensure_real(nm)
             rows[j][j] = Coefficient.symbol(nm)
         for j in range(n):
             for k in range(j + 1, n):
-                nm = f"{prefix}{j + 1}{k + 1}"
+                nm = f"h{j + 1}{k + 1}"
                 registry.ensure_pair(nm)
                 c = Coefficient.symbol(nm)
                 rows[j][k] = c

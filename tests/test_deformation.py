@@ -28,7 +28,12 @@ from ihg.deformation import (
 )
 from ihg.exterior import CoframeMap, Form, VectorForm
 from ihg.geometry import Geometry
-from ihg.kuranishi import BranchSpec, kuranishi_build, series_to_deformation
+from ihg.kuranishi import (
+    BranchSpec,
+    branch_reduce,
+    kuranishi_build,
+    series_to_deformation,
+)
 from ihg.metrics import (
     InvariantMetric,
     all_or_none_skt,
@@ -386,9 +391,8 @@ class TestCoframeInverse:
             psi, _, _ = _iwasawa_psi()
         else:
             g = catalog("nakamura_3b")
-            psi = series_to_deformation(
-                kuranishi_build(g), BranchSpec(nonzeros=("t11",))
-            )
+            psi = series_to_deformation(branch_reduce(
+                kuranishi_build(g), BranchSpec(nonzeros=("t11",))))
         d = Deformation(g, psi, require_mc=False)
         change = _coframe_change(psi, g.n)
         inverse = _inverse_change(d, g.n)
@@ -424,7 +428,8 @@ class TestCoframeInverse:
 def _t11_branch_psi(name):
     g = catalog(name)
     branch = BranchSpec(nonzeros=("t11",))
-    return g, series_to_deformation(kuranishi_build(g), branch)
+    return g, series_to_deformation(branch_reduce(kuranishi_build(g),
+                                                  branch))
 
 
 class TestResidual:
@@ -693,10 +698,10 @@ class TestVectorCalculus:
         # t12 together break t11*t12 = 0
         g = catalog("nakamura_3b")
         series = kuranishi_build(g)
-        good = series_to_deformation(series, BranchSpec(nonzeros=("t11",)))
-        bad = series_to_deformation(
-            series, BranchSpec(zeros=("t13", "t23", "t31", "t32", "t33"))
-        )
+        good = series_to_deformation(
+            branch_reduce(series, BranchSpec(nonzeros=("t11",))))
+        bad = series_to_deformation(branch_reduce(
+            series, BranchSpec(zeros=("t13", "t23", "t31", "t32", "t33"))))
         _assert_mc_routes_agree(g, good, bad)
 
     def test_bracket_takes_d_once_per_leg(self, monkeypatch):

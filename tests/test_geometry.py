@@ -22,7 +22,6 @@ from ihg.dsl import (
 )
 from ihg.exterior import Form, VectorForm
 from ihg.geometry import Geometry, StructureError, check_nilpotent_shape
-from ihg.kuranishi import GeneratorSet
 from ihg.metrics import pluriclosed_criterion
 from ihg.symbols import registry
 
@@ -497,10 +496,6 @@ class TestValidation:
         with pytest.raises(StructureError) as err:
             Geometry("g", 3, {}, generators=(gen,))
         assert err.value.kind == "bad_index"
-        # a generator that is not the geometry's own is checked on its own
-        with pytest.raises(StructureError) as err:
-            GeneratorSet(torus(3), (gen,))
-        assert err.value.kind == "bad_index"
 
     def test_index_outside_the_coframe_in_the_dsl(self):
         with pytest.raises(ValidationError) as err:
@@ -512,14 +507,13 @@ class TestValidation:
         family = "geometry fam dim 2; real r; dphi2 = r*phi[1,2];"
         g = parse_geometry(family + " constraint r; generator phi[|2];")
         assert g.generators == (Form.monomial((), (2,)),)
-        assert GeneratorSet(g, g.generators).forms == g.generators
         with pytest.raises(ValidationError) as err:
             parse_geometry(family + " generator phi[|2];")
         assert err.value.code == "BadGenerator"
-        bare = Geometry(g.name, g.n, g.structure)
+        # without the constraint, dbar-closed fails; zero is no generator
         for forms in ((Form.monomial((), (2,)),), (Form.zero(),)):
             with pytest.raises(StructureError) as err:
-                GeneratorSet(bare, forms)
+                Geometry(g.name, g.n, g.structure, generators=forms)
             assert err.value.kind == "bad_generator"
 
 

@@ -19,7 +19,7 @@ import weakref
 
 import pytest
 
-from ihg.catalog import catalog
+from ihg.catalog import catalog, torus
 from ihg.coefficients import Coefficient
 from ihg.cohomology import (
     SectorComplex,
@@ -29,12 +29,11 @@ from ihg.cohomology import (
 )
 from ihg.deformation import deform, mc_equation
 from ihg.exterior import Form
-from ihg.geometry import Geometry, StructureError
+from ihg.geometry import Geometry
 from ihg import kuranishi as kuranishi_module
 from ihg.kuranishi import (
     BranchSpec,
     DepthCapReached,
-    GeneratorSet,
     InconsistentBranch,
     KuranishiSeries,
     NotTerminated,
@@ -80,7 +79,7 @@ def test_nonzero_t11_forces_zeros(name):
     if name == "nakamura_3b":
         # no relation survives, so the branch solves Maurer-Cartan exactly
         assert branch.ideal == ()
-        assert mc_equation(g, series_to_deformation(series, spec)).is_zero()
+        assert mc_equation(g, series_to_deformation(branch)).is_zero()
     if name == "solv4d":
         for relation in (
             S("t11") * S("t42") - S("t22") * S("t31"),
@@ -137,7 +136,6 @@ def test_unterminated_series_is_not_truncated():
     series = kuranishi_build(catalog("iwasawa"))
     open_series = KuranishiSeries(
         series.geom,
-        series.generators,
         series.parameters,
         series.psi_terms,
         series.ideal,
@@ -273,7 +271,8 @@ def test_build_and_branch_deform_cost(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     series = kuranishi_build(g)
     build = dict(calls)
-    psi = series_to_deformation(series, BranchSpec(nonzeros=("t11",)))
+    psi = series_to_deformation(
+        branch_reduce(series, BranchSpec(nonzeros=("t11",))))
     calls.update(dict.fromkeys(calls, 0))
     deform(g, psi, require_mc=False)
     assert build["sum_of_products"] <= 146 and build["_make"] <= 122
@@ -281,8 +280,8 @@ def test_build_and_branch_deform_cost(monkeypatch):
 
 
 def test_generators_are_checked_once(monkeypatch):
-    # Geometry._validate checks the catalog's generators; the build's
-    # GeneratorSet reuses them, and only forms it did not check are checked
+    # Geometry._validate checks the catalog's generators; the build reads
+    # them and checks nothing again
     calls = []
     check = Geometry.check_generator
 
@@ -295,11 +294,11 @@ def test_generators_are_checked_once(monkeypatch):
     kuranishi_build(g)
     assert len(calls) == 3
     assert calls == list(g.generators)
-    calls.clear()
-    with pytest.raises(StructureError) as err:
-        GeneratorSet(g, g.generators + (Form.monomial((1,), ()),))
-    assert err.value.kind == "bad_generator"
-    assert len(calls) == 1
+
+
+def test_a_geometry_without_generators_is_refused():
+    with pytest.raises(ValueError, match="'torus' declares no deformation"):
+        kuranishi_build(torus())
 
 
 def test_solve_dbar_reuses_the_sector_system(h3x, monkeypatch):

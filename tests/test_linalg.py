@@ -157,9 +157,9 @@ def test_orthogonal_split(rows, transpose):
     inside = linalg.mat_vec(a, coeffs)
     units = [{k: _coeff(1)} for k in range(height)]
     outside = 0
-    systems = linalg.normal_systems(a, height)
+    pinv = linalg.pseudo_inverse(a, height)
     for v in [inside] + units:
-        x, residue = linalg.split_normal(systems, v)
+        x, residue = linalg.split_normal(a, pinv, v)
         sx, sr = _column(x, ncols), _column(residue, height)
         sv = _column(v, height)
         assert _is_zero(s.H * sr)
@@ -174,8 +174,7 @@ def test_orthogonal_split(rows, transpose):
 
 def _pinv(a: list[linalg.SparseVector],
           height: int) -> list[linalg.SparseVector]:
-    got, pinv = linalg.normal_systems(a, height)
-    assert got is a
+    pinv = linalg.pseudo_inverse(a, height)
     assert len(pinv) == height
     return pinv
 
@@ -215,9 +214,9 @@ def test_pseudo_inverse_penrose_identities():
 
 def test_split_normal_makes_no_elimination(monkeypatch):
     a = _matrix(GAUSSIAN)
-    systems = linalg.normal_systems(a, len(GAUSSIAN))
+    pinv = linalg.pseudo_inverse(a, len(GAUSSIAN))
     v = _vector([1, 2j, -3])
-    x, residue = linalg.split_normal(systems, v)
+    x, residue = linalg.split_normal(a, pinv, v)
     assert linalg.mat_vec(a, x) == linalg.difference(v, residue)
     calls = []
     eliminate = linalg._eliminate
@@ -227,7 +226,7 @@ def test_split_normal_makes_no_elimination(monkeypatch):
         return eliminate(rows, width)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
-    assert linalg.split_normal(systems, v) == (x, residue)
+    assert linalg.split_normal(a, pinv, v) == (x, residue)
     assert calls == []
 
 
@@ -293,6 +292,38 @@ def test_an_entry_that_cancels_leaves_its_row():
     assert _sympy(mat, 4).T == rref
     # only nonzero entries are held
     assert all(x for row in mat for x in row.values())
+
+
+# rows: the first is dense, and each column also has a one-entry row
+DENSE_FIRST = [
+    [1, 2, 1j, 3],
+    [1, 0, 0, 0],
+    [0, 1 + 1j, 0, 0],
+    [0, 0, 2, 0],
+    [0, 0, 0, 1j],
+]
+
+
+def test_the_sparsest_row_pivots(monkeypatch):
+    # each column pivots on its one-entry row, so no update has a product
+    # to sum; with the dense first row as the pivot of column 0, every
+    # other row would fill in, 9 sums in all
+    a = _matrix(DENSE_FIRST)
+    rows = [_vector(row) for row in DENSE_FIRST]
+    sums = []
+    sum_of_products = Coefficient.sum_of_products
+
+    def counted(pairs):
+        sums.append(pairs)
+        return sum_of_products(pairs)
+
+    monkeypatch.setattr(Coefficient, "sum_of_products", staticmethod(counted))
+    mat, pivots = linalg._eliminate(rows, 4)
+    assert sums == []
+    monkeypatch.undo()
+    rref, sympy_pivots = _sympy(a, 5).rref()
+    assert pivots == list(sympy_pivots)
+    assert _sympy(mat, 4).T == rref
 
 
 def _parametric(a, ac, b, one, zero):

@@ -162,3 +162,103 @@ def test_unreferenced_public_surface_is_the_allow_list():
     assert unreferenced == set(_UNREFERENCED_PUBLIC)
     assert set(_UNREFERENCED_PUBLIC.values()) <= {
         "paper API", "report", "oracle route", "ROADMAP item 13"}
+
+
+# Defaulted or variadic parameters of public functions and methods that no
+# call in src/ihg (its __init__ aside) or bench/*.py sets, each with why it
+# stays.
+_UNSET_PARAMETERS = {
+    "catalog: torus(n)": "paper API",
+    "kuranishi: kuranishi_build(depth_cap)": "safety bound, reached by tests",
+}
+
+
+def _settable_parameters(tree: ast.Module):
+    """(qualified name, called name, node, named, parameters) for the
+    public module-level functions and the public methods and __init__ of
+    the classes of a module.  named lists the parameters a call fills by
+    position: a method is called on an instance and __init__ by its
+    class's name, so both skip their first.  parameters maps each
+    defaulted or variadic parameter to its place in named, None for a
+    keyword-only one, "*" and "**" for the variadic ones."""
+    def entry(node, qualified, called, skip):
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+        parameters = {name: positional.index(name) for name in
+                      positional[len(positional) - len(args.defaults):]}
+        parameters.update({a.arg: None for a, d in
+                           zip(args.kwonlyargs, args.kw_defaults) if d})
+        if args.vararg:
+            parameters[args.vararg.arg] = "*"
+        if args.kwarg:
+            parameters[args.kwarg.arg] = "**"
+        return qualified, called, node, positional, parameters
+
+    def function(node):
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+    for node in tree.body:
+        if function(node) and not node.name.startswith("_"):
+            yield entry(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for method in filter(function, node.body):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in method.decorator_list)
+                if method.name == "__init__":
+                    yield entry(method, f"{node.name}.__init__", node.name, 1)
+                elif not method.name.startswith("_"):
+                    yield entry(method, f"{node.name}.{method.name}",
+                                method.name, 0 if static else 1)
+
+
+def _calls(node, enclosing=()):
+    """(called name, call, enclosing function definitions) for every call
+    under node, named by its function's name or attribute."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is not None:
+            yield name, node, enclosing
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        enclosing = enclosing + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, enclosing)
+
+
+def _sets(call: ast.Call, parameter: str, position, named) -> bool:
+    """Whether call sets the parameter: by keyword, by position, or
+    through a starred argument reaching it."""
+    keywords = {k.arg for k in call.keywords}
+    if None in keywords:  # **mapping may hold any keyword
+        return True
+    if position == "**":
+        return bool(keywords - set(named))
+    positional = call.args
+    starred = any(isinstance(a, ast.Starred) for a in positional)
+    if position == "*":
+        return starred or len(positional) > len(named)
+    if parameter in keywords:
+        return True
+    return position is not None and (starred or len(positional) > position)
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    # a defaulted parameter that no call sets is a constant in disguise:
+    # either on the allow-list, with its reason, or a value to inline
+    src = Path(ihg.__file__).resolve().parent
+    bench = src.parent.parent / "bench"
+    readers = [path for path in sorted(src.glob("*.py"))
+               if path.name != "__init__.py"] + sorted(bench.glob("*.py"))
+    calls = [call for path in readers
+             for call in _calls(ast.parse(path.read_text()))]
+    unset = set()
+    for path in sorted(src.glob("*.py")):
+        for qualified, called, node, named, parameters in (
+                _settable_parameters(ast.parse(path.read_text()))):
+            for parameter, position in parameters.items():
+                if not any(name == called and node not in enclosing
+                           and _sets(call, parameter, position, named)
+                           for name, call, enclosing in calls):
+                    unset.add(f"{path.stem}: {qualified}({parameter})")
+    assert unset == set(_UNSET_PARAMETERS)
