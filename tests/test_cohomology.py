@@ -216,6 +216,22 @@ def test_sector_zero_decomposes_without_normalizing(monkeypatch):
     assert decomposed == [] and made == []
 
 
+def test_char_decompose_of_a_character_free_value_is_the_value():
+    # the general path strips E1 from value*E1 and normalizes the rest
+    registry.ensure_char("E1")
+    registry.ensure_pair("t")
+    t, E = Coefficient.symbol("t"), Coefficient.symbol("E1")
+    i = Coefficient.i()
+    for value in (Coefficient.from_scalar(Fraction(-3, 4)), (1 + i) / 6,
+                  t * t.conjugate() - 2, t / (1 + t * t.conjugate()),
+                  (2 * t + i) / (3 * t.conjugate() + 1) ** 2):
+        assert not value.has_characters()
+        (key, got), = value.char_decompose().items()
+        assert key == (0,) and got is value
+        (key, general), = (value * E).char_decompose().items()
+        assert key == (1,) and general.render() == got.render()
+
+
 def _full_width_spans(geom, p, q, sector=None):
     """Both Bott-Chern spans by the full-width route, kept as the
     reference: one pivot_columns over the image columns followed by the
