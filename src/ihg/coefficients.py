@@ -17,19 +17,20 @@ atoms' leading coefficients, and each atom monic, with terms in
 grlex-descending order.
 
 The arithmetic of Z[i] and of its polynomials is this module's own; it
-imports no sympy.  There is one private kernel per operation: _mul, _sum,
-_scale, _neg, _pow, _exact_quotient, _remainder, _conj_poly, _diff,
-_poly_euler and _poly_gcd, over the scalar kernels _gauss_gcd and
-_canonical_unit.  Products and sums add each term into one output dict
-keyed by monomial, on ints (the dict accumulation of sparse polynomial
-arithmetic; Monagan-Pearce, "Polynomial division using dynamic arrays,
-heaps, and packed exponent vectors", 2007, compare it with heaps).
+imports no sympy.  There is one private kernel per operation:
+_add_product (out + f*p*q; _mul is out = 0, f = 1), _sum, _scale, _neg,
+_pow, _exact_quotient, _remainder, _conj_poly, _diff, _poly_euler and
+_poly_gcd, over the scalar kernels _gauss_gcd and _canonical_unit.
+Products and sums add each term into one output dict keyed by monomial,
+on ints (the dict accumulation of sparse polynomial arithmetic;
+Monagan-Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", 2007, compare it with heaps).
 With packed monomials a monomial product is one int addition, the grlex
 leading term is max() of the keys and a divisibility test is one
-subtraction and a mask test.  A kernel that raises degrees (_mul, _pow,
-_conj_poly) compares the total degree of its result with MAX_DEGREE once,
-since no exponent exceeds the total degree, and raises DegreeOverflow past
-it.
+subtraction and a mask test.  A kernel that raises degrees (_add_product,
+_pow, _conj_poly) compares the total degree of its result with MAX_DEGREE
+once, since no exponent exceeds the total degree, and raises
+DegreeOverflow past it.
 
 Normalization cancels atoms out of the numerator by exact division: by
 Gauss's lemma a primitive atom divides the numerator over Q(i) exactly when
@@ -44,13 +45,14 @@ evaluates only the generators its inputs use.  A product with a nonzero
 scalar only scales the other numerator and q, since a unit cannot make an
 atom divide.
 
-A linear combination is normalized once: sum_of_products forms each
-product's numerator and atom multiplicities unnormalized, brings them over
-the lcm of the atoms and the integer lcm of the scales q
+A linear combination is normalized once: sum_of_products groups its
+products by their atom tuple and adds each term product of a group into
+one polynomial over the integer lcm of the group's scales (_add_product);
+the group totals are brought over the lcm of the atoms and of the scales
 (_over_common_denominator, which addition, equality and the quotient rule
-also use) and trial-divides only the total.  Summing
-pairwise instead normalizes every partial sum, and nearly all of those trial
-divisions fail.  The engine's linear combinations go through it: sums of
+also use), so an atom a group lacks multiplies its total once, and only
+the sum is trial-divided.  Summing pairwise instead normalizes every
+partial sum, and nearly all of those trial divisions fail.  The engine's linear combinations go through it: sums of
 forms by way of exterior.Form.combination, and linalg's matrix products.
 Atoms key the lcm, so a _Poly hashes by value, with the hash cached, and
 each atom caches its conjugate: conjugates of values that share an atom
@@ -326,11 +328,11 @@ class _Poly(dict):
 
     Kernels build a _Poly and then never change it, so a polynomial hashes
     by value, with the hash cached: denominator atoms key the lcm of a
-    common denominator.  An atom also caches its conjugate (_conj_atom)
-    and its sort key (_poly_key).
+    common denominator.  An atom also caches its conjugate (_conj_atom),
+    its sort key (_poly_key) and its monic text (_atom_text).
     """
 
-    __slots__ = ("_hash", "_conj", "_key")
+    __slots__ = ("_hash", "_conj", "_key", "_text")
 
     def __hash__(self):
         try:
@@ -461,22 +463,32 @@ def _divided(p, c):
 
 
 def _mul(p, q, ctx: RingContext):
-    """p*q.  Each term product is added into the output dict on ints, and a
-    sum that cancels leaves the dict at once.  The degree of p*q is the sum
-    of the degrees, and bounds every exponent of it, so one comparison
-    guards every field."""
+    """p*q."""
+    return _add_product(None, p, q, 1, ctx)
+
+
+def _add_product(out, p, q, f: int, ctx: RingContext):
+    """out + f*p*q for a nonzero integer f, out a _Poly that is changed in
+    place, or None for zero.  Each term product is added into out on ints,
+    and a sum that cancels leaves the dict at once.  The degree of p*q is
+    the sum of the degrees, and bounds every exponent of it, so one
+    comparison guards every field."""
     if len(p) < len(q):
         p, q = q, p
     ds = ctx.deg_shift
     check_degree((max(p, default=0) >> ds) + (max(q, default=0) >> ds))
-    if len(q) == 1:
-        # no two terms collide, and Z[i] has no zero divisors
-        ((mq, (c, d)),) = q.items()
-        return _Poly({mp + mq: (a * c - b * d, a * d + b * c)
-                      for mp, (a, b) in p.items()})
-    out = _Poly()
+    if out is None:
+        if len(q) == 1:
+            # no two terms collide, and Z[i] has no zero divisors
+            ((mq, (c, d)),) = q.items()
+            c, d = c * f, d * f
+            return _Poly({mp + mq: (a * c - b * d, a * d + b * c)
+                          for mp, (a, b) in p.items()})
+        out = _Poly()
     get = out.get
     for mq, (c, d) in q.items():
+        if f != 1:
+            c, d = c * f, d * f
         for mp, (a, b) in p.items():
             m = mp + mq
             x, y = a * c - b * d, a * d + b * c
@@ -752,12 +764,12 @@ def _over_common_denominator(parts, ctx: RingContext):
     Each part is (num, den, q) with den a sequence of (atom, multiplicity)
     in which an atom may repeat, and q a positive integer.  Returns
     (numerator, [(atom, multiplicity)], scale) with nothing cancelled: the
-    scale is the integer lcm of the q, and each numerator is scaled by its
-    share of it and by the atoms its denominator lacks from the lcm.  A
-    lone part is its own sum and is returned as it is.  When every part
-    carries an equal den, as most sums of products do, that den is the
-    lcm and is returned as it is, repeated atoms and all; only the scales
-    are brought over their lcm.  Only this den may repeat an atom.
+    scale is the integer lcm of the q, and each numerator times its share
+    of it and the product of the atoms its denominator lacks from the lcm
+    is added into the sum (_add_product).  A lone part is its own sum and
+    is returned as it is.  When every part carries an equal den, that den
+    is the lcm and is returned as it is, repeated atoms and all; only the
+    scales are brought over their lcm.  Only this den may repeat an atom.
     """
     if len(parts) == 1:
         return parts[0]
@@ -779,16 +791,15 @@ def _over_common_denominator(parts, ctx: RingContext):
             if m > common.get(atom, 0):
                 common[atom] = m
         counted.append(mults)
-    scaled = []
+    out = None
     for (num, _, q), mults in zip(parts, counted):
-        if q != scale:
-            num = _scale(num, (scale // q, 0))
+        lacking = _ground(_ONE)
         for atom, m in common.items():
-            lacking = m - mults.get(atom, 0)
-            if lacking:
-                num = _mul(num, _pow(atom, lacking, ctx), ctx)
-        scaled.append(num)
-    return _sum(scaled), list(common.items()), scale
+            m -= mults.get(atom, 0)
+            if m:
+                lacking = _mul(lacking, _pow(atom, m, ctx), ctx)
+        out = _add_product(out, num, lacking, scale // q, ctx)
+    return out, list(common.items()), scale
 
 
 def _diff(p, idx: int, ctx: RingContext):
@@ -1055,6 +1066,10 @@ class Coefficient:
     def __bool__(self) -> bool:
         return bool(self._num)
 
+    def is_one(self) -> bool:
+        """Whether the value is exactly 1, read off its normal form."""
+        return self._q == 1 and not self._den and self._num == {0: _ONE}
+
     def is_scalar(self) -> bool:
         r = self._refreshed()
         return not r._den and _is_ground(r._num)
@@ -1134,27 +1149,24 @@ class Coefficient:
         return b + (-a)
 
     @staticmethod
-    def _product(a: "Coefficient", b: "Coefficient"):
-        """(numerator, atoms, q, normal) of a*b for nonzero current a and
-        b, with nothing cancelled.  A product with a scalar is normal: a
-        unit cannot make an atom newly divide the numerator, so only q is
-        reduced."""
+    def _times(a: "Coefficient", b: "Coefficient") -> "Coefficient":
+        """a*b for nonzero current a and b.  A product with a scalar is
+        normal: a unit cannot make an atom newly divide the numerator, so
+        only q is reduced."""
         for x, s in ((a, b), (b, a)):
             # a scalar's numerator is {0: c}
             if not s._den and 0 in s._num and len(s._num) == 1:
                 num = _scale(x._num, s._num[0])
-                return (*_with_scale(num, x._den, x._q * s._q), True)
-        return (_mul(a._num, b._num, a._ctx), a._den + b._den, a._q * b._q,
-                False)
+                return Coefficient(*_with_scale(num, x._den, x._q * s._q),
+                                   a._ctx)
+        return Coefficient._make(_mul(a._num, b._num, a._ctx),
+                                 a._den + b._den, a._q * b._q, a._ctx)
 
     def __mul__(self, other):
         a, b = Coefficient._pair(self, other)
         if a.is_zero() or b.is_zero():
             return Coefficient(_Poly(), (), 1, a._ctx)
-        num, den, q, normal = Coefficient._product(a, b)
-        if normal:
-            return Coefficient(num, den, q, a._ctx)
-        return Coefficient._make(num, den, q, a._ctx)
+        return Coefficient._times(a, b)
 
     __rmul__ = __mul__
 
@@ -1162,13 +1174,14 @@ class Coefficient:
     def sum_of_products(pairs) -> "Coefficient":
         """The sum of a*b over pairs, normalized once.
 
-        Each product keeps its numerator and its atom multiplicities
-        unnormalized, as __mul__ forms them (a scalar operand scales the
-        other numerator); the products are brought over the lcm of their
-        denominators and only the total is trial-divided.  Equal to the
-        pairwise sum, which normalizes every product and every partial
-        sum.  A lone product is normalized as __mul__ normalizes it: not at
-        all when an operand is a scalar.
+        The products are grouped by their atom tuple, a's atoms then b's,
+        and each term product of a group is added into one polynomial over
+        the integer lcm of the group's scales q_a*q_b (_add_product).  A
+        group that cancels drops out; only the group totals are brought
+        over the lcm of their denominators, and only the sum is
+        trial-divided.  Equal to the pairwise sum, which normalizes every
+        product and every partial sum.  A lone product is normalized as
+        __mul__ normalizes it: not at all when an operand is a scalar.
 
         The registry's context is read once per sum.  Only an operand that
         is not a Coefficient of that context goes through _pair, which
@@ -1177,21 +1190,29 @@ class Coefficient:
         not.
         """
         ctx = registry.context()
-        parts = []
-        normal = True
+        groups: dict = {}
+        lone = None
         for a, b in pairs:
             if (a._ctx is not ctx or not isinstance(b, Coefficient)
                     or b._ctx is not ctx):
                 a, b = Coefficient._pair(a, b)
-            if not (a._num and b._num):
-                continue
-            num, den, q, scaled = Coefficient._product(a, b)
-            normal = normal and scaled
-            parts.append((num, den, q))
+            if a._num and b._num:
+                groups.setdefault(a._den + b._den, []).append(
+                    (a._num, b._num, a._q * b._q))
+                # the one nonzero product, False once there are two
+                lone = (a, b) if lone is None else False
+        if lone:
+            return Coefficient._times(*lone)
+        parts = []
+        for den, group in groups.items():
+            scale = lcm(*[q for _, _, q in group])
+            num = None
+            for x, y, q in group:
+                num = _add_product(num, x, y, scale // q, ctx)
+            if num:
+                parts.append((num, den, scale))
         if not parts:
             return Coefficient(_Poly(), (), 1, ctx)
-        if len(parts) == 1 and normal:
-            return Coefficient(*parts[0], ctx)
         return Coefficient._make(*_over_common_denominator(parts, ctx), ctx)
 
     def __truediv__(self, other):
@@ -1545,7 +1566,7 @@ class Coefficient:
             return num
         dens = []
         for atom, mult in atoms:
-            text = _render_poly(atom, ctx)
+            text = _atom_text(atom, ctx)
             # a sum, a power or a product of several factors
             if len(atom) > 1 or mult > 1 or "*" in text:
                 text = f"({text})"
@@ -1608,6 +1629,15 @@ def _render_poly(p, ctx, scale=None) -> str:
     for piece in pieces[1:]:
         out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
     return out
+
+
+def _atom_text(atom, ctx) -> str:
+    """The monic text of a denominator atom, cached on it as _poly_key
+    caches its key."""
+    got = getattr(atom, "_text", None)
+    if got is None:
+        got = atom._text = _render_poly(atom, ctx)
+    return got
 
 
 def normalized_generators(coefficients) -> tuple[Coefficient, ...]:

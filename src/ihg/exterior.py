@@ -368,7 +368,13 @@ class CoframeMap:
         return img
 
     def apply(self, form: Form) -> Form:
-        """The image of a form: the sum of c*image(m) over its terms c*m."""
+        """The image of a form: the sum of c*image(m) over its terms c*m.
+        The image of a lone monomial with coefficient 1 is the stored one,
+        as forms are immutable."""
+        if len(form._terms) == 1:
+            ((mi, c),) = form._terms.items()
+            if c.is_one():
+                return self.image(mi)
         return Form.combination(
             (self.image(mi), c) for mi, c in form.terms()
         )

@@ -1190,11 +1190,23 @@ def product_lists(draw):
             max_size=5,
         ))
     ]
+    t, u = C("t11"), C("t21")
+    a = ONE() - t * t.conjugate()
+    b = t + u
     if draw(st.booleans()):
         # (t*conj(t) - 1)/a = -1: the atom a cancels only in the total
-        t = C("t11")
-        a = ONE() - t * t.conjugate()
         pairs += [(ONE() / a, t * t.conjugate()), (ONE() / a, -1)]
+    if draw(st.booleans()):
+        # several denominator groups in one sum: polynomial x polynomial,
+        # values over a and over a*b, the atom a built a second time (an
+        # equal value, a distinct object) and scalars with q != 1
+        again = ONE() - t * t.conjugate()
+        half = GaussianRational(Fraction(1, 2), Fraction(-1, 5))
+        pairs += [(t, u * u), (t / a, Fraction(2, 3)), (ONE() / a / b, u),
+                  (u / again, t), (t / again, half)]
+    if draw(st.booleans()):
+        # the group over b cancels and the group over a survives
+        pairs += [((t - 1) / b, u), ((t - 1) / b, -u), (t / a, t)]
     if draw(st.booleans()):
         pairs += [(-x, y) for x, y in pairs]  # a total of zero
     return pairs
@@ -1244,6 +1256,39 @@ def test_lone_part_skips_the_lcm_pass():
     # the atom a of x cancels against the numerator of y in the one _make
     got = Coefficient.sum_of_products([(x, y)])
     assert got.render() == (x * y).render() == "t11*t21/(t11 + t21)"
+
+
+def test_an_atom_is_rendered_once(monkeypatch):
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    x = t / (ONE() - t * t.conjugate())
+    y = x * u
+    (atom, _), = x._den
+    assert y._den[0][0] is atom  # the two values share the atom object
+    calls = []
+    render_poly = coefficients_module._render_poly
+
+    def counted(p, ctx, scale=None):
+        calls.append(p)
+        return render_poly(p, ctx, scale)
+
+    monkeypatch.setattr(coefficients_module, "_render_poly", counted)
+    texts = x.render(), y.render()
+    assert texts == ("-t11/(t11*conj(t11) - 1)",
+                     "-t11*t21/(t11*conj(t11) - 1)")
+    assert sum(p is atom for p in calls) == 1
+    # a wider ring lifts the value, atoms and all, to new objects, which
+    # keep their own memo and render the same text
+    registry.ensure_pair("t12")
+    lifted = x._refreshed()
+    (wide, _), = lifted._den
+    bits = lifted._ctx.deg_shift - x._ctx.deg_shift
+    assert wide is not atom and wide == _lift_poly(atom, bits)
+    calls.clear()
+    assert lifted.render() == x.render() == texts[0]
+    assert sum(p is wide for p in calls) == 1
+    assert not any(p is atom for p in calls)
+    assert atom._text == wide._text == "t11*conj(t11) - 1"
 
 
 def test_derivative_normalizes_once(monkeypatch):

@@ -625,19 +625,23 @@ class TestCoordinateTables:
     def test_round_trip_cost(self, monkeypatch):
         # each output coefficient of a coordinate change is normalized
         # once, and a lone image coefficient times a scalar not at all;
-        # summing term by term took 594 and 922 trial divisions here
+        # summing term by term took 594 and 922 trial divisions here.
+        # The products of a sum are added into one polynomial per
+        # denominator group, so only the products outside that loop call
+        # _mul: 212 and 306 calls when every product was formed apart
         g = catalog("iwasawa")
         psi, _, _ = _iwasawa_psi()
         d = Deformation(g, psi)
         calls = []
-        quotient = coefficients._exact_quotient
+        for name in ("_exact_quotient", "_mul"):
+            def counted(*args, _kernel=getattr(coefficients, name),
+                        _name=name):
+                calls.append(_name)
+                return _kernel(*args)
 
-        def counted(p, q, ctx):
-            calls.append(q)
-            return quotient(p, q, ctx)
-
-        monkeypatch.setattr(coefficients, "_exact_quotient", counted)
-        for (holo, anti), most in ((((1, 3), ()), 4), (((3,), (3,)), 2)):
+            monkeypatch.setattr(coefficients, name, counted)
+        for (holo, anti), divisions, products in ((((1, 3), ()), 4, 3),
+                                                  (((3,), (3,)), 2, 20)):
             alpha = _mono(holo, anti)
             d.to_base_coords(d.to_deformed_coords(alpha))
             d.to_deformed_coords(d.to_base_coords(alpha))
@@ -646,7 +650,8 @@ class TestCoordinateTables:
             back = d.to_base_coords(alpha)
             assert d.to_base_coords(there) == alpha
             assert d.to_deformed_coords(back) == alpha
-            assert len(calls) <= most
+            assert calls.count("_exact_quotient") <= divisions
+            assert calls.count("_mul") <= products
 
 
 # -- vector-form calculus ----------------------------------------------------------

@@ -258,6 +258,11 @@ def test_coframe_map_matches_wedge_chain(f):
     assert table.apply(f) == expected
     # a fresh map fills its own table
     assert CoframeMap(rows).apply(f) == expected
+    # a lone monomial with coefficient 1 maps to its stored image itself
+    for mi, _ in f.terms():
+        lone = Form({mi: one})
+        assert table.apply(lone) is table.image(mi)
+        assert table.apply(lone) == _substitute_by_chain(lone, rows)
 
 
 # -- linear combinations: one gather per output monomial ------------------------
