@@ -1152,7 +1152,15 @@ class Coefficient:
     def _times(a: "Coefficient", b: "Coefficient") -> "Coefficient":
         """a*b for nonzero current a and b.  A product with a scalar is
         normal: a unit cannot make an atom newly divide the numerator, so
-        only q is reduced."""
+        only q is reduced.  A product with exactly 1 is the other factor,
+        and with exactly -1 its negation, computed as such."""
+        for x, s in ((a, b), (b, a)):
+            if s._q == 1 and not s._den and len(s._num) == 1 and 0 in s._num:
+                c = s._num[0]
+                if c == _ONE:
+                    return x
+                if c == (-1, 0):
+                    return Coefficient(_neg(x._num), x._den, x._q, a._ctx)
         for x, s in ((a, b), (b, a)):
             # a scalar's numerator is {0: c}
             if not s._den and 0 in s._num and len(s._num) == 1:
@@ -1464,49 +1472,69 @@ class Coefficient:
             if kind == CHAR and val * val.conjugate() - 1:
                 raise ValueError(f"character {name!r} bound off the unit circle")
         if d is None:
-            return r._at(
-                lambda nm: field[nm] if nm in field else Coefficient.symbol(nm),
-                lambda c: Coefficient(_ground(c), (), 1, ctx),
-                Coefficient.sum_of_products,
-            )
+            # the fields of the bound generators; every other one stays free
+            bound = sum(ctx.field_mask << ctx.shifts[ctx.index_of[nm]]
+                        for nm in field)
+            return r._at(field.__getitem__,
+                         lambda p: Coefficient(p, (), 1, ctx),
+                         Coefficient.sum_of_products, bound)
         missing = r.free_symbols() - field.keys()
         if missing:
             names = ", ".join(sorted(missing, key=ctx.index_of.get))
             raise ValueError(f"surd substitution must bind all symbols; missing {names}")
-        return r._at(field.__getitem__, lambda c: QuadraticSurd.of(_over(c), d),
+        return r._at(field.__getitem__,
+                     lambda p: QuadraticSurd.of(_over(p.get(0, (0, 0))), d),
                      _plain_sum(QuadraticSurd.of(0, d)))
 
-    def _at(self, value, const, total):
+    def _at(self, value, const, total, bound=-1):
         """num / (q * den) at a point; self must be current.
 
-        A generator's value is value(name), a Gaussian integer's const(c),
-        and a polynomial's is total(pairs) over its terms' (const(c),
-        monomial value) pairs.  Each power of a generator is computed once;
-        an atom that evaluates to zero raises DenominatorVanishes.
+        The generators in the field mask bound take the values value(name);
+        the others stay free, in the packed monomial.  A term c*m splits
+        into the value x of its bound part, a product of powers each
+        computed once, and its free monomial f; a zero value drops the
+        term.  A polynomial's value is const of the polynomial of its
+        terms without a bound generator, and total(pairs) when some term
+        has one, over the pairs (const(c*f), x) and that polynomial's.
+        The numerator comes first, then out / a ** mult per atom, then
+        / q; an atom that evaluates to zero raises DenominatorVanishes.
         """
-        names, exponents = self._ctx.names, self._ctx.exponents
-        one = const(_ONE)
+        ctx = self._ctx
+        names, exponents, gens = ctx.names, ctx.exponents, ctx.gens
+        one = const(_ground(_ONE))
         powers: dict = {}
 
         def at(p):
-            pairs = []
+            fixed, pairs = _Poly(), []
             for monom, c in p.items():
-                term = None
-                for idx, e in exponents(monom):
-                    x = powers.get((idx, e))
+                x = None
+                for idx, e in exponents(monom & bound):
+                    y = powers.get((idx, e))
+                    if y is None:
+                        y = value(names[idx])
+                        y = powers[idx, e] = y ** e if y and e > 1 else y
+                    if not y:
+                        break
+                    x = y if x is None else x * y
+                    monom -= e * gens[idx]
+                else:
                     if x is None:
-                        x = powers[idx, e] = value(names[idx]) ** e
-                    term = x if term is None else term * x
-                pairs.append((const(c), one if term is None else term))
+                        fixed[monom] = c
+                    else:
+                        pairs.append((const(_Poly({monom: c})), x))
+            if not pairs:
+                return const(fixed)
+            if fixed:
+                pairs.append((const(fixed), one))
             return total(pairs)
 
         out = at(self._num)
         for atom, mult in self._den:
             a = at(atom)
             if not a:
-                raise DenominatorVanishes(_render_poly(atom, self._ctx))
+                raise DenominatorVanishes(_render_poly(atom, ctx))
             out = out / a ** mult
-        return out if self._q == 1 else out / const((self._q, 0))
+        return out if self._q == 1 else out / const(_ground((self._q, 0)))
 
     # -- sector decomposition -------------------------------------------------
 
@@ -1592,7 +1620,7 @@ class Coefficient:
         """
         return self._refreshed()._at(
             lambda nm: point[nm] if nm in point else with_partners(point)[nm],
-            lambda c: complex(*c), _plain_sum(0j),
+            lambda p: complex(*p.get(0, (0, 0))), _plain_sum(0j),
         )
 
 

@@ -5,7 +5,8 @@ A deformation is encoded by a T^{1,0}-valued (0,1)-form psi; the deformed
 deformed coframe gives the deformed structure equations exactly; their
 (0,2) components are the integrability residual.  Bidegrees add under
 the wedge, so the residual is d(Phi^j) pushed through the (0,1) parts of
-the inverse's rows alone; the full structure is built on first read.
+the inverse's rows alone, the only rows construction forms; the
+coordinate maps and the full structure are built on first read.
 
 The way back is two coframe substitutions on psi.  Read psi^j in the
 deformed coframe, each phi^{mu bar} standing for Phi^{mu bar}; then
@@ -31,11 +32,12 @@ per output coefficient; vector_bracket gathers one bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from . import linalg
 from .coefficients import Coefficient, DenominatorVanishes, normalized_generators
-from .exterior import CoframeMap, Form, VectorForm, _collect, _wedge_terms
+from .exterior import (CoframeMap, Form, MultiIndex, VectorForm, _collect,
+                       _wedge_terms)
 from .geometry import Geometry
 from .symbols import base_name, registry, with_partners
 
@@ -77,10 +79,12 @@ class Deformation:
 
     The change sends phi^j to phi^j + psi^j; its inverse is the two
     substitutions of the module docstring, after one n x n inverse, of S.
-    mc_residual is computed at construction from the (0,1) parts of the
-    inverse's rows, a map of its own, so deform(require_mc=False) fills
-    no degree-2 image of the inverse; full_structure fills them on first
-    read, by geometry() or any caller.
+    Construction inverts S, so a singular S raises there, and forms only
+    the (0,1) parts of the inverse's rows, a map of their own, from which
+    mc_residual comes: deform(require_mc=False) builds neither coordinate
+    map.  Each is built on first read, a full row of the inverse being its
+    (1,0) part plus the stored (0,1) part, and full_structure fills the
+    degree-2 images on first read, by geometry() or any caller.
     Each coefficient of the inverse is a product with S^{-1}, never a
     conjugate of it, so every entry shares the denominator atoms of
     S^{-1}: conjugating would make equal atoms distinct objects, which
@@ -115,29 +119,25 @@ class Deformation:
                     f"{self.name}: deformed coframe does not span",
                     locus=str(exc),
                 ) from None
-            shifted = [holo[k] - legs[k] for k in legs]
-            holo_rows = {
+            self._legs, self._conj_legs = legs, conj_legs
+            self._s_inv_rows = linalg.transpose(s_inv, n)
+            # the (0,1) parts of the inverse's rows: -S^{-1} psi, and
+            # phi-bar minus conj(psi) pushed through those
+            neg_legs = [-f for f in legs.values()]
+            rows01 = {
                 ("h", j + 1): Form.combination(
-                    (shifted[k], c) for k, c in row.items())
-                for j, row in enumerate(linalg.transpose(s_inv, n))
+                    (neg_legs[k], c) for k, c in row.items())
+                for j, row in enumerate(self._s_inv_rows)
             }
-            pushed = CoframeMap(holo_rows)
-            self._to_deformed = CoframeMap(holo_rows | {
-                ("a", j): anti[j] - pushed.apply(f)
-                for j, f in conj_legs.items()
-            })
-            phi_t = {j: holo[j] + f for j, f in legs.items()}
-            self._to_base = CoframeMap(
-                {("h", j): f for j, f in phi_t.items()}
-                | {("a", j): anti[j] + f for j, f in conj_legs.items()})
+            pushed = CoframeMap(rows01)
+            rows01.update({("a", j): anti[j] - pushed.apply(f)
+                           for j, f in conj_legs.items()})
+            self._rows01 = rows01
             self._endo_maps: tuple[CoframeMap, CoframeMap] | None = None
-            self._d_phi_t = {j: base.d(f) for j, f in phi_t.items()}
+            self._d_phi_t = {j: base.d(holo[j] + f) for j, f in legs.items()}
             # bidegrees add under the wedge, so the (0,2) part of a 2-form's
             # image is its image under the rows' (0,1) parts
-            residual_map = CoframeMap({
-                key: row.component(0, 1)
-                for key, row in self._to_deformed.rows.items()
-            })
+            residual_map = CoframeMap(rows01)
             self.mc_residual = {
                 j: residual_map.apply(f) for j, f in self._d_phi_t.items()
             }
@@ -151,6 +151,29 @@ class Deformation:
     def _blows_up(self, exc: DenominatorVanishes) -> DegenerateAtLocus:
         return DegenerateAtLocus(
             f"{self.name}: coefficient blows up", locus=str(exc))
+
+    @cached_property
+    def _to_deformed(self) -> CoframeMap:
+        """The inverse of the coordinate change, built on first read: each
+        row is its (1,0) part, S^{-1} phi or minus conj(psi) pushed through
+        those, plus its stored (0,1) part."""
+        holo10 = {("h", j + 1): Form({MultiIndex((k + 1,), ()): c
+                                      for k, c in row.items()})
+                  for j, row in enumerate(self._s_inv_rows)}
+        pushed = CoframeMap(holo10)
+        rows = {key: f + self._rows01[key] for key, f in holo10.items()}
+        rows.update({("a", j): self._rows01["a", j] - pushed.apply(f)
+                     for j, f in self._conj_legs.items()})
+        return CoframeMap(rows)
+
+    @cached_property
+    def _to_base(self) -> CoframeMap:
+        """The coordinate change phi -> phi + psi, built on first read."""
+        return CoframeMap(
+            {("h", j): Form.monomial((j,), ()) + f
+             for j, f in self._legs.items()}
+            | {("a", j): Form.monomial((), (j,)) + f
+               for j, f in self._conj_legs.items()})
 
     @property
     def full_structure(self) -> dict[int, Form]:

@@ -117,8 +117,8 @@ class Form:
         a, s2 = sort_signed(anti)
         if s2 == 0:
             return Form()
-        c = _as_coeff(coeff) * (s1 * s2)
-        return Form({MultiIndex(h, a): c})
+        c = _as_coeff(coeff)
+        return Form({MultiIndex(h, a): c if s1 == s2 else -c})
 
     @staticmethod
     def scalar(coeff) -> "Form":
@@ -244,8 +244,8 @@ class Form:
         out: dict[MultiIndex, Coefficient] = {}
         for mi, c in self._terms.items():
             p, q = mi.bidegree
-            sign = -1 if (p * q) % 2 else 1
-            out[MultiIndex(mi.anti, mi.holo)] = c.conjugate() * sign
+            c = c.conjugate()
+            out[MultiIndex(mi.anti, mi.holo)] = -c if (p * q) % 2 else c
         return Form(out)
 
     def map_coefficients(self, fn: Callable[[Coefficient], Coefficient]) -> "Form":

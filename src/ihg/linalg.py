@@ -20,11 +20,11 @@ a greedy rank test would keep.  kernel returns the free columns of one
 elimination and builds a kernel vector only for a free column asked for.
 solve_many solves for all columns of a right-hand side in one
 elimination.  pseudo_inverse, the one place that forms Hermitian normal
-systems, factors a matrix once into its Moore-Penrose pseudo-inverse,
-from two eliminations whatever the number of right-hand sides, and
-split_normal splits a vector against a matrix and that pseudo-inverse
-with two matrix-vector products and no elimination.  Over the coefficient
-field both normal systems are consistent, so there is no fallback.
+systems, factors a matrix once into its Moore-Penrose pseudo-inverse
+from its nonzero columns, and split_normal splits a vector against a
+matrix and that pseudo-inverse with two matrix-vector products and no
+elimination.  Over the coefficient field both normal systems are
+consistent, so there is no fallback.
 """
 
 from __future__ import annotations
@@ -167,17 +167,23 @@ def solve_many(a: list[SparseVector],
     row operations depend on a alone, so column k of X is solve(a, column
     k of b) exactly: its entries at the pivot columns of a, zero at the
     free ones."""
+    return _solve_many(a, b)[0]
+
+
+def _solve_many(a: list[SparseVector], b: list[SparseVector]
+                ) -> tuple[list[SparseVector] | None, list[int]]:
+    """(solve_many(a, b), the pivot columns of a)."""
     cols = len(a)
     mat, pivots = _eliminate(_rows(a + b), cols)
     # past the rank a row is zero on a's columns: any entry left is b's
     if any(mat[len(pivots):]):
-        return None
+        return None, pivots
     x: list[SparseVector] = [{} for _ in b]
     for row, col in zip(mat, pivots):
         for k, value in row.items():
             if k >= cols:
                 x[k - cols][col] = value
-    return x
+    return x, pivots
 
 
 def kernel(columns: list[SparseVector]
@@ -220,19 +226,25 @@ def pseudo_inverse(a: list[SparseVector], height: int) -> list[SparseVector]:
     against, built once per matrix so that every right-hand side can
     reuse it.
 
-    Y solves (a*a) Y = a*, so a Y projects onto the column span of a; Z
-    solves (a a*) Z = a Y, and a+ = a* Z.  Each is one elimination over
-    all its right-hand sides.  As solve is linear in its right-hand side,
-    a+ v is the x that two normal solves would give for v, and
-    a a+ = a Y."""
+    Only the nonzero columns of a enter; a zero column gives a zero row
+    of a+.  Y solves (a*a) Y = a*, so a Y projects onto the column span of
+    a.  When those columns are independent, a*a is nonsingular and
+    a+ = (a*a)^-1 a* = Y, from that one elimination.  Otherwise Z solves
+    (a a*) Z = a Y, and a+ = a* Z.  Each is one elimination over all its
+    right-hand sides.  As solve is linear in its right-hand side, a+ v is
+    the x that the normal solves would give for v, and a a+ = a Y."""
+    cols = [j for j, col in enumerate(a) if col]
+    a = [a[j] for j in cols]
     star = transpose(conjugate(a), height)
-    y = solve_many(mat_mul(star, a), star)
+    y, pivots = _solve_many(mat_mul(star, a), star)
     if y is None:
         raise SingularMatrix("degenerate Hermitian pairing in a*a")
-    z = solve_many(mat_mul(a, star), mat_mul(a, y))
-    if z is None:
-        raise SingularMatrix("degenerate Hermitian pairing in a a*")
-    return mat_mul(star, z)
+    if len(pivots) < len(cols):
+        z = solve_many(mat_mul(a, star), mat_mul(a, y))
+        if z is None:
+            raise SingularMatrix("degenerate Hermitian pairing in a a*")
+        y = mat_mul(star, z)
+    return [{cols[k]: x for k, x in col.items()} for col in y]
 
 
 def split_normal(a: list[SparseVector], pinv: list[SparseVector],

@@ -32,6 +32,7 @@ from ihg import (
 from ihg import coefficients as coefficients_module
 from ihg.coefficients import (
     _Poly,
+    _atom_text,
     _canonical_unit,
     _conj_poly,
     _exact_quotient,
@@ -678,6 +679,93 @@ def test_conjugate_commutes_with_numeric(a):
         return
     y = a.conjugate().numeric(pt)
     assert abs(x.conjugate() - y) < 1e-9
+
+
+@settings(max_examples=60)
+@given(coefficients())
+def test_a_unit_product_is_the_normal_form_and_computes_nothing(x):
+    # x*1 is x and x*(-1) its negation, field by field what the general
+    # product would normalize to, with nothing scaled or normalized
+    ctx = registry.context()
+    one, minus = ONE(), Coefficient.from_scalar(-1)
+    with mock.patch.object(coefficients_module, "_scale",
+                           wraps=coefficients_module._scale) as scale, \
+            mock.patch.object(Coefficient, "_make",
+                              wraps=Coefficient._make) as make:
+        got = [(x * one, one), (one * x, one), (x * minus, minus),
+               (minus * x, minus)]
+    assert scale.call_count == make.call_count == 0
+    for product, unit in got:
+        want = Coefficient._make(_mul(x._num, unit._num, ctx),
+                                 x._den + unit._den, x._q * unit._q, ctx)
+        assert (product._num, product._den, product._q) \
+            == (want._num, want._den, want._q)
+
+
+def test_a_monomial_sign_is_a_negation():
+    with mock.patch.object(Coefficient, "_times",
+                           wraps=Coefficient._times) as times:
+        f = Form.monomial((2, 1), ())
+    assert times.call_count == 0
+    assert f == -Form.monomial((1, 2), ())
+    assert f.coeff((1, 2), ()) == -1
+
+
+@st.composite
+def partial_points(draw):
+    """Bindings of t11 and t21, each left free, zero or a Gaussian
+    rational, and of E1, left free or on the unit circle."""
+    point = {}
+    for name in ("t11", "t21"):
+        kind = draw(st.sampled_from(["free", "zero", "value"]))
+        if kind != "free":
+            point[name] = 0 if kind == "zero" else draw(gaussians)
+    if draw(st.booleans()):
+        point["E1"] = draw(st.sampled_from([
+            1, GaussianRational(Fraction(0), Fraction(-1)),
+            GaussianRational(Fraction(3, 5), Fraction(4, 5))]))
+    return point
+
+
+def _sympy_point(point):
+    """The sympy values of the bound symbols, conj(t) the conjugate of t's;
+    conj(E1) is 1/E1, which render() shows as such."""
+    values = {}
+    for name, v in point.items():
+        g = GaussianRational.of(v)
+        z = sympy.Rational(g.re.numerator, g.re.denominator) \
+            + sympy.I * sympy.Rational(g.im.numerator, g.im.denominator)
+        values[sympy.Symbol(name)] = z
+        if name != "E1":
+            values[sympy.Symbol(f"{name}_c")] = sympy.conjugate(z)
+    return values
+
+
+@settings(max_examples=60)
+@given(coefficients(), partial_points())
+def test_partial_substitution_matches_sympy(a, point):
+    values = _sympy_point(point)
+    try:
+        got = a.substitute(point)
+    except DenominatorVanishes:
+        assert any(sympy.simplify(_parse(_atom_text(atom, a._ctx))
+                                  .subs(values)) == 0 for atom, _ in a._den)
+        return
+    want = _parse(a.render()).subs(values)
+    assert sympy.simplify(_parse(got.render()) - want) == 0
+
+
+def test_partial_substitution_keeps_its_checks():
+    setup_symbols()
+    t, u, E = C("t11"), C("t21"), C("E1")
+    with pytest.raises(DenominatorVanishes):
+        (u / t).substitute({"t11": 0})
+    with pytest.raises(DenominatorVanishes):
+        (u / (ONE() + t * E)).substitute({"t11": 1, "E1": -1})
+    with pytest.raises(ValueError, match="real symbol"):
+        (C("s") + u).substitute({"s": GaussianRational.i()})
+    with pytest.raises(ValueError, match="unit circle"):
+        (E + u).substitute({"E1": 2})
 
 
 # -- the polynomial kernels against sympy's PolyElement over ZZ_I ---------------

@@ -5,6 +5,7 @@ recomputed by hand (coframe inversion on small matrices) or cross-checked
 numerically before being frozen here.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -432,6 +433,35 @@ def _t11_branch_psi(name):
                                                   branch))
 
 
+# base_in_deformed(k, anti) of the nakamura_3b t11-branch deformation, for
+# anti False then True and k = 1..3, in a fresh registry
+_NAKAMURA_ROWS = [
+    ('(t11/(t11*conj(t11) - 1))*phi[|1] + (-1/(t11*conj(t11) - '
+     '1))*phi[1]'),
+    ('((-E1*t11*conj(t21)*t22 - t21)/((t22*conj(t22) - 1)*(t11*conj(t11)'
+     ' - 1)))*phi[|1] + (E1*t22/(t22*conj(t22) - 1))*phi[|2] + '
+     '((E1*conj(t21)*t22 + conj(t11)*t21)/((t22*conj(t22) - '
+     '1)*(t11*conj(t11) - 1)))*phi[1] + (-1/(t22*conj(t22) - 1))*phi[2]'),
+    ('((-t11*conj(t31)*t33 - E1*t31)/((t33*conj(t33) - 1)*(t11*conj(t11)'
+     ' - 1)*E1))*phi[|1] + (t33/((t33*conj(t33) - 1)*E1))*phi[|3] + '
+     '((E1*conj(t11)*t31 + conj(t31)*t33)/((t33*conj(t33) - '
+     '1)*(t11*conj(t11) - 1)*E1))*phi[1] + (-1/(t33*conj(t33) - '
+     '1))*phi[3]'),
+    ('(-1/(t11*conj(t11) - 1))*phi[|1] + (conj(t11)/(t11*conj(t11) - '
+     '1))*phi[1]'),
+    ('((E1*t11*conj(t21) + t21*conj(t22))/((t22*conj(t22) - '
+     '1)*(t11*conj(t11) - 1)*E1))*phi[|1] + (-1/(t22*conj(t22) - '
+     '1))*phi[|2] + ((-conj(t11)*t21*conj(t22) - '
+     'E1*conj(t21))/((t22*conj(t22) - 1)*(t11*conj(t11) - 1)*E1))*phi[1]'
+     ' + (conj(t22)/((t22*conj(t22) - 1)*E1))*phi[2]'),
+    ('((E1*t31*conj(t33) + t11*conj(t31))/((t33*conj(t33) - '
+     '1)*(t11*conj(t11) - 1)))*phi[|1] + (-1/(t33*conj(t33) - '
+     '1))*phi[|3] + ((-E1*conj(t11)*t31*conj(t33) - '
+     'conj(t31))/((t33*conj(t33) - 1)*(t11*conj(t11) - 1)))*phi[1] + '
+     '(E1*conj(t33)/(t33*conj(t33) - 1))*phi[3]'),
+]
+
+
 class TestResidual:
     @pytest.mark.parametrize("name", [
         "iwasawa", "nakamura_3b", "solv4d", "iwasawa_six_parameters"])
@@ -459,6 +489,33 @@ class TestResidual:
         assert 2 not in degrees()
         assert d.full_structure is d.full_structure
         assert 2 in degrees()
+
+    def test_neither_coordinate_map_is_built_until_read(self):
+        g, psi = _t11_branch_psi("solv4d")
+        d = deform(g, psi, require_mc=False)
+        assert not {"_to_deformed", "_to_base"} & vars(d).keys()
+        d.to_base_coords(_mono((1,), ()))
+        assert "_to_base" in vars(d) and "_to_deformed" not in vars(d)
+        d.full_structure
+        assert "_to_deformed" in vars(d)
+
+    @pytest.mark.parametrize("name", ["iwasawa_six_parameters", "nakamura_3b"])
+    def test_inverse_rows_keep_their_text(self, name):
+        # the rows as the construction gave them when it formed every full
+        # row at once; the Iwasawa rows, about 6 kB, by their SHA-256
+        if name == "nakamura_3b":
+            g, psi = _t11_branch_psi(name)
+        else:
+            g, psi = catalog("iwasawa"), _iwasawa_psi(correction=False)[0]
+        d = deform(g, psi, require_mc=False)
+        d.full_structure
+        texts = [d.base_in_deformed(k, anti).render()
+                 for anti in (False, True) for k in range(1, g.n + 1)]
+        if name == "nakamura_3b":
+            assert texts == _NAKAMURA_ROWS
+        else:
+            assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+                "771da7a9237407c847180dfdb61ceec3d673a7f86eb0ed0ee9d8604a8aa96c5b")
 
 
 # -- extension calculus -----------------------------------------------------------

@@ -212,6 +212,58 @@ def test_pseudo_inverse_penrose_identities():
     assert star(mul(p, a)) == mul(p, a)
 
 
+def _q(re, im=0) -> Coefficient:
+    return Coefficient.from_scalar(GaussianRational(Fraction(re), Fraction(im)))
+
+
+def _penrose_cases():
+    """(rows, whether the nonzero columns are independent): sparse
+    Gaussian-rational matrices with zero columns, with dependent columns
+    and with full column rank, a zero matrix, and one parametric matrix."""
+    registry.ensure_pair("t")
+    h, z = Fraction(1, 2), 0
+    yield [[_q(h), z, z], [z, z, z], [z, z, z]], True
+    yield [[_q(h), z, z, z], [z, z, _q(Fraction(1, 3), -1), z],
+           [_q(0, h), z, z, z]], True
+    # column 2 is twice column 0, and column 1 is zero
+    yield [[_q(h), z, _q(1), z], [_q(0, Fraction(1, 3)), z,
+                                  _q(0, Fraction(2, 3)), z],
+           [z, z, z, _q(Fraction(5, 4))]], False
+    yield [[_q(h), z, z], [z, _q(1, h), z], [z, z, _q(3)],
+           [_q(2), z, _q(0, Fraction(-1, 5))], [z, z, z], [z, _q(h), z]], True
+    yield [[z, z], [z, z], [z, z]], True
+    t = Coefficient.symbol("t")
+    yield [[t, z], [_q(1), _q(1, 1)], [z, t.conjugate()]], True
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_pseudo_inverse_is_the_moore_penrose_inverse(case, monkeypatch):
+    # the four Penrose identities decide a+ exactly, whatever formula
+    # built it; one elimination when the nonzero columns are independent
+    rows, independent = list(_penrose_cases())[case]
+    height = len(rows)
+    a = _matrix(rows)
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(rows, width):
+        calls.append(width)
+        return eliminate(rows, width)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    p = _pinv(a, height)
+    assert len(calls) == (1 if independent else 2)
+    mul = linalg.mat_mul
+
+    def star(m, m_height):
+        return linalg.transpose(linalg.conjugate(m), m_height)
+
+    assert mul(mul(a, p), a) == a
+    assert mul(mul(p, a), p) == p
+    assert star(mul(a, p), height) == mul(a, p)
+    assert star(mul(p, a), len(a)) == mul(p, a)
+
+
 def test_split_normal_makes_no_elimination(monkeypatch):
     a = _matrix(GAUSSIAN)
     pinv = linalg.pseudo_inverse(a, len(GAUSSIAN))
