@@ -26,8 +26,9 @@ on ints (the dict accumulation of sparse polynomial arithmetic;
 Monagan-Pearce, "Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", 2007, compare it with heaps).
 With packed monomials a monomial product is one int addition, the grlex
-leading term is max() of the keys and a divisibility test is one
-subtraction and a mask test.  A kernel that raises degrees (_add_product,
+leading term is max() of the keys, kept on a finished polynomial (_lm) so
+that it is scanned once and not at every use, and a divisibility test is
+one subtraction and a mask test.  A kernel that raises degrees (_add_product,
 _pow, _conj_poly) compares the total degree of its result with MAX_DEGREE
 once, since no exponent exceeds the total degree, and raises
 DegreeOverflow past it.
@@ -55,8 +56,9 @@ the sum is trial-divided.  Summing pairwise instead normalizes every
 partial sum, and nearly all of those trial divisions fail.  The engine's linear combinations go through it: sums of
 forms by way of exterior.Form.combination, and linalg's matrix products.
 Atoms key the lcm, so a _Poly hashes by value, with the hash cached, and
-each atom caches its conjugate: conjugates of values that share an atom
-object share its conjugate atom object, which the lcm finds by identity.
+each atom caches its conjugate and its lead: conjugates of values that
+share an atom object share its conjugate atom object, which the lcm finds
+by identity.  A Coefficient caches its text, rendered once.
 
 Trial division has one home, _exact_quotient, which both normalization and
 is_multiple_of use.  It runs the one-divisor division algorithm and gives up
@@ -326,13 +328,14 @@ class _Poly(dict):
     so int order is grlex order and 0 is the constant monomial; no total
     degree passes MAX_DEGREE.
 
-    Kernels build a _Poly and then never change it, so a polynomial hashes
-    by value, with the hash cached: denominator atoms key the lcm of a
-    common denominator.  An atom also caches its conjugate (_conj_atom),
-    its sort key (_poly_key) and its monic text (_atom_text).
+    A kernel changes only the accumulator it is building (_add_product),
+    never a finished polynomial, so a polynomial hashes by value, with the
+    hash cached: denominator atoms key the lcm of a common denominator.  A
+    finished polynomial caches its lead (_lm), and an atom its conjugate
+    (_conj_atom), its sort key (_poly_key) and its monic text (_atom_text).
     """
 
-    __slots__ = ("_hash", "_conj", "_key", "_text")
+    __slots__ = ("_hash", "_conj", "_key", "_text", "_lm")
 
     def __hash__(self):
         try:
@@ -431,9 +434,24 @@ def _is_ground(p) -> bool:
     return not p or (len(p) == 1 and 0 in p)
 
 
+def _lm(p):
+    """The leading monomial of a finished p in grlex, 0 for zero; scanned
+    once and cached on p."""
+    lm = getattr(p, "_lm", None)
+    if lm is None:
+        lm = p._lm = max(p) if p else 0
+    return lm
+
+
+def _led(p, lm):
+    """p with lm cached as its leading monomial; None caches none."""
+    p._lm = lm
+    return p
+
+
 def _lead(p):
     """(leading monomial, leading coefficient) of a nonzero p in grlex."""
-    lm = max(p)
+    lm = _lm(p)
     return lm, p[lm]
 
 
@@ -443,28 +461,35 @@ def _terms(p):
 
 
 def _neg(p):
-    return _Poly({m: (-x, -y) for m, (x, y) in p.items()})
+    return _led(_Poly({m: (-x, -y) for m, (x, y) in p.items()}),
+                getattr(p, "_lm", None))
 
 
 def _scale(p, c):
     """c*p for a nonzero Gaussian integer c."""
     a, b = c
     if not b:
-        return _Poly({m: (x * a, y * a) for m, (x, y) in p.items()})
-    return _Poly({m: (x * a - y * b, x * b + y * a) for m, (x, y) in p.items()})
+        out = _Poly({m: (x * a, y * a) for m, (x, y) in p.items()})
+    else:
+        out = _Poly({m: (x * a - y * b, x * b + y * a)
+                     for m, (x, y) in p.items()})
+    return _led(out, getattr(p, "_lm", None))
 
 
 def _divided(p, c):
     """p / c for a Gaussian integer c that divides every coefficient."""
     a, b = c
     if not b:
-        return _Poly({m: (x // a, y // a) for m, (x, y) in p.items()})
-    return _Poly({m: _gauss_quo(v, c) for m, v in p.items()})
+        out = _Poly({m: (x // a, y // a) for m, (x, y) in p.items()})
+    else:
+        out = _Poly({m: _gauss_quo(v, c) for m, v in p.items()})
+    return _led(out, getattr(p, "_lm", None))
 
 
 def _mul(p, q, ctx: RingContext):
-    """p*q."""
-    return _add_product(None, p, q, 1, ctx)
+    """p*q, whose lead is LM(p) + LM(q): Z[i] has no zero divisors."""
+    out = _add_product(None, p, q, 1, ctx)
+    return _led(out, _lm(p) + _lm(q)) if out else out
 
 
 def _add_product(out, p, q, f: int, ctx: RingContext):
@@ -472,11 +497,12 @@ def _add_product(out, p, q, f: int, ctx: RingContext):
     place, or None for zero.  Each term product is added into out on ints,
     and a sum that cancels leaves the dict at once.  The degree of p*q is
     the sum of the degrees, and bounds every exponent of it, so one
-    comparison guards every field."""
+    comparison guards every field.  The operands' leads are read from the
+    cache; out is not finished, so its lead is neither read nor set."""
     if len(p) < len(q):
         p, q = q, p
     ds = ctx.deg_shift
-    check_degree((max(p, default=0) >> ds) + (max(q, default=0) >> ds))
+    check_degree((_lm(p) >> ds) + (_lm(q) >> ds))
     if out is None:
         if len(q) == 1:
             # no two terms collide, and Z[i] has no zero divisors
@@ -524,10 +550,10 @@ def _sum(polys):
 def _pow(p, k: int, ctx: RingContext):
     """p**k for k >= 1, by repeated squaring; refused before any product
     when its degree passes MAX_DEGREE."""
-    check_degree((max(p, default=0) >> ctx.deg_shift) * k)
+    check_degree((_lm(p) >> ctx.deg_shift) * k)
     if len(p) == 1:
         ((m, c),) = p.items()
-        return _Poly({m * k: _gpow(c, k)})
+        return _led(_Poly({m * k: _gpow(c, k)}), m * k)
     out = None
     while True:
         if k & 1:
@@ -678,10 +704,8 @@ def _exact_quotient(p, g, ctx: RingContext):
     lm_g, lc_g = _lead(g)
     monic = lc_g == _ONE  # nearly all denominator atoms are
     tail = [(m, c) for m, c in g.items() if m != lm_g]
-    rem = dict(p)
-    q = _Poly()
+    rem, q, lm = dict(p), _Poly(), _lm(p)
     while rem:
-        lm = max(rem)
         shift = lm - lm_g
         if shift & guard:
             return None
@@ -703,7 +727,9 @@ def _exact_quotient(p, g, ctx: RingContext):
                     del rem[m]
                     continue
             rem[m] = (x, y)
-    return q
+        lm = max(rem) if rem else 0
+    # the first shift, LM(p) - LM(g), leads the quotient
+    return _led(q, _lm(p) - lm_g) if q else q
 
 
 def _remainder(p, divisors, ctx: RingContext):
@@ -931,9 +957,9 @@ def _definite(p, ctx: RingContext):
 
 
 class Coefficient:
-    """Element of the coefficient field; immutable."""
+    """Element of the coefficient field; immutable, so its text is kept."""
 
-    __slots__ = ("_num", "_den", "_q", "_ctx")
+    __slots__ = ("_num", "_den", "_q", "_ctx", "_text")
 
     def __init__(self, num, den, q, ctx):
         self._num = num
@@ -1581,15 +1607,24 @@ class Coefficient:
 
     def render(self) -> str:
         """The value over Q(i): the numerator divided by q and by the
-        atoms' leading coefficients, over the monic atoms."""
+        atoms' leading coefficients, over the monic atoms.  The text is the
+        same in every context of a lifetime, so it is kept (_text); a value
+        of an earlier lifetime still raises StaleCoefficient."""
         r = self._refreshed()
-        if r.is_zero():
+        text = getattr(self, "_text", None)
+        if text is None:
+            text = self._text = r._render()
+        return text
+
+    def _render(self) -> str:
+        """The text of render(), for a current value."""
+        if self.is_zero():
             return "0"
-        ctx, atoms = r._ctx, r._den
-        scale = (r._q, 0)
+        ctx, atoms = self._ctx, self._den
+        scale = (self._q, 0)
         for atom, mult in atoms:
             scale = _gmul(scale, _gpow(_lead(atom)[1], mult))
-        num = _render_poly(r._num, ctx, scale)
+        num = _render_poly(self._num, ctx, scale)
         if not atoms:
             return num
         dens = []
@@ -1600,7 +1635,7 @@ class Coefficient:
                 text = f"({text})"
             dens.append(text if mult == 1 else f"{text}^{mult}")
         den = "*".join(dens) if len(dens) == 1 else "(" + "*".join(dens) + ")"
-        if len(r._num) > 1:
+        if len(self._num) > 1:
             num = f"({num})"
         return f"{num}/{den}"
 

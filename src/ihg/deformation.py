@@ -283,20 +283,18 @@ class Deformation:
         with E the slotwise map by I - conj(B) B = conj(S) on
         antiholomorphic slots: its row j is the conjugate of row j of S.
         E^{-1} = conj(S^{-1}) = I + conj(B) S^{-1} B is slotwise by the
-        (0,1) part of base_in_deformed(j, anti=True), which is read, not
-        conjugated, so it keeps the denominator atoms of S^{-1}.  Both
-        maps are built on first use and kept."""
+        (0,1) part of base_in_deformed(j, anti=True), stored at
+        construction as _rows01["a", j], so no coordinate map is built.
+        It is read, not conjugated, so it keeps the denominator atoms of
+        S^{-1}.  E and E^{-1} are built on first use and kept."""
         if self._endo_maps is None:
             self._endo_maps = (
                 CoframeMap({
                     ("a", j): row.conjugate()
                     for j, row in self._s_rows.items()
                 }),
-                CoframeMap({
-                    ("a", j): self.base_in_deformed(j, anti=True)
-                    .component(0, 1)
-                    for j in self._s_rows
-                }),
+                CoframeMap({("a", j): self._rows01["a", j]
+                            for j in self._s_rows}),
             )
         fwd, bwd = self._endo_maps
         inner = fwd.apply(alpha)

@@ -127,8 +127,10 @@ _MAX_SPLIT_PASSES = 12
 def kuranishi_build(geom: Geometry,
                     depth_cap: int = DEFAULT_DEPTH_CAP) -> KuranishiSeries:
     """Solve Maurer-Cartan order by order from the geometry's generators,
-    which its validation checked; a geometry that declares none raises
-    ValueError.
+    which its validation checked.  The legs are solved by the scalar dbar,
+    which is dbar on T^{1,0}-valued forms only on a complex parallelizable
+    structure, so one with a term other than (2,0), or no generators,
+    raises ValueError.
 
     psi_1 = sum t_{i lambda} gens[lambda] (x) Z_i with one fresh complex
     parameter per (leg, generator) pair.  At each degree the bracket is
@@ -142,6 +144,10 @@ def kuranishi_build(geom: Geometry,
     if gens is None:
         raise ValueError(
             f"geometry {geom.name!r} declares no deformation generators")
+    if not all(f.is_pure(2, 0) for f in geom.structure.values()):
+        raise ValueError(
+            f"geometry {geom.name!r} has a structure term other than a (2,0) "
+            "one: its T^{1,0} is not holomorphically trivial")
     names: list[str] = []
     for i in range(1, geom.n + 1):
         for lam in range(1, len(gens) + 1):

@@ -32,20 +32,25 @@ from ihg import (
 from ihg import coefficients as coefficients_module
 from ihg.coefficients import (
     _Poly,
+    _add_product,
     _atom_text,
     _canonical_unit,
     _conj_poly,
+    _divided,
     _exact_quotient,
     _gauss_gcd,
     _gmul,
     _is_ground,
     _lift_poly,
+    _lm,
     _mul,
+    _neg,
     _over_common_denominator,
     _poly_gcd,
     _poly_key,
     _pow,
     _remainder,
+    _scale,
     _sum,
     _terms,
 )
@@ -943,6 +948,94 @@ def test_power_matches_sympy(p, k):
     assert _pow(_pairs(p), k, XYZ) == _pairs(p**k)
 
 
+# -- the leading monomial cached on a finished polynomial -----------------------
+
+
+def _assert_leads(*ps):
+    """Each lead cached on a polynomial is its leading monomial."""
+    for p in ps:
+        lm = getattr(p, "_lm", None)
+        assert lm is None or lm == max(p, default=0)
+
+
+@settings(max_examples=50)
+@given(gaussian_integer_polys(), gaussian_integer_polys(min_terms=1),
+       st.integers(1, 3), st.booleans())
+def test_a_cached_lead_is_the_leading_monomial(p, g, k, read):
+    # _mul, _exact_quotient and _pow know the lead of their result, and
+    # _neg, _scale and _divided keep the lead of their input, read or not
+    a, b = _pairs(p), _pairs(g)
+    if read:
+        _lm(b)
+    prod = _mul(a, b, XYZ)
+    quo = _exact_quotient(prod, b, XYZ)
+    assert quo == a
+    kept = [_neg(prod), _scale(prod, (2, -1)), _scale(prod, (3, 0)),
+            _divided(_scale(prod, (1, 1)), (1, 1)),
+            _divided(_scale(prod, (4, 0)), (2, 0))]
+    if prod:
+        for x in (prod, quo, *kept):
+            assert getattr(x, "_lm", None) is not None
+    _assert_leads(a, b, prod, quo, *kept, _neg(b), _scale(b, (0, 1)),
+                  _pow(b, k, XYZ), _pow(prod, k, XYZ))
+
+
+@settings(max_examples=50)
+@given(gaussian_integer_polys(),
+       st.tuples(*[st.integers(0, 2)] * 3),
+       st.lists(st.tuples(gaussian_integer_polys(), gaussian_integer_polys()),
+                max_size=3))
+def test_an_accumulator_carries_no_lead(p, m, rest):
+    # the first product goes into a fresh accumulator, by the one-term
+    # path, and the later ones change it in place: a lead cached on it
+    # would go stale when a later product passes it
+    out = _add_product(None, _pairs(p), _Poly({XYZ.pack(m): (1, 0)}), 1, XYZ)
+    want = p * XZ**m[0] * YZ**m[1] * ZZ_**m[2]
+    for x, y in rest:
+        out = _add_product(out, _pairs(x), _pairs(y), 2, XYZ)
+        want += 2 * x * y
+    assert getattr(out, "_lm", None) is None
+    assert out == _pairs(want)
+
+
+def test_a_sum_whose_lead_comes_late_keeps_the_true_lead():
+    # sum_of_products adds t*1 into a fresh numerator and then u^2 into
+    # it; normalization reads the lead of the finished sum
+    setup_symbols()
+    t, u = C("t11"), C("t21")
+    a = ONE() + t
+    got = Coefficient.sum_of_products([(t / a, ONE()), (u / a, u)])
+    assert got.render() == "(t21^2 + t11)/(t11 + 1)"
+    _assert_leads(got._num, *(atom for atom, _ in got._den))
+    assert got == t / a + u * u / a
+
+
+@pytest.mark.parametrize("read", [False, True])
+def test_degree_checks_read_the_cached_lead(read):
+    # the degree of a product is the sum of the leads' degrees; a lead read
+    # before, and cached, guards the same as one scanned
+    x = _Poly({XYZ.pack((MAX_DEGREE - 3, 0, 0)): (1, 0), 0: (2, 0)})
+    y = _Poly({XYZ.pack((0, 4, 0)): (1, 0), XYZ.pack((1, 0, 0)): (1, 1)})
+    z = _Poly({XYZ.pack((0, 0, 3)): (1, 0), 0: (1, 0)})
+    w = _Poly({XYZ.pack((0, 0, 151)): (0, 1)})  # 217 * 151 == MAX_DEGREE
+    if read:
+        for q in (x, y, z, w):
+            _lm(q)
+    with pytest.raises(DegreeOverflow):
+        _add_product(None, x, y, 1, XYZ)
+    with pytest.raises(DegreeOverflow):
+        _add_product(_mul(x, z, XYZ), y, x, 3, XYZ)
+    with pytest.raises(DegreeOverflow):
+        _mul(y, x, XYZ)
+    with pytest.raises(DegreeOverflow):
+        _pow(x, 2, XYZ)
+    with pytest.raises(DegreeOverflow):
+        _pow(w, 218, XYZ)
+    edge = _mul(x, z, XYZ)
+    assert _lm(edge) == max(edge) == XYZ.pack((MAX_DEGREE - 3, 0, 3))
+    assert _lm(_pow(w, 217, XYZ)) == XYZ.pack((0, 0, MAX_DEGREE))
+
+
 @settings(max_examples=50)
 @given(gaussian_integer_polys(), st.lists(gaussian_integer_polys(min_terms=1),
                                           min_size=1, max_size=3))
@@ -1309,6 +1402,7 @@ def test_sum_of_products_matches_the_pairwise_sum(pairs):
     got = Coefficient.sum_of_products(pairs)
     assert got == want
     assert got.render() == want.render()
+    _assert_leads(got._num, *(atom for atom, _ in got._den))
 
 
 def test_sum_of_products_normalizes_once(monkeypatch):
@@ -1995,7 +2089,21 @@ def test_monomial_text_is_decoded_once_per_context(monkeypatch):
     monkeypatch.setattr(RingContext, "exponents", counted)
     assert value.render() == text
     assert not calls
-    # a wider context packs the same monomials differently: decoded afresh
+    # the text is the same in every context of the lifetime and is kept
     registry.ensure_pair("u")
     assert value.render() == text
+    assert not calls
+    # a wider context packs the same monomials differently: a lifted copy
+    # decodes each of them once
+    assert value._refreshed().render() == text
     assert len(calls) == len(set(calls)) == 4
+
+
+def test_a_kept_text_does_not_outlive_its_lifetime():
+    setup_symbols()
+    value = C("t11") / (1 + C("t21"))
+    text = value.render()
+    assert value.render() is text
+    registry.reset()
+    with pytest.raises(StaleCoefficient):
+        value.render()

@@ -496,6 +496,11 @@ class TestResidual:
         assert not {"_to_deformed", "_to_base"} & vars(d).keys()
         d.to_base_coords(_mono((1,), ()))
         assert "_to_base" in vars(d) and "_to_deformed" not in vars(d)
+        # the operator routes read the stored (0,1) rows
+        alpha = _mono((1,), (2,))
+        d.dbar_t_formula(alpha)
+        d.del_t_formula(alpha)
+        assert "_to_deformed" not in vars(d)
         d.full_structure
         assert "_to_deformed" in vars(d)
 
@@ -685,20 +690,26 @@ class TestCoordinateTables:
         # summing term by term took 594 and 922 trial divisions here.
         # The products of a sum are added into one polynomial per
         # denominator group, so only the products outside that loop call
-        # _mul: 212 and 306 calls when every product was formed apart
+        # _mul: 212 and 306 calls when every product was formed apart.
+        # A finished polynomial keeps its leading monomial, so max() scans
+        # only the running remainders of trial divisions and the leads
+        # not yet known: 485 and 692 calls when every lead was scanned at
+        # each use.  A coefficient keeps its text, so a second render of a
+        # stored image renders no polynomial (23 and 28 calls before).  The
+        # builtin max is counted through a module global that shadows it.
         g = catalog("iwasawa")
         psi, _, _ = _iwasawa_psi()
         d = Deformation(g, psi)
         calls = []
-        for name in ("_exact_quotient", "_mul"):
-            def counted(*args, _kernel=getattr(coefficients, name),
-                        _name=name):
+        for name in ("_exact_quotient", "_mul", "_render_poly", "max"):
+            def counted(*args, _kernel=getattr(coefficients, name, max),
+                        _name=name, **kwargs):
                 calls.append(_name)
-                return _kernel(*args)
+                return _kernel(*args, **kwargs)
 
-            monkeypatch.setattr(coefficients, name, counted)
-        for (holo, anti), divisions, products in ((((1, 3), ()), 4, 3),
-                                                  (((3,), (3,)), 2, 20)):
+            monkeypatch.setattr(coefficients, name, counted, raising=False)
+        for (holo, anti), divisions, products, scans in (
+                (((1, 3), ()), 4, 3, 35), (((3,), (3,)), 2, 20, 80)):
             alpha = _mono(holo, anti)
             d.to_base_coords(d.to_deformed_coords(alpha))
             d.to_deformed_coords(d.to_base_coords(alpha))
@@ -709,6 +720,12 @@ class TestCoordinateTables:
             assert d.to_deformed_coords(back) == alpha
             assert calls.count("_exact_quotient") <= divisions
             assert calls.count("_mul") <= products
+            assert calls.count("max") <= scans
+            texts = [c.render() for f in (there, back) for _, c in f.terms()]
+            calls.clear()
+            assert [c.render() for f in (there, back)
+                    for _, c in f.terms()] == texts
+            assert "_render_poly" not in calls
 
 
 # -- vector-form calculus ----------------------------------------------------------

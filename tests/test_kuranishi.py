@@ -15,6 +15,7 @@ once per geometry: the builds below read 3 distinct sector systems.
 """
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -321,6 +322,19 @@ def test_generators_are_checked_once(monkeypatch):
 def test_a_geometry_without_generators_is_refused():
     with pytest.raises(ValueError, match="'torus' declares no deformation"):
         kuranishi_build(torus())
+
+
+def test_a_structure_that_is_not_complex_parallelizable_is_refused():
+    # d phi^3 = phi^{1 1bar}: dbar on T^{1,0}-valued forms sends
+    # phi^{2bar} Z_1 to phi^{12bar} Z_3, which the scalar dbar misses.  The
+    # build by the scalar dbar returned a terminated series with an empty
+    # ideal whose mc_equation was t12 phi^{12bar} Z_3, not zero.
+    g = Geometry("probe", 3, {3: Form.monomial((1,), (1,))},
+                 generators=(Form.monomial((), (1,)), Form.monomial((), (2,))))
+    with pytest.raises(ValueError, match=re.escape(
+            "'probe' has a structure term other than a (2,0) one: its "
+            "T^{1,0} is not holomorphically trivial")):
+        kuranishi_build(g)
 
 
 def test_solve_dbar_reuses_the_sector_system(h3x, monkeypatch):

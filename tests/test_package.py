@@ -107,6 +107,7 @@ _UNREFERENCED_PUBLIC = {
     "catalog: torus": "paper API",
     "cohomology: solve_del": "paper API",
     "deformation: Deformation.specialize": "paper API",
+    "deformation: Deformation.base_in_deformed": "paper API",
     "deformation: Deformation.del_t_formula": "oracle route",
     "deformation: mc_equation": "oracle route",
     "deformation: CurveOfMetrics.constant": "ROADMAP item 13",
@@ -169,6 +170,7 @@ def test_unreferenced_public_surface_is_the_allow_list():
 # stays.
 _UNSET_PARAMETERS = {
     "catalog: torus(n)": "paper API",
+    "deformation: Deformation.base_in_deformed(anti)": "paper API",
     "kuranishi: kuranishi_build(depth_cap)": "safety bound, reached by tests",
 }
 
