@@ -66,7 +66,8 @@ at the first leading term of the running remainder that LT(g) does not
 divide.  With one divisor such a term passes to the remainder and is never
 cancelled, since every later step only touches smaller terms, so giving up
 there is exactly the case of a nonzero remainder; most trial divisions fail,
-and most of those fail at the first term.
+and most of those fail at the first term.  Division by an ideal has one
+home, _Reducer, over _remainder; every divisor keeps its division table.
 
 Characters enter as ordinary generators; conj(E) = 1/E puts them into the
 denominator, where an atom that is a bare character monomial cancels by
@@ -79,8 +80,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .symbols import (CHAR, FIELD_BITS, REAL, RingContext, base_names,
-                      check_degree, registry, with_partners)
+from .symbols import (CHAR, FIELD_BITS, MAX_DEGREE, REAL, RingContext,
+                      base_names, check_degree, registry, with_partners)
 
 _ONE = (1, 0)
 
@@ -331,11 +332,12 @@ class _Poly(dict):
     A kernel changes only the accumulator it is building (_add_product),
     never a finished polynomial, so a polynomial hashes by value, with the
     hash cached: denominator atoms key the lcm of a common denominator.  A
-    finished polynomial caches its lead (_lm), and an atom its conjugate
-    (_conj_atom), its sort key (_poly_key) and its monic text (_atom_text).
+    finished polynomial caches its lead (_lm) and, once it divides, its
+    division table (_table), and an atom its conjugate (_conj_atom), its
+    sort key (_poly_key) and its monic text (_atom_text).
     """
 
-    __slots__ = ("_hash", "_conj", "_key", "_text", "_lm")
+    __slots__ = ("_hash", "_conj", "_key", "_text", "_lm", "_div")
 
     def __hash__(self):
         try:
@@ -453,6 +455,17 @@ def _lead(p):
     """(leading monomial, leading coefficient) of a nonzero p in grlex."""
     lm = _lm(p)
     return lm, p[lm]
+
+
+def _table(g):
+    """The division table (LM(g), LC(g), tail) of a finished nonzero
+    divisor g, tail its other terms as (monomial, coefficient) pairs; built
+    once and cached on g."""
+    table = getattr(g, "_div", None)
+    if table is None:
+        lm = _lm(g)
+        table = g._div = (lm, g[lm], [(m, c) for m, c in g.items() if m != lm])
+    return table
 
 
 def _terms(p):
@@ -698,13 +711,19 @@ def _exact_quotient(p, g, ctx: RingContext):
     stops at a leading coefficient that LC(g) does not divide: a quotient
     in Z[i][x] makes every such division exact, and for a primitive g
     (Gauss's lemma) dividing over Z[i] is dividing over Q(i).  A monomial
-    lm is divisible by LM(g) when lm - LM(g) borrows into no guard bit.
+    lm is divisible by LM(g) when lm - LM(g) borrows into no guard bit;
+    most trial divisions fail at the first step, which is tested before p
+    is copied.  g is read through its division table (_table).
     """
+    if not p:
+        return _Poly()
     guard = ctx.guard_mask
-    lm_g, lc_g = _lead(g)
+    lm_g, lc_g, tail = _table(g)
+    lm = _lm(p)
+    if (lm - lm_g) & guard:
+        return None
     monic = lc_g == _ONE  # nearly all denominator atoms are
-    tail = [(m, c) for m, c in g.items() if m != lm_g]
-    rem, q, lm = dict(p), _Poly(), _lm(p)
+    rem, q = dict(p), _Poly()
     while rem:
         shift = lm - lm_g
         if shift & guard:
@@ -729,13 +748,14 @@ def _exact_quotient(p, g, ctx: RingContext):
             rem[m] = (x, y)
         lm = max(rem) if rem else 0
     # the first shift, LM(p) - LM(g), leads the quotient
-    return _led(q, _lm(p) - lm_g) if q else q
+    return _led(q, _lm(p) - lm_g)
 
 
 def _remainder(p, divisors, ctx: RingContext):
     """(r, s): r / s is the remainder of p under multivariate division by
     the divisors over Q(i), in their order (Cox-Little-O'Shea, section
-    2.3), with s a nonzero Gaussian integer.
+    2.3), with s a nonzero Gaussian integer.  Each divisor is read through
+    its division table (_table).
 
     The division runs fraction-free over Z[i]: where LC(g) does not divide
     the leading coefficient, the running remainder is scaled until it does.
@@ -744,15 +764,12 @@ def _remainder(p, divisors, ctx: RingContext):
     leading term is divisible, r is p itself and s is one.
     """
     guard = ctx.guard_mask
-    leads = []
-    for g in divisors:
-        lm, lc = _lead(g)
-        leads.append((lm, lc, [(m, c) for m, c in g.items() if m != lm]))
+    tables = [_table(g) for g in divisors]
     rem, out, scale = dict(p), {}, _ONE
     stepped = False
     while rem:
         lm = max(rem)
-        for lm_g, lc_g, tail in leads:
+        for lm_g, lc_g, tail in tables:
             shift = lm - lm_g
             if not shift & guard:
                 break
@@ -1055,14 +1072,18 @@ class Coefficient:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _refreshed(self) -> "Coefficient":
-        ctx = registry.context()
-        if ctx is self._ctx:
-            return self
+    def _check_lifetime(self, ctx: RingContext) -> None:
+        """Raise StaleCoefficient unless the value is of ctx's lifetime."""
         if ctx.lifetime is not self._ctx.lifetime:
             raise StaleCoefficient(
                 "coefficient was built before the last registry reset()"
             )
+
+    def _refreshed(self) -> "Coefficient":
+        ctx = registry.context()
+        if ctx is self._ctx:
+            return self
+        self._check_lifetime(ctx)
         bits = ctx.deg_shift - self._ctx.deg_shift
         num = _lift_poly(self._num, bits)
         den = tuple((_lift_poly(a, bits), m) for a, m in self._den)
@@ -1115,10 +1136,11 @@ class Coefficient:
         return {names[i] for i in used}
 
     def has_characters(self) -> bool:
-        """Whether a character occurs in the numerator or an atom."""
-        r = self._refreshed()
-        chars = r._ctx.char_mask
-        return any(m & chars for p in (r._num, *(a for a, _ in r._den))
+        """Whether a character occurs in the numerator or an atom, read in
+        the value's own context: only its lifetime is checked."""
+        self._check_lifetime(registry.context())
+        chars = self._ctx.char_mask
+        return any(m & chars for p in (self._num, *(a for a, _ in self._den))
                    for m in p)
 
     def has_free_parameters(self) -> bool:
@@ -1334,36 +1356,10 @@ class Coefficient:
 
     def reduce_modulo(self, gens) -> "Coefficient":
         """Remainder of the numerator under multivariate division by the
-        numerators of gens, taken in the given order.
-
-        Denominator atoms are invertible, so replacing the numerator by
-        its remainder is an equality modulo the ideal.  This is plain
-        division, not a Groebner normal form: the remainder depends on
-        the generator order and can be nonzero for ideal members.
-
-        The registry's context is read once; only a generator of another
-        context is lifted (_refreshed), which raises StaleCoefficient for
-        one of an earlier lifetime.
-        """
-        ctx = registry.context()
-        r = self if self._ctx is ctx else self._refreshed()
-        divisors = []
-        for g in gens:
-            if not isinstance(g, Coefficient):
-                g = Coefficient.from_scalar(g)
-            elif g._ctx is not ctx:
-                g = g._refreshed()
-            if g._num:
-                divisors.append(g._num)
-        if not r._num or not divisors:
-            return r
-        rem, scale = _remainder(r._num, divisors, r._ctx)
-        if rem is r._num:
-            return r
-        den = list(r._den)
-        if scale != _ONE:
-            den.append((_ground(scale), 1))
-        return Coefficient._make(rem, den, r._q, r._ctx)
+        numerators of gens, taken in the given order: the one-shot use of
+        the reducer (_Reducer), whose docstring has the contract."""
+        return _Reducer(g if isinstance(g, Coefficient)
+                        else Coefficient.from_scalar(g) for g in gens).reduce(self)
 
     def numerator_terms(self) -> int:
         """Number of monomials in the numerator."""
@@ -1477,8 +1473,16 @@ class Coefficient:
         a QuadraticSurd value forces a full evaluation and the result is a
         QuadraticSurd.
         """
-        r = self._refreshed()
-        ctx = r._ctx
+        return Coefficient._point(bindings)(self)
+
+    @staticmethod
+    def _point(bindings: dict):
+        """The map c -> c.substitute(bindings), with the point prepared once
+        in the registry's context: the partners bound, the values of real
+        symbols and characters checked, and the field mask of the bound
+        generators taken, so a caller that substitutes many coefficients
+        at one point prepares it once."""
+        ctx = registry.context()
         d = next((v.d for v in bindings.values() if isinstance(v, QuadraticSurd)),
                  None)
         if d is None:
@@ -1497,20 +1501,28 @@ class Coefficient:
             # conj(E) is stored as 1/E, which holds only on the unit circle
             if kind == CHAR and val * val.conjugate() - 1:
                 raise ValueError(f"character {name!r} bound off the unit circle")
+        value = field.__getitem__
         if d is None:
             # the fields of the bound generators; every other one stays free
             bound = sum(ctx.field_mask << ctx.shifts[ctx.index_of[nm]]
                         for nm in field)
-            return r._at(field.__getitem__,
-                         lambda p: Coefficient(p, (), 1, ctx),
-                         Coefficient.sum_of_products, bound)
-        missing = r.free_symbols() - field.keys()
-        if missing:
-            names = ", ".join(sorted(missing, key=ctx.index_of.get))
-            raise ValueError(f"surd substitution must bind all symbols; missing {names}")
-        return r._at(field.__getitem__,
-                     lambda p: QuadraticSurd.of(_over(p.get(0, (0, 0))), d),
-                     _plain_sum(QuadraticSurd.of(0, d)))
+
+            def const(p):
+                return Coefficient(p, (), 1, ctx)
+            return lambda c: c._refreshed()._at(
+                value, const, Coefficient.sum_of_products, bound)
+        total = _plain_sum(QuadraticSurd.of(0, d))
+
+        def at_surd(c):
+            r = c._refreshed()
+            missing = r.free_symbols() - field.keys()
+            if missing:
+                names = ", ".join(sorted(missing, key=ctx.index_of.get))
+                raise ValueError(
+                    f"surd substitution must bind all symbols; missing {names}")
+            return r._at(value, lambda p: QuadraticSurd.of(_over(p.get(0, (0, 0))), d),
+                         total)
+        return at_surd
 
     def _at(self, value, const, total, bound=-1):
         """num / (q * den) at a point; self must be current.
@@ -1608,16 +1620,17 @@ class Coefficient:
     def render(self) -> str:
         """The value over Q(i): the numerator divided by q and by the
         atoms' leading coefficients, over the monic atoms.  The text is the
-        same in every context of a lifetime, so it is kept (_text); a value
-        of an earlier lifetime still raises StaleCoefficient."""
-        r = self._refreshed()
+        same in every context of a lifetime, so it is kept (_text) and
+        rendered in the value's own context; a value of an earlier lifetime
+        still raises StaleCoefficient."""
+        self._check_lifetime(registry.context())
         text = getattr(self, "_text", None)
         if text is None:
-            text = self._text = r._render()
+            text = self._text = self._render()
         return text
 
     def _render(self) -> str:
-        """The text of render(), for a current value."""
+        """The text of render(), in the value's own context."""
         if self.is_zero():
             return "0"
         ctx, atoms = self._ctx, self._den
@@ -1657,6 +1670,65 @@ class Coefficient:
             lambda nm: point[nm] if nm in point else with_partners(point)[nm],
             lambda p: complex(*p.get(0, (0, 0))), _plain_sum(0j),
         )
+
+
+class _Reducer:
+    """Division by an ideal: the generators (gens) in order, with their
+    nonzero numerators, each keeping its division table, and the lowest
+    total degree of their leads; it grows by append.
+
+    reduce(c) is the remainder of c's numerator under division by the
+    numerators in order, fraction-free (_remainder), over c's denominator:
+    an equality modulo the ideal.  It is c itself when no step is taken,
+    as when c's lead has a lower degree than every lead.  This is plain
+    division, not a Groebner normal form: the remainder depends on the
+    order and can be nonzero for an ideal member.
+
+    What it prepares is kept for the registry context it was prepared in:
+    a wider context of the same lifetime lifts the generators again, and a
+    generator, zero or not, or a c of an earlier lifetime raises
+    StaleCoefficient.
+    """
+
+    __slots__ = ("gens", "_ctx", "_divisors", "_low")
+
+    def __init__(self, gens=()):
+        self.gens: list[Coefficient] = list(gens)
+        self._ctx = None
+
+    def append(self, g: Coefficient) -> None:
+        self.gens.append(g)
+        if g._ctx is not self._ctx:
+            self._ctx = None  # prepared again at the next reduce
+        elif g._num:
+            self._add(g._num)
+
+    def _add(self, num) -> None:
+        self._divisors.append(num)
+        self._low = min(self._low, _lm(num) >> self._ctx.deg_shift)
+
+    def _prepare(self, ctx: RingContext) -> None:
+        self._ctx, self._divisors, self._low = ctx, [], MAX_DEGREE + 1
+        for g in self.gens:
+            g = g if g._ctx is ctx else g._refreshed()
+            if g._num:
+                self._add(g._num)
+
+    def reduce(self, c: Coefficient) -> Coefficient:
+        ctx = registry.context()
+        if self._ctx is not ctx:
+            self._prepare(ctx)
+        r = c if c._ctx is ctx else c._refreshed()
+        num = r._num
+        if not num or (_lm(num) >> ctx.deg_shift) < self._low:
+            return r
+        rem, scale = _remainder(num, self._divisors, ctx)
+        if rem is num:
+            return r
+        den = list(r._den)
+        if scale != _ONE:
+            den.append((_ground(scale), 1))
+        return Coefficient._make(rem, den, r._q, ctx)
 
 
 def _plain_sum(zero):

@@ -256,7 +256,10 @@ class Form:
         return self.map_coefficients(lambda c: c.param_derivative(name))
 
     def substitute(self, bindings: dict) -> "Form":
-        return self.map_coefficients(lambda c: c.substitute(bindings))
+        """Coefficient-wise substitute, the point prepared once."""
+        if not self._terms:
+            return self
+        return self.map_coefficients(Coefficient._point(bindings))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Form):
@@ -470,8 +473,16 @@ class VectorForm:
     def map_forms(self, fn: Callable[[Form], Form]) -> "VectorForm":
         return VectorForm({a: fn(f) for a, f in self.components.items()})
 
+    def map_coefficients(self,
+                         fn: Callable[[Coefficient], Coefficient]) -> "VectorForm":
+        return self.map_forms(lambda f: f.map_coefficients(fn))
+
     def substitute(self, bindings: dict) -> "VectorForm":
-        return self.map_forms(lambda f: f.substitute(bindings))
+        """Coefficient-wise substitute, the point prepared once for all
+        legs."""
+        if not self.components:
+            return self
+        return self.map_coefficients(Coefficient._point(bindings))
 
     def param_derivative(self, name: str) -> "VectorForm":
         return self.map_forms(lambda f: f.param_derivative(name))

@@ -9,8 +9,9 @@ split on each frame leg by
 cohomology.split_primitive into a part orthogonal to im(dbar) - whose
 monomial coefficients must vanish and join the obstruction ideal - and a
 dbar-exact part, whose minimum-norm primitive becomes psi_k (the
-harmonic gauge of Kuranishi's construction).  The loop stops once the
-bracket vanishes modulo the ideal at a degree past which no nonzero
+harmonic gauge of Kuranishi's construction).  The ideal is one reducer
+(coefficients._Reducer), grown as conditions arrive.  The loop stops once
+the bracket vanishes modulo the ideal at a degree past which no nonzero
 products can form.  Branches of the resulting space are explored by
 declaring parameters zero or nonzero: branch_reduce returns a branch's
 series, and series_to_deformation the finite psi of a terminated one.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .coefficients import Coefficient, normalized_generators
+from .coefficients import Coefficient, _Reducer, normalized_generators
 from .cohomology import split_primitive
 from .deformation import _bracket_terms, _gather, _with_d
 from .exterior import Form, VectorForm
@@ -105,12 +106,10 @@ class KuranishiSeries:
         }
 
 
-def _reduce_vector(vf: VectorForm, ideal) -> VectorForm:
-    if not ideal:
+def _reduce_vector(vf: VectorForm, ideal: _Reducer) -> VectorForm:
+    if not ideal.gens:
         return vf
-    return vf.map_forms(
-        lambda f: f.map_coefficients(lambda c: c.reduce_modulo(ideal))
-    )
+    return vf.map_coefficients(ideal.reduce)
 
 
 def _generator_order(g: Coefficient):
@@ -163,7 +162,7 @@ def kuranishi_build(geom: Geometry,
     }
     # each psi_k with the d table of its legs, taken once for the build
     psi = {1: _with_d(geom, VectorForm(legs))}
-    ideal: list[Coefficient] = []
+    ideal = _Reducer()
     k_top = 1
     terminated = False
     checked = 1
@@ -196,13 +195,13 @@ def kuranishi_build(geom: Geometry,
         geom,
         tuple(names),
         {k: _reduce_vector(part, ideal) for k, (part, _) in psi.items()},
-        tuple(ideal),
+        tuple(ideal.gens),
         terminated,
         checked,
     )
 
 
-def _solve_degree(geom, bracket, ideal) -> VectorForm:
+def _solve_degree(geom, bracket, ideal: _Reducer) -> VectorForm:
     """Split one degree's bracket; grows ideal in place, returns psi_k."""
     for _ in range(_MAX_SPLIT_PASSES):
         candidates: list[Coefficient] = []
@@ -214,7 +213,7 @@ def _solve_degree(geom, bracket, ideal) -> VectorForm:
             if not beta.is_zero():
                 legs[leg] = beta
             for entry in residue.values():
-                r = entry.reduce_modulo(ideal)
+                r = ideal.reduce(entry)
                 if not r.is_zero():
                     candidates.append(r.squarefree_numerator())
         if not candidates:
@@ -223,7 +222,7 @@ def _solve_degree(geom, bracket, ideal) -> VectorForm:
         for g in candidates:
             unique.setdefault(g.render(), g)
         for g in sorted(unique.values(), key=_generator_order):
-            if not g.reduce_modulo(ideal).is_zero():
+            if not ideal.reduce(g).is_zero():
                 ideal.append(g)
         bracket = _reduce_vector(bracket, ideal)
         if bracket.is_zero():
@@ -294,12 +293,13 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
     _check_disjoint(zeros, nonzeros)
     pending = [g for g in series.ideal] + list(branch.relations)
     while True:
-        bindings = dict.fromkeys(zeros, Coefficient.zero())
+        # one point per round, prepared once for every generator
+        at = Coefficient._point(dict.fromkeys(zeros, Coefficient.zero()))
         changed = False
         survivors: list[Coefficient] = []
         for g in pending:
-            if bindings:
-                g = g.substitute(bindings)
+            if zeros:
+                g = at(g)
             if g.is_zero():
                 continue
             g = _strip_nonzero(g, nonzeros)
@@ -320,9 +320,9 @@ def branch_reduce(series: KuranishiSeries, branch: BranchSpec) -> KuranishiSerie
         pending = survivors
         if not changed:
             break
-    bindings = dict.fromkeys(zeros, Coefficient.zero())
+    at = Coefficient._point(dict.fromkeys(zeros, Coefficient.zero()))
     psi = {
-        k: part.substitute(bindings) if bindings else part
+        k: part.map_coefficients(at) if zeros else part
         for k, part in series.psi_terms.items()
     }
     return KuranishiSeries(

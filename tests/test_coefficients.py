@@ -30,8 +30,10 @@ from ihg import (
     StaleCoefficient,
 )
 from ihg import coefficients as coefficients_module
+from ihg.exterior import VectorForm
 from ihg.coefficients import (
     _Poly,
+    _Reducer,
     _add_product,
     _atom_text,
     _canonical_unit,
@@ -483,6 +485,65 @@ class TestRegistryLifetime:
             with pytest.raises(StaleCoefficient):
                 (a * a).reduce_modulo(gens)
 
+    def test_a_reducer_lifts_its_generators_into_a_wider_context(self):
+        # prepared in the narrow context, then the ring widens between an
+        # append and the next reduce; a generator of the narrow context is
+        # lifted when it joins tables of the wide one
+        registry.ensure_pair("a")
+        a = C("a")
+        late = a * a.conjugate() - 1
+        reducer = _Reducer([a * a - 2])
+        assert reducer.reduce(a * a * a) == 2 * a
+        registry.ensure_real("r")
+        r = C("r")
+        reducer.append(r * a - 1)
+        assert reducer.reduce(a * a * r + a * r) == 2 * r + 1
+        reducer.append(late)
+        value = a * a * r + a * r + a * a.conjugate()
+        got = reducer.reduce(value)
+        assert got._ctx is registry.context()
+        want = value.reduce_modulo(reducer.gens)
+        assert got == want == 2 * r + 2
+        assert got.render() == want.render()
+
+    def test_a_reducer_rejects_a_stale_generator_or_value(self):
+        registry.ensure_pair("a")
+        a = C("a")
+        reducer = _Reducer([a * a - 2])
+        assert reducer.reduce(a * a) == 2
+        stale = a * a
+        registry.reset()
+        registry.ensure_pair("a")
+        with pytest.raises(StaleCoefficient):
+            reducer.reduce(C("a") * C("a"))
+        with pytest.raises(StaleCoefficient):
+            _Reducer().reduce(stale)
+        with pytest.raises(StaleCoefficient):
+            _Reducer([Coefficient.zero()]).reduce(stale)
+
+    def test_lifetime_checks_lift_nothing(self, monkeypatch):
+        # render and has_characters read the value in its own context
+        setup_symbols()
+        t, u, e = C("t11"), C("t21"), C("E1")
+        rendered = (t * e + 1) / (1 + u)
+        text = rendered.render()
+        unrendered = t / (1 + u * u.conjugate())
+        registry.ensure_pair("w")
+        want = unrendered._refreshed().render()
+        lifts = []
+        monkeypatch.setattr(coefficients_module, "_lift_poly",
+                            lambda *args: lifts.append(args))
+        assert rendered.render() == text
+        assert unrendered.render() == want
+        assert rendered.has_characters() and not unrendered.has_characters()
+        assert not lifts
+        registry.reset()
+        for value in (rendered, unrendered):
+            with pytest.raises(StaleCoefficient):
+                value.render()
+            with pytest.raises(StaleCoefficient):
+                value.has_characters()
+
     def test_concurrent_registration_never_caches_a_stale_context(self):
         # context() reads a built context without the lock; a context built
         # before an _add must never be the one kept after it.  One round
@@ -771,6 +832,51 @@ def test_partial_substitution_keeps_its_checks():
         (C("s") + u).substitute({"s": GaussianRational.i()})
     with pytest.raises(ValueError, match="unit circle"):
         (E + u).substitute({"E1": 2})
+    # a form prepares the point once and raises the same errors
+    with pytest.raises(DenominatorVanishes):
+        Form.monomial((1,), (), u / t).substitute({"t11": 0})
+    with pytest.raises(ValueError, match="real symbol"):
+        Form.monomial((1,), (), C("s") + u).substitute({"s": GaussianRational.i()})
+    with pytest.raises(ValueError, match="unit circle"):
+        Form.monomial((1,), (2,), E + u).substitute({"E1": 2})
+    # an empty form substitutes nothing, so it raises nothing
+    assert Form().substitute({"s": GaussianRational.i()}).is_zero()
+    assert Form().substitute({"E1": 2}).is_zero()
+    assert VectorForm().substitute({"E1": 2}).is_zero()
+
+
+def test_a_form_prepares_its_point_once(monkeypatch):
+    # one with_partners call per Form.substitute and per VectorForm.substitute,
+    # whatever the number of coefficients and legs, with the values of the
+    # coefficient-by-coefficient substitute
+    setup_symbols()
+    t, u, s, e = C("t11"), C("t21"), C("s"), C("E1")
+    coeffs = [t * u + 1, t.conjugate() / (u + 2), s * t + e, u * u - t * t,
+              t - GaussianRational.i()]
+    form = Form()
+    for k, c in enumerate(coeffs, start=1):
+        form = form + Form.monomial((k % 3 + 1,), (k,), c)
+    vector = VectorForm({1: form, 2: Form.monomial((1,), (), s * u), 3: form * t})
+    bindings = {"t11": GaussianRational.i(), "s": 2}
+    calls = []
+
+    def counted(point):
+        calls.append(point)
+        return with_partners(point)
+
+    monkeypatch.setattr(coefficients_module, "with_partners", counted)
+    got = form.substitute(bindings)
+    assert len(calls) == 1
+    got_vector = vector.substitute(bindings)
+    assert len(calls) == 2
+    pairs = [(got, form)] + [(got_vector.components.get(a, Form()), f)
+                             for a, f in vector.components.items()]
+    for whole, original in pairs:
+        want = {mi: c.substitute(bindings) for mi, c in original.terms()}
+        want = {mi: c for mi, c in want.items() if not c.is_zero()}
+        assert dict(whole.terms()).keys() == want.keys()
+        for mi, c in whole.terms():
+            assert c == want[mi] and c.render() == want[mi].render()
 
 
 # -- the polynomial kernels against sympy's PolyElement over ZZ_I ---------------
@@ -1974,11 +2080,21 @@ def _divisor_pool():
 @given(kernel_chains(), st.lists(st.integers(0, 4), min_size=1, max_size=3))
 def test_reduce_modulo_matches_division_over_q_i(chain, picks):
     # the fraction-free remainder over Z[i], against sympy's division over
-    # Q(i) of the monic numerator, in the same generator order and grlex
+    # Q(i) of the monic numerator, in the same generator order and grlex;
+    # one reducer fed the same generators by append, reducing after each,
+    # gives the one-shot result of every prefix
     value, _ = chain
     pool = _divisor_pool()
     divisors = [pool[k] for k in picks]
     got = value.reduce_modulo(divisors)
+    reducer = _Reducer()
+    for k in range(len(divisors) + 1):
+        step, one_shot = reducer.reduce(value), value.reduce_modulo(divisors[:k])
+        assert step == one_shot and step.render() == one_shot.render()
+        assert (step is value) == (one_shot is value)
+        if k < len(divisors):
+            reducer.append(divisors[k])
+    assert step.render() == got.render()
     if value.is_zero():
         assert got.is_zero()
         return

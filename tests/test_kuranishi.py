@@ -31,6 +31,7 @@ from ihg.cohomology import (
 from ihg.deformation import deform, mc_equation
 from ihg.exterior import Form
 from ihg.geometry import Geometry
+from ihg import coefficients as coefficients_module
 from ihg import kuranishi as kuranishi_module
 from ihg.kuranishi import (
     BranchSpec,
@@ -282,6 +283,50 @@ def test_build_and_branch_deform_cost(monkeypatch):
     deform(g, psi, require_mc=False)
     assert build["sum_of_products"] <= 105 and build["_make"] <= 106
     assert calls["sum_of_products"] <= 61 and calls["_make"] <= 76
+
+
+def test_the_ideal_is_one_reducer(monkeypatch):
+    # the build keeps its ideal in one reducer, which builds the division
+    # table of each generator once and divides no dividend of lower degree
+    # than every lead (72 _remainder calls when each reduction set up the
+    # whole ideal again)
+    calls, built = [], []
+    remainder, table = coefficients_module._remainder, coefficients_module._table
+
+    def counted(*args):
+        calls.append(args)
+        return remainder(*args)
+
+    def first_build(g):
+        if getattr(g, "_div", None) is None:
+            built.append(g)
+        return table(g)
+
+    g = catalog("solv4d")
+    monkeypatch.setattr(coefficients_module, "_remainder", counted)
+    monkeypatch.setattr(coefficients_module, "_table", first_build)
+    series = kuranishi_build(g)
+    assert len(calls) <= 64
+    assert len(series.ideal) == 11
+    for gen in series.ideal:
+        assert sum(p == gen._num for p in built) == 1
+
+
+def test_branch_reduce_prepares_one_point_per_round(monkeypatch):
+    # a fixpoint round substitutes every pending generator at one point,
+    # and the psi parts share one (24 with_partners calls when each
+    # coefficient prepared its own)
+    series = kuranishi_build(catalog("solv4d"))
+    calls = []
+    with_partners = coefficients_module.with_partners
+
+    def counted(point):
+        calls.append(point)
+        return with_partners(point)
+
+    monkeypatch.setattr(coefficients_module, "with_partners", counted)
+    branch_reduce(series, BranchSpec(nonzeros=("t11",)))
+    assert len(calls) <= 4
 
 
 def test_branch_reduce_evaluates_by_mask(monkeypatch):

@@ -105,6 +105,7 @@ def test_every_private_helper_has_a_caller():
 # route with), or "ROADMAP item 13" (surface that item decides on).
 _UNREFERENCED_PUBLIC = {
     "catalog: torus": "paper API",
+    "coefficients: Coefficient.reduce_modulo": "ROADMAP item 13",
     "cohomology: solve_del": "paper API",
     "deformation: Deformation.specialize": "paper API",
     "deformation: Deformation.base_in_deformed": "paper API",
