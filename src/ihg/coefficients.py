@@ -98,10 +98,6 @@ class DenominatorVanishes(ZeroDivisionError):
         self.atom = atom_text
 
 
-class MixedRadicals(ValueError):
-    pass
-
-
 class SectorMixing(ValueError):
     pass
 
@@ -213,113 +209,6 @@ def _gaussian_text(re, im) -> str:
         return _imag_text(im)
     sign = "+" if im[0] > 0 else "-"
     return f"({_fraction_text(re)} {sign} {_imag_text((abs(im[0]), im[1]))})"
-
-
-@dataclass(frozen=True)
-class QuadraticSurd:
-    """a + b*sqrt(d) with GaussianRational a, b and one square-free d > 0."""
-
-    a: GaussianRational
-    b: GaussianRational
-    d: int
-
-    def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("surd discriminant must be positive")
-
-    @staticmethod
-    def of(x, d: int) -> "QuadraticSurd":
-        if isinstance(x, QuadraticSurd):
-            if x.d != d and not x.b.is_zero():
-                raise MixedRadicals(f"mixed radicals sqrt({x.d}) and sqrt({d})")
-            return QuadraticSurd(x.a, x.b if x.d == d else GaussianRational(), d)
-        return QuadraticSurd(GaussianRational.of(x), GaussianRational(), d)
-
-    def _check(self, o) -> "QuadraticSurd":
-        o = QuadraticSurd.of(o, self.d) if not isinstance(o, QuadraticSurd) else o
-        if o.d != self.d and not (o.b.is_zero() or self.b.is_zero()):
-            raise MixedRadicals(f"mixed radicals sqrt({self.d}) and sqrt({o.d})")
-        return QuadraticSurd(o.a, o.b, self.d) if o.b.is_zero() else o
-
-    def __add__(self, o):
-        o = self._check(o)
-        return QuadraticSurd(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticSurd(-self.a, -self.b, self.d)
-
-    def __sub__(self, o):
-        return self + (-self._check(o))
-
-    def __rsub__(self, o):
-        return self._check(o) + (-self)
-
-    def __mul__(self, o):
-        o = self._check(o)
-        return QuadraticSurd(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = self._check(o)
-        norm = o.a * o.a - o.b * o.b * self.d
-        if norm.is_zero():
-            if o.is_zero():
-                raise DivisionByZero("division by zero QuadraticSurd")
-            raise MixedRadicals("non-invertible surd (sqrt(d) rational?)")
-        inv = QuadraticSurd(o.a / norm, -o.b / norm, self.d)
-        return self * inv
-
-    def __rtruediv__(self, o):
-        return self._check(o) / self
-
-    def __pow__(self, k: int) -> "QuadraticSurd":
-        """self ** k for an integer k >= 0."""
-        out = QuadraticSurd.of(1, self.d)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self.a.conjugate(), self.b.conjugate(), self.d)
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def is_rational_real(self) -> bool:
-        return self.a.im == 0 and self.b.im == 0
-
-    def sign(self) -> int:
-        """Sign of a + b*sqrt(d) for rational-real components."""
-        if not self.is_rational_real():
-            raise ValueError("sign defined only for real surds")
-        a, b = self.a.re, self.b.re
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against d*b^2
-        lhs, rhs = a * a, b * b * self.d
-        if lhs == rhs:
-            return 0
-        bigger_is_a = lhs > rhs
-        return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
-
-    def __str__(self) -> str:
-        return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
 class _Poly(dict):
@@ -751,11 +640,11 @@ def _exact_quotient(p, g, ctx: RingContext):
     return _led(q, _lm(p) - lm_g)
 
 
-def _remainder(p, divisors, ctx: RingContext):
+def _remainder(p, tables, ctx: RingContext):
     """(r, s): r / s is the remainder of p under multivariate division by
     the divisors over Q(i), in their order (Cox-Little-O'Shea, section
-    2.3), with s a nonzero Gaussian integer.  Each divisor is read through
-    its division table (_table).
+    2.3), with s a nonzero Gaussian integer.  Each divisor is given by its
+    division table (_table).
 
     The division runs fraction-free over Z[i]: where LC(g) does not divide
     the leading coefficient, the running remainder is scaled until it does.
@@ -764,7 +653,6 @@ def _remainder(p, divisors, ctx: RingContext):
     leading term is divisible, r is p itself and s is one.
     """
     guard = ctx.guard_mask
-    tables = [_table(g) for g in divisors]
     rem, out, scale = dict(p), {}, _ONE
     stepped = False
     while rem:
@@ -1469,9 +1357,9 @@ class Coefficient:
 
         Binding a parameter also binds its conjugate partner to the
         conjugated value unless the partner is bound explicitly.  Unbound
-        symbols stay symbolic, so the result is a Coefficient, except that
-        a QuadraticSurd value forces a full evaluation and the result is a
-        QuadraticSurd.
+        symbols stay symbolic, so the result is a Coefficient.  A square
+        root of d is a real symbol s, bound like any other, with the result
+        read modulo s**2 - d (reduce_modulo).
         """
         return Coefficient._point(bindings)(self)
 
@@ -1483,15 +1371,9 @@ class Coefficient:
         generators taken, so a caller that substitutes many coefficients
         at one point prepares it once."""
         ctx = registry.context()
-        d = next((v.d for v in bindings.values() if isinstance(v, QuadraticSurd)),
-                 None)
-        if d is None:
-            field = with_partners(
-                {k: v if isinstance(v, Coefficient) else Coefficient.from_scalar(v)
-                 for k, v in bindings.items()})
-        else:
-            field = with_partners(
-                {k: QuadraticSurd.of(v, d) for k, v in bindings.items()})
+        field = with_partners(
+            {k: v if isinstance(v, Coefficient) else Coefficient.from_scalar(v)
+             for k, v in bindings.items()})
         for name, val in field.items():
             kind = registry.lookup(name).kind
             if kind == REAL and val.conjugate() != val:
@@ -1502,27 +1384,14 @@ class Coefficient:
             if kind == CHAR and val * val.conjugate() - 1:
                 raise ValueError(f"character {name!r} bound off the unit circle")
         value = field.__getitem__
-        if d is None:
-            # the fields of the bound generators; every other one stays free
-            bound = sum(ctx.field_mask << ctx.shifts[ctx.index_of[nm]]
-                        for nm in field)
+        # the fields of the bound generators; every other one stays free
+        bound = sum(ctx.field_mask << ctx.shifts[ctx.index_of[nm]]
+                    for nm in field)
 
-            def const(p):
-                return Coefficient(p, (), 1, ctx)
-            return lambda c: c._refreshed()._at(
-                value, const, Coefficient.sum_of_products, bound)
-        total = _plain_sum(QuadraticSurd.of(0, d))
-
-        def at_surd(c):
-            r = c._refreshed()
-            missing = r.free_symbols() - field.keys()
-            if missing:
-                names = ", ".join(sorted(missing, key=ctx.index_of.get))
-                raise ValueError(
-                    f"surd substitution must bind all symbols; missing {names}")
-            return r._at(value, lambda p: QuadraticSurd.of(_over(p.get(0, (0, 0))), d),
-                         total)
-        return at_surd
+        def const(p):
+            return Coefficient(p, (), 1, ctx)
+        return lambda c: c._refreshed()._at(
+            value, const, Coefficient.sum_of_products, bound)
 
     def _at(self, value, const, total, bound=-1):
         """num / (q * den) at a point; self must be current.
@@ -1673,9 +1542,9 @@ class Coefficient:
 
 
 class _Reducer:
-    """Division by an ideal: the generators (gens) in order, with their
-    nonzero numerators, each keeping its division table, and the lowest
-    total degree of their leads; it grows by append.
+    """Division by an ideal: the generators (gens) in order, with the
+    division tables of their nonzero numerators (_tables), built once, and
+    the lowest total degree of their leads; it grows by append.
 
     reduce(c) is the remainder of c's numerator under division by the
     numerators in order, fraction-free (_remainder), over c's denominator:
@@ -1690,7 +1559,7 @@ class _Reducer:
     StaleCoefficient.
     """
 
-    __slots__ = ("gens", "_ctx", "_divisors", "_low")
+    __slots__ = ("gens", "_ctx", "_tables", "_low")
 
     def __init__(self, gens=()):
         self.gens: list[Coefficient] = list(gens)
@@ -1704,11 +1573,12 @@ class _Reducer:
             self._add(g._num)
 
     def _add(self, num) -> None:
-        self._divisors.append(num)
-        self._low = min(self._low, _lm(num) >> self._ctx.deg_shift)
+        table = _table(num)
+        self._tables.append(table)
+        self._low = min(self._low, table[0] >> self._ctx.deg_shift)
 
     def _prepare(self, ctx: RingContext) -> None:
-        self._ctx, self._divisors, self._low = ctx, [], MAX_DEGREE + 1
+        self._ctx, self._tables, self._low = ctx, [], MAX_DEGREE + 1
         for g in self.gens:
             g = g if g._ctx is ctx else g._refreshed()
             if g._num:
@@ -1722,7 +1592,7 @@ class _Reducer:
         num = r._num
         if not num or (_lm(num) >> ctx.deg_shift) < self._low:
             return r
-        rem, scale = _remainder(num, self._divisors, ctx)
+        rem, scale = _remainder(num, self._tables, ctx)
         if rem is num:
             return r
         den = list(r._den)

@@ -292,15 +292,7 @@ class Form:
                 out[rest] = -c if (len(mi.holo) + k) % 2 else c
         return Form(out)
 
-    # -- evaluation, rendering ----------------------------------------------
-
-    def numeric(self, point: dict[str, complex]) -> dict[MultiIndex, complex]:
-        out = {}
-        for mi, c in self._terms.items():
-            v = c.numeric(point)
-            if v != 0:
-                out[mi] = v
-        return out
+    # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
         if not self._terms:

@@ -337,7 +337,7 @@ class Geometry:
             # fully evaluated constraints carry no residual equation: zero
             # means the point sits on the locus, a nonzero scalar means it
             # sits off it; neither cuts the specialized family any further
-            if isinstance(value, Coefficient) and not value.is_scalar():
+            if not value.is_scalar():
                 kept.append(value)
         generators = None
         if self.generators is not None:

@@ -24,8 +24,6 @@ from ihg import (
     DivisionByZero,
     Form,
     GaussianRational,
-    MixedRadicals,
-    QuadraticSurd,
     SectorMixing,
     StaleCoefficient,
 )
@@ -54,6 +52,7 @@ from ihg.coefficients import (
     _remainder,
     _scale,
     _sum,
+    _table,
     _terms,
 )
 from ihg.symbols import (
@@ -120,34 +119,6 @@ class TestGaussianRational:
         assert GaussianRational(Fraction(1, 2)).render() == "1/2"
         assert GaussianRational(Fraction(0), Fraction(1)).render() == "i"
         assert GaussianRational(Fraction(1), Fraction(-1)).render() == "(1 - i)"
-
-
-class TestQuadraticSurd:
-    def test_root_of_paper_quartic_factor(self):
-        # T^2 - 4T + 1 vanishes at 2 +- sqrt(3)
-        for sgn in (1, -1):
-            r = QuadraticSurd(GaussianRational.of(2), GaussianRational.of(sgn), 3)
-            assert (r * r - 4 * r + 1).is_zero()
-
-    def test_field_ops(self):
-        x = QuadraticSurd(GaussianRational.of(Fraction(1, 2)), GaussianRational.of(3), 3)
-        y = QuadraticSurd(GaussianRational.of(-2), GaussianRational.of(Fraction(1, 5)), 3)
-        assert (x / y) * y == x
-        assert x * y == y * x
-        assert (x + y) - y == x
-
-    def test_sign(self):
-        mk = lambda a, b: QuadraticSurd(GaussianRational.of(a), GaussianRational.of(b), 3)
-        assert mk(2, -1).sign() == 1  # 2 - sqrt3 > 0
-        assert mk(1, -1).sign() == -1  # 1 - sqrt3 < 0
-        assert mk(-3, 2).sign() == 1  # 2 sqrt3 > 3
-        assert mk(0, 0).sign() == 0
-
-    def test_mixed_radicals_rejected(self):
-        x = QuadraticSurd(GaussianRational.of(1), GaussianRational.of(1), 3)
-        y = QuadraticSurd(GaussianRational.of(1), GaussianRational.of(1), 5)
-        with pytest.raises(MixedRadicals):
-            x + y
 
 
 class TestCoefficientField:
@@ -328,23 +299,29 @@ class TestSubstitution:
         assert both == seq
 
     def test_surd_substitution_full_evaluation(self):
+        # sqrt(3) is a real symbol s reduced modulo s^2 - 3: with every other
+        # symbol bound, a remainder a + b*s is the value a + b*sqrt(3), so a
+        # zero remainder is a value that vanishes there
         registry.ensure_real("T")
-        T = C("T")
+        registry.ensure_real("s")
+        T, s = C("T"), C("s")
+        root3 = [s * s - 3]
+        at = {"T": 2 - s}
         P = (T + 1) ** 2 * (T ** 2 - 4 * T + 1)
-        r = QuadraticSurd(GaussianRational.of(2), GaussianRational.of(-1), 3)
-        assert P.substitute({"T": r}).is_zero()
-        with pytest.raises(DenominatorVanishes):
-            (ONE() / (T ** 2 - 4 * T + 1)).substitute({"T": r})
+        assert P.substitute(at).reduce_modulo(root3).is_zero()
+        # 1/(T^2 - 4T + 1) is undefined there: its denominator reduces to 0
+        v = (ONE() / (T ** 2 - 4 * T + 1)).substitute(at)
+        assert (ONE() / v).numerator_normalized().reduce_modulo(root3).is_zero()
         # 1/(3 - sqrt(3)) = 1/2 + sqrt(3)/6
-        assert (ONE() / (T + 1)).substitute({"T": r}) == QuadraticSurd(
-            GaussianRational.of(Fraction(1, 2)),
-            GaussianRational.of(Fraction(1, 6)), 3)
-        registry.ensure_real("S")
-        with pytest.raises(ValueError):
-            (T + C("S")).substitute({"T": r})
-        root5 = QuadraticSurd(GaussianRational.of(0), GaussianRational.of(1), 5)
-        with pytest.raises(MixedRadicals):
-            (T + C("S")).substitute({"T": r, "S": root5})
+        v = (ONE() / (T + 1)).substitute(at)
+        half = Coefficient.from_scalar(Fraction(1, 2))
+        assert (v - half - s / 6).reduce_modulo(root3).is_zero()
+        assert not (v - half).reduce_modulo(root3).is_zero()
+        # two radicals are two symbols with their two relations
+        registry.ensure_real("r")
+        r = C("r")
+        square = (s + r) ** 2 - 2 * s * r
+        assert square.reduce_modulo([s * s - 3, r * r - 5]) == 8
 
     def test_numeric_binds_unbound_partners(self):
         setup_symbols()
@@ -376,9 +353,6 @@ class TestSubstitution:
         unit = GaussianRational(Fraction(3, 5), Fraction(4, 5))
         assert E.conjugate().substitute({"E1": unit}) * unit == ONE()
         assert E.conjugate().substitute({"E1": C("E2")}) == C("E2").conjugate()
-        surd = QuadraticSurd(GaussianRational.of(2), GaussianRational.of(1), 3)
-        with pytest.raises(ValueError, match="unit circle"):
-            E.substitute({"E1": surd})
 
 
 class TestSectors:
@@ -1148,7 +1122,7 @@ def test_degree_checks_read_the_cached_lead(read):
 def test_remainder_matches_division_over_q_i(p, divisors):
     # r / s is the remainder of sympy's division over Q(i), taken in the
     # same divisor order and grlex
-    r, s = _remainder(_pairs(p), [_pairs(g) for g in divisors], XYZ)
+    r, s = _remainder(_pairs(p), [_table(_pairs(g)) for g in divisors], XYZ)
     assert s != (0, 0)
     _, want = R.from_dict(dict(p)).div([R.from_dict(dict(g)) for g in divisors])
     assert _poly(r, R) == want * QQ_I(*s)
@@ -1801,6 +1775,23 @@ def test_conjugates_of_a_shared_atom_share_one_atom():
         shared = {id(b) for c in (xc, yc) for b, _ in c._den if b == xc._den[0][0]}
         assert len(shared) == 1
         assert xc.conjugate() == x
+
+
+def test_conjugate_takes_the_unit_of_a_conjugated_atom():
+    # conj(t + i*conj(t)) = conj(t) - i*t is -i times the atom itself, so
+    # the conjugate of a value over it carries the unit's conjugate i to
+    # the power of the atom's multiplicity; a divisor's numerator is one
+    # atom, so atom ** 3 is a new atom, with unit i, and a negative power
+    # keeps the atom, with multiplicity 2
+    setup_symbols()
+    t, i = C("t11"), Coefficient.i()
+    atom = t + i * t.conjugate()
+    point = {"t11": GaussianRational(Fraction(1, 3), Fraction(2, 7))}
+    for c, want in ((ONE() / atom, i / atom),
+                    ((t + 1) / atom ** 3, -i * (t.conjugate() + 1) / atom ** 3),
+                    (atom ** -2, -(atom ** -2))):
+        assert c.conjugate() == want
+        assert c.conjugate().substitute(point) == c.substitute(point).conjugate()
 
 
 # -- the Gaussian-integer kernel -----------------------------------------------

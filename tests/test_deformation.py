@@ -232,6 +232,34 @@ class TestIwasawaFamily:
         quartic = dd * dd + dd * (e - 6) + e + 1
         assert value == ag * ag * quartic
 
+    def test_every_metric_is_skt_at_a_surd_point(self):
+        # at t11 = t22 = t31 = t32 = 0, t12 = 1, t21 = 1 + i*sqrt(2), with
+        # sqrt(2) a real symbol s reduced modulo s^2 - 2, the SKT value
+        # vanishes and the atom 1 + |D|^2 - E is 2: every invariant metric
+        # on that deformation is SKT
+        g = catalog("iwasawa")
+        psi, (t11, t12, t21, t22, _, _), det = _iwasawa_psi()
+        value = pluriclosed_criterion(Deformation(g, psi).geometry())
+        atom = (
+            ONE() + det * det.conjugate() - t11 * t11.conjugate()
+            - t22 * t22.conjugate() - t12.conjugate() * t21
+            - t12 * t21.conjugate()
+        )
+        registry.ensure_real("s")
+        s = S("s")
+        root2 = [s * s - 2]
+        point = {"t11": 0, "t22": 0, "t31": 0, "t32": 0, "t12": 1,
+                 "t21": 1 + Coefficient.i() * s}
+        at = value.substitute(point)
+        assert at.reduce_modulo(root2).is_zero()
+        assert atom.substitute(point).reduce_modulo(root2) == 2
+        # the value is defined there: its denominator, the atom squared,
+        # reduces to 4
+        assert (ONE() / at).numerator_normalized().reduce_modulo(root2) == 4
+        # at t21 = 1 the atom vanishes and the value is undefined
+        with pytest.raises(coefficients.DenominatorVanishes):
+            value.substitute({**point, "t21": 1})
+
     def test_base_point_recovers_original_structure(self):
         g = catalog("iwasawa")
         psi, _, _ = _iwasawa_psi()

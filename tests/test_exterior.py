@@ -185,15 +185,6 @@ def test_wedge_power_of_a_mixed_form_is_the_wedge_chain():
         f.wedge_power(-1)
 
 
-def test_numeric_evaluation():
-    registry.ensure_pair("t")
-    t = Coefficient.symbol("t")
-    f = Form.monomial((1,), (2,), t * t.conjugate())
-    pt = {"t": 0.3 + 0.4j, "t_c": 0.3 - 0.4j}
-    got = f.numeric(pt)
-    assert abs(got[MultiIndex((1,), (2,))] - 0.25) < 1e-12
-
-
 @st.composite
 def small_forms(draw):
     one, t, tc, i = coeffs()
@@ -425,6 +416,13 @@ def test_wedge_normalizes_each_monomial_once(monkeypatch, k):
     monkeypatch.undo()
     assert len(got) == 1
     assert got == want
+
+
+def test_vector_form_renders_legs_in_index_order():
+    v = VectorForm({2: Form.monomial((), (1,)),
+                    1: Form.monomial((1,), (2,), 2) + Form.monomial((2,), ())})
+    assert v.render() == "(phi[2] + 2*phi[1|2]) (x) Z1 + (phi[|1]) (x) Z2"
+    assert VectorForm.zero().render() == "0"
 
 
 def test_vector_form_equality_needs_equal_mirroring():

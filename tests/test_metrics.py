@@ -118,6 +118,18 @@ class TestTorus:
         for k in (1, 2, 3):
             assert check_condition(t, m, "k_pluriclosed", k=k).holds is True
 
+    def test_astheno_is_void_below_dimension_three(self):
+        rep = check_condition(torus(2), InvariantMetric.identity(2), "astheno")
+        assert rep.holds is True
+        assert rep.notes == ("void in dimension < 3",)
+
+    def test_strongly_gauduchon_on_a_del_closed_power(self):
+        # del omega^2 = 0 on the torus, so no dbar-primitive is solved for
+        rep = strongly_gauduchon(torus(3), InvariantMetric.identity(3))
+        assert rep.holds is True
+        assert rep.witness.is_zero()
+        assert rep.notes == ("del omega^{n-1} already vanishes",)
+
 
 class TestIwasawa:
     def test_skt_fails_with_diagonal_residual(self):
@@ -273,6 +285,17 @@ class TestFpsFamily:
         # residual = h33 phi^{12 1b2b} (up to i): no metric choice kills it
         assert rep.holds == "conditional"
         assert rep.constraint_generators == (Coefficient.symbol("h33"),)
+
+    def test_conditional_report_json_carries_generators_and_notes(self):
+        rep = check_condition(catalog("fps_family"), InvariantMetric.generic(3),
+                              "balanced")
+        assert rep.holds == "conditional"
+        data = rep.to_json_dict()
+        assert data["constraint_generators"] == [
+            c.render() for c in rep.constraint_generators]
+        assert len(data["constraint_generators"]) == 2
+        assert data["notes"] == ["reduced modulo attached constraint ideal"]
+        assert "witness" not in data
 
 
 class TestNakamura:
