@@ -1345,10 +1345,32 @@ class Coefficient:
         return self.diff(name)
 
     def euler(self, char_name: str) -> "Coefficient":
-        """E * d/dE for a character generator (degree-preserving)."""
+        """E * d/dE for a character generator (degree-preserving).
+
+        When E occurs in no atom but the atom E itself, of multiplicity K,
+        the quotient rule is closed: E*d/dE (num / (q*E^K*rest)) =
+        (E*d/dE num - K*num) / (q*E^K*rest), each numerator term scaled
+        by its E-exponent less K, over the same denominator, in one _make.
+        E is prime and divides no other atom, so that _make cancels what
+        the quotient rule's would, and the normal form is the same.  Any
+        other atom that contains E takes the quotient rule: a monomial
+        atom E*t beside an atom t, say, would cancel differently there."""
         r = self._refreshed()
-        idx = r._ctx.index_of[char_name]
-        return r._derive(lambda p: _poly_euler(p, idx, r._ctx))
+        ctx = r._ctx
+        idx = ctx.index_of[char_name]
+        shift, field, gen = ctx.shifts[idx], ctx.field_mask, ctx.gens[idx]
+        k = 0
+        for atom, mult in r._den:
+            if gen in atom and len(atom) == 1:
+                k = mult
+            elif any((m >> shift) & field for m in atom):
+                return r._derive(lambda p: _poly_euler(p, idx, ctx))
+        num = _Poly()
+        for m, (x, y) in r._num.items():
+            e = ((m >> shift) & field) - k
+            if e:
+                num[m] = (x * e, y * e)
+        return Coefficient._make(num, r._den, r._q, ctx)
 
     # -- substitution ---------------------------------------------------------
 

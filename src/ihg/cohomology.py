@@ -15,8 +15,9 @@ The matrix of an operator ("d", "del", "dbar" or "ddbar") in sector s is
 read off the geometry's tables: d(chi^s*m) = chi^s*(dm + dlog chi^s ^ m)
 with dlog chi^s = sum_c s_c dlog_c, so a column is the table entry of m
 twisted by the sector's exponents (Geometry.twisted_split, whose dlog
-table holds every character term of d), and no coefficient is ever
-multiplied by chi^s and split again.  Its terms go straight into the
+table holds every character term of d, or for del, dbar and ddbar the
+one half each reads, Geometry._twisted_half), and no coefficient is
+ever multiplied by chi^s and split again.  Its terms go straight into the
 column by monomial index: a column, the prefix divided out, stays in the
 sector exactly when no coefficient carries a character, and one that does
 raises SectorMixing.  The target bidegrees follow from the operator
@@ -165,20 +166,22 @@ class SectorComplex:
                 index: dict[MultiIndex, int]) -> linalg.SparseVector:
         """op_s of the monomial mi, op of prefix*mi with the prefix
         divided out, on the monomials of index; d reads the (del, dbar)
-        pair, never merged.  A coefficient that carries a character leaves
-        the sector and raises SectorMixing."""
-        if not self._twist:
-            # sector 0: the d-table entry itself
-            del_m, dbar_m = self.geom._d_monomial(mi)
-        else:
-            del_m, dbar_m = self.geom.twisted_split(
-                Form({mi: Coefficient.one()}), self._twist)
+        pair, never merged, and del, dbar and ddbar form only the halves
+        they read.  A coefficient that carries a character leaves the
+        sector and raises SectorMixing."""
+        geom, twist = self.geom, self._twist
+        form = Form({mi: Coefficient.one()})
+        # sector 0 reads the d-table entry itself
         if op == "d":
-            parts = (del_m, dbar_m)
-        elif op == "ddbar":
-            parts = self.geom.twisted_split(dbar_m, self._twist)[:1]
+            parts = (geom.twisted_split(form, twist) if twist
+                     else geom._d_monomial(mi))
         else:
-            parts = (del_m if op == "del" else dbar_m,)
+            side = 0 if op == "del" else 1
+            part = (geom._twisted_half(form, side, twist) if twist
+                    else geom._d_monomial(mi)[side])
+            if op == "ddbar":
+                part = geom._twisted_half(part, 0, twist)
+            parts = (part,)
         column = {}
         for part in parts:
             for m, c in part.terms():

@@ -271,7 +271,7 @@ class Deformation:
         deformed-coordinate split against the operator-level formula."""
         # the extension is the identity on monomial patterns, so alpha's
         # pattern doubles as e(alpha) in deformed coordinates
-        return self.dbar_t_formula(alpha) == self.geometry().d_split(alpha)[1]
+        return self.dbar_t_formula(alpha) == self.geometry().dbar(alpha)
 
     # -- operator route ------------------------------------------------------
 
@@ -300,7 +300,7 @@ class Deformation:
         inner = fwd.apply(alpha)
         del_part, dbar_part = self.base.d_split(inner)
         return bwd.apply(
-            self.base.d_split(self.psi.iota(inner))[0]
+            self.base.del_op(self.psi.iota(inner))
             - self.psi.iota(del_part)
             + dbar_part
         )
@@ -322,10 +322,13 @@ def deform(base: Geometry, psi: VectorForm,
 
 
 def _with_d(geom: Geometry, vf: VectorForm) -> tuple[VectorForm, dict]:
-    """vf with the d table of its legs, leg -> d(leg form): what
-    _bracket_terms takes, so a caller bracketing one form several times
-    takes each df once."""
-    return vf, {j: geom.d(f) for j, f in vf.components.items()}
+    """vf with the d table of its legs, leg -> the part of d(leg form)
+    that _bracket_terms reads: what it takes, so a caller bracketing one
+    form several times takes each df once.  The bracket reads df only
+    through contract_holo, which kills the (0,q+1) part dbar f of a leg
+    with no holomorphic factor, so such a leg keeps del f alone."""
+    return vf, {j: geom.del_op(f) if all(not mi.holo for mi, _ in f.terms())
+                else geom.d(f) for j, f in vf.components.items()}
 
 
 def _bracket_terms(geom: Geometry, a, b, weight=1):
@@ -338,8 +341,9 @@ def _bracket_terms(geom: Geometry, a, b, weight=1):
                              + rho^(L_Y eta) (x) X,
 
     with the Lie derivative L_{Z_i} f = d(iota_i f) + iota_i(df) by the
-    Cartan formula; df is read from the d tables for every pair the leg
-    meets.  The wedge terms of eta^rho are formed once per leg pair whose
+    Cartan formula; iota_i df is read from the d tables for every pair
+    the leg meets, which hold del f alone for a leg with no holomorphic
+    factor.  The wedge terms of eta^rho are formed once per leg pair whose
     frame bracket [X,Y] is nonzero, and shared by its components.
 
     When b is a and every leg is a 1-form, as every Kuranishi term is, the

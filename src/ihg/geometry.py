@@ -13,11 +13,14 @@ to the pair (dlog^{1,0} ^ m, dlog^{0,1} ^ m), both filled on first use.
 The second is the one home of every character term of d: twisted_split
 adds its entries with the factor E*dc/dE for a coefficient c, and with
 s_E*c for a sector's exponents s (d_s = d + sum_E s_E dlog E ^, whose
-matrices cohomology reads).  d_split is its untwisted view, and d,
-del_op, dbar and ddbar are views of d_split; d of a coefficient c is d
-of the scalar form c.  The sector matrices read off these tables are
-kept in a third, the sector table, which cohomology fills; like the
-others it holds forms and matrices only, never the geometry.
+matrices cohomology reads).  d_split is its untwisted view and d its
+sum; a caller that reads one half takes it alone (_twisted_half, the
+same terms with the other half never formed), as del_op, dbar and so
+ddbar do.  d of a coefficient c is d of the scalar form c.  Validation
+checks d^2 on the coframe only, not on its conjugate, since d is real.
+The sector matrices read off these tables are kept in a third, the
+sector table, which cohomology fills; like the others it holds forms
+and matrices only, never the geometry.
 """
 
 from __future__ import annotations
@@ -102,7 +105,9 @@ class Geometry:
             rest = MultiIndex((), mi.anti[1:])
         else:
             return Form.zero(), Form.zero()
-        first = df.wedge(Form({rest: Coefficient.one()}))
+        # a coframe element's d is its structure form, with no wedge by 1
+        first = (df.wedge(Form({rest: Coefficient.one()})) if rest.degree
+                 else df)
         del_rest, dbar_rest = self._d_monomial(rest)
         p, q = mi.bidegree
         split = (
@@ -126,17 +131,25 @@ class Geometry:
         is formed: dc is the sum over characters E of E*dc/dE * dlog E, so
         each character adds its table pair (dlog^{1,0} ^ m, dlog^{0,1} ^
         m) with the factor E*dc/dE, and again with the factor s_E*c.
-        Each half is one Form.combination.
+        Each half is one Form.combination; a caller that reads one half
+        takes _twisted_half instead.
 
         For a character monomial chi with exponents twist, this is
         d(chi*form) with chi divided out; no twist is d itself, and a
         character that is not the geometry's twists nothing."""
-        del_pairs, dbar_pairs = [], []
-        for mi, c in form.terms():
-            for entry, x in self._d_terms(mi, c, twist):
-                del_pairs.append((entry[0], x))
-                dbar_pairs.append((entry[1], x))
-        return Form.combination(del_pairs), Form.combination(dbar_pairs)
+        terms = [t for mi, c in form.terms()
+                 for t in self._d_terms(mi, c, twist)]
+        return (Form.combination((entry[0], x) for entry, x in terms),
+                Form.combination((entry[1], x) for entry, x in terms))
+
+    def _twisted_half(self, form: Form, side: int,
+                      twist: dict[str, int] | None = None) -> Form:
+        """twisted_split(form, twist)[side], one Form.combination over the
+        same terms with the other half never formed: side 0 is del_s, 1
+        dbar_s."""
+        return Form.combination(
+            (entry[side], x) for mi, c in form.terms()
+            for entry, x in self._d_terms(mi, c, twist))
 
     def _d_terms(self, mi: MultiIndex, c: Coefficient,
                  twist: dict[str, int] | None):
@@ -169,10 +182,10 @@ class Geometry:
         return del_part + dbar_part
 
     def del_op(self, form: Form) -> Form:
-        return self.d_split(form)[0]
+        return self._twisted_half(form, 0)
 
     def dbar(self, form: Form) -> Form:
-        return self.d_split(form)[1]
+        return self._twisted_half(form, 1)
 
     def ddbar(self, form: Form) -> Form:
         return self.del_op(self.dbar(form))
@@ -204,6 +217,18 @@ class Geometry:
     # -- validation -----------------------------------------------------------
 
     def _validate(self) -> None:
+        """Check the structure: integrable bidegrees, registered closed
+        unit-modulus characters, d^2 = 0 (modulo the constraints, which
+        clears d2_exact) and the generators.
+
+        d^2 is checked on phi^k only, as d(d phi^k) = d(structure[k]).
+        d commutes with conjugation: _d_anti is the conjugate of
+        structure, each dlog is checked anti-self-conjugate before the
+        d^2 loop, and conj(E) = 1/E gives E*d/dE conj(c) =
+        -conj(E*dc/dE), so d^2 conj(phi^k) = conj(d^2 phi^k) exactly.  The
+        constraint ideal holds the conjugate of each generator, so the
+        conjugate check would neither clear d2_exact nor raise where this
+        one does not."""
         for k in sorted(self.structure):
             if any(mi.bidegree not in ((2, 0), (1, 1))
                    for mi, _ in self.structure[k].terms()):
@@ -237,21 +262,16 @@ class Geometry:
                     f"dlog {cname} is not closed", kind="bad_character"
                 )
         for k in range(1, self.n + 1):
-            for flavor, f in (
-                ("h", Form.monomial((k,), ())),
-                ("a", Form.monomial((), (k,))),
-            ):
-                d2 = self.d(self.d(f))
-                if d2.is_zero():
-                    continue
-                # on a family, d^2 = 0 only on the declared constraint locus
-                if self.reduce(d2).is_zero():
-                    self.d2_exact = False
-                    continue
-                which = f"phi^{k}" if flavor == "h" else f"conj(phi^{k})"
-                raise StructureError(
-                    f"{self.name}: d^2({which}) != 0", kind="d2_nonzero"
-                )
+            d2 = self.d(self.structure[k])
+            if d2.is_zero():
+                continue
+            # on a family, d^2 = 0 only on the declared constraint locus
+            if self.reduce(d2).is_zero():
+                self.d2_exact = False
+                continue
+            raise StructureError(
+                f"{self.name}: d^2(phi^{k}) != 0", kind="d2_nonzero"
+            )
         for g in self.generators or ():
             self.check_generator(g)
 

@@ -704,6 +704,69 @@ def test_derivative_leibniz_random(a, b):
     assert lhs == rhs
 
 
+def _quotient_rule_euler(c):
+    """E1 * d/dE1 of c by the full quotient rule."""
+    r = c._refreshed()
+    idx = r._ctx.index_of["E1"]
+    return r._derive(lambda p: coefficients_module._poly_euler(p, idx, r._ctx))
+
+
+@st.composite
+def euler_values(draw):
+    # over conj(E1) = 1/E1, with parameter polynomials and monomial atoms
+    # in the denominator: t11 and E1 (one atom each), E1*t11 (one
+    # monomial atom, which takes the quotient rule) and E1 + t11 (mixed)
+    value = draw(coefficients())
+    t, u, e = C("t11"), C("t21"), C("E1")
+    denominators = [t, e, e.conjugate(), e * t, ONE() - t * t.conjugate(),
+                    e + t, e * e + u]
+    for d in draw(st.lists(st.sampled_from(denominators), max_size=2)):
+        value = value / d
+    return value
+
+
+@settings(max_examples=60)
+@given(euler_values())
+def test_euler_closed_form_matches_the_quotient_rule(c):
+    got, want = c.euler("E1"), _quotient_rule_euler(c)
+    assert got == want
+    assert got.render() == want.render()
+
+
+def test_euler_closed_form_and_its_fallback(monkeypatch):
+    # the closed form where E1 is no atom but the atom E1 itself, the
+    # quotient rule otherwise; both give the quotient rule's normal form
+    setup_symbols()
+    t, u, e = C("t11"), C("t21"), C("E1")
+    cases = [
+        # (E1*t21 + t11)/(E1*t11): the t11 term alone survives and cancels
+        # the atom t11
+        ((e * u + t) / e / t, -1 / e, False),
+        # no character: zero
+        (t / (ONE() - t * t.conjugate()), Coefficient.zero(), False),
+        (e.conjugate() * t / (ONE() + t), -e.conjugate() * t / (ONE() + t),
+         False),
+        # a mixed atom takes the quotient rule
+        (ONE() / (e + t), -e / (e + t) ** 2, True),
+    ]
+    calls = []
+    derive = Coefficient._derive
+
+    def counted(self, derivation):
+        calls.append(self)
+        return derive(self, derivation)
+
+    monkeypatch.setattr(Coefficient, "_derive", counted)
+    for value, want, fallback in cases:
+        calls.clear()
+        got = value.euler("E1")
+        assert len(calls) == fallback, value.render()
+        assert got == want, value.render()
+        assert got.render() == _quotient_rule_euler(value).render()
+    # the first value carries the atoms E1 and t11 apart
+    assert len(cases[0][0]._den) == 2
+
+
 @settings(max_examples=40)
 @given(coefficients())
 def test_conjugate_commutes_with_numeric(a):

@@ -94,16 +94,18 @@ def test_dimension_matches_rank_count(name):
 
 def test_sector_cost(monkeypatch):
     # the matrices read the d-table: no d_split of an embedded monomial,
-    # and in sector 0 one twisted split per (1,1) monomial, the del of its
-    # dbar column; one elimination for the kernel and one for both spans,
+    # and in sector 0 one one-half derivation per (1,1) monomial, the del
+    # of its dbar column, with no dbar half formed (16 twisted splits
+    # before); one elimination for the kernel and one for both spans,
     # the second over the free coordinates of ker d, one row per kernel
     # vector, not one per (2,2) monomial; each matrix builds its target
     # basis once
     g = catalog("solv4d")
-    calls = {"d_split": 0, "twisted_split": 0, "eliminate": 0,
-             "monomial_basis": 0}
+    calls = {"d_split": 0, "twisted_split": 0, "_twisted_half": 0,
+             "eliminate": 0, "monomial_basis": 0}
     rows_eliminated = []
     d_split, twisted_split = Geometry.d_split, Geometry.twisted_split
+    twisted_half = Geometry._twisted_half
     eliminate = linalg._eliminate
 
     def counted_d_split(self, form):
@@ -113,6 +115,10 @@ def test_sector_cost(monkeypatch):
     def counted_twisted_split(self, form, twist=None):
         calls["twisted_split"] += 1
         return twisted_split(self, form, twist)
+
+    def counted_twisted_half(self, form, side, twist=None):
+        calls["_twisted_half"] += 1
+        return twisted_half(self, form, side, twist)
 
     def counted_eliminate(rows, width):
         calls["eliminate"] += 1
@@ -125,11 +131,13 @@ def test_sector_cost(monkeypatch):
 
     monkeypatch.setattr(Geometry, "d_split", counted_d_split)
     monkeypatch.setattr(Geometry, "twisted_split", counted_twisted_split)
+    monkeypatch.setattr(Geometry, "_twisted_half", counted_twisted_half)
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     monkeypatch.setattr(cohomology, "monomial_basis", counted_monomial_basis)
     sector = BottChernSector(g, 2, 2)
     assert calls["d_split"] == 0
-    assert calls["twisted_split"] == 16
+    assert calls["twisted_split"] == 0
+    assert calls["_twisted_half"] == 16
     assert calls["eliminate"] == 2
     assert calls["monomial_basis"] <= 5
     kernel_dim = len(sector.image) + len(sector.quotient)
@@ -139,17 +147,23 @@ def test_sector_cost(monkeypatch):
 
 def test_a_second_sector_reads_the_sector_table(monkeypatch):
     # the second Bott-Chern sector of a geometry reads both matrices from
-    # the table: no twisted split and no d-table entry, but the same two
+    # the table: no derivation of d and no d-table entry, but the same two
     # eliminations, since no elimination or kernel is kept
     g = catalog("solv4d")
     first = BottChernSector(g, 2, 2)
-    calls = {"twisted_split": 0, "_d_monomial": 0, "eliminate": 0}
+    calls = {"twisted_split": 0, "_twisted_half": 0, "_d_monomial": 0,
+             "eliminate": 0}
     twisted_split, d_monomial = Geometry.twisted_split, Geometry._d_monomial
+    twisted_half = Geometry._twisted_half
     eliminate = linalg._eliminate
 
     def counted_twisted_split(self, form, twist=None):
         calls["twisted_split"] += 1
         return twisted_split(self, form, twist)
+
+    def counted_twisted_half(self, form, side, twist=None):
+        calls["_twisted_half"] += 1
+        return twisted_half(self, form, side, twist)
 
     def counted_d_monomial(self, mi):
         calls["_d_monomial"] += 1
@@ -160,10 +174,12 @@ def test_a_second_sector_reads_the_sector_table(monkeypatch):
         return eliminate(rows, width)
 
     monkeypatch.setattr(Geometry, "twisted_split", counted_twisted_split)
+    monkeypatch.setattr(Geometry, "_twisted_half", counted_twisted_half)
     monkeypatch.setattr(Geometry, "_d_monomial", counted_d_monomial)
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     second = BottChernSector(g, 2, 2)
-    assert calls == {"twisted_split": 0, "_d_monomial": 0, "eliminate": 2}
+    assert calls == {"twisted_split": 0, "_twisted_half": 0,
+                     "_d_monomial": 0, "eliminate": 2}
     monkeypatch.undo()
     assert second.image == first.image
     assert second.quotient == first.quotient
@@ -305,6 +321,31 @@ def test_table_read_matrix_matches_the_embedded_route(name, op):
                 # the first call fills the sector table, the second reads it
                 assert cx.matrix(op, p, q) == want, (sector, p, q)
                 assert cx.matrix(op, p, q) == want, (sector, p, q)
+
+
+@pytest.mark.parametrize("name", ["solv4d", "nakamura_3b"])
+def test_one_half_columns_are_halves_of_the_twisted_split(name):
+    # a twisted sector's del, dbar and ddbar columns form only the half
+    # they read; each is that half of twisted_split, which forms both
+    g = catalog(name)
+    for s in (1, -1):
+        cx = SectorComplex(g, (s,))
+        twist = {"E1": s}
+        for p in range(g.n + 1):
+            for q in range(g.n + 1):
+                halves = [g.twisted_split(Form({mi: Coefficient.one()}), twist)
+                          for mi in cx.basis(p, q)]
+                want = {"del": [h[0] for h in halves],
+                        "dbar": [h[1] for h in halves],
+                        "ddbar": [g.twisted_split(h[1], twist)[0]
+                                  for h in halves]}
+                for op, forms in want.items():
+                    index = {mi: k for k, mi in enumerate(
+                        mi for a, b in _TARGETS[op]
+                        for mi in monomial_basis(g.n, p + a, q + b))}
+                    columns = [{index[mi]: c for mi, c in f.terms()}
+                               for f in forms]
+                    assert cx.matrix(op, p, q) == columns, (s, op, p, q)
 
 
 def test_an_unknown_operator_is_refused():

@@ -183,6 +183,19 @@ class TestIwasawaFamily:
         psi, _, _ = _iwasawa_psi()
         assert Deformation(g, psi).is_integrable()
 
+    def test_deformed_d_commutes_with_conjugation(self):
+        # geometry validation checks d^2 on phi^k only and relies on d
+        # being real; the deformed structure's coefficients are quotients
+        # of the six parameters, so this is the realest test of it
+        g = deform(catalog("iwasawa"), _iwasawa_psi()[0]).geometry()
+        for k in range(3):
+            for p in range(k + 1):
+                for holo in combinations(range(1, 4), p):
+                    for anti in combinations(range(1, 4), k - p):
+                        f = _mono(holo, anti)
+                        assert g.d(f.conjugate()) == g.d(f).conjugate(), \
+                            f.render()
+
     def test_without_correction_maurer_cartan_fails(self):
         g = catalog("iwasawa")
         psi, _, det = _iwasawa_psi(correction=False)

@@ -6,6 +6,7 @@ must agree at random sample points.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -268,6 +269,14 @@ class TestBrackets:
         assert calls == ["E1"]
 
 
+def _monomials(n, top):
+    """Every coframe monomial of degree at most top, coefficient 1."""
+    return [Form.monomial(holo, anti)
+            for k in range(top + 1) for p in range(k + 1)
+            for holo in combinations(range(1, n + 1), p)
+            for anti in combinations(range(1, n + 1), k - p)]
+
+
 class TestDifferential:
     def test_solv4d_dbar_of_top_anti(self):
         geom = catalog("solv4d")
@@ -327,6 +336,43 @@ class TestDifferential:
             # the two character terms of E1*phi^{2bar} cancel
             assert list(geom.twisted_split(forms[1], {"E1": s})) == [
                 part * e for part in geom.d_split(Form.monomial((), (2,)))]
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_one_half_views_match_d_split(self, name, monkeypatch):
+        # del_op and dbar form only the half they read, by the same
+        # terms as d_split; a coefficient with a character adds its dlog
+        # terms to each half
+        geom = catalog(name)
+        registry.ensure_pair("t")
+        t = Coefficient.symbol("t")
+        coeffs = [Coefficient.one(), t]
+        if geom.chars:
+            e = Coefficient.symbol("E1")
+            coeffs.append(t * e / (2 + t.conjugate() * e))
+        for f in _monomials(geom.n, 3):
+            for c in coeffs:
+                del_part, dbar_part = geom.d_split(f * c)
+                assert geom.del_op(f * c) == del_part, f.render()
+                assert geom.dbar(f * c) == dbar_part, f.render()
+        calls = []
+        combination = Form.combination
+
+        def counted(pairs):
+            calls.append(pairs)
+            return combination(pairs)
+
+        monkeypatch.setattr(Form, "combination", staticmethod(counted))
+        geom.dbar(Form.monomial((1,), (1,), coeffs[-1]))
+        assert len(calls) == 1
+
+    def test_d_commutes_with_conjugation(self, twisted):
+        # validation checks d^2 on phi^k only and relies on d being real:
+        # d(conj f) = conj(d f) on every coframe monomial of degree <= 2,
+        # characters in the structure (twisted) included
+        for geom in [catalog(nm) for nm in CATALOG_NAMES] + [twisted]:
+            for f in _monomials(geom.n, 2):
+                assert geom.d(f.conjugate()) == geom.d(f).conjugate(), \
+                    (geom.name, f.render())
 
     def test_del_dbar_anticommute(self):
         for nm in CATALOG_NAMES:
@@ -447,6 +493,31 @@ class TestValidation:
         with pytest.raises(StructureError) as err:
             Geometry("bad", 2, structure)
         assert err.value.kind == "d2_nonzero"
+        assert str(err.value) == "bad: d^2(phi^1) != 0"
+
+    def test_validation_cost(self, monkeypatch):
+        # d^2 is checked on phi^k alone, as d(structure[k]): the conjugate
+        # coframe is never differentiated, and a coframe element's d is
+        # its structure form, with no wedge by 1 (24 sums before)
+        calls, sums = [], []
+        d, sum_of_products = Geometry.d, Coefficient.sum_of_products
+
+        def counted_d(self, form):
+            calls.append(form)
+            return d(self, form)
+
+        def counted_sum(pairs):
+            sums.append(pairs)
+            return sum_of_products(pairs)
+
+        monkeypatch.setattr(Geometry, "d", counted_d)
+        monkeypatch.setattr(Coefficient, "sum_of_products",
+                            staticmethod(counted_sum))
+        geom = catalog("solv4d")
+        assert len(sums) <= 8
+        conjugate_coframe = [Form.monomial((), (k,))
+                             for k in range(1, geom.n + 1)]
+        assert calls and not any(f in conjugate_coframe for f in calls)
 
     def test_character_must_be_registered(self):
         dlog = Form.monomial((1,), ()) - Form.monomial((), (1,))

@@ -235,21 +235,29 @@ _SOLV4D_SERIES = {
 def test_each_leg_form_is_differentiated_once(monkeypatch):
     # degrees 2, 3 and 4 bracket (psi_1, psi_1), (psi_1, psi_2) and
     # (psi_2, psi_2): psi_1 and psi_2 have four legs each, and the build
-    # keeps the d table of each, so 8 d's where every bracket taking its
-    # own would take 16
+    # keeps the d table of each, so 8 derivations where every bracket
+    # taking its own would take 16.  Every leg is pure (0,1), and the
+    # bracket reads its d only through contract_holo, which kills the
+    # (0,2) half, so each takes del alone and no full d
     g = catalog("solv4d")
-    calls = []
-    d = Geometry.d
+    calls, full = [], []
+    del_op, d = Geometry.del_op, Geometry.d
 
     def counted(self, form):
         calls.append(form)
+        return del_op(self, form)
+
+    def counted_d(self, form):
+        full.append(form)
         return d(self, form)
 
-    monkeypatch.setattr(Geometry, "d", counted)
+    monkeypatch.setattr(Geometry, "del_op", counted)
+    monkeypatch.setattr(Geometry, "d", counted_d)
     series = kuranishi_build(g)
     assert len(calls) == 8
     assert len({id(f) for f in calls}) == 8
     assert all(f.is_pure(0, 1) for f in calls)
+    assert full == []
     monkeypatch.undo()
     assert series.to_json_dict() == _SOLV4D_SERIES
 
@@ -263,7 +271,8 @@ def test_build_and_branch_deform_cost(monkeypatch):
     # is no sum, a pseudo-inverse of independent columns is one normal
     # solve, and deform forms only the (0,1) parts of the inverse's rows:
     # the bounds were 146 sums and 122 _make for the build, 79 sums and 92
-    # _make for deform
+    # _make for deform; a leg with no holomorphic part takes del alone
+    # and the euler of a character atom is closed: 105 sums for the build
     calls = {"sum_of_products": 0, "_make": 0}
     for name in calls:
         original = getattr(Coefficient, name)
@@ -281,7 +290,7 @@ def test_build_and_branch_deform_cost(monkeypatch):
         branch_reduce(series, BranchSpec(nonzeros=("t11",))))
     calls.update(dict.fromkeys(calls, 0))
     deform(g, psi, require_mc=False)
-    assert build["sum_of_products"] <= 105 and build["_make"] <= 106
+    assert build["sum_of_products"] <= 85 and build["_make"] <= 106
     assert calls["sum_of_products"] <= 61 and calls["_make"] <= 76
 
 
